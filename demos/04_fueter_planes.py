@@ -43,12 +43,12 @@ print("and on a generic plane:", [f"{r:.2f}" for r in generic.residuals()])
 
 # Vanishing depth: a full-rank Fueter plane is exactly 2-vanishing; if it
 # meets the horizontal distribution the last obstruction chi_3 dies too.
-print("depth of the completed plane:", fu.k_vanishing_profile(gp).depth)
+print("depth of the completed plane:", sp.equality_ladder(gp).vanishing_depth)
 flat_T = np.zeros((3, 4))
 flat_T[0, 0] = 1.0
 flat_T[2, 2] = -1.0
 print("depth of {e1+eta4, e2, e3-eta6}:",
-      fu.k_vanishing_profile(sp.GraphPlane(flat_T, S)).depth)
+      sp.equality_ladder(sp.GraphPlane(flat_T, S)).vanishing_depth)
 
 # The solution set is an 8-dimensional linear slice of the 12 graph
 # coordinates.

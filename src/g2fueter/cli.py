@@ -850,20 +850,29 @@ def build_parser():
     return p
 
 
+def _echo(argv):
+    """The command line as echoed in the report.  The output path is not part
+    of the computation, so both `--out FILE` and `--out=FILE` are dropped."""
+    kept, skip = [], False
+    for tok in argv:
+        if skip or tok.startswith("--out="):
+            skip = False
+        elif tok == "--out":
+            skip = True
+        else:
+            kept.append(tok)
+    return " ".join(kept)
+
+
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     start = time.monotonic()
     checks, payload = args.fn(args)
     wall = time.monotonic() - start
-    raw_argv = list(argv if argv is not None else sys.argv[1:])
-    # the output path is not part of the computation; keep the echo stable
-    if "--out" in raw_argv:
-        i = raw_argv.index("--out")
-        del raw_argv[i: i + 2]
     report = {
         "schemaVersion": SCHEMA_VERSION,
-        "command": " ".join(raw_argv),
+        "command": _echo(argv if argv is not None else sys.argv[1:]),
         "seed": args.seed,
         "toleranceProfile": args.profile,
         "checks": checks,

@@ -5,8 +5,8 @@ F(pi) = sum_i p_H(v_i) x p_V(v_i) vanishes; this module computes that
 vector by several independent routes (cross products, the J-matrix
 triple, contractions of the dual 4-form, wedge conditions on beta) and
 exposes the equivalence as a six-way residual report.  It also provides
-the completion constructions, the chi_i-from-beta formulas, k-vanishing depth,
-the linearization rank of the Fueter Grassmannian, and polar-space
+the completion constructions, the chi_i-from-beta formulas, the
+linearization rank of the Fueter Grassmannian, and polar-space
 dimensions for the associative and Fueter exterior systems.
 """
 
@@ -18,14 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import g2core
-from .exterior import Form, basis_form, hodge, interior, wedge
+from .exterior import Form, hodge, interior, wedge
 from .splitting import (
     DIM,
     GraphPlane,
     NotProjectableError,
     Plane,
     Splitting,
-    _vertical_parts,
     standard_splitting,
     ve_series,
 )
@@ -44,8 +43,6 @@ __all__ = [
     "chi_component_values",
     "chi_via_beta",
     "chi1_via_projection",
-    "KVanishingProfile",
-    "k_vanishing_profile",
     "linearization_rank",
     "polar_space_dim",
     "polar_dim_constancy",
@@ -322,13 +319,8 @@ def condition_residuals(g: GraphPlane) -> ConditionReport:
 def chi_component_values(g: GraphPlane):
     """[chi_0(v), .., chi_3(v)] as ambient-frame vectors (length 7 each),
     from the vertical-degree decomposition of the chi tensor."""
-    S = g.splitting
     frame = list(g.frame())
-    comp_parts = [_vertical_parts(c, 3) for c in S.chi_form_f().components]
-    out = []
-    for q in range(4):
-        out.append(np.array([parts[q].apply(frame) for parts in comp_parts]))
-    return out
+    return [p.apply(frame) for p in g.splitting.chi_f_parts]
 
 
 def chi_via_beta(g: GraphPlane):
@@ -340,9 +332,7 @@ def chi_via_beta(g: GraphPlane):
     from .splitting import beta_of
 
     S = g.splitting
-    frame_g2 = g2core.G2Structure(
-        phi=S.phi_f, metric=np.eye(DIM), vol=g2core.vol0(), star_phi=S.star_phi_f
-    )
+    frame_g2 = S.frame_g2
     beta = beta_of(g)
     chi1 = hodge(wedge(beta, S.star_phi_f))
     half_beta2 = 0.5 * wedge(beta, beta)
@@ -358,54 +348,10 @@ def chi1_via_projection(g: GraphPlane) -> Form:
     """Alternative route: chi_1(v)^flat = sqrt(3) (lambda^2)^{-1} (pi^2_7 beta)."""
     from .splitting import beta_of
 
-    S = g.splitting
-    frame_g2 = g2core.G2Structure(
-        phi=S.phi_f, metric=np.eye(DIM), vol=g2core.vol0(), star_phi=S.star_phi_f
-    )
+    frame_g2 = g.splitting.frame_g2
     beta = beta_of(g)
     return np.sqrt(3.0) * g2core.lambda_k_inverse(
         g2core.project_2_7(beta, frame_g2), 2, frame_g2
-    )
-
-
-# -- k-vanishing ----------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class KVanishingProfile:
-    depth: int
-    chi_norms: tuple           # |chi_1(v)|, |chi_2(v)|, |chi_3(v)|
-    identity_residuals: tuple  # ladder identities verified at this depth
-
-    def max_identity_residual(self):
-        return max(self.identity_residuals) if self.identity_residuals else 0.0
-
-
-def k_vanishing_profile(g: GraphPlane, tol=IDENTITY_TOL) -> KVanishingProfile:
-    """Maximal k with chi_i(v) = 0 for i <= k, plus the equivalent
-    alpha-identities at each verified depth."""
-    S = g.splitting
-    frame = list(g.frame())
-    chi_vals = chi_component_values(g)
-    norms = tuple(float(np.linalg.norm(chi_vals[i])) for i in (1, 2, 3))
-    depth = 0
-    while depth < 3 and norms[depth] < tol:
-        depth += 1
-
-    alpha_parts = _vertical_parts(S.phi_f, 3)
-    alpha_vals = [p.apply(frame) for p in alpha_parts]
-    ve = ve_series(g, max(depth + 1, 3))
-    residuals = []
-    for ell in range(1, depth + 1):
-        a_even = alpha_vals[2 * ell] if 2 * ell <= 3 else 0.0
-        a_odd = alpha_vals[2 * ell + 1] if 2 * ell + 1 <= 3 else 0.0
-        residuals.append(abs(a_even - ve[ell]))
-        residuals.append(abs(a_odd))
-    if depth < 3:
-        a_next = alpha_vals[2 * depth + 2] if 2 * depth + 2 <= 3 else 0.0
-        residuals.append(abs(a_next + 0.5 * norms[depth] ** 2 - ve[depth + 1]))
-    return KVanishingProfile(
-        depth=depth, chi_norms=norms, identity_residuals=tuple(residuals)
     )
 
 
@@ -443,8 +389,7 @@ def polar_space_dim(W: Plane, system: str, S: Splitting = None) -> int:
         A = coords[:, :3]
         if np.linalg.svd(A, compute_uv=False)[-1] <= 1e-10:
             raise NotProjectableError("fueter system requires a projectable plane")
-        comp_parts = [_vertical_parts(c, 3) for c in S.chi_form_f().components]
-        generators = [parts[1] for parts in comp_parts]
+        generators = list(S.chi_f_parts[1].components)
     else:
         generators = list(S.chi_form_f().components)
 

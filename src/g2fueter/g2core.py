@@ -25,7 +25,6 @@ from .exterior import (
     basis_form,
     form_from_terms,
     hodge,
-    inner,
     interior,
     pullback,
     wedge,
@@ -151,16 +150,15 @@ def hodge_metric(a: Form, metric) -> Form:
 class G2Structure:
     """A constant-coefficient G2 structure on R^7.
 
-    Holds the 3-form, its metric, volume form, dual 4-form, and coframe
-    labels.  Consistency (metric recovery, |phi|^2 = 7, vol = vol_g) is
-    enforced by the constructors, not re-checked per operation.
+    Holds the 3-form, its metric, volume form and dual 4-form.
+    Consistency (metric recovery, |phi|^2 = 7, vol = vol_g) is enforced
+    by the constructors, not re-checked per operation.
     """
 
     phi: Form
     metric: np.ndarray
     vol: Form
     star_phi: Form
-    frame_labels: tuple = tuple(f"e{i}" for i in range(1, 8))
 
     @property
     def metric_inv(self):

@@ -18,8 +18,7 @@ define the model.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,6 +109,27 @@ def _batchify(x):
     return (x[None, :] if single else x), single
 
 
+def _eval_monomials(comp, x, d=()):
+    """Sum of coeff * x^powers over comp = {powers: coeff}, differentiated
+    once along each axis listed in d, at points x of shape (..., len(powers))."""
+    out = np.zeros(x.shape[:-1])
+    for powers, coeff in comp.items():
+        p = list(powers)
+        c = coeff
+        for axis in d:
+            if p[axis] == 0:
+                break
+            c *= p[axis]
+            p[axis] -= 1
+        else:
+            term = np.full(x.shape[:-1], c)
+            for axis in range(len(p)):
+                if p[axis]:
+                    term = term * x[..., axis] ** p[axis]
+            out += term
+    return out
+
+
 class PolynomialMap(AnalyticMap):
     """Componentwise polynomial map; monomials keyed by exponent triples."""
 
@@ -120,30 +140,9 @@ class PolynomialMap(AnalyticMap):
             raise ValueError("need 4 components")
         self.periodicity = None if periodicity is None else np.asarray(periodicity)
 
-    def _eval_component(self, comp, x, d=()):
-        out = np.zeros(x.shape[0])
-        for powers, coeff in comp.items():
-            p = list(powers)
-            c = coeff
-            ok = True
-            for axis in d:
-                if p[axis] == 0:
-                    ok = False
-                    break
-                c *= p[axis]
-                p[axis] -= 1
-            if not ok:
-                continue
-            term = np.full(x.shape[0], c)
-            for axis in range(3):
-                if p[axis]:
-                    term = term * x[:, axis] ** p[axis]
-            out += term
-        return out
-
     def eval(self, x):
         xb, single = _batchify(x)
-        out = np.stack([self._eval_component(c, xb) for c in self.components], axis=1)
+        out = np.stack([_eval_monomials(c, xb) for c in self.components], axis=1)
         return out[0] if single else out
 
     def jet1(self, x):
@@ -151,7 +150,7 @@ class PolynomialMap(AnalyticMap):
         out = np.empty((xb.shape[0], 4, 3))
         for m, comp in enumerate(self.components):
             for i in range(3):
-                out[:, m, i] = self._eval_component(comp, xb, (i,))
+                out[:, m, i] = _eval_monomials(comp, xb, (i,))
         return out[0] if single else out
 
     def jet2(self, x):
@@ -160,7 +159,7 @@ class PolynomialMap(AnalyticMap):
         for m, comp in enumerate(self.components):
             for i in range(3):
                 for j in range(i, 3):
-                    vals = self._eval_component(comp, xb, (i, j))
+                    vals = _eval_monomials(comp, xb, (i, j))
                     out[:, m, i, j] = vals
                     out[:, m, j, i] = vals
         return out[0] if single else out
@@ -172,7 +171,7 @@ class PolynomialMap(AnalyticMap):
             for i in range(3):
                 for j in range(3):
                     for k in range(3):
-                        out[:, m, i, j, k] = self._eval_component(comp, xb, (i, j, k))
+                        out[:, m, i, j, k] = _eval_monomials(comp, xb, (i, j, k))
         return out[0] if single else out
 
 
@@ -572,35 +571,14 @@ class AmbientPolynomialMap(Su2AmbientMap):
         if len(self.components) != 4:
             raise ValueError("need 4 components")
 
-    def _eval_component(self, comp, x, d=()):
-        out = np.zeros(x.shape[:-1])
-        for powers, coeff in comp.items():
-            p = list(powers)
-            c = coeff
-            ok = True
-            for axis in d:
-                if p[axis] == 0:
-                    ok = False
-                    break
-                c *= p[axis]
-                p[axis] -= 1
-            if not ok:
-                continue
-            term = np.full(x.shape[:-1], c)
-            for axis in range(4):
-                if p[axis]:
-                    term = term * x[..., axis] ** p[axis]
-            out += term
-        return out
-
     def ambient_eval(self, h):
-        return np.stack([self._eval_component(c, h) for c in self.components], axis=-1)
+        return np.stack([_eval_monomials(c, h) for c in self.components], axis=-1)
 
     def ambient_d1(self, h):
         out = np.empty(h.shape[:-1] + (4, 4))
         for m, comp in enumerate(self.components):
             for k in range(4):
-                out[..., m, k] = self._eval_component(comp, h, (k,))
+                out[..., m, k] = _eval_monomials(comp, h, (k,))
         return out
 
     def ambient_d2(self, h):
@@ -608,7 +586,7 @@ class AmbientPolynomialMap(Su2AmbientMap):
         for m, comp in enumerate(self.components):
             for k in range(4):
                 for l in range(k, 4):
-                    vals = self._eval_component(comp, h, (k, l))
+                    vals = _eval_monomials(comp, h, (k, l))
                     out[..., m, k, l] = vals
                     out[..., m, l, k] = vals
         return out
@@ -702,6 +680,21 @@ def random_su2_points(rng, n):
 # =============================================================================
 
 
+def _torus_points(n):
+    """The regular n^3 lattice on the unit 3-torus, shape (n^3, 3)."""
+    axes = [np.arange(n) / n] * 3
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def _graph_frames(jets):
+    """Graph frames v_i = e_i + du(e_i) from per-point 4x3 jets, (N, 3, 7)."""
+    frame = np.zeros((jets.shape[0], 3, 7))
+    frame[:, :, :3] = np.eye(3)
+    frame[:, :, 3:] = np.transpose(jets, (0, 2, 1))
+    return frame
+
+
 @dataclass
 class ImmersionGrid:
     """Regular periodic lattice on the unit 3-torus with sampled jets.
@@ -712,12 +705,9 @@ class ImmersionGrid:
 
     u: AnalyticMap
     n: int
-    splitting: Splitting = field(default_factory=standard_splitting)
 
     def __post_init__(self):
-        axes = [np.arange(self.n) / self.n] * 3
-        mesh = np.meshgrid(*axes, indexing="ij")
-        self.points = np.stack([m.ravel() for m in mesh], axis=1)
+        self.points = _torus_points(self.n)
         self.values = self.u.eval(self.points)
         self.jets = self.u.jet1(self.points)
         self.weight = 1.0 / self.points.shape[0]
@@ -913,9 +903,7 @@ def shear_diffeo(amplitude=0.1, source_axis=1, target_axis=0):
 
 def ve_energy_of_composition(u: AnalyticMap, f: BaseDiffeo, n: int):
     """VE of the reparametrized immersion iota o f by direct quadrature."""
-    axes = [np.arange(n) / n] * 3
-    mesh = np.meshgrid(*axes, indexing="ij")
-    sigma = np.stack([m.ravel() for m in mesh], axis=1)
+    sigma = _torus_points(n)
     x = f.eval(sigma)
     A = f.jac(sigma)                       # horizontal part of the pushforward
     W = np.einsum("nmi,nij->nmj", u.jet1(x), A)
@@ -972,22 +960,17 @@ def cs_functional(u0: AnalyticMap, u1: AnalyticMap, n: int = 12, nt: int = 4, mo
     _require_same_class(u0, u1)
     S = standard_splitting()
     dense = _theta_dense(S)
-    axes = [np.arange(n) / n] * 3
-    mesh = np.meshgrid(*axes, indexing="ij")
-    x = np.stack([m.ravel() for m in mesh], axis=1)
+    x = _torus_points(n)
     w0, j0 = u0.eval(x), u0.jet1(x)
     w1, j1 = u1.eval(x), u1.jet1(x)
     nodes, weights = np.polynomial.legendre.leggauss(nt)
     t_nodes = 0.5 * (nodes + 1.0)
     t_weights = 0.5 * weights
     total = 0.0
-    N = x.shape[0]
-    vt = np.zeros((N, 7))
+    vt = np.zeros((x.shape[0], 7))
     vt[:, 3:] = w1 - w0
     for t, wt in zip(t_nodes, t_weights):
-        frame = np.zeros((N, 3, 7))
-        frame[:, :, :3] = np.eye(3)
-        frame[:, :, 3:] = (1.0 - t) * np.transpose(j0, (0, 2, 1)) + t * np.transpose(j1, (0, 2, 1))
+        frame = _graph_frames((1.0 - t) * j0 + t * j1)
         vals = np.einsum(
             "ijkl,ni,nj,nk,nl->n", dense, vt, frame[:, 0], frame[:, 1], frame[:, 2]
         )
@@ -1026,16 +1009,10 @@ def cs_first_variation(
 
     S = standard_splitting()
     dense = _theta_dense(S)
-    axes = [np.arange(n) / n] * 3
-    mesh = np.meshgrid(*axes, indexing="ij")
-    x = np.stack([m.ravel() for m in mesh], axis=1)
-    j1 = u1.jet1(x)
-    N = x.shape[0]
-    zvec = np.zeros((N, 7))
+    x = _torus_points(n)
+    zvec = np.zeros((x.shape[0], 7))
     zvec[:, 3:] = Z.eval(x)
-    frame = np.zeros((N, 3, 7))
-    frame[:, :, :3] = np.eye(3)
-    frame[:, :, 3:] = np.transpose(j1, (0, 2, 1))
+    frame = _graph_frames(u1.jet1(x))
     boundary = float(
         np.einsum(
             "ijkl,ni,nj,nk,nl->n", dense, zvec, frame[:, 0], frame[:, 1], frame[:, 2]
@@ -1048,17 +1025,10 @@ def adversarial_variation(u1: AnalyticMap, kmax: int = 1) -> FourierMap:
     """A vertical field aligned with the endpoint's Theta-contraction,
     projected onto low Fourier modes; drives the first variation away
     from zero whenever the endpoint is not Fueter."""
-    n = 8
-    axes = [np.arange(n) / n] * 3
-    mesh = np.meshgrid(*axes, indexing="ij")
-    x = np.stack([m.ravel() for m in mesh], axis=1)
+    x = _torus_points(8)
     S = standard_splitting()
     dense = _theta_dense(S)
-    j1 = u1.jet1(x)
-    N = x.shape[0]
-    frame = np.zeros((N, 3, 7))
-    frame[:, :, :3] = np.eye(3)
-    frame[:, :, 3:] = np.transpose(j1, (0, 2, 1))
+    frame = _graph_frames(u1.jet1(x))
     # Theta(., v1, v2, v3): the direction in which the boundary term grows
     theta_vec = np.einsum(
         "ijkl,nj,nk,nl->ni", dense, frame[:, 0], frame[:, 1], frame[:, 2]

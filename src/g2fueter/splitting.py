@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from .exterior import (
     VectorValuedForm,
     interior,
     pullback,
-    wedge,
     zero_form,
 )
 
@@ -95,6 +95,7 @@ class Splitting:
         return np.vstack([self.h_frame, self.v_frame])
 
     # -- frame-coordinate data ----------------------------------------------
+    # Built lazily, once per splitting, and shared read-only by every caller.
 
     def to_frame(self, a: Form) -> Form:
         """Express an ambient-coordinate form in frame coordinates."""
@@ -110,22 +111,41 @@ class Splitting:
     def _is_standard(self):
         return np.array_equal(self.frame_matrix, np.eye(DIM))
 
-    @property
+    @cached_property
     def phi_f(self) -> Form:
         return self.to_frame(self.g2.phi)
 
-    @property
+    @cached_property
     def star_phi_f(self) -> Form:
         return self.to_frame(self.g2.star_phi)
 
-    def form_parts(self):
-        """(lam, omega, Theta, mu) in frame coordinates.
+    @cached_property
+    def frame_g2(self) -> g2core.G2Structure:
+        """The structure in frame coordinates, where the metric is the identity."""
+        return g2core.G2Structure(
+            phi=self.phi_f,
+            metric=np.eye(DIM),
+            vol=g2core.vol0(),
+            star_phi=self.star_phi_f,
+        )
 
-        lam/omega are the vertical-degree 0/2 parts of phi; Theta/mu the
-        degree 2/4 parts of *phi.  For an associative splitting the other
-        parts vanish, which is asserted.
-        """
-        pphi = _vertical_parts(self.phi_f, 3)
+    @cached_property
+    def phi_f_parts(self) -> tuple:
+        """The vertical-degree parts alpha_0..alpha_3 of phi_f."""
+        return tuple(_vertical_parts(self.phi_f, 3))
+
+    @cached_property
+    def chi_f_parts(self) -> tuple:
+        """The vertical-degree parts chi_0..chi_3 of chi_form_f, split
+        componentwise (the value slot is untouched)."""
+        comp_parts = [_vertical_parts(c, 3) for c in self.chi_form_f().components]
+        return tuple(
+            VectorValuedForm(tuple(parts[q] for parts in comp_parts)) for q in range(4)
+        )
+
+    @cached_property
+    def _form_parts(self):
+        pphi = self.phi_f_parts
         pstar = _vertical_parts(self.star_phi_f, 4)
         for q in (1, 3):
             if not pphi[q].is_zero(1e-12):
@@ -135,6 +155,15 @@ class Splitting:
                 raise AssertionError(f"*phi has an unexpected vertical-degree-{q} part")
         return pphi[0], pphi[2], pstar[2], pstar[4]
 
+    def form_parts(self):
+        """(lam, omega, Theta, mu) in frame coordinates.
+
+        lam/omega are the vertical-degree 0/2 parts of phi; Theta/mu the
+        degree 2/4 parts of *phi.  For an associative splitting the other
+        parts vanish, which is asserted.
+        """
+        return self._form_parts
+
     def omega_2form(self, i: int) -> Form:
         """The vertical 2-form omega_i = i(h_i) omega, frame coordinates."""
         _, omega, _, _ = self.form_parts()
@@ -142,15 +171,13 @@ class Splitting:
         e[i - 1] = 1.0
         return interior(e, omega)
 
+    @cached_property
+    def _chi_form_f(self):
+        return g2core.chi_form(self.frame_g2)
+
     def chi_form_f(self) -> VectorValuedForm:
         """chi as a TM-valued 3-form in frame coordinates (metric = id there)."""
-        frame_g2 = g2core.G2Structure(
-            phi=self.phi_f,
-            metric=np.eye(DIM),
-            vol=g2core.vol0(),
-            star_phi=self.star_phi_f,
-        )
-        return g2core.chi_form(frame_g2)
+        return self._chi_form_f
 
 
 def standard_splitting() -> Splitting:
@@ -171,7 +198,6 @@ class Plane:
     """An oriented s-plane given by independent spanning vectors (ambient)."""
 
     span: np.ndarray
-    oriented: bool = True
 
     def __post_init__(self):
         span = np.atleast_2d(np.asarray(self.span, dtype=float))
@@ -209,9 +235,6 @@ class GraphPlane:
         out[:, :3] = np.eye(3)
         out[:, 3:] = self.T
         return out
-
-    def frame_ambient(self):
-        return self.frame() @ self.splitting.frame_matrix
 
     def gram_vertical(self):
         """Gram matrix of the vertical parts, G = T T^t."""
@@ -597,23 +620,17 @@ def equality_ladder(g: GraphPlane, lmax: int = 3, tol=IDENTITY_RESIDUAL_TOL):
 
     For each ell the even identity compares sum_{i+j=2 ell} of the alpha-
     and chi-pairings against |v_ell|^2, itself cross-checked against the
-    ve-convolution; the odd identities must vanish.  On a k-vanishing
-    plane the ladder identities alpha_{2l}(v) = ve_l and
+    ve-convolution; the odd identities must vanish.  The vanishing depth
+    is the largest k <= 3 with |chi_i(v)| < tol for all 1 <= i <= k; on
+    such a k-vanishing plane the ladder identities alpha_{2l}(v) = ve_l and
     alpha_{2k+2}(v) + |chi_{k+1}(v)|^2 / 2 = ve_{k+1} are also evaluated.
     """
     S = g.splitting
     frame = g.frame()
     vecs = list(frame)
 
-    alpha_parts = _vertical_parts(S.phi_f, 3)
-    alpha_vals = [p.apply(vecs) for p in alpha_parts]
-
-    # chi_form_f already lives in frame coordinates: split in place
-    chi_comp_parts = [_vertical_parts(c, 3) for c in S.chi_form_f().components]
-    chi_parts = [
-        VectorValuedForm(tuple(parts[q] for parts in chi_comp_parts)) for q in range(4)
-    ]
-    chi_vals = [p.apply(vecs) for p in chi_parts]
+    alpha_vals = [p.apply(vecs) for p in S.phi_f_parts]
+    chi_vals = [p.apply(vecs) for p in S.chi_f_parts]
 
     v_parts_sq = _wedge3_vertical_norms(frame)
     kmax = 2 * lmax + 2

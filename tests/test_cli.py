@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -44,12 +45,32 @@ class TestReports:
             assert set(check) == {"name", "claim", "residualOrFlag", "pass"}
             assert check["claim"]
 
+    # report SHA-256s at seed 7, fast profile; a declared schema or
+    # RNG-stream change updates them
+    PINNED_SHA256 = {
+        "algebra": "96a610fd0186c2d6e8f613e5ab7d382f5d240c64589829f38816106439d22175",
+        "splitting": "75de7edabd1666300d80b4063a6453b7a7f2be5753f1b293c17b0e7893fa177c",
+        "fueter": "967caafd22a6ffb95dd3f16da1d71514596402c0a7ec09b460480b49cb792794",
+        "models": "27f99075142aa159452049dcb22b3f7d536545633d0d8f6f172ea61164a18c8a",
+        "pde": "e5bc829f00106f32f277c61841c8fe94ef1c83ccc4de3f6090332bff051c8d1d",
+        "fm": "02d35592f97174f1feef170c53b1a2cfd91750452806ba2845ac0722d655bf08",
+    }
+
     def test_all_suites_pass(self, tmp_path):
-        for suite in ("algebra", "splitting", "fueter", "models", "pde", "fm"):
+        for suite, digest in self.PINNED_SHA256.items():
             code, raw = run_cli(["verify", suite, "--seed", "7", "--profile", "fast"],
                                 tmp_path, f"{suite}.json")
             assert code == 0, suite
             assert all(c["pass"] for c in json.loads(raw)["checks"])
+            assert hashlib.sha256(raw).hexdigest() == digest, suite
+
+    def test_out_path_is_not_echoed(self, tmp_path):
+        args = ["verify", "models", "--seed", "1", "--profile", "fast"]
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert cli.run(args + [f"--out={a}"]) == 0
+        assert cli.run(args + ["--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert json.loads(a.read_bytes())["command"] == " ".join(args)
 
     def test_model_command(self, tmp_path):
         code, raw = run_cli(

@@ -246,23 +246,24 @@ class TestChiViaBeta:
 
 
 class TestKVanishing:
+    # the vanishing depth and its ladder identities, read off equality_ladder
     def test_generic_depth_zero(self):
         rng = np.random.default_rng(9)
-        profile = fu.k_vanishing_profile(sp.GraphPlane(rng.standard_normal((3, 4)), S))
-        assert profile.depth == 0
+        rep = sp.equality_ladder(sp.GraphPlane(rng.standard_normal((3, 4)), S))
+        assert rep.vanishing_depth == 0
 
     def test_full_rank_fueter_depth_two(self):
         rng = np.random.default_rng(10)
         g = random_fueter_plane(rng)
         assert np.linalg.matrix_rank(g.T, tol=1e-8) == 3
-        profile = fu.k_vanishing_profile(g)
-        assert profile.depth == 2
-        assert profile.max_identity_residual() < 1e-10
+        rep = sp.equality_ladder(g)
+        assert rep.vanishing_depth == 2
+        assert max(rep.ladder_residuals) < 1e-10
 
     def test_fueter_with_horizontal_vector_depth_three(self):
-        profile = fu.k_vanishing_profile(sp.GraphPlane(FUETER_T, S))
-        assert profile.depth == 3
-        assert profile.max_identity_residual() < 1e-12
+        rep = sp.equality_ladder(sp.GraphPlane(FUETER_T, S))
+        assert rep.vanishing_depth == 3
+        assert max(rep.ladder_residuals) < 1e-12
 
 
 class TestLinearization:
@@ -358,9 +359,7 @@ class TestClosedFormsOnGeneralFrames:
         # basis of a projectable plane, not just the orthonormal one
         rng = np.random.default_rng(21)
         lam, omega, _, _ = S.form_parts()
-        chi_parts_components = [
-            sp._vertical_parts(c, 3) for c in S.chi_form_f().components
-        ]
+        chi1_form = S.chi_f_parts[1]
         for _ in range(50):
             g = sp.GraphPlane(rng.standard_normal((3, 4)), S)
             B = rng.standard_normal((3, 3))
@@ -369,7 +368,7 @@ class TestClosedFormsOnGeneralFrames:
             vecs = list(B @ g.frame())
             a0 = lam.apply(vecs)
             a2 = omega.apply(vecs)
-            chi1 = np.array([parts[1].apply(vecs) for parts in chi_parts_components])
+            chi1 = chi1_form.apply(vecs)
             volH = np.linalg.det(B)  # volH(v) for the graph frame is 1
             ve1 = sp.ve_series(g, 1)[1]
             lhs = a0 * a2 + 0.5 * float(chi1 @ chi1)
