@@ -3,14 +3,35 @@ energies and Fourier-Mukai sweeps, emitting deterministic JSON reports.
 
 Reports are byte-identical for identical (command, seed) inputs: the
 payload is serialized with sorted keys and fixed separators, and wall
-time goes to stderr, never into the payload.  Exit codes: 0 all checks
-pass, 1 a check failed, 2 usage error.
+time goes to stderr, never into the payload.
+
+Each command takes only the options it reads, and each option states its
+domain (every command also takes --out FILE):
+
+  verify SUITE       --seed N>=0 [--samples N>=5] [--tol X] [--profile P]
+  scan semical       --seed N>=0 [--samples N>=1] [--tol X] [--profile P]
+                     [--eps E [E ...]]  (each E > 0)
+  scan anisotropic   --seed N>=0 [--samples N>=1] [--tol X] [--profile P]
+  model NAME         [--B "r1;r2;r3"] [--homology]
+  solve KIND         --seed N>=0
+  energy             --seed N>=0 [--grid N>=1]
+  fm sweep           --seed N>=0 [--rmin R>0] [--rmax R>rmin] [--points N>=2]
+                     [--format json|csv]
+
+X, E and R are finite numbers.  `model heisenberg` requires --B (a 3x3
+matrix, rows separated by ';', entries by ','), the other models reject
+it, and --homology needs an even-integer B.
+
+Exit codes: 0 every check passes; 1 a check failed (a non-finite residual
+always fails); 2 the input is outside the command's domain, with one
+`error:` line on stderr and no report.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -34,7 +55,16 @@ def _record(name, claim, value, passed):
         value = int(value)
     else:
         value = float(value)
+        if not math.isfinite(value):
+            # JSON has no NaN or infinity; a non-finite residual never passes
+            value, passed = str(value), False
     return {"name": name, "claim": claim, "residualOrFlag": value, "pass": bool(passed)}
+
+
+def _sup(*values):
+    """The largest of the values, NaN if any is NaN (Python's max drops a
+    NaN that is not its first argument, which would let it pass)."""
+    return float(np.max(values))
 
 
 # -- verify suites -------------------------------------------------------------
@@ -70,7 +100,7 @@ def _suite_algebra(rng, tol):
         ib = monos[rng.integers(len(monos))]
         a, b = ex.basis_form(7, ia), ex.basis_form(7, ib)
         diff = ex.wedge(a, b) - ((-1.0) ** (a.degree * b.degree)) * ex.wedge(b, a)
-        worst = max(worst, diff.norm())
+        worst = _sup(worst, diff.norm())
     checks.append(_record(
         "wedge-anticommutativity", "graded anticommutativity of the wedge",
         worst, worst == 0.0,
@@ -80,7 +110,7 @@ def _suite_algebra(rng, tol):
     for deg in range(8):
         a = _random_form(rng, deg)
         ss = ex.hodge(ex.hodge(a))
-        worst = max(worst, (ss - a).norm())
+        worst = _sup(worst, (ss - a).norm())
     checks.append(_record("star-involution", "star twice is the identity in dim 7",
                           worst, worst < 1e-14))
 
@@ -91,7 +121,7 @@ def _suite_algebra(rng, tol):
         a, b = _random_form(rng, deg), _random_form(rng, deg)
         lhs = ex.inner(a, b)
         rhs = ex.wedge(a, ex.hodge(b)).coeffs.get(tuple(range(1, 8)), 0.0)
-        worst = max(worst, abs(lhs - rhs))
+        worst = _sup(worst, abs(lhs - rhs))
     checks.append(_record("inner-vs-wedge-star", "<a,b> vol = a ^ *b",
                           worst, worst < 1e-12))
 
@@ -103,7 +133,7 @@ def _suite_algebra(rng, tol):
         v = rng.standard_normal(7)
         lhs = ex.interior(v, ex.wedge(a, b))
         rhs = ex.wedge(ex.interior(v, a), b) + ((-1.0) ** p) * ex.wedge(a, ex.interior(v, b))
-        worst = max(worst, (lhs - rhs).norm())
+        worst = _sup(worst, (lhs - rhs).norm())
     checks.append(_record("interior-antiderivation",
                           "contraction is an antiderivation of degree -1",
                           worst, worst < 1e-12))
@@ -114,7 +144,7 @@ def _suite_algebra(rng, tol):
         u, v, w = rng.standard_normal((3, 7))
         lhs = G.phi.apply([u, v, w]) ** 2 + np.sum(g2core.chi(u, v, w, G) ** 2)
         gram = np.array([[u @ u, u @ v, u @ w], [v @ u, v @ v, v @ w], [w @ u, w @ v, w @ w]])
-        worst = max(worst, abs(lhs - np.linalg.det(gram)))
+        worst = _sup(worst, abs(lhs - np.linalg.det(gram)))
     checks.append(_record("associator-equality",
                           "|phi(v)|^2 + |chi(v)|^2 = |v1^v2^v3|^2",
                           worst, worst < tol["identity"]))
@@ -124,7 +154,7 @@ def _suite_algebra(rng, tol):
         vs = rng.standard_normal((4, 7))
         t = g2core.tau(*vs, G)
         lhs = G.star_phi.apply(list(vs)) ** 2 + t @ t
-        worst = max(worst, abs(lhs - np.linalg.det(vs @ vs.T)))
+        worst = _sup(worst, abs(lhs - np.linalg.det(vs @ vs.T)))
     checks.append(_record("coassociator-equality",
                           "|*phi(v)|^2 + |tau(v)|^2 = |v1^..^v4|^2",
                           worst, worst < tol["identity"]))
@@ -136,7 +166,7 @@ def _suite_algebra(rng, tol):
         v = rng.standard_normal(7)
         lhs = g2core.cross(u, g2core.cross(u, v, G), G)
         rhs = -v + (u @ v) * u
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+        worst = _sup(worst, float(np.abs(lhs - rhs).max()))
     checks.append(_record("double-cross", "u x (u x v) = -|u|^2 v + <u,v> u",
                           worst, worst < tol["identity"]))
 
@@ -144,7 +174,7 @@ def _suite_algebra(rng, tol):
     for _ in range(100):
         u, v = rng.standard_normal((2, 7))
         w = g2core.cross(u, v, G)
-        worst = max(worst, float(np.linalg.norm(g2core.chi(u, v, w, G))))
+        worst = _sup(worst, float(np.linalg.norm(g2core.chi(u, v, w, G))))
     checks.append(_record("cross-completion-associative",
                           "chi vanishes on u, v, u x v",
                           worst, worst < tol["identity"]))
@@ -153,7 +183,7 @@ def _suite_algebra(rng, tol):
     for k in (2, 4, 6):
         for _ in range(50):
             alpha = ex.Form(7, 1, {(i,): rng.standard_normal() for i in range(1, 8)})
-            worst = max(worst, abs(g2core.lambda_k(alpha, k, G).norm() - alpha.norm()))
+            worst = _sup(worst, abs(g2core.lambda_k(alpha, k, G).norm() - alpha.norm()))
     checks.append(_record("lambda-isometry", "lambda^k preserves norms (k = 2, 4, 6)",
                           worst, worst < 1e-12))
 
@@ -161,7 +191,7 @@ def _suite_algebra(rng, tol):
     for _ in range(50):
         beta = _random_form(rng, 2)
         oracle = (1.0 / 3.0) * (beta + ex.hodge(ex.wedge(G.phi, beta)))
-        worst = max(worst, (g2core.project_2_7(beta, G) - oracle).norm())
+        worst = _sup(worst, (g2core.project_2_7(beta, G) - oracle).norm())
     checks.append(_record("projection-eigen-oracle",
                           "pi^2_7 = (id + *(phi ^ .)) / 3",
                           worst, worst < 1e-12))
@@ -181,7 +211,7 @@ def _suite_splitting(rng, tol):
     worst = 0.0
     for _ in range(tol["samples"]):
         g = splitting.GraphPlane(rng.standard_normal((3, 4)), S)
-        worst = max(worst, float(np.abs(splitting.ve_series(g, 4) - splitting.ve_recursive(g, 4)).max()))
+        worst = _sup(worst, float(np.abs(splitting.ve_series(g, 4) - splitting.ve_recursive(g, 4)).max()))
     checks.append(_record("ve-two-routes",
                           "eigenvalue series and minor recursion agree",
                           worst, worst < tol["identity"]))
@@ -202,7 +232,7 @@ def _suite_splitting(rng, tol):
         resum = resum + p
     worst = (resum - phi).norm()
     lam, omega, theta, mu = S.form_parts()
-    worst = max(worst, parts[1].norm(), parts[3].norm(),
+    worst = _sup(worst, parts[1].norm(), parts[3].norm(),
                 (parts[0] - lam).norm(), (parts[2] - omega).norm())
     checks.append(_record("decomposition", "phi = lam + omega by vertical degree",
                           worst, worst == 0.0))
@@ -225,7 +255,7 @@ def _suite_splitting(rng, tol):
         vs = rng.standard_normal((3, 7))
         lhs = phi_eps.apply(list(vs)) ** 2 + float(np.sum(chi_eps.apply(list(vs)) ** 2))
         gram = vs @ g_eps @ vs.T
-        worst = max(worst, abs(lhs - np.linalg.det(gram)))
+        worst = _sup(worst, abs(lhs - np.linalg.det(gram)))
     checks.append(_record("eps-associator",
                           "the equality property persists along the eps-family",
                           worst, worst < tol["identity"]))
@@ -238,14 +268,14 @@ def _suite_splitting(rng, tol):
         except (splitting.NotProjectableError, ValueError):
             continue
         vol = float(np.sqrt(np.linalg.det(span @ span.T)))
-        worst = max(worst, volH - vol)
+        worst = _sup(worst, volH - vol)
     checks.append(_record("volH-below-vol", "horizontal volume never exceeds volume",
                           worst, worst < tol["slack"]))
 
     worst = 0.0
     for _ in range(tol["samples"] // 2):
         g = splitting.GraphPlane(rng.standard_normal((3, 4)), S)
-        worst = max(worst, splitting.equality_ladder(g).max_residual)
+        worst = _sup(worst, splitting.equality_ladder(g).max_residual)
     checks.append(_record("equality-ladder",
                           "graded equalities tie alpha, chi and the ve hierarchy",
                           worst, worst < tol["identity"]))
@@ -271,7 +301,7 @@ def _suite_fueter(rng, tol):
     S = splitting.standard_splitting()
     J = fueter.jtriple_from_splitting(S)
     Jstd = fueter.standard_jtriple()
-    worst = max(float(np.abs(a - b).max()) for a, b in zip(J.as_tuple(), Jstd.as_tuple()))
+    worst = _sup(*(float(np.abs(a - b).max()) for a, b in zip(J.as_tuple(), Jstd.as_tuple())))
     checks.append(_record("j-matrices", "splitting-derived J triple matches the pinned one",
                           worst, worst == 0.0))
 
@@ -285,7 +315,7 @@ def _suite_fueter(rng, tol):
         chi1c = fueter.chi1_via_projection(g)
         v1 = np.array([chi1b.coeffs.get((i,), 0.0) for i in range(4, 8)])
         v2 = np.array([chi1c.coeffs.get((i,), 0.0) for i in range(4, 8)])
-        worst = max(worst, float(np.abs(f1 - f2).max()), float(np.abs(f1 - chi1).max()),
+        worst = _sup(worst, float(np.abs(f1 - f2).max()), float(np.abs(f1 - chi1).max()),
                     float(np.abs(f1 - v1).max()), float(np.abs(f1 - v2).max()))
     checks.append(_record("route-equivalence",
                           "cross, J, Theta-contraction and beta routes agree",
@@ -300,12 +330,13 @@ def _suite_fueter(rng, tol):
         conds.append(cond)
         coords = np.vstack([v1, v2, v3])
         g, _ = splitting.graph_from_plane(splitting.Plane(coords), S)
-        worst = max(worst, float(np.linalg.norm(fueter.fueter_vector(g))))
+        worst = _sup(worst, float(np.linalg.norm(fueter.fueter_vector(g))))
     checks.append(_record("completion", "completed planes satisfy the vertical equation",
                           worst, worst < 1e-10))
+    cond = _sup(*conds)
     checks.append(_record("completion-conditioning",
                           "the completion linear system is perfectly conditioned",
-                          float(max(conds)), max(conds) < 1.0 + 1e-9))
+                          cond, cond < 1.0 + 1e-9))
 
     ok = True
     floor_ok = True
@@ -331,7 +362,7 @@ def _suite_fueter(rng, tol):
         lam, omega, theta, mu = S.form_parts()
         gap = splitting.ve_series(g, 1)[1] - omega.apply(list(g.frame()))
         chi1 = fueter.chi_component_values(g)[1]
-        worst = max(worst, abs(gap - 0.5 * float(chi1 @ chi1)))
+        worst = _sup(worst, abs(gap - 0.5 * float(chi1 @ chi1)))
     checks.append(_record("secondary-equality",
                           "omega(v) + |chi_1(v)|^2 / 2 = ve_1",
                           worst, worst < tol["identity"]))
@@ -385,9 +416,9 @@ def _suite_models(rng, tol):
     worst = 0.0
     for m in catalog:
         for k in range(1, 8):
-            worst = max(worst, models.ce_differential(
+            worst = _sup(worst, models.ce_differential(
                 models.ce_differential(ex.basis_form(7, (k,)), m), m).norm())
-        worst = max(worst, models.jacobi_check(m.c))
+        worst = _sup(worst, models.jacobi_check(m.c))
     checks.append(_record("d-squared", "d^2 = 0 and Jacobi hold exactly on the catalog",
                           worst, worst == 0.0))
 
@@ -420,7 +451,7 @@ def _suite_models(rng, tol):
 
     mp = models.model_product_flat()
     flp = models.closedness_flags(mp)
-    ok = max(flp.as_dict().values()) == 0.0
+    ok = _sup(*flp.as_dict().values()) == 0.0
     checks.append(_record("product-flat", "every structure form is closed",
                           0.0 if ok else 1.0, ok))
 
@@ -458,7 +489,7 @@ def _suite_models(rng, tol):
         and len(models.vertical_nonintegrability_pairs(mh)) > 0
     )
     split2 = models.derivative_type_split(m.forms()[2], m)
-    ok = ok and max(p.norm() for p in split2.values()) == 0.0
+    ok = ok and _sup(*(p.norm() for p in split2.values())) == 0.0
     checks.append(_record("type-split",
                           "d splits by bidegree; vertical twisting shows up as F_V",
                           0.0 if ok else 1.0, ok))
@@ -471,7 +502,7 @@ def _suite_pde(rng, tol):
     for _ in range(20):
         F = pde.random_polynomial_map(rng)
         x = rng.standard_normal((20, 3))
-        worst = max(worst, float(np.abs(pde.d_squared_residual(F, x)).max()))
+        worst = _sup(worst, float(np.abs(pde.d_squared_residual(F, x)).max()))
     checks.append(_record("flat-dirac-squared", "D^2 = -Laplacian on polynomial maps",
                           worst, worst < tol["identity"]))
 
@@ -523,7 +554,7 @@ def _suite_pde(rng, tol):
     E = pde.immersion_energies(pde.ImmersionGrid(sec, 8))
     A = np.asarray(sec.periodicity, dtype=float)
     worst = abs(E["VE"] - 0.5 * float(np.sum(A * A)))
-    worst = max(worst, E["pointwiseIdentityResidual"], abs(E["VolH"] - 1.0))
+    worst = _sup(worst, E["pointwiseIdentityResidual"], abs(E["VolH"] - 1.0))
     checks.append(_record("energies", "affine sections have VE = |A|_F^2 / 2 exactly",
                           worst, worst < 1e-12))
 
@@ -546,7 +577,7 @@ def _suite_pde(rng, tol):
     for _ in range(5):
         Z = pde.random_fourier_field(rng, kmax=1)
         num, bnd = pde.cs_first_variation(u0, sec, Z, n=8)
-        worst = max(worst, abs(num), abs(bnd))
+        worst = _sup(worst, abs(num), abs(bnd))
     checks.append(_record("action-critical-point",
                           "the first variation vanishes at solution endpoints",
                           worst, worst < 1e-6))
@@ -567,7 +598,7 @@ def _suite_fm(rng, tol):
     for _ in range(100):
         u = pde.random_polynomial_map(rng)
         x = rng.standard_normal(3)
-        worst = max(worst, fm_gauge.beta_relation_residual(u, x))
+        worst = _sup(worst, fm_gauge.beta_relation_residual(u, x))
     checks.append(_record("curvature-beta", "beta of the section equals 2 pi Psi* K",
                           worst, worst < 1e-12))
 
@@ -577,7 +608,7 @@ def _suite_fm(rng, tol):
         x = rng.standard_normal(3)
         if fm_gauge.fueter_residual_norm(u, x) < 1e-8:
             continue
-        worst = max(worst, abs(fm_gauge.mirror_ratio(u, x) - fm_gauge.MIRROR_RATIO))
+        worst = _sup(worst, abs(fm_gauge.mirror_ratio(u, x) - fm_gauge.MIRROR_RATIO))
     checks.append(_record("mirror-ratio",
                           "instanton and section residuals have a fixed ratio",
                           worst, worst < 1e-8))
@@ -586,7 +617,7 @@ def _suite_fm(rng, tol):
     mu = ex.basis_form(7, (4, 5, 6, 7))
     for i in range(1, 4):
         for a in range(4, 8):
-            worst = max(worst, ex.wedge(ex.basis_form(7, (i, a)), mu).norm())
+            worst = _sup(worst, ex.wedge(ex.basis_form(7, (i, a)), mu).norm())
     checks.append(_record("mixed-forms-kill-mu",
                           "K ^ mu = 0 for every H* x V* monomial",
                           worst, worst == 0.0))
@@ -606,8 +637,9 @@ def _suite_fm(rng, tol):
     flat = pde.affine_map(np.zeros((4, 3)))
     r = fm_gauge.instanton_residual(fm_gauge.fm_transform(flat), [0.0, 0, 0])
     r2 = fm_gauge.ddt_residual(fm_gauge.fm_transform(flat), [0.0, 0, 0], 3.0)
+    r = _sup(r, r2)
     checks.append(_record("flat-connection", "flat connections solve every equation",
-                          max(r, r2), max(r, r2) == 0.0))
+                          r, r == 0.0))
     return checks
 
 
@@ -672,13 +704,8 @@ def _cmd_scan(args):
     return checks, {"scan": json.loads(rep.to_json())}
 
 
-def _parse_b(text):
-    return np.array([[float(v) for v in row.split(",")] for row in text.split(";")])
-
-
 def _cmd_model(args):
-    B = _parse_b(args.B) if args.B else None
-    m = models.model_by_name(args.name, B)
+    m = models.model_by_name(args.name, args.B)
     flags = models.closedness_flags(m)
     payload = {
         "model": m.name,
@@ -697,9 +724,7 @@ def _cmd_model(args):
                 models.jacobi_check(m.c), models.jacobi_check(m.c) == 0.0),
     ]
     if args.homology:
-        if not hasattr(m, "B"):
-            raise SystemExit("--homology applies to the heisenberg model")
-        h = models.h1_nilmanifold(getattr(m, "B"))
+        h = models.h1_nilmanifold(m.B)
         payload["homology"] = {
             "freeRank": h.free_rank,
             "torsion": list(h.torsion_factors),
@@ -798,56 +823,112 @@ def _cmd_fm_sweep(args):
 # -- driver ------------------------------------------------------------------------
 
 
-def build_parser():
-    p = argparse.ArgumentParser(prog="g2f", description=__doc__)
-    sub = p.add_subparsers(dest="command", required=True)
+# Each option's type= states its domain; argparse turns a value outside it
+# into a usage error (exit 2).
 
-    def common(sp, seed_required=True):
-        sp.add_argument("--seed", type=int, required=seed_required)
-        sp.add_argument("--samples", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--profile", choices=tuple(PROFILES), default="strict")
+
+def _domain(convert, accept, expected):
+    def parse(text):
+        try:
+            value = convert(text)
+            if accept(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return parse
+
+
+def _int_at_least(lo):
+    return _domain(int, lambda v: v >= lo, f"an integer >= {lo}")
+
+
+_finite = _domain(float, math.isfinite, "a finite number")
+_positive = _domain(float, lambda v: math.isfinite(v) and v > 0, "a positive finite number")
+
+
+def _parse_matrix(text):
+    return np.array([[float(v) for v in row.split(",")] for row in text.split(";")])
+
+
+_matrix3 = _domain(
+    _parse_matrix, lambda B: B.shape == (3, 3) and bool(np.isfinite(B).all()),
+    "a 3x3 matrix of finite numbers, rows separated by ';', entries by ','",
+)
+
+SEED = ("--seed", {"type": _int_at_least(0), "required": True})
+TOL = ("--tol", {"type": _finite, "default": None})
+PROFILE = ("--profile", {"choices": tuple(PROFILES), "default": "strict"})
+OUT = ("--out", {"default": None, "help": "write the report to this file"})
+
+
+def _add(sp, *options):
+    for flag, kwargs in options:
+        sp.add_argument(flag, **kwargs)
+
+
+def build_parser():
+    p = argparse.ArgumentParser(prog="g2f", description=__doc__,
+                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("verify", help="run a module verification suite")
     sp.add_argument("suite", choices=tuple(SUITES))
-    common(sp)
+    _add(sp, SEED, ("--samples", {"type": _int_at_least(5), "default": None}),
+         TOL, PROFILE, OUT)
     sp.set_defaults(fn=_cmd_verify)
 
-    sp = sub.add_parser("scan", help="Monte-Carlo comparison scans")
-    sp.add_argument("kind", choices=("semical", "anisotropic"))
-    sp.add_argument("--eps", type=float, nargs="*", default=[1.0, 0.1, 0.01])
-    common(sp)
-    sp.set_defaults(fn=_cmd_scan, samples=100000)
+    scan = sub.add_parser("scan", help="Monte-Carlo comparison scans")
+    scan_sub = scan.add_subparsers(dest="kind", required=True)
+    scan_options = (SEED, ("--samples", {"type": _int_at_least(1), "default": 100000}),
+                    TOL, PROFILE, OUT)
+    sp = scan_sub.add_parser("semical", help="phi_eps against the volume of its metric")
+    _add(sp, *scan_options,
+         ("--eps", {"type": _positive, "nargs": "+", "default": [1.0, 0.1, 0.01]}))
+    sp.set_defaults(fn=_cmd_scan)
+    sp = scan_sub.add_parser("anisotropic", help="omega against the vertical energy ve_1")
+    _add(sp, *scan_options)
+    sp.set_defaults(fn=_cmd_scan)
 
     sp = sub.add_parser("model", help="inspect a catalog model")
-    sp.add_argument("name")
-    sp.add_argument("--B", type=str, default=None,
-                    help="rows separated by ';', entries by ','")
-    sp.add_argument("--homology", action="store_true")
-    common(sp, seed_required=False)
-    sp.set_defaults(fn=_cmd_model, seed=0)
+    sp.add_argument("name", choices=("product-flat", "su2-semidirect", "heisenberg"))
+    _add(sp, ("--B", {"type": _matrix3, "default": None,
+                      "help": "heisenberg only: rows separated by ';', entries by ','"}),
+         ("--homology", {"action": "store_true"}), OUT)
+    sp.set_defaults(fn=_cmd_model, seed=0, profile="strict")
 
     sp = sub.add_parser("solve", help="construct explicit solutions")
     sp.add_argument("kind", choices=("flat-harmonic", "affine", "su2"))
-    common(sp)
-    sp.set_defaults(fn=_cmd_solve)
+    _add(sp, SEED, OUT)
+    sp.set_defaults(fn=_cmd_solve, profile="strict")
 
     sp = sub.add_parser("energy", help="energies of a seeded affine section")
-    sp.add_argument("--grid", type=int, default=8)
-    common(sp)
-    sp.set_defaults(fn=_cmd_energy)
+    _add(sp, SEED, ("--grid", {"type": _int_at_least(1), "default": 8}), OUT)
+    sp.set_defaults(fn=_cmd_energy, profile="strict")
 
     fm_parser = sub.add_parser("fm", help="Fourier-Mukai tools")
     fm_sub = fm_parser.add_subparsers(dest="fm_command", required=True)
     sp = fm_sub.add_parser("sweep", help="radius sweep of the deformation residual")
-    sp.add_argument("--rmin", type=float, default=1.0)
-    sp.add_argument("--rmax", type=float, default=1000.0)
-    sp.add_argument("--points", type=int, default=16)
-    common(sp)
-    sp.set_defaults(fn=_cmd_fm_sweep)
+    _add(sp, SEED,
+         ("--rmin", {"type": _positive, "default": 1.0}),
+         ("--rmax", {"type": _positive, "default": 1000.0}),
+         ("--points", {"type": _int_at_least(2), "default": 16}),
+         ("--format", {"choices": ("json", "csv"), "default": "json"}), OUT)
+    sp.set_defaults(fn=_cmd_fm_sweep, profile="strict")
     return p
+
+
+def _check_combinations(parser, args):
+    """The rules that involve two options; a broken one is a usage error."""
+    if args.command == "model":
+        if args.name == "heisenberg" and args.B is None:
+            parser.error("model heisenberg requires --B")
+        if args.name != "heisenberg" and args.B is not None:
+            parser.error(f"--B applies only to model heisenberg, not {args.name}")
+        if args.homology and (args.B is None or (args.B % 2 != 0).any()):
+            parser.error("--homology needs model heisenberg with an even-integer --B")
+    elif args.command == "fm" and not args.rmin < args.rmax:
+        parser.error(f"--rmin ({args.rmin}) must be below --rmax ({args.rmax})")
 
 
 def _echo(argv):
@@ -867,6 +948,7 @@ def _echo(argv):
 def run(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_combinations(parser, args)
     start = time.monotonic()
     checks, payload = args.fn(args)
     wall = time.monotonic() - start
@@ -878,10 +960,10 @@ def run(argv=None):
         "checks": checks,
     }
     report.update(payload)
-    if getattr(args, "format", "json") == "csv" and "csv" in payload:
+    if "csv" in payload:
         text = payload["csv"]
     else:
-        text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

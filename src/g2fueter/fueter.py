@@ -53,7 +53,8 @@ IDENTITY_TOL = 1e-10
 NONVANISHING_FLOOR = 1e-6
 
 
-@dataclass(frozen=True)
+# eq=False: ndarray fields make the generated __eq__/__hash__ raise; compare by identity
+@dataclass(frozen=True, eq=False)
 class JTriple:
     """Three anticommuting complex structures on V, as 4x4 matrices.
 
@@ -110,7 +111,7 @@ def standard_jtriple() -> JTriple:
 
 def jtriple_from_splitting(S: Splitting) -> JTriple:
     """J_i as the action of h_i x (.) on V, in the splitting's V-frame."""
-    dense = S.phi_f.to_dense()
+    dense = S.phi_f_dense
     Js = []
     for i in range(3):
         J = np.empty((4, 4))
@@ -132,7 +133,7 @@ def fueter_vector(g: GraphPlane):
     the horizontal inner product.
     """
     S = g.splitting
-    dense = S.phi_f.to_dense()
+    dense = S.phi_f_dense
     out = np.zeros(4)
     for i in range(3):
         u = np.zeros(DIM)
@@ -180,7 +181,7 @@ def fueter_complete(v1, v2, S: Splitting = None, return_system=False):
         or abs(h1 @ h2) > 1e-10
     ):
         raise ValueError("horizontal parts of v1, v2 must be orthonormal")
-    dense = S.phi_f.to_dense()
+    dense = S.phi_f_dense
 
     def cross_f(a, b):
         return np.einsum("ijk,i,j->k", dense, a, b)
@@ -291,11 +292,7 @@ def condition_residuals(g: GraphPlane) -> ConditionReport:
     chi1_norm = float(np.linalg.norm(chi1))
 
     # (4) sup over the coframe of |Theta(v1,v2,v3, .)|
-    theta_contraction = 0.0
-    for k in range(DIM):
-        ek = np.zeros(DIM)
-        ek[k] = 1.0
-        theta_contraction = max(theta_contraction, abs(theta.apply(frame + [ek])))
+    theta_contraction = np.max([abs(theta.apply(frame + [ek])) for ek in np.eye(DIM)])
 
     # (5) and (6): wedge conditions on beta
     beta = beta_of(g)

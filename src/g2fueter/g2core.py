@@ -146,7 +146,8 @@ def hodge_metric(a: Form, metric) -> Form:
     return pullback(S_inv, hodge(pullback(S, a)))
 
 
-@dataclass(frozen=True)
+# eq=False: ndarray fields make the generated __eq__/__hash__ raise; compare by identity
+@dataclass(frozen=True, eq=False)
 class G2Structure:
     """A constant-coefficient G2 structure on R^7.
 

@@ -19,7 +19,6 @@ as G2 data (they change which forms are closed).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,7 +54,8 @@ OMEGA_MATRICES = (
 )
 
 
-@dataclass(frozen=True)
+# eq=False: ndarray fields make the generated __eq__/__hash__ raise; compare by identity
+@dataclass(frozen=True, eq=False)
 class LieAlgebraModel:
     """A 7-dimensional Lie algebra with the standard adapted G2 coframe."""
 
@@ -179,7 +179,7 @@ def model_heisenberg(B) -> LieAlgebraModel:
 
 def model_by_name(name: str, B=None) -> LieAlgebraModel:
     """Catalog lookup: 'product-flat', 'su2-semidirect', 'heisenberg'
-    (the latter also in the inline form 'heisenberg:B=[[..],[..],[..]]')."""
+    (the latter with its 3x3 matrix B)."""
     if name == "product-flat":
         return model_product_flat()
     if name == "su2-semidirect":
@@ -188,9 +188,6 @@ def model_by_name(name: str, B=None) -> LieAlgebraModel:
         if B is None:
             raise ValueError("heisenberg model needs the matrix B")
         return model_heisenberg(B)
-    if name.startswith("heisenberg:B="):
-        rows = json.loads(name.split("=", 1)[1])
-        return model_heisenberg(np.array(rows, dtype=float))
     raise ValueError(f"unknown model {name!r}")
 
 

@@ -18,12 +18,13 @@ define the model.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fueter import standard_jtriple
-from .splitting import Splitting, standard_splitting
+from .splitting import standard_splitting
 
 __all__ = [
     "AnalyticMap",
@@ -923,9 +924,13 @@ def reparametrization_invariance(u: AnalyticMap, f: BaseDiffeo, n: int):
 # -- the CS functional -----------------------------------------------------------
 
 
-def _theta_dense(S: Splitting):
-    _, _, theta, _ = S.form_parts()
-    return theta.to_dense()
+@functools.cache
+def _theta_dense():
+    """Theta of the standard splitting as a dense 4-tensor, built once (read-only)."""
+    _, _, theta, _ = standard_splitting().form_parts()
+    dense = theta.to_dense()
+    dense.setflags(write=False)
+    return dense
 
 
 def _require_closed_theta(model):
@@ -958,8 +963,7 @@ def cs_functional(u0: AnalyticMap, u1: AnalyticMap, n: int = 12, nt: int = 4, mo
     """
     _require_closed_theta(model)
     _require_same_class(u0, u1)
-    S = standard_splitting()
-    dense = _theta_dense(S)
+    dense = _theta_dense()
     x = _torus_points(n)
     w0, j0 = u0.eval(x), u0.jet1(x)
     w1, j1 = u1.eval(x), u1.jet1(x)
@@ -1007,8 +1011,7 @@ def cs_first_variation(
 
     numeric = (cs(ds) - cs(-ds)) / (2.0 * ds)
 
-    S = standard_splitting()
-    dense = _theta_dense(S)
+    dense = _theta_dense()
     x = _torus_points(n)
     zvec = np.zeros((x.shape[0], 7))
     zvec[:, 3:] = Z.eval(x)
@@ -1026,8 +1029,7 @@ def adversarial_variation(u1: AnalyticMap, kmax: int = 1) -> FourierMap:
     projected onto low Fourier modes; drives the first variation away
     from zero whenever the endpoint is not Fueter."""
     x = _torus_points(8)
-    S = standard_splitting()
-    dense = _theta_dense(S)
+    dense = _theta_dense()
     frame = _graph_frames(u1.jet1(x))
     # Theta(., v1, v2, v3): the direction in which the boundary term grows
     theta_vec = np.einsum(

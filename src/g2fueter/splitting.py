@@ -59,7 +59,8 @@ class NotProjectableError(ValueError):
     """The plane fails to project injectively onto H."""
 
 
-@dataclass(frozen=True)
+# eq=False: ndarray fields make the generated __eq__/__hash__ raise; compare by identity
+@dataclass(frozen=True, eq=False)
 class Splitting:
     """An orthonormal frame adapted to TM = H + V, H associative.
 
@@ -114,6 +115,13 @@ class Splitting:
     @cached_property
     def phi_f(self) -> Form:
         return self.to_frame(self.g2.phi)
+
+    @cached_property
+    def phi_f_dense(self) -> np.ndarray:
+        """phi_f as a dense 7x7x7 tensor (read-only)."""
+        dense = self.phi_f.to_dense()
+        dense.setflags(write=False)
+        return dense
 
     @cached_property
     def star_phi_f(self) -> Form:
@@ -193,7 +201,8 @@ def _vertical_parts(a: Form, degree_cap):
 # -- planes ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+# eq=False: ndarray fields make the generated __eq__/__hash__ raise; compare by identity
+@dataclass(frozen=True, eq=False)
 class Plane:
     """An oriented s-plane given by independent spanning vectors (ambient)."""
 
@@ -213,7 +222,8 @@ class Plane:
         return self.span.shape[0]
 
 
-@dataclass(frozen=True)
+# eq=False: ndarray fields make the generated __eq__/__hash__ raise; compare by identity
+@dataclass(frozen=True, eq=False)
 class GraphPlane:
     """A positive horizontally projectable 3-plane, as its graph map T.
 
@@ -612,7 +622,8 @@ class EqualityLadderReport:
             self.even_residuals + self.odd_residuals
             + self.ve_match_residuals + self.ladder_residuals
         )
-        return max(pools) if pools else 0.0
+        # np.max keeps a NaN residual; Python's max may drop it
+        return float(np.max(pools)) if pools else 0.0
 
 
 def equality_ladder(g: GraphPlane, lmax: int = 3, tol=IDENTITY_RESIDUAL_TOL):

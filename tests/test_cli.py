@@ -1,11 +1,15 @@
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from g2fueter import cli
+from g2fueter import cli, splitting
 
 
 def run_cli(args, tmp_path, name):
@@ -134,3 +138,139 @@ class TestExitCodes:
         assert proc.returncode == 0
         assert b"wall time" in proc.stderr
         json.loads(proc.stdout)
+
+    def test_nan_residual_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(splitting, "ve_recursive", lambda g, k: np.full(k + 1, np.nan))
+        out = tmp_path / "nan.json"
+        code = cli.run(["verify", "splitting", "--seed", "7", "--profile", "fast",
+                        "--out", str(out)])
+        assert code == 1
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads(out.read_bytes(), parse_constant=reject)
+        check = next(c for c in report["checks"] if c["name"] == "ve-two-routes")
+        assert check["pass"] is False and check["residualOrFlag"] == "nan"
+
+
+def expect_usage_error(argv, capsys, tmp_path):
+    """cli.run must stop in the parser: exit 2, an error line, no report."""
+    out = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        cli.run(argv + ["--out", str(out)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
+    return captured.err
+
+
+class TestDomains:
+    @pytest.mark.parametrize("command", [
+        "scan anisotropic --samples 100 --seed 1 --tol nan",
+        "scan semical --samples 100 --seed 1 --eps",
+        "scan semical --samples 100 --seed 1 --eps nan",
+        "scan semical --samples 100 --seed 1 --eps -1",
+        "scan anisotropic --samples 100 --seed 1 --eps 7",
+        "scan anisotropic --samples 0 --seed 1",
+        "verify algebra --seed 1 --samples 0",
+        "verify fueter --seed 1 --samples 3",
+        "verify fueter --seed -1",
+        "energy --seed 1 --grid 0",
+        "energy --seed 1 --grid 4 --format csv",
+        "fm sweep --seed 1 --points 1",
+        "fm sweep --seed 1 --rmin 0",
+        "fm sweep --seed 1 --rmin 5 --rmax 2",
+        "model heisenberg",
+        "model nosuch",
+        "model su2-semidirect --homology",
+        'model su2-semidirect --B "2,0,0;0,2,0;0,0,2"',
+        'model heisenberg --B "1,0,0;0,1,0;0,0,1" --homology',
+        "model heisenberg --B x",
+        'model heisenberg --B "1,2;3,4"',
+        "model product-flat --seed 5",
+    ])
+    def test_out_of_domain_exits_two(self, command, capsys, tmp_path):
+        expect_usage_error(shlex.split(command), capsys, tmp_path)
+
+    # each command rejects the options it does not read
+    @pytest.mark.parametrize("command, flag", [
+        ("verify algebra --seed 1", "--format csv"),
+        ("scan semical --seed 1", "--format csv"),
+        ("scan anisotropic --seed 1", "--format csv"),
+        ("scan anisotropic --seed 1", "--eps 0.5"),
+        ("model product-flat", "--seed 1"),
+        ("model product-flat", "--samples 10"),
+        ("model product-flat", "--tol 1e-9"),
+        ("model product-flat", "--format csv"),
+        ("model product-flat", "--profile fast"),
+        ("solve affine --seed 1", "--samples 10"),
+        ("solve affine --seed 1", "--tol 1e-9"),
+        ("solve affine --seed 1", "--format csv"),
+        ("solve affine --seed 1", "--profile fast"),
+        ("energy --seed 1", "--samples 10"),
+        ("energy --seed 1", "--tol 1e-9"),
+        ("energy --seed 1", "--format csv"),
+        ("energy --seed 1", "--profile fast"),
+        ("fm sweep --seed 1", "--samples 10"),
+        ("fm sweep --seed 1", "--tol 1e-9"),
+        ("fm sweep --seed 1", "--profile fast"),
+    ])
+    def test_unread_option_exits_two(self, command, flag, capsys, tmp_path):
+        err = expect_usage_error(shlex.split(f"{command} {flag}"), capsys, tmp_path)
+        assert "unrecognized arguments" in err
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_out_of_domain_values_stop_before_work(self, data):
+        base, flag, values = data.draw(st.sampled_from(OUT_OF_DOMAIN))
+        # --flag=value, so that a negative value is not read as an option
+        expect_exit_two_before_work(shlex.split(base) + [f"{flag}={data.draw(values)}"])
+
+    @given(rmin=st.floats(min_value=1e-3, max_value=1e6), shrink=st.floats(0.0, 1.0))
+    @settings(max_examples=50, deadline=None)
+    def test_empty_radius_range_stops_before_work(self, rmin, shrink):
+        rmax = rmin * shrink if rmin * shrink > 0.0 else rmin
+        expect_exit_two_before_work(
+            ["fm", "sweep", "--seed", "1", f"--rmin={rmin!r}", f"--rmax={rmax!r}"])
+
+
+NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
+NOT_POSITIVE = st.one_of(st.floats(max_value=0.0).map(repr), NON_FINITE)
+
+
+def ints_below(lo):
+    return st.one_of(st.integers(max_value=lo - 1).map(str),
+                     st.sampled_from(["1.5", "1e3", "x", ""]))
+
+
+# (valid command, numeric option, values outside that option's domain)
+OUT_OF_DOMAIN = [
+    ("verify algebra", "--seed", ints_below(0)),
+    ("verify algebra --seed 1", "--samples", ints_below(5)),
+    ("verify algebra --seed 1", "--tol", NON_FINITE),
+    ("scan anisotropic", "--seed", ints_below(0)),
+    ("scan anisotropic --seed 1", "--samples", ints_below(1)),
+    ("scan semical --seed 1", "--tol", NON_FINITE),
+    ("scan semical --seed 1", "--eps", NOT_POSITIVE),
+    ("solve affine", "--seed", ints_below(0)),
+    ("energy --seed 1", "--grid", ints_below(1)),
+    ("fm sweep --seed 1", "--points", ints_below(2)),
+    ("fm sweep --seed 1", "--rmin", NOT_POSITIVE),
+    ("fm sweep --seed 1", "--rmax", NOT_POSITIVE),
+]
+
+
+def forbid_work(args):
+    raise AssertionError(f"work ran for out-of-domain input: {args}")
+
+
+def expect_exit_two_before_work(argv):
+    commands = ("_cmd_verify", "_cmd_scan", "_cmd_model", "_cmd_solve", "_cmd_energy",
+                "_cmd_fm_sweep")
+    with mock.patch.multiple(cli, **{name: forbid_work for name in commands}), \
+            mock.patch("sys.stderr"):
+        with pytest.raises(SystemExit) as exc:
+            cli.run(argv)
+    assert exc.value.code == 2, argv

@@ -269,8 +269,6 @@ class TestCatalog:
     def test_by_name(self):
         assert md.model_by_name("product-flat").name == "product-flat"
         assert md.model_by_name("su2-semidirect").name == "su2-semidirect"
-        m = md.model_by_name("heisenberg:B=[[2,0,0],[0,2,0],[0,0,-4]]")
-        assert m.name == "heisenberg"
         with pytest.raises(ValueError):
             md.model_by_name("nope")
         with pytest.raises(ValueError):

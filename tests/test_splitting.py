@@ -45,6 +45,20 @@ class TestSplittingConstruction:
         lam, omega, theta, mu = spl.form_parts()
         assert abs(lam.apply(list(spl.h_frame)) - 1.0) < 1e-12
 
+    def test_identity_equality_and_hash(self):
+        S2 = sp.standard_splitting()
+        g = sp.GraphPlane(FUETER_T, S2)
+        table = {S2: "splitting", g: "plane"}
+        assert table[S2] == "splitting" and table[g] == "plane"
+        assert S2 == S2 and g == g
+        assert S2 != sp.standard_splitting()
+        assert g != sp.GraphPlane(FUETER_T, S2)
+
+    def test_dense_phi_is_a_read_only_constant(self):
+        assert S.phi_f_dense is S.phi_f_dense
+        assert np.array_equal(S.phi_f_dense, S.phi_f.to_dense())
+        assert not S.phi_f_dense.flags.writeable
+
 
 class TestGraphPlane:
     def test_horizontal_plane_has_zero_graph(self):
