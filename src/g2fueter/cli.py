@@ -246,7 +246,7 @@ def _suite_splitting(rng, tol):
                           worst, worst < 1e-14))
 
     worst = 0.0
-    chi_f = S.chi_form_f()
+    chi_f = S.frame_g2.chi_form
     for _ in range(100):
         e2 = float(rng.uniform(0.05, 1.0))
         chi_eps = splitting.adiabatic_family(chi_f, S, e2)
@@ -661,7 +661,7 @@ def _cmd_verify(args):
     tol = dict(PROFILES[args.profile])
     if args.samples:
         tol["samples"] = args.samples
-    if args.tol:
+    if args.tol is not None:
         tol["identity"] = args.tol
     checks = SUITES[args.suite](rng, tol)
     return checks, {}
@@ -669,7 +669,7 @@ def _cmd_verify(args):
 
 def _cmd_scan(args):
     tol = dict(PROFILES[args.profile])
-    slack = args.tol or tol["slack"]
+    slack = tol["slack"] if args.tol is None else args.tol
     S = splitting.standard_splitting()
     if args.kind == "semical":
         checks, payloads = [], []

@@ -16,11 +16,11 @@ y^4..y^7 (period 1) are indices 4..7.  The original fiber has period
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import g2core
 from .exterior import Form, wedge
 from .pde import AnalyticMap, fueter_operator_flat
 from .splitting import GraphPlane, beta_of, standard_splitting
@@ -77,6 +77,12 @@ def curvature(c: LineConnection, x) -> Form:
     return Form(DIM, 2, coeffs)
 
 
+@functools.cache
+def _standard_splitting():
+    """The standard splitting, built once per process."""
+    return standard_splitting()
+
+
 def psi_pullback(a: Form) -> Form:
     """Pullback by the fiber identification Psi: dy^a -> (1/2 pi) dz^a.
 
@@ -97,9 +103,8 @@ def beta_relation_residual(u: AnalyticMap, x) -> float:
     right side from the transform's curvature; the relation
     beta = -2 pi sqrt(-1) Psi* F makes them equal.
     """
-    S = standard_splitting()
     jet = u.jet1(np.asarray(x, dtype=float))
-    beta = beta_of(GraphPlane(T=jet.T, splitting=S))
+    beta = beta_of(GraphPlane(T=jet.T, splitting=_standard_splitting()))
     K = curvature(fm_transform(u), x)
     rhs = 2.0 * np.pi * psi_pullback(K)
     return (beta - rhs).norm()
@@ -108,7 +113,7 @@ def beta_relation_residual(u: AnalyticMap, x) -> float:
 def instanton_residual(c: LineConnection, x) -> float:
     """|K ^ *phi| at x; zero exactly at G2-instanton points."""
     K = curvature(c, x)
-    return wedge(K, g2core.star_phi0()).norm()
+    return wedge(K, _standard_splitting().g2.star_phi).norm()
 
 
 def fueter_residual_norm(u: AnalyticMap, x) -> float:
@@ -135,7 +140,7 @@ def ddt_residual(c: LineConnection, x, r: float) -> float:
         raise ValueError("radius must be positive")
     K = curvature(c, x)
     K3 = wedge(wedge(K, K), K)
-    resid = (r ** 4) * wedge(K, g2core.star_phi0()) - (1.0 / 6.0) * K3
+    resid = (r ** 4) * wedge(K, _standard_splitting().g2.star_phi) - (1.0 / 6.0) * K3
     return resid.norm()
 
 

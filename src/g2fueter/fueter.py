@@ -111,7 +111,7 @@ def standard_jtriple() -> JTriple:
 
 def jtriple_from_splitting(S: Splitting) -> JTriple:
     """J_i as the action of h_i x (.) on V, in the splitting's V-frame."""
-    dense = S.phi_f_dense
+    dense = S.frame_g2.phi_dense
     Js = []
     for i in range(3):
         J = np.empty((4, 4))
@@ -133,12 +133,12 @@ def fueter_vector(g: GraphPlane):
     the horizontal inner product.
     """
     S = g.splitting
-    dense = S.phi_f_dense
+    dense = S.frame_g2.phi_dense
     out = np.zeros(4)
     for i in range(3):
         u = np.zeros(DIM)
         u[3:] = g.T[i]
-        # (h_i x u)_k = phi_f(e_i, u, e_k); only vertical components survive
+        # (h_i x u)_k = phi(e_i, u, e_k) in frame coordinates; only vertical ones survive
         out += np.einsum("jk,j->k", dense[i], u)[3:]
     return out
 
@@ -149,9 +149,8 @@ def fueter_via_J(g: GraphPlane, J: JTriple = None):
     return sum(Ji @ g.T[i] for i, Ji in enumerate(J.as_tuple()))
 
 
-def fueter_map_matrix(S: Splitting = None):
+def fueter_map_matrix(S: Splitting):
     """Matrix of the linear map T -> F(pi) over row-major flattened T, 4 x 12."""
-    S = S or standard_splitting()
     J = jtriple_from_splitting(S)
     M = np.zeros((4, 12))
     for i, Ji in enumerate(J.as_tuple()):
@@ -162,7 +161,7 @@ def fueter_map_matrix(S: Splitting = None):
 # -- completions -------------------------------------------------------------
 
 
-def fueter_complete(v1, v2, S: Splitting = None, return_system=False):
+def fueter_complete(v1, v2, S: Splitting, return_system=False):
     """Complete a projectable pair to the unique Fueter plane.
 
     v1, v2 are ambient vectors whose horizontal projections must be
@@ -171,7 +170,6 @@ def fueter_complete(v1, v2, S: Splitting = None, return_system=False):
     square linear system J(h3) x = -(h1 x u1 + h2 x u2), whose condition
     number is available through return_system.
     """
-    S = S or standard_splitting()
     f1 = _frame_coords(v1, S)
     f2 = _frame_coords(v2, S)
     h1, h2 = f1[:3], f2[:3]
@@ -181,7 +179,7 @@ def fueter_complete(v1, v2, S: Splitting = None, return_system=False):
         or abs(h1 @ h2) > 1e-10
     ):
         raise ValueError("horizontal parts of v1, v2 must be orthonormal")
-    dense = S.phi_f_dense
+    dense = S.frame_g2.phi_dense
 
     def cross_f(a, b):
         return np.einsum("ijk,i,j->k", dense, a, b)
@@ -206,9 +204,8 @@ def fueter_complete(v1, v2, S: Splitting = None, return_system=False):
     return v3
 
 
-def associative_complete(v1, v2, G: g2core.G2Structure = None):
+def associative_complete(v1, v2, G: g2core.G2Structure):
     """v1 x v2, spanning with v1, v2 the unique associative 3-plane."""
-    G = G or g2core.standard_g2()
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
     if np.linalg.svd(np.vstack([v1, v2]), compute_uv=False)[-1] <= 1e-10:
@@ -296,7 +293,7 @@ def condition_residuals(g: GraphPlane) -> ConditionReport:
 
     # (5) and (6): wedge conditions on beta
     beta = beta_of(g)
-    w5 = wedge(beta, S.star_phi_f).norm()
+    w5 = wedge(beta, S.frame_g2.star_phi).norm()
     w6 = wedge(beta, theta).norm()
 
     return ConditionReport(
@@ -328,10 +325,9 @@ def chi_via_beta(g: GraphPlane):
     """
     from .splitting import beta_of
 
-    S = g.splitting
-    frame_g2 = S.frame_g2
+    frame_g2 = g.splitting.frame_g2
     beta = beta_of(g)
-    chi1 = hodge(wedge(beta, S.star_phi_f))
+    chi1 = hodge(wedge(beta, frame_g2.star_phi))
     half_beta2 = 0.5 * wedge(beta, beta)
     chi2 = -2.0 * g2core.lambda_k_inverse(
         g2core.project_k7(half_beta2, 4, frame_g2), 4, frame_g2
@@ -364,7 +360,7 @@ def linearization_rank(g: GraphPlane, tol=IDENTITY_TOL) -> int:
     return int(np.linalg.matrix_rank(M, tol=1e-10))
 
 
-def polar_space_dim(W: Plane, system: str, S: Splitting = None) -> int:
+def polar_space_dim(W: Plane, system: str, S: Splitting) -> int:
     """Dimension of the polar space of an integral s-plane (s in {0,1,2}).
 
     The generating sets are the 7 component 3-forms of chi (associative
@@ -372,7 +368,6 @@ def polar_space_dim(W: Plane, system: str, S: Splitting = None) -> int:
     ideal has no forms of degree s+1, so every direction extends; for
     s = 2 the polar space is the kernel of X -> chi(w1, w2, X) (or chi_1).
     """
-    S = S or standard_splitting()
     if system not in ("associative", "fueter"):
         raise ValueError(f"unknown system {system!r}")
     s = W.s
@@ -388,7 +383,7 @@ def polar_space_dim(W: Plane, system: str, S: Splitting = None) -> int:
             raise NotProjectableError("fueter system requires a projectable plane")
         generators = list(S.chi_f_parts[1].components)
     else:
-        generators = list(S.chi_form_f().components)
+        generators = list(S.frame_g2.chi_form.components)
 
     w1, w2 = coords
     rows = []
@@ -407,11 +402,12 @@ def _unit7(j):
     return v
 
 
-def polar_dim_constancy(system: str, s: int, n: int, seed, S: Splitting = None):
+def polar_dim_constancy(system: str, s: int, n: int, seed):
     """Sampled regularity check: polar dimensions over n random integral
-    s-planes (projectable ones for the Fueter system).  Returns a dict
-    dimension -> count; regularity at this scale means a single key."""
-    S = S or standard_splitting()
+    s-planes (projectable ones for the Fueter system) of the standard
+    splitting.  Returns a dict dimension -> count; regularity at this
+    scale means a single key."""
+    S = standard_splitting()
     rng = np.random.default_rng(seed)
     counts = {}
     produced = 0

@@ -5,6 +5,12 @@ provides the cross product, the associator/coassociator tensors, the
 lambda^k isometries onto the 7-dimensional pieces of Lambda^k, and the
 Lambda^2_7 / Lambda^2_14 projections.
 
+A G2Structure owns the tensors derived from it (inverse metric, dense
+phi, chi and tau as vector-valued forms, the lambda^k matrices): each is
+built lazily, once per structure, and its arrays are read-only.  Every
+operation takes the structure it works on explicitly; none falls back to
+the standard one.
+
 Conventions fixed here once and used everywhere downstream:
   * orientation vol0 = dx^{1...7};
   * the model 3-form has monomials 123, 145, 167, 246, -257, -347, -356;
@@ -15,7 +21,9 @@ Flipping the orientation flips the sign of the dual 4-form.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,9 +53,7 @@ __all__ = [
     "g2_from_phi",
     "cross",
     "chi",
-    "chi_form",
     "tau",
-    "tau_form",
     "lambda_k",
     "lambda_k_inverse",
     "project_k7",
@@ -153,7 +159,9 @@ class G2Structure:
 
     Holds the 3-form, its metric, volume form and dual 4-form.
     Consistency (metric recovery, |phi|^2 = 7, vol = vol_g) is enforced
-    by the constructors, not re-checked per operation.
+    by the constructors, not re-checked per operation.  The tensors
+    derived from these (inverse metric, dense phi, chi, tau, the lambda^k
+    matrices) are built lazily, once per structure; arrays are read-only.
     """
 
     phi: Form
@@ -161,9 +169,69 @@ class G2Structure:
     vol: Form
     star_phi: Form
 
-    @property
-    def metric_inv(self):
-        return np.linalg.inv(self.metric)
+    @cached_property
+    def metric_inv(self) -> np.ndarray:
+        return _read_only(np.linalg.inv(self.metric))
+
+    @cached_property
+    def phi_dense(self) -> np.ndarray:
+        """phi as a dense 7x7x7 tensor."""
+        return _read_only(self.phi.to_dense())
+
+    @cached_property
+    def chi_form(self) -> VectorValuedForm:
+        """chi as a TM-valued 3-form: component m is (u,v,w) -> g(chi(u,v,w), e_m)^sharp.
+
+        Components are the 3-forms i(e_m-slot-last) of *phi, raised by the metric.
+        """
+        raw = []
+        for m in range(DIM):
+            comp = {}
+            for idx, c in self.star_phi.coeffs.items():
+                if (m + 1) in idx:
+                    pos = idx.index(m + 1)
+                    rest = idx[:pos] + idx[pos + 1:]
+                    # move slot m to the last argument: (*phi)(u,v,w,e_m)
+                    sign = 1.0 if (len(idx) - 1 - pos) % 2 == 0 else -1.0
+                    comp[rest] = comp.get(rest, 0.0) + sign * c
+            raw.append(Form(DIM, 3, comp))
+        ginv = self.metric_inv
+        comps = []
+        for m in range(DIM):
+            acc = zero_form(DIM, 3)
+            for k in range(DIM):
+                if ginv[m, k] != 0.0:
+                    acc = acc + ginv[m, k] * raw[k]
+            comps.append(acc)
+        return VectorValuedForm(tuple(comps))
+
+    @cached_property
+    def tau_form(self) -> VectorValuedForm:
+        """tau = phi ^ id_TM as a TM-valued 4-form (component m is phi ^ dx^m)."""
+        return VectorValuedForm(
+            tuple(wedge(self.phi, basis_form(DIM, (m,))) for m in range(1, DIM + 1))
+        )
+
+    @cached_property
+    def lambda_matrices(self) -> dict:
+        """k -> (L, keys) for k in {2, 4, 6}: the matrix of lambda^k over the
+        monomial bases, shape (C(7,k), 7), and those bases' keys."""
+        out = {}
+        for k in (2, 4, 6):
+            keys = list(itertools.combinations(range(1, DIM + 1), k))
+            key_pos = {key: r for r, key in enumerate(keys)}
+            L = np.zeros((len(keys), DIM))
+            for j in range(1, DIM + 1):
+                img = lambda_k(basis_form(DIM, (j,)), k, self)
+                for idx, c in img.coeffs.items():
+                    L[key_pos[idx], j - 1] = c
+            out[k] = (_read_only(L), keys)
+        return out
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def standard_g2() -> G2Structure:
@@ -182,79 +250,39 @@ def g2_from_phi(phi: Form) -> G2Structure:
 # -- pointwise tensors ------------------------------------------------------
 
 
-def cross(u, v, G: G2Structure = None):
+def cross(u, v, G: G2Structure):
     """Cross product: g(u x v, w) = phi(u, v, w) for all w."""
-    G = G or standard_g2()
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
     c = np.array([G.phi.apply([u, v, _unit(w)]) for w in range(DIM)])
     return G.metric_inv @ c
 
 
-def chi(u, v, w, G: G2Structure = None):
+def chi(u, v, w, G: G2Structure):
     """Associator-defect vector: g(chi(u,v,w), x) = (*phi)(u,v,w,x).
 
     Vanishes exactly on associative triples; together with phi it satisfies
     |phi(u,v,w)|^2 + |chi(u,v,w)|^2 = |u ^ v ^ w|^2.
     """
-    G = G or standard_g2()
     u, v, w = (np.asarray(t, dtype=float) for t in (u, v, w))
     c = np.array([G.star_phi.apply([u, v, w, _unit(x)]) for x in range(DIM)])
     return G.metric_inv @ c
 
 
-def chi_form(G: G2Structure = None) -> VectorValuedForm:
-    """chi as a TM-valued 3-form: component m is (u,v,w) -> g(chi(u,v,w), e_m)^sharp.
-
-    Components are the 3-forms i(e_m-slot-last) of *phi, raised by the metric.
-    """
-    G = G or standard_g2()
-    raw = []
-    for m in range(DIM):
-        comp = {}
-        for idx, c in G.star_phi.coeffs.items():
-            if (m + 1) in idx:
-                pos = idx.index(m + 1)
-                rest = idx[:pos] + idx[pos + 1:]
-                # move slot m to the last argument: (*phi)(u,v,w,e_m)
-                sign = 1.0 if (len(idx) - 1 - pos) % 2 == 0 else -1.0
-                comp[rest] = comp.get(rest, 0.0) + sign * c
-        raw.append(Form(DIM, 3, comp))
-    ginv = G.metric_inv
-    comps = []
-    for m in range(DIM):
-        acc = zero_form(DIM, 3)
-        for k in range(DIM):
-            if ginv[m, k] != 0.0:
-                acc = acc + ginv[m, k] * raw[k]
-        comps.append(acc)
-    return VectorValuedForm(tuple(comps))
-
-
-def tau(u, v, w, x, G: G2Structure = None):
+def tau(u, v, w, x, G: G2Structure):
     """Coassociator-defect vector from tau = phi ^ id_TM.
 
     Satisfies |*phi(u,v,w,x)|^2 + |tau(u,v,w,x)|^2 = |u^v^w^x|^2.
     """
-    G = G or standard_g2()
     vecs = [np.asarray(t, dtype=float) for t in (u, v, w, x)]
-    return tau_form(G).apply(vecs)
-
-
-def tau_form(G: G2Structure = None) -> VectorValuedForm:
-    """tau = phi ^ id_TM as a TM-valued 4-form (component m is phi ^ dx^m)."""
-    G = G or standard_g2()
-    return VectorValuedForm(
-        tuple(wedge(G.phi, basis_form(DIM, (m,))) for m in range(1, DIM + 1))
-    )
+    return G.tau_form.apply(vecs)
 
 
 # -- lambda^k isometries and the 2-form projections --------------------------
 
 
-def lambda_k(alpha: Form, k: int, G: G2Structure = None) -> Form:
+def lambda_k(alpha: Form, k: int, G: G2Structure) -> Form:
     """The isometry lambda^k of 1-forms onto Lambda^k_7, k in {2, 4, 6}."""
-    G = G or standard_g2()
     if alpha.dim != DIM or alpha.degree != 1:
         raise ValueError("expected a 1-form on R^7")
     if k == 2:
@@ -274,46 +302,33 @@ def _one_form_vector(alpha: Form):
     return v
 
 
-def _lambda_matrix(k, G=None):
-    """Matrix of lambda^k over the monomial bases, shape (C(7,k), 7)."""
-    G = G or standard_g2()
-    import itertools
-
-    keys = list(itertools.combinations(range(1, DIM + 1), k))
-    key_pos = {key: r for r, key in enumerate(keys)}
-    L = np.zeros((len(keys), DIM))
-    for j in range(1, DIM + 1):
-        img = lambda_k(basis_form(DIM, (j,)), k, G)
-        for idx, c in img.coeffs.items():
-            L[key_pos[idx], j - 1] = c
-    return L, keys
-
-
-def lambda_k_inverse(beta: Form, k: int, G: G2Structure = None) -> Form:
+def lambda_k_inverse(beta: Form, k: int, G: G2Structure) -> Form:
     """Invert lambda^k on its image (adjoint of an isometry).
 
     For input not in Lambda^k_7 this returns the preimage of the projection.
     """
-    G = G or standard_g2()
-    L, keys = _lambda_matrix(k, G)
+    if k not in (2, 4, 6):
+        raise ValueError(f"k must be 2, 4 or 6, got {k}")
+    L, keys = G.lambda_matrices[k]
     vec = np.array([beta.coeffs.get(key, 0.0) for key in keys])
     alpha = L.T @ vec
     return Form(DIM, 1, {(i + 1,): alpha[i] for i in range(DIM)})
 
 
-def project_k7(a: Form, k: int, G: G2Structure = None) -> Form:
+def project_k7(a: Form, k: int, G: G2Structure) -> Form:
     """Projection of a k-form (k in {2,4,6}) onto the image of lambda^k,
     i.e. the 7-dimensional summand Lambda^k_7, as lambda^k o adjoint."""
-    G = G or standard_g2()
     if a.dim != DIM or a.degree != k:
         raise ValueError(f"expected a {k}-form on R^7")
-    L, keys = _lambda_matrix(k, G)
+    if k not in (2, 4, 6):
+        raise ValueError(f"k must be 2, 4 or 6, got {k}")
+    L, keys = G.lambda_matrices[k]
     vec = np.array([a.coeffs.get(key, 0.0) for key in keys])
     proj = L @ (L.T @ vec)
     return Form(DIM, k, {key: proj[r] for r, key in enumerate(keys)})
 
 
-def project_2_7(beta: Form, G: G2Structure = None) -> Form:
+def project_2_7(beta: Form, G: G2Structure) -> Form:
     """Projection of a 2-form onto the 7-dimensional piece Lambda^2_7.
 
     Implemented as lambda^2 composed with its adjoint; the eigenvalue
@@ -323,7 +338,7 @@ def project_2_7(beta: Form, G: G2Structure = None) -> Form:
     return project_k7(beta, 2, G)
 
 
-def project_2_14(beta: Form, G: G2Structure = None) -> Form:
+def project_2_14(beta: Form, G: G2Structure) -> Form:
     """Complementary projection onto Lambda^2_14 = ker(beta -> beta ^ *phi)."""
     return beta - project_2_7(beta, G)
 

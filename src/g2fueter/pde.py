@@ -427,8 +427,7 @@ class DMap(AnalyticMap):
             self.periodicity = np.zeros((4, 3), dtype=int)
 
     def eval(self, x):
-        j1 = self.F.jet1(x)
-        return sum(np.einsum("ab,...b->...a", _J[i], j1[..., i]) for i in range(3))
+        return fueter_operator_flat(self.F, x)
 
     def jet1(self, x):
         j2 = self.F.jet2(x)
@@ -638,9 +637,7 @@ class ShiftedDiracMap:
         self.F = F
 
     def value(self, h):
-        d = self.F.dir1(h)
-        du = sum(np.einsum("ab,...b->...a", _J[i], d[..., i]) for i in range(3))
-        return du + 2.0 * self.F.value(h)
+        return su2_fueter_operator(self.F, h) + 2.0 * self.F.value(h)
 
     def dir1(self, h):
         dd = self.F.dir2(h)
@@ -666,9 +663,7 @@ def su2_identity_residual(F: Su2AmbientMap, h):
         for i in range(3):
             d2 += np.einsum("ab,...b->...a", _J[j] @ _J[i], dd[..., j, i])
     lap = dd[..., 0, 0] + dd[..., 1, 1] + dd[..., 2, 2]
-    d1 = F.dir1(h)
-    du = sum(np.einsum("ab,...b->...a", _J[i], d1[..., i]) for i in range(3))
-    return d2 + lap + 2.0 * du
+    return d2 + lap + 2.0 * su2_fueter_operator(F, h)
 
 
 def random_su2_points(rng, n):

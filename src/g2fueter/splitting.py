@@ -113,40 +113,25 @@ class Splitting:
         return np.array_equal(self.frame_matrix, np.eye(DIM))
 
     @cached_property
-    def phi_f(self) -> Form:
-        return self.to_frame(self.g2.phi)
-
-    @cached_property
-    def phi_f_dense(self) -> np.ndarray:
-        """phi_f as a dense 7x7x7 tensor (read-only)."""
-        dense = self.phi_f.to_dense()
-        dense.setflags(write=False)
-        return dense
-
-    @cached_property
-    def star_phi_f(self) -> Form:
-        return self.to_frame(self.g2.star_phi)
-
-    @cached_property
     def frame_g2(self) -> g2core.G2Structure:
         """The structure in frame coordinates, where the metric is the identity."""
         return g2core.G2Structure(
-            phi=self.phi_f,
+            phi=self.to_frame(self.g2.phi),
             metric=np.eye(DIM),
             vol=g2core.vol0(),
-            star_phi=self.star_phi_f,
+            star_phi=self.to_frame(self.g2.star_phi),
         )
 
     @cached_property
     def phi_f_parts(self) -> tuple:
-        """The vertical-degree parts alpha_0..alpha_3 of phi_f."""
-        return tuple(_vertical_parts(self.phi_f, 3))
+        """The vertical-degree parts alpha_0..alpha_3 of phi in frame coordinates."""
+        return tuple(_vertical_parts(self.frame_g2.phi, 3))
 
     @cached_property
     def chi_f_parts(self) -> tuple:
-        """The vertical-degree parts chi_0..chi_3 of chi_form_f, split
-        componentwise (the value slot is untouched)."""
-        comp_parts = [_vertical_parts(c, 3) for c in self.chi_form_f().components]
+        """The vertical-degree parts chi_0..chi_3 of chi in frame coordinates,
+        split componentwise (the value slot is untouched)."""
+        comp_parts = [_vertical_parts(c, 3) for c in self.frame_g2.chi_form.components]
         return tuple(
             VectorValuedForm(tuple(parts[q] for parts in comp_parts)) for q in range(4)
         )
@@ -154,7 +139,7 @@ class Splitting:
     @cached_property
     def _form_parts(self):
         pphi = self.phi_f_parts
-        pstar = _vertical_parts(self.star_phi_f, 4)
+        pstar = _vertical_parts(self.frame_g2.star_phi, 4)
         for q in (1, 3):
             if not pphi[q].is_zero(1e-12):
                 raise AssertionError(f"phi has an unexpected vertical-degree-{q} part")
@@ -179,13 +164,9 @@ class Splitting:
         e[i - 1] = 1.0
         return interior(e, omega)
 
-    @cached_property
-    def _chi_form_f(self):
-        return g2core.chi_form(self.frame_g2)
-
     def chi_form_f(self) -> VectorValuedForm:
         """chi as a TM-valued 3-form in frame coordinates (metric = id there)."""
-        return self._chi_form_f
+        return self.frame_g2.chi_form
 
 
 def standard_splitting() -> Splitting:

@@ -36,7 +36,7 @@ def test_01_g2_algebra_suite():
     G = g2.standard_g2()
     phi_d = G.phi.to_dense()
     star_d = G.star_phi.to_dense()
-    tau_d = np.stack([c.to_dense() for c in g2.tau_form(G).components])
+    tau_d = np.stack([c.to_dense() for c in G.tau_form.components])
 
     vs = rng.standard_normal((10_000, 3, 7))
     phi_vals = np.einsum("ijk,ni,nj,nk->n", phi_d, vs[:, 0], vs[:, 1], vs[:, 2])

@@ -60,6 +60,34 @@ class TestReports:
         "fm": "02d35592f97174f1feef170c53b1a2cfd91750452806ba2845ac0722d655bf08",
     }
 
+    # the other commands' report SHA-256s, under the same rule
+    PINNED_COMMAND_SHA256 = {
+        "scan anisotropic --samples 2000 --seed 11":
+            "dc6e455aa4037cebc59c83a33278f1aa2360166b8c9bcd73a2c137d35f9ab141",
+        "scan semical --samples 1000 --seed 3":
+            "68ed958493b4eb1f04e995b2ec759c2e62023ea8fd637034df0ae135bbf340a9",
+        "energy --grid 8 --seed 5":
+            "77eb3a057fa77e3dba8d533704710c6361069259a16e0c1137aa206a9a882e10",
+        "solve su2 --seed 4":
+            "5380a9de237111157861c16b922696af66a74ba8b3c1992e36d96b6787b50485",
+        "solve flat-harmonic --seed 4":
+            "385fd089cadf132e9667066540e0a4db974779936cba63f0ea95851f184be7e8",
+        "solve affine --seed 4":
+            "7501c9ee98133f294d719d70be468fcf664a2511a058616297238666633912b8",
+        "model heisenberg --B 2,0,0;0,2,0;0,0,-4 --homology":
+            "ead04d6b782a7b2d58c446fbbf4ffffc3077359e07767ca2f6203a5e147a269e",
+        "fm sweep --seed 5 --points 8":
+            "48fe02234d8c1936da15b47b1fa540ee6973c2bf23718d26dcce56dc0d546ee4",
+        "fm sweep --seed 5 --points 8 --format csv":
+            "4392bac2f57c5bf8a5c7c7366bb3cef486e6cf947a9f961ded03dd7c9beed36b",
+    }
+
+    @pytest.mark.parametrize("command", sorted(PINNED_COMMAND_SHA256))
+    def test_command_report_is_pinned(self, command, tmp_path):
+        code, raw = run_cli(command.split(" "), tmp_path, "report")
+        assert code == 0
+        assert hashlib.sha256(raw).hexdigest() == self.PINNED_COMMAND_SHA256[command]
+
     def test_all_suites_pass(self, tmp_path):
         for suite, digest in self.PINNED_SHA256.items():
             code, raw = run_cli(["verify", suite, "--seed", "7", "--profile", "fast"],
@@ -114,6 +142,15 @@ class TestExitCodes:
         assert code == 1
         report = json.loads(out.read_bytes())
         assert not report["checks"][0]["pass"]
+
+    def test_zero_tol_is_a_tolerance(self, tmp_path):
+        # --tol 0 is a zero tolerance, not "use the profile's"
+        code, _ = run_cli(["verify", "fueter", "--seed", "1", "--samples", "5",
+                           "--profile", "fast", "--tol", "0"], tmp_path, "v.json")
+        assert code == 1
+        _, raw = run_cli(["scan", "anisotropic", "--samples", "100", "--seed", "1",
+                          "--tol", "0"], tmp_path, "s.json")
+        assert json.loads(raw)["scan"]["tol"] == 0.0
 
     def test_unknown_subcommand_is_usage_error(self):
         proc = subprocess.run(

@@ -110,15 +110,15 @@ class TestCompletions:
             fu.fueter_complete(2.0 * E[0], E[1], S)
 
     def test_associative_completion(self):
-        assert np.allclose(fu.associative_complete(E[0], E[1]), E[2])
-        assert np.allclose(fu.associative_complete(E[0], E[3]), E[4])
+        assert np.allclose(fu.associative_complete(E[0], E[1], S.g2), E[2])
+        assert np.allclose(fu.associative_complete(E[0], E[3], S.g2), E[4])
         rng = np.random.default_rng(3)
         for _ in range(50):
             u, v = rng.standard_normal((2, 7))
-            w = fu.associative_complete(u, v)
-            assert np.linalg.norm(g2.chi(u, v, w)) < 1e-10
+            w = fu.associative_complete(u, v, S.g2)
+            assert np.linalg.norm(g2.chi(u, v, w, S.g2)) < 1e-10
         with pytest.raises(ValueError):
-            fu.associative_complete(E[0], 2.0 * E[0])
+            fu.associative_complete(E[0], 2.0 * E[0], S.g2)
 
 
 class TestConditionReport:
@@ -220,8 +220,8 @@ class TestChiViaBeta:
             if np.linalg.norm(fu.chi_component_values(g)[3]) > 1e-10:
                 continue
             frame = g.frame()
-            chi_plus = np.linalg.norm(g2.chi(*frame))
-            chi_minus = np.linalg.norm(g2.chi(frame[1], frame[0], frame[2]))
+            chi_plus = np.linalg.norm(g2.chi(*frame, S.g2))
+            chi_minus = np.linalg.norm(g2.chi(frame[1], frame[0], frame[2], S.g2))
             assert min(chi_plus, chi_minus) < 1e-9
 
     def test_rank2_associative_implies_fueter(self):
@@ -234,7 +234,7 @@ class TestChiViaBeta:
             h[:3] = rng.standard_normal(3)
             h /= np.linalg.norm(h)
             v = rng.standard_normal(7)
-            w = fu.associative_complete(h, v)
+            w = fu.associative_complete(h, v, S.g2)
             try:
                 g, _ = sp.graph_from_plane(sp.Plane(np.vstack([h, v, w])), S)
             except sp.NotProjectableError:

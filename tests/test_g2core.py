@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -96,7 +98,7 @@ class TestChi:
 
     def test_chi_form_matches_pointwise(self):
         rng = np.random.default_rng(8)
-        cf = g2.chi_form(G)
+        cf = G.chi_form
         for _ in range(10):
             u, v, w = rng.standard_normal((3, 7))
             assert np.abs(cf.apply([u, v, w]) - g2.chi(u, v, w, G)).max() < 1e-12
@@ -150,6 +152,10 @@ class TestLambdaAndProjections:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             g2.lambda_k(ex.basis_form(7, (1,)), 3, G)
+        with pytest.raises(ValueError):
+            g2.lambda_k_inverse(ex.basis_form(7, (1, 2, 3)), 3, G)
+        with pytest.raises(ValueError):
+            g2.project_k7(ex.basis_form(7, (1, 2, 3)), 3, G)
 
     def test_projection_kills_lambda2_image(self):
         l2 = g2.lambda_k(ex.basis_form(7, (1,)), 2, G)
@@ -248,3 +254,25 @@ class TestGeneralLinearPullbacks:
         s = g2.g2_from_phi(ex.pullback(A, g2.phi0()))
         expected = ex.pullback(A, g2.star_phi0())
         assert (s.star_phi - expected).norm() < 1e-8 * max(1.0, expected.norm())
+
+
+class TestDerivedTensors:
+    NAMES = ("metric_inv", "phi_dense", "chi_form", "tau_form", "lambda_matrices")
+
+    def test_built_once_and_read_only(self):
+        s = g2.g2_from_phi(ex.pullback(np.diag([1.0] * 3 + [0.5] * 4), g2.phi0()))
+        for name in self.NAMES:
+            assert getattr(s, name) is getattr(s, name), name
+        assert np.array_equal(s.metric_inv, np.linalg.inv(s.metric))
+        assert np.array_equal(s.phi_dense, s.phi.to_dense())
+        arrays = [s.metric_inv, s.phi_dense] + [L for L, _ in s.lambda_matrices.values()]
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_lambda_matrices_are_not_rebuilt(self):
+        s = g2.standard_g2()
+        beta = ex.basis_form(7, (1, 2))
+        g2.project_k7(beta, 2, s)
+        with mock.patch.object(g2, "lambda_k", wraps=g2.lambda_k) as spy:
+            g2.project_k7(beta, 2, s)
+            g2.lambda_k_inverse(beta, 2, s)
+        assert spy.call_count == 0

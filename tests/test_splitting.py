@@ -55,9 +55,10 @@ class TestSplittingConstruction:
         assert g != sp.GraphPlane(FUETER_T, S2)
 
     def test_dense_phi_is_a_read_only_constant(self):
-        assert S.phi_f_dense is S.phi_f_dense
-        assert np.array_equal(S.phi_f_dense, S.phi_f.to_dense())
-        assert not S.phi_f_dense.flags.writeable
+        dense = S.frame_g2.phi_dense
+        assert dense is S.frame_g2.phi_dense
+        assert np.array_equal(dense, S.frame_g2.phi.to_dense())
+        assert not dense.flags.writeable
 
 
 class TestGraphPlane:
@@ -334,7 +335,7 @@ def random_associative_splitting(rng):
     h2 = rng.standard_normal(7)
     h2 -= (h2 @ h1) * h1
     h2 /= np.linalg.norm(h2)
-    h3 = g2core_mod.cross(h1, h2)
+    h3 = g2core_mod.cross(h1, h2, S.g2)
     H = np.vstack([h1, h2, h3])
     M = rng.standard_normal((7, 4))
     M -= H.T @ (H @ M)
