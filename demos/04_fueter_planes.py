@@ -18,7 +18,7 @@ T = np.zeros((3, 4))
 T[0, 0] = 1.0  # the plane {e1 + eta4, e2, e3}
 g = sp.GraphPlane(T, S)
 print("F via cross products:", fu.fueter_vector(g))
-print("F via the J matrices:", fu.fueter_via_J(g))
+print("F via the J matrices:", fu.fueter_via_J(g, fu.jtriple_from_splitting(S)))
 print("chi_1 contraction:   ", fu.chi_component_values(g)[1][3:])
 
 # Completion: any projectable orthonormal pair extends uniquely.

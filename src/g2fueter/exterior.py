@@ -156,10 +156,8 @@ class Form:
         if self.degree == 0:
             return np.array(self.coeffs.get((), 0.0))
         for idx, c in self.coeffs.items():
-            base = [i - 1 for i in idx]
-            for perm in itertools.permutations(range(self.degree)):
-                sign = _permutation_sign(perm)
-                out[tuple(base[p] for p in perm)] = sign * c
+            for perm in itertools.permutations(i - 1 for i in idx):
+                out[perm] = _sort_with_sign(perm)[1] * c
         return out
 
     def vertical_degree_parts(self, vertical_indices):
@@ -175,22 +173,6 @@ class Form:
 
     def __str__(self):
         return render(self)
-
-
-def _permutation_sign(perm):
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, cycle = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            cycle += 1
-        if cycle % 2 == 0:
-            sign = -sign
-    return sign
 
 
 # -- constructors -----------------------------------------------------------

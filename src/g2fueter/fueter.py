@@ -22,9 +22,9 @@ from .exterior import Form, hodge, interior, wedge
 from .splitting import (
     DIM,
     GraphPlane,
-    NotProjectableError,
     Plane,
     Splitting,
+    beta_of,
     standard_splitting,
     ve_series,
 )
@@ -143,9 +143,8 @@ def fueter_vector(g: GraphPlane):
     return out
 
 
-def fueter_via_J(g: GraphPlane, J: JTriple = None):
-    """F(pi) = sum_i J_i(p_V(v_i)), the matrix route."""
-    J = J or jtriple_from_splitting(g.splitting)
+def fueter_via_J(g: GraphPlane, J: JTriple):
+    """F(pi) = sum_i J_i(p_V(v_i)), the matrix route; J is the triple of g's splitting."""
     return sum(Ji @ g.T[i] for i, Ji in enumerate(J.as_tuple()))
 
 
@@ -170,8 +169,8 @@ def fueter_complete(v1, v2, S: Splitting, return_system=False):
     square linear system J(h3) x = -(h1 x u1 + h2 x u2), whose condition
     number is available through return_system.
     """
-    f1 = _frame_coords(v1, S)
-    f2 = _frame_coords(v2, S)
+    f1 = S.frame_coords(v1)
+    f2 = S.frame_coords(v2)
     h1, h2 = f1[:3], f2[:3]
     if (
         abs(h1 @ h1 - 1.0) > 1e-10
@@ -211,10 +210,6 @@ def associative_complete(v1, v2, G: g2core.G2Structure):
     if np.linalg.svd(np.vstack([v1, v2]), compute_uv=False)[-1] <= 1e-10:
         raise ValueError("v1, v2 must be linearly independent")
     return g2core.cross(v1, v2, G)
-
-
-def _frame_coords(v, S: Splitting):
-    return S.frame_matrix @ (S.g2.metric @ np.asarray(v, dtype=float))
 
 
 # -- the six-way report --------------------------------------------------------
@@ -267,8 +262,6 @@ class ConditionReport:
 
 def condition_residuals(g: GraphPlane) -> ConditionReport:
     """Evaluate all six Fueter conditions on one plane."""
-    from .splitting import beta_of
-
     S = g.splitting
     frame = list(g.frame())
     lam, omega, theta, mu = S.form_parts()
@@ -323,8 +316,6 @@ def chi_via_beta(g: GraphPlane):
     chi_1^flat = *(beta ^ *phi); chi_2^flat = -2 (lambda^4)^{-1} of the
     Lambda^4_7 part of beta^2/2; chi_3^flat = -*(beta^3/6).
     """
-    from .splitting import beta_of
-
     frame_g2 = g.splitting.frame_g2
     beta = beta_of(g)
     chi1 = hodge(wedge(beta, frame_g2.star_phi))
@@ -339,8 +330,6 @@ def chi_via_beta(g: GraphPlane):
 
 def chi1_via_projection(g: GraphPlane) -> Form:
     """Alternative route: chi_1(v)^flat = sqrt(3) (lambda^2)^{-1} (pi^2_7 beta)."""
-    from .splitting import beta_of
-
     frame_g2 = g.splitting.frame_g2
     beta = beta_of(g)
     return np.sqrt(3.0) * g2core.lambda_k_inverse(
@@ -376,16 +365,13 @@ def polar_space_dim(W: Plane, system: str, S: Splitting) -> int:
     if s < 2:
         return DIM
 
-    coords = W.span @ S.g2.metric @ S.frame_matrix.T
     if system == "fueter":
-        A = coords[:, :3]
-        if np.linalg.svd(A, compute_uv=False)[-1] <= 1e-10:
-            raise NotProjectableError("fueter system requires a projectable plane")
+        S.horizontal_part(W.span)  # the Fueter system needs a projectable plane
         generators = list(S.chi_f_parts[1].components)
     else:
         generators = list(S.frame_g2.chi_form.components)
 
-    w1, w2 = coords
+    w1, w2 = S.frame_coords(W.span)
     rows = []
     for gen in generators:
         rows.append([
@@ -417,7 +403,7 @@ def polar_dim_constancy(system: str, s: int, n: int, seed):
             if np.linalg.svd(span, compute_uv=False)[-1] <= 1e-6:
                 continue
             if system == "fueter" and s == 2:
-                A = (span @ S.g2.metric @ S.frame_matrix.T)[:, :3]
+                A = S.frame_coords(span)[:, :3]
                 if np.linalg.svd(A, compute_uv=False)[-1] <= 1e-6:
                     continue
         d = polar_space_dim(Plane(span), system, S) if s else DIM

@@ -35,6 +35,7 @@ from .exterior import (
     hodge,
     interior,
     pullback,
+    render,
     wedge,
     zero_form,
 )
@@ -348,8 +349,6 @@ def project_2_14(beta: Form, G: G2Structure) -> Form:
 
 def golden_forms():
     """The named constant forms, keyed as in the shipped fixture file."""
-    from .exterior import form_from_terms, render
-
     omega_1 = form_from_terms(DIM, 2, ((1.0, (4, 5)), (1.0, (6, 7))))
     omega_2 = form_from_terms(DIM, 2, ((1.0, (4, 6)), (-1.0, (5, 7))))
     omega_3 = form_from_terms(DIM, 2, ((-1.0, (4, 7)), (-1.0, (5, 6))))
@@ -372,8 +371,6 @@ def golden_forms():
 
 def render_golden_fixture():
     """Canonical text of the golden forms, one `name = rendering` per line."""
-    from .exterior import render
-
     lines = [f"{name} = {render(form)}" for name, form in golden_forms().items()]
     return "\n".join(lines) + "\n"
 

@@ -410,11 +410,10 @@ def h1_nilmanifold(B) -> H1Descriptor:
     Requires all entries of B to be even integers, the condition for
     Z^3 x Z^4 to close under the group multiplication.
     """
-    B = np.asarray(B)
-    Bi = np.rint(np.asarray(B, dtype=float)).astype(np.int64)
-    if np.abs(np.asarray(B, dtype=float) - Bi).max() > 0 or np.any(Bi % 2 != 0):
+    B = np.asarray(B, dtype=float)
+    if np.any(B % 2 != 0):  # true for odd, fractional and non-finite entries
         raise ValueError("not a lattice-compatible B: entries must be even integers")
-    _, D, _ = smith_normal_form(Bi)
+    _, D, _ = smith_normal_form(B)  # exact: each float entry becomes a Python int
     diag = [int(D[i, i]) for i in range(3)]
     free = 4 + sum(1 for d in diag if d == 0)
     torsion = tuple(d for d in diag if d > 1)

@@ -7,7 +7,10 @@ roundoff rather than discretization error.
 Graph sections x -> (x, u(x)) over the 3-torus (flat and Heisenberg
 models) are Fueter exactly when D u = J_1 du/dx1 + J_2 du/dx2 + J_3
 du/dx3 vanishes; on SU(2) the derivatives become left-invariant ones and
-the identity D^2 = -Laplacian picks up a -2D correction.
+the identity D^2 = -Laplacian picks up a -2D correction.  An SU(2) map
+is an R^4 jet map (the same eval/jet1/jet2 API, on points of R^4) with
+the Su2AmbientMap mixin, which restricts it to the unit quaternions and
+turns its ambient jets into left-invariant directional ones.
 
 Quaternion convention (pinned): SU(2) points are unit quaternions
 q = a + b i + c j + d k stored as (a, b, c, d); the orthonormal
@@ -132,10 +135,12 @@ def _eval_monomials(comp, x, d=()):
 
 
 class PolynomialMap(AnalyticMap):
-    """Componentwise polynomial map; monomials keyed by exponent triples."""
+    """Componentwise polynomial map on R^n; monomials keyed by exponent
+    n-tuples (triples on R^3), and the jets take their size n from the
+    points' last axis."""
 
     def __init__(self, components, periodicity=None):
-        # components: sequence of 4 dicts {(p1,p2,p3): coeff}
+        # components: sequence of 4 dicts {(p1,..,pn): coeff}
         self.components = [dict(c) for c in components]
         if len(self.components) != 4:
             raise ValueError("need 4 components")
@@ -143,36 +148,39 @@ class PolynomialMap(AnalyticMap):
 
     def eval(self, x):
         xb, single = _batchify(x)
-        out = np.stack([_eval_monomials(c, xb) for c in self.components], axis=1)
+        out = np.stack([_eval_monomials(c, xb) for c in self.components], axis=-1)
         return out[0] if single else out
 
     def jet1(self, x):
         xb, single = _batchify(x)
-        out = np.empty((xb.shape[0], 4, 3))
+        n = xb.shape[-1]
+        out = np.empty(xb.shape[:-1] + (4, n))
         for m, comp in enumerate(self.components):
-            for i in range(3):
-                out[:, m, i] = _eval_monomials(comp, xb, (i,))
+            for i in range(n):
+                out[..., m, i] = _eval_monomials(comp, xb, (i,))
         return out[0] if single else out
 
     def jet2(self, x):
         xb, single = _batchify(x)
-        out = np.empty((xb.shape[0], 4, 3, 3))
+        n = xb.shape[-1]
+        out = np.empty(xb.shape[:-1] + (4, n, n))
         for m, comp in enumerate(self.components):
-            for i in range(3):
-                for j in range(i, 3):
+            for i in range(n):
+                for j in range(i, n):
                     vals = _eval_monomials(comp, xb, (i, j))
-                    out[:, m, i, j] = vals
-                    out[:, m, j, i] = vals
+                    out[..., m, i, j] = vals
+                    out[..., m, j, i] = vals
         return out[0] if single else out
 
     def jet3(self, x):
         xb, single = _batchify(x)
-        out = np.empty((xb.shape[0], 4, 3, 3, 3))
+        n = xb.shape[-1]
+        out = np.empty(xb.shape[:-1] + (4, n, n, n))
         for m, comp in enumerate(self.components):
-            for i in range(3):
-                for j in range(3):
-                    for k in range(3):
-                        out[:, m, i, j, k] = _eval_monomials(comp, xb, (i, j, k))
+            for i in range(n):
+                for j in range(n):
+                    for k in range(n):
+                        out[..., m, i, j, k] = _eval_monomials(comp, xb, (i, j, k))
         return out[0] if single else out
 
 
@@ -397,13 +405,14 @@ class NotHarmonicError(ValueError):
     pass
 
 
+def _dirac(d):
+    """sum_i J_i d[..., i] over first derivatives d of shape (..., 4, 3)."""
+    return sum(np.einsum("ab,...b->...a", _J[i], d[..., i]) for i in range(3))
+
+
 def fueter_operator_flat(u: AnalyticMap, x):
     """D u = J_1 du/dx1 + J_2 du/dx2 + J_3 du/dx3 at x (batched)."""
-    j1 = u.jet1(x)
-    out = np.zeros(j1.shape[:-2] + (4,))
-    for i in range(3):
-        out += np.einsum("ab,...b->...a", _J[i], j1[..., i])
-    return out
+    return _dirac(u.jet1(x))
 
 
 def d_squared_residual(F: AnalyticMap, x):
@@ -519,29 +528,20 @@ _FRAME_LIST = [SU2_FRAME_QUATERNIONS[k] for k in ("e1", "e2", "e3")]
 
 
 class Su2AmbientMap:
-    """A map SU(2) -> R^4 obtained by restricting an ambient analytic map
-    on R^4 (points are unit quaternions).
+    """Mixin restricting an R^4 jet map (eval/jet1/jet2 on points of R^4)
+    to SU(2), whose points are the unit quaternions.
 
     Directional jets along the left-invariant frame:
       (e_i u)(h)     = Du(h)[h F_i],
       (e_j e_i u)(h) = D2u(h)[h F_j, h F_i] + Du(h)[h F_j F_i].
     """
 
-    def ambient_eval(self, h):
-        raise NotImplementedError
-
-    def ambient_d1(self, h):  # (..., 4 out, 4 in)
-        raise NotImplementedError
-
-    def ambient_d2(self, h):  # (..., 4 out, 4, 4)
-        raise NotImplementedError
-
     def value(self, h):
-        return self.ambient_eval(np.asarray(h, dtype=float))
+        return self.eval(np.asarray(h, dtype=float))
 
     def dir1(self, h):
         h = np.asarray(h, dtype=float)
-        d1 = self.ambient_d1(h)
+        d1 = self.jet1(h)
         out = np.empty(h.shape[:-1] + (4, 3))
         for i, Fi in enumerate(_FRAME_LIST):
             t = quat_mul(h, np.broadcast_to(Fi, h.shape))
@@ -550,8 +550,8 @@ class Su2AmbientMap:
 
     def dir2(self, h):
         h = np.asarray(h, dtype=float)
-        d1 = self.ambient_d1(h)
-        d2 = self.ambient_d2(h)
+        d1 = self.jet1(h)
+        d2 = self.jet2(h)
         out = np.empty(h.shape[:-1] + (4, 3, 3))
         tangents = [quat_mul(h, np.broadcast_to(F, h.shape)) for F in _FRAME_LIST]
         for j, Fj in enumerate(_FRAME_LIST):
@@ -563,33 +563,9 @@ class Su2AmbientMap:
         return out
 
 
-class AmbientPolynomialMap(Su2AmbientMap):
-    """Polynomial in the four ambient coordinates, restricted to SU(2)."""
-
-    def __init__(self, components):
-        self.components = [dict(c) for c in components]  # {(p1..p4): coeff}
-        if len(self.components) != 4:
-            raise ValueError("need 4 components")
-
-    def ambient_eval(self, h):
-        return np.stack([_eval_monomials(c, h) for c in self.components], axis=-1)
-
-    def ambient_d1(self, h):
-        out = np.empty(h.shape[:-1] + (4, 4))
-        for m, comp in enumerate(self.components):
-            for k in range(4):
-                out[..., m, k] = _eval_monomials(comp, h, (k,))
-        return out
-
-    def ambient_d2(self, h):
-        out = np.empty(h.shape[:-1] + (4, 4, 4))
-        for m, comp in enumerate(self.components):
-            for k in range(4):
-                for l in range(k, 4):
-                    vals = _eval_monomials(comp, h, (k, l))
-                    out[..., m, k, l] = vals
-                    out[..., m, l, k] = vals
-        return out
+class AmbientPolynomialMap(PolynomialMap, Su2AmbientMap):
+    """Polynomial in the four ambient coordinates (exponent quadruples),
+    restricted to SU(2)."""
 
 
 class CotPotentialMap(Su2AmbientMap):
@@ -614,17 +590,17 @@ class CotPotentialMap(Su2AmbientMap):
             raise ValueError("point inside the excluded balls around p, -p")
         return t
 
-    def ambient_eval(self, h):
+    def eval(self, h):
         t = self._t(h)
         s = self.A * t / np.sqrt(1.0 - t * t) + self.B
         return np.einsum("...,m->...m", s, self.v0)
 
-    def ambient_d1(self, h):
+    def jet1(self, h):
         t = self._t(h)
         ds = self.A * (1.0 - t * t) ** -1.5
         return np.einsum("...,m,k->...mk", ds, self.v0, self.p)
 
-    def ambient_d2(self, h):
+    def jet2(self, h):
         t = self._t(h)
         dds = 3.0 * self.A * t * (1.0 - t * t) ** -2.5
         return np.einsum("...,m,k,l->...mkl", dds, self.v0, self.p, self.p)
@@ -651,8 +627,7 @@ class ShiftedDiracMap:
 
 def su2_fueter_operator(u, h):
     """D_SU2 u = sum_i J_i (e_i u) at the unit quaternion h (batched)."""
-    d = u.dir1(h)
-    return sum(np.einsum("ab,...b->...a", _J[i], d[..., i]) for i in range(3))
+    return _dirac(u.dir1(h))
 
 
 def su2_identity_residual(F: Su2AmbientMap, h):

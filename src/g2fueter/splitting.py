@@ -11,6 +11,7 @@ all closed formulas here assume.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -94,6 +95,18 @@ class Splitting:
     def frame_matrix(self):
         """Rows: h1, h2, h3, eta4..eta7."""
         return np.vstack([self.h_frame, self.v_frame])
+
+    def frame_coords(self, span):
+        """Frame coordinates of ambient vectors (rows of span, or one vector)."""
+        return span @ self.g2.metric @ self.frame_matrix.T
+
+    def horizontal_part(self, span):
+        """The H-frame coordinates of the rows of span; raises
+        NotProjectableError when they are (numerically) dependent."""
+        A = self.frame_coords(span)[:, :3]
+        if np.linalg.svd(A, compute_uv=False)[-1] <= 1e-10:
+            raise NotProjectableError("not horizontally projectable")
+        return A
 
     # -- frame-coordinate data ----------------------------------------------
     # Built lazily, once per splitting, and shared read-only by every caller.
@@ -242,12 +255,8 @@ def graph_from_plane(p: Plane, S: Splitting):
     """
     if p.s != 3:
         raise ValueError("graph coordinates require a 3-plane")
-    coords = p.span @ S.g2.metric @ S.frame_matrix.T  # rows in frame coordinates
-    A = coords[:, :3]
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] <= 1e-10:
-        raise NotProjectableError("not horizontally projectable")
-    T = np.linalg.solve(A, coords[:, 3:])
+    A = S.horizontal_part(p.span)
+    T = np.linalg.solve(A, S.frame_coords(p.span)[:, 3:])
     sign = 1 if np.linalg.det(A) > 0 else -1
     return GraphPlane(T=T, splitting=S), sign
 
@@ -264,11 +273,7 @@ def beta_of(g: GraphPlane) -> Form:
 
 def horizontal_metric(p: Plane, S: Splitting):
     """Gram matrix of the horizontal projections of the spanning frame."""
-    coords = p.span @ S.g2.metric @ S.frame_matrix.T
-    A = coords[:, :3]
-    sv = np.linalg.svd(A, compute_uv=False)
-    if sv[-1] <= 1e-10:
-        raise NotProjectableError("not horizontally projectable")
+    A = S.horizontal_part(p.span)
     return A @ A.T
 
 
@@ -320,8 +325,6 @@ def ve_recursive(g: GraphPlane, kmax: int):
     T = g.T
     minor_sq = [1.0, 0.0, 0.0, 0.0]
     minor_sq[1] = float(np.sum(T * T))
-    import itertools
-
     for rows in itertools.combinations(range(3), 2):
         for cols in itertools.combinations(range(4), 2):
             m = np.linalg.det(T[np.ix_(rows, cols)])
@@ -672,8 +675,6 @@ def equality_ladder(g: GraphPlane, lmax: int = 3, tol=IDENTITY_RESIDUAL_TOL):
 
 def _wedge3_vertical_norms(frame):
     """|v_ell|^2 for the vertical-degree pieces of v1 ^ v2 ^ v3."""
-    import itertools
-
     norms = [0.0, 0.0, 0.0, 0.0]
     mat = frame.T  # 7 x 3
     for idx in itertools.combinations(range(DIM), 3):

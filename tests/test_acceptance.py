@@ -2,10 +2,12 @@
 
 Each test prints one pass/fail line (run with `pytest -s` to see them on
 success).  Criteria that feed the determinism check (3, 4, 8, 9) factor
-their computation into functions returning a JSON artifact, which
-criterion 12 re-runs and compares byte for byte.
+their computation into cached functions returning a JSON artifact;
+criterion 12 compares each cached artifact byte for byte with one fresh
+run.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -91,6 +93,7 @@ def test_02_ve_hierarchy():
 # -- criterion 3 ---------------------------------------------------------------
 
 
+@functools.cache
 def run_criterion_3():
     fueter_plane = np.zeros((3, 4))
     fueter_plane[0, 0] = 1.0
@@ -113,6 +116,7 @@ def test_03_anisotropic_calibration():
 # -- criterion 4 ---------------------------------------------------------------
 
 
+@functools.cache
 def run_criterion_4():
     rng = np.random.default_rng(104)
     reports = []
@@ -222,6 +226,7 @@ def test_07_pde_identities():
 # -- criterion 8 ---------------------------------------------------------------
 
 
+@functools.cache
 def run_criterion_8():
     base = pde.affine_fueter_section([1, 0, 2, -1], [0, 1, 1, 3])
     results = {}
@@ -243,6 +248,7 @@ def test_08_minimization_experiment():
 # -- criterion 9 ---------------------------------------------------------------
 
 
+@functools.cache
 def run_criterion_9():
     rng = np.random.default_rng(109)
     ok = True
@@ -319,13 +325,8 @@ def test_11_polar_spaces():
 
 
 def test_12_determinism():
-    pairs = []
-    for fn in (run_criterion_3, run_criterion_4, run_criterion_8):
-        first = fn()[1]
-        second = fn()[1]
-        pairs.append(first == second)
-    first = run_criterion_9()[1]
-    second = run_criterion_9()[1]
-    pairs.append(first == second)
+    # the first run is the one criteria 3, 4, 8 and 9 already made
+    pairs = [fn()[1] == fn.__wrapped__()[1]
+             for fn in (run_criterion_3, run_criterion_4, run_criterion_8, run_criterion_9)]
     ok = all(pairs)
     _line(12, "determinism", ok, f"byte-identical reruns: {pairs}")

@@ -12,6 +12,14 @@ from hypothesis import given, settings, strategies as st
 from g2fueter import cli, splitting
 
 
+def strict_json(raw):
+    """Parse a report, rejecting the NaN and Infinity tokens JSON does not have."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    return json.loads(raw, parse_constant=reject)
+
+
 def run_cli(args, tmp_path, name):
     out = tmp_path / name
     code = cli.run(args + ["--out", str(out)])
@@ -182,11 +190,7 @@ class TestExitCodes:
         code = cli.run(["verify", "splitting", "--seed", "7", "--profile", "fast",
                         "--out", str(out)])
         assert code == 1
-
-        def reject(token):
-            raise ValueError(f"non-standard JSON token {token}")
-
-        report = json.loads(out.read_bytes(), parse_constant=reject)
+        report = strict_json(out.read_bytes())
         check = next(c for c in report["checks"] if c["name"] == "ve-two-routes")
         assert check["pass"] is False and check["residualOrFlag"] == "nan"
 
@@ -227,9 +231,29 @@ class TestDomains:
         "model heisenberg --B x",
         'model heisenberg --B "1,2;3,4"',
         "model product-flat --seed 5",
+        'model heisenberg --B "1e200,0,0;0,2,0;0,0,2"',
+        'model heisenberg --B "1e-200,0,0;0,2,0;0,0,2"',
+        "fm sweep --seed 1 --rmax 1e80 --points 4",
+        "fm sweep --seed 1 --rmin 1e-300 --rmax 1 --points 4",
+        "fm sweep --seed 1 --rmax 1e300 --points 4",
     ])
     def test_out_of_domain_exits_two(self, command, capsys, tmp_path):
         expect_usage_error(shlex.split(command), capsys, tmp_path)
+
+    # values at the edges of a domain give a report in strict JSON, exit 0 or 1
+    @pytest.mark.parametrize("command, code", [
+        ('model heisenberg --B "1e100,-1e100,1e-100;0,2,0;0,0,-1e-100"', 0),
+        ('model heisenberg --B "1e20,0,0;0,2,0;0,0,2" --homology', 0),
+        ("fm sweep --seed 1 --rmin 1e-30 --rmax 1e30 --points 5", 0),
+        # every gap rounds to zero at these radii, so no slope can be fit
+        ("fm sweep --seed 1 --rmin 1e29 --rmax 1e30 --points 2", 1),
+    ])
+    def test_domain_edges_give_strict_reports(self, command, code, tmp_path):
+        got, raw = run_cli(shlex.split(command), tmp_path, "edge.json")
+        assert got == code
+        report = strict_json(raw)
+        if "--homology" in command:
+            assert report["homology"]["torsion"] == [2, 2, 10 ** 20]
 
     # each command rejects the options it does not read
     @pytest.mark.parametrize("command, flag", [
@@ -275,6 +299,18 @@ class TestDomains:
 
 NON_FINITE = st.sampled_from(["nan", "inf", "-inf", "NaN", "Infinity"])
 NOT_POSITIVE = st.one_of(st.floats(max_value=0.0).map(repr), NON_FINITE)
+NOT_A_RADIUS = st.one_of(
+    NOT_POSITIVE,
+    st.floats(min_value=0.0, max_value=1e-30, exclude_min=True, exclude_max=True).map(repr),
+    st.floats(min_value=1e30, exclude_min=True, allow_infinity=False).map(repr),
+)
+# a 3x3 matrix whose first entry is neither 0 nor of magnitude in [1e-100, 1e100]
+NOT_A_B_MATRIX = st.one_of(
+    st.floats(min_value=1e100, exclude_min=True),
+    st.floats(max_value=-1e100, exclude_max=True),
+    st.floats(min_value=-1e-100, max_value=1e-100, exclude_min=True, exclude_max=True).filter(bool),
+    NON_FINITE,
+).map(lambda v: f"{v},0,0;0,2,0;0,0,2")
 
 
 def ints_below(lo):
@@ -294,8 +330,9 @@ OUT_OF_DOMAIN = [
     ("solve affine", "--seed", ints_below(0)),
     ("energy --seed 1", "--grid", ints_below(1)),
     ("fm sweep --seed 1", "--points", ints_below(2)),
-    ("fm sweep --seed 1", "--rmin", NOT_POSITIVE),
-    ("fm sweep --seed 1", "--rmax", NOT_POSITIVE),
+    ("fm sweep --seed 1", "--rmin", NOT_A_RADIUS),
+    ("fm sweep --seed 1", "--rmax", NOT_A_RADIUS),
+    ("model heisenberg", "--B", NOT_A_B_MATRIX),
 ]
 
 

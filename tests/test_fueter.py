@@ -54,6 +54,7 @@ class TestFueterVector:
 
     def test_coordinate_formula(self):
         rng = np.random.default_rng(0)
+        J = fu.jtriple_from_splitting(S)
         for _ in range(50):
             v = rng.standard_normal((3, 4))
             expected = np.array([
@@ -64,7 +65,7 @@ class TestFueterVector:
             ])
             g = sp.GraphPlane(v, S)
             assert np.abs(fu.fueter_vector(g) - expected).max() < 1e-14
-            assert np.abs(fu.fueter_via_J(g) - expected).max() < 1e-14
+            assert np.abs(fu.fueter_via_J(g, J) - expected).max() < 1e-14
 
     def test_route_equivalence(self):
         rng = np.random.default_rng(1)

@@ -263,6 +263,13 @@ class TestHomology:
             md.h1_nilmanifold(np.diag([1, 2, 2]))
         with pytest.raises(ValueError):
             md.h1_nilmanifold(np.diag([2.5, 2, 2]))
+        with pytest.raises(ValueError):
+            md.h1_nilmanifold(np.diag([np.nan, 2, 2]))
+
+    def test_even_entries_beyond_int64_are_exact(self):
+        h = md.h1_nilmanifold(np.diag([1e20, 2.0, 2.0]))
+        assert h.torsion_factors == (2, 2, 10 ** 20)
+        assert h.torsion_order == 4 * 10 ** 20
 
 
 class TestCatalog:

@@ -40,6 +40,37 @@ class TestAnalyticMaps:
                 fd2 = (u.jet1(dp) - u.jet1(dm)) / (2 * h)
                 assert np.abs(fd2 - u.jet2(x)[:, :, i]).max() < 1e-5
 
+    def test_polynomial_jets_sized_by_the_point_dimension(self):
+        # exponent quadruples give jets on R^4: u_4 = x1^2 x2 + 3 x3 x4^2, u_5 = 2 x4
+        comps = [{(2, 1, 0, 0): 1.0, (0, 0, 1, 2): 3.0}, {(0, 0, 0, 1): 2.0}, {}, {}]
+        u = pde.PolynomialMap(comps)
+        x = np.random.default_rng(3).standard_normal((5, 4))
+        x1, x2, x3, x4 = x.T
+        zero = np.zeros(5)
+        grad = np.zeros((5, 4, 4))
+        grad[:, 0] = np.stack([2 * x1 * x2, x1 ** 2, 3 * x4 ** 2, 6 * x3 * x4], axis=1)
+        grad[:, 1, 3] = 2.0
+        hess = np.zeros((5, 4, 4, 4))
+        hess[:, 0] = np.stack([
+            np.stack([2 * x2, 2 * x1, zero, zero], axis=1),
+            np.stack([2 * x1, zero, zero, zero], axis=1),
+            np.stack([zero, zero, zero, 6 * x4], axis=1),
+            np.stack([zero, zero, 6 * x4, 6 * x3], axis=1),
+        ], axis=1)
+        third = np.zeros((5, 4, 4, 4, 4))
+        for i, j, k in {(0, 0, 1), (0, 1, 0), (1, 0, 0)}:
+            third[:, 0, i, j, k] = 2.0
+        for i, j, k in {(2, 3, 3), (3, 2, 3), (3, 3, 2)}:
+            third[:, 0, i, j, k] = 6.0
+        assert u.jet1(x).shape == (5, 4, 4) and u.jet2(x).shape == (5, 4, 4, 4)
+        assert np.abs(u.jet1(x) - grad).max() < 1e-12
+        assert np.abs(u.jet2(x) - hess).max() < 1e-12
+        assert np.array_equal(u.jet3(x), third)
+        ambient = pde.AmbientPolynomialMap(comps)
+        assert np.array_equal(ambient.jet1(x), u.jet1(x))
+        assert np.array_equal(ambient.jet2(x), u.jet2(x))
+        assert np.array_equal(u.jet1(x[0]), u.jet1(x)[0])
+
     def test_periodicity_contract(self):
         sec = pde.affine_fueter_section([1, 0, 2, -1], [0, 1, 1, 3])
         A = np.asarray(sec.periodicity)
@@ -315,12 +346,13 @@ class TestHeisenbergGraphs:
         rng = np.random.default_rng(20)
         S = sp.standard_splitting()
         u = pde.random_polynomial_map(rng)
+        J = fu.jtriple_from_splitting(S)
         for _ in range(20):
             x = rng.standard_normal(3)
             flat = pde.fueter_operator_flat(u, x)
             g = sp.GraphPlane(u.jet1(x).T, S)
             assert np.abs(fu.fueter_vector(g) - flat).max() < 1e-12
-            assert np.abs(fu.fueter_via_J(g) - flat).max() == 0.0
+            assert np.abs(fu.fueter_via_J(g, J) - flat).max() == 0.0
 
 
 def test_grid_csv_export():
@@ -350,14 +382,14 @@ class TestSu2LeftInvariance:
                     [d, -c, b, a],
                 ])
 
-            def ambient_eval(self, h):
-                return self.F.ambient_eval(h @ self.L.T)
+            def eval(self, h):
+                return self.F.eval(h @ self.L.T)
 
-            def ambient_d1(self, h):
-                return np.einsum("...mk,kl->...ml", self.F.ambient_d1(h @ self.L.T), self.L)
+            def jet1(self, h):
+                return np.einsum("...mk,kl->...ml", self.F.jet1(h @ self.L.T), self.L)
 
-            def ambient_d2(self, h):
-                d2 = self.F.ambient_d2(h @ self.L.T)
+            def jet2(self, h):
+                d2 = self.F.jet2(h @ self.L.T)
                 return np.einsum("...mkl,ka,lb->...mab", d2, self.L, self.L)
 
         rng = np.random.default_rng(30)
