@@ -46,17 +46,14 @@ class TestAnalyticMaps:
         u = pde.PolynomialMap(comps)
         x = np.random.default_rng(3).standard_normal((5, 4))
         x1, x2, x3, x4 = x.T
-        zero = np.zeros(5)
         grad = np.zeros((5, 4, 4))
         grad[:, 0] = np.stack([2 * x1 * x2, x1 ** 2, 3 * x4 ** 2, 6 * x3 * x4], axis=1)
         grad[:, 1, 3] = 2.0
         hess = np.zeros((5, 4, 4, 4))
-        hess[:, 0] = np.stack([
-            np.stack([2 * x2, 2 * x1, zero, zero], axis=1),
-            np.stack([2 * x1, zero, zero, zero], axis=1),
-            np.stack([zero, zero, zero, 6 * x4], axis=1),
-            np.stack([zero, zero, 6 * x4, 6 * x3], axis=1),
-        ], axis=1)
+        hess[:, 0, 0, 0] = 2 * x2
+        hess[:, 0, 0, 1] = hess[:, 0, 1, 0] = 2 * x1
+        hess[:, 0, 2, 3] = hess[:, 0, 3, 2] = 6 * x4
+        hess[:, 0, 3, 3] = 6 * x3
         third = np.zeros((5, 4, 4, 4, 4))
         for i, j, k in {(0, 0, 1), (0, 1, 0), (1, 0, 0)}:
             third[:, 0, i, j, k] = 2.0
