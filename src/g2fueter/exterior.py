@@ -5,11 +5,22 @@ increasing k-index tuples over {1..n} to real coefficients.  The Hodge star
 is defined only for the standard orthonormal metric and the standard
 orientation vol = dx^{1...n}; non-orthonormal metrics are handled upstream
 by changing frames with `pullback`, never here.
+
+Validation happens at the public constructor `Form(...)`: every key must be
+a strictly increasing tuple in range.  The operations below (`wedge`,
+`hodge`, `interior`, `pullback`, `+`, `*`) build their results with the
+internal `Form._trusted`, which skips that check because their keys are
+sorted and in range by construction.  Evaluation batches its minors into
+one stacked `np.linalg.det` call but still sums the products one by one in
+coefficient order, so every float equals that of the per-monomial loop.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +49,7 @@ class DimensionMismatchError(ValueError):
     """Operands live in different ambient dimensions or degrees."""
 
 
+@functools.cache  # raises are not cached, so a bad key is re-checked
 def _check_index_tuple(idx, degree, dim):
     if len(idx) != degree:
         raise ValueError(f"index tuple {idx} has length {len(idx)}, expected {degree}")
@@ -50,6 +62,11 @@ def _check_index_tuple(idx, degree, dim):
 def _sort_with_sign(indices):
     """Sort an index sequence, returning (sorted tuple, parity sign) or
     (None, 0) if an index repeats."""
+    return _sorted_parity(tuple(indices))
+
+
+@functools.cache
+def _sorted_parity(indices):
     idx = list(indices)
     sign = 1
     # insertion sort; counts transpositions exactly
@@ -61,7 +78,44 @@ def _sort_with_sign(indices):
             j -= 1
         if j > 0 and idx[j - 1] == idx[j]:
             return None, 0
-    return tuple(idx), sign
+    # int() so that a cache hit never hands one caller another's index type
+    return tuple(int(i) for i in idx), sign
+
+
+@functools.cache
+def _subsets(dim, degree):
+    """Sorted degree-subsets of 1..dim and their 0-based (m, degree) rows."""
+    keys = tuple(itertools.combinations(range(1, dim + 1), degree))
+    return keys, _row_array(keys, degree)
+
+
+def _row_array(keys, degree):
+    rows = np.array(keys, dtype=np.intp).reshape(len(keys), degree) - 1
+    rows.setflags(write=False)
+    return rows
+
+
+@functools.cache
+def _wedge_table(dim, p, q):
+    """{ia: {ib: _sort_with_sign(ia + ib)}} over sorted p- and q-keys."""
+    qkeys = _subsets(dim, q)[0]
+    # the uncached sort: these pairs need not also sit in the parity cache
+    return {ia: {ib: _sorted_parity.__wrapped__(ia + ib) for ib in qkeys}
+            for ia in _subsets(dim, p)[0]}
+
+
+@functools.cache
+def _hodge_key(dim, idx):
+    comp = tuple(sorted(set(range(1, dim + 1)) - set(idx)))
+    return comp, _sort_with_sign(idx + comp)[1]
+
+
+def _sequential_sum(coeffs, dets):
+    """sum(c * d) accumulated in order, as the per-monomial loop did."""
+    total = 0.0
+    for c, d in zip(coeffs, dets):
+        total += c * d
+    return float(total)
 
 
 @dataclass(frozen=True)
@@ -95,6 +149,24 @@ class Form:
                 cleaned[idx] = float(c)
         object.__setattr__(self, "coeffs", cleaned)
 
+    @classmethod
+    def _trusted(cls, dim, degree, coeffs):
+        """Build from keys that are sorted and in range by construction.
+
+        Skips `_check_index_tuple`, but drops zeros and casts with float()
+        exactly as `__post_init__` does.
+        """
+        form = object.__new__(cls)
+        object.__setattr__(form, "dim", dim)
+        object.__setattr__(form, "degree", degree)
+        object.__setattr__(form, "coeffs", {k: float(c) for k, c in coeffs.items() if c != 0.0})
+        return form
+
+    @functools.cached_property
+    def _rows(self):
+        """Read-only (m, degree) array of the 0-based rows of each key."""
+        return _row_array(tuple(self.coeffs), self.degree)
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -102,7 +174,7 @@ class Form:
         out = dict(self.coeffs)
         for idx, c in other.coeffs.items():
             out[idx] = out.get(idx, 0.0) + c
-        return Form(self.dim, self.degree, out)
+        return Form._trusted(self.dim, self.degree, out)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -111,7 +183,8 @@ class Form:
         return (-1.0) * self
 
     def __mul__(self, scalar):
-        return Form(self.dim, self.degree, {k: scalar * v for k, v in self.coeffs.items()})
+        return Form._trusted(self.dim, self.degree,
+                             {k: scalar * v for k, v in self.coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -124,8 +197,15 @@ class Form:
     # -- queries ------------------------------------------------------------
 
     def norm(self):
-        """Norm in the standard monomial-orthonormal inner product."""
-        return float(np.sqrt(sum(c * c for c in self.coeffs.values())))
+        """Norm in the standard monomial-orthonormal inner product.
+
+        sqrt(sum c^2) while that sum is a normal float; `math.hypot`, which
+        scales, when the squares underflow or overflow.
+        """
+        sq = sum(c * c for c in self.coeffs.values())
+        if self.coeffs and (sq < sys.float_info.min or sq == math.inf):
+            return math.hypot(*self.coeffs.values())
+        return float(np.sqrt(sq))
 
     def is_zero(self, tol=DEFAULT_TOL):
         return all(abs(c) <= tol for c in self.coeffs.values())
@@ -137,17 +217,24 @@ class Form:
 
     def apply(self, vectors):
         """Evaluate on a list of self.degree vectors (each a length-dim array)."""
-        vectors = [np.asarray(v, dtype=float) for v in vectors]
+        mat = self._columns(vectors)
+        if self.degree == 0:
+            return self.coeffs.get((), 0.0)
+        dets = np.linalg.det(mat[self._rows]).tolist()
+        return _sequential_sum(self.coeffs.values(), dets)
+
+    def _columns(self, vectors):
+        """The vectors as the columns of a (dim, degree) matrix."""
+        vectors = list(vectors)
         if len(vectors) != self.degree:
             raise ValueError(f"expected {self.degree} vectors, got {len(vectors)}")
         if self.degree == 0:
-            return self.coeffs.get((), 0.0)
-        mat = np.column_stack(vectors)  # dim x k
-        total = 0.0
-        for idx, c in self.coeffs.items():
-            rows = [i - 1 for i in idx]
-            total += c * np.linalg.det(mat[rows, :])
-        return float(total)
+            return None
+        mat = np.array(vectors, dtype=float).T
+        if mat.shape != (self.dim, self.degree):
+            raise DimensionMismatchError(
+                f"vectors stack to shape {mat.shape}, expected {(self.dim, self.degree)}")
+        return mat
 
     def to_dense(self):
         """Fully antisymmetric dense ndarray of shape (dim,)*degree (0-based)."""
@@ -207,15 +294,17 @@ def wedge(a: Form, b: Form) -> Form:
         raise DimensionMismatchError(f"dim {a.dim} vs {b.dim}")
     degree = a.degree + b.degree
     if degree > a.dim:
-        return Form(a.dim, degree, {})
+        return Form._trusted(a.dim, degree, {})
+    table = _wedge_table(a.dim, a.degree, b.degree)
     out = {}
     for ia, ca in a.coeffs.items():
+        row = table[ia]
         for ib, cb in b.coeffs.items():
-            idx, sign = _sort_with_sign(ia + ib)
+            idx, sign = row[ib]
             if idx is None:
                 continue
             out[idx] = out.get(idx, 0.0) + sign * ca * cb
-    return Form(a.dim, degree, out)
+    return Form._trusted(a.dim, degree, out)
 
 
 def hodge(a: Form) -> Form:
@@ -224,13 +313,11 @@ def hodge(a: Form) -> Form:
     Satisfies ** = (-1)^{k(n-k)} id; in particular ** = id for n = 7.
     """
     n = a.dim
-    full = set(range(1, n + 1))
     out = {}
     for idx, c in a.coeffs.items():
-        comp = tuple(sorted(full - set(idx)))
-        _, sign = _sort_with_sign(idx + comp)
+        comp, sign = _hodge_key(n, idx)
         out[comp] = out.get(comp, 0.0) + sign * c
-    return Form(n, n - a.degree, out)
+    return Form._trusted(n, n - a.degree, out)
 
 
 def interior(v, a: Form) -> Form:
@@ -251,7 +338,7 @@ def interior(v, a: Form) -> Form:
             rest = idx[:pos] + idx[pos + 1:]
             sign = -1.0 if pos % 2 else 1.0
             out[rest] = out.get(rest, 0.0) + sign * v[i - 1] * c
-    return Form(a.dim, a.degree - 1, out)
+    return Form._trusted(a.dim, a.degree - 1, out)
 
 
 def inner(a: Form, b: Form) -> float:
@@ -273,15 +360,14 @@ def pullback(A, a: Form) -> Form:
     if a.degree == 0:
         return a
     out = {}
-    cols = list(itertools.combinations(range(1, n + 1), a.degree))
-    for idx, c in a.coeffs.items():
-        rows = [i - 1 for i in idx]
-        sub = A[rows, :]
-        for J in cols:
-            minor = np.linalg.det(sub[:, [j - 1 for j in J]])
+    keys, cols = _subsets(n, a.degree)
+    for row, c in zip(a._rows, a.coeffs.values()):
+        # minors[m] = det A[row, cols[m]], one det call per monomial
+        minors = np.linalg.det(A[row][:, cols].transpose(1, 0, 2)).tolist()
+        for J, minor in zip(keys, minors):
             if minor != 0.0:
                 out[J] = out.get(J, 0.0) + c * minor
-    return Form(n, a.degree, out)
+    return Form._trusted(n, a.degree, out)
 
 
 # -- vector-valued forms ----------------------------------------------------
@@ -321,7 +407,24 @@ class VectorValuedForm:
 
     def apply(self, vectors):
         """Evaluate on vectors, returning a value in R^value_dim."""
-        return np.array([c.apply(vectors) for c in self.components])
+        comps = self.components
+        mat = comps[0]._columns(vectors)
+        if self.degree == 0:
+            return np.array([c.coeffs.get((), 0.0) for c in comps])
+        dets = np.linalg.det(mat[self._rows]).tolist()
+        out, start = [], 0
+        for c in comps:
+            stop = start + len(c.coeffs)
+            out.append(_sequential_sum(c.coeffs.values(), dets[start:stop]))
+            start = stop
+        return np.array(out)
+
+    @functools.cached_property
+    def _rows(self):
+        """All components' minor rows, stacked in component order."""
+        rows = np.concatenate([c._rows for c in self.components])
+        rows.setflags(write=False)
+        return rows
 
     def map_components(self, fn):
         return VectorValuedForm(tuple(fn(c) for c in self.components))

@@ -213,3 +213,217 @@ def test_inner_vs_wedge_star(degree, seed):
     a, b = _random_form(rng, degree), _random_form(rng, degree)
     rhs = ex.wedge(a, ex.hodge(b)).coeffs.get(tuple(range(1, 8)), 0.0)
     assert abs(ex.inner(a, b) - rhs) < 1e-12
+
+
+# -- exactness of the fast paths against plain references ---------------------
+
+
+def ref_parity(indices):
+    """Uncached insertion sort: (sorted tuple, sign) or (None, 0) on a repeat."""
+    idx = list(indices)
+    sign = 1
+    for i in range(1, len(idx)):
+        j = i
+        while j > 0 and idx[j - 1] > idx[j]:
+            idx[j - 1], idx[j] = idx[j], idx[j - 1]
+            sign = -sign
+            j -= 1
+        if j > 0 and idx[j - 1] == idx[j]:
+            return None, 0
+    return tuple(idx), sign
+
+
+def ref_apply(form, vectors):
+    """One det per monomial, summed in coefficient order."""
+    mat = np.column_stack([np.asarray(v, dtype=float) for v in vectors])
+    total = 0.0
+    for idx, c in form.coeffs.items():
+        total += c * np.linalg.det(mat[[i - 1 for i in idx], :])
+    return float(total)
+
+
+def ref_pullback_coeffs(A, form):
+    """One det per (monomial, column subset), accumulated in that order."""
+    out = {}
+    cols = list(itertools.combinations(range(1, form.dim + 1), form.degree))
+    for idx, c in form.coeffs.items():
+        sub = A[[i - 1 for i in idx], :]
+        for J in cols:
+            minor = np.linalg.det(sub[:, [j - 1 for j in J]])
+            if minor != 0.0:
+                out[J] = out.get(J, 0.0) + c * minor
+    return {k: float(v) for k, v in out.items() if v != 0.0}
+
+
+def bits(x):
+    return float(x).hex()
+
+
+def assert_bit_equal_coeffs(got, expected):
+    assert list(got) == list(expected)
+    assert [bits(v) for v in got.values()] == [bits(v) for v in expected.values()]
+
+
+@st.composite
+def sparse_forms(draw, dims=(7,), degrees=(1, 2, 3, 4)):
+    dim = draw(st.sampled_from(dims))
+    degree = draw(st.sampled_from([k for k in degrees if k <= dim]))
+    keys = list(itertools.combinations(range(1, dim + 1), degree))
+    chosen = draw(st.lists(st.sampled_from(keys), unique=True, max_size=len(keys)))
+    values = st.one_of(st.integers(-3, 3).map(float),
+                       st.floats(-1e3, 1e3, allow_nan=False, allow_subnormal=False))
+    # the key order is drawn too: sums run in dict order
+    return ex.Form(dim, degree, {k: draw(values) for k in chosen})
+
+
+def _vectors(seed, count, dim=7):
+    return list(np.random.default_rng(seed).standard_normal((count, dim)))
+
+
+_seeds = st.integers(0, 2 ** 32 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 8), max_size=8))
+def test_parity_matches_uncached_reference(seq):
+    assert ex._sort_with_sign(seq) == ref_parity(seq)
+    assert ex._sort_with_sign(tuple(seq)) == ref_parity(seq)
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_forms(dims=range(3, 9), degrees=range(1, 9)), _seeds)
+def test_apply_is_bit_equal_to_per_monomial_loop(form, seed):
+    vs = _vectors(seed, form.degree, form.dim)
+    assert bits(form.apply(vs)) == bits(ref_apply(form, vs))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(sparse_forms(degrees=(3,)), min_size=1, max_size=7), _seeds)
+def test_vector_valued_apply_is_bit_equal_per_component(forms, seed):
+    vs = _vectors(seed, 3)
+    got = ex.VectorValuedForm(tuple(forms)).apply(vs)
+    assert [bits(x) for x in got] == [bits(ref_apply(f, vs)) for f in forms]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_forms(degrees=(1, 2, 3)), _seeds)
+def test_pullback_is_bit_equal_to_per_minor_loop(form, seed):
+    A = np.random.default_rng(seed).standard_normal((7, 7))
+    assert_bit_equal_coeffs(ex.pullback(A, form).coeffs, ref_pullback_coeffs(A, form))
+
+
+def _revalidated(f):
+    again = ex.Form(f.dim, f.degree, f.coeffs)
+    assert again == f
+    assert_bit_equal_coeffs(again.coeffs, f.coeffs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_forms(degrees=(0, 1, 2, 3, 4)), sparse_forms(degrees=(0, 1, 2, 3, 4)), _seeds)
+def test_internal_results_pass_the_public_constructor(a, b, seed):
+    rng = np.random.default_rng(seed)
+    v, A = rng.standard_normal(7), rng.standard_normal((7, 7))
+    results = [ex.wedge(a, b), ex.hodge(a), ex.interior(v, a), ex.pullback(A, a),
+               a + a, a - a, 2.5 * a, -a]
+    if a.degree == b.degree:
+        results.append(a + b)
+    for f in results:
+        _revalidated(f)
+
+
+def test_wedge_table_matches_parity_reference():
+    for dim in (3, 7, 8):
+        for p in range(dim + 1):
+            for q in range(dim + 1 - p):
+                for ia, row in ex._wedge_table(dim, p, q).items():
+                    for ib, hit in row.items():
+                        assert hit == ref_parity(ia + ib)
+
+
+_bad_keys = st.one_of(
+    st.lists(st.integers(1, 7), min_size=2, max_size=4, unique=True)
+    .filter(lambda k: k != sorted(k)),                              # unsorted
+    st.lists(st.integers(1, 7), min_size=1, max_size=3)
+    .map(lambda k: sorted(k + k[:1])),                             # repeated
+    st.lists(st.integers(-3, 12), min_size=1, max_size=4, unique=True)
+    .map(sorted).filter(lambda k: k[0] < 1 or k[-1] > 7),          # out of range
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_bad_keys)
+def test_public_constructor_rejects_bad_keys(key):
+    with pytest.raises(ValueError):
+        ex.Form(7, len(key), {tuple(key): 1.0})
+
+
+# -- vector lengths ------------------------------------------------------------
+
+
+def test_apply_rejects_vectors_of_the_wrong_length():
+    f = ex.basis_form(3, (1, 2))
+    for vs in ([np.ones(7), np.arange(7.0)], [np.ones(2), np.arange(2.0)]):
+        with pytest.raises(ex.DimensionMismatchError):
+            f.apply(vs)
+        with pytest.raises(ex.DimensionMismatchError):
+            ex.VectorValuedForm((f, 2.0 * f)).apply(vs)
+    assert f.apply([np.ones(3), np.arange(3.0)]) == 1.0
+
+
+# -- norm range ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200, 5e-324, 1e-160, 1e160])
+def test_norm_does_not_underflow_or_overflow(scale):
+    assert ex.basis_form(3, (1, 2), scale).norm() == scale
+    two = ex.form_from_terms(7, 2, [(3.0 * scale, (1, 2)), (4.0 * scale, (3, 4))])
+    assert two.norm() == pytest.approx(5.0 * scale, rel=1e-15)
+
+
+def test_norm_keeps_plain_formula_in_range():
+    a = _random_form(np.random.default_rng(4), 3)
+    assert bits(a.norm()) == bits(np.sqrt(sum(c * c for c in a.coeffs.values())))
+    assert ex.zero_form(7, 2).norm() == 0.0
+    assert ex.basis_form(7, (1,), np.inf).norm() == np.inf
+    assert np.isnan(ex.basis_form(7, (1,), np.nan).norm())
+
+
+# -- deterministic cost guard ----------------------------------------------------
+
+
+class _Counter:
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
+
+
+def test_one_det_call_per_apply_and_per_pullback_monomial(monkeypatch):
+    det = _Counter(np.linalg.det)
+    monkeypatch.setattr(np.linalg, "det", det)
+    phi, star = g2.phi0(), g2.star_phi0()
+    vs = _vectors(0, 3)
+    phi.apply(vs)
+    assert det.calls == 1
+    ex.VectorValuedForm((phi, 2.0 * phi, ex.basis_form(7, (1, 2, 5)))).apply(vs)
+    assert det.calls == 2
+    ex.pullback(np.random.default_rng(0).standard_normal((7, 7)), star)
+    assert det.calls == 2 + len(star.coeffs)
+
+
+def test_internal_operations_skip_key_validation(monkeypatch):
+    phi, star = g2.phi0(), g2.star_phi0()
+    check = _Counter(ex._check_index_tuple)
+    monkeypatch.setattr(ex, "_check_index_tuple", check)
+    v = np.arange(1.0, 8.0)
+    ex.wedge(phi, star)
+    ex.wedge(phi, phi)
+    ex.hodge(phi)
+    ex.interior(v, phi)
+    ex.pullback(np.eye(7) + 0.1, phi)
+    _ = phi + phi, 3.0 * phi, phi - phi
+    assert check.calls == 0
+    ex.Form(7, 3, phi.coeffs)
+    assert check.calls == len(phi.coeffs)

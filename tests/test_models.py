@@ -136,6 +136,17 @@ class TestHeisenbergModel:
         zero = md.model_heisenberg(np.zeros((3, 3)))
         assert all(md.closedness_flags(zero).closed().values())
 
+    @pytest.mark.parametrize("scale", [1e-200, 1e200])
+    def test_flags_at_extreme_scales(self, scale):
+        # the differentials scale linearly with B; their norms must not
+        # underflow to "closed" or overflow to inf
+        unit = md.closedness_flags(md.model_heisenberg(np.eye(3)))
+        scaled = md.closedness_flags(md.model_heisenberg(scale * np.eye(3)))
+        assert scaled.closed() == unit.closed()
+        assert not scaled.closed()["dLambda"] and not scaled.closed()["dOmega"]
+        assert scaled.d_omega == pytest.approx(scale * unit.d_omega, rel=1e-14)
+        assert scaled.d_phi == pytest.approx(scale * unit.d_phi, rel=1e-14)
+
     def test_dphi_iff_dlambda_and_domega(self):
         # dLambda lands in (2,2), dOmega in (0,4): no cancellation possible
         for B in (np.diag([2.0, 0, -2.0]), np.diag([2.0, 2.0, 2.0]), np.zeros((3, 3))):
