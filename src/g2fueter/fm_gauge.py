@@ -5,7 +5,7 @@ d + sqrt(-1) sum_a u^a(x) dy^a on the trivial line bundle over the dual
 fibration B x (T^4)*.  Complex scalars never appear: the curvature is
 stored as the real 2-form K = sum_{i,a} du^a/dx^i dx^i ^ dy^a with the
 fixed convention F = sqrt(-1) K, and every residual below is a norm, so
-the convention tag drops out.
+the factor sqrt(-1) drops out.
 
 Coordinates: x^1..x^3 are indices 1..3, the dual-torus coordinates
 y^4..y^7 (period 1) are indices 4..7.  The original fiber has period
@@ -17,7 +17,7 @@ y^4..y^7 (period 1) are indices 4..7.  The original fiber has period
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class LineConnection:
     """
 
     b: AnalyticMap
-    convention: str = field(default="F = sqrt(-1) K with K real", compare=False)
 
 
 def fm_transform(u: AnalyticMap) -> LineConnection:

@@ -340,10 +340,11 @@ def chi1_via_projection(g: GraphPlane) -> Form:
 # -- linearization and polar spaces ----------------------------------------------
 
 
-def linearization_rank(g: GraphPlane, tol=IDENTITY_TOL) -> int:
+def linearization_rank(g: GraphPlane) -> int:
     """Rank of T -> F over the 12-dimensional graph coordinates at a Fueter
-    point.  The solution Grassmannian has dimension 12 - rank (= 8)."""
-    if np.linalg.norm(fueter_vector(g)) >= tol:
+    point (|F| < IDENTITY_TOL).  The solution Grassmannian has dimension
+    12 - rank (= 8)."""
+    if np.linalg.norm(fueter_vector(g)) >= IDENTITY_TOL:
         raise ValueError("input plane is not Fueter")
     M = fueter_map_matrix(g.splitting)
     return int(np.linalg.matrix_rank(M, tol=1e-10))

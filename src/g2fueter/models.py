@@ -209,14 +209,14 @@ class ClosednessFlags:
     d_phi: float
     d_star_phi: float
 
-    def closed(self, tol=0.0):
+    def closed(self):
         return {
-            "dLambda": self.d_lambda <= tol,
-            "dOmega": self.d_omega <= tol,
-            "dTheta": self.d_theta <= tol,
-            "dMu": self.d_mu <= tol,
-            "dPhi": self.d_phi <= tol,
-            "dStarPhi": self.d_star_phi <= tol,
+            "dLambda": self.d_lambda == 0.0,
+            "dOmega": self.d_omega == 0.0,
+            "dTheta": self.d_theta == 0.0,
+            "dMu": self.d_mu == 0.0,
+            "dPhi": self.d_phi == 0.0,
+            "dStarPhi": self.d_star_phi == 0.0,
         }
 
     def as_dict(self):

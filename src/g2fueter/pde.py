@@ -1,8 +1,11 @@
 """Analytic Fueter PDE machinery on the flat, SU(2) and Heisenberg models.
 
-All maps carry exact jets; finite differences appear only as a testing
-oracle, never in the main path, so the operator identities hold to float
-roundoff rather than discretization error.
+All maps carry exact first and second jets, and nothing higher: the
+vertical equation D u = 0 needs first jets, and the identities D^2 =
+-Laplacian (flat) and D^2 = -Laplacian - 2D (SU(2)) need second jets.
+Finite differences appear only as a testing oracle, never in the main
+path, so the operator identities hold to float roundoff rather than
+discretization error.
 
 Graph sections x -> (x, u(x)) over the 3-torus (flat and Heisenberg
 models) are Fueter exactly when D u = J_1 du/dx1 + J_2 du/dx2 + J_3
@@ -76,10 +79,10 @@ _J = standard_jtriple().as_tuple()
 
 
 class AnalyticMap:
-    """A smooth map U subset R^3 -> R^4 with exact derivative evaluation.
+    """A smooth map U subset R^3 -> R^4 with exact first and second jets.
 
     eval/jet1/jet2 accept a single point (3,) or a batch (N, 3) and
-    return matching shapes.  `periodicity`, when set, is the 4x3 integer
+    return matching shapes; no map provides higher jets.  `periodicity`, when set, is the 4x3 integer
     matrix A with u(x + n) = u(x) + A n for n in Z^3, so the map descends
     to a torus section.
     """
@@ -94,9 +97,6 @@ class AnalyticMap:
 
     def jet2(self, x):
         raise NotImplementedError
-
-    def jet3(self, x):
-        raise NotImplementedError(f"{type(self).__name__} provides no third jets")
 
     def __add__(self, other):
         return SumMap([self, other])
@@ -172,17 +172,6 @@ class PolynomialMap(AnalyticMap):
                     out[..., m, j, i] = vals
         return out[0] if single else out
 
-    def jet3(self, x):
-        xb, single = _batchify(x)
-        n = xb.shape[-1]
-        out = np.empty(xb.shape[:-1] + (4, n, n, n))
-        for m, comp in enumerate(self.components):
-            for i in range(n):
-                for j in range(n):
-                    for k in range(n):
-                        out[..., m, i, j, k] = _eval_monomials(comp, xb, (i, j, k))
-        return out[0] if single else out
-
 
 class FourierMap(AnalyticMap):
     """Truncated Fourier field sum_k a_k cos(2 pi k.x) + b_k sin(2 pi k.x).
@@ -243,9 +232,6 @@ class SumMap(AnalyticMap):
     def jet2(self, x):
         return sum(m.jet2(x) for m in self.maps)
 
-    def jet3(self, x):
-        return sum(m.jet3(x) for m in self.maps)
-
 
 class ScaledMap(AnalyticMap):
     def __init__(self, base, scalar):
@@ -264,9 +250,6 @@ class ScaledMap(AnalyticMap):
 
     def jet2(self, x):
         return self.scalar * self.base.jet2(x)
-
-    def jet3(self, x):
-        return self.scalar * self.base.jet3(x)
 
 
 class NewtonianPotentialMap(AnalyticMap):
@@ -299,22 +282,6 @@ class NewtonianPotentialMap(AnalyticMap):
         out = np.einsum("m,nij->nmij", self.v0, hess)
         return out[0] if single else out
 
-    def jet3(self, x):
-        xb, single = _batchify(x)
-        r = np.linalg.norm(xb, axis=1)
-        eye = np.eye(3)
-        sym = (
-            np.einsum("ij,nk->nijk", eye, xb)
-            + np.einsum("ik,nj->nijk", eye, xb)
-            + np.einsum("jk,ni->nijk", eye, xb)
-        )
-        third = (
-            -15.0 * np.einsum("ni,nj,nk->nijk", xb, xb, xb) / (r ** 7)[:, None, None, None]
-            + 3.0 * sym / (r ** 5)[:, None, None, None]
-        ) / (4.0 * np.pi)
-        out = np.einsum("m,nijk->nmijk", self.v0, third)
-        return out[0] if single else out
-
 
 def affine_map(A, b=(0.0, 0.0, 0.0, 0.0)) -> PolynomialMap:
     """u(x) = A x + b; periodic with matrix A when A is integer."""
@@ -331,13 +298,13 @@ def affine_map(A, b=(0.0, 0.0, 0.0, 0.0)) -> PolynomialMap:
     return PolynomialMap(comps, periodicity=periodicity)
 
 
-def affine_fueter_section(a2, a3, b=(0.0, 0.0, 0.0, 0.0)) -> PolynomialMap:
-    """The affine Fueter section with integer columns a2, a3 and
+def affine_fueter_section(a2, a3) -> PolynomialMap:
+    """The linear Fueter section with integer columns a2, a3 and
     a1 = -J3 a2 + J2 a3 (which is again integer)."""
     a2 = np.asarray(a2, dtype=float).reshape(4)
     a3 = np.asarray(a3, dtype=float).reshape(4)
     a1 = -_J[2] @ a2 + _J[1] @ a3
-    return affine_map(np.column_stack([a1, a2, a3]), b)
+    return affine_map(np.column_stack([a1, a2, a3]))
 
 
 _HARMONIC_BASIS = [
@@ -360,13 +327,14 @@ _HARMONIC_BASIS = [
 ]
 
 
-def random_polynomial_map(rng, degree=3) -> PolynomialMap:
+def random_polynomial_map(rng) -> PolynomialMap:
+    """Polynomial map of degree <= 3 with standard normal coefficients."""
     comps = []
     for _ in range(4):
         comp = {}
-        for p1 in range(degree + 1):
-            for p2 in range(degree + 1 - p1):
-                for p3 in range(degree + 1 - p1 - p2):
+        for p1 in range(4):
+            for p2 in range(4 - p1):
+                for p3 in range(4 - p1 - p2):
                     comp[(p1, p2, p3)] = rng.standard_normal()
         comps.append(comp)
     return PolynomialMap(comps)
@@ -385,10 +353,10 @@ def random_harmonic_map(rng) -> PolynomialMap:
     return PolynomialMap(comps)
 
 
-def random_fourier_field(rng, kmax=2, n_waves=6) -> FourierMap:
-    """Seeded truncated Fourier field with integer wave vectors."""
+def random_fourier_field(rng, kmax=2) -> FourierMap:
+    """Seeded truncated Fourier field of six waves with integer wave vectors."""
     waves = []
-    for _ in range(n_waves):
+    for _ in range(6):
         k = rng.integers(-kmax, kmax + 1, size=3)
         if not np.any(k):
             k[rng.integers(0, 3)] = 1
@@ -427,7 +395,7 @@ def d_squared_residual(F: AnalyticMap, x):
 
 
 class DMap(AnalyticMap):
-    """The map D F, with jets shifted down from F's higher jets."""
+    """The map D F, with its first jet from F's second jet."""
 
     def __init__(self, F: AnalyticMap):
         self.F = F
@@ -445,26 +413,18 @@ class DMap(AnalyticMap):
             out += np.einsum("ab,...bj->...aj", _J[i], j2[..., i, :])
         return out
 
-    def jet2(self, x):
-        j3 = self.F.jet3(x)
-        out = np.zeros(j3.shape[:-4] + (4, 3, 3))
-        for i in range(3):
-            out += np.einsum("ab,...bjk->...ajk", _J[i], j3[..., i, :, :])
-        return out
 
-
-def harmonic_to_fueter(F: AnalyticMap, sample_points=None, tol=1e-10) -> DMap:
+def harmonic_to_fueter(F: AnalyticMap) -> DMap:
     """Turn a componentwise-harmonic map into a Fueter solution u = D F.
 
-    The harmonicity precondition is checked at the sample points (a
-    deterministic low-discrepancy batch by default); violation raises
-    NotHarmonicError carrying the max |Laplacian F|.
+    The harmonicity precondition is checked at 64 deterministic Halton
+    points in [0.25, 1.25)^3, away from the origin where the Newtonian
+    potential is singular; |Laplacian F| above 1e-10 there raises
+    NotHarmonicError carrying its max.
     """
-    if sample_points is None:
-        sample_points = _halton_points(64) + 0.25
-    h = F.jet2(sample_points)
+    h = F.jet2(_halton_points(64) + 0.25)
     lap = np.abs(h[..., 0, 0] + h[..., 1, 1] + h[..., 2, 2]).max()
-    if lap > tol:
+    if lap > 1e-10:
         raise NotHarmonicError(f"max |Laplacian F| = {lap}")
     return DMap(F)
 
@@ -536,9 +496,6 @@ class Su2AmbientMap:
       (e_j e_i u)(h) = D2u(h)[h F_j, h F_i] + Du(h)[h F_j F_i].
     """
 
-    def value(self, h):
-        return self.eval(np.asarray(h, dtype=float))
-
     def dir1(self, h):
         h = np.asarray(h, dtype=float)
         d1 = self.jet1(h)
@@ -573,20 +530,19 @@ class CotPotentialMap(Su2AmbientMap):
 
     r_p is the geodesic distance to p on the unit round sphere, so
     cot(r) = t / sqrt(1 - t^2) with t = <p, h>; harmonic away from p and
-    its antipode.  Points closer than the domain guard to either pole are
-    rejected.
+    its antipode.  Points within geodesic distance 1e-3 of either pole
+    are rejected.
     """
 
-    def __init__(self, p, v0, A=1.0 / (4.0 * np.pi), B=0.0, guard=1e-3):
+    def __init__(self, p, v0, A=1.0 / (4.0 * np.pi), B=0.0):
         self.p = np.asarray(p, dtype=float).reshape(4)
         self.p = self.p / np.linalg.norm(self.p)
         self.v0 = np.asarray(v0, dtype=float).reshape(4)
         self.A, self.B = float(A), float(B)
-        self.guard = float(guard)
 
     def _t(self, h):
         t = np.einsum("...k,k->...", h, self.p)
-        if np.any(np.abs(t) > np.cos(self.guard)):
+        if np.any(np.abs(t) > np.cos(1e-3)):
             raise ValueError("point inside the excluded balls around p, -p")
         return t
 
@@ -607,13 +563,10 @@ class CotPotentialMap(Su2AmbientMap):
 
 
 class ShiftedDiracMap:
-    """u = (D_SU2 + 2) F: value and first directional jets from F's jets."""
+    """u = (D_SU2 + 2) F: first directional jets from F's jets."""
 
     def __init__(self, F: Su2AmbientMap):
         self.F = F
-
-    def value(self, h):
-        return su2_fueter_operator(self.F, h) + 2.0 * self.F.value(h)
 
     def dir1(self, h):
         dd = self.F.dir2(h)
@@ -707,7 +660,8 @@ def immersion_energies(grid: ImmersionGrid):
     ve1, ve2, ve3, vol_density = _ve_pointwise(grid.jets)
     half_dsq = 0.5 * (3.0 + np.einsum("nmi,nmi->n", grid.jets, grid.jets))
     identity_residual = float(np.abs(1.5 + ve1 - half_dsq).max())
-    if identity_residual > 1e-12:
+    # written so that a NaN fails both guards
+    if not identity_residual <= 1e-12:
         raise AssertionError(f"energy identity fails pointwise: {identity_residual}")
     w = grid.weight
     out = {
@@ -719,36 +673,9 @@ def immersion_energies(grid: ImmersionGrid):
     }
     out["totalEnergy"] = 1.5 * out["VolH"] + out["VE"]
     out["pointwiseIdentityResidual"] = identity_residual
-    if out["Vol"] < out["VolH"] - 1e-12:
-        raise AssertionError("Vol < VolH")
+    if not out["Vol"] >= out["VolH"] - 1e-12:
+        raise AssertionError(f"Vol >= VolH fails: Vol = {out['Vol']}")
     return out
-
-
-def grid_to_csv(grid: ImmersionGrid) -> str:
-    """Export a sampled section grid as CSV.
-
-    Columns: the base point, the section values, the flattened first
-    jets, the pointwise vertical-equation residual, and the vertical
-    energy density.
-    """
-    res = fueter_operator_flat(grid.u, grid.points)
-    ve1, _, _, _ = _ve_pointwise(grid.jets)
-    header = (
-        ["x1", "x2", "x3"]
-        + [f"u{a}" for a in range(4, 8)]
-        + [f"du{a}_dx{i}" for a in range(4, 8) for i in range(1, 4)]
-        + ["fueterResidual", "ve1"]
-    )
-    lines = [",".join(header)]
-    for n in range(grid.points.shape[0]):
-        row = (
-            list(grid.points[n])
-            + list(grid.values[n])
-            + list(grid.jets[n].reshape(12))
-            + [float(np.linalg.norm(res[n])), float(ve1[n])]
-        )
-        lines.append(",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
 
 
 def covering_degree(c: int, n: int) -> int:
@@ -768,14 +695,13 @@ def minimization_experiment(
     amplitude: float,
     seed,
     grid_n: int = 8,
-    kmax: int = 2,
     extra_perturbations=(),
-    slack: float = 1e-12,
 ):
     """Compare VE and VE + VolH of a base section against perturbations.
 
-    Perturbations are seeded truncated Fourier vertical fields rescaled
-    to the requested sup-norm amplitude, plus any caller-supplied ones.
+    Perturbations are seeded truncated Fourier vertical fields (kmax 2)
+    rescaled to the requested sup-norm amplitude, plus any caller-supplied
+    ones.  A competitor whose gap falls below -1e-12 is a violation.
     NOTE: this samples a finite family of homotopic competitors, not the
     full restricted homology class; the report records that restriction.
     """
@@ -784,7 +710,7 @@ def minimization_experiment(
     base_energy = immersion_energies(base_grid)
     perturbations = list(extra_perturbations)
     for _ in range(n_samples):
-        f = random_fourier_field(rng, kmax=kmax)
+        f = random_fourier_field(rng)
         sup = np.abs(f.eval(base_grid.points)).max()
         perturbations.append((amplitude / sup) * f)
 
@@ -807,8 +733,8 @@ def minimization_experiment(
         )
         min_gap_ve = min(min_gap_ve, gap_ve)
         min_gap_total = min(min_gap_total, gap_total)
-        ve_violations += gap_ve < -slack
-        total_violations += gap_total < -slack
+        ve_violations += gap_ve < -1e-12
+        total_violations += gap_total < -1e-12
     return {
         "samples": len(perturbations),
         "skipped": skipped,
@@ -827,16 +753,8 @@ def minimization_experiment(
 
 
 class BaseDiffeo:
-    """A torus diffeomorphism with exact Jacobian."""
+    """A torus diffeomorphism f with its exact Jacobian df."""
 
-    def eval(self, x):
-        raise NotImplementedError
-
-    def jac(self, x):
-        raise NotImplementedError
-
-
-class _CallableDiffeo(BaseDiffeo):
     def __init__(self, f, df):
         self._f, self._df = f, df
 
@@ -849,27 +767,25 @@ class _CallableDiffeo(BaseDiffeo):
 
 def translation_diffeo(shift):
     shift = np.asarray(shift, dtype=float)
-    return _CallableDiffeo(
+    return BaseDiffeo(
         lambda x: x + shift, lambda x: np.broadcast_to(np.eye(3), x.shape + (3,)).copy()
     )
 
 
-def shear_diffeo(amplitude=0.1, source_axis=1, target_axis=0):
-    """x -> x + amplitude * sin(2 pi x_source) e_target (periodic)."""
+def shear_diffeo():
+    """x -> x + 0.1 sin(2 pi x_2) e_1 (periodic)."""
 
     def f(x):
         out = x.copy()
-        out[..., target_axis] += amplitude * np.sin(2.0 * np.pi * x[..., source_axis])
+        out[..., 0] += 0.1 * np.sin(2.0 * np.pi * x[..., 1])
         return out
 
     def df(x):
         J = np.broadcast_to(np.eye(3), x.shape + (3,)).copy()
-        J[..., target_axis, source_axis] += (
-            2.0 * np.pi * amplitude * np.cos(2.0 * np.pi * x[..., source_axis])
-        )
+        J[..., 0, 1] += 2.0 * np.pi * 0.1 * np.cos(2.0 * np.pi * x[..., 1])
         return J
 
-    return _CallableDiffeo(f, df)
+    return BaseDiffeo(f, df)
 
 
 def ve_energy_of_composition(u: AnalyticMap, f: BaseDiffeo, n: int):
@@ -922,11 +838,11 @@ def _require_same_class(u0, u1):
         raise ValueError("endpoints must be torus sections in the same homotopy class")
 
 
-def cs_functional(u0: AnalyticMap, u1: AnalyticMap, n: int = 12, nt: int = 4, model=None):
+def cs_functional(u0: AnalyticMap, u1: AnalyticMap, n: int = 12, model=None):
     """Integral of the pulled-back 4-form Theta over [0,1] x T^3 for the
     straight-line path of sections from u0 to u1.
 
-    The integrand is polynomial in t, so a small Gauss-Legendre rule in t
+    The integrand is a cubic in t, so the 4-node Gauss-Legendre rule in t
     is exact; x-quadrature is periodic-trapezoidal.  Requires a model
     with d Theta = 0 (the flat product by default) and endpoints in the
     same homotopy class of sections.
@@ -937,7 +853,7 @@ def cs_functional(u0: AnalyticMap, u1: AnalyticMap, n: int = 12, nt: int = 4, mo
     x = _torus_points(n)
     w0, j0 = u0.eval(x), u0.jet1(x)
     w1, j1 = u1.eval(x), u1.jet1(x)
-    nodes, weights = np.polynomial.legendre.leggauss(nt)
+    nodes, weights = np.polynomial.legendre.leggauss(4)
     t_nodes = 0.5 * (nodes + 1.0)
     t_weights = 0.5 * weights
     total = 0.0
@@ -957,14 +873,12 @@ def cs_first_variation(
     u1: AnalyticMap,
     Z: AnalyticMap,
     n: int = 12,
-    nt: int = 4,
-    ds: float = 1e-4,
     model=None,
 ):
     """First variation of the action along an endpoint deformation Z.
 
     Deforms the path by t * s * Z (fixing t = 0), differentiates the
-    functional numerically in s, and compares with the boundary-integral
+    functional in s by central differences with step 1e-4, and compares with the boundary-integral
     formula: the integral over T^3 of Theta(Z, v1, v2, v3) at the
     endpoint.  Returns (numeric derivative, boundary integral).
 
@@ -977,8 +891,9 @@ def cs_first_variation(
         raise ValueError("the variation field must be fully periodic")
 
     def cs(s):
-        return cs_functional(u0, u1 + s * Z, n=n, nt=nt, model=model)
+        return cs_functional(u0, u1 + s * Z, n=n, model=model)
 
+    ds = 1e-4
     numeric = (cs(ds) - cs(-ds)) / (2.0 * ds)
 
     dense = _theta_dense()
@@ -994,9 +909,9 @@ def cs_first_variation(
     return numeric, boundary
 
 
-def adversarial_variation(u1: AnalyticMap, kmax: int = 1) -> FourierMap:
+def adversarial_variation(u1: AnalyticMap) -> FourierMap:
     """A vertical field aligned with the endpoint's Theta-contraction,
-    projected onto low Fourier modes; drives the first variation away
+    projected onto the Fourier modes with |k_i| <= 1; drives the first variation away
     from zero whenever the endpoint is not Fueter."""
     x = _torus_points(8)
     dense = _theta_dense()
@@ -1006,7 +921,7 @@ def adversarial_variation(u1: AnalyticMap, kmax: int = 1) -> FourierMap:
         "ijkl,nj,nk,nl->ni", dense, frame[:, 0], frame[:, 1], frame[:, 2]
     )[:, 3:]
     waves = [(np.zeros(3, dtype=int), theta_vec.mean(axis=0), np.zeros(4))]
-    for k_int in _low_modes(kmax):
+    for k_int in _low_modes(1):
         phase = 2.0 * np.pi * (x @ k_int)
         a = 2.0 * (theta_vec * np.cos(phase)[:, None]).mean(axis=0)
         b = 2.0 * (theta_vec * np.sin(phase)[:, None]).mean(axis=0)

@@ -397,21 +397,17 @@ class PlaneSampler:
         self.seed = int(seed)
         self.rng = np.random.default_rng(self.seed)
 
-    def frames(self, n, s=3, metric=None, max_retries=5):
-        """n oriented s-frames, orthonormal w.r.t. metric, shape (n, s, 7).
+    def frames(self, n, metric):
+        """n oriented 3-frames, orthonormal w.r.t. metric, shape (n, 3, 7).
 
         Batched thin QR; rows with a (numerically) degenerate draw are
-        redrawn up to max_retries times before giving up.
+        redrawn up to 5 times before giving up.
         """
-        if metric is None:
-            L = np.eye(DIM)
-            L_inv = np.eye(DIM)
-        else:
-            L = np.linalg.cholesky(np.asarray(metric, dtype=float)).T  # g = L^t L
-            L_inv = np.linalg.inv(L)
+        L = np.linalg.cholesky(np.asarray(metric, dtype=float)).T  # g = L^t L
+        L_inv = np.linalg.inv(L)
 
         def draw(count):
-            M = self.rng.standard_normal((count, DIM, s))
+            M = self.rng.standard_normal((count, DIM, 3))
             Q, R = np.linalg.qr(L[None] @ M)
             diag = np.diagonal(R, axis1=1, axis2=2)
             good = np.abs(np.prod(diag, axis=1)) > 1e-8
@@ -419,7 +415,7 @@ class PlaneSampler:
             return np.transpose(L_inv[None] @ Q, (0, 2, 1)), good
 
         out, good = draw(n)
-        for _ in range(max_retries):
+        for _ in range(5):
             bad = np.nonzero(~good)[0]
             if not bad.size:
                 return out
@@ -430,9 +426,9 @@ class PlaneSampler:
             raise RuntimeError("degenerate frames persisted across retries")
         return out
 
-    def graph_planes(self, n, scale=1.0):
-        """n graph maps T with independent N(0, scale^2) entries, (n, 3, 4)."""
-        return scale * self.rng.standard_normal((n, 3, 4))
+    def graph_planes(self, n):
+        """n graph maps T with independent N(0, 1) entries, (n, 3, 4)."""
+        return self.rng.standard_normal((n, 3, 4))
 
 
 @dataclass
@@ -492,7 +488,7 @@ def semi_calibration_scan(
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    frames = sampler.frames(n, s=3, metric=metric)
+    frames = sampler.frames(n, metric)
     if len(include_frames):
         frames = np.concatenate([np.asarray(include_frames, dtype=float), frames])
     ratios = batch_apply_3form(a, frames)
@@ -531,21 +527,21 @@ def anisotropic_scan(
     sampler: PlaneSampler,
     n: int,
     tol: float = INEQUALITY_SLACK,
-    scale: float = 1.0,
     include_planes=(),
-    check_identity: bool = True,
 ) -> ScanReport:
     """Check omega(v) <= ve_1(pi) over n random graph planes.
 
     Planes with ve_1 below the 0/0 exclusion threshold are skipped and
     counted.  Near-equality cases (ratio > 1 - 1e-6) are re-examined with
-    the six-way condition residuals and attached to the report.  With
-    check_identity, the pointwise identity omega(v) + |chi_1(v)|^2 / 2 =
-    ve_1 is also enforced on every sample.
+    the six-way condition residuals and attached to the report.  The
+    pointwise identity omega(v) + |chi_1(v)|^2 / 2 = ve_1 is also enforced
+    on every sample.  A non-finite included plane raises ValueError.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    Ts = sampler.graph_planes(n, scale=scale)
+    if not np.all(np.isfinite(np.asarray(include_planes, dtype=float))):
+        raise ValueError("included planes must be finite")
+    Ts = sampler.graph_planes(n)
     if len(include_planes):
         Ts = np.concatenate([np.asarray(include_planes, dtype=float), Ts])
     omega_vals = omega_of_graph_frames(S, Ts)
@@ -554,16 +550,13 @@ def anisotropic_scan(
     skipped = int(np.sum(~keep))
     ratios = np.where(keep, omega_vals / np.where(keep, ve1, 1.0), -np.inf)
 
-    if check_identity:
-        from .fueter import fueter_map_matrix
+    from .fueter import fueter_map_matrix
 
-        F = (fueter_map_matrix(S) @ Ts.reshape(len(Ts), 12).T).T
-        identity_residual = np.abs(omega_vals + 0.5 * np.sum(F * F, axis=1) - ve1)
-        worst = float(identity_residual.max())
-        if worst > IDENTITY_RESIDUAL_TOL:
-            raise AssertionError(
-                f"secondary-calibration identity violated: residual {worst}"
-            )
+    F = (fueter_map_matrix(S) @ Ts.reshape(len(Ts), 12).T).T
+    identity_residual = np.abs(omega_vals + 0.5 * np.sum(F * F, axis=1) - ve1)
+    worst = float(identity_residual.max())
+    if worst > IDENTITY_RESIDUAL_TOL:
+        raise AssertionError(f"secondary-calibration identity violated: residual {worst}")
 
     imax = int(np.argmax(ratios))
     violations = int(np.sum(ratios > 1.0 + tol))
@@ -610,15 +603,16 @@ class EqualityLadderReport:
         return float(np.max(pools)) if pools else 0.0
 
 
-def equality_ladder(g: GraphPlane, lmax: int = 3, tol=IDENTITY_RESIDUAL_TOL):
+def equality_ladder(g: GraphPlane):
     """Residuals of the graded equality identities on a graph plane.
 
-    For each ell the even identity compares sum_{i+j=2 ell} of the alpha-
-    and chi-pairings against |v_ell|^2, itself cross-checked against the
-    ve-convolution; the odd identities must vanish.  The vanishing depth
-    is the largest k <= 3 with |chi_i(v)| < tol for all 1 <= i <= k; on
-    such a k-vanishing plane the ladder identities alpha_{2l}(v) = ve_l and
-    alpha_{2k+2}(v) + |chi_{k+1}(v)|^2 / 2 = ve_{k+1} are also evaluated.
+    For each ell = 1..3 the even identity compares sum_{i+j=2 ell} of the
+    alpha- and chi-pairings against |v_ell|^2, itself cross-checked against
+    the ve-convolution; the odd identities must vanish.  The vanishing
+    depth is the largest k <= 3 with |chi_i(v)| < IDENTITY_RESIDUAL_TOL
+    for all 1 <= i <= k; on such a k-vanishing plane the ladder identities
+    alpha_{2l}(v) = ve_l and alpha_{2k+2}(v) + |chi_{k+1}(v)|^2 / 2 =
+    ve_{k+1} are also evaluated.
     """
     S = g.splitting
     frame = g.frame()
@@ -628,8 +622,7 @@ def equality_ladder(g: GraphPlane, lmax: int = 3, tol=IDENTITY_RESIDUAL_TOL):
     chi_vals = [p.apply(vecs) for p in S.chi_f_parts]
 
     v_parts_sq = _wedge3_vertical_norms(frame)
-    kmax = 2 * lmax + 2
-    ve = ve_from_gram(g.gram_vertical(), max(kmax, 3))
+    ve = ve_series(g, 3)
 
     def pairing(total):
         acc = 0.0
@@ -641,9 +634,9 @@ def equality_ladder(g: GraphPlane, lmax: int = 3, tol=IDENTITY_RESIDUAL_TOL):
         return acc
 
     even, odd, ve_match = [], [], []
-    for ell in range(1, lmax + 1):
+    for ell in range(1, 4):
         lhs = pairing(2 * ell)
-        target = v_parts_sq[ell] if ell < len(v_parts_sq) else 0.0
+        target = v_parts_sq[ell]
         even.append(abs(lhs - target))
         conv = sum(ve[i] * ve[ell - i] for i in range(ell + 1))
         ve_match.append(abs(target - conv))
@@ -651,7 +644,7 @@ def equality_ladder(g: GraphPlane, lmax: int = 3, tol=IDENTITY_RESIDUAL_TOL):
 
     chi_norms = [float(np.linalg.norm(chi_vals[i])) for i in range(4)]
     depth = 0
-    while depth < 3 and chi_norms[depth + 1] < tol:
+    while depth < 3 and chi_norms[depth + 1] < IDENTITY_RESIDUAL_TOL:
         depth += 1
 
     ladder = []

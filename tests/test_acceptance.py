@@ -24,6 +24,12 @@ from g2fueter import splitting as sp
 S = sp.standard_splitting()
 
 
+def _sup(*values):
+    """The largest value, NaN if any is NaN (Python's max drops a NaN that
+    is not its first argument, which would let a criterion pass)."""
+    return float(np.max(values))
+
+
 def _line(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
     print(f"ACCEPTANCE {num:02d} {name}: {status}" + (f"  [{detail}]" if detail else ""))
@@ -48,9 +54,7 @@ def test_01_g2_algebra_suite():
     worst_assoc = float(assoc.max())
 
     # tie the batch evaluation to the pointwise operation
-    tie = max(
-        float(np.abs(chi_vals[k] - g2.chi(*vs[k], G)).max()) for k in range(100)
-    )
+    tie = _sup(*(float(np.abs(chi_vals[k] - g2.chi(*vs[k], G)).max()) for k in range(100)))
 
     ws = rng.standard_normal((10_000, 4, 7))
     sphi_vals = np.einsum("ijkl,ni,nj,nk,nl->n", star_d, ws[:, 0], ws[:, 1], ws[:, 2], ws[:, 3])
@@ -81,7 +85,7 @@ def test_02_ve_hierarchy():
     worst = 0.0
     for _ in range(1000):
         g = sp.GraphPlane(rng.standard_normal((3, 4)), S)
-        worst = max(worst, float(np.abs(sp.ve_series(g, 3) - sp.ve_recursive(g, 3)).max()))
+        worst = _sup(worst, float(np.abs(sp.ve_series(g, 3) - sp.ve_recursive(g, 3)).max()))
     T = np.zeros((3, 4))
     T[0, 0] = 1.0
     pinned = np.array([1.0, 0.5, -0.125, 0.0625])
@@ -99,8 +103,7 @@ def run_criterion_3():
     fueter_plane[0, 0] = 1.0
     fueter_plane[2, 2] = -1.0
     rep = sp.anisotropic_scan(
-        S, sp.PlaneSampler(103), 100_000, tol=1e-10,
-        include_planes=[fueter_plane], check_identity=True,
+        S, sp.PlaneSampler(103), 100_000, tol=1e-10, include_planes=[fueter_plane]
     )
     ok = rep.violations == 0 and rep.max_ratio <= 1.0 + 1e-10
     return ok, rep.to_json()
@@ -196,9 +199,9 @@ def test_07_pde_identities():
     rng = np.random.default_rng(107)
     worst_flat = 0.0
     for _ in range(50):
-        F = pde.random_polynomial_map(rng, degree=3)
+        F = pde.random_polynomial_map(rng)
         x = rng.standard_normal((20, 3))
-        worst_flat = max(worst_flat, float(np.abs(pde.d_squared_residual(F, x)).max()))
+        worst_flat = _sup(worst_flat, float(np.abs(pde.d_squared_residual(F, x)).max()))
 
     worst_su2 = 0.0
     for _ in range(5):
@@ -210,13 +213,13 @@ def test_07_pde_identities():
             comps.append(comp)
         F = pde.AmbientPolynomialMap(comps)
         hs = pde.random_su2_points(rng, 100)
-        worst_su2 = max(worst_su2, float(np.abs(pde.su2_identity_residual(F, hs)).max()))
+        worst_su2 = _sup(worst_su2, float(np.abs(pde.su2_identity_residual(F, hs)).max()))
 
     worst_sol = 0.0
     for _ in range(10):
         u = pde.harmonic_to_fueter(pde.random_harmonic_map(rng))
         pts = rng.standard_normal((1000, 3))
-        worst_sol = max(worst_sol, float(np.abs(pde.fueter_operator_flat(u, pts)).max()))
+        worst_sol = _sup(worst_sol, float(np.abs(pde.fueter_operator_flat(u, pts)).max()))
 
     ok = worst_flat < 1e-10 and worst_su2 < 1e-8 and worst_sol < 1e-10
     _line(7, "pde-identities", ok,
@@ -263,7 +266,7 @@ def run_criterion_9():
             ok = ok and i_res < 1e-10
             continue
         dev = abs(i_res / f_res - fm.MIRROR_RATIO)
-        worst_dev = max(worst_dev, dev)
+        worst_dev = _sup(worst_dev, dev)
         rows.append({"fueter": f_res, "instanton": i_res})
     ok = ok and worst_dev < 1e-8
 
@@ -300,7 +303,7 @@ def test_10_cs_first_variation():
     for k in range(20):
         Z = pde.random_fourier_field(np.random.default_rng(1100 + k), kmax=1)
         num, _ = pde.cs_first_variation(u0, sec, Z, n=8)
-        worst = max(worst, abs(num))
+        worst = _sup(worst, abs(num))
 
     bad = pde.affine_map(np.array([[1.0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]))
     u0b = bad + pde.random_fourier_field(np.random.default_rng(111), kmax=1)
@@ -330,3 +333,29 @@ def test_12_determinism():
              for fn in (run_criterion_3, run_criterion_4, run_criterion_8, run_criterion_9)]
     ok = all(pairs)
     _line(12, "determinism", ok, f"byte-identical reruns: {pairs}")
+
+
+# -- the folds keep a NaN ----------------------------------------------------------
+
+
+def test_nan_ve_route_fails_criterion_2(monkeypatch):
+    # the second plane's recursive route returns NaN
+    real, calls = sp.ve_recursive, []
+
+    def probe(g, kmax):
+        calls.append(g)
+        ve = real(g, kmax)
+        return np.full_like(ve, np.nan) if len(calls) == 2 else ve
+
+    monkeypatch.setattr(sp, "ve_recursive", probe)
+    with pytest.raises(AssertionError, match="criterion 2"):
+        test_02_ve_hierarchy()
+
+
+def test_nan_first_variation_fails_criterion_10(monkeypatch):
+    # stubbed results, so the fold alone decides: the 20 critical variations
+    # vanish except a NaN third one, and the adversarial one is nonzero
+    results = iter([(0.0, 0.0)] * 2 + [(np.nan, 0.0)] + [(0.0, 0.0)] * 17 + [(1.0, 1.0)])
+    monkeypatch.setattr(pde, "cs_first_variation", lambda *args, **kwargs: next(results))
+    with pytest.raises(AssertionError, match="criterion 10"):
+        test_10_cs_first_variation()

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -13,3 +15,62 @@ def test_every_export_resolves(name):
     # a deletion must take its __all__ entry with it
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+# A library parameter exists only where program callers (the package and
+# benchmarks/) need different values, or where it carries outside input.
+# A new one shows up here as a diff that has to be justified.
+PINNED_KNOBS = [
+    "exterior.Form.is_zero(tol)",
+    "exterior.Form.equals(tol)",
+    "exterior.basis_form(coeff)",
+    "exterior.VectorValuedForm.equals(tol)",
+    "exterior.render(label)",
+    "fueter.fueter_complete(return_system)",
+    "fueter.ConditionReport.all_below(tol)",
+    "fueter.ConditionReport.none_below(floor)",
+    "models.model_by_name(B)",
+    "pde.PolynomialMap.__init__(periodicity)",
+    "pde.affine_map(b)",
+    "pde.random_fourier_field(kmax)",
+    "pde.CotPotentialMap.__init__(A)",
+    "pde.CotPotentialMap.__init__(B)",
+    "pde.minimization_experiment(grid_n)",
+    "pde.minimization_experiment(extra_perturbations)",
+    "pde.cs_functional(n)",
+    "pde.cs_functional(model)",
+    "pde.cs_first_variation(n)",
+    "pde.cs_first_variation(model)",
+    "splitting.semi_calibration_scan(tol)",
+    "splitting.semi_calibration_scan(include_frames)",
+    "splitting.semi_calibration_scan(label)",
+    "splitting.anisotropic_scan(tol)",
+    "splitting.anisotropic_scan(include_planes)",
+]
+
+
+def _defaulted_parameters(body, prefix):
+    """module.[Class.]function(param) for each defaulted parameter of the
+    public functions, methods and __init__s in an AST body."""
+    out = []
+    for node in body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            out += _defaulted_parameters(node.body, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.FunctionDef) and (
+            node.name == "__init__" or not node.name.startswith("_")
+        ):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            defaulted = positional[len(positional) - len(args.defaults):]
+            defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            out += [f"{prefix}{node.name}({a.arg})" for a in defaulted]
+    return out
+
+
+def test_library_knobs_are_pinned():
+    package = Path(g2fueter.__file__).parent
+    knobs = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem != "cli":
+            knobs += _defaulted_parameters(ast.parse(path.read_text()).body, f"{path.stem}.")
+    assert knobs == PINNED_KNOBS

@@ -25,7 +25,7 @@ class TestAnalyticMaps:
         # the Fourier field is scaled so its third derivatives stay O(1)
         rng = np.random.default_rng(0)
         maps = [
-            pde.random_polynomial_map(rng, degree=3),
+            pde.random_polynomial_map(rng),
             0.02 * pde.random_fourier_field(rng, kmax=2),
             pde.NewtonianPotentialMap([1.0, -2.0, 0.5, 0.0]),
         ]
@@ -54,15 +54,9 @@ class TestAnalyticMaps:
         hess[:, 0, 0, 1] = hess[:, 0, 1, 0] = 2 * x1
         hess[:, 0, 2, 3] = hess[:, 0, 3, 2] = 6 * x4
         hess[:, 0, 3, 3] = 6 * x3
-        third = np.zeros((5, 4, 4, 4, 4))
-        for i, j, k in {(0, 0, 1), (0, 1, 0), (1, 0, 0)}:
-            third[:, 0, i, j, k] = 2.0
-        for i, j, k in {(2, 3, 3), (3, 2, 3), (3, 3, 2)}:
-            third[:, 0, i, j, k] = 6.0
         assert u.jet1(x).shape == (5, 4, 4) and u.jet2(x).shape == (5, 4, 4, 4)
         assert np.abs(u.jet1(x) - grad).max() < 1e-12
         assert np.abs(u.jet2(x) - hess).max() < 1e-12
-        assert np.array_equal(u.jet3(x), third)
         ambient = pde.AmbientPolynomialMap(comps)
         assert np.array_equal(ambient.jet1(x), u.jet1(x))
         assert np.array_equal(ambient.jet2(x), u.jet2(x))
@@ -103,7 +97,7 @@ class TestFlatOperator:
     def test_d_squared_is_laplacian(self):
         rng = np.random.default_rng(4)
         for _ in range(25):
-            F = pde.random_polynomial_map(rng, degree=3)
+            F = pde.random_polynomial_map(rng)
             x = rng.standard_normal((10, 3))
             assert np.abs(pde.d_squared_residual(F, x)).max() < 1e-10
 
@@ -131,7 +125,7 @@ class TestHarmonicToFueter:
         F = pde.NewtonianPotentialMap([0.0, 0, 1.0, 0])
         pts = np.random.default_rng(6).standard_normal((100, 3)) * 2
         pts = pts[np.linalg.norm(pts, axis=1) > 0.2]
-        u = pde.harmonic_to_fueter(F, sample_points=pts)
+        u = pde.harmonic_to_fueter(F)
         assert np.abs(pde.fueter_operator_flat(u, pts)).max() < 1e-10
 
     def test_concrete_construction(self):
@@ -190,7 +184,7 @@ class TestSu2:
     def test_domain_guard(self):
         Fc = pde.CotPotentialMap(p=[1.0, 0, 0, 0], v0=[1.0, 0, 0, 0])
         with pytest.raises(ValueError):
-            Fc.value(np.array([1.0, 0, 0, 0]))
+            Fc.eval(np.array([1.0, 0, 0, 0]))
 
     def test_directional_jets_against_curve_differences(self):
         F = pde.AmbientPolynomialMap([
@@ -203,7 +197,7 @@ class TestSu2:
             Fq = pde.SU2_FRAME_QUATERNIONS[key]
             hp = pde.quat_mul(h, np.array([np.cos(eps), *(np.sin(eps) * Fq[1:])]))
             hm = pde.quat_mul(h, np.array([np.cos(eps), *(-np.sin(eps) * Fq[1:])]))
-            fd = (F.value(hp) - F.value(hm)) / (2 * eps)
+            fd = (F.eval(hp) - F.eval(hm)) / (2 * eps)
             assert np.abs(fd - d1[:, i]).max() < 1e-6
 
 
@@ -240,6 +234,14 @@ class TestEnergies:
             assert abs(series[1] - ve1[n]) < 1e-12 * scale
             assert abs(series[2] - ve2[n]) < 1e-12 * scale
             assert abs(series[3] - ve3[n]) < 1e-12 * scale
+
+    def test_non_finite_energy_fails_the_guards(self):
+        # the n = 4 torus grid contains the origin, where the potential's
+        # jets are NaN; the identity guard must not let them through
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grid = pde.ImmersionGrid(pde.NewtonianPotentialMap([1.0, 0, 0, 0]), 4)
+            with pytest.raises(AssertionError, match="energy identity"):
+                pde.immersion_energies(grid)
 
     def test_covering_degree(self):
         assert pde.covering_degree(2, 8) == 8
@@ -282,7 +284,7 @@ class TestReparametrization:
             pde.affine_fueter_section([1, 0, 0, 1], [0, 1, 1, 0])
             + 0.3 * pde.random_fourier_field(np.random.default_rng(14), kmax=1)
         )
-        shear = pde.shear_diffeo(amplitude=0.1)
+        shear = pde.shear_diffeo()
         coarse = pde.reparametrization_invariance(u, shear, 4)
         fine = pde.reparametrization_invariance(u, shear, 16)
         assert fine <= coarse + 1e-12
@@ -295,12 +297,12 @@ class TestActionFunctional:
         self.u0 = self.sec + pde.random_fourier_field(np.random.default_rng(15), kmax=1)
 
     def test_fueter_endpoint_critical(self):
-        worst = 0.0
+        values = []
         for k in range(20):
             Z = pde.random_fourier_field(np.random.default_rng(200 + k), kmax=1)
             num, bnd = pde.cs_first_variation(self.u0, self.sec, Z, n=8)
-            worst = max(worst, abs(num), abs(bnd))
-        assert worst < 1e-6
+            values += [abs(num), abs(bnd)]
+        assert np.max(values) < 1e-6  # np.max keeps a NaN that max() would drop
 
     def test_variation_formula_agreement(self):
         bad = pde.affine_map(np.array([[1.0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]))
@@ -350,17 +352,6 @@ class TestHeisenbergGraphs:
             g = sp.GraphPlane(u.jet1(x).T, S)
             assert np.abs(fu.fueter_vector(g) - flat).max() < 1e-12
             assert np.abs(fu.fueter_via_J(g, J) - flat).max() == 0.0
-
-
-def test_grid_csv_export():
-    sec = pde.affine_fueter_section([1, 0, 0, 0], [0, 1, 0, 0])
-    csv = pde.grid_to_csv(pde.ImmersionGrid(sec, 3))
-    lines = csv.strip().splitlines()
-    assert lines[0].startswith("x1,x2,x3,u4")
-    assert lines[0].endswith("fueterResidual,ve1")
-    assert len(lines) == 1 + 27
-    first = [float(v) for v in lines[1].split(",")]
-    assert first[-2] == 0.0  # solution residual vanishes on the grid
 
 
 class TestSu2LeftInvariance:

@@ -269,6 +269,13 @@ class TestScans:
         rep = sp.anisotropic_scan(S, sp.PlaneSampler(21), 100, include_planes=[np.zeros((3, 4))])
         assert rep.skipped >= 1
 
+    def test_non_finite_included_plane_rejected(self):
+        # a NaN plane would otherwise be skipped as a 0/0 case and pass
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sp.anisotropic_scan(S, sp.PlaneSampler(21), 10,
+                                    include_planes=[np.full((3, 4), bad)])
+
     def test_report_json_roundtrip(self):
         rep = sp.anisotropic_scan(S, sp.PlaneSampler(22), 50)
         payload = json.loads(rep.to_json())
