@@ -324,7 +324,7 @@ def _suite_fueter(rng, tol):
     for _ in range(tol["samples"] // 5):
         v1 = np.concatenate([[1.0, 0, 0], rng.standard_normal(4)])
         v2 = np.concatenate([[0.0, 1, 0], rng.standard_normal(4)])
-        v3, M, cond = fueter.fueter_complete(v1, v2, S, return_system=True)
+        v3, cond = fueter.fueter_complete(v1, v2, S, return_system=True)
         conds.append(cond)
         coords = np.vstack([v1, v2, v3])
         g, _ = splitting.graph_from_plane(splitting.Plane(coords), S)

@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,7 +128,7 @@ class Form:
 
     dim: int
     degree: int
-    coeffs: dict = field(default_factory=dict)
+    coeffs: dict
 
     def __post_init__(self):
         if not (_MIN_DIM <= self.dim <= _MAX_DIM):

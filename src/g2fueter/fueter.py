@@ -71,15 +71,16 @@ class JTriple:
         object.__setattr__(self, "J1", Js[0])
         object.__setattr__(self, "J2", Js[1])
         object.__setattr__(self, "J3", Js[2])
+        # each guard is written so that a NaN fails it
         eye = np.eye(4)
         for J in Js:
-            if np.abs(J @ J + eye).max() > CONSTRUCTION_TOL:
+            if not np.abs(J @ J + eye).max() <= CONSTRUCTION_TOL:
                 raise ValueError("J^2 != -id")
-        if np.abs(Js[0] @ Js[1] + Js[2]).max() > CONSTRUCTION_TOL:
+        if not np.abs(Js[0] @ Js[1] + Js[2]).max() <= CONSTRUCTION_TOL:
             raise ValueError("J1 J2 != -J3")
         for i in range(3):
             for j in range(i + 1, 3):
-                if np.abs(Js[i] @ Js[j] + Js[j] @ Js[i]).max() > CONSTRUCTION_TOL:
+                if not np.abs(Js[i] @ Js[j] + Js[j] @ Js[i]).max() <= CONSTRUCTION_TOL:
                     raise ValueError("J_i, J_j do not anticommute")
 
     def as_tuple(self):
@@ -166,16 +167,19 @@ def fueter_complete(v1, v2, S: Splitting, return_system=False):
     v1, v2 are ambient vectors whose horizontal projections must be
     orthonormal.  Returns the third frame vector v3 with p_H(v3) =
     p_H(v1) x p_H(v2); its vertical part is the unique solution of the
-    square linear system J(h3) x = -(h1 x u1 + h2 x u2), whose condition
-    number is available through return_system.
+    square linear system J(h3) x = -(h1 x u1 + h2 x u2); with
+    return_system, (v3, condition number of that system) is returned.
+    Non-finite v1 or v2 raise ValueError.
     """
+    if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))):
+        raise ValueError("v1, v2 must be finite")
     f1 = S.frame_coords(v1)
     f2 = S.frame_coords(v2)
     h1, h2 = f1[:3], f2[:3]
-    if (
-        abs(h1 @ h1 - 1.0) > 1e-10
-        or abs(h2 @ h2 - 1.0) > 1e-10
-        or abs(h1 @ h2) > 1e-10
+    if not (
+        abs(h1 @ h1 - 1.0) <= 1e-10
+        and abs(h2 @ h2 - 1.0) <= 1e-10
+        and abs(h1 @ h2) <= 1e-10
     ):
         raise ValueError("horizontal parts of v1, v2 must be orthonormal")
     dense = S.frame_g2.phi_dense
@@ -199,7 +203,7 @@ def fueter_complete(v1, v2, S: Splitting, return_system=False):
     f3[3:] += x
     v3 = f3 @ S.frame_matrix
     if return_system:
-        return v3, M, np.linalg.cond(M)
+        return v3, np.linalg.cond(M)
     return v3
 
 
@@ -344,7 +348,7 @@ def linearization_rank(g: GraphPlane) -> int:
     """Rank of T -> F over the 12-dimensional graph coordinates at a Fueter
     point (|F| < IDENTITY_TOL).  The solution Grassmannian has dimension
     12 - rank (= 8)."""
-    if np.linalg.norm(fueter_vector(g)) >= IDENTITY_TOL:
+    if not np.linalg.norm(fueter_vector(g)) < IDENTITY_TOL:
         raise ValueError("input plane is not Fueter")
     M = fueter_map_matrix(g.splitting)
     return int(np.linalg.matrix_rank(M, tol=1e-10))

@@ -61,7 +61,7 @@ class LieAlgebraModel:
 
     name: str
     c: np.ndarray  # c[i,j,k]: [e_i, e_j] = sum_k c[i,j,k] e_k, 0-based
-    splitting: Splitting = field(default_factory=standard_splitting)
+    splitting: Splitting = field(init=False, default_factory=standard_splitting)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float).reshape(DIM, DIM, DIM)

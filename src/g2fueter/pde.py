@@ -81,10 +81,12 @@ _J = standard_jtriple().as_tuple()
 class AnalyticMap:
     """A smooth map U subset R^3 -> R^4 with exact first and second jets.
 
-    eval/jet1/jet2 accept a single point (3,) or a batch (N, 3) and
-    return matching shapes; no map provides higher jets.  `periodicity`, when set, is the 4x3 integer
-    matrix A with u(x + n) = u(x) + A n for n in Z^3, so the map descends
-    to a torus section.
+    One array contract, shared with the SU(2) maps: eval/jet1/jet2 take
+    points of shape (..., 3) and return shapes (..., 4), (..., 4, 3) and
+    (..., 4, 3, 3); a single point (3,) is the case of no leading axes.
+    No map provides higher jets.  `periodicity`, when set, is the 4x3
+    integer matrix A with u(x + n) = u(x) + A n for n in Z^3, so the map
+    descends to a torus section.
     """
 
     periodicity = None
@@ -105,12 +107,6 @@ class AnalyticMap:
         return ScaledMap(self, float(scalar))
 
     __rmul__ = __mul__
-
-
-def _batchify(x):
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    return (x[None, :] if single else x), single
 
 
 def _eval_monomials(comp, x, d=()):
@@ -147,30 +143,29 @@ class PolynomialMap(AnalyticMap):
         self.periodicity = None if periodicity is None else np.asarray(periodicity)
 
     def eval(self, x):
-        xb, single = _batchify(x)
-        out = np.stack([_eval_monomials(c, xb) for c in self.components], axis=-1)
-        return out[0] if single else out
+        x = np.asarray(x, dtype=float)
+        return np.stack([_eval_monomials(c, x) for c in self.components], axis=-1)
 
     def jet1(self, x):
-        xb, single = _batchify(x)
-        n = xb.shape[-1]
-        out = np.empty(xb.shape[:-1] + (4, n))
+        x = np.asarray(x, dtype=float)
+        n = x.shape[-1]
+        out = np.empty(x.shape[:-1] + (4, n))
         for m, comp in enumerate(self.components):
             for i in range(n):
-                out[..., m, i] = _eval_monomials(comp, xb, (i,))
-        return out[0] if single else out
+                out[..., m, i] = _eval_monomials(comp, x, (i,))
+        return out
 
     def jet2(self, x):
-        xb, single = _batchify(x)
-        n = xb.shape[-1]
-        out = np.empty(xb.shape[:-1] + (4, n, n))
+        x = np.asarray(x, dtype=float)
+        n = x.shape[-1]
+        out = np.empty(x.shape[:-1] + (4, n, n))
         for m, comp in enumerate(self.components):
             for i in range(n):
                 for j in range(i, n):
-                    vals = _eval_monomials(comp, xb, (i, j))
+                    vals = _eval_monomials(comp, x, (i, j))
                     out[..., m, i, j] = vals
                     out[..., m, j, i] = vals
-        return out[0] if single else out
+        return out
 
 
 class FourierMap(AnalyticMap):
@@ -188,32 +183,32 @@ class FourierMap(AnalyticMap):
         self.periodicity = np.zeros((4, 3), dtype=int)
 
     def eval(self, x):
-        xb, single = _batchify(x)
-        out = np.zeros((xb.shape[0], 4))
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (4,))
         for k, a, b in self.waves:
-            phase = 2.0 * np.pi * (xb @ k)
-            out += np.cos(phase)[:, None] * a + np.sin(phase)[:, None] * b
-        return out[0] if single else out
+            phase = 2.0 * np.pi * (x @ k)
+            out += np.cos(phase)[..., None] * a + np.sin(phase)[..., None] * b
+        return out
 
     def jet1(self, x):
-        xb, single = _batchify(x)
-        out = np.zeros((xb.shape[0], 4, 3))
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (4, 3))
         for k, a, b in self.waves:
-            phase = 2.0 * np.pi * (xb @ k)
-            dcos = -np.sin(phase)[:, None, None] * np.einsum("m,i->mi", a, 2.0 * np.pi * k)
-            dsin = np.cos(phase)[:, None, None] * np.einsum("m,i->mi", b, 2.0 * np.pi * k)
+            phase = 2.0 * np.pi * (x @ k)
+            dcos = -np.sin(phase)[..., None, None] * np.einsum("m,i->mi", a, 2.0 * np.pi * k)
+            dsin = np.cos(phase)[..., None, None] * np.einsum("m,i->mi", b, 2.0 * np.pi * k)
             out += dcos + dsin
-        return out[0] if single else out
+        return out
 
     def jet2(self, x):
-        xb, single = _batchify(x)
-        out = np.zeros((xb.shape[0], 4, 3, 3))
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape[:-1] + (4, 3, 3))
         for k, a, b in self.waves:
-            phase = 2.0 * np.pi * (xb @ k)
+            phase = 2.0 * np.pi * (x @ k)
             kk = np.einsum("i,j->ij", 2.0 * np.pi * k, 2.0 * np.pi * k)
-            out += -np.cos(phase)[:, None, None, None] * np.einsum("m,ij->mij", a, kk)
-            out += -np.sin(phase)[:, None, None, None] * np.einsum("m,ij->mij", b, kk)
-        return out[0] if single else out
+            out += -np.cos(phase)[..., None, None, None] * np.einsum("m,ij->mij", a, kk)
+            out += -np.sin(phase)[..., None, None, None] * np.einsum("m,ij->mij", b, kk)
+        return out
 
 
 class SumMap(AnalyticMap):
@@ -258,29 +253,24 @@ class NewtonianPotentialMap(AnalyticMap):
     def __init__(self, v0):
         self.v0 = np.asarray(v0, dtype=float).reshape(4)
 
+    # |x| keeps its last axis, so a single point's powers of r stay
+    # arrays and round exactly as a batch's do
+
     def eval(self, x):
-        xb, single = _batchify(x)
-        r = np.linalg.norm(xb, axis=1)
-        out = np.einsum("n,m->nm", 1.0 / (4.0 * np.pi * r), self.v0)
-        return out[0] if single else out
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        return 1.0 / (4.0 * np.pi * r) * self.v0
 
     def jet1(self, x):
-        xb, single = _batchify(x)
-        r = np.linalg.norm(xb, axis=1)
-        grad = -xb / (4.0 * np.pi * r ** 3)[:, None]
-        out = np.einsum("m,ni->nmi", self.v0, grad)
-        return out[0] if single else out
+        x = np.asarray(x, dtype=float)
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        grad = -x / (4.0 * np.pi * r ** 3)
+        return np.einsum("m,...i->...mi", self.v0, grad)
 
     def jet2(self, x):
-        xb, single = _batchify(x)
-        r = np.linalg.norm(xb, axis=1)
-        eye = np.eye(3)
-        hess = (
-            3.0 * np.einsum("ni,nj->nij", xb, xb) / (r ** 5)[:, None, None]
-            - eye[None, :, :] / (r ** 3)[:, None, None]
-        ) / (4.0 * np.pi)
-        out = np.einsum("m,nij->nmij", self.v0, hess)
-        return out[0] if single else out
+        x = np.asarray(x, dtype=float)
+        r = np.linalg.norm(x, axis=-1, keepdims=True)[..., None]
+        hess = (3.0 * np.einsum("...i,...j->...ij", x, x) / r ** 5 - np.eye(3) / r ** 3) / (4.0 * np.pi)
+        return np.einsum("m,...ij->...mij", self.v0, hess)
 
 
 def affine_map(A, b=(0.0, 0.0, 0.0, 0.0)) -> PolynomialMap:
@@ -419,12 +409,12 @@ def harmonic_to_fueter(F: AnalyticMap) -> DMap:
 
     The harmonicity precondition is checked at 64 deterministic Halton
     points in [0.25, 1.25)^3, away from the origin where the Newtonian
-    potential is singular; |Laplacian F| above 1e-10 there raises
-    NotHarmonicError carrying its max.
+    potential is singular; |Laplacian F| above 1e-10 there, or a
+    non-finite one, raises NotHarmonicError carrying its max.
     """
     h = F.jet2(_halton_points(64) + 0.25)
     lap = np.abs(h[..., 0, 0] + h[..., 1, 1] + h[..., 2, 2]).max()
-    if lap > 1e-10:
+    if not lap <= 1e-10:
         raise NotHarmonicError(f"max |Laplacian F| = {lap}")
     return DMap(F)
 
@@ -623,8 +613,10 @@ def _graph_frames(jets):
 class ImmersionGrid:
     """Regular periodic lattice on the unit 3-torus with sampled jets.
 
-    Trapezoidal weights on a periodic grid are uniform (and spectrally
-    accurate for smooth periodic integrands).
+    A grid holds its points and the map's first jets there, nothing
+    else: every energy reads only the jets.  Trapezoidal weights on a
+    periodic grid are uniform (and spectrally accurate for smooth
+    periodic integrands).
     """
 
     u: AnalyticMap
@@ -632,7 +624,6 @@ class ImmersionGrid:
 
     def __post_init__(self):
         self.points = _torus_points(self.n)
-        self.values = self.u.eval(self.points)
         self.jets = self.u.jet1(self.points)
         self.weight = 1.0 / self.points.shape[0]
 
@@ -701,7 +692,9 @@ def minimization_experiment(
 
     Perturbations are seeded truncated Fourier vertical fields (kmax 2)
     rescaled to the requested sup-norm amplitude, plus any caller-supplied
-    ones.  A competitor whose gap falls below -1e-12 is a violation.
+    ones.  A competitor whose gap falls below -1e-12 is a violation; a
+    competitor with non-finite jets fails `immersion_energies`' guards
+    and raises.  The report keeps a `skipped` count, always 0.
     NOTE: this samples a finite family of homotopic competitors, not the
     full restricted homology class; the report records that restriction.
     """
@@ -716,17 +709,10 @@ def minimization_experiment(
 
     ve_violations = 0
     total_violations = 0
-    skipped = 0
     min_gap_ve = np.inf
     min_gap_total = np.inf
     for p in perturbations:
-        grid = ImmersionGrid(base + p, grid_n)
-        # graph sections are always projectable; the guard is kept for
-        # non-graph callers
-        if not np.all(np.isfinite(grid.jets)):
-            skipped += 1
-            continue
-        energy = immersion_energies(grid)
+        energy = immersion_energies(ImmersionGrid(base + p, grid_n))
         gap_ve = energy["VE"] - base_energy["VE"]
         gap_total = (energy["VE"] + energy["VolH"]) - (
             base_energy["VE"] + base_energy["VolH"]
@@ -737,7 +723,7 @@ def minimization_experiment(
         total_violations += gap_total < -1e-12
     return {
         "samples": len(perturbations),
-        "skipped": skipped,
+        "skipped": 0,
         "veViolations": int(ve_violations),
         "totalViolations": int(total_violations),
         "minGapVE": float(min_gap_ve),

@@ -66,14 +66,15 @@ class Splitting:
     """An orthonormal frame adapted to TM = H + V, H associative.
 
     h_frame: rows of 3 vectors spanning H (their order fixes the
-    orientation); v_frame: rows of 4 vectors spanning V; g2: ambient
-    structure.  Construction checks orthonormality and that H is
+    orientation); v_frame: rows of 4 vectors spanning V; g2: the ambient
+    structure, always the standard one (not a constructor argument).
+    Construction checks orthonormality and that H is
     calibrated with phi(h1,h2,h3) = +1.
     """
 
     h_frame: np.ndarray
     v_frame: np.ndarray
-    g2: g2core.G2Structure = field(default_factory=g2core.standard_g2)
+    g2: g2core.G2Structure = field(init=False, default_factory=g2core.standard_g2)
 
     def __post_init__(self):
         h = np.asarray(self.h_frame, dtype=float).reshape(3, DIM)
@@ -82,13 +83,14 @@ class Splitting:
         object.__setattr__(self, "v_frame", v)
         F = self.frame_matrix
         gram = F @ self.g2.metric @ F.T
-        if np.abs(gram - np.eye(DIM)).max() > 1e-12:
+        # each guard is written so that a NaN fails it
+        if not np.abs(gram - np.eye(DIM)).max() <= 1e-12:
             raise ValueError("frame is not orthonormal in the ambient metric")
         cal = self.g2.phi.apply(list(h))
-        if abs(cal - 1.0) > 1e-10:
+        if not abs(cal - 1.0) <= 1e-10:
             raise ValueError(f"phi(h-frame) = {cal}, H is not positively calibrated")
         defect = g2core.chi(h[0], h[1], h[2], self.g2)
-        if np.linalg.norm(defect) > 1e-10:
+        if not np.linalg.norm(defect) <= 1e-10:
             raise ValueError("H is not associative")
 
     @property
@@ -484,10 +486,13 @@ def semi_calibration_scan(
     """Check alpha(frame) <= vol(frame) over n random oriented 3-planes.
 
     Frames are orthonormalized in the given metric, so the ratio is the
-    raw evaluation alpha(v1, v2, v3).  Violation: ratio > 1 + tol.
+    raw evaluation alpha(v1, v2, v3).  Violation: ratio > 1 + tol.  A
+    non-finite included frame raises ValueError.
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    if not np.all(np.isfinite(np.asarray(include_frames, dtype=float))):
+        raise ValueError("included frames must be finite")
     frames = sampler.frames(n, metric)
     if len(include_frames):
         frames = np.concatenate([np.asarray(include_frames, dtype=float), frames])

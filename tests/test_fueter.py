@@ -38,6 +38,9 @@ class TestJTriple:
         assert np.array_equal(J.J1 @ J.J2, -J.J3)
         with pytest.raises(ValueError):
             fu.JTriple(np.eye(4), J.J2, J.J3)
+        nan = np.full((4, 4), np.nan)
+        with pytest.raises(ValueError):
+            fu.JTriple(nan, nan, nan)
 
 
 class TestFueterVector:
@@ -93,7 +96,7 @@ class TestCompletions:
         for _ in range(100):
             v1 = np.concatenate([[1.0, 0, 0], rng.standard_normal(4)])
             v2 = np.concatenate([[0.0, 1, 0], rng.standard_normal(4)])
-            v3, M, cond = fu.fueter_complete(v1, v2, S, return_system=True)
+            v3, cond = fu.fueter_complete(v1, v2, S, return_system=True)
             g, _ = sp.graph_from_plane(sp.Plane(np.vstack([v1, v2, v3])), S)
             assert np.linalg.norm(fu.fueter_vector(g)) < 1e-12
             assert abs(cond - 1.0) < 1e-12  # J(h3) is orthogonal
@@ -109,6 +112,14 @@ class TestCompletions:
     def test_precondition(self):
         with pytest.raises(ValueError):
             fu.fueter_complete(2.0 * E[0], E[1], S)
+
+    def test_non_finite_pair_rejected(self):
+        for bad in (np.nan, np.inf):
+            v1 = np.array([1.0, 0, 0, bad, 0, 0, 0])
+            with pytest.raises(ValueError, match="finite"):
+                fu.fueter_complete(v1, E[1], S)
+            with pytest.raises(ValueError, match="finite"):
+                fu.fueter_complete(E[0], v1[[1, 0, 2, 3, 4, 5, 6]], S)
 
     def test_associative_completion(self):
         assert np.allclose(fu.associative_complete(E[0], E[1], S.g2), E[2])
@@ -280,8 +291,9 @@ class TestLinearization:
     def test_requires_fueter_input(self):
         T = np.zeros((3, 4))
         T[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            fu.linearization_rank(sp.GraphPlane(T, S))
+        for bad in (T, np.full((3, 4), np.nan)):
+            with pytest.raises(ValueError, match="not Fueter"):
+                fu.linearization_rank(sp.GraphPlane(bad, S))
 
     def test_p_map_linearity(self):
         rng = np.random.default_rng(11)

@@ -62,6 +62,25 @@ class TestAnalyticMaps:
         assert np.array_equal(ambient.jet2(x), u.jet2(x))
         assert np.array_equal(u.jet1(x[0]), u.jet1(x)[0])
 
+    def test_one_array_contract(self):
+        # points (..., 3) in; (..., 4), (..., 4, 3), (..., 4, 3, 3) out,
+        # so a (2, 5, 3) block gives the same jets as its (10, 3) rows
+        rng = np.random.default_rng(8)
+        poly = pde.random_polynomial_map(rng)
+        fourier = 0.02 * pde.random_fourier_field(rng)
+        newton = pde.NewtonianPotentialMap([1.0, -2.0, 0.5, 0.0])
+        maps = [poly, fourier, newton, poly + fourier, pde.DMap(poly + newton)]
+        x = rng.standard_normal((2, 5, 3)) + np.array([2.0, 0, 0])
+        flat = x.reshape(10, 3)
+        for u in maps:
+            jets = [u.eval, u.jet1] + ([] if isinstance(u, pde.DMap) else [u.jet2])
+            for jet in jets:
+                block, rows = jet(x), jet(flat)
+                assert block.shape == (2, 5) + rows.shape[1:]
+                assert rows.shape[1:] == (4, 3, 3)[: rows.ndim - 1]
+                assert np.allclose(block.reshape(rows.shape), rows, rtol=1e-14, atol=1e-14)
+                assert np.allclose(jet(x[1, 2]), rows[7], rtol=1e-14, atol=1e-14)
+
     def test_periodicity_contract(self):
         sec = pde.affine_fueter_section([1, 0, 2, -1], [0, 1, 1, 3])
         A = np.asarray(sec.periodicity)
@@ -140,9 +159,10 @@ class TestHarmonicToFueter:
         assert np.abs(u.eval(np.zeros(3))).max() == 0.0
 
     def test_rejects_non_harmonic(self):
-        F = pde.PolynomialMap([{(2, 0, 0): 1.0}, {}, {}, {}])
-        with pytest.raises(pde.NotHarmonicError):
-            pde.harmonic_to_fueter(F)
+        for coeff in (1.0, np.nan):
+            F = pde.PolynomialMap([{(2, 0, 0): coeff}, {}, {}, {}])
+            with pytest.raises(pde.NotHarmonicError):
+                pde.harmonic_to_fueter(F)
 
 
 class TestSu2:
@@ -243,6 +263,19 @@ class TestEnergies:
             with pytest.raises(AssertionError, match="energy identity"):
                 pde.immersion_energies(grid)
 
+    def test_grid_reads_jets_only(self):
+        sec = pde.affine_fueter_section([1, 0, 2, -1], [0, 1, 1, 3])
+
+        class JetsOnly(pde.AnalyticMap):
+            def eval(self, x):
+                raise AssertionError("a grid must not evaluate the map")
+
+            def jet1(self, x):
+                return sec.jet1(x)
+
+        E = pde.immersion_energies(pde.ImmersionGrid(JetsOnly(), 6))
+        assert E == pde.immersion_energies(pde.ImmersionGrid(sec, 6))
+
     def test_covering_degree(self):
         assert pde.covering_degree(2, 8) == 8
         assert pde.covering_degree(3, 9) == 27
@@ -257,6 +290,7 @@ class TestMinimization:
         rep = pde.minimization_experiment(sec, 40, 0.1, seed=42, grid_n=6)
         assert rep["veViolations"] == 0 and rep["totalViolations"] == 0
         assert rep["minGapVE"] >= 0.0
+        assert rep["skipped"] == 0  # kept in the report schema
 
     def test_zero_amplitude_is_equality(self):
         sec = pde.affine_fueter_section([1, 0, 1, 0], [0, 1, 0, 1])
@@ -272,6 +306,13 @@ class TestMinimization:
             extra_perturbations=[-0.2 * wob],
         )
         assert rep["veViolations"] >= 1
+
+    def test_non_finite_competitor_fails(self):
+        # a NaN competitor is an error, never a skipped sample
+        sec = pde.affine_fueter_section([1, 0, 1, 0], [0, 1, 0, 1])
+        nan = pde.PolynomialMap([{(1, 0, 0): np.nan}, {}, {}, {}])
+        with np.errstate(invalid="ignore"), pytest.raises(AssertionError, match="energy identity"):
+            pde.minimization_experiment(sec, 0, 0.1, seed=1, grid_n=4, extra_perturbations=[nan])
 
 
 class TestReparametrization:

@@ -35,6 +35,12 @@ class TestSplittingConstruction:
         with pytest.raises(ValueError):
             sp.Splitting(h_frame=np.vstack([E[1], E[0], E[2]]), v_frame=E[3:])
 
+    def test_rejects_nan_frame(self):
+        h = E[:3].copy()
+        h[0, 0] = np.nan
+        with pytest.raises(ValueError):
+            sp.Splitting(h_frame=h, v_frame=E[3:])
+
     def test_rotated_splitting(self):
         # rotate H inside itself and V by an orthogonal map commuting with nothing special
         c, s = np.cos(0.3), np.sin(0.3)
@@ -244,6 +250,15 @@ class TestScans:
         assert rep.violations == 0
         assert rep.max_ratio <= 1.0 + 1e-10
         assert rep.max_ratio >= 1.0 - 1e-3  # the seeded associative plane
+
+    def test_non_finite_included_frame_rejected(self):
+        # a NaN frame would otherwise give a NaN max ratio and a pass
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                sp.semi_calibration_scan(
+                    S.g2.phi, np.eye(7), sp.PlaneSampler(17), 10,
+                    include_frames=[np.full((3, 7), bad)],
+                )
 
     def test_negative_form_also_semi_calibration(self):
         sampler = sp.PlaneSampler(18)
