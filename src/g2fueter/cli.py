@@ -1,4 +1,27 @@
-"""Command-line driver: verification suites, scans, models, solutions,
+"""Command-line driver `g2f`; USAGE is its help text.
+
+Every verify suite folds each sampled identity through `_worst`, the
+largest of n draws that keeps a NaN, and records each pass/fail check
+through `_flag`.  An identity that the acceptance suite also checks has
+one module-level sampler here: `verify` runs it at the profile's sample
+count, the acceptance criteria at their own seeds and counts.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import math
+import sys
+import time
+
+import numpy as np
+
+from . import exterior as ex
+from . import fm_gauge, fueter, g2core, models, pde, splitting
+
+USAGE = """Command-line driver: verification suites, scans, models, solutions,
 energies and Fourier-Mukai sweeps, emitting deterministic JSON reports.
 
 Reports are byte-identical for identical (command, seed) inputs: the
@@ -28,20 +51,6 @@ always fails); 2 the input is outside the command's domain, with one
 `error:` line on stderr and no report.
 """
 
-from __future__ import annotations
-
-import argparse
-import itertools
-import json
-import math
-import sys
-import time
-
-import numpy as np
-
-from . import exterior as ex
-from . import fm_gauge, fueter, g2core, models, pde, splitting
-
 SCHEMA_VERSION = 1
 
 PROFILES = {
@@ -63,135 +72,213 @@ def _record(name, claim, value, passed):
     return {"name": name, "claim": claim, "residualOrFlag": value, "pass": bool(passed)}
 
 
+def _flag(name, claim, ok):
+    """A pass/fail check, recorded with residual 0.0 if it holds, else 1.0."""
+    return _record(name, claim, 0.0 if ok else 1.0, ok)
+
+
 def _sup(*values):
     """The largest of the values, NaN if any is NaN (Python's max drops a
     NaN that is not its first argument, which would let it pass)."""
     return float(np.max(values))
 
 
+def _worst(n, residual):
+    """The largest of n draws of residual() and 0.0, NaN if any draw is NaN."""
+    return _sup(0.0, *(residual() for _ in range(n)))
+
+
+# -- samplers shared with the acceptance suite ----------------------------------
+
+
+def _ve_routes(rng, n, S):
+    """Worst disagreement of the eigenvalue series and the minor recursion,
+    through ve_4, over n graph planes."""
+    def gap():
+        g = splitting.GraphPlane(rng.standard_normal((3, 4)), S)
+        return float(np.abs(splitting.ve_series(g, 4) - splitting.ve_recursive(g, 4)).max())
+    return _worst(n, gap)
+
+
+def _ve_sqrt_taylor(S):
+    """Distance of a single unit row's ve_0..ve_3 from the sqrt(1+eps) coefficients."""
+    T = np.zeros((3, 4))
+    T[0, 0] = 1.0
+    pinned = np.array([1.0, 0.5, -0.125, 0.0625])
+    return float(np.abs(splitting.ve_series(splitting.GraphPlane(T, S), 3) - pinned).max())
+
+
+def _six_way(rng, n, S):
+    """Yields the six condition reports of n completed Fueter planes, each
+    paired with the reports of a generic graph plane drawn after it."""
+    for _ in range(n):
+        v1 = np.concatenate([[1.0, 0, 0], rng.standard_normal(4)])
+        v2 = np.concatenate([[0.0, 1, 0], rng.standard_normal(4)])
+        v3 = fueter.fueter_complete(v1, v2, S)
+        g, _ = splitting.graph_from_plane(splitting.Plane(np.vstack([v1, v2, v3])), S)
+        generic = splitting.GraphPlane(rng.standard_normal((3, 4)), S)
+        yield fueter.condition_residuals(g), fueter.condition_residuals(generic)
+
+
+def _homology_family():
+    """Whether H_1 of the nilmanifold of B = diag(2n, 2, -2n-2) is Z^4 plus
+    torsion of order 8 n (n+1) for n = 1..10."""
+    hs = {n: models.h1_nilmanifold(np.diag([2 * n, 2, -2 * n - 2])) for n in range(1, 11)}
+    return all(h.free_rank == 4 and h.torsion_order == 8 * n * (n + 1) for n, h in hs.items())
+
+
+def _flat_dirac_squared(rng, n):
+    """Worst |D^2 F + Laplacian F| over n polynomial maps at 20 points each."""
+    def residual():
+        F = pde.random_polynomial_map(rng)
+        return float(np.abs(pde.d_squared_residual(F, rng.standard_normal((20, 3)))).max())
+    return _worst(n, residual)
+
+
+def _harmonic_solution(rng):
+    """A random harmonic map F and the sup of |D u| for u = D F at 1000 points."""
+    F = pde.random_harmonic_map(rng)
+    u = pde.harmonic_to_fueter(F)
+    return F, float(np.abs(pde.fueter_operator_flat(u, rng.standard_normal((1000, 3)))).max())
+
+
+def _first_variation(u0, u1, Z):
+    """The larger in size of the action's first variation along Z at the
+    endpoint u1 and of its boundary integral."""
+    num, bnd = pde.cs_first_variation(u0, u1, Z, n=8)
+    return _sup(abs(num), abs(bnd))
+
+
+def _defect_variation(rng):
+    """(first variation, boundary integral) along the adversarial field at
+    an endpoint that is not a solution."""
+    bad = pde.affine_map(np.array([[1.0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]))
+    u0 = bad + pde.random_fourier_field(rng, kmax=1)
+    return pde.cs_first_variation(u0, bad, pde.adversarial_variation(bad), n=8)
+
+
+def _polar_dimensions(n, seeds):
+    """Polar-space dimension counts of n associative 1-planes, associative
+    2-planes and Fueter 2-planes, one seed each, and whether they are 7, 3, 3."""
+    systems = (("associative", 1), ("associative", 2), ("fueter", 2))
+    counts = [fueter.polar_dim_constancy(system, s, n, seed)
+              for (system, s), seed in zip(systems, seeds)]
+    return counts, counts == [{7: n}, {3: n}, {3: n}]
+
+
+def _large_radius_slope():
+    """Log-log slope of the normalized deformation gap of a fixed affine
+    section over radii 1..1000."""
+    u = pde.affine_map(np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 0]]))
+    return fm_gauge.sweep_slope(fm_gauge.fm_transform(u), [0.0, 0, 0], np.logspace(0, 3, 16))
+
+
 # -- verify suites -------------------------------------------------------------
 
 
 def _suite_algebra(rng, tol):
-    checks = []
+    n = tol["samples"]
     phi = g2core.phi0()
-    sphi = ex.hodge(phi)
-    checks.append(_record(
-        "star-phi0-fixture",
-        "the pinned dual 4-form equals the Hodge star of the model 3-form",
-        0.0 if sphi.equals(g2core.star_phi0(), 0.0) else 1.0,
-        sphi.equals(g2core.star_phi0(), 0.0),
-    ))
-    checks.append(_record(
-        "phi0-norm", "|phi0|^2 = 7 exactly", abs(ex.inner(phi, phi) - 7.0),
-        ex.inner(phi, phi) == 7.0,
-    ))
-    g = g2core.metric_from_phi(phi)
-    r = float(np.abs(g - np.eye(7)).max())
-    checks.append(_record(
-        "metric-recovery", "metric of the model 3-form is the identity",
-        r, r < tol["construction"],
-    ))
+    r = float(np.abs(g2core.metric_from_phi(phi) - np.eye(7)).max())
+    checks = [
+        _flag("star-phi0-fixture",
+              "the pinned dual 4-form equals the Hodge star of the model 3-form",
+              ex.hodge(phi).equals(g2core.star_phi0(), 0.0)),
+        _record("phi0-norm", "|phi0|^2 = 7 exactly", abs(ex.inner(phi, phi) - 7.0),
+                ex.inner(phi, phi) == 7.0),
+        _record("metric-recovery", "metric of the model 3-form is the identity",
+                r, r < tol["construction"]),
+    ]
 
-    worst = 0.0
     monos = list(itertools.combinations(range(1, 8), 2))
-    for _ in range(tol["samples"]):
-        ia = monos[rng.integers(len(monos))]
-        ib = monos[rng.integers(len(monos))]
-        a, b = ex.basis_form(7, ia), ex.basis_form(7, ib)
-        diff = ex.wedge(a, b) - ((-1.0) ** (a.degree * b.degree)) * ex.wedge(b, a)
-        worst = _sup(worst, diff.norm())
+
+    def anticommutator():
+        a = ex.basis_form(7, monos[rng.integers(len(monos))])
+        b = ex.basis_form(7, monos[rng.integers(len(monos))])
+        return (ex.wedge(a, b) - ((-1.0) ** (a.degree * b.degree)) * ex.wedge(b, a)).norm()
+    worst = _worst(n, anticommutator)
     checks.append(_record(
         "wedge-anticommutativity", "graded anticommutativity of the wedge",
         worst, worst == 0.0,
     ))
 
-    worst = 0.0
-    for deg in range(8):
-        a = _random_form(rng, deg)
-        ss = ex.hodge(ex.hodge(a))
-        worst = _sup(worst, (ss - a).norm())
+    worst = _sup(*((ex.hodge(ex.hodge(a)) - a).norm()
+                   for a in (_random_form(rng, deg) for deg in range(8))))
     checks.append(_record("star-involution", "star twice is the identity in dim 7",
                           worst, worst < 1e-14))
 
-    worst = 0.0
-    vol = g2core.vol0()
-    for _ in range(50):
+    def inner_gap():
         deg = int(rng.integers(1, 7))
         a, b = _random_form(rng, deg), _random_form(rng, deg)
-        lhs = ex.inner(a, b)
-        rhs = ex.wedge(a, ex.hodge(b)).coeffs.get(tuple(range(1, 8)), 0.0)
-        worst = _sup(worst, abs(lhs - rhs))
+        return abs(ex.inner(a, b) - ex.wedge(a, ex.hodge(b)).coeffs.get(tuple(range(1, 8)), 0.0))
+    worst = _worst(50, inner_gap)
     checks.append(_record("inner-vs-wedge-star", "<a,b> vol = a ^ *b",
                           worst, worst < 1e-12))
 
-    worst = 0.0
-    for _ in range(50):
+    def leibniz_gap():
         p = int(rng.integers(1, 4))
         q = int(rng.integers(1, 4))
         a, b = _random_form(rng, p), _random_form(rng, q)
         v = rng.standard_normal(7)
         lhs = ex.interior(v, ex.wedge(a, b))
         rhs = ex.wedge(ex.interior(v, a), b) + ((-1.0) ** p) * ex.wedge(a, ex.interior(v, b))
-        worst = _sup(worst, (lhs - rhs).norm())
+        return (lhs - rhs).norm()
+    worst = _worst(50, leibniz_gap)
     checks.append(_record("interior-antiderivation",
                           "contraction is an antiderivation of degree -1",
                           worst, worst < 1e-12))
 
     G = g2core.standard_g2()
-    worst = 0.0
-    for _ in range(tol["samples"]):
+
+    def associator_gap():
         u, v, w = rng.standard_normal((3, 7))
         lhs = G.phi.apply([u, v, w]) ** 2 + np.sum(g2core.chi(u, v, w, G) ** 2)
         gram = np.array([[u @ u, u @ v, u @ w], [v @ u, v @ v, v @ w], [w @ u, w @ v, w @ w]])
-        worst = _sup(worst, abs(lhs - np.linalg.det(gram)))
+        return abs(lhs - np.linalg.det(gram))
+    worst = _worst(n, associator_gap)
     checks.append(_record("associator-equality",
                           "|phi(v)|^2 + |chi(v)|^2 = |v1^v2^v3|^2",
                           worst, worst < tol["identity"]))
 
-    worst = 0.0
-    for _ in range(tol["samples"]):
+    def coassociator_gap():
         vs = rng.standard_normal((4, 7))
         t = g2core.tau(*vs, G)
-        lhs = G.star_phi.apply(list(vs)) ** 2 + t @ t
-        worst = _sup(worst, abs(lhs - np.linalg.det(vs @ vs.T)))
+        return abs(G.star_phi.apply(list(vs)) ** 2 + t @ t - np.linalg.det(vs @ vs.T))
+    worst = _worst(n, coassociator_gap)
     checks.append(_record("coassociator-equality",
                           "|*phi(v)|^2 + |tau(v)|^2 = |v1^..^v4|^2",
                           worst, worst < tol["identity"]))
 
-    worst = 0.0
-    for _ in range(100):
+    def double_cross_gap():
         u = rng.standard_normal(7)
         u = u / np.linalg.norm(u)
         v = rng.standard_normal(7)
         lhs = g2core.cross(u, g2core.cross(u, v, G), G)
-        rhs = -v + (u @ v) * u
-        worst = _sup(worst, float(np.abs(lhs - rhs).max()))
+        return float(np.abs(lhs - (-v + (u @ v) * u)).max())
+    worst = _worst(100, double_cross_gap)
     checks.append(_record("double-cross", "u x (u x v) = -|u|^2 v + <u,v> u",
                           worst, worst < tol["identity"]))
 
-    worst = 0.0
-    for _ in range(100):
+    def chi_of_completion():
         u, v = rng.standard_normal((2, 7))
-        w = g2core.cross(u, v, G)
-        worst = _sup(worst, float(np.linalg.norm(g2core.chi(u, v, w, G))))
+        return float(np.linalg.norm(g2core.chi(u, v, g2core.cross(u, v, G), G)))
+    worst = _worst(100, chi_of_completion)
     checks.append(_record("cross-completion-associative",
                           "chi vanishes on u, v, u x v",
                           worst, worst < tol["identity"]))
 
-    worst = 0.0
-    for k in (2, 4, 6):
-        for _ in range(50):
-            alpha = ex.Form(7, 1, {(i,): rng.standard_normal() for i in range(1, 8)})
-            worst = _sup(worst, abs(g2core.lambda_k(alpha, k, G).norm() - alpha.norm()))
+    def isometry_gap(k):
+        alpha = ex.Form(7, 1, {(i,): rng.standard_normal() for i in range(1, 8)})
+        return abs(g2core.lambda_k(alpha, k, G).norm() - alpha.norm())
+    worst = _sup(*(_worst(50, lambda: isometry_gap(k)) for k in (2, 4, 6)))
     checks.append(_record("lambda-isometry", "lambda^k preserves norms (k = 2, 4, 6)",
                           worst, worst < 1e-12))
 
-    worst = 0.0
-    for _ in range(50):
+    def projection_gap():
         beta = _random_form(rng, 2)
         oracle = (1.0 / 3.0) * (beta + ex.hodge(ex.wedge(G.phi, beta)))
-        worst = _sup(worst, (g2core.project_2_7(beta, G) - oracle).norm())
+        return (g2core.project_2_7(beta, G) - oracle).norm()
+    worst = _worst(50, projection_gap)
     checks.append(_record("projection-eigen-oracle",
                           "pi^2_7 = (id + *(phi ^ .)) / 3",
                           worst, worst < 1e-12))
@@ -204,34 +291,21 @@ def _random_form(rng, degree):
 
 
 def _suite_splitting(rng, tol):
-    checks = []
     S = splitting.standard_splitting()
-    worst = 0.0
-    for _ in range(tol["samples"]):
-        g = splitting.GraphPlane(rng.standard_normal((3, 4)), S)
-        worst = _sup(worst, float(np.abs(splitting.ve_series(g, 4) - splitting.ve_recursive(g, 4)).max()))
-    checks.append(_record("ve-two-routes",
-                          "eigenvalue series and minor recursion agree",
-                          worst, worst < tol["identity"]))
+    worst = _ve_routes(rng, tol["samples"], S)
+    checks = [_record("ve-two-routes", "eigenvalue series and minor recursion agree",
+                      worst, worst < tol["identity"])]
 
-    T1 = np.zeros((3, 4))
-    T1[0, 0] = 1.0
-    pinned = np.array([1.0, 0.5, -0.125, 0.0625])
-    got = splitting.ve_series(splitting.GraphPlane(T1, S), 3)
-    worst = float(np.abs(got - pinned).max())
+    worst = _ve_sqrt_taylor(S)
     checks.append(_record("ve-sqrt-taylor",
                           "single unit row gives the sqrt(1+eps) coefficients",
-                          worst, worst < 1e-14))
+                          worst, worst == 0.0))
 
     phi = S.g2.phi
     parts = splitting.decompose_form(phi, S)
-    resum = parts[0]
-    for p in parts[1:]:
-        resum = resum + p
-    worst = (resum - phi).norm()
     lam, omega, theta, mu = S.form_parts()
-    worst = _sup(worst, parts[1].norm(), parts[3].norm(),
-                (parts[0] - lam).norm(), (parts[2] - omega).norm())
+    worst = _sup((sum(parts[1:], parts[0]) - phi).norm(), parts[1].norm(), parts[3].norm(),
+                 (parts[0] - lam).norm(), (parts[2] - omega).norm())
     checks.append(_record("decomposition", "phi = lam + omega by vertical degree",
                           worst, worst == 0.0))
 
@@ -243,37 +317,33 @@ def _suite_splitting(rng, tol):
                           "the eps-family is the anisotropic-scaling pullback",
                           worst, worst < 1e-14))
 
-    worst = 0.0
     chi_f = S.frame_g2.chi_form
-    for _ in range(100):
+
+    def eps_associator_gap():
         e2 = float(rng.uniform(0.05, 1.0))
         chi_eps = splitting.adiabatic_family(chi_f, S, e2)
         phi_eps = splitting.adiabatic_family(phi, S, e2)
-        g_eps = np.diag([1.0] * 3 + [e2] * 4)
         vs = rng.standard_normal((3, 7))
         lhs = phi_eps.apply(list(vs)) ** 2 + float(np.sum(chi_eps.apply(list(vs)) ** 2))
-        gram = vs @ g_eps @ vs.T
-        worst = _sup(worst, abs(lhs - np.linalg.det(gram)))
+        return abs(lhs - np.linalg.det(vs @ np.diag([1.0] * 3 + [e2] * 4) @ vs.T))
+    worst = _worst(100, eps_associator_gap)
     checks.append(_record("eps-associator",
                           "the equality property persists along the eps-family",
                           worst, worst < tol["identity"]))
 
-    worst = 0.0
-    for _ in range(200):
+    def volume_excess():
         span = rng.standard_normal((3, 7))
         try:
             volH = float(np.sqrt(np.linalg.det(splitting.horizontal_metric(splitting.Plane(span), S))))
         except (splitting.NotProjectableError, ValueError):
-            continue
-        vol = float(np.sqrt(np.linalg.det(span @ span.T)))
-        worst = _sup(worst, volH - vol)
+            return 0.0  # no horizontal volume to compare
+        return volH - float(np.sqrt(np.linalg.det(span @ span.T)))
+    worst = _worst(200, volume_excess)
     checks.append(_record("volH-below-vol", "horizontal volume never exceeds volume",
                           worst, worst < tol["slack"]))
 
-    worst = 0.0
-    for _ in range(tol["samples"] // 2):
-        g = splitting.GraphPlane(rng.standard_normal((3, 4)), S)
-        worst = _sup(worst, splitting.equality_ladder(g).max_residual)
+    worst = _worst(tol["samples"] // 2, lambda: splitting.equality_ladder(
+        splitting.GraphPlane(rng.standard_normal((3, 4)), S)).max_residual)
     checks.append(_record("equality-ladder",
                           "graded equalities tie alpha, chi and the ve hierarchy",
                           worst, worst < tol["identity"]))
@@ -295,16 +365,15 @@ def _suite_splitting(rng, tol):
 
 
 def _suite_fueter(rng, tol):
-    checks = []
+    n = tol["samples"]
     S = splitting.standard_splitting()
     J = fueter.jtriple_from_splitting(S)
     Jstd = fueter.standard_jtriple()
     worst = _sup(*(float(np.abs(a - b).max()) for a, b in zip(J.as_tuple(), Jstd.as_tuple())))
-    checks.append(_record("j-matrices", "splitting-derived J triple matches the pinned one",
-                          worst, worst == 0.0))
+    checks = [_record("j-matrices", "splitting-derived J triple matches the pinned one",
+                      worst, worst == 0.0)]
 
-    worst = 0.0
-    for _ in range(tol["samples"]):
+    def route_gap():
         g = splitting.GraphPlane(rng.standard_normal((3, 4)), S)
         f1 = fueter.fueter_vector(g)
         f2 = fueter.fueter_via_J(g, J)
@@ -313,22 +382,23 @@ def _suite_fueter(rng, tol):
         chi1c = fueter.chi1_via_projection(g)
         v1 = np.array([chi1b.coeffs.get((i,), 0.0) for i in range(4, 8)])
         v2 = np.array([chi1c.coeffs.get((i,), 0.0) for i in range(4, 8)])
-        worst = _sup(worst, float(np.abs(f1 - f2).max()), float(np.abs(f1 - chi1).max()),
+        return _sup(float(np.abs(f1 - f2).max()), float(np.abs(f1 - chi1).max()),
                     float(np.abs(f1 - v1).max()), float(np.abs(f1 - v2).max()))
+    worst = _worst(n, route_gap)
     checks.append(_record("route-equivalence",
                           "cross, J, Theta-contraction and beta routes agree",
                           worst, worst < tol["identity"]))
 
-    worst = 0.0
     conds = []
-    for _ in range(tol["samples"] // 5):
+
+    def completion_residual():
         v1 = np.concatenate([[1.0, 0, 0], rng.standard_normal(4)])
         v2 = np.concatenate([[0.0, 1, 0], rng.standard_normal(4)])
         v3, cond = fueter.fueter_complete(v1, v2, S, return_system=True)
         conds.append(cond)
-        coords = np.vstack([v1, v2, v3])
-        g, _ = splitting.graph_from_plane(splitting.Plane(coords), S)
-        worst = _sup(worst, float(np.linalg.norm(fueter.fueter_vector(g))))
+        g, _ = splitting.graph_from_plane(splitting.Plane(np.vstack([v1, v2, v3])), S)
+        return float(np.linalg.norm(fueter.fueter_vector(g)))
+    worst = _worst(n // 5, completion_residual)
     checks.append(_record("completion", "completed planes satisfy the vertical equation",
                           worst, worst < 1e-10))
     cond = _sup(*conds)
@@ -336,47 +406,35 @@ def _suite_fueter(rng, tol):
                           "the completion linear system is perfectly conditioned",
                           cond, cond < 1.0 + 1e-9))
 
-    ok = True
-    floor_ok = True
-    for _ in range(tol["samples"] // 5):
-        v1 = np.concatenate([[1.0, 0, 0], rng.standard_normal(4)])
-        v2 = np.concatenate([[0.0, 1, 0], rng.standard_normal(4)])
-        v3 = fueter.fueter_complete(v1, v2, S)
-        g, _ = splitting.graph_from_plane(splitting.Plane(np.vstack([v1, v2, v3])), S)
-        ok = ok and fueter.condition_residuals(g).all_below(1e-9)
-        h = splitting.GraphPlane(rng.standard_normal((3, 4)), S)
-        floor_ok = floor_ok and fueter.condition_residuals(h).none_below(1e-6)
-    checks.append(_record("six-way-vanishing",
-                          "all six residuals vanish together on completed planes",
-                          0.0 if ok else 1.0, ok))
-    checks.append(_record("six-way-separation",
-                          "no residual is small on generic planes",
-                          0.0 if floor_ok else 1.0, floor_ok))
+    flags = [(f.all_below(1e-9), h.none_below(1e-6)) for f, h in _six_way(rng, n // 5, S)]
+    checks.append(_flag("six-way-vanishing",
+                        "all six residuals vanish together on completed planes",
+                        all(vanish for vanish, _ in flags)))
+    checks.append(_flag("six-way-separation", "no residual is small on generic planes",
+                        all(apart for _, apart in flags)))
 
-    worst = 0.0
-    for _ in range(tol["samples"]):
-        T = rng.standard_normal((3, 4))
-        g = splitting.GraphPlane(T, S)
-        lam, omega, theta, mu = S.form_parts()
+    lam, omega, theta, mu = S.form_parts()
+
+    def secondary_gap():
+        g = splitting.GraphPlane(rng.standard_normal((3, 4)), S)
         gap = splitting.ve_series(g, 1)[1] - omega.apply(list(g.frame()))
         chi1 = fueter.chi_component_values(g)[1]
-        worst = _sup(worst, abs(gap - 0.5 * float(chi1 @ chi1)))
+        return abs(gap - 0.5 * float(chi1 @ chi1))
+    worst = _worst(n, secondary_gap)
     checks.append(_record("secondary-equality",
                           "omega(v) + |chi_1(v)|^2 / 2 = ve_1",
                           worst, worst < tol["identity"]))
 
-    ok = True
-    for _ in range(100):
+    def chi3_splits():
         T = rng.standard_normal((3, 4))
         T[rng.integers(3)] = 0.0  # rank <= 2: plane meets H
-        g = splitting.GraphPlane(T, S)
-        chi3 = fueter.chi_component_values(g)[3]
-        ok = ok and float(np.linalg.norm(chi3)) < 1e-12
+        low = fueter.chi_component_values(splitting.GraphPlane(T, S))[3]
         full = splitting.GraphPlane(rng.standard_normal((3, 4)), S)
-        if np.linalg.matrix_rank(full.T) == 3:
-            ok = ok and float(np.linalg.norm(fueter.chi_component_values(full)[3])) > 1e-6
-    checks.append(_record("chi3-rank", "chi_3 vanishes exactly on rank <= 2 planes",
-                          0.0 if ok else 1.0, ok))
+        return float(np.linalg.norm(low)) < 1e-12 and (
+            np.linalg.matrix_rank(full.T) < 3
+            or float(np.linalg.norm(fueter.chi_component_values(full)[3])) > 1e-6)
+    checks.append(_flag("chi3-rank", "chi_3 vanishes exactly on rank <= 2 planes",
+                        all([chi3_splits() for _ in range(100)])))
 
     g0 = splitting.GraphPlane(np.zeros((3, 4)), S)
     rank = fueter.linearization_rank(g0)
@@ -394,120 +452,86 @@ def _suite_fueter(rng, tol):
     checks.append(_record("p-linearity", "the beta -> chi_1 map is linear",
                           float(lin), lin < 1e-12))
 
-    counts1 = fueter.polar_dim_constancy("associative", 1, 30, int(rng.integers(1 << 30)))
-    counts2 = fueter.polar_dim_constancy("associative", 2, 30, int(rng.integers(1 << 30)))
-    counts3 = fueter.polar_dim_constancy("fueter", 2, 30, int(rng.integers(1 << 30)))
-    ok = set(counts1) == {7} and set(counts2) == {3} and set(counts3) == {3}
-    checks.append(_record("polar-dimensions",
-                          "polar spaces have dimensions 7, 3, 3",
-                          0.0 if ok else 1.0, ok))
+    _, ok = _polar_dimensions(30, [int(rng.integers(1 << 30)) for _ in range(3)])
+    checks.append(_flag("polar-dimensions", "polar spaces have dimensions 7, 3, 3", ok))
     return checks
 
 
 def _suite_models(rng, tol):
-    checks = []
     catalog = [
         models.model_product_flat(),
         models.model_su2_semidirect(),
         models.model_heisenberg(np.diag([2, 2, -4])),
     ]
-    worst = 0.0
-    for m in catalog:
-        for k in range(1, 8):
-            worst = _sup(worst, models.ce_differential(
-                models.ce_differential(ex.basis_form(7, (k,)), m), m).norm())
-        worst = _sup(worst, models.jacobi_check(m.c))
-    checks.append(_record("d-squared", "d^2 = 0 and Jacobi hold exactly on the catalog",
-                          worst, worst == 0.0))
+    worst = _sup(*(models.ce_differential(models.ce_differential(ex.basis_form(7, (k,)), m), m).norm()
+                   for m in catalog for k in range(1, 8)),
+                 *(models.jacobi_check(m.c) for m in catalog))
+    checks = [_record("d-squared", "d^2 = 0 and Jacobi hold exactly on the catalog",
+                      worst, worst == 0.0)]
 
     m = models.model_su2_semidirect()
     fl = models.closedness_flags(m).closed()
-    ok = fl["dTheta"] and fl["dLambda"] and fl["dMu"] and not fl["dOmega"]
-    checks.append(_record("su2-flags", "coclosed but not closed: dTheta = 0, dOmega != 0",
-                          0.0 if ok else 1.0, ok))
+    checks.append(_flag("su2-flags", "coclosed but not closed: dTheta = 0, dOmega != 0",
+                        fl["dTheta"] and fl["dLambda"] and fl["dMu"] and not fl["dOmega"]))
 
-    ok = True
     basis = [np.zeros((3, 3)) for _ in range(9)]
     for k in range(9):
         basis[k][k // 3, k % 3] = 2.0
-    mats = basis + [2.0 * rng.integers(-4, 5, size=(3, 3)) for _ in range(10)]
-    for B in mats:
+
+    def heisenberg_holds(B):
         mh = models.model_heisenberg(B)
         lam, omega, theta, mu = mh.forms()
-        r1 = (models.ce_differential(omega, mh) - 2.0 * np.trace(B) * mu).norm()
         v = 2.0 * np.array([B[2, 1] - B[1, 2], B[0, 2] - B[2, 0], B[1, 0] - B[0, 1]])
         expect = ex.zero_form(7, 5)
         for i in range(3):
             expect = expect + v[i] * ex.wedge(ex.basis_form(7, (i + 1,)), mu)
-        r2 = (models.ce_differential(theta, mh) - expect).norm()
-        dlam = models.ce_differential(lam, mh)
-        r3 = 0.0 if (dlam.norm() == 0.0) == np.all(B == 0) else 1.0
-        ok = ok and r1 == 0.0 and r2 == 0.0 and r3 == 0.0
-    checks.append(_record("heisenberg-identities",
-                          "dOmega = 2 tr(B) mu and the dTheta formula hold exactly in B",
-                          0.0 if ok else 1.0, ok))
+        return ((models.ce_differential(omega, mh) - 2.0 * np.trace(B) * mu).norm() == 0.0
+                and (models.ce_differential(theta, mh) - expect).norm() == 0.0
+                and (models.ce_differential(lam, mh).norm() == 0.0) == np.all(B == 0))
+    mats = basis + [2.0 * rng.integers(-4, 5, size=(3, 3)) for _ in range(10)]
+    checks.append(_flag("heisenberg-identities",
+                        "dOmega = 2 tr(B) mu and the dTheta formula hold exactly in B",
+                        all([heisenberg_holds(B) for B in mats])))
 
-    mp = models.model_product_flat()
-    flp = models.closedness_flags(mp)
-    ok = _sup(*flp.as_dict().values()) == 0.0
-    checks.append(_record("product-flat", "every structure form is closed",
-                          0.0 if ok else 1.0, ok))
+    flp = models.closedness_flags(models.model_product_flat())
+    checks.append(_flag("product-flat", "every structure form is closed",
+                        _sup(*flp.as_dict().values()) == 0.0))
+    checks.append(_flag("homology-family",
+                        "torsion order of the diagonal family is 8 n (n+1)",
+                        _homology_family()))
 
-    ok = True
-    for n in range(1, 11):
-        h = models.h1_nilmanifold(np.diag([2 * n, 2, -2 * n - 2]))
-        ok = ok and h.free_rank == 4 and h.torsion_order == 8 * n * (n + 1)
-    checks.append(_record("homology-family",
-                          "torsion order of the diagonal family is 8 n (n+1)",
-                          0.0 if ok else 1.0, ok))
-
-    ok = True
-    for _ in range(20):
+    def smith_holds():
         B = rng.integers(-9, 10, size=(3, 3))
         U, D, V = models.smith_normal_form(B)
-        Ui = np.array(U.tolist(), dtype=np.int64)
-        Vi = np.array(V.tolist(), dtype=np.int64)
-        Di = np.array(D.tolist(), dtype=np.int64)
-        ok = ok and np.array_equal(Ui @ B @ Vi, Di)
-        ok = ok and round(abs(np.linalg.det(Ui.astype(float)))) == 1
-        ok = ok and round(abs(np.linalg.det(Vi.astype(float)))) == 1
+        Ui, Vi, Di = (np.array(X.tolist(), dtype=np.int64) for X in (U, V, D))
         d = np.diag(Di)
-        for i in range(2):
-            if d[i]:
-                ok = ok and d[i + 1] % d[i] == 0
-    checks.append(_record("smith-normal-form",
-                          "unimodular congruence with divisor chain",
-                          0.0 if ok else 1.0, ok))
+        return (np.array_equal(Ui @ B @ Vi, Di)
+                and round(abs(np.linalg.det(Ui.astype(float)))) == 1
+                and round(abs(np.linalg.det(Vi.astype(float)))) == 1
+                and all(d[i + 1] % d[i] == 0 for i in range(2) if d[i]))
+    checks.append(_flag("smith-normal-form", "unimodular congruence with divisor chain",
+                        all([smith_holds() for _ in range(20)])))
 
     mh = models.model_heisenberg(np.diag([2, 2, -4]))
     split = models.derivative_type_split(mh.forms()[0], mh)
+    split2 = models.derivative_type_split(m.forms()[2], m)
     ok = (
         split["FH"].norm() == 0.0 and split["dH"].norm() == 0.0
         and split["dV"].norm() == 0.0 and split["FV"].norm() != 0.0
         and len(models.vertical_nonintegrability_pairs(mh)) > 0
+        and _sup(*(p.norm() for p in split2.values())) == 0.0
     )
-    split2 = models.derivative_type_split(m.forms()[2], m)
-    ok = ok and _sup(*(p.norm() for p in split2.values())) == 0.0
-    checks.append(_record("type-split",
-                          "d splits by bidegree; vertical twisting shows up as F_V",
-                          0.0 if ok else 1.0, ok))
+    checks.append(_flag("type-split",
+                        "d splits by bidegree; vertical twisting shows up as F_V", ok))
     return checks
 
 
 def _suite_pde(rng, tol):
-    checks = []
-    worst = 0.0
-    for _ in range(20):
-        F = pde.random_polynomial_map(rng)
-        x = rng.standard_normal((20, 3))
-        worst = _sup(worst, float(np.abs(pde.d_squared_residual(F, x)).max()))
-    checks.append(_record("flat-dirac-squared", "D^2 = -Laplacian on polynomial maps",
-                          worst, worst < tol["identity"]))
+    worst = _flat_dirac_squared(rng, 20)
+    checks = [_record("flat-dirac-squared", "D^2 = -Laplacian on polynomial maps",
+                      worst, worst < tol["identity"])]
 
-    F = pde.random_harmonic_map(rng)
-    u = pde.harmonic_to_fueter(F)
-    pts = rng.standard_normal((1000, 3))
-    worst = float(np.abs(pde.fueter_operator_flat(u, pts)).max())
+    F, worst = _harmonic_solution(rng)
     checks.append(_record("harmonic-construction",
                           "D of a harmonic map solves the vertical equation",
                           worst, worst < tol["identity"]))
@@ -551,8 +575,8 @@ def _suite_pde(rng, tol):
     sec = pde.affine_fueter_section([1, 0, 2, -1], [0, 1, 1, 3])
     E = pde.immersion_energies(pde.ImmersionGrid(sec, 8))
     A = np.asarray(sec.periodicity, dtype=float)
-    worst = abs(E["VE"] - 0.5 * float(np.sum(A * A)))
-    worst = _sup(worst, E["pointwiseIdentityResidual"], abs(E["VolH"] - 1.0))
+    worst = _sup(abs(E["VE"] - 0.5 * float(np.sum(A * A))), E["pointwiseIdentityResidual"],
+                 abs(E["VolH"] - 1.0))
     checks.append(_record("energies", "affine sections have VE = |A|_F^2 / 2 exactly",
                           worst, worst < 1e-12))
 
@@ -571,57 +595,43 @@ def _suite_pde(rng, tol):
                           r, r < 1e-10))
 
     u0 = sec + pde.random_fourier_field(rng, kmax=1)
-    worst = 0.0
-    for _ in range(5):
-        Z = pde.random_fourier_field(rng, kmax=1)
-        num, bnd = pde.cs_first_variation(u0, sec, Z, n=8)
-        worst = _sup(worst, abs(num), abs(bnd))
+    worst = _worst(5, lambda: _first_variation(u0, sec, pde.random_fourier_field(rng, kmax=1)))
     checks.append(_record("action-critical-point",
                           "the first variation vanishes at solution endpoints",
                           worst, worst < 1e-6))
 
-    bad = pde.affine_map(np.array([[1.0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]))
-    u0b = bad + pde.random_fourier_field(rng, kmax=1)
-    num, bnd = pde.cs_first_variation(u0b, bad, pde.adversarial_variation(bad), n=8)
-    ok = abs(num) >= 1e-3 and abs(num - bnd) < 1e-6
+    num, bnd = _defect_variation(rng)
     checks.append(_record("action-detects-defect",
                           "an adversarial variation moves the action at bad endpoints",
-                          abs(num), ok))
+                          abs(num), abs(num) >= 1e-3 and abs(num - bnd) < 1e-6))
     return checks
 
 
 def _suite_fm(rng, tol):
-    checks = []
-    worst = 0.0
-    for _ in range(100):
-        u = pde.random_polynomial_map(rng)
-        x = rng.standard_normal(3)
-        worst = _sup(worst, fm_gauge.beta_relation_residual(u, x))
-    checks.append(_record("curvature-beta", "beta of the section equals 2 pi Psi* K",
-                          worst, worst < 1e-12))
+    worst = _worst(100, lambda: fm_gauge.beta_relation_residual(
+        pde.random_polynomial_map(rng), rng.standard_normal(3)))
+    checks = [_record("curvature-beta", "beta of the section equals 2 pi Psi* K",
+                      worst, worst < 1e-12)]
 
-    worst = 0.0
-    for _ in range(200):
+    def ratio_gap():
         u = pde.random_polynomial_map(rng)
         x = rng.standard_normal(3)
         if fm_gauge.fueter_residual_norm(u, x) < 1e-8:
-            continue
-        worst = _sup(worst, abs(fm_gauge.mirror_ratio(u, x) - fm_gauge.MIRROR_RATIO))
+            return 0.0  # no ratio where the section solves the equation
+        return abs(fm_gauge.mirror_ratio(u, x) - fm_gauge.MIRROR_RATIO)
+    worst = _worst(200, ratio_gap)
     checks.append(_record("mirror-ratio",
                           "instanton and section residuals have a fixed ratio",
                           worst, worst < 1e-8))
 
-    worst = 0.0
     mu = ex.basis_form(7, (4, 5, 6, 7))
-    for i in range(1, 4):
-        for a in range(4, 8):
-            worst = _sup(worst, ex.wedge(ex.basis_form(7, (i, a)), mu).norm())
+    worst = _sup(*(ex.wedge(ex.basis_form(7, (i, a)), mu).norm()
+                   for i in range(1, 4) for a in range(4, 8)))
     checks.append(_record("mixed-forms-kill-mu",
                           "K ^ mu = 0 for every H* x V* monomial",
                           worst, worst == 0.0))
 
-    u = pde.affine_map(np.array([[1.0, 0, 0], [0, 1, 0], [0, 0, 1], [1, 2, 0]]))
-    slope = fm_gauge.sweep_slope(fm_gauge.fm_transform(u), [0.0, 0, 0], np.logspace(0, 3, 16))
+    slope = _large_radius_slope()
     checks.append(_record("large-radius-slope",
                           "the normalized deformation gap decays at fourth order",
                           slope, abs(slope + 4.0) < 0.1))
@@ -632,10 +642,9 @@ def _suite_fm(rng, tol):
                           "solutions transform to instanton connections",
                           r, r == 0.0))
 
-    flat = pde.affine_map(np.zeros((4, 3)))
-    r = fm_gauge.instanton_residual(fm_gauge.fm_transform(flat), [0.0, 0, 0])
-    r2 = fm_gauge.ddt_residual(fm_gauge.fm_transform(flat), [0.0, 0, 0], 3.0)
-    r = _sup(r, r2)
+    flat = fm_gauge.fm_transform(pde.affine_map(np.zeros((4, 3))))
+    r = _sup(fm_gauge.instanton_residual(flat, [0.0, 0, 0]),
+             fm_gauge.ddt_residual(flat, [0.0, 0, 0], 3.0))
     checks.append(_record("flat-connection", "flat connections solve every equation",
                           r, r == 0.0))
     return checks
@@ -880,7 +889,7 @@ def _add(sp, *options):
 
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="g2f", description=__doc__,
+    p = argparse.ArgumentParser(prog="g2f", description=USAGE,
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -135,7 +135,7 @@ def ddt_residual(c: LineConnection, x, r: float) -> float:
     sqrt(-1) (r^4 K ^ *phi - (1/6) K^3) = 0; the returned value is the
     norm of the real 7-form in parentheses.
     """
-    if r <= 0.0:
+    if not r > 0.0:
         raise ValueError("radius must be positive")
     K = curvature(c, x)
     K3 = wedge(wedge(K, K), K)

@@ -211,7 +211,7 @@ def associative_complete(v1, v2, G: g2core.G2Structure):
     """v1 x v2, spanning with v1, v2 the unique associative 3-plane."""
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
-    if np.linalg.svd(np.vstack([v1, v2]), compute_uv=False)[-1] <= 1e-10:
+    if not np.linalg.svd(np.vstack([v1, v2]), compute_uv=False)[-1] > 1e-10:
         raise ValueError("v1, v2 must be linearly independent")
     return g2core.cross(v1, v2, G)
 

@@ -123,10 +123,10 @@ def metric_from_phi(phi: Form):
             w = wedge(wedge(contractions[i], contractions[j]), phi)
             B[i, j] = B[j, i] = w.coeffs.get(top, 0.0) / 6.0
     det = np.linalg.det(B)
-    if det <= 0.0:
+    if not det > 0.0:
         raise NotG2FormError(f"det(B) = {det} is not positive")
     g = B / det ** (1.0 / 9.0)
-    if np.any(np.linalg.eigvalsh(g) <= 0.0):
+    if not np.all(np.linalg.eigvalsh(g) > 0.0):
         raise NotG2FormError("normalized metric is not positive definite")
     return g
 
@@ -146,7 +146,7 @@ def hodge_metric(a: Form, metric) -> Form:
     """
     metric = np.asarray(metric, dtype=float)
     w, U = np.linalg.eigh(metric)
-    if np.any(w <= 0.0):
+    if not np.all(w > 0.0):
         raise ValueError("metric must be positive definite")
     S = U @ np.diag(w ** -0.5) @ U.T    # columns: g-orthonormal frame, det > 0
     S_inv = U @ np.diag(w ** 0.5) @ U.T

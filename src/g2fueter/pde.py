@@ -532,7 +532,7 @@ class CotPotentialMap(Su2AmbientMap):
 
     def _t(self, h):
         t = np.einsum("...k,k->...", h, self.p)
-        if np.any(np.abs(t) > np.cos(1e-3)):
+        if not np.all(np.abs(t) <= np.cos(1e-3)):
             raise ValueError("point inside the excluded balls around p, -p")
         return t
 
@@ -805,15 +805,6 @@ def _theta_dense():
     return dense
 
 
-def _require_closed_theta(model):
-    if model is not None:
-        from .models import ce_differential
-
-        theta = model.forms()[2]
-        if ce_differential(theta, model).norm() != 0.0:
-            raise ValueError("the action functional needs d Theta = 0 on the model")
-
-
 def _require_same_class(u0, u1):
     """The straight-line path (1-t) u0 + t u1 consists of torus sections
     only when both endpoints carry the same integer holonomy matrix;
@@ -824,16 +815,15 @@ def _require_same_class(u0, u1):
         raise ValueError("endpoints must be torus sections in the same homotopy class")
 
 
-def cs_functional(u0: AnalyticMap, u1: AnalyticMap, n: int = 12, model=None):
+def cs_functional(u0: AnalyticMap, u1: AnalyticMap, n: int = 12):
     """Integral of the pulled-back 4-form Theta over [0,1] x T^3 for the
     straight-line path of sections from u0 to u1.
 
     The integrand is a cubic in t, so the 4-node Gauss-Legendre rule in t
-    is exact; x-quadrature is periodic-trapezoidal.  Requires a model
-    with d Theta = 0 (the flat product by default) and endpoints in the
-    same homotopy class of sections.
+    is exact; x-quadrature is periodic-trapezoidal.  Theta is that of the
+    flat product, where d Theta = 0; the endpoints must lie in the same
+    homotopy class of sections.
     """
-    _require_closed_theta(model)
     _require_same_class(u0, u1)
     dense = _theta_dense()
     x = _torus_points(n)
@@ -854,13 +844,7 @@ def cs_functional(u0: AnalyticMap, u1: AnalyticMap, n: int = 12, model=None):
     return float(total)
 
 
-def cs_first_variation(
-    u0: AnalyticMap,
-    u1: AnalyticMap,
-    Z: AnalyticMap,
-    n: int = 12,
-    model=None,
-):
+def cs_first_variation(u0: AnalyticMap, u1: AnalyticMap, Z: AnalyticMap, n: int = 12):
     """First variation of the action along an endpoint deformation Z.
 
     Deforms the path by t * s * Z (fixing t = 0), differentiates the
@@ -871,13 +855,12 @@ def cs_first_variation(
     Z must be a fully periodic vertical field, so the deformed endpoints
     stay in the homotopy class of u1.
     """
-    _require_closed_theta(model)
     _require_same_class(u0, u1)
     if Z.periodicity is None or np.any(np.asarray(Z.periodicity)):
         raise ValueError("the variation field must be fully periodic")
 
     def cs(s):
-        return cs_functional(u0, u1 + s * Z, n=n, model=model)
+        return cs_functional(u0, u1 + s * Z, n=n)
 
     ds = 1e-4
     numeric = (cs(ds) - cs(-ds)) / (2.0 * ds)

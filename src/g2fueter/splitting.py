@@ -106,7 +106,7 @@ class Splitting:
         """The H-frame coordinates of the rows of span; raises
         NotProjectableError when they are (numerically) dependent."""
         A = self.frame_coords(span)[:, :3]
-        if np.linalg.svd(A, compute_uv=False)[-1] <= 1e-10:
+        if not np.linalg.svd(A, compute_uv=False)[-1] > 1e-10:
             raise NotProjectableError("not horizontally projectable")
         return A
 
@@ -210,7 +210,7 @@ class Plane:
         if span.shape[0] > span.shape[1]:
             raise ValueError("more spanning vectors than ambient dimensions")
         sv = np.linalg.svd(span, compute_uv=False)
-        if sv.size and sv[-1] <= 1e-10:
+        if not np.all(sv > 1e-10):
             raise ValueError("spanning vectors are (numerically) dependent")
 
     @property
@@ -368,7 +368,7 @@ def adiabatic_family(a, S: Splitting, eps: float):
     Equals the pullback by diag(1,1,1,sqrt(eps)..) in the splitting frame;
     eps = 1 is the identity.  Applies to plain and vector-valued forms.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise ValueError("eps must be positive")
     parts = decompose_form(a, S)
     root = np.sqrt(eps)
@@ -560,7 +560,7 @@ def anisotropic_scan(
     F = (fueter_map_matrix(S) @ Ts.reshape(len(Ts), 12).T).T
     identity_residual = np.abs(omega_vals + 0.5 * np.sum(F * F, axis=1) - ve1)
     worst = float(identity_residual.max())
-    if worst > IDENTITY_RESIDUAL_TOL:
+    if not worst <= IDENTITY_RESIDUAL_TOL:
         raise AssertionError(f"secondary-calibration identity violated: residual {worst}")
 
     imax = int(np.argmax(ratios))

@@ -3,13 +3,14 @@ import json
 import shlex
 import subprocess
 import sys
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2fueter import cli, splitting
+from g2fueter import cli
 
 
 def strict_json(raw):
@@ -184,15 +185,39 @@ class TestExitCodes:
         assert b"wall time" in proc.stderr
         json.loads(proc.stdout)
 
-    def test_nan_residual_fails(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(splitting, "ve_recursive", lambda g, k: np.full(k + 1, np.nan))
+    # per suite: a library function that a folded residual calls, and the
+    # check that folds it; the probe replaces it at the use site, the
+    # module as cli names it, so the library's own calls are untouched
+    @pytest.mark.parametrize("suite, module, name, check", [
+        pytest.param("algebra", "g2core", "chi", "associator-equality", id="algebra"),
+        pytest.param("splitting", "splitting", "ve_recursive", "ve-two-routes", id="splitting"),
+        pytest.param("fueter", "fueter", "fueter_via_J", "route-equivalence", id="fueter"),
+        pytest.param("models", "models", "jacobi_check", "d-squared", id="models"),
+        pytest.param("pde", "pde", "d_squared_residual", "flat-dirac-squared", id="pde"),
+        pytest.param("fm", "fm_gauge", "beta_relation_residual", "curvature-beta", id="fm"),
+    ])
+    def test_nan_residual_fails(self, suite, module, name, check, tmp_path, monkeypatch):
+        # the second call returns NaN of the real result's shape
+        real_module = getattr(cli, module)
+        real, calls = getattr(real_module, name), []
+
+        def probe(*args):
+            calls.append(None)
+            out = real(*args)
+            return np.full_like(np.asarray(out, dtype=float), np.nan) if len(calls) == 2 else out
+
+        monkeypatch.setattr(cli, module, SimpleNamespace(**{**vars(real_module), name: probe}))
         out = tmp_path / "nan.json"
-        code = cli.run(["verify", "splitting", "--seed", "7", "--profile", "fast",
-                        "--out", str(out)])
-        assert code == 1
+        code = cli.run(["verify", suite, "--seed", "7", "--profile", "fast", "--out", str(out)])
+        assert code == 1 and len(calls) >= 2
         report = strict_json(out.read_bytes())
-        check = next(c for c in report["checks"] if c["name"] == "ve-two-routes")
-        assert check["pass"] is False and check["residualOrFlag"] == "nan"
+        got = next(c for c in report["checks"] if c["name"] == check)
+        assert got["pass"] is False and got["residualOrFlag"] == "nan"
+
+    @pytest.mark.parametrize("at", [0, 2, 4])
+    def test_worst_keeps_nan(self, at):
+        draws = iter([np.nan if k == at else float(k) for k in range(5)])
+        assert np.isnan(cli._worst(5, lambda: next(draws)))
 
 
 def expect_usage_error(argv, capsys, tmp_path):

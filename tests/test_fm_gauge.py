@@ -116,6 +116,8 @@ class TestDdt:
         c = fm.fm_transform(pde.affine_map(np.zeros((4, 3))))
         with pytest.raises(ValueError):
             fm.ddt_residual(c, np.zeros(3), 0.0)
+        with pytest.raises(ValueError, match="radius"):
+            fm.ddt_residual(c, np.zeros(3), np.nan)
 
     def test_fueter_section_pure_cubic_tail(self):
         sec = pde.affine_fueter_section([1, 0, 2, -1], [0, 1, 1, 3])

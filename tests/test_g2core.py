@@ -33,6 +33,9 @@ class TestMetricFromPhi:
     def test_rejects_indefinite_form(self):
         with pytest.raises(g2.NotG2FormError):
             g2.metric_from_phi(-1.0 * g2.phi0())
+        nan_phi = ex.Form(7, 3, {**g2.phi0().coeffs, (1, 2, 3): np.nan})
+        with np.errstate(invalid="ignore"), pytest.raises(g2.NotG2FormError):
+            g2.metric_from_phi(nan_phi)
 
     def test_volume_matches_metric(self):
         s = g2.g2_from_phi(g2.phi0())

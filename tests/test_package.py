@@ -39,9 +39,7 @@ PINNED_KNOBS = [
     "pde.minimization_experiment(grid_n)",
     "pde.minimization_experiment(extra_perturbations)",
     "pde.cs_functional(n)",
-    "pde.cs_functional(model)",
     "pde.cs_first_variation(n)",
-    "pde.cs_first_variation(model)",
     # the two scans fill different parts of one report type
     "splitting.ScanReport.skipped",
     "splitting.ScanReport.equality_cases",
@@ -105,3 +103,64 @@ def test_library_knobs_are_pinned():
         if path.stem != "cli":
             knobs += _defaulted_parameters(ast.parse(path.read_text()).body, f"{path.stem}.")
     assert knobs == PINNED_KNOBS
+
+
+# An ordered comparison is false when a float in it is NaN, so a guard
+# `if x <= 0.0: raise` lets a NaN through.  A raise-guard must be true on
+# NaN: negate the comparison (`not x > 0.0`) or test `np.isfinite`.
+# These guards compare only integers, where no NaN can occur.
+INTEGER_GUARDS = {
+    "exterior: any((idx[i] >= idx[i + 1] for i in range(len(idx) - 1)))": "form index order",
+    "exterior: self.degree < 0": "form degree",
+    "fm_gauge: len(gaps) < 2": "count of usable radii",
+    "fueter: s >= 3": "plane dimension",
+    "splitting: kmax < 0": "series order",
+    "splitting: n < 1": "sample count",
+    "splitting: span.shape[0] > span.shape[1]": "array shape",
+}
+
+ORDERED = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def _reduction(node, names):
+    """The argument of any(...)/all(...) or np.any/np.all, else None."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) in names:
+        arg = node.args[0]
+        return arg.elt if isinstance(arg, ast.GeneratorExp) else arg
+    return None
+
+
+def _true_on_nan(node):
+    """Whether the expression is true whenever a float it compares is NaN."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        return _false_on_nan(node.operand)
+    inner = _reduction(node, {"any"})
+    return inner is not None and _true_on_nan(inner)
+
+
+def _false_on_nan(node):
+    """Whether the expression is false whenever a float it compares is NaN."""
+    if isinstance(node, ast.Compare):
+        return all(isinstance(op, ORDERED + (ast.Eq,)) for op in node.ops)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        return _true_on_nan(node.operand)
+    if isinstance(node, ast.BoolOp) and isinstance(node.op, ast.And):
+        return all(_false_on_nan(v) for v in node.values)
+    inner = _reduction(node, {"all"})
+    return inner is not None and _false_on_nan(inner)
+
+
+def test_raise_guards_fail_on_nan():
+    package = Path(g2fueter.__file__).parent
+    unsound = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.If) and any(isinstance(s, ast.Raise) for s in node.body)):
+                continue
+            compares = [c for c in ast.walk(node.test) if isinstance(c, ast.Compare)]
+            if not any(isinstance(op, ORDERED) for c in compares for op in c.ops):
+                continue
+            if "isfinite" not in ast.unparse(node.test) and not _true_on_nan(node.test):
+                unsound.add(f"{path.stem}: {ast.unparse(node.test)}")
+    assert unsound == set(INTEGER_GUARDS)
+

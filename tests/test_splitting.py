@@ -218,8 +218,9 @@ class TestDecomposeAndAdiabatic:
         assert got.equals(lam + eps * omega, 1e-14)
 
     def test_adiabatic_rejects_nonpositive_eps(self):
-        with pytest.raises(ValueError):
-            sp.adiabatic_family(S.g2.phi, S, 0.0)
+        for eps in (0.0, np.nan):
+            with pytest.raises(ValueError, match="eps"):
+                sp.adiabatic_family(S.g2.phi, S, eps)
 
     def test_vertical_component_scales_exactly(self):
         for eps in (0.5, 0.1, 0.02):
@@ -259,6 +260,14 @@ class TestScans:
                     S.g2.phi, np.eye(7), sp.PlaneSampler(17), 10,
                     include_frames=[np.full((3, 7), bad)],
                 )
+
+    def test_overflowing_included_plane_fails_identity_guard(self):
+        # omega and ve_1 overflow to inf, so the identity residual is NaN
+        P = np.zeros((3, 4))
+        P[0, 0], P[2, 2] = 1.0, -1.0
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(AssertionError, match="identity violated"):
+            sp.anisotropic_scan(S, sp.PlaneSampler(1), 1, include_planes=[1e200 * P])
 
     def test_negative_form_also_semi_calibration(self):
         sampler = sp.PlaneSampler(18)
