@@ -118,6 +118,38 @@ def _sequential_sum(coeffs, dets):
     return float(total)
 
 
+_CONTRACT_BLOCK = 16384  # samples per pass, so a block's columns stay in cache
+
+
+def _ordered_contract(dense, *vecs):
+    """Contract a dense tensor with batches of vectors, shape (n, dim) each.
+
+    Sums dense[I] * v0[:, I0] * v1[:, I1] * ... over the nonzero entries
+    I of dense, in lexicographic order, each product taken left to right
+    and added to +0.0: the order c_einsum accumulates in, so for finite
+    vectors every float equals np.einsum's.  A NaN or inf coordinate still
+    gives a non-finite result when it meets a nonzero entry.
+
+    With one vector per slot the result has shape (n,).  With one fewer,
+    the first slot stays free, as in Theta(., v1, v2, v3): the term of
+    entry I goes to column I0 of an (n, dim) result.
+    """
+    free = len(vecs) < dense.ndim
+    entries = [(I, dense[I]) for I in zip(*np.nonzero(dense))]
+    out = np.zeros((len(vecs[0]), dense.shape[0]) if free else len(vecs[0]))
+    for start in range(0, len(out), _CONTRACT_BLOCK):
+        rows = slice(start, start + _CONTRACT_BLOCK)
+        cols = [v[rows].T.copy() for v in vecs]
+        acc = np.zeros((dense.shape[0] if free else 1, cols[0].shape[1]))
+        for I, c in entries:
+            term = c
+            for col, i in zip(cols, I[1:] if free else I):
+                term = term * col[i]
+            acc[I[0] if free else 0] += term
+        out[rows] = acc.T if free else acc[0]
+    return out
+
+
 @dataclass(frozen=True)
 class Form:
     """Alternating k-form on R^n, sparse over sorted index tuples.

@@ -208,9 +208,12 @@ def fueter_complete(v1, v2, S: Splitting, return_system=False):
 
 
 def associative_complete(v1, v2, G: g2core.G2Structure):
-    """v1 x v2, spanning with v1, v2 the unique associative 3-plane."""
+    """v1 x v2, spanning with v1, v2 the unique associative 3-plane.
+    Non-finite or dependent v1, v2 raise ValueError."""
     v1 = np.asarray(v1, dtype=float)
     v2 = np.asarray(v2, dtype=float)
+    if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))):
+        raise ValueError("v1, v2 must be finite")
     if not np.linalg.svd(np.vstack([v1, v2]), compute_uv=False)[-1] > 1e-10:
         raise ValueError("v1, v2 must be linearly independent")
     return g2core.cross(v1, v2, G)

@@ -326,7 +326,7 @@ def project_k7(a: Form, k: int, G: G2Structure) -> Form:
     L, keys = G.lambda_matrices[k]
     vec = np.array([a.coeffs.get(key, 0.0) for key in keys])
     proj = L @ (L.T @ vec)
-    return Form(DIM, k, {key: proj[r] for r, key in enumerate(keys)})
+    return Form._trusted(DIM, k, {key: proj[r] for r, key in enumerate(keys)})
 
 
 def project_2_7(beta: Form, G: G2Structure) -> Form:

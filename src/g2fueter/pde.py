@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .exterior import _ordered_contract
 from .fueter import standard_jtriple
 from .splitting import standard_splitting
 
@@ -822,7 +823,8 @@ def cs_functional(u0: AnalyticMap, u1: AnalyticMap, n: int = 12):
     The integrand is a cubic in t, so the 4-node Gauss-Legendre rule in t
     is exact; x-quadrature is periodic-trapezoidal.  Theta is that of the
     flat product, where d Theta = 0; the endpoints must lie in the same
-    homotopy class of sections.
+    homotopy class of sections.  Theta is contracted by
+    `exterior._ordered_contract` over its 144 nonzero entries.
     """
     _require_same_class(u0, u1)
     dense = _theta_dense()
@@ -837,9 +839,7 @@ def cs_functional(u0: AnalyticMap, u1: AnalyticMap, n: int = 12):
     vt[:, 3:] = w1 - w0
     for t, wt in zip(t_nodes, t_weights):
         frame = _graph_frames((1.0 - t) * j0 + t * j1)
-        vals = np.einsum(
-            "ijkl,ni,nj,nk,nl->n", dense, vt, frame[:, 0], frame[:, 1], frame[:, 2]
-        )
+        vals = _ordered_contract(dense, vt, frame[:, 0], frame[:, 1], frame[:, 2])
         total += wt * vals.mean()
     return float(total)
 
@@ -871,9 +871,7 @@ def cs_first_variation(u0: AnalyticMap, u1: AnalyticMap, Z: AnalyticMap, n: int 
     zvec[:, 3:] = Z.eval(x)
     frame = _graph_frames(u1.jet1(x))
     boundary = float(
-        np.einsum(
-            "ijkl,ni,nj,nk,nl->n", dense, zvec, frame[:, 0], frame[:, 1], frame[:, 2]
-        ).mean()
+        _ordered_contract(dense, zvec, frame[:, 0], frame[:, 1], frame[:, 2]).mean()
     )
     return numeric, boundary
 
@@ -886,9 +884,7 @@ def adversarial_variation(u1: AnalyticMap) -> FourierMap:
     dense = _theta_dense()
     frame = _graph_frames(u1.jet1(x))
     # Theta(., v1, v2, v3): the direction in which the boundary term grows
-    theta_vec = np.einsum(
-        "ijkl,nj,nk,nl->ni", dense, frame[:, 0], frame[:, 1], frame[:, 2]
-    )[:, 3:]
+    theta_vec = _ordered_contract(dense, frame[:, 0], frame[:, 1], frame[:, 2])[:, 3:]
     waves = [(np.zeros(3, dtype=int), theta_vec.mean(axis=0), np.zeros(4))]
     for k_int in _low_modes(1):
         phase = 2.0 * np.pi * (x @ k_int)

@@ -22,6 +22,7 @@ from . import g2core
 from .exterior import (
     Form,
     VectorValuedForm,
+    _ordered_contract,
     interior,
     pullback,
     zero_form,
@@ -104,8 +105,11 @@ class Splitting:
 
     def horizontal_part(self, span):
         """The H-frame coordinates of the rows of span; raises
-        NotProjectableError when they are (numerically) dependent."""
+        NotProjectableError when they are not finite or (numerically)
+        dependent."""
         A = self.frame_coords(span)[:, :3]
+        if not np.all(np.isfinite(A)):
+            raise NotProjectableError("span must be finite")
         if not np.linalg.svd(A, compute_uv=False)[-1] > 1e-10:
             raise NotProjectableError("not horizontally projectable")
         return A
@@ -209,6 +213,8 @@ class Plane:
         object.__setattr__(self, "span", span)
         if span.shape[0] > span.shape[1]:
             raise ValueError("more spanning vectors than ambient dimensions")
+        if not np.all(np.isfinite(span)):
+            raise ValueError("spanning vectors must be finite")
         sv = np.linalg.svd(span, compute_uv=False)
         if not np.all(sv > 1e-10):
             raise ValueError("spanning vectors are (numerically) dependent")
@@ -265,12 +271,8 @@ def graph_from_plane(p: Plane, S: Splitting):
 
 def beta_of(g: GraphPlane) -> Form:
     """The 2-form beta = sum_i e^i ^ (T e_i)^flat, frame coordinates."""
-    coeffs = {}
-    for i in range(3):
-        for a in range(4):
-            if g.T[i, a] != 0.0:
-                coeffs[(i + 1, a + 4)] = g.T[i, a]
-    return Form(DIM, 2, coeffs)
+    coeffs = {(i + 1, a + 4): g.T[i, a] for i in range(3) for a in range(4)}
+    return Form._trusted(DIM, 2, coeffs)  # drops the zero entries
 
 
 def horizontal_metric(p: Plane, S: Splitting):
@@ -469,9 +471,9 @@ class ScanReport:
 
 
 def batch_apply_3form(a: Form, frames):
-    """Evaluate a 3-form on a batch of frames, shape (n, 3, 7) -> (n,)."""
-    dense = a.to_dense()
-    return np.einsum("ijk,ni,nj,nk->n", dense, frames[:, 0], frames[:, 1], frames[:, 2])
+    """Evaluate a 3-form on a batch of frames, shape (n, 3, 7) -> (n,), by
+    `_ordered_contract` over the nonzero entries of its dense tensor."""
+    return _ordered_contract(a.to_dense(), frames[:, 0], frames[:, 1], frames[:, 2])
 
 
 def semi_calibration_scan(

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from g2fueter import exterior as ex
 from g2fueter import g2core as g2
+from g2fueter import splitting as sp
 
 
 def perm_sign(seq):
@@ -331,6 +332,15 @@ def test_internal_results_pass_the_public_constructor(a, b, seed):
         _revalidated(f)
 
 
+@settings(max_examples=50, deadline=None)
+@given(sparse_forms(degrees=(2, 4, 6)), _seeds)
+def test_projections_and_beta_pass_the_public_constructor(a, seed):
+    _revalidated(g2.project_k7(a, a.degree, g2.standard_g2()))
+    rng = np.random.default_rng(seed)
+    T = rng.standard_normal((3, 4)) * rng.integers(0, 2, (3, 4))  # with exact zeros
+    _revalidated(sp.beta_of(sp.GraphPlane(T, sp.standard_splitting())))
+
+
 def test_wedge_table_matches_parity_reference():
     for dim in (3, 7, 8):
         for p in range(dim + 1):
@@ -415,6 +425,8 @@ def test_one_det_call_per_apply_and_per_pullback_monomial(monkeypatch):
 
 def test_internal_operations_skip_key_validation(monkeypatch):
     phi, star = g2.phi0(), g2.star_phi0()
+    G, S, two = g2.standard_g2(), sp.standard_splitting(), ex.basis_form(7, (1, 2))
+    G.lambda_matrices  # built once per structure, through the public constructor
     check = _Counter(ex._check_index_tuple)
     monkeypatch.setattr(ex, "_check_index_tuple", check)
     v = np.arange(1.0, 8.0)
@@ -424,6 +436,83 @@ def test_internal_operations_skip_key_validation(monkeypatch):
     ex.interior(v, phi)
     ex.pullback(np.eye(7) + 0.1, phi)
     _ = phi + phi, 3.0 * phi, phi - phi
+    g2.project_k7(two, 2, G)
+    sp.beta_of(sp.GraphPlane(np.ones((3, 4)), S))
     assert check.calls == 0
     ex.Form(7, 3, phi.coeffs)
     assert check.calls == len(phi.coeffs)
+
+
+# -- ordered contraction against dense Theta and phi -------------------------------
+
+_THETA = sp.standard_splitting().form_parts()[2].to_dense()
+_PHI = g2.phi0().to_dense()
+# (dense tensor, einsum subscripts, number of vectors)
+_CONTRACTIONS = {
+    "theta": (_THETA, "ijkl,ni,nj,nk,nl->n", 4),
+    "theta-free": (_THETA, "ijkl,nj,nk,nl->ni", 3),
+    "phi": (_PHI, "ijk,ni,nj,nk->n", 3),
+}
+
+
+def _contraction_inputs(seed, n, count, graph, integer):
+    """count batches of n vectors.  With graph, the last three are graph
+    frames, their first three coordinates exactly e_i; with four batches,
+    the first is vertical with further exact zeros.  Integer entries make
+    exactly-zero sums likely."""
+    rng = np.random.default_rng(seed)
+    vecs = rng.integers(-2, 3, (count, n, 7)).astype(float) if integer \
+        else rng.standard_normal((count, n, 7))
+    if graph:
+        vecs[-3:, :, :3] = np.eye(3)[:, None, :]
+    if count == 4:
+        vecs[0, :, :3] = 0.0
+        vecs[0] *= rng.integers(0, 2, (n, 7))
+    return list(vecs)
+
+
+def _hexes(a):
+    return [bits(x) for x in np.ravel(a)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_CONTRACTIONS)), _seeds, st.integers(1, 40),
+       st.booleans(), st.booleans())
+def test_ordered_contract_is_bit_equal_to_einsum(name, seed, n, graph, integer):
+    dense, subscripts, count = _CONTRACTIONS[name]
+    vecs = _contraction_inputs(seed, n, count, graph, integer)
+    got = ex._ordered_contract(dense, *vecs)
+    want = np.einsum(subscripts, dense, *vecs)
+    assert got.shape == want.shape
+    assert _hexes(got) == _hexes(want)
+
+
+def test_ordered_contract_is_bit_equal_across_blocks(monkeypatch):
+    monkeypatch.setattr(ex, "_CONTRACT_BLOCK", 5)
+    for name, (dense, subscripts, count) in _CONTRACTIONS.items():
+        for n in (1, 4, 5, 6, 12):
+            vecs = _contraction_inputs(n, n, count, graph=True, integer=False)
+            assert _hexes(ex._ordered_contract(dense, *vecs)) == \
+                _hexes(np.einsum(subscripts, dense, *vecs)), (name, n)
+
+
+def test_ordered_contract_zero_keeps_the_sign_of_einsum():
+    frame = [np.tile(e, (3, 1)) for e in np.eye(7)[:3]]  # the horizontal plane
+    for name, (dense, subscripts, count) in _CONTRACTIONS.items():
+        for fill in (0.0, -0.0):
+            vecs = [np.full((3, 7), fill)] + frame[:count - 1]
+            got = ex._ordered_contract(dense, *vecs)
+            want = np.einsum(subscripts, dense, *vecs)
+            assert not np.any(got) and _hexes(got) == _hexes(want), (name, fill)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ordered_contract_keeps_non_finite_coordinates(bad):
+    for name, (dense, _, count) in _CONTRACTIONS.items():
+        for slot in range(count):
+            for coord in range(7):
+                vecs = _contraction_inputs(slot * 7 + coord, 1, count, False, False)
+                vecs[slot][0, coord] = bad
+                with np.errstate(invalid="ignore"):
+                    got = ex._ordered_contract(dense, *vecs)
+                assert not np.all(np.isfinite(got)), (name, slot, coord)

@@ -132,6 +132,13 @@ class TestCompletions:
         with pytest.raises(ValueError):
             fu.associative_complete(E[0], 2.0 * E[0], S.g2)
 
+    def test_associative_completion_rejects_non_finite(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                fu.associative_complete(np.full(7, bad), E[1], S.g2)
+            with pytest.raises(ValueError, match="finite"):
+                fu.associative_complete(E[0], np.full(7, bad), S.g2)
+
 
 class TestConditionReport:
     def test_fueter_plane_all_six_vanish(self):

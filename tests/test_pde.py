@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -369,6 +371,50 @@ class TestActionFunctional:
         other = pde.affine_map(np.zeros((4, 3)))
         with pytest.raises(ValueError):
             pde.cs_first_variation(other, self.sec, pde.FourierMap([]), n=4)
+
+
+class _NoDenseEinsum:
+    """numpy, except that einsum refuses a dense 7^k tensor (k >= 3)."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def einsum(subscripts, *operands, **kwargs):
+        if any(np.ndim(op) >= 3 and set(np.shape(op)) == {7} for op in operands):
+            raise AssertionError(f"dense einsum {subscripts!r}")
+        return np.einsum(subscripts, *operands, **kwargs)
+
+
+class TestSparseContractions:
+    # criterion 10's endpoints and first variation field, at n = 8
+    sec = pde.affine_fueter_section([1, 0, 2, -1], [0, 1, 1, 3])
+    u0 = sec + pde.random_fourier_field(np.random.default_rng(110), kmax=1)
+    Z = pde.random_fourier_field(np.random.default_rng(1100), kmax=1)
+    bad = pde.affine_map(np.array([[1.0, 0, 0], [0, 0, 0], [0, 0, 0], [0, 0, 0]]))
+
+    def test_pinned_cs_functional(self):
+        assert pde.cs_functional(self.u0, self.sec, n=8).hex() == "0x1.948812a527b9bp+6"
+
+    def test_pinned_cs_first_variation(self):
+        num, bnd = pde.cs_first_variation(self.u0, self.sec, self.Z, n=8)
+        assert (num.hex(), bnd.hex()) == ("0x1.3880000000000p-33", "-0x1.8800000000000p-57")
+
+    def test_pinned_adversarial_waves(self):
+        waves = pde.adversarial_variation(self.bad).waves
+        hexes = ",".join(float(c).hex() for _, a, b in waves for c in (*a, *b))
+        assert len(waves) == 14
+        assert hashlib.sha256(hexes.encode()).hexdigest() == (
+            "90ddb9f85fa94e44810e7c1453b563a95d4dee2c3cb41f14a17a1d4b222c5b74")
+
+    def test_no_dense_einsum(self, monkeypatch):
+        monkeypatch.setattr(pde, "np", _NoDenseEinsum())
+        monkeypatch.setattr(sp, "np", _NoDenseEinsum())
+        pde.cs_functional(self.u0, self.sec, n=4)
+        pde.cs_first_variation(self.u0, self.sec, self.Z, n=4)
+        pde.adversarial_variation(self.bad)
+        frames = np.random.default_rng(0).standard_normal((5, 3, 7))
+        sp.batch_apply_3form(sp.standard_splitting().g2.phi, frames)
 
 
 class TestHeisenbergGraphs:

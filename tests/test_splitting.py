@@ -84,6 +84,21 @@ class TestGraphPlane:
         with pytest.raises(sp.NotProjectableError):
             sp.graph_from_plane(sp.Plane(E[3:6]), S)
 
+    def test_non_finite_plane_rejected(self):
+        for bad in (np.nan, np.inf):
+            span = E[:3].copy()
+            span[0, 4] = bad
+            with pytest.raises(ValueError, match="finite"):
+                sp.Plane(span)
+
+    def test_non_finite_span_not_projectable(self):
+        for bad in (np.nan, np.inf):
+            span = E[:3].copy()
+            span[0, 4] = bad
+            with pytest.raises(sp.NotProjectableError, match="finite"), \
+                    np.errstate(invalid="ignore"):
+                S.horizontal_part(span)
+
     def test_orientation_sign_reported(self):
         span = np.vstack([E[1], E[0], E[2]])
         _, sign = sp.graph_from_plane(sp.Plane(span), S)
