@@ -25,6 +25,9 @@ define the model.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,63 +113,97 @@ class AnalyticMap:
     __rmul__ = __mul__
 
 
-def _eval_monomials(comp, x, d=()):
-    """Sum of coeff * x^powers over comp = {powers: coeff}, differentiated
-    once along each axis listed in d, at points x of shape (..., len(powers))."""
-    out = np.zeros(x.shape[:-1])
-    for powers, coeff in comp.items():
-        p = list(powers)
-        c = coeff
-        for axis in d:
-            if p[axis] == 0:
-                break
-            c *= p[axis]
-            p[axis] -= 1
-        else:
-            term = np.full(x.shape[:-1], c)
-            for axis in range(len(p)):
-                if p[axis]:
-                    term = term * x[..., axis] ** p[axis]
-            out += term
-    return out
+def _exponents(powers):
+    try:
+        return tuple(map(operator.index, powers))
+    except TypeError:
+        raise ValueError(f"exponents must be integers, got {powers!r}") from None
+
+
+def _monomial_table(components, ds, n):
+    """Per (component, d) output, its surviving monomials in dict order as
+    coefficients multiplied by each differentiated exponent in turn and
+    lowered exponents, padded with 0.0 * x^0; returns the coefficients and,
+    per axis with a nonzero exponent, (axis, its exponents, largest + 1)."""
+    rows = []
+    for comp, d in itertools.product(components, ds):
+        terms = []
+        for powers, c in comp.items():
+            p = list(powers)
+            for axis in d:
+                c, p[axis] = c * p[axis], p[axis] - 1
+            if min(p, default=0) >= 0:
+                terms.append((c, p))
+        rows.append(terms)
+    coef = np.zeros((len(rows), max(map(len, rows))))
+    exps = np.zeros(coef.shape + (n,), dtype=np.intp)
+    for r, terms in enumerate(rows):
+        for t, (c, p) in enumerate(terms):
+            coef[r, t], exps[r, t] = c, p
+    return coef, [(a, exps[..., a], exps[..., a].max() + 1)
+                  for a in range(n) if exps[..., a].any()]
 
 
 class PolynomialMap(AnalyticMap):
     """Componentwise polynomial map on R^n; monomials keyed by exponent
-    n-tuples (triples on R^3), and the jets take their size n from the
-    points' last axis."""
+    n-tuples (triples on R^3) of nonnegative integers, one n per map, and
+    points must have last axis n.
+
+    Bits match a per-monomial loop: each term c * x0^p0 * x1^p1 * ... is
+    multiplied left to right with powers `x[..., a] ** p`, and the terms
+    are summed one by one in dict order from +0.0.  The monomials are
+    compiled into a table once per jet order; a call builds one power
+    table per axis and forms every output's terms in one gather and
+    multiply per axis.  Padding
+    (0.0 times powers 1.0) keeps each sum's bits, axes whose exponents are
+    all 0 are skipped, and outputs are C-contiguous.
+    """
 
     def __init__(self, components, periodicity=None):
-        # components: sequence of 4 dicts {(p1,..,pn): coeff}
-        self.components = [dict(c) for c in components]
+        # components: sequence of 4 dicts {(p1,..,pn): coeff}, stored
+        # read-only since the compiled tables are cached; numpy integer
+        # exponents (as `solve su2` draws them) become ints
+        self.components = tuple(types.MappingProxyType(
+            {_exponents(p): c for p, c in dict(comp).items()}) for comp in components)
         if len(self.components) != 4:
             raise ValueError("need 4 components")
+        exps = [p for comp in self.components for p in comp]
+        if any(e < 0 for p in exps for e in p) or len({len(p) for p in exps}) > 1:
+            raise ValueError("exponents must be nonnegative, all of one length")
+        self._n = len(exps[0]) if exps else None
+        self._tables = {}
         self.periodicity = None if periodicity is None else np.asarray(periodicity)
 
-    def eval(self, x):
+    def _jet(self, x, order):
+        """All derivatives of one order, shape (..., 4) + (n,) * order."""
         x = np.asarray(x, dtype=float)
-        return np.stack([_eval_monomials(c, x) for c in self.components], axis=-1)
+        if x.ndim == 0 or self._n not in (None, x.shape[-1]):
+            raise ValueError(f"points of shape {x.shape} for exponents of length {self._n}")
+        n = x.shape[-1]
+        if (order, n) not in self._tables:
+            # axes sorted: d/dx_i d/dx_j multiplies by p_i before p_j, so
+            # (i, j) and (j, i) share the bits of the i <= j value
+            ds = [sorted(d) for d in itertools.product(range(n), repeat=order)]
+            self._tables[order, n] = _monomial_table(self.components, ds, n)
+        coef, axes = self._tables[order, n]
+        terms = coef
+        for a, e, size in axes:
+            xa = x[..., a]
+            powers = np.stack([xa ** k for k in range(size)], axis=-1)[..., e]
+            terms = np.multiply(terms, powers, out=powers)
+        out = np.zeros(x.shape[:-1] + coef.shape[:1])
+        for t in range(coef.shape[1]):
+            out += terms[..., t]
+        return out.reshape(x.shape[:-1] + (4,) + (n,) * order)
+
+    def eval(self, x):
+        return self._jet(x, 0)
 
     def jet1(self, x):
-        x = np.asarray(x, dtype=float)
-        n = x.shape[-1]
-        out = np.empty(x.shape[:-1] + (4, n))
-        for m, comp in enumerate(self.components):
-            for i in range(n):
-                out[..., m, i] = _eval_monomials(comp, x, (i,))
-        return out
+        return self._jet(x, 1)
 
     def jet2(self, x):
-        x = np.asarray(x, dtype=float)
-        n = x.shape[-1]
-        out = np.empty(x.shape[:-1] + (4, n, n))
-        for m, comp in enumerate(self.components):
-            for i in range(n):
-                for j in range(i, n):
-                    vals = _eval_monomials(comp, x, (i, j))
-                    out[..., m, i, j] = vals
-                    out[..., m, j, i] = vals
-        return out
+        return self._jet(x, 2)
 
 
 class FourierMap(AnalyticMap):

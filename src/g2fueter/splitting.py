@@ -317,25 +317,29 @@ def ve_series(g: GraphPlane, kmax: int):
     return ve_from_gram(g.gram_vertical(), kmax)
 
 
+# the minors of T in lexicographic order: 2x2 ones T[rows][:, cols] with the
+# rows outer, then 3x3 ones T[:, cols]
+_ROWS2, _COLS2 = map(np.array, zip(*itertools.product(
+    itertools.combinations(range(3), 2), itertools.combinations(range(4), 2))))
+_COLS3 = np.array(list(itertools.combinations(range(4), 3)))
+
+
 def ve_recursive(g: GraphPlane, kmax: int):
     """[ve_0..ve_kmax] via wedge-power norms and the recursion.
 
     |(p_V)^k|^2 is k! times the sum of squared k x k minors of T; the
     wedge powers vanish for k > 3, after which the recursion runs on its
-    own.  Independent of ve_series (no eigenvalues).
+    own.  Independent of ve_series (no eigenvalues).  One stacked det call
+    per minor size; the squares are summed one by one in minor order.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     T = g.T
-    minor_sq = [1.0, 0.0, 0.0, 0.0]
-    minor_sq[1] = float(np.sum(T * T))
-    for rows in itertools.combinations(range(3), 2):
-        for cols in itertools.combinations(range(4), 2):
-            m = np.linalg.det(T[np.ix_(rows, cols)])
-            minor_sq[2] += m * m
-    for cols in itertools.combinations(range(4), 3):
-        m = np.linalg.det(T[:, cols])
-        minor_sq[3] += m * m
+    minor_sq = [1.0, float(np.sum(T * T)), 0.0, 0.0]
+    for k, minors in ((2, T[_ROWS2[:, :, None], _COLS2[:, None]]),
+                      (3, T[:, _COLS3].swapaxes(0, 1))):
+        for m in np.linalg.det(minors):
+            minor_sq[k] += m * m
 
     ve = [1.0]
     if kmax >= 1:
@@ -673,12 +677,14 @@ def equality_ladder(g: GraphPlane):
     )
 
 
+_WEDGE3_ROWS = np.array(list(itertools.combinations(range(DIM), 3)))
+_WEDGE3_DEGREE = (_WEDGE3_ROWS >= 3).sum(axis=1).tolist()
+
+
 def _wedge3_vertical_norms(frame):
-    """|v_ell|^2 for the vertical-degree pieces of v1 ^ v2 ^ v3."""
+    """|v_ell|^2 for the vertical-degree pieces of v1 ^ v2 ^ v3, from the
+    frame's 3x3 row minors (one stacked det) summed in lexicographic order."""
     norms = [0.0, 0.0, 0.0, 0.0]
-    mat = frame.T  # 7 x 3
-    for idx in itertools.combinations(range(DIM), 3):
-        c = np.linalg.det(mat[list(idx), :])
-        q = sum(1 for i in idx if i >= 3)
+    for q, c in zip(_WEDGE3_DEGREE, np.linalg.det(frame.T[_WEDGE3_ROWS])):
         norms[q] += c * c
     return norms

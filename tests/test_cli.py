@@ -69,6 +69,15 @@ class TestReports:
         "fm": "02d35592f97174f1feef170c53b1a2cfd91750452806ba2845ac0722d655bf08",
     }
 
+    # report SHA-256s at seed 1, strict profile, under the same rule: the
+    # strict sample counts run the jet and minor kernels far more often
+    # than the fast ones
+    PINNED_STRICT_SHA256 = {
+        "splitting": "6292d8e98f991d6db812b43d848456d5f0dccfe20f967108e04168d30d890d22",
+        "pde": "cc1857097928252c03ab0325d4b70430c762d5f3556d2007487510de25a113ea",
+        "fm": "236d0731302292ff1b0b31df9467d272a95b025888c7dad67f0547a33a1b7455",
+    }
+
     # the other commands' report SHA-256s, under the same rule
     PINNED_COMMAND_SHA256 = {
         "scan anisotropic --samples 2000 --seed 11":
@@ -104,6 +113,13 @@ class TestReports:
             assert code == 0, suite
             assert all(c["pass"] for c in json.loads(raw)["checks"])
             assert hashlib.sha256(raw).hexdigest() == digest, suite
+
+    @pytest.mark.parametrize("suite", sorted(PINNED_STRICT_SHA256))
+    def test_strict_report_is_pinned(self, suite, tmp_path):
+        code, raw = run_cli(["verify", suite, "--seed", "1", "--profile", "strict"],
+                            tmp_path, f"{suite}.json")
+        assert code == 0
+        assert hashlib.sha256(raw).hexdigest() == self.PINNED_STRICT_SHA256[suite]
 
     def test_out_path_is_not_echoed(self, tmp_path):
         args = ["verify", "models", "--seed", "1", "--profile", "fast"]

@@ -114,6 +114,8 @@ INTEGER_GUARDS = {
     "exterior: self.degree < 0": "form degree",
     "fm_gauge: len(gaps) < 2": "count of usable radii",
     "fueter: s >= 3": "plane dimension",
+    "pde: any((e < 0 for p in exps for e in p)) or len({len(p) for p in exps}) > 1":
+        "monomial exponents (ints by operator.index) and their lengths",
     "splitting: kmax < 0": "series order",
     "splitting: n < 1": "sample count",
     "splitting: span.shape[0] > span.shape[1]": "array shape",

@@ -2,6 +2,7 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2fueter import pde
 from g2fueter import splitting as sp
@@ -96,6 +97,106 @@ class TestAnalyticMaps:
         f = pde.random_fourier_field(np.random.default_rng(2))
         combo = sec + 0.5 * f
         assert np.array_equal(np.asarray(combo.periodicity), np.asarray(sec.periodicity))
+
+
+def _reference_monomials(comp, x, d=()):
+    """The per-monomial loop the table kernel replaced: the bit oracle."""
+    out = np.zeros(x.shape[:-1])
+    for powers, coeff in comp.items():
+        p = list(powers)
+        c = coeff
+        for axis in d:
+            if p[axis] == 0:
+                break
+            c *= p[axis]
+            p[axis] -= 1
+        else:
+            term = np.full(x.shape[:-1], c)
+            for axis in range(len(p)):
+                if p[axis]:
+                    term = term * x[..., axis] ** p[axis]
+            out += term
+    return out
+
+
+def _reference_jets(u, x):
+    n = x.shape[-1]
+    value = np.stack([_reference_monomials(c, x) for c in u.components], axis=-1)
+    d1 = np.empty(x.shape[:-1] + (4, n))
+    d2 = np.empty(x.shape[:-1] + (4, n, n))
+    for m, comp in enumerate(u.components):
+        for i in range(n):
+            d1[..., m, i] = _reference_monomials(comp, x, (i,))
+            for j in range(i, n):
+                d2[..., m, i, j] = d2[..., m, j, i] = _reference_monomials(comp, x, (i, j))
+    return value, d1, d2
+
+
+def _hexes(a):
+    return [float(v).hex() for v in np.ravel(a)]
+
+
+class TestPolynomialKernel:
+    """PolynomialMap's compiled monomial table against the per-monomial loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([3, 4]), st.sampled_from([(), (7,), (3, 2, 4)]),
+           st.integers(-3, 3),
+           st.lists(st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf]), max_size=4),
+           st.integers(0, 2 ** 32 - 1))
+    def test_bits_match_the_per_monomial_loop(self, n, shape, scale, specials, seed):
+        rng = np.random.default_rng(seed)
+        comps = []
+        for _ in range(4):
+            comp = {}
+            for _ in range(rng.integers(0, 12)):
+                powers = tuple(int(e) for e in rng.integers(0, 4, size=n))
+                # integer and exactly-zero coefficients too
+                comp[powers] = [rng.standard_normal(), 3, 0.0, -0.0][rng.integers(4)]
+            comps.append(comp)
+        u = (pde.PolynomialMap if n == 3 else pde.AmbientPolynomialMap)(comps)
+        x = rng.standard_normal(shape + (n,)) * 10.0 ** scale
+        x.flat[rng.integers(0, x.size, len(specials))] = specials
+        with np.errstate(all="ignore"):
+            got = (u.eval(x), u.jet1(x), u.jet2(x))
+            want = _reference_jets(u, x)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert _hexes(g) == _hexes(w)
+            # a strided view would change einsum's summation order downstream:
+            # a moveaxis view of the jets changed `verify pde --profile strict
+            # --seed 1`'s su2-dirac-squared residual in its last digits
+            assert g.flags.c_contiguous
+
+    @pytest.mark.parametrize("powers", [(-1, 0, 0), (1.5, 0, 0), (1.0, 0, 0), "abc"])
+    def test_rejects_non_natural_exponents(self, powers):
+        with pytest.raises(ValueError, match="exponents"):
+            pde.PolynomialMap([{powers: 1.0}, {}, {}, {}])
+
+    def test_rejects_mixed_exponent_lengths(self):
+        with pytest.raises(ValueError, match="one length"):
+            pde.PolynomialMap([{(1, 0, 0): 1.0}, {(1, 0, 0, 0): 1.0}, {}, {}])
+
+    @pytest.mark.parametrize("powers, point", [((1, 0, 0, 0), [2.0, 3.0, 4.0]),
+                                               ((1, 0), [2.0, 3.0, 4.0]),
+                                               ((1, 0, 0), 2.0)])
+    def test_rejects_points_of_another_dimension(self, powers, point):
+        u = pde.PolynomialMap([{powers: 1.0}, {}, {}, {}])
+        for jet in (u.eval, u.jet1, u.jet2):
+            with pytest.raises(ValueError, match="points"):
+                jet(point)
+
+    def test_numpy_integer_exponents_become_ints(self):
+        # `solve su2` keys its monomials with rng.integers draws
+        key = tuple(np.random.default_rng(0).integers(0, 2, size=4))
+        u = pde.AmbientPolynomialMap([{key: 1.5}, {}, {}, {}])
+        (powers,) = u.components[0]
+        assert powers == key and all(type(e) is int for e in powers)
+
+    def test_map_without_monomials_takes_any_dimension(self):
+        u = pde.PolynomialMap([{}, {}, {}, {}])
+        assert u.jet1(np.ones((2, 5))).shape == (2, 4, 5)
+        assert not u.jet2(np.ones(3)).any()
 
 
 class TestFlatOperator:

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -186,8 +187,9 @@ class TestVeHierarchy:
             assert abs(ve[k] - conv) < 1e-12
 
     def test_kmax_validation(self):
-        with pytest.raises(ValueError):
-            sp.ve_series(sp.GraphPlane(np.zeros((3, 4)), S), -1)
+        for route in (sp.ve_series, sp.ve_recursive):
+            with pytest.raises(ValueError):
+                route(sp.GraphPlane(np.zeros((3, 4)), S), -1)
 
     def test_ve_divergence_toward_vertical(self):
         values = []
@@ -197,6 +199,82 @@ class TestVeHierarchy:
             values.append(sp.ve_series(g, 1)[1])
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] > 1e6
+
+
+def _reference_ve_recursive(g, kmax):
+    """ve_recursive's former loop, one det per minor: the bit oracle."""
+    T = g.T
+    minor_sq = [1.0, float(np.sum(T * T)), 0.0, 0.0]
+    for rows in itertools.combinations(range(3), 2):
+        for cols in itertools.combinations(range(4), 2):
+            m = np.linalg.det(T[np.ix_(rows, cols)])
+            minor_sq[2] += m * m
+    for cols in itertools.combinations(range(4), 3):
+        m = np.linalg.det(T[:, cols])
+        minor_sq[3] += m * m
+    ve = [1.0]
+    if kmax >= 1:
+        ve.append(0.5 * minor_sq[1])
+    for k in range(2, kmax + 1):
+        wedge_term = minor_sq[k] if k <= 3 else 0.0
+        ve.append(0.5 * (wedge_term - sum(ve[i] * ve[k - i] for i in range(1, k))))
+    return np.array(ve)
+
+
+def _reference_wedge3_norms(frame):
+    norms = [0.0, 0.0, 0.0, 0.0]
+    for idx in itertools.combinations(range(7), 3):
+        c = np.linalg.det(frame.T[list(idx), :])
+        norms[sum(1 for i in idx if i >= 3)] += c * c
+    return norms
+
+
+def _kernel_planes(rng):
+    """Graph maps at scales 1e-4..1e4, with rank 1 and rank 2 ones
+    (the planes meeting H that chi3-rank samples)."""
+    for scale in 10.0 ** np.arange(-4, 5):
+        yield scale * rng.standard_normal((3, 4))
+        yield scale * rng.standard_normal((3, 1)) @ rng.standard_normal((1, 4))
+        T = scale * rng.standard_normal((3, 4))
+        T[rng.integers(3)] = 0.0
+        yield T
+
+
+class TestMinorKernels:
+    """ve_recursive and _wedge3_vertical_norms stack their minors into one
+    det call per size and must keep the per-minor loop's bits."""
+
+    def test_ve_recursive_bits(self):
+        rng = np.random.default_rng(13)
+        for T in _kernel_planes(rng):
+            g = sp.GraphPlane(T, S)
+            for kmax in range(7):
+                got, want = sp.ve_recursive(g, kmax), _reference_ve_recursive(g, kmax)
+                assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_wedge3_norm_bits(self):
+        rng = np.random.default_rng(14)
+        for T in _kernel_planes(rng):
+            frame = sp.GraphPlane(T, S).frame()
+            for vecs in (frame, rng.standard_normal((3, 3)) @ frame):
+                got, want = sp._wedge3_vertical_norms(vecs), _reference_wedge3_norms(vecs)
+                assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+
+    def test_one_det_call_per_minor_size(self, monkeypatch):
+        calls = []
+        det = np.linalg.det
+
+        def counting(a):
+            calls.append(np.shape(a))
+            return det(a)
+
+        monkeypatch.setattr(np.linalg, "det", counting)
+        g = sp.GraphPlane(np.random.default_rng(15).standard_normal((3, 4)), S)
+        sp.ve_recursive(g, 6)
+        assert calls == [(18, 2, 2), (4, 3, 3)]
+        calls.clear()
+        sp._wedge3_vertical_norms(g.frame())
+        assert calls == [(35, 3, 3)]
 
 
 class TestDecomposeAndAdiabatic:
