@@ -378,7 +378,7 @@ def _suite_fueter(rng, tol):
         f1 = fueter.fueter_vector(g)
         f2 = fueter.fueter_via_J(g, J)
         chi1 = fueter.chi_component_values(g)[1][3:]
-        chi1b = fueter.chi_via_beta(g)[0]
+        chi1b = fueter.chi1_via_beta(g)
         chi1c = fueter.chi1_via_projection(g)
         v1 = np.array([chi1b.coeffs.get((i,), 0.0) for i in range(4, 8)])
         v2 = np.array([chi1c.coeffs.get((i,), 0.0) for i in range(4, 8)])

@@ -42,6 +42,7 @@ __all__ = [
     "condition_residuals",
     "chi_component_values",
     "chi_via_beta",
+    "chi1_via_beta",
     "chi1_via_projection",
     "linearization_rank",
     "polar_space_dim",
@@ -325,7 +326,7 @@ def chi_via_beta(g: GraphPlane):
     """
     frame_g2 = g.splitting.frame_g2
     beta = beta_of(g)
-    chi1 = hodge(wedge(beta, frame_g2.star_phi))
+    chi1 = chi1_via_beta(g)
     half_beta2 = 0.5 * wedge(beta, beta)
     chi2 = -2.0 * g2core.lambda_k_inverse(
         g2core.project_k7(half_beta2, 4, frame_g2), 4, frame_g2
@@ -333,6 +334,11 @@ def chi_via_beta(g: GraphPlane):
     beta3 = wedge(wedge(beta, beta), beta)
     chi3 = -1.0 * hodge((1.0 / 6.0) * beta3)
     return chi1, chi2, chi3
+
+
+def chi1_via_beta(g: GraphPlane) -> Form:
+    """chi_1(v)^flat = *(beta ^ *phi) alone, the first of `chi_via_beta`."""
+    return hodge(wedge(beta_of(g), g.splitting.frame_g2.star_phi))
 
 
 def chi1_via_projection(g: GraphPlane) -> Form:

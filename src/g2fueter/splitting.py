@@ -22,7 +22,9 @@ from . import g2core
 from .exterior import (
     Form,
     VectorValuedForm,
+    _blockwise,
     _ordered_contract,
+    _row_blocks,
     interior,
     pullback,
     zero_form,
@@ -408,28 +410,43 @@ class PlaneSampler:
     def frames(self, n, metric):
         """n oriented 3-frames, orthonormal w.r.t. metric, shape (n, 3, 7).
 
-        Batched thin QR; rows with a (numerically) degenerate draw are
-        redrawn up to 5 times before giving up.
+        Batched thin QR over blocks of samples: this thread draws each
+        block in turn, and `_blockwise` workers orthonormalize the blocks
+        in place into their rows of the result, so the stream and every
+        float match one whole draw.  Workers call numpy only, no public
+        function, in a copy of this thread's context; a lone block runs
+        inline.  After the whole draw,
+        rows with a (numerically) degenerate draw are redrawn up to 5 times
+        before giving up.  A non-finite metric raises ValueError before
+        anything is drawn.
         """
-        L = np.linalg.cholesky(np.asarray(metric, dtype=float)).T  # g = L^t L
+        metric = np.asarray(metric, dtype=float)
+        if not np.all(np.isfinite(metric)):
+            raise ValueError("metric must be finite")
+        L = np.linalg.cholesky(metric).T  # g = L^t L
         L_inv = np.linalg.inv(L)
 
-        def draw(count):
-            M = self.rng.standard_normal((count, DIM, 3))
+        def orthonormalize(M):
             Q, R = np.linalg.qr(L[None] @ M)
             diag = np.diagonal(R, axis1=1, axis2=2)
             good = np.abs(np.prod(diag, axis=1)) > 1e-8
             Q = Q * np.sign(diag)[:, None, :]
             return np.transpose(L_inv[None] @ Q, (0, 2, 1)), good
 
-        out, good = draw(n)
+        def draw(count):
+            return self.rng.standard_normal((count, DIM, 3))
+
+        def fill(job):
+            rows, M = job
+            out[rows], good[rows] = orthonormalize(M)
+
+        out, good = np.empty((n, 3, DIM)), np.empty(n, dtype=bool)
+        _blockwise(fill, ((rows, draw(rows.stop - rows.start)) for rows in _row_blocks(n)))
         for _ in range(5):
             bad = np.nonzero(~good)[0]
             if not bad.size:
                 return out
-            redo, redo_good = draw(bad.size)
-            out[bad] = redo
-            good[bad] = redo_good
+            out[bad], good[bad] = orthonormalize(draw(bad.size))
         if not np.all(good):
             raise RuntimeError("degenerate frames persisted across retries")
         return out
@@ -492,8 +509,9 @@ def semi_calibration_scan(
     """Check alpha(frame) <= vol(frame) over n random oriented 3-planes.
 
     Frames are orthonormalized in the given metric, so the ratio is the
-    raw evaluation alpha(v1, v2, v3).  Violation: ratio > 1 + tol.  A
-    non-finite included frame raises ValueError.
+    raw evaluation alpha(v1, v2, v3).  Violation: any ratio that is not
+    <= 1 + tol, NaN included.  A non-finite included frame or metric
+    raises ValueError.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -504,7 +522,7 @@ def semi_calibration_scan(
         frames = np.concatenate([np.asarray(include_frames, dtype=float), frames])
     ratios = batch_apply_3form(a, frames)
     imax = int(np.argmax(ratios))
-    violations = int(np.sum(ratios > 1.0 + tol))
+    violations = int(np.sum(~(ratios <= 1.0 + tol)))
     return ScanReport(
         form=label or str(a),
         metric=np.array2string(np.asarray(metric), precision=6),
@@ -523,13 +541,22 @@ def omega_of_graph_frames(S: Splitting, Ts):
     Closed form: only terms with one horizontal and two vertical slots
     survive, giving omega_1(u2,u3) - omega_2(u1,u3) + omega_3(u1,u2).
     """
-    Ts = np.asarray(Ts, dtype=float)
-    w = [S.omega_2form(i).to_dense()[3:, 3:] for i in (1, 2, 3)]
+    return _omega_values(_omega_blocks(S), np.asarray(Ts, dtype=float))
+
+
+def _omega_blocks(S: Splitting):
+    """The vertical 4x4 blocks of omega_1, omega_2, omega_3."""
+    return [S.omega_2form(i).to_dense()[3:, 3:] for i in (1, 2, 3)]
+
+
+def _omega_values(w, Ts):
+    """`_ordered_contract` gives np.einsum("ab,na,nb->n")'s floats; a scan
+    block is one contraction block, so in a worker it runs inline."""
     u1, u2, u3 = Ts[:, 0], Ts[:, 1], Ts[:, 2]
     return (
-        np.einsum("ab,na,nb->n", w[0], u2, u3)
-        - np.einsum("ab,na,nb->n", w[1], u1, u3)
-        + np.einsum("ab,na,nb->n", w[2], u1, u2)
+        _ordered_contract(w[0], u2, u3)
+        - _ordered_contract(w[1], u1, u3)
+        + _ordered_contract(w[2], u1, u2)
     )
 
 
@@ -547,38 +574,62 @@ def anisotropic_scan(
     the six-way condition residuals and attached to the report.  The
     pointwise identity omega(v) + |chi_1(v)|^2 / 2 = ve_1 is also enforced
     on every sample.  A non-finite included plane raises ValueError.
+    Violation: any ratio that is not <= 1 + tol, NaN included.
+
+    Planes are drawn one block of samples at a time on this thread, while
+    `_blockwise` workers compute each block's omega, ve_1 and identity
+    residual in place into their rows of whole arrays.  Workers call numpy
+    only, no public function (the constant matrices come from this
+    thread), in a copy of this thread's context; a lone block runs inline.  The ratios, argmax, counts,
+    near-equality cases and identity guard are taken over the whole
+    arrays here, so the report is that of one whole draw.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    if not np.all(np.isfinite(np.asarray(include_planes, dtype=float))):
+    included = np.asarray(include_planes, dtype=float)
+    if not np.all(np.isfinite(included)):
         raise ValueError("included planes must be finite")
-    Ts = sampler.graph_planes(n)
-    if len(include_planes):
-        Ts = np.concatenate([np.asarray(include_planes, dtype=float), Ts])
-    omega_vals = omega_of_graph_frames(S, Ts)
-    ve1 = 0.5 * np.einsum("nia,nia->n", Ts, Ts)
+    if len(included) and included.shape[1:] != (3, 4):
+        raise ValueError("included planes must have shape (k, 3, 4)")
+    from .fueter import condition_residuals, fueter_map_matrix
+
+    w, fmap = _omega_blocks(S), fueter_map_matrix(S)
+    k = len(included)
+    Ts = np.empty((k + n, 3, 4))
+    if k:
+        Ts[:k] = included
+    omega_vals, ve1, identity_residual = np.empty((3, k + n))
+
+    def draws():
+        for rows in _row_blocks(k + n):
+            start = max(rows.start, k)
+            if start < rows.stop:
+                Ts[start:rows.stop] = sampler.graph_planes(rows.stop - start)
+            yield rows
+
+    def measure(rows):
+        T = Ts[rows]
+        omega_vals[rows] = _omega_values(w, T)
+        ve1[rows] = 0.5 * np.einsum("nia,nia->n", T, T)
+        F = (fmap @ T.reshape(len(T), 12).T).T
+        identity_residual[rows] = np.abs(omega_vals[rows] + 0.5 * np.sum(F * F, axis=1)
+                                         - ve1[rows])
+
+    _blockwise(measure, draws())
     keep = ve1 >= VE1_EXCLUSION
     skipped = int(np.sum(~keep))
     ratios = np.where(keep, omega_vals / np.where(keep, ve1, 1.0), -np.inf)
-
-    from .fueter import fueter_map_matrix
-
-    F = (fueter_map_matrix(S) @ Ts.reshape(len(Ts), 12).T).T
-    identity_residual = np.abs(omega_vals + 0.5 * np.sum(F * F, axis=1) - ve1)
     worst = float(identity_residual.max())
     if not worst <= IDENTITY_RESIDUAL_TOL:
         raise AssertionError(f"secondary-calibration identity violated: residual {worst}")
 
     imax = int(np.argmax(ratios))
-    violations = int(np.sum(ratios > 1.0 + tol))
+    violations = int(np.sum(~(ratios <= 1.0 + tol)))
     equality_cases = []
     near = np.nonzero(ratios > 1.0 - 1e-6)[0]
-    if near.size:
-        from .fueter import condition_residuals
-
-        for idx in near[:16]:
-            report = condition_residuals(GraphPlane(T=Ts[idx], splitting=S))
-            equality_cases.append(report.as_dict())
+    for idx in near[:16]:
+        report = condition_residuals(GraphPlane(T=Ts[idx], splitting=S))
+        equality_cases.append(report.as_dict())
     return ScanReport(
         form="omega (secondary calibration)",
         metric="ve1 * volH",

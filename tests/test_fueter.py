@@ -201,6 +201,12 @@ class TestChiViaBeta:
             vec = np.array([proj.coeffs.get((i,), 0.0) for i in range(1, 8)])
             assert np.abs(vec - chis[1]).max() < 1e-10
 
+    def test_chi1_alone_is_the_first_component(self):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            g = sp.GraphPlane(rng.standard_normal((3, 4)), S)
+            assert fu.chi1_via_beta(g).coeffs == fu.chi_via_beta(g)[0].coeffs
+
     def test_beta_cubed_oracle(self):
         # beta^3 / 6 = -e123 ^ (Te1)flat ^ (Te2)flat ^ (Te3)flat
         rng = np.random.default_rng(6)

@@ -354,6 +354,22 @@ class TestScans:
                     include_frames=[np.full((3, 7), bad)],
                 )
 
+    def test_nan_ratio_is_a_violation(self):
+        a = ex.Form(7, 3, {(1, 2, 3): np.nan})
+        with np.errstate(invalid="ignore"):
+            rep = sp.semi_calibration_scan(a, np.eye(7), sp.PlaneSampler(1), 100)
+        assert rep.violations == 100 and not rep.passed
+
+    def test_non_finite_metric_rejected_before_drawing(self):
+        for bad in (np.nan, np.inf):
+            metric = np.eye(7)
+            metric[6, 6] = bad
+            sampler = sp.PlaneSampler(1)
+            state = sampler.rng.bit_generator.state
+            with pytest.raises(ValueError, match="finite"):
+                sp.semi_calibration_scan(S.g2.phi, metric, sampler, 100)
+            assert sampler.rng.bit_generator.state == state
+
     def test_overflowing_included_plane_fails_identity_guard(self):
         # omega and ve_1 overflow to inf, so the identity residual is NaN
         P = np.zeros((3, 4))
