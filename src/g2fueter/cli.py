@@ -690,7 +690,7 @@ def _cmd_scan(args):
                 include_frames=[eye3] if eps == 1.0 else (),
                 label=f"phi_eps, eps={eps}",
             )
-            payloads.append(json.loads(rep.to_json()))
+            payloads.append(rep.as_dict())
             checks.append(_record(
                 f"semical-eps-{eps}",
                 "the 3-form never exceeds the volume of its metric",
@@ -708,7 +708,7 @@ def _cmd_scan(args):
         "anisotropic", "omega(v) <= ve_1 with the pointwise equality verified",
         rep.max_ratio, rep.passed,
     )]
-    return checks, {"scan": json.loads(rep.to_json())}
+    return checks, {"scan": rep.as_dict()}
 
 
 def _cmd_model(args):
@@ -726,10 +726,9 @@ def _cmd_model(args):
         "Theta": ex.render(theta, "e"),
         "mu": ex.render(mu, "e"),
     }
-    checks = [
-        _record("jacobi", "the structure constants close a Lie algebra",
-                models.jacobi_check(m.c), models.jacobi_check(m.c) == 0.0),
-    ]
+    jacobi = models.jacobi_check(m.c)
+    checks = [_record("jacobi", "the structure constants close a Lie algebra",
+                      jacobi, jacobi == 0.0)]
     if args.homology:
         h = models.h1_nilmanifold(m.B)
         payload["homology"] = {
@@ -746,10 +745,7 @@ def _cmd_model(args):
 def _cmd_solve(args):
     rng = np.random.default_rng(args.seed)
     if args.kind == "flat-harmonic":
-        F = pde.random_harmonic_map(rng)
-        u = pde.harmonic_to_fueter(F)
-        pts = rng.standard_normal((1000, 3))
-        resid = float(np.abs(pde.fueter_operator_flat(u, pts)).max())
+        _, resid = _harmonic_solution(rng)
         payload = {"kind": args.kind, "residualSup": resid}
         checks = [_record("solution", "constructed section solves the vertical equation",
                           resid, resid < 1e-10)]

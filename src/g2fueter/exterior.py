@@ -17,12 +17,9 @@ coefficient order, so every float equals that of the per-monomial loop.
 
 from __future__ import annotations
 
-import collections
-import contextvars
 import functools
 import itertools
 import math
-import os
 import sys
 from dataclasses import dataclass
 
@@ -121,54 +118,6 @@ def _sequential_sum(coeffs, dets):
     return float(total)
 
 
-_CONTRACT_BLOCK = 16384  # samples per block, so a block's columns stay in cache
-
-
-def _row_blocks(n):
-    """Consecutive slices of _CONTRACT_BLOCK rows that cover range(n)."""
-    return [slice(start, min(start + _CONTRACT_BLOCK, n))
-            for start in range(0, n, _CONTRACT_BLOCK)]
-
-
-def _usable_cpus():
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _blockwise(fn, jobs):
-    """Call fn(job) for every job, on a thread pool sized to the usable CPUs.
-
-    The job iterator is consumed on the calling thread, in order, so any
-    random draws it makes keep the stream of a plain loop; at most two
-    jobs per worker wait at once.  Each fn writes its own rows of a result
-    the caller preallocated, in place, and returns nothing, so the result
-    does not depend on which thread ran which job.  Each call runs in a
-    copy of the caller's context, so an `np.errstate` in force at the call
-    holds in the workers.  fn must call no public g2fueter function: the
-    package is traced as one thread.  A lone job, or a process with one
-    usable CPU, runs inline and starts no thread.
-    """
-    jobs = iter(jobs)
-    head = list(itertools.islice(jobs, 2))
-    workers = _usable_cpus()
-    if len(head) < 2 or workers < 2:
-        for job in itertools.chain(head, jobs):
-            fn(job)
-        return
-    from concurrent.futures import ThreadPoolExecutor  # only scans pay the import
-
-    with ThreadPoolExecutor(workers) as pool:
-        pending = collections.deque()
-        for job in itertools.chain(head, jobs):
-            pending.append(pool.submit(contextvars.copy_context().run, fn, job))
-            if len(pending) > 2 * workers:
-                pending.popleft().result()
-        for done in pending:
-            done.result()
-
-
 def _ordered_contract(dense, *vecs):
     """Contract a dense tensor with batches of vectors, shape (n, dim) each.
 
@@ -176,29 +125,22 @@ def _ordered_contract(dense, *vecs):
     I of dense, in lexicographic order, each product taken left to right
     and added to +0.0: the order c_einsum accumulates in, so for finite
     vectors every float equals np.einsum's.  A NaN or inf coordinate still
-    gives a non-finite result when it meets a nonzero entry.  Blocks of
-    samples run through `_blockwise`.
+    gives a non-finite result when it meets a nonzero entry.  Each row of
+    the result depends only on the same row of the vectors.
 
     With one vector per slot the result has shape (n,).  With one fewer,
     the first slot stays free, as in Theta(., v1, v2, v3): the term of
-    entry I goes to column I0 of an (n, dim) result.
+    entry I goes to column I0 of a C-contiguous (n, dim) result.
     """
     free = len(vecs) < dense.ndim
-    entries = [(I, dense[I]) for I in zip(*np.nonzero(dense))]
-    out = np.zeros((len(vecs[0]), dense.shape[0]) if free else len(vecs[0]))
-
-    def contract(rows):
-        cols = [v[rows].T.copy() for v in vecs]
-        acc = np.zeros((dense.shape[0] if free else 1, cols[0].shape[1]))
-        for I, c in entries:
-            term = c
-            for col, i in zip(cols, I[1:] if free else I):
-                term = term * col[i]
-            acc[I[0] if free else 0] += term
-        out[rows] = acc.T if free else acc[0]
-
-    _blockwise(contract, _row_blocks(len(out)))
-    return out
+    cols = [np.ascontiguousarray(v.T) for v in vecs]
+    acc = np.zeros((dense.shape[0] if free else 1, len(vecs[0])))
+    for I in zip(*np.nonzero(dense)):
+        term = dense[I]
+        for col, i in zip(cols, I[1:] if free else I):
+            term = term * col[i]
+        acc[I[0] if free else 0] += term
+    return np.ascontiguousarray(acc.T) if free else acc[0]
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,11 @@ all closed formulas here assume.
 
 from __future__ import annotations
 
+import collections
+import contextvars
 import itertools
 import json
+import os
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,9 +25,7 @@ from . import g2core
 from .exterior import (
     Form,
     VectorValuedForm,
-    _blockwise,
     _ordered_contract,
-    _row_blocks,
     interior,
     pullback,
     zero_form,
@@ -391,6 +392,56 @@ def adiabatic_family(a, S: Splitting, eps: float):
 
 # -- sampling and scans --------------------------------------------------------
 
+_CONTRACT_BLOCK = 16384  # samples per block, so a block's columns stay in cache
+
+
+def _row_blocks(n):
+    """Consecutive slices of _CONTRACT_BLOCK rows that cover range(n)."""
+    return [slice(start, min(start + _CONTRACT_BLOCK, n))
+            for start in range(0, n, _CONTRACT_BLOCK)]
+
+
+def _usable_cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _blockwise(fn, jobs):
+    """Call fn(job) for every job, on a thread pool sized to the usable CPUs.
+
+    The one statement of the scans' worker rules.  The job iterator is
+    consumed on the calling thread, in order, so any random draws it makes
+    keep the stream of a plain loop; at most two jobs per worker wait at
+    once.  Each fn writes its own rows of a result the caller
+    preallocated, in place, and returns nothing, so the result does not
+    depend on which thread ran which job; reductions over all rows stay
+    with the caller.  Each call runs in a copy of the caller's context, so
+    an `np.errstate` in force at the call holds in the workers.  fn calls
+    numpy and private kernels only: no public g2fueter function (the
+    package is traced as one thread) and never `_blockwise` (pools do not
+    nest).  A lone job, or a process with one usable CPU, runs inline and
+    starts no thread.
+    """
+    jobs = iter(jobs)
+    head = list(itertools.islice(jobs, 2))
+    workers = _usable_cpus()
+    if len(head) < 2 or workers < 2:
+        for job in itertools.chain(head, jobs):
+            fn(job)
+        return
+    from concurrent.futures import ThreadPoolExecutor  # only scans pay the import
+
+    with ThreadPoolExecutor(workers) as pool:
+        pending = collections.deque()
+        for job in itertools.chain(head, jobs):
+            pending.append(pool.submit(contextvars.copy_context().run, fn, job))
+            if len(pending) > 2 * workers:
+                pending.popleft().result()
+        for done in pending:
+            done.result()
+
 
 class PlaneSampler:
     """Seeded sampler for oriented frames and graph planes.
@@ -411,14 +462,12 @@ class PlaneSampler:
         """n oriented 3-frames, orthonormal w.r.t. metric, shape (n, 3, 7).
 
         Batched thin QR over blocks of samples: this thread draws each
-        block in turn, and `_blockwise` workers orthonormalize the blocks
-        in place into their rows of the result, so the stream and every
-        float match one whole draw.  Workers call numpy only, no public
-        function, in a copy of this thread's context; a lone block runs
-        inline.  After the whole draw,
-        rows with a (numerically) degenerate draw are redrawn up to 5 times
-        before giving up.  A non-finite metric raises ValueError before
-        anything is drawn.
+        block in turn, and `_blockwise` (whose docstring states the worker
+        rules) orthonormalizes the blocks into their rows of the result,
+        so the stream and every float match one whole draw.  After the
+        whole draw, rows with a (numerically) degenerate draw are redrawn
+        up to 5 times before giving up.  A non-finite metric raises
+        ValueError before anything is drawn.
         """
         metric = np.asarray(metric, dtype=float)
         if not np.all(np.isfinite(metric)):
@@ -471,8 +520,8 @@ class ScanReport:
     skipped: int = 0
     equality_cases: list = field(default_factory=list)
 
-    def to_json(self):
-        payload = {
+    def as_dict(self):
+        return {
             "form": self.form,
             "metric": self.metric,
             "samples": self.samples,
@@ -484,17 +533,40 @@ class ScanReport:
             "skipped": self.skipped,
             "equalityCases": self.equality_cases,
         }
-        return json.dumps(payload, sort_keys=True)
+
+    def to_json(self):
+        return json.dumps(self.as_dict(), sort_keys=True)
 
     @property
     def passed(self):
         return self.violations == 0
 
 
-def batch_apply_3form(a: Form, frames):
-    """Evaluate a 3-form on a batch of frames, shape (n, 3, 7) -> (n,), by
-    `_ordered_contract` over the nonzero entries of its dense tensor."""
-    return _ordered_contract(a.to_dense(), frames[:, 0], frames[:, 1], frames[:, 2])
+def _included(rows, shape, what):
+    """Included samples as a (k, *shape) float array, k >= 0; a non-finite
+    entry or another shape raises ValueError."""
+    rows = np.asarray(rows, dtype=float)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"included {what} must be finite")
+    if len(rows) and rows.shape[1:] != shape:
+        raise ValueError(f"included {what} must have shape (k, {shape[0]}, {shape[1]})")
+    return rows.reshape(-1, *shape)
+
+
+def _sample(included, drawn, i):
+    """Row i of the included samples followed by the drawn ones."""
+    return included[i] if i < len(included) else drawn[i - len(included)]
+
+
+def _scan_report(ratios, included, drawn, seed, tol, **fields):
+    """The report of a scan over included then drawn samples: the first
+    maximal ratio and its sample, and the violations, any ratio that is
+    not <= 1 + tol, NaN included."""
+    imax = int(np.argmax(ratios))
+    return ScanReport(samples=len(ratios), max_ratio=float(ratios[imax]),
+                      argmax_frame=_sample(included, drawn, imax).tolist(),
+                      violations=int(np.sum(~(ratios <= 1.0 + tol))),
+                      seed=seed, tol=tol, **fields)
 
 
 def semi_calibration_scan(
@@ -510,38 +582,27 @@ def semi_calibration_scan(
 
     Frames are orthonormalized in the given metric, so the ratio is the
     raw evaluation alpha(v1, v2, v3).  Violation: any ratio that is not
-    <= 1 + tol, NaN included.  A non-finite included frame or metric
-    raises ValueError.
+    <= 1 + tol, NaN included.  An included frame that is not finite or
+    does not stack to (k, 3, 7), or a non-finite metric, raises
+    ValueError.  Included frames are evaluated on this thread and the
+    drawn ones block by block through `_blockwise`.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    if not np.all(np.isfinite(np.asarray(include_frames, dtype=float))):
-        raise ValueError("included frames must be finite")
+    included = _included(include_frames, (3, DIM), "frames")
     frames = sampler.frames(n, metric)
-    if len(include_frames):
-        frames = np.concatenate([np.asarray(include_frames, dtype=float), frames])
-    ratios = batch_apply_3form(a, frames)
-    imax = int(np.argmax(ratios))
-    violations = int(np.sum(~(ratios <= 1.0 + tol)))
-    return ScanReport(
-        form=label or str(a),
-        metric=np.array2string(np.asarray(metric), precision=6),
-        samples=int(frames.shape[0]),
-        max_ratio=float(ratios[imax]),
-        argmax_frame=[[float(x) for x in v] for v in frames[imax]],
-        violations=violations,
-        seed=sampler.seed,
-        tol=tol,
-    )
+    dense = a.to_dense()
+    k = len(included)
+    ratios = np.empty(k + n)
+    drawn = ratios[k:]
 
+    def contract(rows):  # (m, 3, 7) frames, unpacked into their three (m, 7) vectors
+        drawn[rows] = _ordered_contract(dense, *frames[rows].swapaxes(0, 1))
 
-def omega_of_graph_frames(S: Splitting, Ts):
-    """omega(v1, v2, v3) for a batch of graph maps, shape (n, 3, 4) -> (n,).
-
-    Closed form: only terms with one horizontal and two vertical slots
-    survive, giving omega_1(u2,u3) - omega_2(u1,u3) + omega_3(u1,u2).
-    """
-    return _omega_values(_omega_blocks(S), np.asarray(Ts, dtype=float))
+    ratios[:k] = _ordered_contract(dense, *included.swapaxes(0, 1))
+    _blockwise(contract, _row_blocks(n))
+    return _scan_report(ratios, included, frames, sampler.seed, tol, form=label or str(a),
+                        metric=np.array2string(np.asarray(metric), precision=6))
 
 
 def _omega_blocks(S: Splitting):
@@ -550,8 +611,9 @@ def _omega_blocks(S: Splitting):
 
 
 def _omega_values(w, Ts):
-    """`_ordered_contract` gives np.einsum("ab,na,nb->n")'s floats; a scan
-    block is one contraction block, so in a worker it runs inline."""
+    """omega(v1, v2, v3) for graph maps (m, 3, 4) -> (m,), with w from
+    `_omega_blocks`: only terms with one horizontal and two vertical slots
+    survive, giving omega_1(u2,u3) - omega_2(u1,u3) + omega_3(u1,u2)."""
     u1, u2, u3 = Ts[:, 0], Ts[:, 1], Ts[:, 2]
     return (
         _ordered_contract(w[0], u2, u3)
@@ -573,75 +635,56 @@ def anisotropic_scan(
     counted.  Near-equality cases (ratio > 1 - 1e-6) are re-examined with
     the six-way condition residuals and attached to the report.  The
     pointwise identity omega(v) + |chi_1(v)|^2 / 2 = ve_1 is also enforced
-    on every sample.  A non-finite included plane raises ValueError.
-    Violation: any ratio that is not <= 1 + tol, NaN included.
+    on every sample.  An included plane that is not finite or does not
+    stack to (k, 3, 4) raises ValueError.  Violation: any ratio that is
+    not <= 1 + tol, NaN included.
 
-    Planes are drawn one block of samples at a time on this thread, while
-    `_blockwise` workers compute each block's omega, ve_1 and identity
-    residual in place into their rows of whole arrays.  Workers call numpy
-    only, no public function (the constant matrices come from this
-    thread), in a copy of this thread's context; a lone block runs inline.  The ratios, argmax, counts,
-    near-equality cases and identity guard are taken over the whole
-    arrays here, so the report is that of one whole draw.
+    Included planes are measured on this thread.  The drawn ones are
+    drawn one block at a time on this thread and measured through
+    `_blockwise` (whose docstring states the worker rules); the constant
+    matrices come from this thread.  The ratios, argmax, counts,
+    near-equality cases and identity guard are taken over all rows here,
+    so the report is that of one whole draw.
     """
     if n < 1:
         raise ValueError("need at least one sample")
-    included = np.asarray(include_planes, dtype=float)
-    if not np.all(np.isfinite(included)):
-        raise ValueError("included planes must be finite")
-    if len(included) and included.shape[1:] != (3, 4):
-        raise ValueError("included planes must have shape (k, 3, 4)")
+    included = _included(include_planes, (3, 4), "planes")
     from .fueter import condition_residuals, fueter_map_matrix
 
     w, fmap = _omega_blocks(S), fueter_map_matrix(S)
-    k = len(included)
-    Ts = np.empty((k + n, 3, 4))
-    if k:
-        Ts[:k] = included
-    omega_vals, ve1, identity_residual = np.empty((3, k + n))
 
-    def draws():
-        for rows in _row_blocks(k + n):
-            start = max(rows.start, k)
-            if start < rows.stop:
-                Ts[start:rows.stop] = sampler.graph_planes(rows.stop - start)
-            yield rows
-
-    def measure(rows):
-        T = Ts[rows]
-        omega_vals[rows] = _omega_values(w, T)
-        ve1[rows] = 0.5 * np.einsum("nia,nia->n", T, T)
+    def measures(T):
+        """omega, ve_1 and the identity residual of graph maps (m, 3, 4)."""
+        omega, ve1 = _omega_values(w, T), 0.5 * np.einsum("nia,nia->n", T, T)
         F = (fmap @ T.reshape(len(T), 12).T).T
-        identity_residual[rows] = np.abs(omega_vals[rows] + 0.5 * np.sum(F * F, axis=1)
-                                         - ve1[rows])
+        return omega, ve1, np.abs(omega + 0.5 * np.sum(F * F, axis=1) - ve1)
 
-    _blockwise(measure, draws())
+    k = len(included)
+    Ts, values = np.empty((n, 3, 4)), np.empty((3, k + n))
+    drawn = values[:, k:]
+
+    def measure(job):
+        rows, T = job
+        Ts[rows] = T
+        drawn[:, rows] = measures(T)
+
+    values[:, :k] = measures(included)
+    _blockwise(measure, ((rows, sampler.graph_planes(rows.stop - rows.start))
+                         for rows in _row_blocks(n)))
+    omega_vals, ve1, identity_residual = values
     keep = ve1 >= VE1_EXCLUSION
-    skipped = int(np.sum(~keep))
     ratios = np.where(keep, omega_vals / np.where(keep, ve1, 1.0), -np.inf)
     worst = float(identity_residual.max())
     if not worst <= IDENTITY_RESIDUAL_TOL:
         raise AssertionError(f"secondary-calibration identity violated: residual {worst}")
 
-    imax = int(np.argmax(ratios))
-    violations = int(np.sum(~(ratios <= 1.0 + tol)))
-    equality_cases = []
-    near = np.nonzero(ratios > 1.0 - 1e-6)[0]
-    for idx in near[:16]:
-        report = condition_residuals(GraphPlane(T=Ts[idx], splitting=S))
-        equality_cases.append(report.as_dict())
-    return ScanReport(
-        form="omega (secondary calibration)",
-        metric="ve1 * volH",
-        samples=int(Ts.shape[0]),
-        max_ratio=float(ratios[imax]),
-        argmax_frame=[[float(x) for x in row] for row in Ts[imax]],
-        violations=violations,
-        seed=sampler.seed,
-        tol=tol,
-        skipped=skipped,
-        equality_cases=equality_cases,
-    )
+    equality_cases = [
+        condition_residuals(GraphPlane(T=_sample(included, Ts, idx), splitting=S)).as_dict()
+        for idx in np.nonzero(ratios > 1.0 - 1e-6)[0][:16]
+    ]
+    return _scan_report(ratios, included, Ts, sampler.seed, tol,
+                        form="omega (secondary calibration)", metric="ve1 * volH",
+                        skipped=int(np.sum(~keep)), equality_cases=equality_cases)
 
 
 # -- the equality ladder -------------------------------------------------------

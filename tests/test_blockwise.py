@@ -1,4 +1,4 @@
-"""The sample-block worker pool: `exterior._blockwise` and the scans on it.
+"""The sample-block worker pool: `splitting._blockwise` and the scans on it.
 
 Blocks of samples may run on any thread in any order, so these tests pin
 what must not move: every report byte (against one whole-array block run
@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from g2fueter import exterior as ex
 from g2fueter import splitting as sp
 
 from test_tracer import load_tracer
@@ -36,15 +35,14 @@ def _plain_loop(fn, jobs):
 
 def _whole_serial(monkeypatch):
     """One block of every sample, run as a plain loop: the whole-array scan."""
-    monkeypatch.setattr(ex, "_CONTRACT_BLOCK", 10 ** 9)
-    monkeypatch.setattr(ex, "_blockwise", _plain_loop)
+    monkeypatch.setattr(sp, "_CONTRACT_BLOCK", 10 ** 9)
     monkeypatch.setattr(sp, "_blockwise", _plain_loop)
 
 
 def _pooled(monkeypatch, block):
     """Blocks of `block` samples on a two-worker pool, on any host."""
-    monkeypatch.setattr(ex, "_CONTRACT_BLOCK", block)
-    monkeypatch.setattr(ex, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(sp, "_CONTRACT_BLOCK", block)
+    monkeypatch.setattr(sp, "_usable_cpus", lambda: 2)
 
 
 class _DegenerateRow:
@@ -101,7 +99,7 @@ def test_many_workers_and_fast_switching_change_no_byte(monkeypatch):
     try:
         sys.setswitchinterval(1e-6)
         _pooled(monkeypatch, 100)
-        monkeypatch.setattr(ex, "_usable_cpus", lambda: 8)
+        monkeypatch.setattr(sp, "_usable_cpus", lambda: 8)
         assert _scan_bytes(4321, True, 100) == want
     finally:
         sys.setswitchinterval(interval)
@@ -109,11 +107,11 @@ def test_many_workers_and_fast_switching_change_no_byte(monkeypatch):
 
 _CPU_SCRIPT = """
 import os, sys
-from g2fueter import cli, exterior
+from g2fueter import cli, splitting
 if sys.argv[1] == "one":
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-exterior._CONTRACT_BLOCK = 1000
-print(exterior._usable_cpus())
+splitting._CONTRACT_BLOCK = 1000
+print(splitting._usable_cpus())
 for kind, samples in (("anisotropic", "4321"), ("semical", "2345")):
     out = os.path.join(sys.argv[2], sys.argv[1] + "-" + kind + ".json")
     assert cli.run(["scan", kind, "--samples", samples, "--seed", "3", "--out", out]) == 0
@@ -165,7 +163,7 @@ def test_scans_leave_no_thread_and_trace_on_the_main_thread(monkeypatch):
     assert threading.active_count() == before
     assert all(main for main, _ in seen)
     assert max(live for _, live in seen) > before  # drawn while the pool ran
-    assert tracer.stats["splitting.PlaneSampler.graph_planes"][0] == 6
+    assert tracer.stats["splitting.PlaneSampler.graph_planes"][0] == 5
     assert tracer.counters["splitting.scan.samples"] == 10000
 
 
@@ -180,10 +178,10 @@ def test_workers_keep_the_callers_errstate(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(divide="ignore"):
-            ex._blockwise(divide, range(6))
+            sp._blockwise(divide, range(6))
         assert np.all(np.isinf(out)) and threading.main_thread() not in threads
         with pytest.raises(RuntimeWarning):  # raised in a worker, seen here
-            ex._blockwise(divide, range(6))
+            sp._blockwise(divide, range(6))
         # omega and ve_1 overflow in the second block: only the guard speaks
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(AssertionError, match="identity violated"):
@@ -193,9 +191,9 @@ def test_workers_keep_the_callers_errstate(monkeypatch):
 
 def test_lone_job_or_one_cpu_runs_inline(monkeypatch):
     threads = []
-    ex._blockwise(lambda job: threads.append(threading.current_thread()), [0])
-    monkeypatch.setattr(ex, "_usable_cpus", lambda: 1)
-    ex._blockwise(lambda job: threads.append(threading.current_thread()), range(5))
+    sp._blockwise(lambda job: threads.append(threading.current_thread()), [0])
+    monkeypatch.setattr(sp, "_usable_cpus", lambda: 1)
+    sp._blockwise(lambda job: threads.append(threading.current_thread()), range(5))
     assert threads == [threading.main_thread()] * 6
 
 

@@ -487,13 +487,20 @@ def test_ordered_contract_is_bit_equal_to_einsum(name, seed, n, graph, integer):
     assert _hexes(got) == _hexes(want)
 
 
-def test_ordered_contract_is_bit_equal_across_blocks(monkeypatch):
-    monkeypatch.setattr(ex, "_CONTRACT_BLOCK", 5)
-    for name, (dense, subscripts, count) in _CONTRACTIONS.items():
-        for n in (1, 4, 5, 6, 12):
-            vecs = _contraction_inputs(n, n, count, graph=True, integer=False)
-            assert _hexes(ex._ordered_contract(dense, *vecs)) == \
-                _hexes(np.einsum(subscripts, dense, *vecs)), (name, n)
+def test_ordered_contract_is_bit_equal_across_blocks():
+    # each row depends on its own vectors alone, so the scans may cut the
+    # rows into blocks anywhere: the pieces concatenate to one whole call
+    rng = np.random.default_rng(0)
+    # phi and Theta, each with every slot filled and with the first free
+    for dense, count in ((_PHI, 3), (_PHI, 2), (_THETA, 4), (_THETA, 3)):
+        for n, integer in itertools.product((1, 2, 13, 40), (False, True)):
+            vecs = _contraction_inputs(n, n, count, graph=count >= 3, integer=integer)
+            whole = _hexes(ex._ordered_contract(dense, *vecs))
+            for cuts in ([0], [1], [n - 1], sorted(rng.integers(0, n + 1, 3))):
+                edges = [0, *cuts, n]
+                pieces = [ex._ordered_contract(dense, *(v[a:b] for v in vecs))
+                          for a, b in zip(edges, edges[1:])]
+                assert _hexes(np.concatenate(pieces)) == whole, (count, n, integer, cuts)
 
 
 def test_ordered_contract_zero_keeps_the_sign_of_einsum():

@@ -425,7 +425,7 @@ class TestScanRobustness:
         Ts = sp.PlaneSampler(1234).graph_planes(5000)
         for scale in (0.01, 1.0, 10.0):
             scaled = scale * Ts
-            omega = sp.omega_of_graph_frames(S, scaled)
+            omega = sp._omega_values(sp._omega_blocks(S), scaled)
             ve1 = 0.5 * np.einsum("nia,nia->n", scaled, scaled)
             keep = ve1 >= sp.VE1_EXCLUSION
             assert np.all(omega[keep] / ve1[keep] <= 1.0 + sp.INEQUALITY_SLACK), scale

@@ -166,3 +166,29 @@ def test_raise_guards_fail_on_nan():
                 unsound.add(f"{path.stem}: {ast.unparse(node.test)}")
     assert unsound == set(INTEGER_GUARDS)
 
+
+
+def _names(tree):
+    """Every identifier a module's code uses, defines or imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.alias)):
+            yield node.name
+        elif isinstance(node, (ast.Name, ast.Attribute)):
+            yield getattr(node, "id", getattr(node, "attr", None))
+
+
+def test_one_module_owns_the_sample_block_pool():
+    # the scans start the pool from three places, all in splitting (the
+    # frames QR, semical's contraction and anisotropic's measurement);
+    # exterior's kernels are plain and import no thread or CPU machinery
+    package = Path(g2fueter.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert [stem for stem, tree in trees.items() if "_blockwise" in _names(tree)] == ["splitting"]
+    calls = [node for node in ast.walk(trees["splitting"]) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "_blockwise"]
+    assert len(calls) == 3
+    imported = {alias.name.split(".")[0] for node in ast.walk(trees["exterior"])
+                if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module.split(".")[0] for node in ast.walk(trees["exterior"])
+                 if isinstance(node, ast.ImportFrom) and node.module}
+    assert not imported & {"concurrent", "contextvars", "os", "collections"}

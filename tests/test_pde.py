@@ -514,8 +514,8 @@ class TestSparseContractions:
         pde.cs_functional(self.u0, self.sec, n=4)
         pde.cs_first_variation(self.u0, self.sec, self.Z, n=4)
         pde.adversarial_variation(self.bad)
-        frames = np.random.default_rng(0).standard_normal((5, 3, 7))
-        sp.batch_apply_3form(sp.standard_splitting().g2.phi, frames)
+        sp.semi_calibration_scan(sp.standard_splitting().g2.phi, np.eye(7),
+                                 sp.PlaneSampler(0), 5, include_frames=[np.eye(7)[:3]])
 
 
 class TestHeisenbergGraphs:

@@ -354,6 +354,16 @@ class TestScans:
                     include_frames=[np.full((3, 7), bad)],
                 )
 
+    @pytest.mark.parametrize("shape", [(1, 3, 4), (7, 3, 3)])
+    def test_included_frames_of_another_shape_rejected(self, shape):
+        # (7, 3, 3) holds the 63 numbers of three frames: only the shape
+        # check tells it apart, and it speaks before anything is drawn
+        sampler = sp.PlaneSampler(17)
+        with pytest.raises(ValueError, match=r"shape \(k, 3, 7\)"):
+            sp.semi_calibration_scan(S.g2.phi, np.eye(7), sampler, 10,
+                                     include_frames=np.ones(shape))
+        assert sampler.rng.bit_generator.state == sp.PlaneSampler(17).rng.bit_generator.state
+
     def test_nan_ratio_is_a_violation(self):
         a = ex.Form(7, 3, {(1, 2, 3): np.nan})
         with np.errstate(invalid="ignore"):
@@ -421,7 +431,7 @@ class TestScans:
     def test_batch_apply_matches_pointwise(self):
         rng = np.random.default_rng(23)
         frames = rng.standard_normal((20, 3, 7))
-        batch = sp.batch_apply_3form(S.g2.phi, frames)
+        batch = ex._ordered_contract(S.g2.phi.to_dense(), *frames.swapaxes(0, 1))
         for i in range(20):
             assert abs(batch[i] - S.g2.phi.apply(list(frames[i]))) < 1e-12
 
@@ -429,7 +439,7 @@ class TestScans:
         rng = np.random.default_rng(24)
         Ts = rng.standard_normal((20, 3, 4))
         _, omega, _, _ = S.form_parts()
-        batch = sp.omega_of_graph_frames(S, Ts)
+        batch = sp._omega_values(sp._omega_blocks(S), Ts)
         for i in range(20):
             g = sp.GraphPlane(Ts[i], S)
             assert abs(batch[i] - omega.apply(list(g.frame()))) < 1e-12
