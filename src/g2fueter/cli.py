@@ -1,10 +1,13 @@
 """Command-line driver `g2f`; USAGE is its help text.
 
-Every verify suite folds each sampled identity through `_worst`, the
-largest of n draws that keeps a NaN, and records each pass/fail check
-through `_flag`.  An identity that the acceptance suite also checks has
-one module-level sampler here: `verify` runs it at the profile's sample
-count, the acceptance criteria at their own seeds and counts.
+Every verify suite folds each sampled identity through `_fold`, the
+largest of the samples' residuals that keeps a NaN (`_worst` draws them
+one at a time), and records each pass/fail check through `_flag`.  A
+sampler draws all its samples first, in the order a loop over samples
+would, and hands the stack to the library's batched kernels.  An identity
+that the acceptance suite also checks has one module-level sampler here:
+`verify` runs it at the profile's sample count, the acceptance criteria at
+their own seeds and counts.
 """
 
 from __future__ import annotations
@@ -83,9 +86,15 @@ def _sup(*values):
     return float(np.max(values))
 
 
+def _fold(residuals):
+    """The largest of the residuals (a sequence or an array) and 0.0, NaN
+    if any is NaN."""
+    return float(np.max(np.append(0.0, residuals)))
+
+
 def _worst(n, residual):
     """The largest of n draws of residual() and 0.0, NaN if any draw is NaN."""
-    return _sup(0.0, *(residual() for _ in range(n)))
+    return _fold([residual() for _ in range(n)])
 
 
 # -- samplers shared with the acceptance suite ----------------------------------
@@ -93,11 +102,10 @@ def _worst(n, residual):
 
 def _ve_routes(rng, n, S):
     """Worst disagreement of the eigenvalue series and the minor recursion,
-    through ve_4, over n graph planes."""
-    def gap():
-        g = splitting.GraphPlane(rng.standard_normal((3, 4)), S)
-        return float(np.abs(splitting.ve_series(g, 4) - splitting.ve_recursive(g, 4)).max())
-    return _worst(n, gap)
+    through ve_4, over n graph planes of S."""
+    Ts = rng.standard_normal((n, 3, 4))
+    gaps = splitting.ve_series_many(Ts, 4) - splitting.ve_recursive_many(Ts, 4)
+    return _fold(np.abs(gaps).max(axis=1))
 
 
 def _ve_sqrt_taylor(S):
@@ -109,15 +117,22 @@ def _ve_sqrt_taylor(S):
 
 
 def _six_way(rng, n, S):
-    """Yields the six condition reports of n completed Fueter planes, each
-    paired with the reports of a generic graph plane drawn after it."""
-    for _ in range(n):
-        v1 = np.concatenate([[1.0, 0, 0], rng.standard_normal(4)])
-        v2 = np.concatenate([[0.0, 1, 0], rng.standard_normal(4)])
-        v3 = fueter.fueter_complete(v1, v2, S)
-        g, _ = splitting.graph_from_plane(splitting.Plane(np.vstack([v1, v2, v3])), S)
-        generic = splitting.GraphPlane(rng.standard_normal((3, 4)), S)
-        yield fueter.condition_residuals(g), fueter.condition_residuals(generic)
+    """The six condition reports of n completed Fueter planes, each paired
+    with the reports of a generic graph plane drawn after it."""
+    draws = rng.standard_normal((n, 20))  # per plane: v1's and v2's V parts, a generic T
+    completed = [_completed_plane(d[:4], d[4:8], S)[0] for d in draws]
+    return list(zip(fueter.condition_residuals_many(np.reshape(completed, (n, 3, 4)), S),
+                    fueter.condition_residuals_many(draws[:, 8:].reshape(n, 3, 4), S)))
+
+
+def _completed_plane(u1, u2, S):
+    """The graph map of the Fueter plane through e1 + u1 and e2 + u2 (u1,
+    u2 the V parts), and the condition number of its completion system."""
+    v1 = np.concatenate([[1.0, 0, 0], u1])
+    v2 = np.concatenate([[0.0, 1, 0], u2])
+    v3, cond = fueter.fueter_complete(v1, v2, S, return_system=True)
+    g, _ = splitting.graph_from_plane(splitting.Plane(np.vstack([v1, v2, v3])), S)
+    return g.T, cond
 
 
 def _homology_family():
@@ -230,21 +245,21 @@ def _suite_algebra(rng, tol):
 
     G = g2core.standard_g2()
 
-    def associator_gap():
-        u, v, w = rng.standard_normal((3, 7))
-        lhs = G.phi.apply([u, v, w]) ** 2 + np.sum(g2core.chi(u, v, w, G) ** 2)
-        gram = np.array([[u @ u, u @ v, u @ w], [v @ u, v @ v, v @ w], [w @ u, w @ v, w @ w]])
-        return abs(lhs - np.linalg.det(gram))
-    worst = _worst(n, associator_gap)
+    # a scalar's ** 2 is libm's pow, as np.float_power is; an array's is x * x
+    U = rng.standard_normal((n, 3, 7))
+    lhs = np.float_power(G.phi.apply_many(U), 2) + np.sum(g2core.chi_many(U, G) ** 2, axis=1)
+    gram = np.empty((n, 3, 3))
+    for a, b in itertools.product(range(3), repeat=2):
+        gram[:, a, b] = ex._rowdot(U[:, a], U[:, b])
+    worst = _fold(np.abs(lhs - np.linalg.det(gram)))
     checks.append(_record("associator-equality",
                           "|phi(v)|^2 + |chi(v)|^2 = |v1^v2^v3|^2",
                           worst, worst < tol["identity"]))
 
-    def coassociator_gap():
-        vs = rng.standard_normal((4, 7))
-        t = g2core.tau(*vs, G)
-        return abs(G.star_phi.apply(list(vs)) ** 2 + t @ t - np.linalg.det(vs @ vs.T))
-    worst = _worst(n, coassociator_gap)
+    V = rng.standard_normal((n, 4, 7))
+    t = g2core.tau_many(V, G)
+    worst = _fold(np.abs(np.float_power(G.star_phi.apply_many(V), 2) + ex._rowdot(t, t)
+                         - np.linalg.det(V @ V.swapaxes(1, 2))))
     checks.append(_record("coassociator-equality",
                           "|*phi(v)|^2 + |tau(v)|^2 = |v1^..^v4|^2",
                           worst, worst < tol["identity"]))
@@ -342,8 +357,8 @@ def _suite_splitting(rng, tol):
     checks.append(_record("volH-below-vol", "horizontal volume never exceeds volume",
                           worst, worst < tol["slack"]))
 
-    worst = _worst(tol["samples"] // 2, lambda: splitting.equality_ladder(
-        splitting.GraphPlane(rng.standard_normal((3, 4)), S)).max_residual)
+    Ts = rng.standard_normal((tol["samples"] // 2, 3, 4))
+    worst = _fold([rep.max_residual for rep in splitting.equality_ladder_many(Ts, S)])
     checks.append(_record("equality-ladder",
                           "graded equalities tie alpha, chi and the ve hierarchy",
                           worst, worst < tol["identity"]))
@@ -373,32 +388,26 @@ def _suite_fueter(rng, tol):
     checks = [_record("j-matrices", "splitting-derived J triple matches the pinned one",
                       worst, worst == 0.0)]
 
-    def route_gap():
-        g = splitting.GraphPlane(rng.standard_normal((3, 4)), S)
-        f1 = fueter.fueter_vector(g)
-        f2 = fueter.fueter_via_J(g, J)
-        chi1 = fueter.chi_component_values(g)[1][3:]
-        chi1b = fueter.chi1_via_beta(g)
-        chi1c = fueter.chi1_via_projection(g)
-        v1 = np.array([chi1b.coeffs.get((i,), 0.0) for i in range(4, 8)])
-        v2 = np.array([chi1c.coeffs.get((i,), 0.0) for i in range(4, 8)])
-        return _sup(float(np.abs(f1 - f2).max()), float(np.abs(f1 - chi1).max()),
-                    float(np.abs(f1 - v1).max()), float(np.abs(f1 - v2).max()))
-    worst = _worst(n, route_gap)
+    # the cross, J and Theta routes run over the sample axis; the two beta
+    # routes are Form algebra, one plane at a time
+    Ts = rng.standard_normal((n, 3, 4))
+    routes = np.empty((n, 4, 4))
+    routes[:, 0] = fueter.fueter_via_J_many(Ts, J)
+    routes[:, 1] = fueter.chi_component_values_many(Ts, S)[1][:, 3:]
+    for row, T in enumerate(Ts):
+        g = splitting.GraphPlane(T, S)
+        for k, chi1 in ((2, fueter.chi1_via_beta(g)), (3, fueter.chi1_via_projection(g))):
+            routes[row, k] = [chi1.coeffs.get((i,), 0.0) for i in range(4, 8)]
+    gaps = fueter.fueter_vector_many(Ts, S)[:, None] - routes
+    worst = _fold(np.abs(gaps).max(axis=(1, 2)))
     checks.append(_record("route-equivalence",
                           "cross, J, Theta-contraction and beta routes agree",
                           worst, worst < tol["identity"]))
 
-    conds = []
-
-    def completion_residual():
-        v1 = np.concatenate([[1.0, 0, 0], rng.standard_normal(4)])
-        v2 = np.concatenate([[0.0, 1, 0], rng.standard_normal(4)])
-        v3, cond = fueter.fueter_complete(v1, v2, S, return_system=True)
-        conds.append(cond)
-        g, _ = splitting.graph_from_plane(splitting.Plane(np.vstack([v1, v2, v3])), S)
-        return float(np.linalg.norm(fueter.fueter_vector(g)))
-    worst = _worst(n // 5, completion_residual)
+    draws = rng.standard_normal((n // 5, 8))  # per plane: v1's and v2's V parts
+    Ts, conds = zip(*(_completed_plane(d[:4], d[4:], S) for d in draws))
+    F = fueter.fueter_vector_many(np.reshape(Ts, (-1, 3, 4)), S)
+    worst = _fold(np.sqrt(ex._rowdot(F, F)))
     checks.append(_record("completion", "completed planes satisfy the vertical equation",
                           worst, worst < 1e-10))
     cond = _sup(*conds)
@@ -415,12 +424,10 @@ def _suite_fueter(rng, tol):
 
     lam, omega, theta, mu = S.form_parts()
 
-    def secondary_gap():
-        g = splitting.GraphPlane(rng.standard_normal((3, 4)), S)
-        gap = splitting.ve_series(g, 1)[1] - omega.apply(list(g.frame()))
-        chi1 = fueter.chi_component_values(g)[1]
-        return abs(gap - 0.5 * float(chi1 @ chi1))
-    worst = _worst(n, secondary_gap)
+    Ts = rng.standard_normal((n, 3, 4))
+    gap = splitting.ve_series_many(Ts, 1)[:, 1] - omega.apply_many(splitting.graph_frames(Ts))
+    chi1 = fueter.chi_component_values_many(Ts, S)[1]
+    worst = _fold(np.abs(gap - 0.5 * ex._rowdot(chi1, chi1)))
     checks.append(_record("secondary-equality",
                           "omega(v) + |chi_1(v)|^2 / 2 = ve_1",
                           worst, worst < tol["identity"]))

@@ -10,9 +10,13 @@ Validation happens at the public constructor `Form(...)`: every key must be
 a strictly increasing tuple in range.  The operations below (`wedge`,
 `hodge`, `interior`, `pullback`, `+`, `*`) build their results with the
 internal `Form._trusted`, which skips that check because their keys are
-sorted and in range by construction.  Evaluation batches its minors into
-one stacked `np.linalg.det` call but still sums the products one by one in
-coefficient order, so every float equals that of the per-monomial loop.
+sorted and in range by construction.
+
+Evaluation runs on the sample axis: `apply_many` takes stacked frames
+(n, degree, dim), makes one stacked `np.linalg.det` call over all n
+samples' minors and sums the products one by one in coefficient order, as
+vectors over n, so every float equals that of the per-monomial loop and
+row i does not depend on the other rows.  `apply` is its n = 1 case.
 """
 
 from __future__ import annotations
@@ -90,9 +94,12 @@ def _subsets(dim, degree):
 
 
 def _row_array(keys, degree):
-    rows = np.array(keys, dtype=np.intp).reshape(len(keys), degree) - 1
-    rows.setflags(write=False)
-    return rows
+    return _read_only(np.array(keys, dtype=np.intp).reshape(len(keys), degree) - 1)
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 @functools.cache
@@ -110,12 +117,59 @@ def _hodge_key(dim, idx):
     return comp, _sort_with_sign(idx + comp)[1]
 
 
-def _sequential_sum(coeffs, dets):
-    """sum(c * d) accumulated in order, as the per-monomial loop did."""
-    total = 0.0
-    for c, d in zip(coeffs, dets):
-        total += c * d
-    return float(total)
+_EVAL_BLOCK = 1 << 13  # minor entries per det call, so the stacked minors stay small
+
+
+def _stacked(a, shape):
+    """a as a float array of shape (n,) + shape, n >= 0; another shape
+    raises DimensionMismatchError."""
+    a = np.ascontiguousarray(a, dtype=float)
+    if a.shape[1:] != tuple(shape) or a.ndim != len(shape) + 1:
+        raise DimensionMismatchError(f"stack of shape {a.shape}, expected (n, *{tuple(shape)})")
+    return a
+
+
+def _ordered_sum(terms):
+    """Sums over the last axis accumulated in order from +0.0, as a loop
+    `total += t` does; the leading axes are independent."""
+    padded = np.zeros(terms.shape[:-1] + (terms.shape[-1] + 1,))
+    padded[..., 1:] = terms
+    return np.add.accumulate(padded, axis=-1)[..., -1]
+
+
+def _with_unit_vectors(frames):
+    """Each stacked frame (n, k, dim) followed by each unit vector in turn:
+    (n, dim, k + 1, dim), as in a(v_1, .., v_k, e_j) for j = 1..dim."""
+    n, k, dim = frames.shape
+    out = np.empty((n, dim, k + 1, dim))
+    out[:, :, :k] = frames[:, None]
+    out[:, :, k] = np.eye(dim)
+    return out
+
+
+def _rowdot(a, b):
+    """The dot products of the rows of a and b (n, m) -> (n,), each by the
+    one-vector product a[i] @ b[i] (numpy's dot kernel, row by row)."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _evaluate(frames, rows, coeffs, segments):
+    """Sums of coefficient times minor over stacked frames (n, k, dim).
+
+    rows: (m, k) minor rows; coeffs: (m,); segments: (s, L) indices into
+    [0.0] + the m products, each segment's products left-padded with the
+    0.0, so that each of the (n, s) results is accumulated in coefficient
+    order from +0.0.  The det calls take blocks of frames, rows independent.
+    """
+    out = np.empty((len(frames), len(segments)))
+    cols = frames.swapaxes(1, 2)
+    step = max(1, _EVAL_BLOCK // max(1, rows.size * rows.shape[-1]))
+    for start in range(0, len(frames), step):
+        block = cols[start:start + step]
+        terms = np.zeros((len(block), len(coeffs) + 1))
+        np.multiply(coeffs, np.linalg.det(block[:, rows]), out=terms[:, 1:])
+        out[start:start + step] = _ordered_sum(terms[:, segments])
+    return out
 
 
 def _ordered_contract(dense, *vecs):
@@ -192,6 +246,13 @@ class Form:
         """Read-only (m, degree) array of the 0-based rows of each key."""
         return _row_array(tuple(self.coeffs), self.degree)
 
+    @functools.cached_property
+    def _plan(self):
+        """(rows, coefficients, segments) for `_evaluate`: one segment of
+        all the monomials in coefficient order."""
+        return self._rows, _read_only(np.array(list(self.coeffs.values()))), \
+            _read_only(np.arange(len(self.coeffs) + 1)[None])
+
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other):
@@ -241,25 +302,21 @@ class Form:
         return all(abs(self.coeffs.get(k, 0.0) - other.coeffs.get(k, 0.0)) <= tol for k in keys)
 
     def apply(self, vectors):
-        """Evaluate on a list of self.degree vectors (each a length-dim array)."""
-        mat = self._columns(vectors)
-        if self.degree == 0:
-            return self.coeffs.get((), 0.0)
-        dets = np.linalg.det(mat[self._rows]).tolist()
-        return _sequential_sum(self.coeffs.values(), dets)
+        """Evaluate on a list of self.degree vectors (each a length-dim
+        array): the n = 1 case of `apply_many`."""
+        return float(self.apply_many(self._frame(vectors))[0])
 
-    def _columns(self, vectors):
-        """The vectors as the columns of a (dim, degree) matrix."""
+    def apply_many(self, frames):
+        """Evaluate on stacked frames (n, degree, dim) -> (n,); row i is
+        the value on the vectors frames[i]."""
+        return _evaluate(_stacked(frames, (self.degree, self.dim)), *self._plan)[:, 0]
+
+    def _frame(self, vectors):
+        """The vectors as a stack of one frame, checked by `apply_many`."""
         vectors = list(vectors)
         if len(vectors) != self.degree:
             raise ValueError(f"expected {self.degree} vectors, got {len(vectors)}")
-        if self.degree == 0:
-            return None
-        mat = np.array(vectors, dtype=float).T
-        if mat.shape != (self.dim, self.degree):
-            raise DimensionMismatchError(
-                f"vectors stack to shape {mat.shape}, expected {(self.dim, self.degree)}")
-        return mat
+        return np.array(vectors, dtype=float)[None] if vectors else np.zeros((1, 0, self.dim))
 
     def to_dense(self):
         """Fully antisymmetric dense ndarray of shape (dim,)*degree (0-based)."""
@@ -431,25 +488,27 @@ class VectorValuedForm:
         return self.components[0].degree
 
     def apply(self, vectors):
-        """Evaluate on vectors, returning a value in R^value_dim."""
-        comps = self.components
-        mat = comps[0]._columns(vectors)
-        if self.degree == 0:
-            return np.array([c.coeffs.get((), 0.0) for c in comps])
-        dets = np.linalg.det(mat[self._rows]).tolist()
-        out, start = [], 0
-        for c in comps:
-            stop = start + len(c.coeffs)
-            out.append(_sequential_sum(c.coeffs.values(), dets[start:stop]))
-            start = stop
-        return np.array(out)
+        """Evaluate on vectors, returning a value in R^value_dim: the n = 1
+        case of `apply_many`."""
+        return self.apply_many(self.components[0]._frame(vectors))[0]
+
+    def apply_many(self, frames):
+        """Evaluate on stacked frames (n, degree, dim) -> (n, value_dim)."""
+        return _evaluate(_stacked(frames, (self.degree, self.dim)), *self._plan)
 
     @functools.cached_property
-    def _rows(self):
-        """All components' minor rows, stacked in component order."""
-        rows = np.concatenate([c._rows for c in self.components])
-        rows.setflags(write=False)
-        return rows
+    def _plan(self):
+        """(rows, coefficients, segments) for `_evaluate`: all components'
+        minor rows in component order, one left-padded segment each."""
+        comps = self.components
+        sizes = [len(c.coeffs) for c in comps]
+        width, segments, start = max(sizes) + 1, [], 1
+        for size in sizes:
+            segments.append([0] * (width - size) + list(range(start, start + size)))
+            start += size
+        return (_read_only(np.concatenate([c._rows for c in comps])),
+                _read_only(np.array([x for c in comps for x in c.coeffs.values()])),
+                _read_only(np.array(segments)))
 
     def map_components(self, fn):
         return VectorValuedForm(tuple(fn(c) for c in self.components))

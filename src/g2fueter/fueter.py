@@ -12,21 +12,21 @@ dimensions for the associative and Fueter exterior systems.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import g2core
-from .exterior import Form, hodge, interior, wedge
+from .exterior import Form, _rowdot, _stacked, _with_unit_vectors, hodge, interior, wedge
 from .splitting import (
     DIM,
     GraphPlane,
     Plane,
     Splitting,
     beta_of,
+    graph_frames,
     standard_splitting,
-    ve_series,
+    ve_series_many,
 )
 
 __all__ = [
@@ -34,13 +34,17 @@ __all__ = [
     "standard_jtriple",
     "jtriple_from_splitting",
     "fueter_vector",
+    "fueter_vector_many",
     "fueter_via_J",
+    "fueter_via_J_many",
     "fueter_map_matrix",
     "fueter_complete",
     "associative_complete",
     "ConditionReport",
     "condition_residuals",
+    "condition_residuals_many",
     "chi_component_values",
+    "chi_component_values_many",
     "chi_via_beta",
     "chi1_via_beta",
     "chi1_via_projection",
@@ -128,26 +132,40 @@ def jtriple_from_splitting(S: Splitting) -> JTriple:
 
 
 def fueter_vector(g: GraphPlane):
-    """F(pi) = sum_i p_H(v_i) x p_V(v_i), via cross products.
+    """F(pi) = sum_i p_H(v_i) x p_V(v_i), via cross products; the n = 1
+    case of `fueter_vector_many`.
 
     Returns V-frame coordinates (length 4).  Independent of the choice of
     horizontal-orthonormal frame since it contracts against the dual of
     the horizontal inner product.
     """
-    S = g.splitting
+    return fueter_vector_many(g.T[None], g.splitting)[0]
+
+
+def fueter_vector_many(Ts, S: Splitting):
+    """fueter_vector of stacked graph maps (n, 3, 4) -> (n, 4)."""
+    Ts = _stacked(Ts, (3, 4))
     dense = S.frame_g2.phi_dense
-    out = np.zeros(4)
+    out = np.zeros((len(Ts), 4))
+    u = np.zeros((len(Ts), DIM))
     for i in range(3):
-        u = np.zeros(DIM)
-        u[3:] = g.T[i]
+        u[:, 3:] = Ts[:, i]
         # (h_i x u)_k = phi(e_i, u, e_k) in frame coordinates; only vertical ones survive
-        out += np.einsum("jk,j->k", dense[i], u)[3:]
+        out += np.einsum("jk,nj->nk", dense[i], u)[:, 3:]
     return out
 
 
 def fueter_via_J(g: GraphPlane, J: JTriple):
-    """F(pi) = sum_i J_i(p_V(v_i)), the matrix route; J is the triple of g's splitting."""
-    return sum(Ji @ g.T[i] for i, Ji in enumerate(J.as_tuple()))
+    """F(pi) = sum_i J_i(p_V(v_i)), the matrix route; J is the triple of g's
+    splitting.  The n = 1 case of `fueter_via_J_many`."""
+    return fueter_via_J_many(g.T[None], J)[0]
+
+
+def fueter_via_J_many(Ts, J: JTriple):
+    """fueter_via_J of stacked graph maps (n, 3, 4) -> (n, 4), each J_i
+    applied to each row by the one-plane matrix-vector product."""
+    Ts = _stacked(Ts, (3, 4))
+    return sum((Ji @ Ts[:, i, :, None])[..., 0] for i, Ji in enumerate(J.as_tuple()))
 
 
 def fueter_map_matrix(S: Splitting):
@@ -248,9 +266,6 @@ class ConditionReport:
             "T": [list(row) for row in self.T],
         }
 
-    def to_json(self):
-        return json.dumps(self.as_dict(), sort_keys=True)
-
     def residuals(self):
         return (
             self.anisotropic_gap,
@@ -269,43 +284,50 @@ class ConditionReport:
 
 
 def condition_residuals(g: GraphPlane) -> ConditionReport:
-    """Evaluate all six Fueter conditions on one plane."""
-    S = g.splitting
-    frame = list(g.frame())
+    """Evaluate all six Fueter conditions on one plane; the n = 1 case of
+    `condition_residuals_many`."""
+    return condition_residuals_many(g.T[None], g.splitting)[0]
+
+
+def condition_residuals_many(Ts, S: Splitting):
+    """The six Fueter conditions on stacked graph maps (n, 3, 4), one report
+    per plane.  The form evaluations run over the sample axis; the wedge
+    conditions on beta are Form algebra, one plane at a time."""
+    frames = graph_frames(Ts)
+    n = len(frames)
     lam, omega, theta, mu = S.form_parts()
 
     # (1) anisotropic gap ve1 * volH(v) - omega(v); volH(v) = 1 in graph frame
-    ve1 = ve_series(g, 1)[1]
-    gap = ve1 - omega.apply(frame)
+    gap = ve_series_many(Ts, 1)[:, 1] - omega.apply_many(frames)
 
     # (2) |F| by cross products
-    f_norm = float(np.linalg.norm(fueter_vector(g)))
+    f = fueter_vector_many(Ts, S)
+    f_norm = np.sqrt(_rowdot(f, f))
 
     # (3) |chi_1(v)| via chi_1 = -sum_a eta_a (x) i(eta_a) Theta
-    chi1 = np.zeros(4)
+    chi1 = np.empty((n, 4))
     for a in range(4):
-        eta = np.zeros(DIM)
-        eta[3 + a] = 1.0
-        chi1[a] = -interior(eta, theta).apply(frame)
-    chi1_norm = float(np.linalg.norm(chi1))
+        chi1[:, a] = -interior(np.eye(DIM)[3 + a], theta).apply_many(frames)
+    chi1_norm = np.sqrt(_rowdot(chi1, chi1))
 
     # (4) sup over the coframe of |Theta(v1,v2,v3, .)|
-    theta_contraction = np.max([abs(theta.apply(frame + [ek])) for ek in np.eye(DIM)])
+    quads = _with_unit_vectors(frames).reshape(-1, 4, DIM)
+    theta_contraction = np.abs(theta.apply_many(quads)).reshape(n, DIM).max(axis=1)
 
-    # (5) and (6): wedge conditions on beta
-    beta = beta_of(g)
-    w5 = wedge(beta, S.frame_g2.star_phi).norm()
-    w6 = wedge(beta, theta).norm()
-
-    return ConditionReport(
-        anisotropic_gap=float(gap),
-        fueter_norm=f_norm,
-        chi1_norm=chi1_norm,
-        theta_contraction_norm=float(theta_contraction),
-        beta_wedge_star_phi_norm=float(w5),
-        beta_wedge_theta_norm=float(w6),
-        T=tuple(tuple(float(x) for x in row) for row in g.T),
-    )
+    reports = []
+    for row, T in enumerate(frames[:, :, 3:]):
+        # (5) and (6): wedge conditions on beta
+        beta = beta_of(GraphPlane(T, S))
+        reports.append(ConditionReport(
+            anisotropic_gap=float(gap[row]),
+            fueter_norm=float(f_norm[row]),
+            chi1_norm=float(chi1_norm[row]),
+            theta_contraction_norm=float(theta_contraction[row]),
+            beta_wedge_star_phi_norm=float(wedge(beta, S.frame_g2.star_phi).norm()),
+            beta_wedge_theta_norm=float(wedge(beta, theta).norm()),
+            T=tuple(tuple(float(x) for x in row_) for row_ in T),
+        ))
+    return reports
 
 
 # -- chi components ------------------------------------------------------------
@@ -313,9 +335,16 @@ def condition_residuals(g: GraphPlane) -> ConditionReport:
 
 def chi_component_values(g: GraphPlane):
     """[chi_0(v), .., chi_3(v)] as ambient-frame vectors (length 7 each),
-    from the vertical-degree decomposition of the chi tensor."""
-    frame = list(g.frame())
-    return [p.apply(frame) for p in g.splitting.chi_f_parts]
+    from the vertical-degree decomposition of the chi tensor; the n = 1
+    case of `chi_component_values_many`."""
+    return [values[0] for values in chi_component_values_many(g.T[None], g.splitting)]
+
+
+def chi_component_values_many(Ts, S: Splitting):
+    """chi_component_values of stacked graph maps (n, 3, 4): four (n, 7)
+    arrays, chi_q of each plane in row order."""
+    frames = graph_frames(Ts)
+    return [p.apply_many(frames) for p in S.chi_f_parts]
 
 
 def chi_via_beta(g: GraphPlane):

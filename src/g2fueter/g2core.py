@@ -30,6 +30,8 @@ import numpy as np
 from .exterior import (
     Form,
     VectorValuedForm,
+    _stacked,
+    _with_unit_vectors,
     basis_form,
     form_from_terms,
     hodge,
@@ -54,7 +56,9 @@ __all__ = [
     "g2_from_phi",
     "cross",
     "chi",
+    "chi_many",
     "tau",
+    "tau_many",
     "lambda_k",
     "lambda_k_inverse",
     "project_k7",
@@ -253,30 +257,44 @@ def g2_from_phi(phi: Form) -> G2Structure:
 
 def cross(u, v, G: G2Structure):
     """Cross product: g(u x v, w) = phi(u, v, w) for all w."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    c = np.array([G.phi.apply([u, v, _unit(w)]) for w in range(DIM)])
-    return G.metric_inv @ c
+    triples = _with_unit_vectors(_stacked([[u, v]], (2, DIM)))[0]
+    return G.metric_inv @ G.phi.apply_many(triples)
 
 
 def chi(u, v, w, G: G2Structure):
     """Associator-defect vector: g(chi(u,v,w), x) = (*phi)(u,v,w,x).
 
     Vanishes exactly on associative triples; together with phi it satisfies
-    |phi(u,v,w)|^2 + |chi(u,v,w)|^2 = |u ^ v ^ w|^2.
+    |phi(u,v,w)|^2 + |chi(u,v,w)|^2 = |u ^ v ^ w|^2.  The n = 1 case of
+    `chi_many`.
     """
-    u, v, w = (np.asarray(t, dtype=float) for t in (u, v, w))
-    c = np.array([G.star_phi.apply([u, v, w, _unit(x)]) for x in range(DIM)])
-    return G.metric_inv @ c
+    return chi_many(np.array([[u, v, w]], dtype=float), G)[0]
+
+
+def chi_many(frames, G: G2Structure):
+    """chi of stacked triples (n, 3, 7) -> (n, 7).
+
+    (*phi)(u, v, w, e_x) for the seven unit vectors in one evaluation, then
+    the metric's inverse applied to each row by the matrix-vector product
+    of the one-triple case.
+    """
+    quads = _with_unit_vectors(_stacked(frames, (3, DIM)))
+    c = G.star_phi.apply_many(quads.reshape(-1, 4, DIM)).reshape(-1, DIM, 1)
+    return (G.metric_inv @ c)[..., 0]
 
 
 def tau(u, v, w, x, G: G2Structure):
     """Coassociator-defect vector from tau = phi ^ id_TM.
 
-    Satisfies |*phi(u,v,w,x)|^2 + |tau(u,v,w,x)|^2 = |u^v^w^x|^2.
+    Satisfies |*phi(u,v,w,x)|^2 + |tau(u,v,w,x)|^2 = |u^v^w^x|^2.  The n = 1
+    case of `tau_many`.
     """
-    vecs = [np.asarray(t, dtype=float) for t in (u, v, w, x)]
-    return G.tau_form.apply(vecs)
+    return tau_many(np.array([[u, v, w, x]], dtype=float), G)[0]
+
+
+def tau_many(frames, G: G2Structure):
+    """tau of stacked quadruples (n, 4, 7) -> (n, 7)."""
+    return G.tau_form.apply_many(frames)
 
 
 # -- lambda^k isometries and the 2-form projections --------------------------

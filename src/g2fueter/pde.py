@@ -120,28 +120,50 @@ def _exponents(powers):
         raise ValueError(f"exponents must be integers, got {powers!r}") from None
 
 
-def _monomial_table(components, ds, n):
-    """Per (component, d) output, its surviving monomials in dict order as
-    coefficients multiplied by each differentiated exponent in turn and
-    lowered exponents, padded with 0.0 * x^0; returns the coefficients and,
-    per axis with a nonzero exponent, (axis, its exponents, largest + 1)."""
-    rows = []
-    for comp, d in itertools.product(components, ds):
+@functools.lru_cache(maxsize=256)
+def _layout_table(layout, order, n):
+    """The jet table of one order for an exponent layout (the exponent
+    tuples of each component, in dict order), shared read-only by every
+    map with that layout."""
+    # axes sorted: d/dx_i d/dx_j multiplies by p_i before p_j, so (i, j)
+    # and (j, i) share the bits of the i <= j value
+    ds = [sorted(d) for d in itertools.product(range(n), repeat=order)]
+    return _monomial_table(layout, ds, n)
+
+
+def _monomial_table(layout, ds, n):
+    """Per (component, d) output, its surviving monomials in dict order,
+    padded: their positions among all the layout's monomials (the padding
+    points one past the last, at a 0.0), the exponent that each
+    differentiation in d multiplies by in turn (1 for the padding) and the
+    lowered exponents (0 for the padding).  Returns the positions, the
+    multipliers and, per axis with a nonzero exponent, (axis, its
+    exponents, largest + 1)."""
+    rows, offsets = [], np.cumsum([0] + [len(comp) for comp in layout])
+    for (k, comp), d in itertools.product(enumerate(layout), ds):
         terms = []
-        for powers, c in comp.items():
-            p = list(powers)
+        for pos, powers in enumerate(comp, start=offsets[k]):
+            p, mult = list(powers), []
             for axis in d:
-                c, p[axis] = c * p[axis], p[axis] - 1
+                mult.append(p[axis])
+                p[axis] -= 1
             if min(p, default=0) >= 0:
-                terms.append((c, p))
+                terms.append((pos, mult, p))
         rows.append(terms)
-    coef = np.zeros((len(rows), max(map(len, rows))))
-    exps = np.zeros(coef.shape + (n,), dtype=np.intp)
+    src = np.full((len(rows), max(map(len, rows))), offsets[-1])
+    mults = np.ones((len(ds[0]),) + src.shape)
+    exps = np.zeros(src.shape + (n,), dtype=np.intp)
     for r, terms in enumerate(rows):
-        for t, (c, p) in enumerate(terms):
-            coef[r, t], exps[r, t] = c, p
-    return coef, [(a, exps[..., a], exps[..., a].max() + 1)
-                  for a in range(n) if exps[..., a].any()]
+        for t, (pos, mult, p) in enumerate(terms):
+            src[r, t], mults[:, r, t], exps[r, t] = pos, mult, p
+    axes = [(a, _read_only(exps[..., a].copy()), exps[..., a].max() + 1)
+            for a in range(n) if exps[..., a].any()]
+    return _read_only(src), _read_only(mults), axes
+
+
+def _read_only(a):
+    a.setflags(write=False)
+    return a
 
 
 class PolynomialMap(AnalyticMap):
@@ -152,11 +174,13 @@ class PolynomialMap(AnalyticMap):
     Bits match a per-monomial loop: each term c * x0^p0 * x1^p1 * ... is
     multiplied left to right with powers `x[..., a] ** p`, and the terms
     are summed one by one in dict order from +0.0.  The monomials are
-    compiled into a table once per jet order; a call builds one power
-    table per axis and forms every output's terms in one gather and
-    multiply per axis.  Padding
-    (0.0 times powers 1.0) keeps each sum's bits, axes whose exponents are
-    all 0 are skipped, and outputs are C-contiguous.
+    compiled into a table per jet order and exponent layout, shared
+    read-only by every map with that layout; each map gathers its own
+    coefficients through it and multiplies them by the exponents in turn,
+    once per order.  A call builds one power table per axis and forms every
+    output's terms in one gather and multiply per axis.  Padding (0.0 times
+    powers 1.0) keeps each sum's bits, axes whose exponents are all 0 are
+    skipped, and outputs are C-contiguous.
     """
 
     def __init__(self, components, periodicity=None):
@@ -171,6 +195,7 @@ class PolynomialMap(AnalyticMap):
         if any(e < 0 for p in exps for e in p) or len({len(p) for p in exps}) > 1:
             raise ValueError("exponents must be nonnegative, all of one length")
         self._n = len(exps[0]) if exps else None
+        self._layout = tuple(tuple(comp) for comp in self.components)
         self._tables = {}
         self.periodicity = None if periodicity is None else np.asarray(periodicity)
 
@@ -181,10 +206,11 @@ class PolynomialMap(AnalyticMap):
             raise ValueError(f"points of shape {x.shape} for exponents of length {self._n}")
         n = x.shape[-1]
         if (order, n) not in self._tables:
-            # axes sorted: d/dx_i d/dx_j multiplies by p_i before p_j, so
-            # (i, j) and (j, i) share the bits of the i <= j value
-            ds = [sorted(d) for d in itertools.product(range(n), repeat=order)]
-            self._tables[order, n] = _monomial_table(self.components, ds, n)
+            src, mults, axes = _layout_table(self._layout, order, n)
+            coef = np.array([c for comp in self.components for c in comp.values()] + [0.0])[src]
+            for mult in mults:
+                coef = coef * mult
+            self._tables[order, n] = coef, axes
         coef, axes = self._tables[order, n]
         terms = coef
         for a, e, size in axes:

@@ -17,7 +17,7 @@ import itertools
 import json
 import os
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -26,6 +26,9 @@ from .exterior import (
     Form,
     VectorValuedForm,
     _ordered_contract,
+    _ordered_sum,
+    _rowdot,
+    _stacked,
     interior,
     pullback,
     zero_form,
@@ -38,11 +41,14 @@ __all__ = [
     "GraphPlane",
     "standard_splitting",
     "graph_from_plane",
+    "graph_frames",
     "beta_of",
     "horizontal_metric",
     "ve_from_gram",
     "ve_series",
+    "ve_series_many",
     "ve_recursive",
+    "ve_recursive_many",
     "decompose_form",
     "adiabatic_family",
     "PlaneSampler",
@@ -51,6 +57,7 @@ __all__ = [
     "anisotropic_scan",
     "EqualityLadderReport",
     "equality_ladder",
+    "equality_ladder_many",
 ]
 
 DIM = 7
@@ -122,15 +129,16 @@ class Splitting:
 
     def to_frame(self, a: Form) -> Form:
         """Express an ambient-coordinate form in frame coordinates."""
-        if self._is_standard():
+        if self._is_standard:
             return a
         return pullback(self.frame_matrix.T, a)
 
     def from_frame(self, a: Form) -> Form:
-        if self._is_standard():
+        if self._is_standard:
             return a
         return pullback(np.linalg.inv(self.frame_matrix.T), a)
 
+    @cached_property
     def _is_standard(self):
         return np.array_equal(self.frame_matrix, np.eye(DIM))
 
@@ -246,10 +254,7 @@ class GraphPlane:
 
     def frame(self):
         """Rows: the three spanning vectors in frame coordinates."""
-        out = np.zeros((3, DIM))
-        out[:, :3] = np.eye(3)
-        out[:, 3:] = self.T
-        return out
+        return graph_frames(self.T[None])[0]
 
     def gram_vertical(self):
         """Gram matrix of the vertical parts, G = T T^t."""
@@ -270,6 +275,15 @@ def graph_from_plane(p: Plane, S: Splitting):
     T = np.linalg.solve(A, S.frame_coords(p.span)[:, 3:])
     sign = 1 if np.linalg.det(A) > 0 else -1
     return GraphPlane(T=T, splitting=S), sign
+
+
+def graph_frames(Ts):
+    """The spanning frames (n, 3, 7) of stacked graph maps (n, 3, 4)."""
+    Ts = _stacked(Ts, (3, 4))
+    out = np.zeros((len(Ts), 3, DIM))
+    out[:, :, :3] = np.eye(3)
+    out[:, :, 3:] = Ts
+    return out
 
 
 def beta_of(g: GraphPlane) -> Form:
@@ -298,26 +312,66 @@ def _sqrt_series_coeffs(kmax):
 def ve_from_gram(G, kmax):
     """ve coefficients from the vertical Gram matrix, by eigenvalues.
 
-    Expands prod_i sqrt(1 + eps * lambda_i) in eps through order kmax.
+    Expands prod_i sqrt(1 + eps * lambda_i) in eps through order kmax.  The
+    n = 1 case of `_ve_from_grams`.
+    """
+    G = np.asarray(G, dtype=float)
+    return _ve_from_grams(G[None], kmax)[0]
+
+
+def _ve_from_grams(Gs, kmax):
+    """ve_from_gram of stacked Gram matrices (n, k, k) -> (n, kmax + 1).
+
+    One stacked eigvalsh over the finite matrices; a matrix with a NaN or
+    inf entry gets NaN eigenvalues, so its row is NaN past ve_0 = 1 and the
+    other rows are untouched.  Each eigenvalue's factor sq[m] * lambda^m
+    takes the power as libm's pow (np.float_power, as a scalar ** does),
+    and each convolution entry is summed in index order from +0.0.
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    lam = np.linalg.eigvalsh(np.asarray(G, dtype=float))
+    finite = np.isfinite(Gs).all(axis=(1, 2))
+    lam = np.full(Gs.shape[:2], np.nan)
+    lam[finite] = np.linalg.eigvalsh(Gs[finite])
     sq = _sqrt_series_coeffs(kmax)
-    series = np.zeros(kmax + 1)
-    series[0] = 1.0
-    for ev in lam:
-        factor = np.array([sq[m] * ev ** m for m in range(kmax + 1)])
-        out = np.zeros(kmax + 1)
-        for m in range(kmax + 1):
-            out[m] = series[: m + 1] @ factor[m::-1]
-        series = out
+    series = np.zeros((len(Gs), kmax + 1))
+    series[:, 0] = 1.0
+    for ev in lam.T:
+        series = _convolve(series, np.array(sq) * np.float_power(ev[:, None], range(kmax + 1)))
     return series
 
 
+@cache
+def _convolution_slots(m):
+    """For the Cauchy product of two length-m rows: the slots (k, j) that
+    hold a term and their indices i and k - i.  Row k holds its k + 1 terms
+    in its last k + 1 slots, so the padding zeros come first."""
+    k, j = np.indices((m, m))
+    i = j - (m - 1 - k)
+    keep = i >= 0
+    return keep, i[keep], (k - i)[keep]
+
+
+def _convolve(series, factor):
+    """The Cauchy products of the rows of series and factor (n, m), each
+    order's terms series[i] * factor[k - i] summed in index order from +0.0."""
+    keep, i, ki = _convolution_slots(series.shape[1])
+    terms = np.zeros(series.shape + series.shape[1:])
+    terms[:, keep] = series[:, i] * factor[:, ki]
+    return _ordered_sum(terms)
+
+
 def ve_series(g: GraphPlane, kmax: int):
-    """[ve_0..ve_kmax] via the eigenvalue expansion of sqrt det(I + eps G)."""
-    return ve_from_gram(g.gram_vertical(), kmax)
+    """[ve_0..ve_kmax] via the eigenvalue expansion of sqrt det(I + eps G);
+    the n = 1 case of `ve_series_many`."""
+    return ve_series_many(g.T[None], kmax)[0]
+
+
+def ve_series_many(Ts, kmax):
+    """ve_series of stacked graph maps (n, 3, 4) -> (n, kmax + 1), from the
+    Gram matrices T T^t of the one-plane matrix product."""
+    Ts = _stacked(Ts, (3, 4))
+    return _ve_from_grams(Ts @ Ts.swapaxes(1, 2), kmax)
 
 
 # the minors of T in lexicographic order: 2x2 ones T[rows][:, cols] with the
@@ -328,7 +382,13 @@ _COLS3 = np.array(list(itertools.combinations(range(4), 3)))
 
 
 def ve_recursive(g: GraphPlane, kmax: int):
-    """[ve_0..ve_kmax] via wedge-power norms and the recursion.
+    """[ve_0..ve_kmax] via wedge-power norms and the recursion; the n = 1
+    case of `ve_recursive_many`."""
+    return ve_recursive_many(g.T[None], kmax)[0]
+
+
+def ve_recursive_many(Ts, kmax):
+    """ve_recursive of stacked graph maps (n, 3, 4) -> (n, kmax + 1).
 
     |(p_V)^k|^2 is k! times the sum of squared k x k minors of T; the
     wedge powers vanish for k > 3, after which the recursion runs on its
@@ -337,20 +397,20 @@ def ve_recursive(g: GraphPlane, kmax: int):
     """
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    T = g.T
-    minor_sq = [1.0, float(np.sum(T * T)), 0.0, 0.0]
-    for k, minors in ((2, T[_ROWS2[:, :, None], _COLS2[:, None]]),
-                      (3, T[:, _COLS3].swapaxes(0, 1))):
-        for m in np.linalg.det(minors):
-            minor_sq[k] += m * m
+    Ts = _stacked(Ts, (3, 4))
+    n = len(Ts)
+    minor_sq = [np.ones(n), np.sum(Ts.reshape(n, 12) ** 2, axis=1)]
+    for minors in (Ts[:, _ROWS2[:, :, None], _COLS2[:, None]], Ts[:, :, _COLS3].swapaxes(1, 2)):
+        m = np.linalg.det(minors)
+        minor_sq.append(_ordered_sum(m * m))
 
-    ve = [1.0]
+    ve = [np.ones(n)]
     if kmax >= 1:
         ve.append(0.5 * minor_sq[1])
     for k in range(2, kmax + 1):
         wedge_term = minor_sq[k] if k <= 3 else 0.0  # already k! * e_k / k!
         ve.append(0.5 * (wedge_term - sum(ve[i] * ve[k - i] for i in range(1, k))))
-    return np.array(ve)
+    return np.stack(ve, axis=1)
 
 
 # -- decomposition and the adiabatic family ----------------------------------
@@ -709,7 +769,8 @@ class EqualityLadderReport:
 
 
 def equality_ladder(g: GraphPlane):
-    """Residuals of the graded equality identities on a graph plane.
+    """Residuals of the graded equality identities on a graph plane; the
+    n = 1 case of `equality_ladder_many`.
 
     For each ell = 1..3 the even identity compares sum_{i+j=2 ell} of the
     alpha- and chi-pairings against |v_ell|^2, itself cross-checked against
@@ -719,66 +780,70 @@ def equality_ladder(g: GraphPlane):
     alpha_{2l}(v) = ve_l and alpha_{2k+2}(v) + |chi_{k+1}(v)|^2 / 2 =
     ve_{k+1} are also evaluated.
     """
-    S = g.splitting
-    frame = g.frame()
-    vecs = list(frame)
+    return equality_ladder_many(g.T[None], g.splitting)[0]
 
-    alpha_vals = [p.apply(vecs) for p in S.phi_f_parts]
-    chi_vals = [p.apply(vecs) for p in S.chi_f_parts]
 
-    v_parts_sq = _wedge3_vertical_norms(frame)
-    ve = ve_series(g, 3)
+def equality_ladder_many(Ts, S: Splitting):
+    """equality_ladder of stacked graph maps (n, 3, 4) on the splitting S,
+    one report per plane, every value computed over the sample axis."""
+    frames = graph_frames(Ts)
+    alpha = [p.apply_many(frames) for p in S.phi_f_parts]
+    chi = [p.apply_many(frames) for p in S.chi_f_parts]
+    v_parts_sq = _wedge3_vertical_norms(frames)
+    ve = ve_series_many(Ts, 3).T
 
     def pairing(total):
-        acc = 0.0
+        acc = np.zeros(len(frames))
         for i in range(4):
             j = total - i
             if 0 <= j <= 3:
-                acc += alpha_vals[i] * alpha_vals[j]
-                acc += float(chi_vals[i] @ chi_vals[j])
+                acc = acc + alpha[i] * alpha[j]
+                acc = acc + _rowdot(chi[i], chi[j])
         return acc
 
     even, odd, ve_match = [], [], []
     for ell in range(1, 4):
-        lhs = pairing(2 * ell)
         target = v_parts_sq[ell]
-        even.append(abs(lhs - target))
+        even.append(np.abs(pairing(2 * ell) - target))
         conv = sum(ve[i] * ve[ell - i] for i in range(ell + 1))
-        ve_match.append(abs(target - conv))
-        odd.append(abs(pairing(2 * ell + 1)))
+        ve_match.append(np.abs(target - conv))
+        odd.append(np.abs(pairing(2 * ell + 1)))
 
-    chi_norms = [float(np.linalg.norm(chi_vals[i])) for i in range(4)]
-    depth = 0
-    while depth < 3 and chi_norms[depth + 1] < IDENTITY_RESIDUAL_TOL:
-        depth += 1
+    chi_norms = [np.sqrt(_rowdot(c, c)) for c in chi]
+    small = np.stack([c < IDENTITY_RESIDUAL_TOL for c in chi_norms[1:]], axis=1)
+    depths = np.cumprod(small, axis=1).sum(axis=1)
 
-    ladder = []
-    for ell in range(1, depth + 1):
-        a_val = alpha_vals[2 * ell] if 2 * ell <= 3 else 0.0
-        ladder.append(abs(a_val - ve[ell]))
-        a_odd = alpha_vals[2 * ell + 1] if 2 * ell + 1 <= 3 else 0.0
-        ladder.append(abs(a_odd))
-    if depth < 3:
-        a_next = alpha_vals[2 * depth + 2] if 2 * depth + 2 <= 3 else 0.0
-        ladder.append(abs(a_next + 0.5 * chi_norms[depth + 1] ** 2 - ve[depth + 1]))
+    def alpha_at(q):
+        return alpha[q] if q <= 3 else np.zeros(len(frames))
 
-    return EqualityLadderReport(
-        even_residuals=even,
-        odd_residuals=odd,
-        ve_match_residuals=ve_match,
-        vanishing_depth=depth,
-        ladder_residuals=ladder,
-    )
+    # per depth: |alpha_2l - ve_l| and |alpha_2l+1| for l <= depth, then
+    # the first nonvanishing step
+    steps = [[np.abs(alpha_at(2 * ell) - ve[ell]), np.abs(alpha_at(2 * ell + 1))]
+             for ell in range(1, 4)]
+    nexts = [np.abs(alpha_at(2 * d + 2) + 0.5 * np.float_power(chi_norms[d + 1], 2) - ve[d + 1])
+             for d in range(3)]
+    columns = [np.stack(x, axis=1).tolist() for x in (even, odd, ve_match)]
+    ladders = [np.stack(x, axis=1).tolist() for x in (sum(steps, []), nexts)]
+    reports = []
+    for row, depth in enumerate(depths.tolist()):
+        ladder = ladders[0][row][:2 * depth] + (ladders[1][row][depth:depth + 1])
+        reports.append(EqualityLadderReport(
+            even_residuals=columns[0][row],
+            odd_residuals=columns[1][row],
+            ve_match_residuals=columns[2][row],
+            vanishing_depth=depth,
+            ladder_residuals=ladder,
+        ))
+    return reports
 
 
 _WEDGE3_ROWS = np.array(list(itertools.combinations(range(DIM), 3)))
-_WEDGE3_DEGREE = (_WEDGE3_ROWS >= 3).sum(axis=1).tolist()
+_WEDGE3_DEGREE = (_WEDGE3_ROWS >= 3).sum(axis=1)
 
 
-def _wedge3_vertical_norms(frame):
-    """|v_ell|^2 for the vertical-degree pieces of v1 ^ v2 ^ v3, from the
-    frame's 3x3 row minors (one stacked det) summed in lexicographic order."""
-    norms = [0.0, 0.0, 0.0, 0.0]
-    for q, c in zip(_WEDGE3_DEGREE, np.linalg.det(frame.T[_WEDGE3_ROWS])):
-        norms[q] += c * c
-    return norms
+def _wedge3_vertical_norms(frames):
+    """|v_ell|^2 for ell = 0..3, the vertical-degree pieces of v1 ^ v2 ^ v3,
+    for a frame (3, 7) or stacked frames (n, 3, 7), from the frames' 3x3
+    row minors (one stacked det) summed in lexicographic order."""
+    minors = np.linalg.det(frames.swapaxes(-1, -2)[..., _WEDGE3_ROWS, :])
+    return [_ordered_sum(minors[..., _WEDGE3_DEGREE == q] ** 2) for q in range(4)]

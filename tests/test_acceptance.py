@@ -293,17 +293,19 @@ def test_12_determinism():
 
 
 def test_nan_ve_route_fails_criterion_2(monkeypatch):
-    # the second plane's recursive route returns NaN
-    real, calls = sp.ve_recursive, []
+    # the second plane's row of the batched recursive route is NaN
+    real, calls = sp.ve_recursive_many, []
 
-    def probe(g, kmax):
-        calls.append(g)
-        ve = real(g, kmax)
-        return np.full_like(ve, np.nan) if len(calls) == 2 else ve
+    def probe(Ts, kmax):
+        calls.append(len(Ts))
+        ve = real(Ts, kmax)
+        ve[1] = np.nan
+        return ve
 
-    monkeypatch.setattr(sp, "ve_recursive", probe)
+    monkeypatch.setattr(sp, "ve_recursive_many", probe)
     with pytest.raises(AssertionError, match="criterion 2"):
         test_02_ve_hierarchy()
+    assert calls == [1000]
 
 
 def test_nan_first_variation_fails_criterion_10(monkeypatch):

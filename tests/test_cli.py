@@ -201,39 +201,58 @@ class TestExitCodes:
         assert b"wall time" in proc.stderr
         json.loads(proc.stdout)
 
-    # per suite: a library function that a folded residual calls, and the
-    # check that folds it; the probe replaces it at the use site, the
-    # module as cli names it, so the library's own calls are untouched
+    # per suite: a library function whose result a residual fold reads, and
+    # the check that folds it; the probe replaces it at the use site, the
+    # module as cli names it, so the library's own calls are untouched.  The
+    # first three are batched kernels, one call for all samples; the others
+    # are called once per sample (d_squared_residual returns one row per
+    # point)
     @pytest.mark.parametrize("suite, module, name, check", [
-        pytest.param("algebra", "g2core", "chi", "associator-equality", id="algebra"),
-        pytest.param("splitting", "splitting", "ve_recursive", "ve-two-routes", id="splitting"),
-        pytest.param("fueter", "fueter", "fueter_via_J", "route-equivalence", id="fueter"),
+        pytest.param("algebra", "g2core", "chi_many", "associator-equality", id="algebra"),
+        pytest.param("splitting", "splitting", "ve_recursive_many", "ve-two-routes",
+                     id="splitting"),
+        pytest.param("fueter", "fueter", "fueter_via_J_many", "route-equivalence", id="fueter"),
         pytest.param("models", "models", "jacobi_check", "d-squared", id="models"),
         pytest.param("pde", "pde", "d_squared_residual", "flat-dirac-squared", id="pde"),
         pytest.param("fm", "fm_gauge", "beta_relation_residual", "curvature-beta", id="fm"),
     ])
     def test_nan_residual_fails(self, suite, module, name, check, tmp_path, monkeypatch):
-        # the second call returns NaN of the real result's shape
+        # counting the rows of every call's result in order (a scalar is one
+        # row), exactly the second row becomes NaN: a non-first sample
         real_module = getattr(cli, module)
-        real, calls = getattr(real_module, name), []
+        real, rows, nans = getattr(real_module, name), [], []
 
         def probe(*args):
-            calls.append(None)
-            out = real(*args)
-            return np.full_like(np.asarray(out, dtype=float), np.nan) if len(calls) == 2 else out
+            out = np.array(real(*args), dtype=float)
+            first = sum(rows)
+            rows.append(len(out) if out.ndim else 1)
+            if first <= 1 < sum(rows):
+                if out.ndim:
+                    out[1 - first] = np.nan
+                else:
+                    out = np.array(np.nan)
+                nans.append(None)
+            return out
 
         monkeypatch.setattr(cli, module, SimpleNamespace(**{**vars(real_module), name: probe}))
         out = tmp_path / "nan.json"
         code = cli.run(["verify", suite, "--seed", "7", "--profile", "fast", "--out", str(out)])
-        assert code == 1 and len(calls) >= 2
+        assert code == 1 and len(nans) == 1 and sum(rows) >= 2
         report = strict_json(out.read_bytes())
         got = next(c for c in report["checks"] if c["name"] == check)
         assert got["pass"] is False and got["residualOrFlag"] == "nan"
 
     @pytest.mark.parametrize("at", [0, 2, 4])
     def test_worst_keeps_nan(self, at):
-        draws = iter([np.nan if k == at else float(k) for k in range(5)])
-        assert np.isnan(cli._worst(5, lambda: next(draws)))
+        draws = [np.nan if k == at else float(k) for k in range(5)]
+        values = iter(draws)
+        assert np.isnan(cli._worst(5, lambda: next(values)))
+        # the array fold too, where np.nanmax or Python's max would drop it
+        assert np.isnan(cli._fold(np.array(draws)))
+        assert np.isnan(cli._fold(draws))
+
+    def test_fold_of_no_residuals_is_zero(self):
+        assert cli._fold(np.empty(0)) == 0.0 and cli._fold([-1.0]) == 0.0
 
 
 def expect_usage_error(argv, capsys, tmp_path):

@@ -168,6 +168,31 @@ class TestPolynomialKernel:
             # --seed 1`'s su2-dirac-squared residual in its last digits
             assert g.flags.c_contiguous
 
+    def test_maps_of_one_layout_share_a_read_only_table(self, monkeypatch):
+        # random_polynomial_map always builds the same exponent layout: one
+        # table per jet order for all of them, each map still its own bits
+        compiles = []
+        real = pde._monomial_table
+        monkeypatch.setattr(pde, "_monomial_table",
+                            lambda *args: compiles.append(args[1:]) or real(*args))
+        pde._layout_table.cache_clear()
+        rng = np.random.default_rng(6)
+        maps = [pde.random_polynomial_map(rng) for _ in range(5)]
+        x = rng.standard_normal((7, 3))
+        for u in maps:
+            for got, want in zip((u.eval(x), u.jet1(x), u.jet2(x)), _reference_jets(u, x)):
+                assert _hexes(got) == _hexes(want)
+        assert len(compiles) == 3
+        for order in range(3):
+            table = pde._layout_table(maps[0]._layout, order, 3)
+            assert all(pde._layout_table(u._layout, order, 3) is table for u in maps)
+            src, mults, axes = table
+            assert not any(a.flags.writeable for a in (src, mults, *(e for _, e, _ in axes)))
+        # another layout compiles its own table
+        pde.PolynomialMap([{(1, 0, 0): 2.0}, {}, {}, {}]).jet1(x)
+        assert len(compiles) == 4
+        pde._layout_table.cache_clear()
+
     @pytest.mark.parametrize("powers", [(-1, 0, 0), (1.5, 0, 0), (1.0, 0, 0), "abc"])
     def test_rejects_non_natural_exponents(self, powers):
         with pytest.raises(ValueError, match="exponents"):

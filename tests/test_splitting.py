@@ -269,9 +269,13 @@ class TestMinorKernels:
             return det(a)
 
         monkeypatch.setattr(np.linalg, "det", counting)
-        g = sp.GraphPlane(np.random.default_rng(15).standard_normal((3, 4)), S)
+        Ts = np.random.default_rng(15).standard_normal((5, 3, 4))
+        g = sp.GraphPlane(Ts[0], S)
         sp.ve_recursive(g, 6)
-        assert calls == [(18, 2, 2), (4, 3, 3)]
+        assert calls == [(1, 18, 2, 2), (1, 4, 3, 3)]
+        calls.clear()
+        sp.ve_recursive_many(Ts, 6)
+        assert calls == [(5, 18, 2, 2), (5, 4, 3, 3)]
         calls.clear()
         sp._wedge3_vertical_norms(g.frame())
         assert calls == [(35, 3, 3)]
