@@ -410,25 +410,15 @@ def polar_space_dim(W: Plane, system: str, S: Splitting) -> int:
 
     if system == "fueter":
         S.horizontal_part(W.span)  # the Fueter system needs a projectable plane
-        generators = list(S.chi_f_parts[1].components)
+        generators = S.chi_f_parts[1]
     else:
-        generators = list(S.frame_g2.chi_form.components)
+        generators = S.frame_g2.chi_form
 
     w1, w2 = S.frame_coords(W.span)
-    rows = []
-    for gen in generators:
-        rows.append([
-            gen.apply([w1, w2, _unit7(j)]) for j in range(DIM)
-        ])
-    M = np.array(rows)
+    # row m: generator m on (w1, w2, e_j) for j = 1..7, in one evaluation
+    M = generators.apply_many(_with_unit_vectors(_stacked([[w1, w2]], (2, DIM)))[0]).T
     rank = int(np.linalg.matrix_rank(M, tol=1e-10))
     return DIM - rank
-
-
-def _unit7(j):
-    v = np.zeros(DIM)
-    v[j] = 1.0
-    return v
 
 
 def polar_dim_constancy(system: str, s: int, n: int, seed):

@@ -887,7 +887,8 @@ def cs_functional(u0: AnalyticMap, u1: AnalyticMap, n: int = 12):
     is exact; x-quadrature is periodic-trapezoidal.  Theta is that of the
     flat product, where d Theta = 0; the endpoints must lie in the same
     homotopy class of sections.  Theta is contracted by
-    `exterior._ordered_contract` over its 144 nonzero entries.
+    `exterior._ordered_contract` over its 144 nonzero entries, in one call
+    over the points of all four nodes (its rows are independent).
     """
     _require_same_class(u0, u1)
     dense = _theta_dense()
@@ -897,13 +898,14 @@ def cs_functional(u0: AnalyticMap, u1: AnalyticMap, n: int = 12):
     nodes, weights = np.polynomial.legendre.leggauss(4)
     t_nodes = 0.5 * (nodes + 1.0)
     t_weights = 0.5 * weights
+    vt = np.zeros((len(t_nodes), x.shape[0], 7))
+    vt[:, :, 3:] = w1 - w0
+    vt = vt.reshape(-1, 7)
+    frame = _graph_frames(np.concatenate([(1.0 - t) * j0 + t * j1 for t in t_nodes]))
+    vals = _ordered_contract(dense, vt, frame[:, 0], frame[:, 1], frame[:, 2])
     total = 0.0
-    vt = np.zeros((x.shape[0], 7))
-    vt[:, 3:] = w1 - w0
-    for t, wt in zip(t_nodes, t_weights):
-        frame = _graph_frames((1.0 - t) * j0 + t * j1)
-        vals = _ordered_contract(dense, vt, frame[:, 0], frame[:, 1], frame[:, 2])
-        total += wt * vals.mean()
+    for wt, node_vals in zip(t_weights, vals.reshape(len(t_nodes), -1)):
+        total += wt * node_vals.mean()
     return float(total)
 
 

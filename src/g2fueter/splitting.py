@@ -503,12 +503,48 @@ def _blockwise(fn, jobs):
             done.result()
 
 
+def _metric_inner(terms, a, b):
+    """<a, b>_g of column arrays (dim, m) -> (m,): g_ij * a_i * b_j summed
+    over the metric's nonzero entries (i, j, g_ij) in the order given, each
+    product taken left to right.  Plain elementwise arithmetic, so every
+    float is the same on any BLAS."""
+    (i, j, g), *rest = terms
+    acc = g * a[i] * b[j]
+    for i, j, g in rest:
+        acc += g * a[i] * b[j]
+    return acc
+
+
+def _gram_schmidt(terms, A, Q):
+    """Orthonormalize the columns A[0], A[1], A[2] (each (dim, m)) in the
+    metric by two-pass modified Gram-Schmidt, writing them to Q (3, dim, m).
+
+    Returns the final norms r (3, m): the positive diagonal of R in A = QR,
+    so Q is the thin-QR factor with the sign fixed by a positive R
+    diagonal.  A second pass takes the orthonormality error to the
+    rounding level (one pass leaves about 1e-14 at eps = 0.01).  A zero
+    column gives r = 0 and NaN columns, without a warning.
+    """
+    r = np.empty((len(A), A.shape[2]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(len(A)):
+            v = A[j].copy()
+            for _ in range(2 if j else 0):
+                for k in range(j):
+                    v -= _metric_inner(terms, Q[k], v) * Q[k]
+            r[j] = np.sqrt(_metric_inner(terms, v, v))
+            np.divide(v, r[j], out=Q[j])
+    return r
+
+
 class PlaneSampler:
     """Seeded sampler for oriented frames and graph planes.
 
-    Frames: independent standard normal entries, thin-QR orthonormalized
-    (in the requested metric), with the QR sign ambiguity fixed by forcing
-    a positive R diagonal.  Rotation invariance of the normal ensemble
+    Frames: independent standard normal entries, orthonormalized in the
+    requested metric by two-pass modified Gram-Schmidt (`_gram_schmidt`),
+    which is the thin QR with a positive R diagonal.  It is plain numpy
+    elementwise work with no LAPACK or BLAS call, so frames are the same
+    floats on any BLAS kernel.  Rotation invariance of the normal ensemble
     makes the plane distribution uniform.
     """
 
@@ -521,44 +557,48 @@ class PlaneSampler:
     def frames(self, n, metric):
         """n oriented 3-frames, orthonormal w.r.t. metric, shape (n, 3, 7).
 
-        Batched thin QR over blocks of samples: this thread draws each
-        block in turn, and `_blockwise` (whose docstring states the worker
-        rules) orthonormalizes the blocks into their rows of the result,
-        so the stream and every float match one whole draw.  After the
-        whole draw, rows with a (numerically) degenerate draw are redrawn
-        up to 5 times before giving up.  A non-finite metric raises
-        ValueError before anything is drawn.
+        The result is the transposed view of a (3, 7, n) array of columns,
+        so each frame vector's coordinates are contiguous over samples.
+        This thread draws each block of samples in turn, and `_blockwise`
+        (whose docstring states the worker rules) orthonormalizes the
+        blocks into their columns of the result, so the stream and every
+        float match one whole draw.  After the whole draw, rows whose
+        Gram-Schmidt norms multiply to at most 1e-8 (a numerically
+        degenerate draw) are redrawn up to 5 times before giving up.  A
+        metric that is not finite, or not positive definite, raises before
+        anything is drawn.
         """
         metric = np.asarray(metric, dtype=float)
         if not np.all(np.isfinite(metric)):
             raise ValueError("metric must be finite")
-        L = np.linalg.cholesky(metric).T  # g = L^t L
-        L_inv = np.linalg.inv(L)
+        np.linalg.cholesky(metric)  # raises unless positive definite
+        terms = [(i, j, metric[i, j]) for i, j in zip(*np.nonzero(metric))]  # row-major
 
-        def orthonormalize(M):
-            Q, R = np.linalg.qr(L[None] @ M)
-            diag = np.diagonal(R, axis1=1, axis2=2)
-            good = np.abs(np.prod(diag, axis=1)) > 1e-8
-            Q = Q * np.sign(diag)[:, None, :]
-            return np.transpose(L_inv[None] @ Q, (0, 2, 1)), good
+        def orthonormalize(M, Q):
+            """Frames of draws (m, 7, 3) into Q (3, 7, m); whether each is
+            nondegenerate."""
+            r = _gram_schmidt(terms, M.transpose(2, 1, 0), Q)
+            return r[0] * r[1] * r[2] > 1e-8  # False for a NaN norm
 
         def draw(count):
             return self.rng.standard_normal((count, DIM, 3))
 
         def fill(job):
             rows, M = job
-            out[rows], good[rows] = orthonormalize(M)
+            good[rows] = orthonormalize(M, out[:, :, rows])
 
-        out, good = np.empty((n, 3, DIM)), np.empty(n, dtype=bool)
+        out, good = np.empty((3, DIM, n)), np.empty(n, dtype=bool)
         _blockwise(fill, ((rows, draw(rows.stop - rows.start)) for rows in _row_blocks(n)))
         for _ in range(5):
             bad = np.nonzero(~good)[0]
             if not bad.size:
-                return out
-            out[bad], good[bad] = orthonormalize(draw(bad.size))
+                break
+            Q = np.empty((3, DIM, bad.size))
+            good[bad] = orthonormalize(draw(bad.size), Q)
+            out[:, :, bad] = Q
         if not np.all(good):
             raise RuntimeError("degenerate frames persisted across retries")
-        return out
+        return out.transpose(2, 0, 1)
 
     def graph_planes(self, n):
         """n graph maps T with independent N(0, 1) entries, (n, 3, 4)."""

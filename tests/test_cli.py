@@ -83,7 +83,7 @@ class TestReports:
         "scan anisotropic --samples 2000 --seed 11":
             "dc6e455aa4037cebc59c83a33278f1aa2360166b8c9bcd73a2c137d35f9ab141",
         "scan semical --samples 1000 --seed 3":
-            "68ed958493b4eb1f04e995b2ec759c2e62023ea8fd637034df0ae135bbf340a9",
+            "b31de42ccde6ad34d91bc6370b3652bd0dc7b44c1b80ccb3cfe25b6a95914bf9",
         "energy --grid 8 --seed 5":
             "77eb3a057fa77e3dba8d533704710c6361069259a16e0c1137aa206a9a882e10",
         "solve su2 --seed 4":

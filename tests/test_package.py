@@ -179,7 +179,7 @@ def _names(tree):
 
 def test_one_module_owns_the_sample_block_pool():
     # the scans start the pool from three places, all in splitting (the
-    # frames QR, semical's contraction and anisotropic's measurement);
+    # frames Gram-Schmidt, semical's contraction and anisotropic's measurement);
     # exterior's kernels are plain and import no thread or CPU machinery
     package = Path(g2fueter.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}

@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from g2fueter import exterior as ex
 from g2fueter import g2core as g2
 from g2fueter import splitting as sp
+
+from test_blockwise import _DegenerateRow
 
 S = sp.standard_splitting()
 E = np.eye(7)
@@ -447,6 +450,66 @@ class TestScans:
         for i in range(20):
             g = sp.GraphPlane(Ts[i], S)
             assert abs(batch[i] - omega.apply(list(g.frame()))) < 1e-12
+
+
+def _gram_error(F, metric):
+    """max |F g F^t - I| over frames (n, 3, 7), summed in extended
+    precision so that the measurement adds no rounding of its own."""
+    F = F.astype(np.longdouble)
+    G = np.einsum("nia,ab,njb->nij", F, metric.astype(np.longdouble), F)
+    return float(np.max(np.abs(G - np.eye(3))))
+
+
+EPS_METRICS = [np.diag([1.0] * 3 + [eps] * 4) for eps in (1.0, 0.1, 0.01)]
+
+
+class TestFrames:
+    @pytest.mark.parametrize("metric", EPS_METRICS + [
+        np.eye(7) + 0.3 * (np.eye(7, k=1) + np.eye(7, k=-1))])
+    def test_frames_are_the_thin_qr_factor_of_the_draws(self, metric):
+        # the QR oracle in L-coordinates (g = L^t L), sign fixed by a
+        # positive R diagonal, on the same draws in the same order
+        n = 3000
+        M = np.random.default_rng(5).standard_normal((n, 7, 3))
+        L = np.linalg.cholesky(metric).T
+        Q, R = np.linalg.qr(L[None] @ M)
+        Q = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+        want = np.transpose(np.linalg.inv(L)[None] @ Q, (0, 2, 1))
+        got = sp.PlaneSampler(5).frames(n, metric)
+        assert got.shape == (n, 3, 7)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("metric", EPS_METRICS)
+    def test_orthonormality_tail(self, metric):
+        # two Gram-Schmidt passes: at most 8.1e-16 at seeds 0, 1 and 5;
+        # LAPACK QR gives 1.2e-15 to 1.6e-15 and a single pass 2.3e-15 to
+        # 1.4e-14 on the same draws, so either fails here
+        assert _gram_error(sp.PlaneSampler(1).frames(100_000, metric), metric) <= 1e-15
+
+    def test_frames_are_columns_over_samples(self):
+        F = sp.PlaneSampler(1).frames(10, np.eye(7))
+        assert F.transpose(1, 2, 0).flags.c_contiguous  # a (3, 7, n) array
+
+    def test_zero_draw_is_redrawn_without_a_warning(self):
+        n, row = 500, 123
+        metric = EPS_METRICS[2]
+        sampler = sp.PlaneSampler(9)
+        sampler.rng = _DegenerateRow(sampler.rng, row)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = sampler.frames(n, metric)
+        assert sampler.rng.drawn == n + 1  # one redraw, after the whole draw
+        assert np.all(np.isfinite(got)) and _gram_error(got[row:row + 1], metric) < 1e-15
+        want = sp.PlaneSampler(9).frames(n, metric)
+        others = np.arange(n) != row
+        assert np.array_equal(got[others], want[others])
+
+    def test_metric_not_positive_definite_rejected_before_drawing(self):
+        sampler = sp.PlaneSampler(1)
+        state = sampler.rng.bit_generator.state
+        with pytest.raises(np.linalg.LinAlgError):
+            sampler.frames(10, np.diag([1.0] * 6 + [-1.0]))
+        assert sampler.rng.bit_generator.state == state
 
 
 class TestEqualityLadder:
