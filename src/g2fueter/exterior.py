@@ -525,9 +525,6 @@ class VectorValuedForm:
 
     __rmul__ = __mul__
 
-    def equals(self, other, tol=DEFAULT_TOL):
-        return all(a.equals(b, tol) for a, b in zip(self.components, other.components))
-
 
 # -- rendering --------------------------------------------------------------
 

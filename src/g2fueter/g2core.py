@@ -37,7 +37,6 @@ from .exterior import (
     hodge,
     interior,
     pullback,
-    render,
     wedge,
     zero_form,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "metric_from_phi",
     "hodge_metric",
     "standard_g2",
-    "g2_from_phi",
     "cross",
     "chi",
     "chi_many",
@@ -245,13 +243,6 @@ def standard_g2() -> G2Structure:
     )
 
 
-def g2_from_phi(phi: Form) -> G2Structure:
-    """Build the full structure (metric, volume, dual) from a definite 3-form."""
-    g = metric_from_phi(phi)
-    vol = basis_form(DIM, tuple(range(1, DIM + 1)), float(np.sqrt(np.linalg.det(g))))
-    return G2Structure(phi=phi, metric=g, vol=vol, star_phi=hodge_metric(phi, g))
-
-
 # -- pointwise tensors ------------------------------------------------------
 
 
@@ -360,45 +351,3 @@ def project_2_7(beta: Form, G: G2Structure) -> Form:
 def project_2_14(beta: Form, G: G2Structure) -> Form:
     """Complementary projection onto Lambda^2_14 = ker(beta -> beta ^ *phi)."""
     return beta - project_2_7(beta, G)
-
-
-# -- golden fixture -----------------------------------------------------------
-
-
-def golden_forms():
-    """The named constant forms, keyed as in the shipped fixture file."""
-    omega_1 = form_from_terms(DIM, 2, ((1.0, (4, 5)), (1.0, (6, 7))))
-    omega_2 = form_from_terms(DIM, 2, ((1.0, (4, 6)), (-1.0, (5, 7))))
-    omega_3 = form_from_terms(DIM, 2, ((-1.0, (4, 7)), (-1.0, (5, 6))))
-    lam = basis_form(DIM, (1, 2, 3))
-    mu = basis_form(DIM, (4, 5, 6, 7))
-    omega = phi0() - lam
-    theta = star_phi0() - mu
-    return {
-        "phi0": phi0(),
-        "star_phi0": star_phi0(),
-        "omega_1": omega_1,
-        "omega_2": omega_2,
-        "omega_3": omega_3,
-        "lambda": lam,
-        "omega": omega,
-        "Theta": theta,
-        "mu": mu,
-    }
-
-
-def render_golden_fixture():
-    """Canonical text of the golden forms, one `name = rendering` per line."""
-    lines = [f"{name} = {render(form)}" for name, form in golden_forms().items()]
-    return "\n".join(lines) + "\n"
-
-
-def load_golden_fixture():
-    """The fixture text shipped with the package."""
-    import importlib.resources
-
-    return (
-        importlib.resources.files("g2fueter")
-        .joinpath("fixtures/g2_forms.txt")
-        .read_text()
-    )

@@ -67,7 +67,6 @@ __all__ = [
     "minimization_experiment",
     "BaseDiffeo",
     "shear_diffeo",
-    "translation_diffeo",
     "reparametrization_invariance",
     "cs_functional",
     "cs_first_variation",
@@ -813,13 +812,6 @@ class BaseDiffeo:
 
     def jac(self, x):
         return self._df(np.asarray(x, dtype=float))
-
-
-def translation_diffeo(shift):
-    shift = np.asarray(shift, dtype=float)
-    return BaseDiffeo(
-        lambda x: x + shift, lambda x: np.broadcast_to(np.eye(3), x.shape + (3,)).copy()
-    )
 
 
 def shear_diffeo():

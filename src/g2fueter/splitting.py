@@ -14,7 +14,6 @@ from __future__ import annotations
 import collections
 import contextvars
 import itertools
-import json
 import os
 from dataclasses import dataclass, field
 from functools import cache, cached_property
@@ -44,7 +43,6 @@ __all__ = [
     "graph_frames",
     "beta_of",
     "horizontal_metric",
-    "ve_from_gram",
     "ve_series",
     "ve_series_many",
     "ve_recursive",
@@ -256,10 +254,6 @@ class GraphPlane:
         """Rows: the three spanning vectors in frame coordinates."""
         return graph_frames(self.T[None])[0]
 
-    def gram_vertical(self):
-        """Gram matrix of the vertical parts, G = T T^t."""
-        return self.T @ self.T.T
-
 
 def graph_from_plane(p: Plane, S: Splitting):
     """Convert a 3-plane to graph coordinates.
@@ -309,18 +303,10 @@ def _sqrt_series_coeffs(kmax):
     return c
 
 
-def ve_from_gram(G, kmax):
-    """ve coefficients from the vertical Gram matrix, by eigenvalues.
-
-    Expands prod_i sqrt(1 + eps * lambda_i) in eps through order kmax.  The
-    n = 1 case of `_ve_from_grams`.
-    """
-    G = np.asarray(G, dtype=float)
-    return _ve_from_grams(G[None], kmax)[0]
-
-
 def _ve_from_grams(Gs, kmax):
-    """ve_from_gram of stacked Gram matrices (n, k, k) -> (n, kmax + 1).
+    """ve coefficients of stacked vertical Gram matrices (n, k, k) ->
+    (n, kmax + 1), by eigenvalues: prod_i sqrt(1 + eps * lambda_i) expanded
+    in eps through order kmax.
 
     One stacked eigvalsh over the finite matrices; a matrix with a NaN or
     inf entry gets NaN eigenvalues, so its row is NaN past ve_0 = 1 and the
@@ -419,14 +405,7 @@ def ve_recursive_many(Ts, kmax):
 def decompose_form(a, S: Splitting):
     """Split a form by vertical degree: a = sum_i a_i, a_i with exactly i
     V-frame indices per monomial.  Returns a list of length degree + 1 in
-    ambient coordinates; vector-valued input is split componentwise (the
-    value slot is untouched)."""
-    if isinstance(a, VectorValuedForm):
-        comp_parts = [decompose_form(c, S) for c in a.components]
-        return [
-            VectorValuedForm(tuple(parts[q] for parts in comp_parts))
-            for q in range(a.degree + 1)
-        ]
+    ambient coordinates."""
     frame_parts = _vertical_parts(S.to_frame(a), a.degree)
     return [S.from_frame(p) for p in frame_parts]
 
@@ -439,10 +418,17 @@ def adiabatic_family(a, S: Splitting, eps: float):
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
+    if isinstance(a, VectorValuedForm):  # the value slot is untouched
+        return a.map_components(lambda c: adiabatic_family(c, S, eps))
     parts = decompose_form(a, S)
     root = np.sqrt(eps)
     out = parts[0]
     for q in range(1, len(parts)):
+        if not parts[q].coeffs:
+            # an empty part adds nothing, and its factor may overflow for
+            # no reason: phi's vertical-degree-3 part is empty, and its
+            # eps^(3/2) leaves the float range once eps passes about 1e205
+            continue
         # even powers of sqrt(eps) computed as integer powers of eps, so
         # the vertical-degree-2q component scales by eps^q bit-exactly
         factor = eps ** (q // 2) * (root if q % 2 else 1.0)
@@ -578,7 +564,10 @@ class PlaneSampler:
             """Frames of draws (m, 7, 3) into Q (3, 7, m); whether each is
             nondegenerate."""
             r = _gram_schmidt(terms, M.transpose(2, 1, 0), Q)
-            return r[0] * r[1] * r[2] > 1e-8  # False for a NaN norm
+            # norms past about 1e103 (a metric with entries past 1e206)
+            # overflow the product to inf, which is still above the bound
+            with np.errstate(over="ignore"):
+                return r[0] * r[1] * r[2] > 1e-8  # False for a NaN norm
 
         def draw(count):
             return self.rng.standard_normal((count, DIM, 3))
@@ -633,9 +622,6 @@ class ScanReport:
             "skipped": self.skipped,
             "equalityCases": self.equality_cases,
         }
-
-    def to_json(self):
-        return json.dumps(self.as_dict(), sort_keys=True)
 
     @property
     def passed(self):

@@ -25,6 +25,12 @@ KERNELS = {"Haswell": ("AVX2", "FMA3"), "Sandybridge": ("AVX",)}
 PORTABLE = (
     "scan semical --samples 1000 --seed 3",
     "scan anisotropic --samples 2000 --seed 11",
+    "verify pde --seed 1",
+    "verify models --seed 1",
+    "energy --seed 0 --grid 16",
+    "solve su2 --seed 1",
+    "solve affine --seed 1",
+    "solve flat-harmonic --seed 1",
 )
 
 _SCRIPT = """
@@ -69,7 +75,7 @@ def _run(kernel, out):
                   for i in range(len(PORTABLE))]
 
 
-def test_scan_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+def test_report_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
     features = _cpu_features()
     kernels = [None] + [k for k, needs in KERNELS.items()
                         if all(features.get(f) for f in needs)]

@@ -8,6 +8,7 @@ workers, and that commands which never start a pool never import it.
 """
 
 import functools
+import json
 import os
 import subprocess
 import sys
@@ -66,15 +67,15 @@ def _scan_bytes(n, included, block):
     block when there is one."""
     reports = [sp.anisotropic_scan(
         S, sp.PlaneSampler(n), n,
-        include_planes=[FUETER_T, np.zeros((3, 4))] if included else ()).to_json()]
+        include_planes=[FUETER_T, np.zeros((3, 4))] if included else ())]
     for eps in (1.0, 0.01):
         sampler = sp.PlaneSampler(n + 1)
         sampler.rng = _DegenerateRow(sampler.rng, block)
         reports.append(sp.semi_calibration_scan(
             sp.adiabatic_family(S.g2.phi, S, eps), np.diag([1.0] * 3 + [eps] * 4),
-            sampler, n, include_frames=[np.eye(7)[:3]] if included else ()).to_json())
+            sampler, n, include_frames=[np.eye(7)[:3]] if included else ()))
         assert sampler.rng.drawn == n + (n > block)  # one redraw when the row is drawn
-    return reports
+    return [json.dumps(rep.as_dict(), sort_keys=True) for rep in reports]
 
 
 @pytest.mark.parametrize("block", [1000, 7777])

@@ -15,5 +15,6 @@ def test_demo_runs(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env)
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+                          capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr.decode()

@@ -121,24 +121,6 @@ class TestCompletions:
             with pytest.raises(ValueError, match="finite"):
                 fu.fueter_complete(E[0], v1[[1, 0, 2, 3, 4, 5, 6]], S)
 
-    def test_associative_completion(self):
-        assert np.allclose(fu.associative_complete(E[0], E[1], S.g2), E[2])
-        assert np.allclose(fu.associative_complete(E[0], E[3], S.g2), E[4])
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            u, v = rng.standard_normal((2, 7))
-            w = fu.associative_complete(u, v, S.g2)
-            assert np.linalg.norm(g2.chi(u, v, w, S.g2)) < 1e-10
-        with pytest.raises(ValueError):
-            fu.associative_complete(E[0], 2.0 * E[0], S.g2)
-
-    def test_associative_completion_rejects_non_finite(self):
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="finite"):
-                fu.associative_complete(np.full(7, bad), E[1], S.g2)
-            with pytest.raises(ValueError, match="finite"):
-                fu.associative_complete(E[0], np.full(7, bad), S.g2)
-
 
 class TestConditionReport:
     def test_fueter_plane_all_six_vanish(self):
@@ -260,7 +242,7 @@ class TestChiViaBeta:
             h[:3] = rng.standard_normal(3)
             h /= np.linalg.norm(h)
             v = rng.standard_normal(7)
-            w = fu.associative_complete(h, v, S.g2)
+            w = g2.cross(h, v, S.g2)
             try:
                 g, _ = sp.graph_from_plane(sp.Plane(np.vstack([h, v, w])), S)
             except sp.NotProjectableError:

@@ -1,3 +1,4 @@
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,31 @@ from g2fueter import g2core as g2
 
 E = np.eye(7)
 G = g2.standard_g2()
+FIXTURE = Path(__file__).parent / "fixtures" / "g2_forms.txt"
+
+
+def g2_from_phi(phi):
+    """The full structure (metric, volume, dual) of a definite 3-form."""
+    g = g2.metric_from_phi(phi)
+    vol = ex.basis_form(7, tuple(range(1, 8)), float(np.sqrt(np.linalg.det(g))))
+    return g2.G2Structure(phi=phi, metric=g, vol=vol, star_phi=g2.hodge_metric(phi, g))
+
+
+def golden_forms():
+    """The named constant forms, keyed as in the fixture file."""
+    lam = ex.basis_form(7, (1, 2, 3))
+    mu = ex.basis_form(7, (4, 5, 6, 7))
+    return {
+        "phi0": g2.phi0(),
+        "star_phi0": g2.star_phi0(),
+        "omega_1": ex.form_from_terms(7, 2, ((1.0, (4, 5)), (1.0, (6, 7)))),
+        "omega_2": ex.form_from_terms(7, 2, ((1.0, (4, 6)), (-1.0, (5, 7)))),
+        "omega_3": ex.form_from_terms(7, 2, ((-1.0, (4, 7)), (-1.0, (5, 6)))),
+        "lambda": lam,
+        "omega": g2.phi0() - lam,
+        "Theta": g2.star_phi0() - mu,
+        "mu": mu,
+    }
 
 
 def gram_det(*vs):
@@ -38,7 +64,7 @@ class TestMetricFromPhi:
             g2.metric_from_phi(nan_phi)
 
     def test_volume_matches_metric(self):
-        s = g2.g2_from_phi(g2.phi0())
+        s = g2_from_phi(g2.phi0())
         assert s.vol.equals(g2.vol0(), 1e-12)
         assert abs(ex.inner(s.phi, s.phi) - 7.0) < 1e-12
         assert abs(ex.inner(s.star_phi, s.star_phi) - 7.0) < 1e-10
@@ -206,7 +232,7 @@ class TestLambdaAndProjections:
 def test_hodge_metric_on_eps_family():
     eps = 0.17
     phi_eps = ex.pullback(np.diag([1.0] * 3 + [np.sqrt(eps)] * 4), g2.phi0())
-    s = g2.g2_from_phi(phi_eps)
+    s = g2_from_phi(phi_eps)
     theta = ex.form_from_terms(7, 4, g2.STAR_PHI0_TERMS[1:])
     mu = ex.basis_form(7, (4, 5, 6, 7))
     assert s.star_phi.equals(eps * theta + eps * eps * mu, 1e-12)
@@ -214,10 +240,11 @@ def test_hodge_metric_on_eps_family():
 
 
 def test_golden_fixture_file_matches_oracle():
-    # the shipped text file is exactly the canonical rendering produced
-    # by the star/decomposition machinery
-    assert g2.load_golden_fixture() == g2.render_golden_fixture()
-    forms = g2.golden_forms()
+    # the text file is exactly the canonical rendering, one `name =
+    # rendering` per line, of the forms the star/decomposition machinery
+    # produces
+    forms = golden_forms()
+    assert FIXTURE.read_text() == "".join(f"{k} = {ex.render(f)}\n" for k, f in forms.items())
     assert forms["phi0"].equals(forms["lambda"] + forms["omega"], 0.0)
     assert forms["star_phi0"].equals(forms["Theta"] + forms["mu"], 0.0)
     expected_omega = ex.zero_form(7, 3)
@@ -254,7 +281,7 @@ class TestGeneralLinearPullbacks:
         A = rng.standard_normal((7, 7))
         if np.linalg.det(A) < 0:
             A[0] = -A[0]
-        s = g2.g2_from_phi(ex.pullback(A, g2.phi0()))
+        s = g2_from_phi(ex.pullback(A, g2.phi0()))
         expected = ex.pullback(A, g2.star_phi0())
         assert (s.star_phi - expected).norm() < 1e-8 * max(1.0, expected.norm())
 
@@ -263,7 +290,7 @@ class TestDerivedTensors:
     NAMES = ("metric_inv", "phi_dense", "chi_form", "tau_form", "lambda_matrices")
 
     def test_built_once_and_read_only(self):
-        s = g2.g2_from_phi(ex.pullback(np.diag([1.0] * 3 + [0.5] * 4), g2.phi0()))
+        s = g2_from_phi(ex.pullback(np.diag([1.0] * 3 + [0.5] * 4), g2.phi0()))
         for name in self.NAMES:
             assert getattr(s, name) is getattr(s, name), name
         assert np.array_equal(s.metric_inv, np.linalg.inv(s.metric))

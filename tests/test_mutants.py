@@ -17,7 +17,7 @@ module keep the original (fueter's `ve_series_many`, for one, which is why
 import numpy as np
 import pytest
 
-from g2fueter import cli, fueter, g2core, splitting
+from g2fueter import cli, fueter, g2core, pde, splitting
 
 
 def _negated(real):
@@ -57,6 +57,18 @@ MUTANTS = {
 }
 
 
+# Known survivors: every check of the six suites still passes under them,
+# since no check compares the Fueter map matrix or the flat operator with
+# a second route of the same value.  Strict xfails, so the check that
+# first kills one turns it into an XPASS failure here, to be moved into
+# MUTANTS with its exact kill set.
+SURVIVORS = {
+    "fueter_map_matrix x 1.001": (fueter, "fueter_map_matrix", _scaled(1.001)),
+    # on pde alone: fm_gauge imported the real one by name
+    "pde.fueter_operator_flat x 1.001": (pde, "fueter_operator_flat", _scaled(1.001)),
+}
+
+
 def _failing_checks():
     failed = set()
     for suite, run in cli.SUITES.items():
@@ -75,3 +87,11 @@ def test_mutant_is_killed_by_exactly_its_checks(name, monkeypatch):
     module, attr, mutate, killed_by = MUTANTS[name]
     monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
     assert _failing_checks() == killed_by
+
+
+@pytest.mark.xfail(strict=True, reason="no verify check sees this mutant yet")
+@pytest.mark.parametrize("name", sorted(SURVIVORS))
+def test_survivor_is_killed(name, monkeypatch):
+    module, attr, mutate = SURVIVORS[name]
+    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+    assert _failing_checks() != set()

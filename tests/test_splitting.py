@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import warnings
@@ -174,7 +175,7 @@ class TestVeHierarchy:
         rng = np.random.default_rng(4)
         g = sp.GraphPlane(0.5 * rng.standard_normal((3, 4)), S)
         ve = sp.ve_series(g, 3)
-        gram = g.gram_vertical()
+        gram = g.T @ g.T.T
         for eps in (1e-3, 1e-2):
             exact = np.sqrt(np.linalg.det(np.eye(3) + eps * gram))
             series = sum(ve[k] * eps ** k for k in range(4))
@@ -303,8 +304,8 @@ class TestDecomposeAndAdiabatic:
         assert parts[0].is_zero(0.0) and parts[1].is_zero(0.0) and parts[3].is_zero(0.0)
 
     def test_chi_zeroth_component_vanishes(self):
-        chi_parts = sp.decompose_form(S.chi_form_f(), S)
-        assert all(c.is_zero(0.0) for c in chi_parts[0].components)
+        chi_parts = [sp.decompose_form(c, S) for c in S.chi_form_f().components]
+        assert all(parts[0].is_zero(0.0) for parts in chi_parts)
 
     def test_adiabatic_identity_at_one(self):
         assert sp.adiabatic_family(S.g2.phi, S, 1.0).equals(S.g2.phi, 0.0)
@@ -316,6 +317,24 @@ class TestDecomposeAndAdiabatic:
         assert got.equals(ex.pullback(A, S.g2.phi), 1e-14)
         lam, omega, _, _ = S.form_parts()
         assert got.equals(lam + eps * omega, 1e-14)
+
+    def test_large_eps_in_domain_without_warnings(self):
+        # phi's vertical-degree-3 part is empty, so its factor eps^(3/2),
+        # which overflows here, must not be formed; the frames' norms
+        # multiply past the float range, which still clears the degeneracy
+        # bound.  The pinned report is the one the code gave when both
+        # overflows still warned.
+        eps = 1e300
+        lam, omega, _, _ = S.form_parts()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            phi_eps = sp.adiabatic_family(S.g2.phi, S, eps)
+            rep = sp.semi_calibration_scan(
+                phi_eps, np.diag([1.0] * 3 + [eps] * 4), sp.PlaneSampler(0), 200)
+        assert phi_eps.equals(lam + eps * omega, 0.0)
+        assert rep.passed and rep.skipped == 0 and rep.max_ratio == 8.133308947953688e-150
+        assert hashlib.sha256(json.dumps(rep.as_dict(), sort_keys=True).encode()).hexdigest() \
+            == "65db2291ba9da77fa7d33a9b5721e0c62341d2872153441ebeb1ce9132779d92"
 
     def test_adiabatic_rejects_nonpositive_eps(self):
         for eps in (0.0, np.nan):
@@ -428,7 +447,7 @@ class TestScans:
 
     def test_report_json_roundtrip(self):
         rep = sp.anisotropic_scan(S, sp.PlaneSampler(22), 50)
-        payload = json.loads(rep.to_json())
+        payload = json.loads(json.dumps(rep.as_dict(), sort_keys=True))
         assert payload["seed"] == 22 and payload["samples"] == 50
 
     def test_sampler_requires_seed(self):
