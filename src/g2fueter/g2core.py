@@ -30,6 +30,7 @@ import numpy as np
 from .exterior import (
     Form,
     VectorValuedForm,
+    _read_only,
     _stacked,
     _with_unit_vectors,
     basis_form,
@@ -230,11 +231,6 @@ class G2Structure:
                     L[key_pos[idx], j - 1] = c
             out[k] = (_read_only(L), keys)
         return out
-
-
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 def standard_g2() -> G2Structure:

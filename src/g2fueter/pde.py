@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import _ordered_contract
+from .exterior import _ordered_contract, _read_only
 from .fueter import standard_jtriple
-from .splitting import standard_splitting
+from .splitting import graph_frames, standard_splitting
 
 __all__ = [
     "AnalyticMap",
@@ -158,11 +158,6 @@ def _monomial_table(layout, ds, n):
     axes = [(a, _read_only(exps[..., a].copy()), exps[..., a].max() + 1)
             for a in range(n) if exps[..., a].any()]
     return _read_only(src), _read_only(mults), axes
-
-
-def _read_only(a):
-    a.setflags(write=False)
-    return a
 
 
 class PolynomialMap(AnalyticMap):
@@ -664,14 +659,6 @@ def _torus_points(n):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def _graph_frames(jets):
-    """Graph frames v_i = e_i + du(e_i) from per-point 4x3 jets, (N, 3, 7)."""
-    frame = np.zeros((jets.shape[0], 3, 7))
-    frame[:, :, :3] = np.eye(3)
-    frame[:, :, 3:] = np.transpose(jets, (0, 2, 1))
-    return frame
-
-
 @dataclass
 class ImmersionGrid:
     """Regular periodic lattice on the unit 3-torus with sampled jets.
@@ -893,7 +880,8 @@ def cs_functional(u0: AnalyticMap, u1: AnalyticMap, n: int = 12):
     vt = np.zeros((len(t_nodes), x.shape[0], 7))
     vt[:, :, 3:] = w1 - w0
     vt = vt.reshape(-1, 7)
-    frame = _graph_frames(np.concatenate([(1.0 - t) * j0 + t * j1 for t in t_nodes]))
+    jets = np.concatenate([(1.0 - t) * j0 + t * j1 for t in t_nodes])
+    frame = graph_frames(jets.swapaxes(1, 2))
     vals = _ordered_contract(dense, vt, frame[:, 0], frame[:, 1], frame[:, 2])
     total = 0.0
     for wt, node_vals in zip(t_weights, vals.reshape(len(t_nodes), -1)):
@@ -926,7 +914,7 @@ def cs_first_variation(u0: AnalyticMap, u1: AnalyticMap, Z: AnalyticMap, n: int 
     x = _torus_points(n)
     zvec = np.zeros((x.shape[0], 7))
     zvec[:, 3:] = Z.eval(x)
-    frame = _graph_frames(u1.jet1(x))
+    frame = graph_frames(u1.jet1(x).swapaxes(1, 2))
     boundary = float(
         _ordered_contract(dense, zvec, frame[:, 0], frame[:, 1], frame[:, 2]).mean()
     )
@@ -939,7 +927,7 @@ def adversarial_variation(u1: AnalyticMap) -> FourierMap:
     from zero whenever the endpoint is not Fueter."""
     x = _torus_points(8)
     dense = _theta_dense()
-    frame = _graph_frames(u1.jet1(x))
+    frame = graph_frames(u1.jet1(x).swapaxes(1, 2))
     # Theta(., v1, v2, v3): the direction in which the boundary term grows
     theta_vec = _ordered_contract(dense, frame[:, 0], frame[:, 1], frame[:, 2])[:, 3:]
     waves = [(np.zeros(3, dtype=int), theta_vec.mean(axis=0), np.zeros(4))]

@@ -415,6 +415,8 @@ def adiabatic_family(a, S: Splitting, eps: float):
 
     Equals the pullback by diag(1,1,1,sqrt(eps)..) in the splitting frame;
     eps = 1 is the identity.  Applies to plain and vector-valued forms.
+    ValueError when eps is not positive, or when the factor eps^(q/2) of a
+    nonempty vertical-degree-q part is not finite.
     """
     if not eps > 0.0:
         raise ValueError("eps must be positive")
@@ -422,7 +424,7 @@ def adiabatic_family(a, S: Splitting, eps: float):
         return a.map_components(lambda c: adiabatic_family(c, S, eps))
     parts = decompose_form(a, S)
     root = np.sqrt(eps)
-    out = parts[0]
+    scaled = []
     for q in range(1, len(parts)):
         if not parts[q].coeffs:
             # an empty part adds nothing, and its factor may overflow for
@@ -431,8 +433,18 @@ def adiabatic_family(a, S: Splitting, eps: float):
             continue
         # even powers of sqrt(eps) computed as integer powers of eps, so
         # the vertical-degree-2q component scales by eps^q bit-exactly
-        factor = eps ** (q // 2) * (root if q % 2 else 1.0)
-        out = out + factor * parts[q]
+        try:
+            with np.errstate(over="raise"):
+                factor = eps ** (q // 2) * (root if q % 2 else 1.0)
+        except (OverflowError, FloatingPointError):  # a Python or a numpy float
+            factor = np.inf
+        if not np.isfinite(factor):
+            raise ValueError(f"eps = {eps} is out of range: the factor eps^({q}/2) "
+                             f"of the vertical-degree-{q} part is not finite")
+        scaled.append((factor, parts[q]))
+    out = parts[0]
+    for factor, part in scaled:
+        out = out + factor * part
     return out
 
 
@@ -725,12 +737,10 @@ def anisotropic_scan(
     stack to (k, 3, 4) raises ValueError.  Violation: any ratio that is
     not <= 1 + tol, NaN included.
 
-    Included planes are measured on this thread.  The drawn ones are
-    drawn one block at a time on this thread and measured through
-    `_blockwise` (whose docstring states the worker rules); the constant
-    matrices come from this thread.  The ratios, argmax, counts,
-    near-equality cases and identity guard are taken over all rows here,
-    so the report is that of one whole draw.
+    Included planes are measured first, then the drawn ones one block at
+    a time: draw a block, measure it.  The ratios, argmax, counts,
+    near-equality cases and identity guard are taken over all rows at
+    once, so the report is that of one whole draw.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -748,15 +758,10 @@ def anisotropic_scan(
     k = len(included)
     Ts, values = np.empty((n, 3, 4)), np.empty((3, k + n))
     drawn = values[:, k:]
-
-    def measure(job):
-        rows, T = job
-        Ts[rows] = T
-        drawn[:, rows] = measures(T)
-
     values[:, :k] = measures(included)
-    _blockwise(measure, ((rows, sampler.graph_planes(rows.stop - rows.start))
-                         for rows in _row_blocks(n)))
+    for rows in _row_blocks(n):
+        T = sampler.graph_planes(rows.stop - rows.start)
+        Ts[rows], drawn[:, rows] = T, measures(T)
     omega_vals, ve1, identity_residual = values
     keep = ve1 >= VE1_EXCLUSION
     ratios = np.where(keep, omega_vals / np.where(keep, ve1, 1.0), -np.inf)

@@ -123,7 +123,8 @@ def _run_python(script, *args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script, *map(str, args)],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-c", script,
+                           *map(str, args)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -140,13 +141,12 @@ def test_one_cpu_gives_the_bytes_of_all_cpus(tmp_path):
 
 def test_scans_leave_no_thread_and_trace_on_the_main_thread(monkeypatch):
     _pooled(monkeypatch, 1000)
-    seen = []  # (on the main thread, live threads) at each traced call
+    seen = []  # at each traced call: is it on the main thread
 
     def noting(wrapper):
         @functools.wraps(wrapper)
         def noted(*args, **kwargs):
-            seen.append((threading.current_thread() is threading.main_thread(),
-                         threading.active_count()))
+            seen.append(threading.current_thread() is threading.main_thread())
             return wrapper(*args, **kwargs)
         return noted
 
@@ -162,8 +162,7 @@ def test_scans_leave_no_thread_and_trace_on_the_main_thread(monkeypatch):
         sp.anisotropic_scan(S, sp.PlaneSampler(1), 5000, include_planes=[FUETER_T])
         sp.semi_calibration_scan(S.g2.phi, np.eye(7), sp.PlaneSampler(2), 5000)
     assert threading.active_count() == before
-    assert all(main for main, _ in seen)
-    assert max(live for _, live in seen) > before  # drawn while the pool ran
+    assert all(seen)
     assert tracer.stats["splitting.PlaneSampler.graph_planes"][0] == 5
     assert tracer.counters["splitting.scan.samples"] == 10000
 

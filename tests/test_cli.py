@@ -12,6 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from g2fueter import cli
 
+from pinned_reports import KERNEL_BOUND, PORTABLE, blas_core
+
+PINS = {**PORTABLE, **KERNEL_BOUND}
+
 
 def strict_json(raw):
     """Parse a report, rejecting the NaN and Infinity tokens JSON does not have."""
@@ -28,19 +32,6 @@ def run_cli(args, tmp_path, name):
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("args", [
-        ["verify", "algebra", "--seed", "7", "--profile", "fast"],
-        ["verify", "fueter", "--seed", "9", "--profile", "fast"],
-        ["scan", "anisotropic", "--samples", "2000", "--seed", "11"],
-        ["scan", "semical", "--samples", "1000", "--seed", "3"],
-        ["fm", "sweep", "--seed", "5", "--points", "8"],
-    ])
-    def test_repeated_runs_byte_identical(self, args, tmp_path):
-        code1, b1 = run_cli(args, tmp_path, "a.json")
-        code2, b2 = run_cli(args, tmp_path, "b.json")
-        assert code1 == code2 == 0
-        assert b1 == b2
-
     def test_different_seeds_differ(self, tmp_path):
         _, b1 = run_cli(["scan", "anisotropic", "--samples", "500", "--seed", "1"], tmp_path, "a.json")
         _, b2 = run_cli(["scan", "anisotropic", "--samples", "500", "--seed", "2"], tmp_path, "b.json")
@@ -58,68 +49,19 @@ class TestReports:
             assert set(check) == {"name", "claim", "residualOrFlag", "pass"}
             assert check["claim"]
 
-    # report SHA-256s at seed 7, fast profile; a declared schema or
-    # RNG-stream change updates them
-    PINNED_SHA256 = {
-        "algebra": "96a610fd0186c2d6e8f613e5ab7d382f5d240c64589829f38816106439d22175",
-        "splitting": "75de7edabd1666300d80b4063a6453b7a7f2be5753f1b293c17b0e7893fa177c",
-        "fueter": "967caafd22a6ffb95dd3f16da1d71514596402c0a7ec09b460480b49cb792794",
-        "models": "27f99075142aa159452049dcb22b3f7d536545633d0d8f6f172ea61164a18c8a",
-        "pde": "e5bc829f00106f32f277c61841c8fe94ef1c83ccc4de3f6090332bff051c8d1d",
-        "fm": "02d35592f97174f1feef170c53b1a2cfd91750452806ba2845ac0722d655bf08",
-    }
-
-    # report SHA-256s at seed 1, strict profile, under the same rule: the
-    # strict sample counts run the jet and minor kernels far more often
-    # than the fast ones
-    PINNED_STRICT_SHA256 = {
-        "splitting": "6292d8e98f991d6db812b43d848456d5f0dccfe20f967108e04168d30d890d22",
-        "pde": "cc1857097928252c03ab0325d4b70430c762d5f3556d2007487510de25a113ea",
-        "fm": "236d0731302292ff1b0b31df9467d272a95b025888c7dad67f0547a33a1b7455",
-    }
-
-    # the other commands' report SHA-256s, under the same rule
-    PINNED_COMMAND_SHA256 = {
-        "scan anisotropic --samples 2000 --seed 11":
-            "dc6e455aa4037cebc59c83a33278f1aa2360166b8c9bcd73a2c137d35f9ab141",
-        "scan semical --samples 1000 --seed 3":
-            "b31de42ccde6ad34d91bc6370b3652bd0dc7b44c1b80ccb3cfe25b6a95914bf9",
-        "energy --grid 8 --seed 5":
-            "77eb3a057fa77e3dba8d533704710c6361069259a16e0c1137aa206a9a882e10",
-        "solve su2 --seed 4":
-            "5380a9de237111157861c16b922696af66a74ba8b3c1992e36d96b6787b50485",
-        "solve flat-harmonic --seed 4":
-            "385fd089cadf132e9667066540e0a4db974779936cba63f0ea95851f184be7e8",
-        "solve affine --seed 4":
-            "7501c9ee98133f294d719d70be468fcf664a2511a058616297238666633912b8",
-        "model heisenberg --B 2,0,0;0,2,0;0,0,-4 --homology":
-            "ead04d6b782a7b2d58c446fbbf4ffffc3077359e07767ca2f6203a5e147a269e",
-        "fm sweep --seed 5 --points 8":
-            "48fe02234d8c1936da15b47b1fa540ee6973c2bf23718d26dcce56dc0d546ee4",
-        "fm sweep --seed 5 --points 8 --format csv":
-            "4392bac2f57c5bf8a5c7c7366bb3cef486e6cf947a9f961ded03dd7c9beed36b",
-    }
-
-    @pytest.mark.parametrize("command", sorted(PINNED_COMMAND_SHA256))
-    def test_command_report_is_pinned(self, command, tmp_path):
-        code, raw = run_cli(command.split(" "), tmp_path, "report")
-        assert code == 0
-        assert hashlib.sha256(raw).hexdigest() == self.PINNED_COMMAND_SHA256[command]
-
-    def test_all_suites_pass(self, tmp_path):
-        for suite, digest in self.PINNED_SHA256.items():
-            code, raw = run_cli(["verify", suite, "--seed", "7", "--profile", "fast"],
-                                tmp_path, f"{suite}.json")
-            assert code == 0, suite
-            assert all(c["pass"] for c in json.loads(raw)["checks"])
-            assert hashlib.sha256(raw).hexdigest() == digest, suite
-
-    @pytest.mark.parametrize("suite", sorted(PINNED_STRICT_SHA256))
-    def test_strict_report_is_pinned(self, suite, tmp_path):
-        code, raw = run_cli(["verify", suite, "--seed", "1", "--profile", "strict"],
-                            tmp_path, f"{suite}.json")
-        assert code == 0
-        assert hashlib.sha256(raw).hexdigest() == self.PINNED_STRICT_SHA256[suite]
+    @pytest.mark.parametrize("command", sorted(PINS))
+    def test_pinned_report(self, command, tmp_path):
+        pin = PINS[command]
+        for run in ("a", "b"):  # caches the first run fills must not move the second
+            code, raw = run_cli(command.split(" "), tmp_path, run)
+            assert code == 0, command
+            if "--format csv" not in command:
+                assert all(c["pass"] for c in json.loads(raw)["checks"]), command
+            digest = hashlib.sha256(raw).hexdigest()
+            assert digest == pin, (
+                f"{command} (run {run}): SHA-256 {digest}, pinned {pin}; "
+                f"{'kernel-bound' if command in KERNEL_BOUND else 'portable'}, "
+                f"OpenBLAS core {blas_core()}")
 
     def test_out_path_is_not_echoed(self, tmp_path):
         args = ["verify", "models", "--seed", "1", "--profile", "fast"]

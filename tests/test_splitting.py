@@ -341,6 +341,14 @@ class TestDecomposeAndAdiabatic:
             with pytest.raises(ValueError, match="eps"):
                 sp.adiabatic_family(S.g2.phi, S, eps)
 
+    def test_adiabatic_rejects_eps_whose_factor_overflows(self):
+        # at 1e300, star phi's vertical-degree-4 part needs eps^2 (a Python
+        # float power) and chi's vertical-degree-3 part eps^(3/2) (a numpy
+        # product): both leave the float range, and both must say so
+        for a, q in ((S.g2.star_phi, 4), (S.chi_form_f(), 3)):
+            with pytest.raises(ValueError, match=rf"eps = 1e\+300 .* eps\^\({q}/2\)"):
+                sp.adiabatic_family(a, S, 1e300)
+
     def test_vertical_component_scales_exactly(self):
         for eps in (0.5, 0.1, 0.02):
             fam = sp.adiabatic_family(S.g2.phi, S, eps)
