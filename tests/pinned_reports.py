@@ -3,8 +3,8 @@ guarded, mapped to the SHA-256 of its report.
 
 A pin shows that a change left the report's mathematics alone, so a
 declared schema or RNG-stream change is the only reason to edit one.
-`test_cli.py::test_pinned_report` runs every command here twice in one
-process; `test_blas_kernels.py` runs the portable ones under several
+`test_cli.py::test_command_report_is_pinned` runs every command here
+twice in one process; `test_blas_kernels.py` runs the portable ones under several
 OpenBLAS kernels.
 
 PORTABLE reports have one SHA-256 under the native OpenBLAS kernel and

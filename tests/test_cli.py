@@ -32,6 +32,21 @@ def run_cli(args, tmp_path, name):
 
 
 class TestDeterminism:
+    # repeatability holds with no pin, so it holds on every OpenBLAS kernel,
+    # kernel-bound commands included
+    @pytest.mark.parametrize("args", [
+        ["verify", "algebra", "--seed", "7", "--profile", "fast"],
+        ["verify", "fueter", "--seed", "9", "--profile", "fast"],
+        ["scan", "anisotropic", "--samples", "2000", "--seed", "11"],
+        ["scan", "semical", "--samples", "1000", "--seed", "3"],
+        ["fm", "sweep", "--seed", "5", "--points", "8"],
+    ])
+    def test_repeated_runs_byte_identical(self, args, tmp_path):
+        code1, b1 = run_cli(args, tmp_path, "a.json")
+        code2, b2 = run_cli(args, tmp_path, "b.json")
+        assert code1 == code2 == 0
+        assert b1 == b2
+
     def test_different_seeds_differ(self, tmp_path):
         _, b1 = run_cli(["scan", "anisotropic", "--samples", "500", "--seed", "1"], tmp_path, "a.json")
         _, b2 = run_cli(["scan", "anisotropic", "--samples", "500", "--seed", "2"], tmp_path, "b.json")
@@ -50,7 +65,7 @@ class TestReports:
             assert check["claim"]
 
     @pytest.mark.parametrize("command", sorted(PINS))
-    def test_pinned_report(self, command, tmp_path):
+    def test_command_report_is_pinned(self, command, tmp_path):
         pin = PINS[command]
         for run in ("a", "b"):  # caches the first run fills must not move the second
             code, raw = run_cli(command.split(" "), tmp_path, run)
