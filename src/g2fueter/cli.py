@@ -332,12 +332,12 @@ def _suite_splitting(rng, tol):
                           "the eps-family is the anisotropic-scaling pullback",
                           worst, worst < 1e-14))
 
-    chi_f = S.frame_g2.chi_form
+    chi_family = splitting._adiabatic(S.frame_g2.chi_form, S)
+    phi_family = splitting._adiabatic(phi, S)
 
     def eps_associator_gap():
         e2 = float(rng.uniform(0.05, 1.0))
-        chi_eps = splitting.adiabatic_family(chi_f, S, e2)
-        phi_eps = splitting.adiabatic_family(phi, S, e2)
+        chi_eps, phi_eps = chi_family(e2), phi_family(e2)
         vs = rng.standard_normal((3, 7))
         lhs = phi_eps.apply(list(vs)) ** 2 + float(np.sum(chi_eps.apply(list(vs)) ** 2))
         return abs(lhs - np.linalg.det(vs @ np.diag([1.0] * 3 + [e2] * 4) @ vs.T))
@@ -688,10 +688,10 @@ def _cmd_scan(args):
     if args.kind == "semical":
         checks, payloads = [], []
         eye3 = np.eye(7)[:3]
+        sampler = splitting.PlaneSampler(args.seed)  # one draw for every metric
         for eps in args.eps:
             phi_eps = splitting.adiabatic_family(S.g2.phi, S, eps)
             g_eps = np.diag([1.0] * 3 + [eps] * 4)
-            sampler = splitting.PlaneSampler(args.seed)
             rep = splitting.semi_calibration_scan(
                 phi_eps, g_eps, sampler, args.samples, tol=slack,
                 include_frames=[eye3] if eps == 1.0 else (),

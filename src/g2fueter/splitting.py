@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import collections
 import contextvars
+import copy
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -418,34 +419,45 @@ def adiabatic_family(a, S: Splitting, eps: float):
     ValueError when eps is not positive, or when the factor eps^(q/2) of a
     nonempty vertical-degree-q part is not finite.
     """
-    if not eps > 0.0:
-        raise ValueError("eps must be positive")
+    return _adiabatic(a, S)(eps)
+
+
+def _adiabatic(a, S: Splitting):
+    """eps -> adiabatic_family(a, S, eps), with the vertical parts of a
+    taken once, so a caller that needs many eps pays one decomposition."""
     if isinstance(a, VectorValuedForm):  # the value slot is untouched
-        return a.map_components(lambda c: adiabatic_family(c, S, eps))
+        families = [_adiabatic(c, S) for c in a.components]
+        return lambda eps: VectorValuedForm(tuple(family(eps) for family in families))
     parts = decompose_form(a, S)
-    root = np.sqrt(eps)
-    scaled = []
-    for q in range(1, len(parts)):
-        if not parts[q].coeffs:
-            # an empty part adds nothing, and its factor may overflow for
-            # no reason: phi's vertical-degree-3 part is empty, and its
-            # eps^(3/2) leaves the float range once eps passes about 1e205
-            continue
-        # even powers of sqrt(eps) computed as integer powers of eps, so
-        # the vertical-degree-2q component scales by eps^q bit-exactly
-        try:
-            with np.errstate(over="raise"):
-                factor = eps ** (q // 2) * (root if q % 2 else 1.0)
-        except (OverflowError, FloatingPointError):  # a Python or a numpy float
-            factor = np.inf
-        if not np.isfinite(factor):
-            raise ValueError(f"eps = {eps} is out of range: the factor eps^({q}/2) "
-                             f"of the vertical-degree-{q} part is not finite")
-        scaled.append((factor, parts[q]))
-    out = parts[0]
-    for factor, part in scaled:
-        out = out + factor * part
-    return out
+
+    def family(eps):
+        if not eps > 0.0:
+            raise ValueError("eps must be positive")
+        root = np.sqrt(eps)
+        scaled = []
+        for q in range(1, len(parts)):
+            if not parts[q].coeffs:
+                # an empty part adds nothing, and its factor may overflow for
+                # no reason: phi's vertical-degree-3 part is empty, and its
+                # eps^(3/2) leaves the float range once eps passes about 1e205
+                continue
+            # even powers of sqrt(eps) computed as integer powers of eps, so
+            # the vertical-degree-2q component scales by eps^q bit-exactly
+            try:
+                with np.errstate(over="raise"):
+                    factor = eps ** (q // 2) * (root if q % 2 else 1.0)
+            except (OverflowError, FloatingPointError):  # a Python or a numpy float
+                factor = np.inf
+            if not np.isfinite(factor):
+                raise ValueError(f"eps = {eps} is out of range: the factor eps^({q}/2) "
+                                 f"of the vertical-degree-{q} part is not finite")
+            scaled.append((factor, parts[q]))
+        out = parts[0]
+        for factor, part in scaled:
+            out = out + factor * part
+        return out
+
+    return family
 
 
 # -- sampling and scans --------------------------------------------------------
@@ -544,6 +556,11 @@ class PlaneSampler:
     elementwise work with no LAPACK or BLAS call, so frames are the same
     floats on any BLAS kernel.  Rotation invariance of the normal ensemble
     makes the plane distribution uniform.
+
+    A sampler makes one draw of frames: its first `frames` or
+    `semi_calibration_scan` call draws the normals of n frames, and every
+    later call, in any metric, orthonormalizes those same normals.  A later
+    call with another n raises ValueError.
     """
 
     def __init__(self, seed):
@@ -551,25 +568,63 @@ class PlaneSampler:
             raise ValueError("a seed is mandatory for sampling")
         self.seed = int(seed)
         self.rng = np.random.default_rng(self.seed)
+        self._draws = None  # the one draw of frame normals, (n, 7, 3)
+        self._after_draw = None  # a copy of the generator as that draw left it
 
     def frames(self, n, metric):
         """n oriented 3-frames, orthonormal w.r.t. metric, shape (n, 3, 7).
 
         The result is the transposed view of a (3, 7, n) array of columns,
         so each frame vector's coordinates are contiguous over samples.
-        This thread draws each block of samples in turn, and `_blockwise`
-        (whose docstring states the worker rules) orthonormalizes the
-        blocks into their columns of the result, so the stream and every
-        float match one whole draw.  After the whole draw, rows whose
-        Gram-Schmidt norms multiply to at most 1e-8 (a numerically
-        degenerate draw) are redrawn up to 5 times before giving up.  A
-        metric that is not finite, or not positive definite, raises before
-        anything is drawn.
+        `_frame_blocks` states the draw, the redraws and what raises.
+        """
+        out = np.empty((3, DIM, n))
+
+        def keep(rows, Q):
+            out[:, :, rows] = Q
+
+        self._frame_blocks(n, metric, keep)
+        return out.transpose(2, 0, 1)
+
+    def _draw_blocks(self, n):
+        """(rows, normals (m, 7, 3)) for each block of the one draw.  The
+        first call draws each block from the generator as it is asked for,
+        so the stream and every float match one whole draw."""
+        if self._draws is not None:
+            yield from ((rows, self._draws[rows]) for rows in _row_blocks(n))
+            return
+        self._draws = np.empty((n, DIM, 3))
+        for rows in _row_blocks(n):
+            self._draws[rows] = self.rng.standard_normal((rows.stop - rows.start, DIM, 3))
+            yield rows, self._draws[rows]
+        self._after_draw = copy.deepcopy(self.rng)
+
+    def _frame_blocks(self, n, metric, use):
+        """Orthonormalize the one draw of n frames in the metric and call
+        use(rows, Q) with each block's frames Q, (3, 7, m) columns.
+
+        This thread draws (on the first call) and takes each block in turn,
+        with scratch for its frames allocated here; `_blockwise` (whose
+        docstring states the worker rules) runs the Gram-Schmidt and `use`.
+        After all blocks, rows whose Gram-Schmidt norms multiply to at most
+        1e-8 (a numerically degenerate draw) are redrawn up to 5 times from
+        a fresh copy of the generator as the draw left it, so the redraws
+        of every metric are those of a fresh sampler, and `use` sees the
+        redrawn rows (an index array) again.  A metric that is not finite
+        or not positive definite, or another n than the draw's, raises
+        before anything is drawn, and so does a sampler whose first call
+        raised part way through its draw.  Returns frame(i), the final frame
+        (3, 7) of row i, orthonormalized again from its normals.
         """
         metric = np.asarray(metric, dtype=float)
         if not np.all(np.isfinite(metric)):
             raise ValueError("metric must be finite")
         np.linalg.cholesky(metric)  # raises unless positive definite
+        if self._draws is not None and self._after_draw is None:
+            raise RuntimeError("an error cut this sampler's draw short; use a new sampler")
+        if self._draws is not None and len(self._draws) != n:
+            raise ValueError(f"this sampler drew {len(self._draws)} frames, not {n}; "
+                             "it makes one draw")
         terms = [(i, j, metric[i, j]) for i, j in zip(*np.nonzero(metric))]  # row-major
 
         def orthonormalize(M, Q):
@@ -581,25 +636,32 @@ class PlaneSampler:
             with np.errstate(over="ignore"):
                 return r[0] * r[1] * r[2] > 1e-8  # False for a NaN norm
 
-        def draw(count):
-            return self.rng.standard_normal((count, DIM, 3))
+        def run(job):
+            rows, M, Q = job
+            good[rows] = orthonormalize(M, Q)
+            use(rows, Q)
 
-        def fill(job):
-            rows, M = job
-            good[rows] = orthonormalize(M, out[:, :, rows])
-
-        out, good = np.empty((3, DIM, n)), np.empty(n, dtype=bool)
-        _blockwise(fill, ((rows, draw(rows.stop - rows.start)) for rows in _row_blocks(n)))
+        good = np.empty(n, dtype=bool)
+        _blockwise(run, ((rows, M, np.empty((3, DIM, len(M))))
+                         for rows, M in self._draw_blocks(n)))
+        rng, redrawn = copy.deepcopy(self._after_draw), {}
         for _ in range(5):
             bad = np.nonzero(~good)[0]
             if not bad.size:
                 break
-            Q = np.empty((3, DIM, bad.size))
-            good[bad] = orthonormalize(draw(bad.size), Q)
-            out[:, :, bad] = Q
+            M, Q = rng.standard_normal((bad.size, DIM, 3)), np.empty((3, DIM, bad.size))
+            good[bad] = orthonormalize(M, Q)
+            use(bad, Q)
+            redrawn.update(zip(bad.tolist(), M))
         if not np.all(good):
             raise RuntimeError("degenerate frames persisted across retries")
-        return out.transpose(2, 0, 1)
+
+        def frame(i):
+            Q = np.empty((3, DIM, 1))
+            orthonormalize(redrawn.get(i, self._draws[i])[None], Q)
+            return Q[:, :, 0]
+
+        return frame
 
     def graph_planes(self, n):
         """n graph maps T with independent N(0, 1) entries, (n, 3, 4)."""
@@ -651,18 +713,13 @@ def _included(rows, shape, what):
     return rows.reshape(-1, *shape)
 
 
-def _sample(included, drawn, i):
-    """Row i of the included samples followed by the drawn ones."""
-    return included[i] if i < len(included) else drawn[i - len(included)]
-
-
-def _scan_report(ratios, included, drawn, seed, tol, **fields):
-    """The report of a scan over included then drawn samples: the first
-    maximal ratio and its sample, and the violations, any ratio that is
-    not <= 1 + tol, NaN included."""
+def _scan_report(ratios, sample, seed, tol, **fields):
+    """The report of a scan over included then drawn samples, sample(i)
+    giving row i: the first maximal ratio and its sample, and the
+    violations, any ratio that is not <= 1 + tol, NaN included."""
     imax = int(np.argmax(ratios))
     return ScanReport(samples=len(ratios), max_ratio=float(ratios[imax]),
-                      argmax_frame=_sample(included, drawn, imax).tolist(),
+                      argmax_frame=sample(imax).tolist(),
                       violations=int(np.sum(~(ratios <= 1.0 + tol))),
                       seed=seed, tol=tol, **fields)
 
@@ -683,23 +740,28 @@ def semi_calibration_scan(
     <= 1 + tol, NaN included.  An included frame that is not finite or
     does not stack to (k, 3, 7), or a non-finite metric, raises
     ValueError.  Included frames are evaluated on this thread and the
-    drawn ones block by block through `_blockwise`.
+    drawn ones block by block with their Gram-Schmidt, on the sampler's
+    one draw (`PlaneSampler._frame_blocks`), so no array of all n frames
+    is built and scans of several metrics on one sampler draw once.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     included = _included(include_frames, (3, DIM), "frames")
-    frames = sampler.frames(n, metric)
     dense = a.to_dense()
     k = len(included)
     ratios = np.empty(k + n)
     drawn = ratios[k:]
 
-    def contract(rows):  # (m, 3, 7) frames, unpacked into their three (m, 7) vectors
-        drawn[rows] = _ordered_contract(dense, *frames[rows].swapaxes(0, 1))
+    def contract(rows, Q):  # the three frame vectors, each (m, 7)
+        drawn[rows] = _ordered_contract(dense, *Q.swapaxes(1, 2))
 
     ratios[:k] = _ordered_contract(dense, *included.swapaxes(0, 1))
-    _blockwise(contract, _row_blocks(n))
-    return _scan_report(ratios, included, frames, sampler.seed, tol, form=label or str(a),
+    frame = sampler._frame_blocks(n, metric, contract)
+
+    def sample(i):
+        return included[i] if i < k else frame(i - k)
+
+    return _scan_report(ratios, sample, sampler.seed, tol, form=label or str(a),
                         metric=np.array2string(np.asarray(metric), precision=6))
 
 
@@ -769,11 +831,14 @@ def anisotropic_scan(
     if not worst <= IDENTITY_RESIDUAL_TOL:
         raise AssertionError(f"secondary-calibration identity violated: residual {worst}")
 
+    def sample(i):
+        return included[i] if i < k else Ts[i - k]
+
     equality_cases = [
-        condition_residuals(GraphPlane(T=_sample(included, Ts, idx), splitting=S)).as_dict()
+        condition_residuals(GraphPlane(T=sample(idx), splitting=S)).as_dict()
         for idx in np.nonzero(ratios > 1.0 - 1e-6)[0][:16]
     ]
-    return _scan_report(ratios, included, Ts, sampler.seed, tol,
+    return _scan_report(ratios, sample, sampler.seed, tol,
                         form="omega (secondary calibration)", metric="ve1 * volH",
                         skipped=int(np.sum(~keep)), equality_cases=equality_cases)
 

@@ -7,7 +7,9 @@ thread that every public function runs on, numpy's error state inside the
 workers, and that commands which never start a pool never import it.
 """
 
+import copy
 import functools
+import itertools
 import json
 import os
 import subprocess
@@ -19,6 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from g2fueter import exterior as ex
 from g2fueter import splitting as sp
 
 from test_tracer import load_tracer
@@ -47,34 +50,47 @@ def _pooled(monkeypatch, block):
 
 
 class _DegenerateRow:
-    """A generator whose draws have sample `row` zeroed, counted across calls,
-    so that the frame drawn there is degenerate and gets redrawn."""
+    """A generator whose draws have sample `row` zeroed, so that the frame
+    drawn there is degenerate and gets redrawn.  `sizes` logs the row count
+    of every draw.  A deep copy, which a sampler redraws from, continues a
+    copy of the stream past the row, so it zeroes nothing, and it logs into
+    the same list."""
 
     def __init__(self, rng, row):
-        self.rng, self.row, self.drawn = rng, row, 0
+        self.rng, self.row, self.drawn, self.sizes = rng, row, 0, []
+
+    def __deepcopy__(self, memo):
+        twin = copy.copy(self)
+        twin.rng = copy.deepcopy(self.rng, memo)
+        return twin
 
     def standard_normal(self, shape):
         out = self.rng.standard_normal(shape)
         if self.drawn <= self.row < self.drawn + shape[0]:
             out[self.row - self.drawn] = 0.0
         self.drawn += shape[0]
+        self.sizes.append(shape[0])
         return out
 
 
-def _scan_bytes(n, included, block):
+def _scan_bytes(n, included, block, shared=False):
     """JSON of the anisotropic scan and of the semical scan at eps 1 and
     0.01, the latter with a degenerate draw at the first row of the second
-    block when there is one."""
+    block when there is one.  The two semical scans draw from fresh samplers
+    of one seed, or with `shared` from one sampler, which draws once and
+    must redraw the degenerate row for each metric as a fresh one does."""
     reports = [sp.anisotropic_scan(
         S, sp.PlaneSampler(n), n,
         include_planes=[FUETER_T, np.zeros((3, 4))] if included else ())]
-    for eps in (1.0, 0.01):
-        sampler = sp.PlaneSampler(n + 1)
+    samplers = [sp.PlaneSampler(n + 1) for _ in range(1 if shared else 2)]
+    for sampler in samplers:
         sampler.rng = _DegenerateRow(sampler.rng, block)
+    for eps, sampler in zip((1.0, 0.01), samplers * 2):
         reports.append(sp.semi_calibration_scan(
             sp.adiabatic_family(S.g2.phi, S, eps), np.diag([1.0] * 3 + [eps] * 4),
             sampler, n, include_frames=[np.eye(7)[:3]] if included else ()))
-        assert sampler.rng.drawn == n + (n > block)  # one redraw when the row is drawn
+    for sampler in samplers:  # the draw, then one redraw per metric when the row is drawn
+        assert sum(sampler.rng.sizes) == n + (n > block) * (2 if shared else 1)
     return [json.dumps(rep.as_dict(), sort_keys=True) for rep in reports]
 
 
@@ -85,9 +101,13 @@ def test_block_edges_change_no_byte(block, monkeypatch):
             with monkeypatch.context() as m:
                 _whole_serial(m)
                 want = _scan_bytes(n, included, block)
+            for shared in (False, True):
+                with monkeypatch.context() as m:
+                    _pooled(m, block)
+                    assert _scan_bytes(n, included, block, shared) == want, (n, included, shared)
             with monkeypatch.context() as m:
-                _pooled(m, block)
-                assert _scan_bytes(n, included, block) == want, (n, included)
+                _whole_serial(m)
+                assert _scan_bytes(n, included, block, shared=True) == want, (n, included)
 
 
 def test_many_workers_and_fast_switching_change_no_byte(monkeypatch):
@@ -102,6 +122,7 @@ def test_many_workers_and_fast_switching_change_no_byte(monkeypatch):
         _pooled(monkeypatch, 100)
         monkeypatch.setattr(sp, "_usable_cpus", lambda: 8)
         assert _scan_bytes(4321, True, 100) == want
+        assert _scan_bytes(4321, True, 100, shared=True) == want
     finally:
         sys.setswitchinterval(interval)
 
@@ -175,6 +196,16 @@ def test_workers_keep_the_callers_errstate(monkeypatch):
         threads.add(threading.current_thread())
         out[i] = (np.ones(1) / np.zeros(1))[0]
 
+    # every coefficient 1e308: the contraction overflows on many drawn
+    # frames, and every drawn block is contracted in a worker
+    big = ex.Form(7, 3, dict.fromkeys(itertools.combinations(range(1, 8), 3), 1e308))
+    contracted, contract = [], sp._ordered_contract
+
+    def noting(dense, *vecs):
+        contracted.append((threading.current_thread(), len(vecs[0])))
+        return contract(dense, *vecs)
+
+    monkeypatch.setattr(sp, "_ordered_contract", noting)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with np.errstate(divide="ignore"):
@@ -182,11 +213,17 @@ def test_workers_keep_the_callers_errstate(monkeypatch):
         assert np.all(np.isinf(out)) and threading.main_thread() not in threads
         with pytest.raises(RuntimeWarning):  # raised in a worker, seen here
             sp._blockwise(divide, range(6))
-        # omega and ve_1 overflow in the second block: only the guard speaks
-        with np.errstate(over="ignore", invalid="ignore"), \
-                pytest.raises(AssertionError, match="identity violated"):
-            sp.anisotropic_scan(S, sp.PlaneSampler(1), 1500,
-                                include_planes=[FUETER_T] * 1200 + [1e200 * FUETER_T])
+        with np.errstate(over="ignore"):
+            rep = sp.semi_calibration_scan(big, np.eye(7), sp.PlaneSampler(1), 5000)
+        assert rep.max_ratio == np.inf
+        workers = [thread for thread, rows in contracted if rows]
+        assert workers and threading.main_thread() not in workers
+        sampler = sp.PlaneSampler(1)
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            sp.semi_calibration_scan(big, np.eye(7), sampler, 5000)
+        # the draw stopped with the scan: the sampler refuses to go on
+        with pytest.raises(RuntimeError, match="cut this sampler's draw short"):
+            sampler.frames(5000, np.eye(7))
 
 
 def test_lone_job_or_one_cpu_runs_inline(monkeypatch):

@@ -185,15 +185,16 @@ def _names(tree):
 
 
 def test_one_module_owns_the_sample_block_pool():
-    # the scans start the pool from two places, both in splitting (the
-    # frames Gram-Schmidt and semical's contraction); exterior's kernels are
-    # plain and import no thread or CPU machinery
+    # the scans start the pool from one place in splitting, the sampler's
+    # frame blocks (Gram-Schmidt, then the caller's per-block work such as
+    # semical's contraction); exterior's kernels are plain and import no
+    # thread or CPU machinery
     package = Path(g2fueter.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     assert [stem for stem, tree in trees.items() if "_blockwise" in _names(tree)] == ["splitting"]
     calls = [node for node in ast.walk(trees["splitting"]) if isinstance(node, ast.Call)
              and getattr(node.func, "id", None) == "_blockwise"]
-    assert len(calls) == 2
+    assert len(calls) == 1
     imported = {alias.name.split(".")[0] for node in ast.walk(trees["exterior"])
                 if isinstance(node, ast.Import) for alias in node.names}
     imported |= {node.module.split(".")[0] for node in ast.walk(trees["exterior"])

@@ -444,6 +444,94 @@ class TestMinimization:
             pde.minimization_experiment(sec, 0, 0.1, seed=1, grid_n=4, extra_perturbations=[nan])
 
 
+def _loop_minimization(base, n_samples, amplitude, seed, grid_n, extra_perturbations=()):
+    """The per-competitor loop that the stacked experiment replaced, kept
+    as its reference: each competitor is the map base + p on its own grid.
+    Returns the report and every competitor's energies, in order."""
+    rng = np.random.default_rng(seed)
+    base_grid = pde.ImmersionGrid(base, grid_n)
+    base_energy = pde.immersion_energies(base_grid)
+    perturbations = list(extra_perturbations)
+    for _ in range(n_samples):
+        f = pde.random_fourier_field(rng)
+        sup = np.abs(f.eval(base_grid.points)).max()
+        perturbations.append((amplitude / sup) * f)
+    energies, gaps_ve, gaps_total = [], [], []
+    for p in perturbations:
+        energy = pde.immersion_energies(pde.ImmersionGrid(base + p, grid_n))
+        energies.append(energy)
+        gaps_ve.append(energy["VE"] - base_energy["VE"])
+        gaps_total.append((energy["VE"] + energy["VolH"])
+                          - (base_energy["VE"] + base_energy["VolH"]))
+    report = {
+        "samples": len(perturbations),
+        "skipped": 0,
+        "veViolations": sum(g < -1e-12 for g in gaps_ve),
+        "totalViolations": sum(g < -1e-12 for g in gaps_total),
+        "minGapVE": float(min(gaps_ve, default=np.inf)),
+        "minGapTotal": float(min(gaps_total, default=np.inf)),
+        "baseVE": base_energy["VE"],
+        "seed": seed,
+        "amplitude": amplitude,
+        "familyNote": "finite seeded homotopy family, not the full restricted class",
+    }
+    return report, energies
+
+
+def _float_hexes(record):
+    return {k: v.hex() if isinstance(v, float) else v for k, v in record.items()}
+
+
+class _Spy(pde.AnalyticMap):
+    """A map that records whether its jets were taken."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def jet1(self, x):
+        self.calls += 1
+        return np.zeros(np.shape(x)[:-1] + (4, 3))
+
+
+class TestStackedCompetitors:
+    BASE = pde.affine_fueter_section([1, 0, 2, -1], [0, 1, 1, 3])
+    WOBBLE = pde.random_fourier_field(np.random.default_rng(13), kmax=1)
+
+    @pytest.mark.parametrize("block", [None, 1000])
+    @pytest.mark.parametrize("grid_n", [4, 6, 8])
+    def test_bit_equal_to_the_loop(self, grid_n, block, monkeypatch):
+        # blocks of the default size and of 1000 grid points: several
+        # blocks with a partial last one, except one block at the default
+        # size on the 4^3 grid
+        if block:
+            monkeypatch.setattr(pde, "_STACKED_POINTS", block)
+        wobbles = [-0.2 * self.WOBBLE, 0.3 * self.WOBBLE]
+        for seed, amplitude, extra in ((0, 0.01, ()), (5, 0.1, wobbles), (108, 0.5, ()),
+                                       (1, 0.5, wobbles)):
+            want, energies = _loop_minimization(self.BASE, 40, amplitude, seed, grid_n, extra)
+            got = pde.minimization_experiment(self.BASE, 40, amplitude, seed, grid_n,
+                                              extra_perturbations=extra)
+            assert _float_hexes(got) == _float_hexes(want), (seed, amplitude)
+            rng = np.random.default_rng(seed)
+            fields = [pde.random_fourier_field(rng) for _ in range(40)]
+            got = pde._fourier_competitor_energies(pde.ImmersionGrid(self.BASE, grid_n),
+                                                   fields, amplitude)
+            assert list(map(_float_hexes, got)) == list(map(_float_hexes, energies[len(extra):]))
+
+    def test_non_finite_competitor_raises_where_the_loop_does(self):
+        nan = pde.PolynomialMap([{(1, 0, 0): np.nan}, {}, {}, {}])
+        for run in (_loop_minimization, pde.minimization_experiment):
+            spy = _Spy()
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(AssertionError, match="energy identity fails pointwise: nan"):
+                run(self.BASE, 3, 0.1, 1, 4, extra_perturbations=[self.WOBBLE, nan, spy])
+            assert spy.calls == 0  # no competitor after the first bad one is evaluated
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(AssertionError, match="energy identity fails pointwise: nan"):
+                run(self.BASE, 3, np.nan, 1, 4, extra_perturbations=[self.WOBBLE, spy])
+            assert spy.calls == 1
+
+
 def translation_diffeo(shift):
     shift = np.asarray(shift, dtype=float)
     return pde.BaseDiffeo(

@@ -525,11 +525,28 @@ class TestFrames:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             got = sampler.frames(n, metric)
-        assert sampler.rng.drawn == n + 1  # one redraw, after the whole draw
+        assert sampler.rng.sizes == [n, 1]  # the whole draw, then one redraw
         assert np.all(np.isfinite(got)) and _gram_error(got[row:row + 1], metric) < 1e-15
         want = sp.PlaneSampler(9).frames(n, metric)
         others = np.arange(n) != row
         assert np.array_equal(got[others], want[others])
+
+    def test_one_draw_per_sampler(self):
+        # every call orthonormalizes the first call's draw, in any metric,
+        # and redraws the degenerate row, as a fresh sampler of the seed
+        # would; another n is refused before anything is drawn
+        def degenerate():
+            sampler = sp.PlaneSampler(4)
+            sampler.rng = _DegenerateRow(sampler.rng, 37)
+            return sampler
+
+        sampler = degenerate()
+        for metric in EPS_METRICS:
+            assert np.array_equal(sampler.frames(100, metric), degenerate().frames(100, metric))
+        assert sampler.rng.sizes == [100, 1, 1, 1]
+        with pytest.raises(ValueError, match="drew 100 frames, not 101"):
+            sampler.frames(101, np.eye(7))
+        assert sampler.rng.sizes == [100, 1, 1, 1]
 
     def test_metric_not_positive_definite_rejected_before_drawing(self):
         sampler = sp.PlaneSampler(1)
