@@ -713,15 +713,29 @@ def _included(rows, shape, what):
     return rows.reshape(-1, *shape)
 
 
-def _scan_report(ratios, sample, seed, tol, **fields):
-    """The report of a scan over included then drawn samples, sample(i)
-    giving row i: the first maximal ratio and its sample, and the
-    violations, any ratio that is not <= 1 + tol, NaN included."""
-    imax = int(np.argmax(ratios))
-    return ScanReport(samples=len(ratios), max_ratio=float(ratios[imax]),
-                      argmax_frame=sample(imax).tolist(),
-                      violations=int(np.sum(~(ratios <= 1.0 + tol))),
-                      seed=seed, tol=tol, **fields)
+class _RatioFold:
+    """The reduction of a scan's ratios, fed block by block in row order.
+
+    It keeps what `np.argmax` over all rows would give: the first maximal
+    ratio, where a NaN beats every number (the first NaN is kept) and a
+    later block wins only with a strictly greater ratio; and the
+    violations, every ratio that is not <= 1 + tol, NaN included.
+    """
+
+    def __init__(self, tol):
+        self.tol, self.max_ratio, self.violations = tol, None, 0
+
+    def add(self, ratios):
+        """Fold a nonempty block in.  Returns the row of the block that
+        holds the new running maximum, or None when an earlier row keeps it."""
+        i = int(np.argmax(ratios))
+        top = float(ratios[i])
+        self.violations += int(np.sum(~(ratios <= 1.0 + self.tol)))
+        best = self.max_ratio
+        if best is None or not np.isnan(best) and (np.isnan(top) or top > best):
+            self.max_ratio = top
+            return i
+        return None
 
 
 def semi_calibration_scan(
@@ -758,11 +772,13 @@ def semi_calibration_scan(
     ratios[:k] = _ordered_contract(dense, *included.swapaxes(0, 1))
     frame = sampler._frame_blocks(n, metric, contract)
 
-    def sample(i):
-        return included[i] if i < k else frame(i - k)
-
-    return _scan_report(ratios, sample, sampler.seed, tol, form=label or str(a),
-                        metric=np.array2string(np.asarray(metric), precision=6))
+    fold = _RatioFold(tol)
+    i = fold.add(ratios)
+    return ScanReport(form=label or str(a),
+                      metric=np.array2string(np.asarray(metric), precision=6),
+                      samples=k + n, max_ratio=fold.max_ratio,
+                      argmax_frame=(included[i] if i < k else frame(i - k)).tolist(),
+                      violations=fold.violations, seed=sampler.seed, tol=tol)
 
 
 def _omega_blocks(S: Splitting):
@@ -799,10 +815,17 @@ def anisotropic_scan(
     stack to (k, 3, 4) raises ValueError.  Violation: any ratio that is
     not <= 1 + tol, NaN included.
 
-    Included planes are measured first, then the drawn ones one block at
-    a time: draw a block, measure it.  The ratios, argmax, counts,
-    near-equality cases and identity guard are taken over all rows at
-    once, so the report is that of one whole draw.
+    The scan streams: the included planes, then each drawn block of
+    `_CONTRACT_BLOCK` planes, is measured and folded into a running state
+    and dropped, so memory is O(block) for any n.  The state keeps the
+    first maximal ratio and a copy of its plane (`_RatioFold`'s rule, as
+    `np.argmax` over all rows: a NaN beats every number, and an all-skipped
+    scan gives row 0), the summed violation and skip counts, the largest
+    identity residual (a NaN kept), and copies of the first 16
+    near-equality planes in row order.  The identity guard raises only
+    after every block is drawn, so the generator ends where a whole draw
+    leaves it, and the condition residuals run after the guard.  The
+    report is that of one whole draw, byte for byte.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -810,37 +833,40 @@ def anisotropic_scan(
     from .fueter import condition_residuals, fueter_map_matrix
 
     w, fmap = _omega_blocks(S), fueter_map_matrix(S)
+    fold, worst, skipped, argmax_plane, near = _RatioFold(tol), -np.inf, 0, None, []
+
+    def blocks():
+        if len(included):
+            yield included
+        for rows in _row_blocks(n):
+            yield sampler.graph_planes(rows.stop - rows.start)
 
     def measures(T):
-        """omega, ve_1 and the identity residual of graph maps (m, 3, 4)."""
+        """The largest identity residual, the skip count and the ratios of
+        graph maps (m, 3, 4); the temporaries die here, before the next
+        block is drawn."""
         omega, ve1 = _omega_values(w, T), 0.5 * np.einsum("nia,nia->n", T, T)
         F = (fmap @ T.reshape(len(T), 12).T).T
-        return omega, ve1, np.abs(omega + 0.5 * np.sum(F * F, axis=1) - ve1)
+        keep = ve1 >= VE1_EXCLUSION
+        return (np.abs(omega + 0.5 * np.sum(F * F, axis=1) - ve1).max(), int(np.sum(~keep)),
+                np.where(keep, omega / np.where(keep, ve1, 1.0), -np.inf))
 
-    k = len(included)
-    Ts, values = np.empty((n, 3, 4)), np.empty((3, k + n))
-    drawn = values[:, k:]
-    values[:, :k] = measures(included)
-    for rows in _row_blocks(n):
-        T = sampler.graph_planes(rows.stop - rows.start)
-        Ts[rows], drawn[:, rows] = T, measures(T)
-    omega_vals, ve1, identity_residual = values
-    keep = ve1 >= VE1_EXCLUSION
-    ratios = np.where(keep, omega_vals / np.where(keep, ve1, 1.0), -np.inf)
-    worst = float(identity_residual.max())
+    for T in blocks():
+        residual, skips, ratios = measures(T)
+        worst, skipped = np.maximum(worst, residual), skipped + skips
+        i = fold.add(ratios)
+        if i is not None:
+            argmax_plane = T[i].copy()
+        near.extend(T[np.nonzero(ratios > 1.0 - 1e-6)[0][:16 - len(near)]])
     if not worst <= IDENTITY_RESIDUAL_TOL:
-        raise AssertionError(f"secondary-calibration identity violated: residual {worst}")
+        raise AssertionError(f"secondary-calibration identity violated: residual {float(worst)}")
 
-    def sample(i):
-        return included[i] if i < k else Ts[i - k]
-
-    equality_cases = [
-        condition_residuals(GraphPlane(T=sample(idx), splitting=S)).as_dict()
-        for idx in np.nonzero(ratios > 1.0 - 1e-6)[0][:16]
-    ]
-    return _scan_report(ratios, sample, sampler.seed, tol,
-                        form="omega (secondary calibration)", metric="ve1 * volH",
-                        skipped=int(np.sum(~keep)), equality_cases=equality_cases)
+    return ScanReport(form="omega (secondary calibration)", metric="ve1 * volH",
+                      samples=len(included) + n, max_ratio=fold.max_ratio,
+                      argmax_frame=argmax_plane.tolist(), violations=fold.violations,
+                      seed=sampler.seed, tol=tol, skipped=skipped,
+                      equality_cases=[condition_residuals(GraphPlane(T=T, splitting=S)).as_dict()
+                                      for T in near])
 
 
 # -- the equality ladder -------------------------------------------------------

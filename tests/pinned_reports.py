@@ -33,6 +33,9 @@ PORTABLE = {
         "687e807d230593d545073e4e44d71a3868f16f55d8b14ecf00ebb3bbe7ffc8df",
     "scan anisotropic --samples 2000 --seed 11":
         "dc6e455aa4037cebc59c83a33278f1aa2360166b8c9bcd73a2c137d35f9ab141",
+    # three 16,384-plane blocks, so the streamed fold merges across block edges
+    "scan anisotropic --samples 40000 --seed 11":
+        "e4c1f1b0a476e5e446be526a4652d6efb7ed3dd09d43be7963748f078fa9f7bb",
     "scan semical --samples 1000 --seed 3":
         "b31de42ccde6ad34d91bc6370b3652bd0dc7b44c1b80ccb3cfe25b6a95914bf9",
     "energy --grid 8 --seed 5":

@@ -73,6 +73,30 @@ class _DegenerateRow:
         return out
 
 
+class _EditedDraws:
+    """A generator whose draws go through edit(block, start), which may
+    change the block in place, start being the global row of its first
+    sample; so a scan sees the same samples in blocks of any size."""
+
+    def __init__(self, rng, edit):
+        self.rng, self.edit, self.drawn = rng, edit, 0
+
+    def standard_normal(self, shape):
+        out = self.rng.standard_normal(shape)
+        self.edit(out, self.drawn)
+        self.drawn += shape[0]
+        return out
+
+
+def _planting(planes):
+    """An edit that puts planes[row] at each of the given global rows."""
+    def edit(out, start):
+        for row, plane in planes.items():
+            if start <= row < start + len(out):
+                out[row - start] = plane
+    return edit
+
+
 def _scan_bytes(n, included, block, shared=False):
     """JSON of the anisotropic scan and of the semical scan at eps 1 and
     0.01, the latter with a degenerate draw at the first row of the second
@@ -125,6 +149,83 @@ def test_many_workers_and_fast_switching_change_no_byte(monkeypatch):
         assert _scan_bytes(4321, True, 100, shared=True) == want
     finally:
         sys.setswitchinterval(interval)
+
+
+def _anisotropic_sampler(edit, seed=5):
+    sampler = sp.PlaneSampler(seed)
+    sampler.rng = _EditedDraws(sampler.rng, edit)
+    return sampler
+
+
+def _streamed_report(monkeypatch, n, edit):
+    """The anisotropic report on the edited draw, in blocks of 7 planes and
+    as one whole block, which must agree byte for byte; the report."""
+    got = []
+    for run in (_whole_serial, functools.partial(_pooled, block=7)):
+        with monkeypatch.context() as m:
+            run(m)
+            rep = sp.anisotropic_scan(S, _anisotropic_sampler(edit), n)
+        got.append(json.dumps(rep.as_dict(), sort_keys=True))
+    assert got[0] == got[1]
+    return rep
+
+
+def test_fold_keeps_the_first_nan_and_the_first_of_equal_maxima():
+    blocks = [np.array([0.5, 1.0, 1.0]), np.array([1.0, -np.inf]),
+              np.array([0.0, np.nan, np.nan]), np.array([np.inf, np.nan])]
+    fold = sp._RatioFold(0.0)
+    assert [fold.add(b) for b in blocks] == [1, None, 1, None]
+    assert np.argmax(np.concatenate(blocks)) == 6  # the row the fold kept
+    assert np.isnan(fold.max_ratio) and fold.violations == 4  # NaN and inf violate
+    skipped = sp._RatioFold(0.0)
+    assert [skipped.add(np.full(m, -np.inf)) for m in (2, 3)] == [0, None]
+    assert skipped.max_ratio == -np.inf and skipped.violations == 0
+
+
+def test_equal_maxima_in_two_blocks_keep_the_first(monkeypatch):
+    # T and 2T have bit-equal ratios (scaling by 2 is exact): the first wins
+    planes = np.stack([FUETER_T, 2.0 * FUETER_T])
+    omega = sp._omega_values(sp._omega_blocks(S), planes)
+    ratios = omega / (0.5 * np.einsum("nia,nia->n", planes, planes))
+    assert ratios[0] == ratios[1]
+    rep = _streamed_report(monkeypatch, 30, _planting({3: planes[0], 12: planes[1]}))
+    assert rep.max_ratio == ratios[0] and rep.argmax_frame == FUETER_T.tolist()
+    assert [case["T"] for case in rep.equality_cases] == planes.tolist()
+
+
+def test_first_sixteen_near_equality_planes_across_blocks(monkeypatch):
+    planes = {2 + 3 * j: 2.0 ** j * FUETER_T for j in range(20)}  # over 9 blocks
+    rep = _streamed_report(monkeypatch, 70, _planting(planes))
+    assert [case["T"] for case in rep.equality_cases] == \
+        [plane.tolist() for plane in list(planes.values())[:16]]
+    assert rep.argmax_frame == FUETER_T.tolist()
+
+
+def test_all_skipped_draw_gives_row_zero(monkeypatch):
+    def horizontal(out, start):  # ve_1 about 1e-12, below the exclusion
+        out *= 1e-6
+    rep = _streamed_report(monkeypatch, 20, horizontal)
+    first = 1e-6 * np.random.default_rng(5).standard_normal((20, 3, 4))[0]
+    assert rep.skipped == 20 and rep.max_ratio == -np.inf and rep.violations == 0
+    assert rep.argmax_frame == first.tolist() and rep.equality_cases == []
+
+
+@pytest.mark.parametrize("row", [3, 19])
+def test_identity_guard_raises_after_the_whole_draw(row, monkeypatch):
+    # a plane whose omega and ve_1 overflow gives a NaN identity residual,
+    # in the first or the last of three blocks; the guard keeps the NaN and
+    # raises only once every block is drawn, so the generator ends where a
+    # whole draw leaves it
+    drawn = np.random.default_rng(5)
+    drawn.standard_normal((20, 3, 4))
+    for run in (_whole_serial, functools.partial(_pooled, block=7)):
+        sampler = _anisotropic_sampler(_planting({row: 1e200 * FUETER_T}))
+        with monkeypatch.context() as m, np.errstate(over="ignore", invalid="ignore"):
+            run(m)
+            with pytest.raises(AssertionError, match="identity violated: residual nan"):
+                sp.anisotropic_scan(S, sampler, 20)
+        assert sampler.rng.drawn == 20
+        assert sampler.rng.rng.bit_generator.state == drawn.bit_generator.state
 
 
 _CPU_SCRIPT = """

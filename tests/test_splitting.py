@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -441,6 +442,22 @@ class TestScans:
         assert abs(rep.max_ratio - 1.0) < 1e-12  # the seeded equality case
         assert rep.equality_cases  # fed to the six-way residual report
         assert max(abs(v) for v in rep.equality_cases[0].values() if isinstance(v, float)) < 1e-9
+
+    def test_anisotropic_scan_memory_does_not_grow_with_n(self):
+        # the scan keeps per-block results only: ten times the planes, the
+        # same traced peak (holding every plane and measurement would add
+        # about 21 MB from 2e4 to 2e5 planes)
+        def peak(n):
+            tracemalloc.start()
+            try:
+                sp.anisotropic_scan(S, sp.PlaneSampler(1), n)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        sp.anisotropic_scan(S, sp.PlaneSampler(1), 100)  # caches and imports
+        small, large = peak(20_000), peak(200_000)
+        assert abs(large - small) < 2 ** 20, (small, large)
 
     def test_horizontal_planes_excluded(self):
         rep = sp.anisotropic_scan(S, sp.PlaneSampler(21), 100, include_planes=[np.zeros((3, 4))])
