@@ -39,9 +39,9 @@ PORTABLE = {
     "scan semical --samples 1000 --seed 3":
         "b31de42ccde6ad34d91bc6370b3652bd0dc7b44c1b80ccb3cfe25b6a95914bf9",
     "energy --grid 8 --seed 5":
-        "77eb3a057fa77e3dba8d533704710c6361069259a16e0c1137aa206a9a882e10",
+        "85467599145be99d94716cf0cf478423b2983ef801f680063bff9167e86f60d6",
     "energy --seed 0 --grid 16":
-        "4209760fd783a9c4394c4c4845f6c2e02a311d0ebe96de41fc03a757e28d6d3c",
+        "647ff32ac16c2cffa69ce39ed3bf4fca7ee3e194bf859068b5455eccc3875a8f",
     "solve su2 --seed 4":
         "5380a9de237111157861c16b922696af66a74ba8b3c1992e36d96b6787b50485",
     "solve flat-harmonic --seed 4":

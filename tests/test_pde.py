@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -350,6 +351,13 @@ class TestSu2:
             assert np.abs(fd - d1[:, i]).max() < 1e-6
 
 
+def _exact_det3(M):
+    """Determinant of a 3x3 matrix of Fractions, by the Leibniz sum."""
+    return (M[0][0] * M[1][1] * M[2][2] + M[0][1] * M[1][2] * M[2][0]
+            + M[0][2] * M[1][0] * M[2][1] - M[0][2] * M[1][1] * M[2][0]
+            - M[0][0] * M[1][2] * M[2][1] - M[0][1] * M[1][0] * M[2][2])
+
+
 class TestEnergies:
     def test_horizontal_slice(self):
         u = pde.affine_map(np.zeros((4, 3)), b=[0.25, 0.5, 0.75, 0.0])
@@ -374,7 +382,7 @@ class TestEnergies:
         rng = np.random.default_rng(11)
         u = 0.3 * pde.random_fourier_field(rng, kmax=1)
         grid = pde.ImmersionGrid(u, 4)
-        ve1, ve2, ve3, _ = pde._ve_pointwise(grid.jets)
+        ve1, ve2, ve3, vol_density = pde._ve_pointwise(grid.jets)
         S = sp.standard_splitting()
         for n in range(0, grid.points.shape[0], 17):
             g = sp.GraphPlane(grid.jets[n].T, S)
@@ -383,6 +391,46 @@ class TestEnergies:
             assert abs(series[1] - ve1[n]) < 1e-12 * scale
             assert abs(series[2] - ve2[n]) < 1e-12 * scale
             assert abs(series[3] - ve3[n]) < 1e-12 * scale
+            # the eigenvalue route: Vol density = prod sqrt(1 + lambda_i(G))
+            lam = np.linalg.eigvalsh(grid.jets[n].T @ grid.jets[n])
+            by_eigenvalues = float(np.prod(np.sqrt(1.0 + lam)))
+            assert abs(vol_density[n] - by_eigenvalues) < 1e-13 * by_eigenvalues
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.tuples(st.integers(-60, 60), st.sampled_from([1, 2, 3, 5, 7, 8])),
+        min_size=12 * n, max_size=12 * n)))
+    def test_ve_pointwise_matches_exact_fractions(self, entries):
+        # the kernel on rational jets against c1, c2, det G and det(I + G) in
+        # exact arithmetic on the same floats; the error of ve_k and of
+        # vol_density**2 is bounded by 1e-14 (1 + c1)^k, k = 1, 2, 3, 3
+        jets = np.array([float(Fraction(a, b)) for a, b in entries]).reshape(-1, 4, 3)
+        got = pde._ve_pointwise(jets)
+        for n, jet in enumerate(jets):
+            J = [[Fraction(x) for x in row] for row in jet]
+            G = [[sum(J[m][i] * J[m][j] for m in range(4)) for j in range(3)]
+                 for i in range(3)]
+            c1 = G[0][0] + G[1][1] + G[2][2]
+            c2 = sum(G[i][i] * G[j][j] - G[i][j] * G[j][i] for i, j in ((0, 1), (0, 2), (1, 2)))
+            I_G = [[G[i][j] + (i == j) for j in range(3)] for i in range(3)]
+            ve1 = c1 / 2
+            ve2 = (c2 - ve1 ** 2) / 2
+            ve3 = (_exact_det3(G) - 2 * ve1 * ve2) / 2
+            for value, exact, k in ((got[0][n], ve1, 1), (got[1][n], ve2, 2),
+                                    (got[2][n], ve3, 3), (got[3][n] ** 2, _exact_det3(I_G), 3)):
+                assert abs(Fraction(float(value)) - exact) <= Fraction(1, 10 ** 14) * (1 + c1) ** k
+
+    def test_ve_pointwise_calls_no_linalg(self, monkeypatch):
+        # a fixed-order elementwise kernel: its floats must not depend on a
+        # LAPACK routine or the BLAS kernel under it
+        def raising(*args, **kwargs):
+            raise AssertionError("_ve_pointwise called np.linalg")
+
+        for name in np.linalg.__all__:
+            if not isinstance(getattr(np.linalg, name), type):  # LinAlgError stays
+                monkeypatch.setattr(np.linalg, name, raising)
+        vol_density = pde._ve_pointwise(np.random.default_rng(3).standard_normal((50, 4, 3)))[3]
+        assert np.all(vol_density >= 1.0)
 
     def test_non_finite_energy_fails_the_guards(self):
         # the n = 4 torus grid contains the origin, where the potential's
