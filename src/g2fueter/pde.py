@@ -87,7 +87,8 @@ class AnalyticMap:
     One array contract, shared with the SU(2) maps: eval/jet1/jet2 take
     points of shape (..., 3) and return shapes (..., 4), (..., 4, 3) and
     (..., 4, 3, 3); a single point (3,) is the case of no leading axes.
-    No map provides higher jets.  `periodicity`, when set, is the 4x3
+    No map provides higher jets; a map that does not override the three
+    implements `_jet(x, order)`.  `periodicity`, when set, is the 4x3
     integer matrix A with u(x + n) = u(x) + A n for n in Z^3, so the map
     descends to a torus section.
     """
@@ -95,12 +96,15 @@ class AnalyticMap:
     periodicity = None
 
     def eval(self, x):
-        raise NotImplementedError
+        return self._jet(x, 0)
 
     def jet1(self, x):
-        raise NotImplementedError
+        return self._jet(x, 1)
 
     def jet2(self, x):
+        return self._jet(x, 2)
+
+    def _jet(self, x, order):
         raise NotImplementedError
 
     def __add__(self, other):
@@ -216,57 +220,78 @@ class PolynomialMap(AnalyticMap):
             out += terms[..., t]
         return out.reshape(x.shape[:-1] + (4,) + (n,) * order)
 
-    def eval(self, x):
-        return self._jet(x, 0)
-
-    def jet1(self, x):
-        return self._jet(x, 1)
-
-    def jet2(self, x):
-        return self._jet(x, 2)
-
 
 class FourierMap(AnalyticMap):
     """Truncated Fourier field sum_k a_k cos(2 pi k.x) + b_k sin(2 pi k.x).
 
-    Fully periodic (periodicity matrix 0); wave vectors are integer.
+    Fully periodic (periodicity matrix 0); wave vectors are integer.  The
+    map is a table of F fields of W waves each: `waves` is its first row,
+    a list of (k (3,), cos_amp (4,), sin_amp (4,)), and each of `rows` is
+    one more field of as many waves.  `_phases` and `_wave_sum` are its
+    one kernel; eval/jet1/jet2 are their first row (F = 1 for a single
+    field) in the AnalyticMap layout.
     """
 
-    def __init__(self, waves):
-        # waves: list of (k (3,) ints, cos_amp (4,), sin_amp (4,))
-        self.waves = [
-            (np.asarray(k, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float))
-            for k, a, b in waves
-        ]
+    def __init__(self, waves, *rows):
+        self.waves = [tuple(np.asarray(v, dtype=float) for v in wave) for wave in waves]
+        self._fields = (self.waves, *rows)
         self.periodicity = np.zeros((4, 3), dtype=int)
 
-    def eval(self, x):
+    @functools.cached_property
+    def _table(self):
+        """The distinct wave vectors (K, 3), each wave's slot among them
+        (F, W), the cos and sin amplitudes (F, W, 4) and 2 pi k (F, W, 3).
+        Built on first use: minimization reads only its fields' `waves`."""
+        F, W = len(self._fields), len(self.waves)
+        # one (k, a, b) row of 3 + 4 + 4 numbers per wave
+        table = np.array([[np.concatenate(wave) for wave in field] for field in self._fields],
+                         dtype=float).reshape(F, W, 11)
+        k = table[..., :3]
+        keys, distinct = map(tuple, k.reshape(-1, 3).tolist()), {}
+        slots = [distinct.setdefault(key, len(distinct)) for key in keys]
+        return types.SimpleNamespace(
+            vectors=np.array(list(distinct), dtype=float).reshape(-1, 3),
+            slots=np.array(slots, dtype=int).reshape(F, W),
+            cos_amps=table[..., 3:7], sin_amps=table[..., 7:], twopi_k=2.0 * np.pi * k)
+
+    @staticmethod
+    def _phases(vectors, x):
+        """cos and sin of 2 pi k.x for each wave vector k (K, 3), at the
+        points x (..., 3) in order: two (K, P) arrays."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (4,))
-        for k, a, b in self.waves:
-            phase = 2.0 * np.pi * (x @ k)
-            out += np.cos(phase)[..., None] * a + np.sin(phase)[..., None] * b
+        cos, sin = np.empty((2, len(vectors), x[..., 0].size))
+        for i, k in enumerate(vectors):
+            phase = (2.0 * np.pi * (x @ k)).reshape(-1)
+            cos[i], sin[i] = np.cos(phase), np.sin(phase)
+        return cos, sin
+
+    def _wave_sum(self, cos, sin, order, rows):
+        """Order 0, 1 or 2 jets of the fields `rows` at the points of
+        `_phases(self._table.vectors, x)`, each wave added in order from +0.0:
+        shape (F, 4) + (3,) * order + (P,), the point axis innermost."""
+        t = self._table
+        slots, k = t.slots[rows], t.twopi_k[rows]
+        factor = (np.ones(k.shape[:2]), k, k[..., :, None] * k[..., None, :])[order]
+        a, b = (amps[rows].reshape(factor.shape[:2] + (4,) + (1,) * order) * factor[:, :, None]
+                for amps in (t.cos_amps, t.sin_amps))
+        out = np.zeros(a.shape[:1] + a.shape[2:] + cos.shape[1:])
+        trig = (len(slots),) + (1,) * (1 + order) + cos.shape[1:]
+        for w in range(slots.shape[1]):
+            c, s = cos[slots[:, w]].reshape(trig), sin[slots[:, w]].reshape(trig)
+            aw, bw = a[:, w, ..., None], b[:, w, ..., None]
+            if order == 0:
+                out += c * aw + s * bw
+            elif order == 1:
+                out += -s * aw + c * bw
+            else:
+                out += -c * aw
+                out += -s * bw
         return out
 
-    def jet1(self, x):
+    def _jet(self, x, order):
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (4, 3))
-        for k, a, b in self.waves:
-            phase = 2.0 * np.pi * (x @ k)
-            dcos = -np.sin(phase)[..., None, None] * np.einsum("m,i->mi", a, 2.0 * np.pi * k)
-            dsin = np.cos(phase)[..., None, None] * np.einsum("m,i->mi", b, 2.0 * np.pi * k)
-            out += dcos + dsin
-        return out
-
-    def jet2(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape[:-1] + (4, 3, 3))
-        for k, a, b in self.waves:
-            phase = 2.0 * np.pi * (x @ k)
-            kk = np.einsum("i,j->ij", 2.0 * np.pi * k, 2.0 * np.pi * k)
-            out += -np.cos(phase)[..., None, None, None] * np.einsum("m,ij->mij", a, kk)
-            out += -np.sin(phase)[..., None, None, None] * np.einsum("m,ij->mij", b, kk)
-        return out
+        (out,) = self._wave_sum(*self._phases(self._table.vectors, x), order, slice(1))
+        return np.ascontiguousarray(np.moveaxis(out, -1, 0)).reshape(x.shape[:-1] + out.shape[:-1])
 
 
 class SumMap(AnalyticMap):
@@ -782,48 +807,26 @@ def _fourier_competitor_energies(grid: ImmersionGrid, fields, amplitude):
     """`immersion_energies` of each competitor grid.u + (amplitude / sup) f,
     for Fourier fields f of one wave count, sup the max of |f| on the grid.
 
+    The fields are the rows of one stacked `FourierMap`, whose phases are
+    taken once on the grid.  A block of rows, at most _STACKED_POINTS grid
+    points in all, gets its values and first jets from the map's kernel,
+    scaled by amplitude / sup and added to the base jets (taken once, as
+    0 + jets, how `SumMap` sums), and its energies from one stacked call.
     The floats are those of building each competitor as the map
-    base + (amplitude / sup) * f and its own grid.  The base jets are taken
-    once, as 0 + jets (how `SumMap` sums).  Each distinct wave vector's
-    phase, with `FourierMap`'s own call, and its cos and sin are taken once.
-    Then a block of competitors, at most _STACKED_POINTS grid points in all,
-    gets its values and jets in one pass over the waves in order, with
-    `FourierMap`'s elementwise arithmetic and the point axis innermost,
-    scaled by amplitude / sup, and its energies from one stacked call.
+    base + (amplitude / sup) * f and its own grid.
     """
     if not fields:
         return []
-    x, N = grid.points, len(grid.points)
+    stack = FourierMap(*(f.waves for f in fields))
+    phases = stack._phases(stack._table.vectors, grid.points)
     base_jets = 0 + grid.jets
-    waves = [f.waves for f in fields]
-    distinct = {tuple(k): k for wave in waves for k, _, _ in wave}
-    slot = {key: i for i, key in enumerate(distinct)}
-    cos, sin = np.empty((len(distinct), N)), np.empty((len(distinct), N))
-    for i, k in enumerate(distinct.values()):
-        phase = 2.0 * np.pi * (x @ k)
-        cos[i], sin[i] = np.cos(phase), np.sin(phase)
-    index = np.array([[slot[tuple(k)] for k, _, _ in wave] for wave in waves])  # (F, W)
-    cos_amps = np.array([[a for _, a, _ in wave] for wave in waves])  # (F, W, 4)
-    sin_amps = np.array([[b for _, _, b in wave] for wave in waves])
-    twopi_k = 2.0 * np.pi * np.array([[k for k, _, _ in wave] for wave in waves])  # (F, W, 3)
-
     out = []
-    block = max(1, _STACKED_POINTS // N)
+    block = max(1, _STACKED_POINTS // len(grid.points))
     for start in range(0, len(fields), block):
         rows = slice(start, start + block)
-        m = len(index[rows])
-        values, jets = np.zeros((m, 4, N)), np.zeros((m, 4, 3, N))
-        for w in range(index.shape[1]):
-            c, s = cos[index[rows, w]][:, None], sin[index[rows, w]][:, None]
-            a, b = cos_amps[rows, w, :, None], sin_amps[rows, w, :, None]
-            values += c * a + s * b
-            dcos = -s[:, None] * (a * twopi_k[rows, w, None, :])[..., None]
-            dsin = c[:, None] * (b * twopi_k[rows, w, None, :])[..., None]
-            jets += dcos + dsin
+        values, jets = (stack._wave_sum(*phases, order, rows) for order in (0, 1))
         jets *= (amplitude / np.abs(values).max(axis=(1, 2)))[:, None, None, None]
-        stacked = np.empty((m, N, 4, 3))
-        np.add(base_jets, jets.transpose(0, 3, 1, 2), out=stacked)
-        out += _energies(stacked, grid.weight)
+        out += _energies(base_jets + jets.transpose(0, 3, 1, 2), grid.weight)
     return out
 
 
@@ -1026,24 +1029,11 @@ def adversarial_variation(u1: AnalyticMap) -> FourierMap:
     # Theta(., v1, v2, v3): the direction in which the boundary term grows
     theta_vec = _ordered_contract(dense, frame[:, 0], frame[:, 1], frame[:, 2])[:, 3:]
     waves = [(np.zeros(3, dtype=int), theta_vec.mean(axis=0), np.zeros(4))]
-    for k_int in _low_modes(1):
-        phase = 2.0 * np.pi * (x @ k_int)
-        a = 2.0 * (theta_vec * np.cos(phase)[:, None]).mean(axis=0)
-        b = 2.0 * (theta_vec * np.sin(phase)[:, None]).mean(axis=0)
-        waves.append((k_int, a, b))
+    # one representative k > 0 of each +-k pair with |k_i| <= 1
+    modes = [k for k in itertools.product((-1, 0, 1), repeat=3) if k > (0, 0, 0)]
+    for k, cos, sin in zip(modes, *FourierMap._phases(np.array(modes, dtype=float), x)):
+        a = 2.0 * (theta_vec * cos[:, None]).mean(axis=0)
+        b = 2.0 * (theta_vec * sin[:, None]).mean(axis=0)
+        waves.append((k, a, b))
     return FourierMap(waves)
 
-
-def _low_modes(kmax):
-    out = []
-    for k1 in range(-kmax, kmax + 1):
-        for k2 in range(-kmax, kmax + 1):
-            for k3 in range(-kmax, kmax + 1):
-                k = np.array([k1, k2, k3])
-                if not np.any(k):
-                    continue
-                # one representative per +-k pair
-                if (k1, k2, k3) < (0, 0, 0):
-                    continue
-                out.append(k)
-    return out

@@ -8,16 +8,17 @@ the test asserts the exact set of (suite, check) pairs that fail over all
 six suites at the fast profile and seed 1.  A check that is deleted,
 loosened or merged with the route it guards shows up as a diff here.
 
-Each mutant is patched on its defining module, so the library's own calls
-through that module's globals see it too; names imported into another
-module keep the original (fueter's `ve_series_many`, for one, which is why
-`ve_series[1] + 1e-6` leaves the six-way report alone).
+Each mutant is patched on its defining module (a method on its class), so
+the library's own calls through that module's globals see it too; names
+imported into another module keep the original (fueter's
+`ve_series_many`, for one, which is why `ve_series[1] + 1e-6` leaves the
+six-way report alone).
 """
 
 import numpy as np
 import pytest
 
-from g2fueter import cli, fueter, g2core, pde, splitting
+from g2fueter import cli, fm_gauge, fueter, g2core, pde, splitting
 
 
 def _negated(real):
@@ -31,10 +32,30 @@ def _scaled(factor):
 def _component_scaled(index, factor):
     """Scale one entry of the tuple a function returns."""
     def mutate(real):
-        def mutant(*args):
-            values = list(real(*args))
+        def mutant(*args, **kwargs):
+            values = list(real(*args, **kwargs))
             values[index] = factor * values[index]
             return tuple(values)
+        return mutant
+    return mutate
+
+
+def _entry_shifted(key, delta):
+    """Shift one entry of the dict a function returns."""
+    def mutate(real):
+        def mutant(*args):
+            values = real(*args)
+            return {**values, key: values[key] + delta}
+        return mutant
+    return mutate
+
+
+def _order_scaled(order, factor):
+    """Scale one jet order of a kernel `(self, cos, sin, order, rows)`."""
+    def mutate(real):
+        def mutant(self, cos, sin, k, rows):
+            out = real(self, cos, sin, k, rows)
+            return factor * out if k == order else out
         return mutant
     return mutate
 
@@ -65,12 +86,28 @@ MUTANTS = {
         g2core, "lambda_k", _scaled(1 + 1e-9),
         {("algebra", "lambda-isometry"), ("algebra", "projection-eigen-oracle"),
          ("fueter", "route-equivalence")}),
+    "project_2_7 x (1+1e-9)": (
+        g2core, "project_2_7", _scaled(1 + 1e-9), {("algebra", "projection-eigen-oracle")}),
+    "psi_pullback x (1+1e-9)": (
+        fm_gauge, "psi_pullback", _scaled(1 + 1e-9), {("fm", "curvature-beta")}),
+    "instanton_residual x 1.001": (
+        fm_gauge, "instanton_residual", _scaled(1.001),
+        {("fm", "mirror-ratio"), ("fm", "large-radius-slope")}),
+    "cs_first_variation numeric x 1.01": (
+        pde, "cs_first_variation", _component_scaled(0, 1.01),
+        {("pde", "action-detects-defect")}),
+    "immersion_energies VE + 1e-9": (
+        pde, "immersion_energies", _entry_shifted("VE", 1e-9),
+        {("pde", "energies"), ("pde", "reparametrization")}),
+    "random_su2_points x 1.01": (
+        pde, "random_su2_points", _scaled(1.01), {("pde", "cot-solution")}),
 }
 
 
 # Known survivors: every check of the six suites still passes under them,
-# since no check compares the Fueter map matrix, the flat operator or the
-# quadrature's pointwise energies with a second route of the same value.
+# since no check compares the Fueter map matrix, the flat operator, the
+# quadrature's pointwise energies or the Fourier jets with a second route
+# of the same value.
 # Strict xfails, so the check that first kills one turns it into an XPASS
 # failure here, to be moved into MUTANTS with its exact kill set.
 SURVIVORS = {
@@ -84,6 +121,13 @@ SURVIVORS = {
     "pde._ve_pointwise ve_3 x (1+1e-9)": (pde, "_ve_pointwise", _component_scaled(2, 1 + 1e-9)),
     "pde._ve_pointwise Vol density x (1+1e-9)": (
         pde, "_ve_pointwise", _component_scaled(3, 1 + 1e-9)),
+    # the Fourier kernel's first jets, on the class, so that both the
+    # maps' jet1 and minimization's stacked competitors see it; only
+    # Tier-1 tests in test_pde.py guard it: the finite-difference jet
+    # test, the per-wave bit oracle and the cs_* hex pins
+    # (ROADMAP item 4)
+    "pde.FourierMap order-1 kernel x 1.001": (
+        pde.FourierMap, "_wave_sum", _order_scaled(1, 1.001)),
 }
 
 

@@ -137,6 +137,25 @@ def _hexes(a):
     return [float(v).hex() for v in np.ravel(a)]
 
 
+def _reference_fourier(waves, x):
+    """The per-wave loops `FourierMap` evaluated before its stacked
+    kernel: the bit oracle for eval, jet1 and jet2."""
+    value = np.zeros(x.shape[:-1] + (4,))
+    d1 = np.zeros(x.shape[:-1] + (4, 3))
+    d2 = np.zeros(x.shape[:-1] + (4, 3, 3))
+    for k, a, b in waves:
+        k, a, b = (np.asarray(v, dtype=float) for v in (k, a, b))
+        phase = 2.0 * np.pi * (x @ k)
+        value += np.cos(phase)[..., None] * a + np.sin(phase)[..., None] * b
+        dcos = -np.sin(phase)[..., None, None] * np.einsum("m,i->mi", a, 2.0 * np.pi * k)
+        dsin = np.cos(phase)[..., None, None] * np.einsum("m,i->mi", b, 2.0 * np.pi * k)
+        d1 += dcos + dsin
+        kk = np.einsum("i,j->ij", 2.0 * np.pi * k, 2.0 * np.pi * k)
+        d2 += -np.cos(phase)[..., None, None, None] * np.einsum("m,ij->mij", a, kk)
+        d2 += -np.sin(phase)[..., None, None, None] * np.einsum("m,ij->mij", b, kk)
+    return value, d1, d2
+
+
 class TestPolynomialKernel:
     """PolynomialMap's compiled monomial table against the per-monomial loop."""
 
@@ -223,6 +242,44 @@ class TestPolynomialKernel:
         u = pde.PolynomialMap([{}, {}, {}, {}])
         assert u.jet1(np.ones((2, 5))).shape == (2, 4, 5)
         assert not u.jet2(np.ones(3)).any()
+
+
+class TestFourierKernel:
+    """FourierMap's stacked wave table against the per-wave loops."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(), (7,), (2, 5)]), st.integers(1, 3), st.integers(-2, 2),
+           st.integers(0, 2 ** 32 - 1))
+    def test_bits_match_the_per_wave_loop(self, shape, kmax, scale, seed):
+        rng = np.random.default_rng(seed)
+        u = pde.random_fourier_field(rng, kmax)
+        x = rng.standard_normal(shape + (3,)) * 10.0 ** scale
+        for got, want in zip((u.eval(x), u.jet1(x), u.jet2(x)), _reference_fourier(u.waves, x)):
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert _hexes(got) == _hexes(want)
+
+    def test_each_row_of_a_stack_is_its_field(self):
+        # fields sharing wave vectors and repeating one within a field
+        rng = np.random.default_rng(4)
+        fields = [pde.random_fourier_field(rng, kmax=1).waves for _ in range(5)]
+        fields[2][3] = (fields[2][0][0], *fields[2][3][1:])
+        stack = pde.FourierMap(*fields)
+        assert stack._table.slots.shape == (5, 6) and len(stack._table.vectors) < 30
+        x = rng.standard_normal((9, 3))
+        phases = stack._phases(stack._table.vectors, x)
+        for order, want in enumerate(zip(*(_reference_fourier(f, x) for f in fields))):
+            got = np.moveaxis(stack._wave_sum(*phases, order, slice(None)), -1, 1)
+            assert _hexes(got) == _hexes(np.stack(want))
+            rows = np.moveaxis(stack._wave_sum(*phases, order, slice(1, 4)), -1, 1)
+            assert _hexes(rows) == _hexes(np.stack(want[1:4]))
+
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 5)])
+    def test_no_waves_give_zeros(self, shape):
+        u = pde.FourierMap([])
+        x = np.ones(shape + (3,))
+        for got, want in zip((u.eval(x), u.jet1(x), u.jet2(x)), _reference_fourier([], x)):
+            assert got.shape == want.shape
+            assert _hexes(got) == _hexes(want) == [(0.0).hex()] * want.size
 
 
 class TestFlatOperator:
@@ -565,6 +622,19 @@ class TestStackedCompetitors:
             got = pde._fourier_competitor_energies(pde.ImmersionGrid(self.BASE, grid_n),
                                                    fields, amplitude)
             assert list(map(_float_hexes, got)) == list(map(_float_hexes, energies[len(extra):]))
+
+    def test_phases_taken_once_for_the_stack(self, monkeypatch):
+        # one phase call for all blocks, on the distinct wave vectors only
+        calls = []
+        real = pde.FourierMap._phases
+        monkeypatch.setattr(pde.FourierMap, "_phases",
+                            staticmethod(lambda k, x: calls.append(len(k)) or real(k, x)))
+        monkeypatch.setattr(pde, "_STACKED_POINTS", 1000)
+        rng = np.random.default_rng(3)
+        fields = [pde.random_fourier_field(rng) for _ in range(40)]
+        pde._fourier_competitor_energies(pde.ImmersionGrid(self.BASE, 8), fields, 0.1)
+        distinct = {tuple(k) for f in fields for k, _, _ in f.waves}
+        assert calls == [len(distinct)]
 
     def test_non_finite_competitor_raises_where_the_loop_does(self):
         nan = pde.PolynomialMap([{(1, 0, 0): np.nan}, {}, {}, {}])
