@@ -1,6 +1,8 @@
 """Calibrated geometry on G2-manifolds with an associative distribution.
 
-Submodules:
+Submodules (each loads on first use: `import g2fueter` imports none of
+them, and naming one, as `g2fueter.pde`, `from g2fueter import pde` or
+`import g2fueter.pde`, imports it and what it imports):
   exterior   sparse exterior algebra over R^n (n <= 8), Hodge star, pullback
   g2core     the model G2 form, metric recovery, cross product, chi/tau,
              lambda^k isometries and 2-form projections
@@ -17,7 +19,18 @@ Submodules:
   cli        the `g2f` command-line driver
 """
 
-from . import exterior, fm_gauge, fueter, g2core, models, pde, splitting
+import importlib
 
 __all__ = ["exterior", "g2core", "splitting", "fueter", "models", "pde", "fm_gauge"]
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # the import binds the submodule on the package, so this runs once per name
+    if name in __all__:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

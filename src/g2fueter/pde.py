@@ -257,7 +257,21 @@ class FourierMap(AnalyticMap):
     @staticmethod
     def _phases(vectors, x):
         """cos and sin of 2 pi k.x for each wave vector k (K, 3), at the
-        points x (..., 3) in order: two (K, P) arrays."""
+        points x (..., 3) in order: two (K, P) arrays.
+
+        `x @ k` runs through BLAS: `ddot` for a single point (3,) and
+        `dgemv` for a batch (N, 3), and the two round differently.  So a
+        point's jets can differ in the last bits between a single-point
+        call and the same point inside a batch.  For
+        `random_fourier_field(default_rng(2), 3)` one set of 7 Gaussian
+        points gave up to 3.4e-13 in `jet2`; the sets
+        `default_rng(s).standard_normal((7, 3))`, s < 200, gave at worst
+        2.1e-14 in `eval`, 5.6e-13 in `jet1` and 7.5e-12 in `jet2`.
+        The fixed-order elementwise phase `x0*k0 + x1*k1 + x2*k2` would
+        make every Fourier jet shape-independent and free of the BLAS
+        kernel, but it moves the `verify pde`, `first-variation` and
+        `cs_*` bytes, so it waits for a declared byte change (ROADMAP
+        item 7, stage 2)."""
         x = np.asarray(x, dtype=float)
         cos, sin = np.empty((2, len(vectors), x[..., 0].size))
         for i, k in enumerate(vectors):

@@ -5,8 +5,9 @@ that the routes meeting in each identity stay independent.  Each mutant
 below breaks one route where the verify samplers now call it, the batched
 kernel (the per-plane entry point, its n = 1 case, goes wrong with it), and
 the test asserts the exact set of (suite, check) pairs that fail over all
-six suites at the fast profile and seed 1.  A check that is deleted,
-loosened or merged with the route it guards shows up as a diff here.
+six suites at the fast profile and seed 1, or the guard that refuses it
+before any check runs.  A check that is deleted, loosened or merged with
+the route it guards shows up as a diff here.
 
 Each mutant is patched on its defining module (a method on its class), so
 the library's own calls through that module's globals see it too; names
@@ -60,6 +61,25 @@ def _order_scaled(order, factor):
     return mutate
 
 
+def _j_permuted(order):
+    """Reorder the three complex structures of a JTriple; the triple is
+    built again, so its construction guard sees the new order."""
+    def mutate(real):
+        def mutant(*args):
+            Js = real(*args).as_tuple()
+            return fueter.JTriple(*(Js[i] for i in order))
+        return mutant
+    return mutate
+
+
+def _depth_shifted(real):
+    """|v_ell|^2 read one vertical degree too high: the ladder's off-by-one."""
+    def mutant(frames):
+        norms = real(frames)
+        return norms[1:] + [np.zeros_like(norms[0])]
+    return mutant
+
+
 def _ve1_shifted(real):
     def mutant(*args):
         ve = real(*args)
@@ -101,13 +121,30 @@ MUTANTS = {
         {("pde", "energies"), ("pde", "reparametrization")}),
     "random_su2_points x 1.01": (
         pde, "random_su2_points", _scaled(1.01), {("pde", "cot-solution")}),
+    # a cyclic reorder keeps J1 J2 = -J3, so it passes JTriple's guard
+    "jtriple_from_splitting (J2, J3, J1)": (
+        fueter, "jtriple_from_splitting", _j_permuted((1, 2, 0)),
+        {("fueter", "j-matrices"), ("fueter", "route-equivalence")}),
+    "equality ladder |v_ell|^2 at degree ell + 1": (
+        splitting, "_wedge3_vertical_norms", _depth_shifted, {("splitting", "equality-ladder")}),
+}
+
+
+# Mutants that a construction guard refuses before any check runs:
+# name -> (module, function, mutant, the exception and its message).
+# Exchanging two complex structures breaks J1 J2 = -J3, which JTriple
+# enforces; with the guard bypassed, `j-matrices` and `route-equivalence`
+# fail, as for the cyclic reorder above.
+REFUSED = {
+    "jtriple_from_splitting J1 <-> J2": (
+        fueter, "jtriple_from_splitting", _j_permuted((1, 0, 2)), ValueError, "J1 J2 != -J3"),
 }
 
 
 # Known survivors: every check of the six suites still passes under them,
 # since no check compares the Fueter map matrix, the flat operator, the
 # quadrature's pointwise energies or the Fourier jets with a second route
-# of the same value.
+# of the same value, and none fixes the sign of the cross product.
 # Strict xfails, so the check that first kills one turns it into an XPASS
 # failure here, to be moved into MUTANTS with its exact kill set.
 SURVIVORS = {
@@ -128,6 +165,11 @@ SURVIVORS = {
     # (ROADMAP item 4)
     "pde.FourierMap order-1 kernel x 1.001": (
         pde.FourierMap, "_wave_sum", _order_scaled(1, 1.001)),
+    # both checks that call the cross product are even in its sign:
+    # `double-cross` applies it twice and `cross-completion-associative`
+    # asks only |chi(u, v, u x v)| = 0.  Nothing pins its orientation,
+    # g(u x v, w) = phi(u, v, w) at a sampled w (ROADMAP item 4)
+    "g2core.cross negated": (g2core, "cross", _negated),
 }
 
 
@@ -149,6 +191,14 @@ def test_mutant_is_killed_by_exactly_its_checks(name, monkeypatch):
     module, attr, mutate, killed_by = MUTANTS[name]
     monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
     assert _failing_checks() == killed_by
+
+
+@pytest.mark.parametrize("name", sorted(REFUSED))
+def test_mutant_is_refused_by_its_guard(name, monkeypatch):
+    module, attr, mutate, error, message = REFUSED[name]
+    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+    with pytest.raises(error, match=message):
+        _failing_checks()
 
 
 @pytest.mark.xfail(strict=True, reason="no verify check sees this mutant yet")

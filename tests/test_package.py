@@ -1,6 +1,10 @@
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,52 @@ def test_every_export_resolves(name):
     # a deletion must take its __all__ entry with it
     module = importlib.import_module(name)
     assert [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)] == []
+
+
+def _loaded_after(code):
+    """The g2fueter modules in sys.modules after `code` runs in a fresh
+    interpreter that imports this checkout's package."""
+    paths = [str(Path(g2fueter.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    code += "\nimport json, sys\nprint(json.dumps(sorted(m for m in sys.modules if m.startswith('g2fueter'))))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+# Submodules load on first use, so a caller pays only for the layers it names
+def test_package_import_loads_no_submodule():
+    assert _loaded_after("import g2fueter") == ["g2fueter"]
+
+
+def test_splitting_loads_only_its_layers():
+    # the benchmark's setup probe: the import and the first standard splitting
+    loaded = _loaded_after("from g2fueter import splitting\nsplitting.standard_splitting()")
+    assert loaded == ["g2fueter", "g2fueter.exterior", "g2fueter.g2core", "g2fueter.splitting"]
+
+
+def test_submodule_attribute_is_the_imported_module():
+    assert _loaded_after(
+        "import importlib, g2fueter\nassert g2fueter.pde is importlib.import_module('g2fueter.pde')"
+    ) == ["g2fueter", "g2fueter.exterior", "g2fueter.fueter", "g2fueter.g2core", "g2fueter.pde",
+          "g2fueter.splitting"]
+
+
+def test_unknown_attribute_is_an_attribute_error():
+    # an ImportError, or any other, would exit the child non-zero
+    assert _loaded_after(
+        "import g2fueter\ntry:\n    g2fueter.nosuch\nexcept AttributeError as e:\n    assert 'nosuch' in str(e)"
+    ) == ["g2fueter"]
+    assert not hasattr(g2fueter, "nosuch")
+
+
+def test_dir_lists_every_submodule():
+    assert _loaded_after("import g2fueter\nassert set(g2fueter.__all__) <= set(dir(g2fueter))") \
+        == ["g2fueter"]
+
+
+def test_star_import_binds_every_submodule():
+    assert _loaded_after("from g2fueter import *\nassert pde.__name__ == 'g2fueter.pde'") \
+        == ["g2fueter"] + sorted(f"g2fueter.{name}" for name in g2fueter.__all__)
 
 
 # A library parameter (or settable dataclass field with a default) exists

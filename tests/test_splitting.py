@@ -423,6 +423,16 @@ class TestScans:
                 pytest.raises(AssertionError, match="identity violated"):
             sp.anisotropic_scan(S, sp.PlaneSampler(1), 1, include_planes=[1e200 * P])
 
+    def test_scaled_fueter_map_matrix_fails_identity_guard(self, monkeypatch):
+        # the scan's identity is the one place that ties the 4 x 12 matrix
+        # to the geometry: omega + |F|^2 / 2 = ve_1 on every plane
+        from g2fueter import fueter
+
+        real = fueter.fueter_map_matrix
+        monkeypatch.setattr(fueter, "fueter_map_matrix", lambda S: 1.001 * real(S))
+        with pytest.raises(AssertionError, match="identity violated"):
+            sp.anisotropic_scan(S, sp.PlaneSampler(1), 100)
+
     def test_negative_form_also_semi_calibration(self):
         sampler = sp.PlaneSampler(18)
         rep = sp.semi_calibration_scan(-1.0 * S.g2.phi, np.eye(7), sampler, 2000)
