@@ -54,6 +54,7 @@ __all__ = [
 
 CONSTRUCTION_TOL = 1e-12
 IDENTITY_TOL = 1e-10
+COVANISHING_TOL = 1e-9
 NONVANISHING_FLOOR = 1e-6
 
 
@@ -263,11 +264,11 @@ class ConditionReport:
             self.beta_wedge_theta_norm,
         )
 
-    def all_below(self, tol=1e-9):
-        return all(abs(r) <= tol for r in self.residuals())
+    def all_below(self):
+        return all(abs(r) <= COVANISHING_TOL for r in self.residuals())
 
-    def none_below(self, floor=NONVANISHING_FLOOR):
-        return all(abs(r) >= floor for r in self.residuals())
+    def none_below(self):
+        return all(abs(r) >= NONVANISHING_FLOOR for r in self.residuals())
 
 
 def condition_residuals(g: GraphPlane) -> ConditionReport:

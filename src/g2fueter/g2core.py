@@ -5,14 +5,17 @@ provides the cross product, the associator/coassociator tensors, the
 lambda^k isometries onto the 7-dimensional pieces of Lambda^k, and the
 Lambda^2_7 / Lambda^2_14 projections.
 
-A G2Structure owns the tensors derived from it (inverse metric, dense
-phi, chi and tau as vector-valued forms, the lambda^k matrices): each is
-built lazily, once per structure, and its arrays are read-only.  Every
-operation takes the structure it works on explicitly; none falls back to
-the standard one.
+All of it works in coordinates orthonormal for the metric of phi, which
+is therefore the identity; another metric enters only as the matrix that
+`scan semical` orthonormalizes its frames in.
+
+A G2Structure owns the tensors derived from it (dense phi, chi and tau as
+vector-valued forms, the lambda^k matrices): each is built lazily, once
+per structure, and its arrays are read-only.  Every operation takes the
+structure it works on explicitly; none falls back to the standard one.
 
 Conventions fixed here once and used everywhere downstream:
-  * orientation vol0 = dx^{1...7};
+  * orientation dx^{1...7};
   * the model 3-form has monomials 123, 145, 167, 246, -257, -347, -356;
   * its Hodge dual is produced by the star and pinned as a golden value
     (STAR_PHI0_TERMS), since every later sign refers to it.
@@ -37,9 +40,7 @@ from .exterior import (
     form_from_terms,
     hodge,
     interior,
-    pullback,
     wedge,
-    zero_form,
 )
 
 __all__ = [
@@ -49,9 +50,7 @@ __all__ = [
     "STAR_PHI0_TERMS",
     "phi0",
     "star_phi0",
-    "vol0",
     "metric_from_phi",
-    "hodge_metric",
     "standard_g2",
     "cross",
     "chi",
@@ -104,14 +103,10 @@ def star_phi0() -> Form:
     return form_from_terms(DIM, 4, STAR_PHI0_TERMS)
 
 
-def vol0() -> Form:
-    return basis_form(DIM, tuple(range(1, DIM + 1)))
-
-
 def metric_from_phi(phi: Form):
     """Recover the metric of a definite 3-form on R^7.
 
-    B_ij vol0 = (1/6) i(e_i)phi ^ i(e_j)phi ^ phi, then g = B / det(B)^{1/9}.
+    B_ij dx^{1..7} = (1/6) i(e_i)phi ^ i(e_j)phi ^ phi, then g = B / det(B)^{1/9}.
     The scalar gauge det(B)^{1/9} is the one making vol_phi = vol_{g_phi}.
     Raises NotG2FormError if det(B) <= 0 or the normalized matrix is not
     positive definite.
@@ -140,42 +135,20 @@ def _unit(i):
     return v
 
 
-def hodge_metric(a: Form, metric) -> Form:
-    """Hodge star with respect to an arbitrary positive metric.
-
-    Realized by changing to a g-orthonormal frame (the symmetric square
-    root, orientation preserving), starring there, and changing back; the
-    bit-exact star itself only ever sees the standard metric.
-    """
-    metric = np.asarray(metric, dtype=float)
-    w, U = np.linalg.eigh(metric)
-    if not np.all(w > 0.0):
-        raise ValueError("metric must be positive definite")
-    S = U @ np.diag(w ** -0.5) @ U.T    # columns: g-orthonormal frame, det > 0
-    S_inv = U @ np.diag(w ** 0.5) @ U.T
-    return pullback(S_inv, hodge(pullback(S, a)))
-
-
 # eq=False: ndarray fields make the generated __eq__/__hash__ raise; compare by identity
 @dataclass(frozen=True, eq=False)
 class G2Structure:
-    """A constant-coefficient G2 structure on R^7.
+    """A constant-coefficient G2 structure on R^7, in coordinates where its
+    metric is the identity and its orientation dx^{1..7}.
 
-    Holds the 3-form, its metric, volume form and dual 4-form.
-    Consistency (metric recovery, |phi|^2 = 7, vol = vol_g) is enforced
-    by the constructors, not re-checked per operation.  The tensors
-    derived from these (inverse metric, dense phi, chi, tau, the lambda^k
+    Holds the 3-form and its dual 4-form, consistent (|phi|^2 = 7,
+    star_phi = *phi) by construction and not re-checked per operation.
+    The tensors derived from them (dense phi, chi, tau, the lambda^k
     matrices) are built lazily, once per structure; arrays are read-only.
     """
 
     phi: Form
-    metric: np.ndarray
-    vol: Form
     star_phi: Form
-
-    @cached_property
-    def metric_inv(self) -> np.ndarray:
-        return _read_only(np.linalg.inv(self.metric))
 
     @cached_property
     def phi_dense(self) -> np.ndarray:
@@ -184,9 +157,9 @@ class G2Structure:
 
     @cached_property
     def chi_form(self) -> VectorValuedForm:
-        """chi as a TM-valued 3-form: component m is (u,v,w) -> g(chi(u,v,w), e_m)^sharp.
+        """chi as a TM-valued 3-form: component m is (u,v,w) -> g(chi(u,v,w), e_m).
 
-        Components are the 3-forms i(e_m-slot-last) of *phi, raised by the metric.
+        Components are the 3-forms (*phi)(., ., ., e_m).
         """
         raw = []
         for m in range(DIM):
@@ -199,15 +172,7 @@ class G2Structure:
                     sign = 1.0 if (len(idx) - 1 - pos) % 2 == 0 else -1.0
                     comp[rest] = comp.get(rest, 0.0) + sign * c
             raw.append(Form(DIM, 3, comp))
-        ginv = self.metric_inv
-        comps = []
-        for m in range(DIM):
-            acc = zero_form(DIM, 3)
-            for k in range(DIM):
-                if ginv[m, k] != 0.0:
-                    acc = acc + ginv[m, k] * raw[k]
-            comps.append(acc)
-        return VectorValuedForm(tuple(comps))
+        return VectorValuedForm(tuple(raw))
 
     @cached_property
     def tau_form(self) -> VectorValuedForm:
@@ -234,9 +199,7 @@ class G2Structure:
 
 
 def standard_g2() -> G2Structure:
-    return G2Structure(
-        phi=phi0(), metric=np.eye(DIM), vol=vol0(), star_phi=star_phi0()
-    )
+    return G2Structure(phi=phi0(), star_phi=star_phi0())
 
 
 # -- pointwise tensors ------------------------------------------------------
@@ -245,7 +208,7 @@ def standard_g2() -> G2Structure:
 def cross(u, v, G: G2Structure):
     """Cross product: g(u x v, w) = phi(u, v, w) for all w."""
     triples = _with_unit_vectors(_stacked([[u, v]], (2, DIM)))[0]
-    return G.metric_inv @ G.phi.apply_many(triples)
+    return G.phi.apply_many(triples)
 
 
 def chi(u, v, w, G: G2Structure):
@@ -261,13 +224,10 @@ def chi(u, v, w, G: G2Structure):
 def chi_many(frames, G: G2Structure):
     """chi of stacked triples (n, 3, 7) -> (n, 7).
 
-    (*phi)(u, v, w, e_x) for the seven unit vectors in one evaluation, then
-    the metric's inverse applied to each row by the matrix-vector product
-    of the one-triple case.
+    (*phi)(u, v, w, e_x) for the seven unit vectors in one evaluation.
     """
     quads = _with_unit_vectors(_stacked(frames, (3, DIM)))
-    c = G.star_phi.apply_many(quads.reshape(-1, 4, DIM)).reshape(-1, DIM, 1)
-    return (G.metric_inv @ c)[..., 0]
+    return G.star_phi.apply_many(quads.reshape(-1, 4, DIM)).reshape(-1, DIM)
 
 
 def tau(u, v, w, x, G: G2Structure):
@@ -292,12 +252,11 @@ def lambda_k(alpha: Form, k: int, G: G2Structure) -> Form:
     if alpha.dim != DIM or alpha.degree != 1:
         raise ValueError("expected a 1-form on R^7")
     if k == 2:
-        sharp = G.metric_inv @ _one_form_vector(alpha)
-        return (1.0 / np.sqrt(3.0)) * interior(sharp, G.phi)
+        return (1.0 / np.sqrt(3.0)) * interior(_one_form_vector(alpha), G.phi)
     if k == 4:
         return 0.5 * wedge(alpha, G.phi)
     if k == 6:
-        return hodge_metric(alpha, G.metric)
+        return hodge(alpha)
     raise ValueError(f"k must be 2, 4 or 6, got {k}")
 
 

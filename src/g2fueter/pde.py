@@ -613,7 +613,7 @@ class AmbientPolynomialMap(PolynomialMap, Su2AmbientMap):
 
 
 class CotPotentialMap(Su2AmbientMap):
-    """F(h) = (A cot(r_p(h)) + B) v0, the SU(2) fundamental-solution family.
+    """F(h) = A cot(r_p(h)) v0, A = 1/(4 pi): the SU(2) fundamental solution.
 
     r_p is the geodesic distance to p on the unit round sphere, so
     cot(r) = t / sqrt(1 - t^2) with t = <p, h>; harmonic away from p and
@@ -621,11 +621,12 @@ class CotPotentialMap(Su2AmbientMap):
     are rejected.
     """
 
-    def __init__(self, p, v0, A=1.0 / (4.0 * np.pi), B=0.0):
+    A = 1.0 / (4.0 * np.pi)
+
+    def __init__(self, p, v0):
         self.p = np.asarray(p, dtype=float).reshape(4)
         self.p = self.p / np.linalg.norm(self.p)
         self.v0 = np.asarray(v0, dtype=float).reshape(4)
-        self.A, self.B = float(A), float(B)
 
     def _t(self, h):
         t = np.einsum("...k,k->...", h, self.p)
@@ -635,7 +636,7 @@ class CotPotentialMap(Su2AmbientMap):
 
     def eval(self, h):
         t = self._t(h)
-        s = self.A * t / np.sqrt(1.0 - t * t) + self.B
+        s = self.A * t / np.sqrt(1.0 - t * t)
         return np.einsum("...,m->...m", s, self.v0)
 
     def jet1(self, h):

@@ -92,7 +92,7 @@ class Splitting:
         object.__setattr__(self, "h_frame", h)
         object.__setattr__(self, "v_frame", v)
         F = self.frame_matrix
-        gram = F @ self.g2.metric @ F.T
+        gram = F @ F.T
         # each guard is written so that a NaN fails it
         if not np.abs(gram - np.eye(DIM)).max() <= 1e-12:
             raise ValueError("frame is not orthonormal in the ambient metric")
@@ -110,7 +110,7 @@ class Splitting:
 
     def frame_coords(self, span):
         """Frame coordinates of ambient vectors (rows of span, or one vector)."""
-        return span @ self.g2.metric @ self.frame_matrix.T
+        return span @ self.frame_matrix.T
 
     def horizontal_part(self, span):
         """The H-frame coordinates of the rows of span; raises
@@ -135,7 +135,8 @@ class Splitting:
     def from_frame(self, a: Form) -> Form:
         if self._is_standard:
             return a
-        return pullback(np.linalg.inv(self.frame_matrix.T), a)
+        # the inverse of the orthonormal F^T is F
+        return pullback(self.frame_matrix, a)
 
     @cached_property
     def _is_standard(self):
@@ -145,10 +146,7 @@ class Splitting:
     def frame_g2(self) -> g2core.G2Structure:
         """The structure in frame coordinates, where the metric is the identity."""
         return g2core.G2Structure(
-            phi=self.to_frame(self.g2.phi),
-            metric=np.eye(DIM),
-            vol=g2core.vol0(),
-            star_phi=self.to_frame(self.g2.star_phi),
+            phi=self.to_frame(self.g2.phi), star_phi=self.to_frame(self.g2.star_phi)
         )
 
     @cached_property

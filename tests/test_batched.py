@@ -53,8 +53,7 @@ def _vector_form_value(vform, vectors):
 
 
 def _chi(u, v, w):
-    c = np.array([_form_value(G.star_phi, [u, v, w, e]) for e in np.eye(7)])
-    return G.metric_inv @ c
+    return np.array([_form_value(G.star_phi, [u, v, w, e]) for e in np.eye(7)])
 
 
 def _ve_series(T, kmax):

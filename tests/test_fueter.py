@@ -125,7 +125,7 @@ class TestCompletions:
 class TestConditionReport:
     def test_fueter_plane_all_six_vanish(self):
         rep = fu.condition_residuals(sp.GraphPlane(FUETER_T, S))
-        assert rep.all_below(1e-12)
+        assert all(abs(r) <= 1e-12 for r in rep.residuals())
 
     def test_single_entry_plane_values(self):
         T = np.zeros((3, 4))
@@ -142,9 +142,9 @@ class TestConditionReport:
     def test_covanishing_statistics(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
-            assert fu.condition_residuals(random_fueter_plane(rng)).all_below(1e-9)
+            assert fu.condition_residuals(random_fueter_plane(rng)).all_below()
             generic = sp.GraphPlane(rng.standard_normal((3, 4)), S)
-            assert fu.condition_residuals(generic).none_below(1e-6)
+            assert fu.condition_residuals(generic).none_below()
 
     def test_json_serialization(self):
         import json

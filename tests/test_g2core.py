@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 from unittest import mock
 
@@ -12,11 +13,23 @@ G = g2.standard_g2()
 FIXTURE = Path(__file__).parent / "fixtures" / "g2_forms.txt"
 
 
-def g2_from_phi(phi):
-    """The full structure (metric, volume, dual) of a definite 3-form."""
+def _hodge_metric(a, metric):
+    """Hodge star with respect to a positive metric: change to the
+    g-orthonormal frame of the symmetric square root (orientation
+    preserving), star there with the standard metric, and change back."""
+    w, U = np.linalg.eigh(metric)
+    S = U @ np.diag(w ** -0.5) @ U.T
+    S_inv = U @ np.diag(w ** 0.5) @ U.T
+    return ex.pullback(S_inv, ex.hodge(ex.pullback(S, a)))
+
+
+def metric_dual(phi):
+    """The volume form of a definite 3-form's metric and its dual 4-form in
+    that metric (a library structure carries no metric: its own is the
+    identity)."""
     g = g2.metric_from_phi(phi)
     vol = ex.basis_form(7, tuple(range(1, 8)), float(np.sqrt(np.linalg.det(g))))
-    return g2.G2Structure(phi=phi, metric=g, vol=vol, star_phi=g2.hodge_metric(phi, g))
+    return vol, _hodge_metric(phi, g)
 
 
 def golden_forms():
@@ -64,10 +77,11 @@ class TestMetricFromPhi:
             g2.metric_from_phi(nan_phi)
 
     def test_volume_matches_metric(self):
-        s = g2_from_phi(g2.phi0())
-        assert s.vol.equals(g2.vol0(), 1e-12)
-        assert abs(ex.inner(s.phi, s.phi) - 7.0) < 1e-12
-        assert abs(ex.inner(s.star_phi, s.star_phi) - 7.0) < 1e-10
+        phi = g2.phi0()
+        vol, star_phi = metric_dual(phi)
+        assert ex.wedge(phi, star_phi).equals(7.0 * vol, 1e-12)
+        assert abs(ex.inner(phi, phi) - 7.0) < 1e-12
+        assert abs(ex.inner(star_phi, star_phi) - 7.0) < 1e-10
 
 
 class TestCross:
@@ -232,11 +246,11 @@ class TestLambdaAndProjections:
 def test_hodge_metric_on_eps_family():
     eps = 0.17
     phi_eps = ex.pullback(np.diag([1.0] * 3 + [np.sqrt(eps)] * 4), g2.phi0())
-    s = g2_from_phi(phi_eps)
+    vol, star_phi = metric_dual(phi_eps)
     theta = ex.form_from_terms(7, 4, g2.STAR_PHI0_TERMS[1:])
     mu = ex.basis_form(7, (4, 5, 6, 7))
-    assert s.star_phi.equals(eps * theta + eps * eps * mu, 1e-12)
-    assert s.vol.equals(eps * eps * g2.vol0(), 1e-12)
+    assert star_phi.equals(eps * theta + eps * eps * mu, 1e-12)
+    assert ex.wedge(phi_eps, star_phi).equals(7.0 * vol, 1e-12)
 
 
 def test_golden_fixture_file_matches_oracle():
@@ -281,22 +295,27 @@ class TestGeneralLinearPullbacks:
         A = rng.standard_normal((7, 7))
         if np.linalg.det(A) < 0:
             A[0] = -A[0]
-        s = g2_from_phi(ex.pullback(A, g2.phi0()))
+        _, star_phi = metric_dual(ex.pullback(A, g2.phi0()))
         expected = ex.pullback(A, g2.star_phi0())
-        assert (s.star_phi - expected).norm() < 1e-8 * max(1.0, expected.norm())
+        assert (star_phi - expected).norm() < 1e-8 * max(1.0, expected.norm())
 
 
 class TestDerivedTensors:
-    NAMES = ("metric_inv", "phi_dense", "chi_form", "tau_form", "lambda_matrices")
+    NAMES = ("phi_dense", "chi_form", "tau_form", "lambda_matrices")
 
     def test_built_once_and_read_only(self):
-        s = g2_from_phi(ex.pullback(np.diag([1.0] * 3 + [0.5] * 4), g2.phi0()))
+        phi = ex.pullback(np.diag([1.0] * 3 + [0.5] * 4), g2.phi0())
+        s = g2.G2Structure(phi, metric_dual(phi)[1])
         for name in self.NAMES:
             assert getattr(s, name) is getattr(s, name), name
-        assert np.array_equal(s.metric_inv, np.linalg.inv(s.metric))
         assert np.array_equal(s.phi_dense, s.phi.to_dense())
-        arrays = [s.metric_inv, s.phi_dense] + [L for L, _ in s.lambda_matrices.values()]
+        arrays = [s.phi_dense] + [L for L, _ in s.lambda_matrices.values()]
         assert not any(a.flags.writeable for a in arrays)
+
+    def test_fields_are_the_form_and_its_dual(self):
+        # the metric is the identity and the orientation dx^{1..7}: a
+        # structure carries no second copy of either
+        assert [f.name for f in dataclasses.fields(g2.G2Structure)] == ["phi", "star_phi"]
 
     def test_lambda_matrices_are_not_rebuilt(self):
         s = g2.standard_g2()

@@ -78,14 +78,10 @@ PINNED_KNOBS = [
     "exterior.basis_form(coeff)",
     "exterior.render(label)",
     "fueter.fueter_complete(return_system)",
-    "fueter.ConditionReport.all_below(tol)",
-    "fueter.ConditionReport.none_below(floor)",
     "models.model_by_name(B)",
     "pde.PolynomialMap.__init__(periodicity)",
     "pde.affine_map(b)",
     "pde.random_fourier_field(kmax)",
-    "pde.CotPotentialMap.__init__(A)",
-    "pde.CotPotentialMap.__init__(B)",
     "pde.minimization_experiment(grid_n)",
     "pde.minimization_experiment(extra_perturbations)",
     "pde.cs_functional(n)",

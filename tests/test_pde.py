@@ -376,7 +376,7 @@ class TestSu2:
 
     def test_shifted_solution_from_harmonic(self):
         # the cot-distance potential is harmonic away from the poles
-        Fc = pde.CotPotentialMap(p=[0.0, 0.6, 0.8, 0.0], v0=[1.0, 0, -1.0, 0.5], A=0.25, B=1.5)
+        Fc = pde.CotPotentialMap(p=[0.0, 0.6, 0.8, 0.0], v0=[1.0, 0, -1.0, 0.5])
         rng = np.random.default_rng(9)
         hs = pde.random_su2_points(rng, 300)
         hs = hs[np.abs(hs @ np.array([0.0, 0.6, 0.8, 0.0])) < 0.9]

@@ -683,7 +683,7 @@ class TestGenericAssociativeSplittings:
             v3 = fu.fueter_complete(v1, v2, spl)
             g, _ = sp.graph_from_plane(sp.Plane(np.vstack([v1, v2, v3])), spl)
             assert np.linalg.norm(fu.fueter_vector(g)) < 1e-10
-            assert fu.condition_residuals(g).all_below(1e-9)
+            assert fu.condition_residuals(g).all_below()
 
 
 # -- property tests --------------------------------------------------------------
