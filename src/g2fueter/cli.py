@@ -299,6 +299,17 @@ def _random_form(rng, degree):
     return ex.Form(7, degree, coeffs)
 
 
+def _phi0_parts_by_count():
+    """(lam, omega) read off PHI0_TERMS by counting each term's indices in
+    4..7: the route that `decomposition` compares with `decompose_form`,
+    so no form is split by vertical degree here."""
+    bins = {0: {}, 2: {}}
+    for c, idx in g2core.PHI0_TERMS:
+        bins[sum(1 for i in idx if i >= 4)][idx] = c
+    # PHI0_TERMS' index tuples are sorted and in range
+    return ex.Form._trusted(7, 3, bins[0]), ex.Form._trusted(7, 3, bins[2])
+
+
 def _suite_splitting(rng, tol):
     S = splitting.standard_splitting()
     worst = _ve_routes(rng, tol["samples"], S)
@@ -312,7 +323,7 @@ def _suite_splitting(rng, tol):
 
     phi = S.g2.phi
     parts = splitting.decompose_form(phi, S)
-    lam, omega, theta, mu = S.form_parts()
+    lam, omega = _phi0_parts_by_count()
     worst = _fold([(sum(parts[1:], parts[0]) - phi).norm(), parts[1].norm(), parts[3].norm(),
                    (parts[0] - lam).norm(), (parts[2] - omega).norm()])
     checks.append(_record("decomposition", "phi = lam + omega by vertical degree",
@@ -326,7 +337,7 @@ def _suite_splitting(rng, tol):
                           "the eps-family is the anisotropic-scaling pullback",
                           worst, worst < 1e-14))
 
-    chi_family = splitting._adiabatic(S.frame_g2.chi_form, S)
+    chi_family = splitting._adiabatic(S.g2.chi_form, S)
     phi_family = splitting._adiabatic(phi, S)
 
     def eps_associator_gap():
@@ -769,7 +780,6 @@ def _cmd_solve(args):
         comp = [{tuple(rng.integers(0, 2, size=4)): float(rng.standard_normal())}
                 for _ in range(4)]
         F = pde.AmbientPolynomialMap(comp)
-        u = pde.ShiftedDiracMap(F)
         hs = pde.random_su2_points(rng, 200)
         resid = float(np.abs(pde.su2_identity_residual(F, hs)).max())
         payload = {"kind": args.kind, "identityResidualSup": resid}

@@ -117,7 +117,7 @@ def standard_jtriple() -> JTriple:
 
 def jtriple_from_splitting(S: Splitting) -> JTriple:
     """J_i as the action of h_i x (.) on V, in the splitting's V-frame."""
-    dense = S.frame_g2.phi_dense
+    dense = S.g2.phi_dense
     Js = []
     for i in range(3):
         J = np.empty((4, 4))
@@ -145,7 +145,7 @@ def fueter_vector(g: GraphPlane):
 def fueter_vector_many(Ts, S: Splitting):
     """fueter_vector of stacked graph maps (n, 3, 4) -> (n, 4)."""
     Ts = _stacked(Ts, (3, 4))
-    dense = S.frame_g2.phi_dense
+    dense = S.g2.phi_dense
     out = np.zeros((len(Ts), 4))
     u = np.zeros((len(Ts), DIM))
     for i in range(3):
@@ -192,22 +192,22 @@ def fueter_complete(v1, v2, S: Splitting, return_system=False):
     """
     if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))):
         raise ValueError("v1, v2 must be finite")
-    f1 = S.frame_coords(v1)
-    f2 = S.frame_coords(v2)
-    h1, h2 = f1[:3], f2[:3]
+    v1 = np.asarray(v1, dtype=float)
+    v2 = np.asarray(v2, dtype=float)
+    h1, h2 = v1[:3], v2[:3]
     if not (
         abs(h1 @ h1 - 1.0) <= 1e-10
         and abs(h2 @ h2 - 1.0) <= 1e-10
         and abs(h1 @ h2) <= 1e-10
     ):
         raise ValueError("horizontal parts of v1, v2 must be orthonormal")
-    dense = S.frame_g2.phi_dense
+    dense = S.g2.phi_dense
 
     def cross_f(a, b):
         return np.einsum("ijk,i,j->k", dense, a, b)
 
-    u1 = np.concatenate([np.zeros(3), f1[3:]])
-    u2 = np.concatenate([np.zeros(3), f2[3:]])
+    u1 = np.concatenate([np.zeros(3), v1[3:]])
+    u2 = np.concatenate([np.zeros(3), v2[3:]])
     e1 = np.concatenate([h1, np.zeros(4)])
     e2 = np.concatenate([h2, np.zeros(4)])
     h3 = cross_f(e1, e2)
@@ -218,9 +218,8 @@ def fueter_complete(v1, v2, S: Splitting, return_system=False):
         eta[3 + a] = 1.0
         M[:, a] = cross_f(h3, eta)[3:]
     x = np.linalg.solve(M, rhs)
-    f3 = h3.copy()
-    f3[3:] += x
-    v3 = f3 @ S.frame_matrix
+    v3 = h3.copy()
+    v3[3:] += x
     if return_system:
         return v3, np.linalg.cond(M)
     return v3
@@ -311,7 +310,7 @@ def condition_residuals_many(Ts, S: Splitting):
             fueter_norm=float(f_norm[row]),
             chi1_norm=float(chi1_norm[row]),
             theta_contraction_norm=float(theta_contraction[row]),
-            beta_wedge_star_phi_norm=float(wedge(beta, S.frame_g2.star_phi).norm()),
+            beta_wedge_star_phi_norm=float(wedge(beta, S.g2.star_phi).norm()),
             beta_wedge_theta_norm=float(wedge(beta, theta).norm()),
             T=tuple(tuple(float(x) for x in row_) for row_ in T),
         ))
@@ -341,13 +340,11 @@ def chi_via_beta(g: GraphPlane):
     chi_1^flat = *(beta ^ *phi); chi_2^flat = -2 (lambda^4)^{-1} of the
     Lambda^4_7 part of beta^2/2; chi_3^flat = -*(beta^3/6).
     """
-    frame_g2 = g.splitting.frame_g2
+    G = g.splitting.g2
     beta = beta_of(g)
     chi1 = chi1_via_beta(g)
     half_beta2 = 0.5 * wedge(beta, beta)
-    chi2 = -2.0 * g2core.lambda_k_inverse(
-        g2core.project_k7(half_beta2, 4, frame_g2), 4, frame_g2
-    )
+    chi2 = -2.0 * g2core.lambda_k_inverse(g2core.project_k7(half_beta2, 4, G), 4, G)
     beta3 = wedge(wedge(beta, beta), beta)
     chi3 = -1.0 * hodge((1.0 / 6.0) * beta3)
     return chi1, chi2, chi3
@@ -355,16 +352,14 @@ def chi_via_beta(g: GraphPlane):
 
 def chi1_via_beta(g: GraphPlane) -> Form:
     """chi_1(v)^flat = *(beta ^ *phi) alone, the first of `chi_via_beta`."""
-    return hodge(wedge(beta_of(g), g.splitting.frame_g2.star_phi))
+    return hodge(wedge(beta_of(g), g.splitting.g2.star_phi))
 
 
 def chi1_via_projection(g: GraphPlane) -> Form:
     """Alternative route: chi_1(v)^flat = sqrt(3) (lambda^2)^{-1} (pi^2_7 beta)."""
-    frame_g2 = g.splitting.frame_g2
+    G = g.splitting.g2
     beta = beta_of(g)
-    return np.sqrt(3.0) * g2core.lambda_k_inverse(
-        g2core.project_2_7(beta, frame_g2), 2, frame_g2
-    )
+    return np.sqrt(3.0) * g2core.lambda_k_inverse(g2core.project_2_7(beta, G), 2, G)
 
 
 # -- linearization and polar spaces ----------------------------------------------
@@ -400,11 +395,10 @@ def polar_space_dim(W: Plane, system: str, S: Splitting) -> int:
         S.horizontal_part(W.span)  # the Fueter system needs a projectable plane
         generators = S.chi_f_parts[1]
     else:
-        generators = S.frame_g2.chi_form
+        generators = S.g2.chi_form
 
-    w1, w2 = S.frame_coords(W.span)
     # row m: generator m on (w1, w2, e_j) for j = 1..7, in one evaluation
-    M = generators.apply_many(_with_unit_vectors(_stacked([[w1, w2]], (2, DIM)))[0]).T
+    M = generators.apply_many(_with_unit_vectors(_stacked(W.span[None], (2, DIM)))[0]).T
     rank = int(np.linalg.matrix_rank(M, tol=1e-10))
     return DIM - rank
 
@@ -424,8 +418,7 @@ def polar_dim_constancy(system: str, s: int, n: int, seed):
             if np.linalg.svd(span, compute_uv=False)[-1] <= 1e-6:
                 continue
             if system == "fueter" and s == 2:
-                A = S.frame_coords(span)[:, :3]
-                if np.linalg.svd(A, compute_uv=False)[-1] <= 1e-6:
+                if np.linalg.svd(span[:, :3], compute_uv=False)[-1] <= 1e-6:
                     continue
         d = polar_space_dim(Plane(span), system, S) if s else DIM
         counts[d] = counts.get(d, 0) + 1

@@ -1,7 +1,7 @@
 """Geometry relative to a splitting TM = H + V with H associative.
 
-Everything plane-level happens in the splitting's orthonormal frame
-coordinates: indices 1..3 are the horizontal frame, 4..7 the vertical one.
+The splitting is the standard one of phi0, so its orthonormal frame
+coordinates are the ambient ones: indices 1..3 span H, 4..7 span V.
 A projectable oriented 3-plane is encoded by its graph map T: H -> V, a
 3x4 coefficient array with rows v_{i,.}, so that the canonical spanning
 frame is v_i = e_i + sum_a T[i,a] eta_a.  That frame is automatically
@@ -30,7 +30,6 @@ from .exterior import (
     _rowdot,
     _stacked,
     interior,
-    pullback,
     zero_form,
 )
 
@@ -70,95 +69,47 @@ class NotProjectableError(ValueError):
     """The plane fails to project injectively onto H."""
 
 
-# eq=False: ndarray fields make the generated __eq__/__hash__ raise; compare by identity
+# eq=False: a splitting compares and hashes by identity, as
+# test_identity_equality_and_hash pins
 @dataclass(frozen=True, eq=False)
 class Splitting:
-    """An orthonormal frame adapted to TM = H + V, H associative.
+    """The standard splitting TM = H + V of phi0: H = span(e1, e2, e3),
+    V = span(e4, .., e7), with the standard frame adapted to it.
 
-    h_frame: rows of 3 vectors spanning H (their order fixes the
-    orientation); v_frame: rows of 4 vectors spanning V; g2: the ambient
-    structure, always the standard one (not a constructor argument).
-    Construction checks orthonormality and that H is
-    calibrated with phi(h1,h2,h3) = +1.
+    G2 acts transitively on associative 3-planes, so every associative
+    splitting of phi0 is congruent to this one, and its frame coordinates
+    are the ambient ones.  g2: the ambient structure, always the standard
+    one (not a constructor argument).
     """
 
-    h_frame: np.ndarray
-    v_frame: np.ndarray
     g2: g2core.G2Structure = field(init=False, default_factory=g2core.standard_g2)
 
-    def __post_init__(self):
-        h = np.asarray(self.h_frame, dtype=float).reshape(3, DIM)
-        v = np.asarray(self.v_frame, dtype=float).reshape(4, DIM)
-        object.__setattr__(self, "h_frame", h)
-        object.__setattr__(self, "v_frame", v)
-        F = self.frame_matrix
-        gram = F @ F.T
-        # each guard is written so that a NaN fails it
-        if not np.abs(gram - np.eye(DIM)).max() <= 1e-12:
-            raise ValueError("frame is not orthonormal in the ambient metric")
-        cal = self.g2.phi.apply(list(h))
-        if not abs(cal - 1.0) <= 1e-10:
-            raise ValueError(f"phi(h-frame) = {cal}, H is not positively calibrated")
-        defect = g2core.chi(h[0], h[1], h[2], self.g2)
-        if not np.linalg.norm(defect) <= 1e-10:
-            raise ValueError("H is not associative")
-
-    @property
-    def frame_matrix(self):
-        """Rows: h1, h2, h3, eta4..eta7."""
-        return np.vstack([self.h_frame, self.v_frame])
-
-    def frame_coords(self, span):
-        """Frame coordinates of ambient vectors (rows of span, or one vector)."""
-        return span @ self.frame_matrix.T
-
     def horizontal_part(self, span):
-        """The H-frame coordinates of the rows of span; raises
-        NotProjectableError when they are not finite or (numerically)
-        dependent."""
-        A = self.frame_coords(span)[:, :3]
-        if not np.all(np.isfinite(A)):
+        """The H coordinates of the rows of span; raises
+        NotProjectableError when span is not finite or they are
+        (numerically) dependent."""
+        span = np.asarray(span, dtype=float)
+        # the whole span, so that a NaN or inf in a V column is refused too
+        if not np.all(np.isfinite(span)):
             raise NotProjectableError("span must be finite")
+        A = span[:, :3]
         if not np.linalg.svd(A, compute_uv=False)[-1] > 1e-10:
             raise NotProjectableError("not horizontally projectable")
         return A
 
-    # -- frame-coordinate data ----------------------------------------------
+    # -- the vertical-degree parts -------------------------------------------
     # Built lazily, once per splitting, and shared read-only by every caller.
-
-    def to_frame(self, a: Form) -> Form:
-        """Express an ambient-coordinate form in frame coordinates."""
-        if self._is_standard:
-            return a
-        return pullback(self.frame_matrix.T, a)
-
-    def from_frame(self, a: Form) -> Form:
-        if self._is_standard:
-            return a
-        # the inverse of the orthonormal F^T is F
-        return pullback(self.frame_matrix, a)
-
-    @cached_property
-    def _is_standard(self):
-        return np.array_equal(self.frame_matrix, np.eye(DIM))
-
-    @cached_property
-    def frame_g2(self) -> g2core.G2Structure:
-        """The structure in frame coordinates, where the metric is the identity."""
-        return g2core.G2Structure(
-            phi=self.to_frame(self.g2.phi), star_phi=self.to_frame(self.g2.star_phi)
-        )
 
     @cached_property
     def phi_f_parts(self) -> tuple:
         """The vertical-degree parts alpha_0..alpha_3 of phi in frame coordinates."""
-        return tuple(_vertical_parts(self.frame_g2.phi, 3))
+        return tuple(_vertical_parts(self.g2.phi, 3))
 
     @cached_property
     def chi_f_parts(self) -> tuple:
         """The vertical-degree parts chi_0..chi_3 of chi in frame coordinates,
         split componentwise (the value slot is untouched)."""
-        comp_parts = [_vertical_parts(c, 3) for c in self.frame_g2.chi_form.components]
+        comp_parts = [_vertical_parts(c, 3) for c in self.g2.chi_form.components]
         return tuple(
             VectorValuedForm(tuple(parts[q] for parts in comp_parts)) for q in range(4)
         )
@@ -166,7 +117,7 @@ class Splitting:
     @cached_property
     def _form_parts(self):
         pphi = self.phi_f_parts
-        pstar = _vertical_parts(self.frame_g2.star_phi, 4)
+        pstar = _vertical_parts(self.g2.star_phi, 4)
         for q in (1, 3):
             if not pphi[q].is_zero(1e-12):
                 raise AssertionError(f"phi has an unexpected vertical-degree-{q} part")
@@ -193,12 +144,11 @@ class Splitting:
 
     def chi_form_f(self) -> VectorValuedForm:
         """chi as a TM-valued 3-form in frame coordinates (metric = id there)."""
-        return self.frame_g2.chi_form
+        return self.g2.chi_form
 
 
 def standard_splitting() -> Splitting:
-    eye = np.eye(DIM)
-    return Splitting(h_frame=eye[:3], v_frame=eye[3:])
+    return Splitting()
 
 
 def _vertical_parts(a: Form, degree_cap):
@@ -265,7 +215,7 @@ def graph_from_plane(p: Plane, S: Splitting):
     if p.s != 3:
         raise ValueError("graph coordinates require a 3-plane")
     A = S.horizontal_part(p.span)
-    T = np.linalg.solve(A, S.frame_coords(p.span)[:, 3:])
+    T = np.linalg.solve(A, p.span[:, 3:])
     sign = 1 if np.linalg.det(A) > 0 else -1
     return GraphPlane(T=T, splitting=S), sign
 
@@ -403,10 +353,8 @@ def ve_recursive_many(Ts, kmax):
 
 def decompose_form(a, S: Splitting):
     """Split a form by vertical degree: a = sum_i a_i, a_i with exactly i
-    V-frame indices per monomial.  Returns a list of length degree + 1 in
-    ambient coordinates."""
-    frame_parts = _vertical_parts(S.to_frame(a), a.degree)
-    return [S.from_frame(p) for p in frame_parts]
+    V-frame indices per monomial.  Returns a list of length degree + 1."""
+    return _vertical_parts(a, a.degree)
 
 
 def adiabatic_family(a, S: Splitting, eps: float):

@@ -86,7 +86,7 @@ def _ve_recursive(T, kmax):
 
 
 def _fueter_vector(T):
-    dense = S.frame_g2.phi_dense
+    dense = S.g2.phi_dense
     out = np.zeros(4)
     for i in range(3):
         u = np.zeros(7)
@@ -107,7 +107,7 @@ def _condition_residuals(T):
     beta = sp.beta_of(sp.GraphPlane(T, S))
     return (gap, float(np.linalg.norm(_fueter_vector(T))), float(np.linalg.norm(chi1)),
             np.max([abs(_form_value(theta, frame + [e])) for e in np.eye(7)]),
-            ex.wedge(beta, S.frame_g2.star_phi).norm(), ex.wedge(beta, theta).norm())
+            ex.wedge(beta, S.g2.star_phi).norm(), ex.wedge(beta, theta).norm())
 
 
 def _ladder(T):

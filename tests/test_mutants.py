@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from g2fueter import cli, fm_gauge, fueter, g2core, pde, splitting
+from g2fueter import exterior as ex
 
 
 def _negated(real):
@@ -98,6 +99,18 @@ def _ve1_shifted(real):
     return mutant
 
 
+def _e123_at_degree_2(real):
+    """The e123 monomial binned at vertical degree 2 instead of 0."""
+    def mutant(a, degree_cap):
+        parts = real(a, degree_cap)
+        c = parts[0].coeffs.get((1, 2, 3), 0.0)
+        if c:
+            moved = ex.basis_form(7, (1, 2, 3), c)
+            parts[0], parts[2] = parts[0] - moved, parts[2] + moved
+        return parts
+    return mutant
+
+
 # name -> (module, function, mutant of the real function, checks it kills)
 MUTANTS = {
     "fueter_vector negated": (
@@ -137,6 +150,12 @@ MUTANTS = {
         {("fueter", "j-matrices"), ("fueter", "route-equivalence")}),
     "equality ladder |v_ell|^2 at degree ell + 1": (
         splitting, "_wedge3_vertical_norms", _depth_shifted, {("splitting", "equality-ladder")}),
+    "_vertical_parts e123 at vertical degree 2": (
+        splitting, "_vertical_parts", _e123_at_degree_2,
+        {("splitting", "decomposition"), ("splitting", "adiabatic-pullback"),
+         ("splitting", "eps-associator"), ("splitting", "equality-ladder"),
+         ("fueter", "six-way-vanishing"), ("fueter", "secondary-equality"),
+         ("models", "heisenberg-identities"), ("models", "type-split")}),
 }
 
 

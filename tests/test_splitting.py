@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -30,32 +31,16 @@ def unit_row_T():
 
 
 class TestSplittingConstruction:
-    def test_standard_frames_validate(self):
-        assert np.array_equal(S.frame_matrix, np.eye(7))
-
-    def test_rejects_non_associative_h(self):
-        with pytest.raises(ValueError):
-            sp.Splitting(h_frame=np.vstack([E[0], E[1], E[3]]), v_frame=np.vstack([E[2], E[4], E[5], E[6]]))
-
-    def test_rejects_wrong_orientation(self):
-        with pytest.raises(ValueError):
-            sp.Splitting(h_frame=np.vstack([E[1], E[0], E[2]]), v_frame=E[3:])
-
-    def test_rejects_nan_frame(self):
-        h = E[:3].copy()
-        h[0, 0] = np.nan
-        with pytest.raises(ValueError):
-            sp.Splitting(h_frame=h, v_frame=E[3:])
-
-    def test_rotated_splitting(self):
-        # rotate H inside itself and V by an orthogonal map commuting with nothing special
-        c, s = np.cos(0.3), np.sin(0.3)
-        R = np.eye(7)
-        R[:2, :2] = [[c, -s], [s, c]]
-        frames = R @ np.eye(7)
-        spl = sp.Splitting(h_frame=frames[:3], v_frame=frames[3:])
-        lam, omega, theta, mu = spl.form_parts()
-        assert abs(lam.apply(list(spl.h_frame)) - 1.0) < 1e-12
+    def test_one_field_and_no_frame_layer(self):
+        assert [f.name for f in dataclasses.fields(sp.Splitting)] == ["g2"]
+        S2 = sp.Splitting()
+        assert isinstance(S2.g2, g2.G2Structure) and S2.g2 is not S.g2
+        for args, kwargs in (((E[:3], E[3:]), {}), ((), {"g2": S.g2})):
+            with pytest.raises(TypeError):
+                sp.Splitting(*args, **kwargs)
+        for name in ("h_frame", "v_frame", "frame_matrix", "frame_coords", "to_frame",
+                     "from_frame", "_is_standard", "frame_g2"):
+            assert not hasattr(sp.Splitting, name) and not hasattr(S2, name)
 
     def test_identity_equality_and_hash(self):
         S2 = sp.standard_splitting()
@@ -67,9 +52,9 @@ class TestSplittingConstruction:
         assert g != sp.GraphPlane(FUETER_T, S2)
 
     def test_dense_phi_is_a_read_only_constant(self):
-        dense = S.frame_g2.phi_dense
-        assert dense is S.frame_g2.phi_dense
-        assert np.array_equal(dense, S.frame_g2.phi.to_dense())
+        dense = S.g2.phi_dense
+        assert dense is S.g2.phi_dense
+        assert np.array_equal(dense, S.g2.phi.to_dense())
         assert not dense.flags.writeable
 
 
@@ -612,78 +597,6 @@ class TestEqualityLadder:
         assert abs(ve[2]) < 1e-12
         assert abs(ve[3] - 0.5 * float(chi3 @ chi3)) < 1e-12
         assert rep.max_residual < 1e-10
-
-
-def random_associative_splitting(rng):
-    """A splitting whose horizontal plane is a random associative 3-plane."""
-    from g2fueter import g2core as g2core_mod
-
-    h1 = rng.standard_normal(7)
-    h1 /= np.linalg.norm(h1)
-    h2 = rng.standard_normal(7)
-    h2 -= (h2 @ h1) * h1
-    h2 /= np.linalg.norm(h2)
-    h3 = g2core_mod.cross(h1, h2, S.g2)
-    H = np.vstack([h1, h2, h3])
-    M = rng.standard_normal((7, 4))
-    M -= H.T @ (H @ M)
-    Q, R = np.linalg.qr(M)
-    Q = Q * np.sign(np.diag(R))
-    return sp.Splitting(h_frame=H, v_frame=Q.T)
-
-
-class TestGenericAssociativeSplittings:
-    def test_construction_and_pure_parts(self):
-        # the mixed components of phi and *phi vanish for every associative
-        # splitting (the "first cousin" pattern), which form_parts asserts
-        rng = np.random.default_rng(31)
-        for _ in range(10):
-            spl = random_associative_splitting(rng)
-            lam, omega, theta, mu = spl.form_parts()  # frame coordinates
-            lam_amb = spl.from_frame(lam)
-            mu_amb = spl.from_frame(mu)
-            assert abs(lam_amb.apply(list(spl.h_frame)) - 1.0) < 1e-10
-            assert abs(abs(mu_amb.apply(list(spl.v_frame))) - 1.0) < 1e-10
-            total = spl.from_frame(lam + omega)
-            assert total.equals(spl.g2.phi, 1e-10)
-
-    def test_jtriple_and_route_equivalence(self):
-        from g2fueter import fueter as fu
-
-        rng = np.random.default_rng(32)
-        for _ in range(5):
-            spl = random_associative_splitting(rng)
-            J = fu.jtriple_from_splitting(spl)  # construction re-validates
-            for _ in range(10):
-                g = sp.GraphPlane(rng.standard_normal((3, 4)), spl)
-                f1 = fu.fueter_vector(g)
-                f2 = fu.fueter_via_J(g, J)
-                assert np.abs(f1 - f2).max() < 1e-10
-
-    def test_secondary_equality_in_generic_splitting(self):
-        from g2fueter import fueter as fu
-
-        rng = np.random.default_rng(33)
-        spl = random_associative_splitting(rng)
-        _, omega, _, _ = spl.form_parts()
-        for _ in range(50):
-            g = sp.GraphPlane(rng.standard_normal((3, 4)), spl)
-            chi1 = fu.chi_component_values(g)[1]
-            lhs = omega.apply(list(g.frame())) + 0.5 * float(chi1 @ chi1)
-            assert abs(lhs - sp.ve_series(g, 1)[1]) < 1e-9
-
-    def test_completion_in_generic_splitting(self):
-        from g2fueter import fueter as fu
-
-        rng = np.random.default_rng(34)
-        spl = random_associative_splitting(rng)
-        for _ in range(20):
-            v1 = spl.h_frame[0] + rng.standard_normal(4) @ spl.v_frame
-            v2 = spl.h_frame[1] + rng.standard_normal(4) @ spl.v_frame
-            v3 = fu.fueter_complete(v1, v2, spl)
-            g, _ = sp.graph_from_plane(sp.Plane(np.vstack([v1, v2, v3])), spl)
-            assert np.linalg.norm(fu.fueter_vector(g)) < 1e-10
-            assert fu.condition_residuals(g).all_below()
 
 
 # -- property tests --------------------------------------------------------------
