@@ -37,7 +37,7 @@ print("  equality cases re-examined by the six-way report:", len(rep.equality_ca
 
 # The plain semi-calibration scan for the 3-form and its eps-family.
 for eps in (1.0, 0.1):
-    phi_eps = sp.adiabatic_family(S.g2.phi, S, eps)
+    phi_eps = sp.adiabatic_family(S.g2.phi, eps)
     g_eps = np.diag([1.0] * 3 + [eps] * 4)
     rep = sp.semi_calibration_scan(phi_eps, g_eps, sp.PlaneSampler(8), 20000)
     print(f"semi-calibration at eps={eps}: max ratio {rep.max_ratio:.6f}, "

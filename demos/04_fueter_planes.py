@@ -13,13 +13,16 @@ from g2fueter import splitting as sp
 S = sp.standard_splitting()
 E = np.eye(7)
 
-# The operator itself, three ways.
+# The operator itself, five ways: the last two are exterior algebra on beta.
 T = np.zeros((3, 4))
 T[0, 0] = 1.0  # the plane {e1 + eta4, e2, e3}
 g = sp.GraphPlane(T, S)
 print("F via cross products:", fu.fueter_vector(g))
 print("F via the J matrices:", fu.fueter_via_J(g, fu.jtriple_from_splitting(S)))
 print("chi_1 contraction:   ", fu.chi_component_values(g)[1][3:])
+for name, chi1 in (("*(beta ^ *phi):      ", fu.chi1_via_beta(g)),
+                   ("sqrt3 lambda^-1 pi_7:", fu.chi1_via_projection(g))):
+    print(name, np.array([chi1.coeffs.get((i,), 0.0) for i in range(4, 8)]))
 
 # Completion: any projectable orthonormal pair extends uniquely.
 v3 = fu.fueter_complete(E[0] + E[3], E[1], S)

@@ -114,19 +114,20 @@ def _six_way(rng, n, S):
     """The six condition reports of n completed Fueter planes, each paired
     with the reports of a generic graph plane drawn after it."""
     draws = rng.standard_normal((n, 20))  # per plane: v1's and v2's V parts, a generic T
-    completed = [_completed_plane(d[:4], d[4:8], S)[0] for d in draws]
-    return list(zip(fueter.condition_residuals_many(np.reshape(completed, (n, 3, 4)), S),
+    completed, _ = _completed_planes(draws[:, :8], S)
+    return list(zip(fueter.condition_residuals_many(completed, S),
                     fueter.condition_residuals_many(draws[:, 8:].reshape(n, 3, 4), S)))
 
 
-def _completed_plane(u1, u2, S):
-    """The graph map of the Fueter plane through e1 + u1 and e2 + u2 (u1,
-    u2 the V parts), and the condition number of its completion system."""
-    v1 = np.concatenate([[1.0, 0, 0], u1])
-    v2 = np.concatenate([[0.0, 1, 0], u2])
-    v3, cond = fueter.fueter_complete(v1, v2, S, return_system=True)
-    g, _ = splitting.graph_from_plane(splitting.Plane(np.vstack([v1, v2, v3])), S)
-    return g.T, cond
+def _completed_planes(draws, S):
+    """The graph maps (n, 3, 4) of the Fueter planes through e1 + u1 and
+    e2 + u2, for the rows (u1, u2) of draws (n, 8) (the V parts), and the
+    condition numbers (n,) of their completion systems."""
+    spans = np.zeros((len(draws), 3, 7))
+    spans[:, :2, :2] = np.eye(2)
+    spans[:, :2, 3:] = draws.reshape(-1, 2, 4)
+    spans[:, 2], conds = fueter.fueter_complete_many(spans[:, 0], spans[:, 1], S)
+    return splitting.graph_from_planes(spans, S)[0], conds
 
 
 def _homology_family():
@@ -322,7 +323,7 @@ def _suite_splitting(rng, tol):
                           worst, worst == 0.0))
 
     phi = S.g2.phi
-    parts = splitting.decompose_form(phi, S)
+    parts = splitting.decompose_form(phi)
     lam, omega = _phi0_parts_by_count()
     worst = _fold([(sum(parts[1:], parts[0]) - phi).norm(), parts[1].norm(), parts[3].norm(),
                    (parts[0] - lam).norm(), (parts[2] - omega).norm()])
@@ -330,15 +331,15 @@ def _suite_splitting(rng, tol):
                           worst, worst == 0.0))
 
     eps = 0.37
-    fam = splitting.adiabatic_family(phi, S, eps)
+    fam = splitting.adiabatic_family(phi, eps)
     scale = np.diag([1.0] * 3 + [np.sqrt(eps)] * 4)
     worst = (fam - ex.pullback(scale, phi)).norm()
     checks.append(_record("adiabatic-pullback",
                           "the eps-family is the anisotropic-scaling pullback",
                           worst, worst < 1e-14))
 
-    chi_family = splitting._adiabatic(S.g2.chi_form, S)
-    phi_family = splitting._adiabatic(phi, S)
+    chi_family = splitting._adiabatic(S.g2.chi_form)
+    phi_family = splitting._adiabatic(phi)
 
     def eps_associator_gap():
         e2 = float(rng.uniform(0.05, 1.0))
@@ -393,16 +394,16 @@ def _suite_fueter(rng, tol):
     checks = [_record("j-matrices", "splitting-derived J triple matches the pinned one",
                       worst, worst == 0.0)]
 
-    # the cross, J and Theta routes run over the sample axis; the two beta
-    # routes are Form algebra, one plane at a time
+    # every route runs over the sample axis; the two beta routes as
+    # stacked Form algebra, whose coefficients are (n,) columns
     Ts = rng.standard_normal((n, 3, 4))
     routes = np.empty((n, 4, 4))
     routes[:, 0] = fueter.fueter_via_J_many(Ts, J)
     routes[:, 1] = fueter.chi_component_values_many(Ts, S)[1][:, 3:]
-    for row, T in enumerate(Ts):
-        g = splitting.GraphPlane(T, S)
-        for k, chi1 in ((2, fueter.chi1_via_beta(g)), (3, fueter.chi1_via_projection(g))):
-            routes[row, k] = [chi1.coeffs.get((i,), 0.0) for i in range(4, 8)]
+    for k, chi1 in ((2, fueter.chi1_via_beta_many(Ts, S)),
+                    (3, fueter.chi1_via_projection_many(Ts, S))):
+        for a in range(4):
+            routes[:, k, a] = chi1.coeffs.get((a + 4,), 0.0)
     gaps = fueter.fueter_vector_many(Ts, S)[:, None] - routes
     worst = _fold(np.abs(gaps).max(axis=(1, 2)))
     checks.append(_record("route-equivalence",
@@ -410,8 +411,8 @@ def _suite_fueter(rng, tol):
                           worst, worst < tol["identity"]))
 
     draws = rng.standard_normal((n // 5, 8))  # per plane: v1's and v2's V parts
-    Ts, conds = zip(*(_completed_plane(d[:4], d[4:], S) for d in draws))
-    F = fueter.fueter_vector_many(np.reshape(Ts, (-1, 3, 4)), S)
+    Ts, conds = _completed_planes(draws, S)
+    F = fueter.fueter_vector_many(Ts, S)
     worst = _fold(np.sqrt(ex._rowdot(F, F)))
     checks.append(_record("completion", "completed planes satisfy the vertical equation",
                           worst, worst < 1e-10))
@@ -437,16 +438,16 @@ def _suite_fueter(rng, tol):
                           "omega(v) + |chi_1(v)|^2 / 2 = ve_1",
                           worst, worst < tol["identity"]))
 
-    def chi3_splits():
-        T = rng.standard_normal((3, 4))
-        T[rng.integers(3)] = 0.0  # rank <= 2: plane meets H
-        low = fueter.chi_component_values(splitting.GraphPlane(T, S))[3]
-        full = splitting.GraphPlane(rng.standard_normal((3, 4)), S)
-        return float(np.linalg.norm(low)) < 1e-12 and (
-            np.linalg.matrix_rank(full.T) < 3
-            or float(np.linalg.norm(fueter.chi_component_values(full)[3])) > 1e-6)
-    checks.append(_flag("chi3-rank", "chi_3 vanishes exactly on rank <= 2 planes",
-                        all([chi3_splits() for _ in range(100)])))
+    low, full = np.empty((2, 100, 3, 4))
+    for i in range(100):  # per pair: a plane meeting H (a zero row of T), then a generic one
+        low[i] = rng.standard_normal((3, 4))
+        low[i, rng.integers(3)] = 0.0
+        full[i] = rng.standard_normal((3, 4))
+    chi3 = [np.linalg.norm(fueter.chi_component_values_many(Ts, S)[3], axis=1)
+            for Ts in (low, full)]
+    rank_3 = np.linalg.matrix_rank(full.swapaxes(1, 2)) == 3
+    splits = (chi3[0] < 1e-12) & (~rank_3 | (chi3[1] > 1e-6))
+    checks.append(_flag("chi3-rank", "chi_3 vanishes exactly on rank <= 2 planes", splits.all()))
 
     g0 = splitting.GraphPlane(np.zeros((3, 4)), S)
     rank = fueter.linearization_rank(g0)
@@ -696,7 +697,7 @@ def _cmd_scan(args):
         eye3 = np.eye(7)[:3]
         sampler = splitting.PlaneSampler(args.seed)  # one draw for every metric
         for eps in args.eps:
-            phi_eps = splitting.adiabatic_family(S.g2.phi, S, eps)
+            phi_eps = splitting.adiabatic_family(S.g2.phi, eps)
             g_eps = np.diag([1.0] * 3 + [eps] * 4)
             rep = splitting.semi_calibration_scan(
                 phi_eps, g_eps, sampler, args.samples, tol=slack,

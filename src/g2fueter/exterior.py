@@ -17,6 +17,14 @@ Evaluation runs on the sample axis: `apply_many` takes stacked frames
 samples' minors and sums the products one by one in coefficient order, as
 vectors over n, so every float equals that of the per-monomial loop and
 row i does not depend on the other rows.  `apply` is its n = 1 case.
+
+So does the algebra: a stacked form's coefficients are (n,) columns, built
+only by `Form._trusted`, and `wedge`, `hodge`, `+` and `*` run their one
+loop on them, so row i is, float for float, the form of sample i alone.
+`norm` is per row; `apply`, `render`, `equals` and `Form(...)` refuse a
+stacked form.  A matrix meets stacked rows only through `_matvec`, one
+matrix-vector product per row: one matrix product over the stack may sum
+in another order.
 """
 
 from __future__ import annotations
@@ -153,6 +161,18 @@ def _rowdot(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def _matvec(M, V):
+    """M @ V[i] for each row of V (..., m) -> (..., k), by gemv row by row."""
+    return (M @ V[..., None])[..., 0]
+
+
+def _unstacked(coeffs):
+    """Refuse a stacked form's coefficients, which are all (n,) columns, so
+    that the first one tells."""
+    if isinstance(next(iter(coeffs.values()), None), np.ndarray):
+        raise ValueError("a stacked form has no single value")
+
+
 def _evaluate(frames, rows, coeffs, segments):
     """Sums of coefficient times minor over stacked frames (n, k, dim).
 
@@ -214,6 +234,7 @@ class Form:
             raise ValueError(f"ambient dimension {self.dim} outside 3..8")
         if self.degree < 0:
             raise ValueError(f"negative degree {self.degree}")
+        _unstacked(self.coeffs)
         if self.degree > self.dim:
             # Lambda^k(R^n) = 0 for k > n; only the zero form is representable
             if any(c != 0.0 for c in self.coeffs.values()):
@@ -233,13 +254,19 @@ class Form:
         """Build from keys that are sorted and in range by construction.
 
         Skips `_check_index_tuple`, but drops zeros and casts with float()
-        exactly as `__post_init__` does.
+        exactly as `__post_init__` does; keeps an (n,) column as it is.
         """
         form = object.__new__(cls)
         object.__setattr__(form, "dim", dim)
         object.__setattr__(form, "degree", degree)
-        object.__setattr__(form, "coeffs", {k: float(c) for k, c in coeffs.items() if c != 0.0})
+        object.__setattr__(form, "coeffs", {
+            k: c if isinstance(c, np.ndarray) else float(c)
+            for k, c in coeffs.items() if isinstance(c, np.ndarray) or c != 0.0})
         return form
+
+    def _sample(self, i):
+        """Row i of a stacked form, as a form of floats without zeros."""
+        return Form._trusted(self.dim, self.degree, {k: c[i] for k, c in self.coeffs.items()})
 
     @functools.cached_property
     def _rows(self):
@@ -250,6 +277,7 @@ class Form:
     def _plan(self):
         """(rows, coefficients, segments) for `_evaluate`: one segment of
         all the monomials in coefficient order."""
+        _unstacked(self.coeffs)
         return self._rows, _read_only(np.array(list(self.coeffs.values()))), \
             _read_only(np.arange(len(self.coeffs) + 1)[None])
 
@@ -286,9 +314,14 @@ class Form:
         """Norm in the standard monomial-orthonormal inner product.
 
         sqrt(sum c^2) while that sum is a normal float; `math.hypot`, which
-        scales, when the squares underflow or overflow.
+        scales, when the squares underflow or overflow; per row if stacked.
         """
         sq = sum(c * c for c in self.coeffs.values())
+        if isinstance(sq, np.ndarray):
+            out = np.sqrt(sq)
+            for i in np.flatnonzero((sq < sys.float_info.min) | (sq == math.inf)):
+                out[i] = self._sample(i).norm()
+            return out
         if self.coeffs and (sq < sys.float_info.min or sq == math.inf):
             return math.hypot(*self.coeffs.values())
         return float(np.sqrt(sq))
@@ -298,6 +331,8 @@ class Form:
 
     def equals(self, other, tol=DEFAULT_TOL):
         self._compat(other)
+        _unstacked(self.coeffs)
+        _unstacked(other.coeffs)
         keys = set(self.coeffs) | set(other.coeffs)
         return all(abs(self.coeffs.get(k, 0.0) - other.coeffs.get(k, 0.0)) <= tol for k in keys)
 
@@ -476,10 +511,6 @@ class VectorValuedForm:
         object.__setattr__(self, "components", comps)
 
     @property
-    def value_dim(self):
-        return len(self.components)
-
-    @property
     def dim(self):
         return self.components[0].dim
 
@@ -488,12 +519,12 @@ class VectorValuedForm:
         return self.components[0].degree
 
     def apply(self, vectors):
-        """Evaluate on vectors, returning a value in R^value_dim: the n = 1
+        """Evaluate on vectors, returning a value in R^m: the n = 1
         case of `apply_many`."""
         return self.apply_many(self.components[0]._frame(vectors))[0]
 
     def apply_many(self, frames):
-        """Evaluate on stacked frames (n, degree, dim) -> (n, value_dim)."""
+        """Evaluate on stacked frames (n, degree, dim) -> (n, m)."""
         return _evaluate(_stacked(frames, (self.degree, self.dim)), *self._plan)
 
     @functools.cached_property
@@ -510,27 +541,13 @@ class VectorValuedForm:
                 _read_only(np.array([x for c in comps for x in c.coeffs.values()])),
                 _read_only(np.array(segments)))
 
-    def map_components(self, fn):
-        return VectorValuedForm(tuple(fn(c) for c in self.components))
-
-    def __add__(self, other):
-        if self.value_dim != other.value_dim:
-            raise DimensionMismatchError("value dimensions disagree")
-        return VectorValuedForm(
-            tuple(a + b for a, b in zip(self.components, other.components))
-        )
-
-    def __mul__(self, scalar):
-        return self.map_components(lambda c: scalar * c)
-
-    __rmul__ = __mul__
-
 
 # -- rendering --------------------------------------------------------------
 
 
 def render(a: Form, label="dx") -> str:
     """Canonical text rendering '+-c*dx{i...}', sorted by index tuple."""
+    _unstacked(a.coeffs)
     if a.degree == 0:
         return repr(a.coeffs.get((), 0.0))
     parts = []

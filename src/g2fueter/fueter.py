@@ -17,13 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import g2core
-from .exterior import Form, _rowdot, _stacked, _with_unit_vectors, hodge, interior, wedge
+from .exterior import Form, _matvec, _rowdot, _stacked, _with_unit_vectors, hodge, interior, wedge
 from .splitting import (
     DIM,
     GraphPlane,
     Plane,
     Splitting,
     beta_of,
+    beta_of_many,
     graph_frames,
     standard_splitting,
     ve_series_many,
@@ -39,6 +40,7 @@ __all__ = [
     "fueter_via_J_many",
     "fueter_map_matrix",
     "fueter_complete",
+    "fueter_complete_many",
     "ConditionReport",
     "condition_residuals",
     "condition_residuals_many",
@@ -46,7 +48,9 @@ __all__ = [
     "chi_component_values_many",
     "chi_via_beta",
     "chi1_via_beta",
+    "chi1_via_beta_many",
     "chi1_via_projection",
+    "chi1_via_projection_many",
     "linearization_rank",
     "polar_space_dim",
     "polar_dim_constancy",
@@ -165,7 +169,7 @@ def fueter_via_J_many(Ts, J: JTriple):
     """fueter_via_J of stacked graph maps (n, 3, 4) -> (n, 4), each J_i
     applied to each row by the one-plane matrix-vector product."""
     Ts = _stacked(Ts, (3, 4))
-    return sum((Ji @ Ts[:, i, :, None])[..., 0] for i, Ji in enumerate(J.as_tuple()))
+    return sum(_matvec(Ji, Ts[:, i]) for i, Ji in enumerate(J.as_tuple()))
 
 
 def fueter_map_matrix(S: Splitting):
@@ -180,49 +184,42 @@ def fueter_map_matrix(S: Splitting):
 # -- completions -------------------------------------------------------------
 
 
-def fueter_complete(v1, v2, S: Splitting, return_system=False):
+def fueter_complete(v1, v2, S: Splitting):
     """Complete a projectable pair to the unique Fueter plane.
 
     v1, v2 are ambient vectors whose horizontal projections must be
     orthonormal.  Returns the third frame vector v3 with p_H(v3) =
     p_H(v1) x p_H(v2); its vertical part is the unique solution of the
-    square linear system J(h3) x = -(h1 x u1 + h2 x u2); with
-    return_system, (v3, condition number of that system) is returned.
-    Non-finite v1 or v2 raise ValueError.
+    square linear system J(h3) x = -(h1 x u1 + h2 x u2).  Non-finite v1
+    or v2 raise ValueError.  The n = 1 case of `fueter_complete_many`.
     """
-    if not (np.all(np.isfinite(v1)) and np.all(np.isfinite(v2))):
+    return fueter_complete_many([v1], [v2], S)[0][0]
+
+
+def fueter_complete_many(V1, V2, S: Splitting):
+    """fueter_complete of stacked pairs V1, V2 (n, 7), each guarded: the
+    third vectors (n, 7) and the condition numbers (n,) of the systems,
+    from one stacked solve and cond call."""
+    V1, V2 = _stacked(V1, (DIM,)), _stacked(V2, (DIM,))
+    if not (np.all(np.isfinite(V1)) and np.all(np.isfinite(V2))):
         raise ValueError("v1, v2 must be finite")
-    v1 = np.asarray(v1, dtype=float)
-    v2 = np.asarray(v2, dtype=float)
-    h1, h2 = v1[:3], v2[:3]
-    if not (
-        abs(h1 @ h1 - 1.0) <= 1e-10
-        and abs(h2 @ h2 - 1.0) <= 1e-10
-        and abs(h1 @ h2) <= 1e-10
-    ):
+    H1, H2 = V1[:, :3], V2[:, :3]
+    gram = [_rowdot(H1, H1) - 1.0, _rowdot(H2, H2) - 1.0, _rowdot(H1, H2)]
+    if not np.all(np.abs(gram) <= 1e-10):
         raise ValueError("horizontal parts of v1, v2 must be orthonormal")
-    dense = S.g2.phi_dense
 
-    def cross_f(a, b):
-        return np.einsum("ijk,i,j->k", dense, a, b)
+    def cross_f(a, b):  # row by row, in the one-plane einsum's order
+        return np.einsum("ijk,ni,nj->nk", S.g2.phi_dense, a, b)
 
-    u1 = np.concatenate([np.zeros(3), v1[3:]])
-    u2 = np.concatenate([np.zeros(3), v2[3:]])
-    e1 = np.concatenate([h1, np.zeros(4)])
-    e2 = np.concatenate([h2, np.zeros(4)])
-    h3 = cross_f(e1, e2)
-    rhs = -(cross_f(e1, u1) + cross_f(e2, u2))[3:]
-    M = np.empty((4, 4))
-    for a in range(4):
-        eta = np.zeros(DIM)
-        eta[3 + a] = 1.0
-        M[:, a] = cross_f(h3, eta)[3:]
-    x = np.linalg.solve(M, rhs)
-    v3 = h3.copy()
-    v3[3:] += x
-    if return_system:
-        return v3, np.linalg.cond(M)
-    return v3
+    n = len(V1)
+    E1, E2 = (np.where(np.arange(DIM) < 3, V, 0.0) for V in (V1, V2))  # horizontal parts
+    H3 = cross_f(E1, E2)
+    rhs = -(cross_f(E1, V1 - E1) + cross_f(E2, V2 - E2))[:, 3:]
+    # column a of M: J(h3) eta_a, the vertical part of h3 x eta_a
+    M = np.stack([cross_f(H3, np.tile(eta, (n, 1))) for eta in np.eye(DIM)[3:]], axis=2)[:, 3:]
+    V3 = H3.copy()
+    V3[:, 3:] += np.linalg.solve(M, rhs[..., None])[..., 0]
+    return V3, np.linalg.cond(M)
 
 
 # -- the six-way report --------------------------------------------------------
@@ -278,8 +275,8 @@ def condition_residuals(g: GraphPlane) -> ConditionReport:
 
 def condition_residuals_many(Ts, S: Splitting):
     """The six Fueter conditions on stacked graph maps (n, 3, 4), one report
-    per plane.  The form evaluations run over the sample axis; the wedge
-    conditions on beta are Form algebra, one plane at a time."""
+    per plane, all over the sample axis: the wedge conditions on beta as
+    stacked Form algebra."""
     frames = graph_frames(Ts)
     n = len(frames)
     lam, omega, theta, mu = S.form_parts()
@@ -301,20 +298,26 @@ def condition_residuals_many(Ts, S: Splitting):
     quads = _with_unit_vectors(frames).reshape(-1, 4, DIM)
     theta_contraction = np.abs(theta.apply_many(quads)).reshape(n, DIM).max(axis=1)
 
-    reports = []
-    for row, T in enumerate(frames[:, :, 3:]):
-        # (5) and (6): wedge conditions on beta
-        beta = beta_of(GraphPlane(T, S))
-        reports.append(ConditionReport(
-            anisotropic_gap=float(gap[row]),
-            fueter_norm=float(f_norm[row]),
-            chi1_norm=float(chi1_norm[row]),
-            theta_contraction_norm=float(theta_contraction[row]),
-            beta_wedge_star_phi_norm=float(wedge(beta, S.g2.star_phi).norm()),
-            beta_wedge_theta_norm=float(wedge(beta, theta).norm()),
-            T=tuple(tuple(float(x) for x in row_) for row_ in T),
-        ))
-    return reports
+    # (5) and (6): wedge conditions on beta, over the planes with one zero
+    # pattern of T at a time, so each row's norm sums in its own key order
+    Ts = frames[:, :, 3:]
+    star_phi_norm, theta_norm = np.empty(n), np.empty(n)
+    pattern = (Ts.reshape(n, 12) != 0.0) @ (1 << np.arange(12))  # one integer per plane
+    for code in set(pattern.tolist()):
+        rows = pattern == code
+        beta = beta_of_many(Ts[rows])
+        star_phi_norm[rows] = wedge(beta, S.g2.star_phi).norm()
+        theta_norm[rows] = wedge(beta, theta).norm()
+
+    return [ConditionReport(
+        anisotropic_gap=float(gap[row]),
+        fueter_norm=float(f_norm[row]),
+        chi1_norm=float(chi1_norm[row]),
+        theta_contraction_norm=float(theta_contraction[row]),
+        beta_wedge_star_phi_norm=float(star_phi_norm[row]),
+        beta_wedge_theta_norm=float(theta_norm[row]),
+        T=tuple(tuple(float(x) for x in row_) for row_ in T),
+    ) for row, T in enumerate(Ts)]
 
 
 # -- chi components ------------------------------------------------------------
@@ -351,15 +354,26 @@ def chi_via_beta(g: GraphPlane):
 
 
 def chi1_via_beta(g: GraphPlane) -> Form:
-    """chi_1(v)^flat = *(beta ^ *phi) alone, the first of `chi_via_beta`."""
-    return hodge(wedge(beta_of(g), g.splitting.g2.star_phi))
+    """chi_1(v)^flat = *(beta ^ *phi) alone, the first of `chi_via_beta`;
+    the n = 1 case of `chi1_via_beta_many`."""
+    return chi1_via_beta_many(g.T[None], g.splitting)._sample(0)
+
+
+def chi1_via_beta_many(Ts, S: Splitting) -> Form:
+    """chi1_via_beta of stacked graph maps (n, 3, 4), as a stacked 1-form."""
+    return hodge(wedge(beta_of_many(Ts), S.g2.star_phi))
 
 
 def chi1_via_projection(g: GraphPlane) -> Form:
-    """Alternative route: chi_1(v)^flat = sqrt(3) (lambda^2)^{-1} (pi^2_7 beta)."""
-    G = g.splitting.g2
-    beta = beta_of(g)
-    return np.sqrt(3.0) * g2core.lambda_k_inverse(g2core.project_2_7(beta, G), 2, G)
+    """Alternative route: chi_1(v)^flat = sqrt(3) (lambda^2)^{-1} (pi^2_7 beta);
+    the n = 1 case of `chi1_via_projection_many`."""
+    return chi1_via_projection_many(g.T[None], g.splitting)._sample(0)
+
+
+def chi1_via_projection_many(Ts, S: Splitting) -> Form:
+    """chi1_via_projection of stacked graph maps (n, 3, 4), as a stacked 1-form."""
+    G = S.g2
+    return np.sqrt(3.0) * g2core.lambda_k_inverse(g2core.project_2_7(beta_of_many(Ts), G), 2, G)
 
 
 # -- linearization and polar spaces ----------------------------------------------

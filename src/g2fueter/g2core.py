@@ -33,6 +33,7 @@ import numpy as np
 from .exterior import (
     Form,
     VectorValuedForm,
+    _matvec,
     _read_only,
     _stacked,
     _with_unit_vectors,
@@ -267,30 +268,37 @@ def _one_form_vector(alpha: Form):
     return v
 
 
+def _coefficient_rows(a: Form, keys):
+    """a's coefficients over keys, absent ones 0.0: a vector, or the
+    (n, len(keys)) rows of a stacked form."""
+    return np.stack(np.broadcast_arrays(*(a.coeffs.get(key, 0.0) for key in keys)), axis=-1)
+
+
 def lambda_k_inverse(beta: Form, k: int, G: G2Structure) -> Form:
     """Invert lambda^k on its image (adjoint of an isometry).
 
     For input not in Lambda^k_7 this returns the preimage of the projection.
+    A stacked beta gives the stacked preimages, sample by sample.
     """
     if k not in (2, 4, 6):
         raise ValueError(f"k must be 2, 4 or 6, got {k}")
     L, keys = G.lambda_matrices[k]
-    vec = np.array([beta.coeffs.get(key, 0.0) for key in keys])
-    alpha = L.T @ vec
-    return Form(DIM, 1, {(i + 1,): alpha[i] for i in range(DIM)})
+    alpha = _matvec(L.T, _coefficient_rows(beta, keys))
+    # alpha.T: the entries of a vector, the (n,) columns of stacked rows
+    return Form._trusted(DIM, 1, dict(zip([(i,) for i in range(1, DIM + 1)], alpha.T)))
 
 
 def project_k7(a: Form, k: int, G: G2Structure) -> Form:
     """Projection of a k-form (k in {2,4,6}) onto the image of lambda^k,
-    i.e. the 7-dimensional summand Lambda^k_7, as lambda^k o adjoint."""
+    i.e. the 7-dimensional summand Lambda^k_7, as lambda^k o adjoint.  A
+    stacked a gives the stacked projections, sample by sample."""
     if a.dim != DIM or a.degree != k:
         raise ValueError(f"expected a {k}-form on R^7")
     if k not in (2, 4, 6):
         raise ValueError(f"k must be 2, 4 or 6, got {k}")
     L, keys = G.lambda_matrices[k]
-    vec = np.array([a.coeffs.get(key, 0.0) for key in keys])
-    proj = L @ (L.T @ vec)
-    return Form._trusted(DIM, k, {key: proj[r] for r, key in enumerate(keys)})
+    proj = _matvec(L, _matvec(L.T, _coefficient_rows(a, keys)))
+    return Form._trusted(DIM, k, dict(zip(keys, proj.T)))
 
 
 def project_2_7(beta: Form, G: G2Structure) -> Form:

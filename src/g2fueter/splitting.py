@@ -40,8 +40,10 @@ __all__ = [
     "GraphPlane",
     "standard_splitting",
     "graph_from_plane",
+    "graph_from_planes",
     "graph_frames",
     "beta_of",
+    "beta_of_many",
     "horizontal_metric",
     "ve_series",
     "ve_series_many",
@@ -85,15 +87,15 @@ class Splitting:
     g2: g2core.G2Structure = field(init=False, default_factory=g2core.standard_g2)
 
     def horizontal_part(self, span):
-        """The H coordinates of the rows of span; raises
-        NotProjectableError when span is not finite or they are
-        (numerically) dependent."""
+        """The H coordinates of the rows of span, or of each span of a
+        stack; raises NotProjectableError when a span is not finite or its
+        H coordinates are (numerically) dependent."""
         span = np.asarray(span, dtype=float)
         # the whole span, so that a NaN or inf in a V column is refused too
         if not np.all(np.isfinite(span)):
             raise NotProjectableError("span must be finite")
-        A = span[:, :3]
-        if not np.linalg.svd(A, compute_uv=False)[-1] > 1e-10:
+        A = span[..., :3]
+        if not np.all(np.linalg.svd(A, compute_uv=False)[..., -1] > 1e-10):
             raise NotProjectableError("not horizontally projectable")
         return A
 
@@ -210,14 +212,22 @@ def graph_from_plane(p: Plane, S: Splitting):
     Returns (GraphPlane, orientation_sign); the sign is -1 when the
     plane's given orientation disagrees with the projected orientation
     of H.  Raises NotProjectableError when p_H restricted to the plane
-    is singular.
+    is singular.  The n = 1 case of `graph_from_planes`.
     """
     if p.s != 3:
         raise ValueError("graph coordinates require a 3-plane")
-    A = S.horizontal_part(p.span)
-    T = np.linalg.solve(A, p.span[:, 3:])
-    sign = 1 if np.linalg.det(A) > 0 else -1
-    return GraphPlane(T=T, splitting=S), sign
+    Ts, signs = graph_from_planes(p.span[None], S)
+    return GraphPlane(T=Ts[0], splitting=S), int(signs[0])
+
+
+def graph_from_planes(spans, S: Splitting):
+    """graph_from_plane of stacked spans (n, 3, 7): the graph maps (n, 3, 4)
+    and signs (n,).  Each span passes the projectability guard, which
+    implies Plane's: the singular values of a span bound those of its H
+    part from above."""
+    spans = _stacked(spans, (3, DIM))
+    A = S.horizontal_part(spans)
+    return np.linalg.solve(A, spans[..., 3:]), np.where(np.linalg.det(A) > 0, 1, -1)
 
 
 def graph_frames(Ts):
@@ -230,9 +240,18 @@ def graph_frames(Ts):
 
 
 def beta_of(g: GraphPlane) -> Form:
-    """The 2-form beta = sum_i e^i ^ (T e_i)^flat, frame coordinates."""
-    coeffs = {(i + 1, a + 4): g.T[i, a] for i in range(3) for a in range(4)}
-    return Form._trusted(DIM, 2, coeffs)  # drops the zero entries
+    """The 2-form beta = sum_i e^i ^ (T e_i)^flat, frame coordinates,
+    without its zero entries; the n = 1 case of `beta_of_many`."""
+    return beta_of_many(g.T[None])._sample(0)
+
+
+def beta_of_many(Ts) -> Form:
+    """beta of stacked graph maps (n, 3, 4), a stacked 2-form without the
+    columns that are zero in every sample, as beta_of drops a zero entry."""
+    cols = np.asarray(Ts, dtype=float).reshape(-1, 12).T  # column (i, a) is row 4 i + a
+    keys = itertools.product(range(1, 4), range(4, DIM + 1))
+    return Form._trusted(DIM, 2, {key: col for key, col, kept in
+                                  zip(keys, cols, cols.any(axis=1)) if kept})
 
 
 def horizontal_metric(p: Plane, S: Splitting):
@@ -351,13 +370,13 @@ def ve_recursive_many(Ts, kmax):
 # -- decomposition and the adiabatic family ----------------------------------
 
 
-def decompose_form(a, S: Splitting):
+def decompose_form(a):
     """Split a form by vertical degree: a = sum_i a_i, a_i with exactly i
     V-frame indices per monomial.  Returns a list of length degree + 1."""
     return _vertical_parts(a, a.degree)
 
 
-def adiabatic_family(a, S: Splitting, eps: float):
+def adiabatic_family(a, eps: float):
     """The one-parameter family sum_i (sqrt eps)^i a_i.
 
     Equals the pullback by diag(1,1,1,sqrt(eps)..) in the splitting frame;
@@ -365,16 +384,16 @@ def adiabatic_family(a, S: Splitting, eps: float):
     ValueError when eps is not positive, or when the factor eps^(q/2) of a
     nonempty vertical-degree-q part is not finite.
     """
-    return _adiabatic(a, S)(eps)
+    return _adiabatic(a)(eps)
 
 
-def _adiabatic(a, S: Splitting):
-    """eps -> adiabatic_family(a, S, eps), with the vertical parts of a
+def _adiabatic(a):
+    """eps -> adiabatic_family(a, eps), with the vertical parts of a
     taken once, so a caller that needs many eps pays one decomposition."""
     if isinstance(a, VectorValuedForm):  # the value slot is untouched
-        families = [_adiabatic(c, S) for c in a.components]
+        families = [_adiabatic(c) for c in a.components]
         return lambda eps: VectorValuedForm(tuple(family(eps) for family in families))
-    parts = decompose_form(a, S)
+    parts = decompose_form(a)
 
     def family(eps):
         if not eps > 0.0:

@@ -293,7 +293,7 @@ def test_ladder_matches_the_reference_at_every_depth():
     # random planes have depth 0, completed Fueter planes 2 and the zero
     # plane (H itself) 3
     rng = np.random.default_rng(3)
-    completed = [cli._completed_plane(*rng.standard_normal((2, 4)), S)[0] for _ in range(5)]
+    completed, _ = cli._completed_planes(rng.standard_normal((5, 8)), S)
     stack = np.array([np.zeros((3, 4)), *completed, *rng.standard_normal((5, 3, 4))])
     got = sp.equality_ladder_many(stack, S)
     assert {rep.vanishing_depth for rep in got} == {0, 2, 3}

@@ -111,7 +111,7 @@ def _scan_bytes(n, included, block, shared=False):
         sampler.rng = _DegenerateRow(sampler.rng, block)
     for eps, sampler in zip((1.0, 0.01), samplers * 2):
         reports.append(sp.semi_calibration_scan(
-            sp.adiabatic_family(S.g2.phi, S, eps), np.diag([1.0] * 3 + [eps] * 4),
+            sp.adiabatic_family(S.g2.phi, eps), np.diag([1.0] * 3 + [eps] * 4),
             sampler, n, include_frames=[np.eye(7)[:3]] if included else ()))
     for sampler in samplers:  # the draw, then one redraw per metric when the row is drawn
         assert sum(sampler.rng.sizes) == n + (n > block) * (2 if shared else 1)

@@ -159,7 +159,7 @@ def test_render_canonical():
 def test_vector_valued_form_shape_checks():
     comps = tuple(ex.basis_form(7, (1, 2, 3)) for _ in range(4))
     vv = ex.VectorValuedForm(comps)
-    assert vv.value_dim == 4 and vv.degree == 3
+    assert len(vv.components) == 4 and vv.degree == 3
     with pytest.raises(ex.DimensionMismatchError):
         ex.VectorValuedForm((ex.basis_form(7, (1,)), ex.basis_form(7, (1, 2))))
 

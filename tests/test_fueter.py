@@ -96,7 +96,7 @@ class TestCompletions:
         for _ in range(100):
             v1 = np.concatenate([[1.0, 0, 0], rng.standard_normal(4)])
             v2 = np.concatenate([[0.0, 1, 0], rng.standard_normal(4)])
-            v3, cond = fu.fueter_complete(v1, v2, S, return_system=True)
+            (v3,), (cond,) = fu.fueter_complete_many([v1], [v2], S)
             g, _ = sp.graph_from_plane(sp.Plane(np.vstack([v1, v2, v3])), S)
             assert np.linalg.norm(fu.fueter_vector(g)) < 1e-12
             assert abs(cond - 1.0) < 1e-12  # J(h3) is orthogonal

@@ -81,6 +81,19 @@ def _depth_shifted(real):
     return mutant
 
 
+def _vertical_solve_scaled(factor):
+    """The completion's vertical part, the solution x of its linear
+    systems, scaled; the condition numbers are left alone."""
+    def mutate(real):
+        def mutant(*args):
+            V3, conds = real(*args)
+            V3 = V3.copy()
+            V3[:, 3:] *= factor
+            return V3, conds
+        return mutant
+    return mutate
+
+
 def _blocks_transposed(real):
     """The Fueter map matrix [J1 | J2 | J3] with each J_i transposed."""
     def mutant(S):
@@ -116,7 +129,12 @@ MUTANTS = {
     "fueter_vector negated": (
         fueter, "fueter_vector_many", _negated, {("fueter", "route-equivalence")}),
     "chi1_via_projection negated": (
-        fueter, "chi1_via_projection", _negated, {("fueter", "route-equivalence")}),
+        fueter, "chi1_via_projection_many", _negated, {("fueter", "route-equivalence")}),
+    "chi1_via_beta negated": (
+        fueter, "chi1_via_beta_many", _negated, {("fueter", "route-equivalence")}),
+    "fueter_complete vertical solve x (1+1e-6)": (
+        fueter, "fueter_complete_many", _vertical_solve_scaled(1 + 1e-6),
+        {("fueter", "completion"), ("fueter", "six-way-vanishing")}),
     "chi x (1+1e-6)": (
         g2core, "chi_many", _scaled(1 + 1e-6), {("algebra", "associator-equality")}),
     "tau x 2": (

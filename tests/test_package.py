@@ -77,7 +77,6 @@ PINNED_KNOBS = [
     "exterior.Form.equals(tol)",
     "exterior.basis_form(coeff)",
     "exterior.render(label)",
-    "fueter.fueter_complete(return_system)",
     "models.model_by_name(B)",
     "pde.PolynomialMap.__init__(periodicity)",
     "pde.affine_map(b)",

@@ -7,17 +7,19 @@ alike and the comparison goes blind to it.  Each entry below names a
 exact set of package functions they share.  The test records, with
 `sys.setprofile`, the functions each side calls, cold: on a splitting
 built fresh, so none of its cached properties is warm, and with
-exterior's caches cleared, so a cache hit hides no call.  New sharing is
-a diff here, and only exterior's index helpers may be shared at all.
+exterior's caches cleared, so a cache hit hides no call.  A comprehension
+or a local function counts as the function that defines it.  New sharing
+is a diff here, and only exterior's index helpers may be shared at all.
 """
 
 import os
 import sys
 
+import numpy as np
 import pytest
 
 import g2fueter
-from g2fueter import cli, exterior, splitting
+from g2fueter import cli, exterior, fueter, splitting
 
 PACKAGE = os.path.dirname(g2fueter.__file__) + os.sep
 
@@ -32,12 +34,25 @@ INDEX_HELPERS = {
     "exterior._read_only",
 }
 
-# (suite, check) -> (side, side, the functions both sides call)
+TS = np.linspace(-1.0, 1.0, 24).reshape(2, 3, 4)  # two graph maps
+
+# (suite, check[, the route of the second side]) ->
+# (side, side, the functions both sides call)
 ROUTES = {
     ("splitting", "decomposition"): (
-        lambda S: splitting.decompose_form(S.g2.phi, S),
+        lambda S: splitting.decompose_form(S.g2.phi),
         lambda S: cli._phi0_parts_by_count(),
         set()),
+    # the cross route against each stacked beta route; the cross route
+    # reads dense phi, built by sorting index tuples with their signs
+    ("fueter", "route-equivalence", "beta-wedge"): (
+        lambda S: fueter.fueter_vector_many(TS, S),
+        lambda S: fueter.chi1_via_beta_many(TS, S),
+        {"exterior._sort_with_sign", "exterior._sorted_parity", "exterior._read_only"}),
+    ("fueter", "route-equivalence", "projection"): (
+        lambda S: fueter.fueter_vector_many(TS, S),
+        lambda S: fueter.chi1_via_projection_many(TS, S),
+        {"exterior._sort_with_sign", "exterior._sorted_parity", "exterior._read_only"}),
 }
 
 
@@ -54,7 +69,7 @@ def _calls(side):
         code = frame.f_code
         if event == "call" and code.co_filename.startswith(PACKAGE):
             module = os.path.splitext(os.path.basename(code.co_filename))[0]
-            seen.add(f"{module}.{code.co_qualname}")
+            seen.add(f"{module}.{code.co_qualname.split('.<locals>')[0]}")
 
     previous = sys.getprofile()
     sys.setprofile(record)

@@ -273,7 +273,7 @@ class TestMinorKernels:
 
 class TestDecomposeAndAdiabatic:
     def test_phi_decomposition(self):
-        parts = sp.decompose_form(S.g2.phi, S)
+        parts = sp.decompose_form(S.g2.phi)
         lam, omega, theta, mu = S.form_parts()
         assert parts[0].equals(ex.basis_form(7, (1, 2, 3)), 0.0)
         assert parts[1].is_zero(0.0) and parts[3].is_zero(0.0)
@@ -284,21 +284,21 @@ class TestDecomposeAndAdiabatic:
         assert total.equals(S.g2.phi, 0.0)
 
     def test_star_phi_decomposition(self):
-        parts = sp.decompose_form(S.g2.star_phi, S)
+        parts = sp.decompose_form(S.g2.star_phi)
         assert parts[4].equals(ex.basis_form(7, (4, 5, 6, 7)), 0.0)
         assert parts[2].equals(ex.form_from_terms(7, 4, g2.STAR_PHI0_TERMS[1:]), 0.0)
         assert parts[0].is_zero(0.0) and parts[1].is_zero(0.0) and parts[3].is_zero(0.0)
 
     def test_chi_zeroth_component_vanishes(self):
-        chi_parts = [sp.decompose_form(c, S) for c in S.chi_form_f().components]
+        chi_parts = [sp.decompose_form(c) for c in S.chi_form_f().components]
         assert all(parts[0].is_zero(0.0) for parts in chi_parts)
 
     def test_adiabatic_identity_at_one(self):
-        assert sp.adiabatic_family(S.g2.phi, S, 1.0).equals(S.g2.phi, 0.0)
+        assert sp.adiabatic_family(S.g2.phi, 1.0).equals(S.g2.phi, 0.0)
 
     def test_adiabatic_matches_pullback(self):
         eps = 0.3
-        got = sp.adiabatic_family(S.g2.phi, S, eps)
+        got = sp.adiabatic_family(S.g2.phi, eps)
         A = np.diag([1.0] * 3 + [np.sqrt(eps)] * 4)
         assert got.equals(ex.pullback(A, S.g2.phi), 1e-14)
         lam, omega, _, _ = S.form_parts()
@@ -314,7 +314,7 @@ class TestDecomposeAndAdiabatic:
         lam, omega, _, _ = S.form_parts()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            phi_eps = sp.adiabatic_family(S.g2.phi, S, eps)
+            phi_eps = sp.adiabatic_family(S.g2.phi, eps)
             rep = sp.semi_calibration_scan(
                 phi_eps, np.diag([1.0] * 3 + [eps] * 4), sp.PlaneSampler(0), 200)
         assert phi_eps.equals(lam + eps * omega, 0.0)
@@ -325,7 +325,7 @@ class TestDecomposeAndAdiabatic:
     def test_adiabatic_rejects_nonpositive_eps(self):
         for eps in (0.0, np.nan):
             with pytest.raises(ValueError, match="eps"):
-                sp.adiabatic_family(S.g2.phi, S, eps)
+                sp.adiabatic_family(S.g2.phi, eps)
 
     def test_adiabatic_rejects_eps_whose_factor_overflows(self):
         # at 1e300, star phi's vertical-degree-4 part needs eps^2 (a Python
@@ -333,12 +333,12 @@ class TestDecomposeAndAdiabatic:
         # product): both leave the float range, and both must say so
         for a, q in ((S.g2.star_phi, 4), (S.chi_form_f(), 3)):
             with pytest.raises(ValueError, match=rf"eps = 1e\+300 .* eps\^\({q}/2\)"):
-                sp.adiabatic_family(a, S, 1e300)
+                sp.adiabatic_family(a, 1e300)
 
     def test_vertical_component_scales_exactly(self):
         for eps in (0.5, 0.1, 0.02):
-            fam = sp.adiabatic_family(S.g2.phi, S, eps)
-            parts = sp.decompose_form(fam, S)
+            fam = sp.adiabatic_family(S.g2.phi, eps)
+            parts = sp.decompose_form(fam)
             _, omega, _, _ = S.form_parts()
             assert parts[2].equals(eps * omega, 0.0)
 
@@ -347,8 +347,8 @@ class TestDecomposeAndAdiabatic:
         chi_f = S.chi_form_f()
         for _ in range(100):
             eps = float(rng.uniform(0.05, 1.0))
-            phi_eps = sp.adiabatic_family(S.g2.phi, S, eps)
-            chi_eps = sp.adiabatic_family(chi_f, S, eps)
+            phi_eps = sp.adiabatic_family(S.g2.phi, eps)
+            chi_eps = sp.adiabatic_family(chi_f, eps)
             g_eps = np.diag([1.0] * 3 + [eps] * 4)
             vs = rng.standard_normal((3, 7))
             lhs = phi_eps.apply(list(vs)) ** 2 + float(np.sum(chi_eps.apply(list(vs)) ** 2))
@@ -425,7 +425,7 @@ class TestScans:
 
     def test_eps_family_scan(self):
         for eps in (1.0, 0.1, 0.01):
-            phi_eps = sp.adiabatic_family(S.g2.phi, S, eps)
+            phi_eps = sp.adiabatic_family(S.g2.phi, eps)
             g_eps = np.diag([1.0] * 3 + [eps] * 4)
             rep = sp.semi_calibration_scan(phi_eps, g_eps, sp.PlaneSampler(19), 2000)
             assert rep.violations == 0
@@ -619,9 +619,9 @@ def test_property_adiabatic_scaling(seed, eps):
 
     a = ex.Form(7, 3, {idx: rng.standard_normal()
                        for idx in itertools.combinations(range(1, 8), 3)})
-    fam = sp.adiabatic_family(a, S, eps)
-    parts = sp.decompose_form(a, S)
-    fam_parts = sp.decompose_form(fam, S)
+    fam = sp.adiabatic_family(a, eps)
+    parts = sp.decompose_form(a)
+    fam_parts = sp.decompose_form(fam)
     for q in range(4):
         expected = (eps ** (q // 2) * (np.sqrt(eps) if q % 2 else 1.0)) * parts[q]
         assert fam_parts[q].equals(expected, 1e-13)
