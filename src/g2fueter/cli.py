@@ -94,40 +94,40 @@ def _worst(n, residual):
 # -- samplers shared with the acceptance suite ----------------------------------
 
 
-def _ve_routes(rng, n, S):
+def _ve_routes(rng, n):
     """Worst disagreement of the eigenvalue series and the minor recursion,
-    through ve_4, over n graph planes of S."""
+    through ve_4, over n graph planes."""
     Ts = rng.standard_normal((n, 3, 4))
     gaps = splitting.ve_series_many(Ts, 4) - splitting.ve_recursive_many(Ts, 4)
     return _fold(np.abs(gaps).max(axis=1))
 
 
-def _ve_sqrt_taylor(S):
+def _ve_sqrt_taylor():
     """Distance of a single unit row's ve_0..ve_3 from the sqrt(1+eps) coefficients."""
     T = np.zeros((3, 4))
     T[0, 0] = 1.0
     pinned = np.array([1.0, 0.5, -0.125, 0.0625])
-    return float(np.abs(splitting.ve_series(splitting.GraphPlane(T, S), 3) - pinned).max())
+    return float(np.abs(splitting.ve_series(splitting.GraphPlane(T), 3) - pinned).max())
 
 
-def _six_way(rng, n, S):
+def _six_way(rng, n):
     """The six condition reports of n completed Fueter planes, each paired
     with the reports of a generic graph plane drawn after it."""
     draws = rng.standard_normal((n, 20))  # per plane: v1's and v2's V parts, a generic T
-    completed, _ = _completed_planes(draws[:, :8], S)
-    return list(zip(fueter.condition_residuals_many(completed, S),
-                    fueter.condition_residuals_many(draws[:, 8:].reshape(n, 3, 4), S)))
+    completed, _ = _completed_planes(draws[:, :8])
+    return list(zip(fueter.condition_residuals_many(completed),
+                    fueter.condition_residuals_many(draws[:, 8:].reshape(n, 3, 4))))
 
 
-def _completed_planes(draws, S):
+def _completed_planes(draws):
     """The graph maps (n, 3, 4) of the Fueter planes through e1 + u1 and
     e2 + u2, for the rows (u1, u2) of draws (n, 8) (the V parts), and the
     condition numbers (n,) of their completion systems."""
     spans = np.zeros((len(draws), 3, 7))
     spans[:, :2, :2] = np.eye(2)
     spans[:, :2, 3:] = draws.reshape(-1, 2, 4)
-    spans[:, 2], conds = fueter.fueter_complete_many(spans[:, 0], spans[:, 1], S)
-    return splitting.graph_from_planes(spans, S)[0], conds
+    spans[:, 2], conds = fueter.fueter_complete_many(spans[:, 0], spans[:, 1])
+    return splitting.graph_from_planes(spans)[0], conds
 
 
 def _homology_family():
@@ -307,17 +307,17 @@ def _phi0_parts_by_count():
     bins = {0: {}, 2: {}}
     for c, idx in g2core.PHI0_TERMS:
         bins[sum(1 for i in idx if i >= 4)][idx] = c
-    # PHI0_TERMS' index tuples are sorted and in range
-    return ex.Form._trusted(7, 3, bins[0]), ex.Form._trusted(7, 3, bins[2])
+    # public constructor: decompose_form's parts come from Form._trusted
+    return ex.Form(7, 3, bins[0]), ex.Form(7, 3, bins[2])
 
 
 def _suite_splitting(rng, tol):
     S = splitting.standard_splitting()
-    worst = _ve_routes(rng, tol["samples"], S)
+    worst = _ve_routes(rng, tol["samples"])
     checks = [_record("ve-two-routes", "eigenvalue series and minor recursion agree",
                       worst, worst < tol["identity"])]
 
-    worst = _ve_sqrt_taylor(S)
+    worst = _ve_sqrt_taylor()
     checks.append(_record("ve-sqrt-taylor",
                           "single unit row gives the sqrt(1+eps) coefficients",
                           worst, worst == 0.0))
@@ -355,7 +355,7 @@ def _suite_splitting(rng, tol):
     def volume_excess():
         span = rng.standard_normal((3, 7))
         try:
-            volH = float(np.sqrt(np.linalg.det(splitting.horizontal_metric(splitting.Plane(span), S))))
+            volH = float(np.sqrt(np.linalg.det(splitting.horizontal_metric(splitting.Plane(span)))))
         except (splitting.NotProjectableError, ValueError):
             return 0.0  # no horizontal volume to compare
         return volH - float(np.sqrt(np.linalg.det(span @ span.T)))
@@ -364,7 +364,7 @@ def _suite_splitting(rng, tol):
                           worst, worst < tol["slack"]))
 
     Ts = rng.standard_normal((tol["samples"] // 2, 3, 4))
-    worst = _fold([rep.max_residual for rep in splitting.equality_ladder_many(Ts, S)])
+    worst = _fold([rep.max_residual for rep in splitting.equality_ladder_many(Ts)])
     checks.append(_record("equality-ladder",
                           "graded equalities tie alpha, chi and the ve hierarchy",
                           worst, worst < tol["identity"]))
@@ -376,7 +376,7 @@ def _suite_splitting(rng, tol):
         span[0, 0], span[0, 3] = np.cos(th), np.sin(th)
         span[1, 1] = 1.0
         span[2, 2] = 1.0
-        g, _ = splitting.graph_from_plane(splitting.Plane(span), S)
+        g, _ = splitting.graph_from_plane(splitting.Plane(span))
         ve_vals.append(splitting.ve_series(g, 1)[1])
     growing = all(b > a for a, b in zip(ve_vals, ve_vals[1:])) and ve_vals[-1] > 1e5
     checks.append(_record("ve-unbounded",
@@ -387,8 +387,7 @@ def _suite_splitting(rng, tol):
 
 def _suite_fueter(rng, tol):
     n = tol["samples"]
-    S = splitting.standard_splitting()
-    J = fueter.jtriple_from_splitting(S)
+    J = fueter.jtriple_from_splitting()
     Jstd = fueter.standard_jtriple()
     worst = _fold([float(np.abs(a - b).max()) for a, b in zip(J.as_tuple(), Jstd.as_tuple())])
     checks = [_record("j-matrices", "splitting-derived J triple matches the pinned one",
@@ -399,20 +398,20 @@ def _suite_fueter(rng, tol):
     Ts = rng.standard_normal((n, 3, 4))
     routes = np.empty((n, 4, 4))
     routes[:, 0] = fueter.fueter_via_J_many(Ts, J)
-    routes[:, 1] = fueter.chi_component_values_many(Ts, S)[1][:, 3:]
-    for k, chi1 in ((2, fueter.chi1_via_beta_many(Ts, S)),
-                    (3, fueter.chi1_via_projection_many(Ts, S))):
+    routes[:, 1] = fueter.chi_component_values_many(Ts)[1][:, 3:]
+    for k, chi1 in ((2, fueter.chi1_via_beta_many(Ts)),
+                    (3, fueter.chi1_via_projection_many(Ts))):
         for a in range(4):
             routes[:, k, a] = chi1.coeffs.get((a + 4,), 0.0)
-    gaps = fueter.fueter_vector_many(Ts, S)[:, None] - routes
+    gaps = fueter.fueter_vector_many(Ts)[:, None] - routes
     worst = _fold(np.abs(gaps).max(axis=(1, 2)))
     checks.append(_record("route-equivalence",
                           "cross, J, Theta-contraction and beta routes agree",
                           worst, worst < tol["identity"]))
 
     draws = rng.standard_normal((n // 5, 8))  # per plane: v1's and v2's V parts
-    Ts, conds = _completed_planes(draws, S)
-    F = fueter.fueter_vector_many(Ts, S)
+    Ts, conds = _completed_planes(draws)
+    F = fueter.fueter_vector_many(Ts)
     worst = _fold(np.sqrt(ex._rowdot(F, F)))
     checks.append(_record("completion", "completed planes satisfy the vertical equation",
                           worst, worst < 1e-10))
@@ -421,18 +420,18 @@ def _suite_fueter(rng, tol):
                           "the completion linear system is perfectly conditioned",
                           cond, cond < 1.0 + 1e-9))
 
-    flags = [(f.all_below(), h.none_below()) for f, h in _six_way(rng, n // 5, S)]
+    flags = [(f.all_below(), h.none_below()) for f, h in _six_way(rng, n // 5)]
     checks.append(_flag("six-way-vanishing",
                         "all six residuals vanish together on completed planes",
                         all(vanish for vanish, _ in flags)))
     checks.append(_flag("six-way-separation", "no residual is small on generic planes",
                         all(apart for _, apart in flags)))
 
-    lam, omega, theta, mu = S.form_parts()
+    lam, omega, theta, mu = splitting.standard_splitting().form_parts()
 
     Ts = rng.standard_normal((n, 3, 4))
     gap = splitting.ve_series_many(Ts, 1)[:, 1] - omega.apply_many(splitting.graph_frames(Ts))
-    chi1 = fueter.chi_component_values_many(Ts, S)[1]
+    chi1 = fueter.chi_component_values_many(Ts)[1]
     worst = _fold(np.abs(gap - 0.5 * ex._rowdot(chi1, chi1)))
     checks.append(_record("secondary-equality",
                           "omega(v) + |chi_1(v)|^2 / 2 = ve_1",
@@ -443,19 +442,19 @@ def _suite_fueter(rng, tol):
         low[i] = rng.standard_normal((3, 4))
         low[i, rng.integers(3)] = 0.0
         full[i] = rng.standard_normal((3, 4))
-    chi3 = [np.linalg.norm(fueter.chi_component_values_many(Ts, S)[3], axis=1)
+    chi3 = [np.linalg.norm(fueter.chi_component_values_many(Ts)[3], axis=1)
             for Ts in (low, full)]
     rank_3 = np.linalg.matrix_rank(full.swapaxes(1, 2)) == 3
     splits = (chi3[0] < 1e-12) & (~rank_3 | (chi3[1] > 1e-6))
     checks.append(_flag("chi3-rank", "chi_3 vanishes exactly on rank <= 2 planes", splits.all()))
 
-    g0 = splitting.GraphPlane(np.zeros((3, 4)), S)
+    g0 = splitting.GraphPlane(np.zeros((3, 4)))
     rank = fueter.linearization_rank(g0)
     checks.append(_record("linearization-rank",
                           "the vertical equation has rank 4 over the 12 graph coordinates",
                           rank, rank == 4))
 
-    M = fueter.fueter_map_matrix(S)
+    M = fueter.fueter_map_matrix()
     a, b = rng.standard_normal(2)
     T1, T2 = rng.standard_normal((2, 3, 4))
     lin = np.abs(
@@ -691,13 +690,12 @@ def _cmd_verify(args):
 def _cmd_scan(args):
     tol = dict(PROFILES[args.profile])
     slack = tol["slack"] if args.tol is None else args.tol
-    S = splitting.standard_splitting()
     if args.kind == "semical":
         checks, payloads = [], []
         eye3 = np.eye(7)[:3]
         sampler = splitting.PlaneSampler(args.seed)  # one draw for every metric
         for eps in args.eps:
-            phi_eps = splitting.adiabatic_family(S.g2.phi, eps)
+            phi_eps = splitting.adiabatic_family(splitting.standard_splitting().g2.phi, eps)
             g_eps = np.diag([1.0] * 3 + [eps] * 4)
             rep = splitting.semi_calibration_scan(
                 phi_eps, g_eps, sampler, args.samples, tol=slack,
@@ -716,7 +714,7 @@ def _cmd_scan(args):
     fueter_plane[0, 0] = 1.0
     fueter_plane[2, 2] = -1.0
     rep = splitting.anisotropic_scan(
-        S, sampler, args.samples, tol=slack, include_planes=[fueter_plane]
+        sampler, args.samples, tol=slack, include_planes=[fueter_plane]
     )
     checks = [_record(
         "anisotropic", "omega(v) <= ve_1 with the pointwise equality verified",

@@ -187,7 +187,11 @@ def _evaluate(frames, rows, coeffs, segments):
     for start in range(0, len(frames), step):
         block = cols[start:start + step]
         terms = np.zeros((len(block), len(coeffs) + 1))
-        np.multiply(coeffs, np.linalg.det(block[:, rows]), out=terms[:, 1:])
+        # a minor with subnormal entries can leave a zero LU pivot, whose log
+        # in det flags a division by zero; the det is still right, +-0.0
+        with np.errstate(divide="ignore"):
+            minors = np.linalg.det(block[:, rows])
+        np.multiply(coeffs, minors, out=terms[:, 1:])
         out[start:start + step] = _ordered_sum(terms[:, segments])
     return out
 
@@ -371,9 +375,8 @@ class Form:
         for idx, c in self.coeffs.items():
             q = sum(1 for i in idx if i in vset)
             parts.setdefault(q, {})[idx] = c
-        return {
-            q: Form(self.dim, self.degree, coeffs) for q, coeffs in parts.items()
-        }
+        # the keys are this form's, so already valid
+        return {q: Form._trusted(self.dim, self.degree, coeffs) for q, coeffs in parts.items()}
 
     def __str__(self):
         return render(self)

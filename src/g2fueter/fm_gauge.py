@@ -16,7 +16,6 @@ y^4..y^7 (period 1) are indices 4..7.  The original fiber has period
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,12 +75,6 @@ def curvature(c: LineConnection, x) -> Form:
     return Form(DIM, 2, coeffs)
 
 
-@functools.cache
-def _standard_splitting():
-    """The standard splitting, built once per process."""
-    return standard_splitting()
-
-
 def psi_pullback(a: Form) -> Form:
     """Pullback by the fiber identification Psi: dy^a -> (1/2 pi) dz^a.
 
@@ -103,7 +96,7 @@ def beta_relation_residual(u: AnalyticMap, x) -> float:
     beta = -2 pi sqrt(-1) Psi* F makes them equal.
     """
     jet = u.jet1(np.asarray(x, dtype=float))
-    beta = beta_of(GraphPlane(T=jet.T, splitting=_standard_splitting()))
+    beta = beta_of(GraphPlane(T=jet.T))
     K = curvature(fm_transform(u), x)
     rhs = 2.0 * np.pi * psi_pullback(K)
     return (beta - rhs).norm()
@@ -112,7 +105,7 @@ def beta_relation_residual(u: AnalyticMap, x) -> float:
 def instanton_residual(c: LineConnection, x) -> float:
     """|K ^ *phi| at x; zero exactly at G2-instanton points."""
     K = curvature(c, x)
-    return wedge(K, _standard_splitting().g2.star_phi).norm()
+    return wedge(K, standard_splitting().g2.star_phi).norm()
 
 
 def fueter_residual_norm(u: AnalyticMap, x) -> float:
@@ -139,7 +132,7 @@ def ddt_residual(c: LineConnection, x, r: float) -> float:
         raise ValueError("radius must be positive")
     K = curvature(c, x)
     K3 = wedge(wedge(K, K), K)
-    resid = (r ** 4) * wedge(K, _standard_splitting().g2.star_phi) - (1.0 / 6.0) * K3
+    resid = (r ** 4) * wedge(K, standard_splitting().g2.star_phi) - (1.0 / 6.0) * K3
     return resid.norm()
 
 

@@ -7,7 +7,9 @@ triple, contractions of the dual 4-form, wedge conditions on beta) and
 exposes the equivalence as a six-way residual report.  It also provides
 the completion constructions, the chi_i-from-beta formulas, the
 linearization rank of the Fueter Grassmannian, and polar-space
-dimensions for the associative and Fueter exterior systems.
+dimensions for the associative and Fueter exterior systems.  Every
+operation works on the one standard splitting, `standard_splitting()`,
+and none takes a splitting.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .splitting import (
     DIM,
     GraphPlane,
     Plane,
-    Splitting,
     beta_of,
     beta_of_many,
     graph_frames,
@@ -119,9 +120,9 @@ def standard_jtriple() -> JTriple:
     return JTriple(J1, J2, J3)
 
 
-def jtriple_from_splitting(S: Splitting) -> JTriple:
+def jtriple_from_splitting() -> JTriple:
     """J_i as the action of h_i x (.) on V, in the splitting's V-frame."""
-    dense = S.g2.phi_dense
+    dense = standard_splitting().g2.phi_dense
     Js = []
     for i in range(3):
         J = np.empty((4, 4))
@@ -143,13 +144,13 @@ def fueter_vector(g: GraphPlane):
     horizontal-orthonormal frame since it contracts against the dual of
     the horizontal inner product.
     """
-    return fueter_vector_many(g.T[None], g.splitting)[0]
+    return fueter_vector_many(g.T[None])[0]
 
 
-def fueter_vector_many(Ts, S: Splitting):
+def fueter_vector_many(Ts):
     """fueter_vector of stacked graph maps (n, 3, 4) -> (n, 4)."""
     Ts = _stacked(Ts, (3, 4))
-    dense = S.g2.phi_dense
+    dense = standard_splitting().g2.phi_dense
     out = np.zeros((len(Ts), 4))
     u = np.zeros((len(Ts), DIM))
     for i in range(3):
@@ -160,7 +161,7 @@ def fueter_vector_many(Ts, S: Splitting):
 
 
 def fueter_via_J(g: GraphPlane, J: JTriple):
-    """F(pi) = sum_i J_i(p_V(v_i)), the matrix route; J is the triple of g's
+    """F(pi) = sum_i J_i(p_V(v_i)), the matrix route; J is the triple of the
     splitting.  The n = 1 case of `fueter_via_J_many`."""
     return fueter_via_J_many(g.T[None], J)[0]
 
@@ -172,9 +173,9 @@ def fueter_via_J_many(Ts, J: JTriple):
     return sum(_matvec(Ji, Ts[:, i]) for i, Ji in enumerate(J.as_tuple()))
 
 
-def fueter_map_matrix(S: Splitting):
+def fueter_map_matrix():
     """Matrix of the linear map T -> F(pi) over row-major flattened T, 4 x 12."""
-    J = jtriple_from_splitting(S)
+    J = jtriple_from_splitting()
     M = np.zeros((4, 12))
     for i, Ji in enumerate(J.as_tuple()):
         M[:, 4 * i: 4 * i + 4] = Ji
@@ -184,7 +185,7 @@ def fueter_map_matrix(S: Splitting):
 # -- completions -------------------------------------------------------------
 
 
-def fueter_complete(v1, v2, S: Splitting):
+def fueter_complete(v1, v2):
     """Complete a projectable pair to the unique Fueter plane.
 
     v1, v2 are ambient vectors whose horizontal projections must be
@@ -193,10 +194,10 @@ def fueter_complete(v1, v2, S: Splitting):
     square linear system J(h3) x = -(h1 x u1 + h2 x u2).  Non-finite v1
     or v2 raise ValueError.  The n = 1 case of `fueter_complete_many`.
     """
-    return fueter_complete_many([v1], [v2], S)[0][0]
+    return fueter_complete_many([v1], [v2])[0][0]
 
 
-def fueter_complete_many(V1, V2, S: Splitting):
+def fueter_complete_many(V1, V2):
     """fueter_complete of stacked pairs V1, V2 (n, 7), each guarded: the
     third vectors (n, 7) and the condition numbers (n,) of the systems,
     from one stacked solve and cond call."""
@@ -209,7 +210,7 @@ def fueter_complete_many(V1, V2, S: Splitting):
         raise ValueError("horizontal parts of v1, v2 must be orthonormal")
 
     def cross_f(a, b):  # row by row, in the one-plane einsum's order
-        return np.einsum("ijk,ni,nj->nk", S.g2.phi_dense, a, b)
+        return np.einsum("ijk,ni,nj->nk", standard_splitting().g2.phi_dense, a, b)
 
     n = len(V1)
     E1, E2 = (np.where(np.arange(DIM) < 3, V, 0.0) for V in (V1, V2))  # horizontal parts
@@ -270,22 +271,22 @@ class ConditionReport:
 def condition_residuals(g: GraphPlane) -> ConditionReport:
     """Evaluate all six Fueter conditions on one plane; the n = 1 case of
     `condition_residuals_many`."""
-    return condition_residuals_many(g.T[None], g.splitting)[0]
+    return condition_residuals_many(g.T[None])[0]
 
 
-def condition_residuals_many(Ts, S: Splitting):
+def condition_residuals_many(Ts):
     """The six Fueter conditions on stacked graph maps (n, 3, 4), one report
     per plane, all over the sample axis: the wedge conditions on beta as
     stacked Form algebra."""
     frames = graph_frames(Ts)
     n = len(frames)
-    lam, omega, theta, mu = S.form_parts()
+    lam, omega, theta, mu = standard_splitting().form_parts()
 
     # (1) anisotropic gap ve1 * volH(v) - omega(v); volH(v) = 1 in graph frame
     gap = ve_series_many(Ts, 1)[:, 1] - omega.apply_many(frames)
 
     # (2) |F| by cross products
-    f = fueter_vector_many(Ts, S)
+    f = fueter_vector_many(Ts)
     f_norm = np.sqrt(_rowdot(f, f))
 
     # (3) |chi_1(v)| via chi_1 = -sum_a eta_a (x) i(eta_a) Theta
@@ -306,7 +307,7 @@ def condition_residuals_many(Ts, S: Splitting):
     for code in set(pattern.tolist()):
         rows = pattern == code
         beta = beta_of_many(Ts[rows])
-        star_phi_norm[rows] = wedge(beta, S.g2.star_phi).norm()
+        star_phi_norm[rows] = wedge(beta, standard_splitting().g2.star_phi).norm()
         theta_norm[rows] = wedge(beta, theta).norm()
 
     return [ConditionReport(
@@ -327,14 +328,14 @@ def chi_component_values(g: GraphPlane):
     """[chi_0(v), .., chi_3(v)] as ambient-frame vectors (length 7 each),
     from the vertical-degree decomposition of the chi tensor; the n = 1
     case of `chi_component_values_many`."""
-    return [values[0] for values in chi_component_values_many(g.T[None], g.splitting)]
+    return [values[0] for values in chi_component_values_many(g.T[None])]
 
 
-def chi_component_values_many(Ts, S: Splitting):
+def chi_component_values_many(Ts):
     """chi_component_values of stacked graph maps (n, 3, 4): four (n, 7)
     arrays, chi_q of each plane in row order."""
     frames = graph_frames(Ts)
-    return [p.apply_many(frames) for p in S.chi_f_parts]
+    return [p.apply_many(frames) for p in standard_splitting().chi_f_parts]
 
 
 def chi_via_beta(g: GraphPlane):
@@ -343,7 +344,7 @@ def chi_via_beta(g: GraphPlane):
     chi_1^flat = *(beta ^ *phi); chi_2^flat = -2 (lambda^4)^{-1} of the
     Lambda^4_7 part of beta^2/2; chi_3^flat = -*(beta^3/6).
     """
-    G = g.splitting.g2
+    G = standard_splitting().g2
     beta = beta_of(g)
     chi1 = chi1_via_beta(g)
     half_beta2 = 0.5 * wedge(beta, beta)
@@ -356,23 +357,23 @@ def chi_via_beta(g: GraphPlane):
 def chi1_via_beta(g: GraphPlane) -> Form:
     """chi_1(v)^flat = *(beta ^ *phi) alone, the first of `chi_via_beta`;
     the n = 1 case of `chi1_via_beta_many`."""
-    return chi1_via_beta_many(g.T[None], g.splitting)._sample(0)
+    return chi1_via_beta_many(g.T[None])._sample(0)
 
 
-def chi1_via_beta_many(Ts, S: Splitting) -> Form:
+def chi1_via_beta_many(Ts) -> Form:
     """chi1_via_beta of stacked graph maps (n, 3, 4), as a stacked 1-form."""
-    return hodge(wedge(beta_of_many(Ts), S.g2.star_phi))
+    return hodge(wedge(beta_of_many(Ts), standard_splitting().g2.star_phi))
 
 
 def chi1_via_projection(g: GraphPlane) -> Form:
     """Alternative route: chi_1(v)^flat = sqrt(3) (lambda^2)^{-1} (pi^2_7 beta);
     the n = 1 case of `chi1_via_projection_many`."""
-    return chi1_via_projection_many(g.T[None], g.splitting)._sample(0)
+    return chi1_via_projection_many(g.T[None])._sample(0)
 
 
-def chi1_via_projection_many(Ts, S: Splitting) -> Form:
+def chi1_via_projection_many(Ts) -> Form:
     """chi1_via_projection of stacked graph maps (n, 3, 4), as a stacked 1-form."""
-    G = S.g2
+    G = standard_splitting().g2
     return np.sqrt(3.0) * g2core.lambda_k_inverse(g2core.project_2_7(beta_of_many(Ts), G), 2, G)
 
 
@@ -385,11 +386,11 @@ def linearization_rank(g: GraphPlane) -> int:
     12 - rank (= 8)."""
     if not np.linalg.norm(fueter_vector(g)) < IDENTITY_TOL:
         raise ValueError("input plane is not Fueter")
-    M = fueter_map_matrix(g.splitting)
+    M = fueter_map_matrix()
     return int(np.linalg.matrix_rank(M, tol=1e-10))
 
 
-def polar_space_dim(W: Plane, system: str, S: Splitting) -> int:
+def polar_space_dim(W: Plane, system: str) -> int:
     """Dimension of the polar space of an integral s-plane (s in {0,1,2}).
 
     The generating sets are the 7 component 3-forms of chi (associative
@@ -405,6 +406,7 @@ def polar_space_dim(W: Plane, system: str, S: Splitting) -> int:
     if s < 2:
         return DIM
 
+    S = standard_splitting()
     if system == "fueter":
         S.horizontal_part(W.span)  # the Fueter system needs a projectable plane
         generators = S.chi_f_parts[1]
@@ -422,7 +424,6 @@ def polar_dim_constancy(system: str, s: int, n: int, seed):
     s-planes (projectable ones for the Fueter system) of the standard
     splitting.  Returns a dict dimension -> count; regularity at this
     scale means a single key."""
-    S = standard_splitting()
     rng = np.random.default_rng(seed)
     counts = {}
     produced = 0
@@ -434,7 +435,7 @@ def polar_dim_constancy(system: str, s: int, n: int, seed):
             if system == "fueter" and s == 2:
                 if np.linalg.svd(span[:, :3], compute_uv=False)[-1] <= 1e-6:
                     continue
-        d = polar_space_dim(Plane(span), system, S) if s else DIM
+        d = polar_space_dim(Plane(span), system) if s else DIM
         counts[d] = counts.get(d, 0) + 1
         produced += 1
     return counts

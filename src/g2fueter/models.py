@@ -19,13 +19,13 @@ as G2 data (they change which forms are closed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import g2core
 from .exterior import Form, basis_form, wedge, zero_form
-from .splitting import Splitting, standard_splitting
+from .splitting import standard_splitting
 
 __all__ = [
     "LieAlgebraModel",
@@ -61,7 +61,6 @@ class LieAlgebraModel:
 
     name: str
     c: np.ndarray  # c[i,j,k]: [e_i, e_j] = sum_k c[i,j,k] e_k, 0-based
-    splitting: Splitting = field(init=False, default_factory=standard_splitting)
 
     def __post_init__(self):
         c = np.asarray(self.c, dtype=float).reshape(DIM, DIM, DIM)
@@ -74,7 +73,7 @@ class LieAlgebraModel:
 
     @property
     def g2(self) -> g2core.G2Structure:
-        return self.splitting.g2
+        return standard_splitting().g2
 
     def coframe_differentials(self):
         """de^k for k = 1..7 as 2-forms."""
@@ -90,7 +89,7 @@ class LieAlgebraModel:
 
     def forms(self):
         """(lam, omega, Theta, mu) of the model, in the invariant coframe."""
-        return self.splitting.form_parts()
+        return standard_splitting().form_parts()
 
 
 def jacobi_check(c) -> float:

@@ -1,7 +1,9 @@
 """Geometry relative to a splitting TM = H + V with H associative.
 
-The splitting is the standard one of phi0, so its orthonormal frame
-coordinates are the ambient ones: indices 1..3 span H, 4..7 span V.
+The splitting is the standard one of phi0, which `standard_splitting()`
+builds once per process and every function here reads; none takes a
+splitting.  Its orthonormal frame coordinates are the ambient ones:
+indices 1..3 span H, 4..7 span V.
 A projectable oriented 3-plane is encoded by its graph map T: H -> V, a
 3x4 coefficient array with rows v_{i,.}, so that the canonical spanning
 frame is v_i = e_i + sum_a T[i,a] eta_a.  That frame is automatically
@@ -30,7 +32,6 @@ from .exterior import (
     _rowdot,
     _stacked,
     interior,
-    zero_form,
 )
 
 __all__ = [
@@ -81,7 +82,8 @@ class Splitting:
     G2 acts transitively on associative 3-planes, so every associative
     splitting of phi0 is congruent to this one, and its frame coordinates
     are the ambient ones.  g2: the ambient structure, always the standard
-    one (not a constructor argument).
+    one (not a constructor argument).  The library reads only the one
+    that `standard_splitting()` caches.
     """
 
     g2: g2core.G2Structure = field(init=False, default_factory=g2core.standard_g2)
@@ -149,13 +151,17 @@ class Splitting:
         return self.g2.chi_form
 
 
+@cache
 def standard_splitting() -> Splitting:
+    """The standard splitting, built once per process; its parts stay lazy.
+    A test that patches a function feeding those parts clears this cache
+    before and after, or a warm part hides the patch or outlives it."""
     return Splitting()
 
 
 def _vertical_parts(a: Form, degree_cap):
     parts = a.vertical_degree_parts(range(4, DIM + 1))
-    return [parts.get(q, zero_form(a.dim, a.degree)) for q in range(degree_cap + 1)]
+    return [parts.get(q, Form._trusted(a.dim, a.degree, {})) for q in range(degree_cap + 1)]
 
 
 # -- planes ------------------------------------------------------------------
@@ -195,7 +201,6 @@ class GraphPlane:
     """
 
     T: np.ndarray
-    splitting: Splitting
 
     def __post_init__(self):
         T = np.asarray(self.T, dtype=float).reshape(3, 4)
@@ -206,7 +211,7 @@ class GraphPlane:
         return graph_frames(self.T[None])[0]
 
 
-def graph_from_plane(p: Plane, S: Splitting):
+def graph_from_plane(p: Plane):
     """Convert a 3-plane to graph coordinates.
 
     Returns (GraphPlane, orientation_sign); the sign is -1 when the
@@ -216,17 +221,17 @@ def graph_from_plane(p: Plane, S: Splitting):
     """
     if p.s != 3:
         raise ValueError("graph coordinates require a 3-plane")
-    Ts, signs = graph_from_planes(p.span[None], S)
-    return GraphPlane(T=Ts[0], splitting=S), int(signs[0])
+    Ts, signs = graph_from_planes(p.span[None])
+    return GraphPlane(T=Ts[0]), int(signs[0])
 
 
-def graph_from_planes(spans, S: Splitting):
+def graph_from_planes(spans):
     """graph_from_plane of stacked spans (n, 3, 7): the graph maps (n, 3, 4)
     and signs (n,).  Each span passes the projectability guard, which
     implies Plane's: the singular values of a span bound those of its H
     part from above."""
     spans = _stacked(spans, (3, DIM))
-    A = S.horizontal_part(spans)
+    A = standard_splitting().horizontal_part(spans)
     return np.linalg.solve(A, spans[..., 3:]), np.where(np.linalg.det(A) > 0, 1, -1)
 
 
@@ -254,9 +259,9 @@ def beta_of_many(Ts) -> Form:
                                   zip(keys, cols, cols.any(axis=1)) if kept})
 
 
-def horizontal_metric(p: Plane, S: Splitting):
+def horizontal_metric(p: Plane):
     """Gram matrix of the horizontal projections of the spanning frame."""
-    A = S.horizontal_part(p.span)
+    A = standard_splitting().horizontal_part(p.span)
     return A @ A.T
 
 
@@ -746,9 +751,9 @@ def semi_calibration_scan(
                       violations=fold.violations, seed=sampler.seed, tol=tol)
 
 
-def _omega_blocks(S: Splitting):
+def _omega_blocks():
     """The vertical 4x4 blocks of omega_1, omega_2, omega_3."""
-    return [S.omega_2form(i).to_dense()[3:, 3:] for i in (1, 2, 3)]
+    return [standard_splitting().omega_2form(i).to_dense()[3:, 3:] for i in (1, 2, 3)]
 
 
 def _omega_values(w, Ts):
@@ -764,7 +769,6 @@ def _omega_values(w, Ts):
 
 
 def anisotropic_scan(
-    S: Splitting,
     sampler: PlaneSampler,
     n: int,
     tol: float = INEQUALITY_SLACK,
@@ -797,7 +801,7 @@ def anisotropic_scan(
     included = _included(include_planes, (3, 4), "planes")
     from .fueter import condition_residuals, fueter_map_matrix
 
-    w, fmap = _omega_blocks(S), fueter_map_matrix(S)
+    w, fmap = _omega_blocks(), fueter_map_matrix()
     fold, worst, skipped, argmax_plane, near = _RatioFold(tol), -np.inf, 0, None, []
 
     def blocks():
@@ -832,7 +836,7 @@ def anisotropic_scan(
                       samples=len(included) + n, max_ratio=fold.max_ratio,
                       argmax_frame=argmax_plane.tolist(), violations=fold.violations,
                       seed=sampler.seed, tol=tol, skipped=skipped,
-                      equality_cases=[condition_residuals(GraphPlane(T=T, splitting=S)).as_dict()
+                      equality_cases=[condition_residuals(GraphPlane(T=T)).as_dict()
                                       for T in near])
 
 
@@ -869,15 +873,15 @@ def equality_ladder(g: GraphPlane):
     alpha_{2l}(v) = ve_l and alpha_{2k+2}(v) + |chi_{k+1}(v)|^2 / 2 =
     ve_{k+1} are also evaluated.
     """
-    return equality_ladder_many(g.T[None], g.splitting)[0]
+    return equality_ladder_many(g.T[None])[0]
 
 
-def equality_ladder_many(Ts, S: Splitting):
-    """equality_ladder of stacked graph maps (n, 3, 4) on the splitting S,
-    one report per plane, every value computed over the sample axis."""
+def equality_ladder_many(Ts):
+    """equality_ladder of stacked graph maps (n, 3, 4), one report per
+    plane, every value computed over the sample axis."""
     frames = graph_frames(Ts)
-    alpha = [p.apply_many(frames) for p in S.phi_f_parts]
-    chi = [p.apply_many(frames) for p in S.chi_f_parts]
+    alpha = [p.apply_many(frames) for p in standard_splitting().phi_f_parts]
+    chi = [p.apply_many(frames) for p in standard_splitting().chi_f_parts]
     v_parts_sq = _wedge3_vertical_norms(frames)
     ve = ve_series_many(Ts, 3).T
 

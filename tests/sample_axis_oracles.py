@@ -106,28 +106,28 @@ def check(Ts, V1, V2):
     """
     for stacked, ref in ((fu.chi1_via_beta_many, chi1_via_beta_ref),
                          (fu.chi1_via_projection_many, chi1_via_projection_ref)):
-        form = stacked(Ts, S)  # a row's keys may come in the stack's order
+        form = stacked(Ts)  # a row's keys may come in the stack's order
         assert [sorted(_items(form._sample(i))) for i in range(len(Ts))] == \
             [sorted(_items(ref(T))) for T in Ts]
-    reports = fu.condition_residuals_many(Ts, S)
+    reports = fu.condition_residuals_many(Ts)
     got = [(r.beta_wedge_star_phi_norm, r.beta_wedge_theta_norm) for r in reports]
     assert [_hex(pair) for pair in got] == [_hex(beta_wedge_norms_ref(T)) for T in Ts]
 
-    V3, conds = fu.fueter_complete_many(V1, V2, S)
-    graphs, _ = sp.graph_from_planes(np.stack([V1, V2, V3], axis=1), S)
+    V3, conds = fu.fueter_complete_many(V1, V2)
+    graphs, _ = sp.graph_from_planes(np.stack([V1, V2, V3], axis=1))
     want = [completion_ref(v1, v2) for v1, v2 in zip(V1, V2)]
     assert [_hex(v) for v in V3] == [_hex(v3) for v3, _, _ in want]
     assert _hex(conds) == [float(cond).hex() for _, cond, _ in want]
     assert [_hex(T) for T in graphs] == [_hex(T) for _, _, T in want]
 
-    g = sp.GraphPlane(Ts[0], S)
+    g = sp.GraphPlane(Ts[0])
     assert _items(fu.chi1_via_beta(g)) == _items(chi1_via_beta_ref(Ts[0]))
     assert _items(fu.chi1_via_projection(g)) == _items(chi1_via_projection_ref(Ts[0]))
     one = fu.condition_residuals(g)
     assert _hex([one.beta_wedge_star_phi_norm, one.beta_wedge_theta_norm]) == \
         _hex(beta_wedge_norms_ref(Ts[0]))
-    v3 = fu.fueter_complete(V1[0], V2[0], S)
-    graph, _ = sp.graph_from_plane(sp.Plane(np.vstack([V1[0], V2[0], v3])), S)
+    v3 = fu.fueter_complete(V1[0], V2[0])
+    graph, _ = sp.graph_from_plane(sp.Plane(np.vstack([V1[0], V2[0], v3])))
     assert _hex(v3) == _hex(want[0][0]) and _hex(graph.T) == _hex(want[0][2])
 
 

@@ -23,8 +23,6 @@ from g2fueter import models as md
 from g2fueter import pde
 from g2fueter import splitting as sp
 
-S = sp.standard_splitting()
-
 
 def _line(num, name, ok, detail=""):
     status = "PASS" if ok else "FAIL"
@@ -77,8 +75,8 @@ def test_01_g2_algebra_suite():
 
 
 def test_02_ve_hierarchy():
-    worst = cli._ve_routes(np.random.default_rng(102), 1000, S)
-    pin_err = cli._ve_sqrt_taylor(S)
+    worst = cli._ve_routes(np.random.default_rng(102), 1000)
+    pin_err = cli._ve_sqrt_taylor()
     ok = worst < 1e-10 and pin_err == 0.0
     _line(2, "ve-hierarchy", ok, f"routes {worst:.2e}, pinned {pin_err:.2e}")
 
@@ -92,7 +90,7 @@ def run_criterion_3():
     fueter_plane[0, 0] = 1.0
     fueter_plane[2, 2] = -1.0
     rep = sp.anisotropic_scan(
-        S, sp.PlaneSampler(103), 100_000, tol=1e-10, include_planes=[fueter_plane]
+        sp.PlaneSampler(103), 100_000, tol=1e-10, include_planes=[fueter_plane]
     )
     ok = rep.violations == 0 and rep.max_ratio <= 1.0 + 1e-10
     return ok, json.dumps(rep.as_dict(), sort_keys=True)
@@ -110,7 +108,7 @@ def test_03_anisotropic_calibration():
 
 @functools.cache
 def run_criterion_4():
-    pairs = list(cli._six_way(np.random.default_rng(104), 1000, S))
+    pairs = list(cli._six_way(np.random.default_rng(104), 1000))
     ok = all(f.all_below() and h.none_below() for f, h in pairs)
     reports = [{"fueter": f.as_dict(), "generic": h.as_dict()} for f, h in pairs[:50]]
     return ok, json.dumps(reports, sort_keys=True)

@@ -23,7 +23,7 @@ from g2fueter import splitting as sp
 
 S = sp.standard_splitting()
 G = g2.standard_g2()
-J = fu.jtriple_from_splitting(S)
+J = fu.jtriple_from_splitting()
 SIZES = (0, 1, 1000)
 EVERY = 37  # the slow references check every 37th row of a batch, and the last
 
@@ -104,7 +104,7 @@ def _condition_residuals(T):
     frame = _frame(T)
     gap = _ve_series(T, 1)[1] - _form_value(omega, frame)
     chi1 = np.array([-_form_value(ex.interior(np.eye(7)[3 + a], theta), frame) for a in range(4)])
-    beta = sp.beta_of(sp.GraphPlane(T, S))
+    beta = sp.beta_of(sp.GraphPlane(T))
     return (gap, float(np.linalg.norm(_fueter_vector(T))), float(np.linalg.norm(chi1)),
             np.max([abs(_form_value(theta, frame + [e])) for e in np.eye(7)]),
             ex.wedge(beta, S.g2.star_phi).norm(), ex.wedge(beta, theta).norm())
@@ -150,7 +150,7 @@ def _ladder(T):
 # sample, per-sample reference on one sample)
 
 def _plane(T):
-    return sp.GraphPlane(T, S)
+    return sp.GraphPlane(T)
 
 
 KERNELS = {
@@ -166,21 +166,21 @@ KERNELS = {
                        lambda T: sp.ve_series(_plane(T), 4), lambda T: _ve_series(T, 4)),
     "ve_recursive_many": ((3, 4), lambda Ts: sp.ve_recursive_many(Ts, 6),
                           lambda T: sp.ve_recursive(_plane(T), 6), lambda T: _ve_recursive(T, 6)),
-    "fueter_vector_many": ((3, 4), lambda Ts: fu.fueter_vector_many(Ts, S),
+    "fueter_vector_many": ((3, 4), fu.fueter_vector_many,
                            lambda T: fu.fueter_vector(_plane(T)), _fueter_vector),
     "fueter_via_J_many": ((3, 4), lambda Ts: fu.fueter_via_J_many(Ts, J),
                           lambda T: fu.fueter_via_J(_plane(T), J),
                           lambda T: sum(Ji @ T[i] for i, Ji in enumerate(J.as_tuple()))),
     "chi_component_values_many": (
-        (3, 4), lambda Ts: np.stack(fu.chi_component_values_many(Ts, S), axis=1),
+        (3, 4), lambda Ts: np.stack(fu.chi_component_values_many(Ts), axis=1),
         lambda T: np.stack(fu.chi_component_values(_plane(T))),
         lambda T: np.stack([_vector_form_value(p, _frame(T)) for p in S.chi_f_parts])),
     "condition_residuals_many": (
-        (3, 4), lambda Ts: np.array([r.residuals() for r in fu.condition_residuals_many(Ts, S)]),
+        (3, 4), lambda Ts: np.array([r.residuals() for r in fu.condition_residuals_many(Ts)]),
         lambda T: np.array(fu.condition_residuals(_plane(T)).residuals()),
         lambda T: np.array(_condition_residuals(T))),
     "equality_ladder_many": (
-        (3, 4), lambda Ts: [_report_tuple(r) for r in sp.equality_ladder_many(Ts, S)],
+        (3, 4), lambda Ts: [_report_tuple(r) for r in sp.equality_ladder_many(Ts)],
         lambda T: _report_tuple(sp.equality_ladder(_plane(T))), _ladder),
 }
 
@@ -272,11 +272,11 @@ def test_six_way_matches_the_per_plane_loop():
     for _ in range(n):
         v1 = np.concatenate([[1.0, 0, 0], rng.standard_normal(4)])
         v2 = np.concatenate([[0.0, 1, 0], rng.standard_normal(4)])
-        v3 = fu.fueter_complete(v1, v2, S)
-        g, _ = sp.graph_from_plane(sp.Plane(np.vstack([v1, v2, v3])), S)
-        generic = sp.GraphPlane(rng.standard_normal((3, 4)), S)
+        v3 = fu.fueter_complete(v1, v2)
+        g, _ = sp.graph_from_plane(sp.Plane(np.vstack([v1, v2, v3])))
+        generic = sp.GraphPlane(rng.standard_normal((3, 4)))
         want.append((_condition_residuals(g.T), _condition_residuals(generic.T)))
-    got = cli._six_way(np.random.default_rng(104), n, S)
+    got = cli._six_way(np.random.default_rng(104), n)
     assert len(got) == n
     for (f, h), (wf, wh) in zip(got, want):
         assert _equal(f.residuals(), wf) and _equal(h.residuals(), wh)
@@ -286,16 +286,16 @@ def test_ve_routes_match_the_per_plane_loop():
     rng = np.random.default_rng(102)
     want = cli._worst(300, lambda: float(np.abs(
         (lambda T: _ve_series(T, 4) - _ve_recursive(T, 4))(rng.standard_normal((3, 4)))).max()))
-    assert _equal(cli._ve_routes(np.random.default_rng(102), 300, S), want)
+    assert _equal(cli._ve_routes(np.random.default_rng(102), 300), want)
 
 
 def test_ladder_matches_the_reference_at_every_depth():
     # random planes have depth 0, completed Fueter planes 2 and the zero
     # plane (H itself) 3
     rng = np.random.default_rng(3)
-    completed, _ = cli._completed_planes(rng.standard_normal((5, 8)), S)
+    completed, _ = cli._completed_planes(rng.standard_normal((5, 8)))
     stack = np.array([np.zeros((3, 4)), *completed, *rng.standard_normal((5, 3, 4))])
-    got = sp.equality_ladder_many(stack, S)
+    got = sp.equality_ladder_many(stack)
     assert {rep.vanishing_depth for rep in got} == {0, 2, 3}
     for rep, T in zip(got, stack):
         assert _same(_report_tuple(rep), _ladder(T))

@@ -104,7 +104,7 @@ def _scan_bytes(n, included, block, shared=False):
     of one seed, or with `shared` from one sampler, which draws once and
     must redraw the degenerate row for each metric as a fresh one does."""
     reports = [sp.anisotropic_scan(
-        S, sp.PlaneSampler(n), n,
+        sp.PlaneSampler(n), n,
         include_planes=[FUETER_T, np.zeros((3, 4))] if included else ())]
     samplers = [sp.PlaneSampler(n + 1) for _ in range(1 if shared else 2)]
     for sampler in samplers:
@@ -164,7 +164,7 @@ def _streamed_report(monkeypatch, n, edit):
     for run in (_whole_serial, functools.partial(_pooled, block=7)):
         with monkeypatch.context() as m:
             run(m)
-            rep = sp.anisotropic_scan(S, _anisotropic_sampler(edit), n)
+            rep = sp.anisotropic_scan(_anisotropic_sampler(edit), n)
         got.append(json.dumps(rep.as_dict(), sort_keys=True))
     assert got[0] == got[1]
     return rep
@@ -185,7 +185,7 @@ def test_fold_keeps_the_first_nan_and_the_first_of_equal_maxima():
 def test_equal_maxima_in_two_blocks_keep_the_first(monkeypatch):
     # T and 2T have bit-equal ratios (scaling by 2 is exact): the first wins
     planes = np.stack([FUETER_T, 2.0 * FUETER_T])
-    omega = sp._omega_values(sp._omega_blocks(S), planes)
+    omega = sp._omega_values(sp._omega_blocks(), planes)
     ratios = omega / (0.5 * np.einsum("nia,nia->n", planes, planes))
     assert ratios[0] == ratios[1]
     rep = _streamed_report(monkeypatch, 30, _planting({3: planes[0], 12: planes[1]}))
@@ -223,7 +223,7 @@ def test_identity_guard_raises_after_the_whole_draw(row, monkeypatch):
         with monkeypatch.context() as m, np.errstate(over="ignore", invalid="ignore"):
             run(m)
             with pytest.raises(AssertionError, match="identity violated: residual nan"):
-                sp.anisotropic_scan(S, sampler, 20)
+                sp.anisotropic_scan(sampler, 20)
         assert sampler.rng.drawn == 20
         assert sampler.rng.rng.bit_generator.state == drawn.bit_generator.state
 
@@ -281,7 +281,7 @@ def test_scans_leave_no_thread_and_trace_on_the_main_thread(monkeypatch):
 
     before = threading.active_count()
     with ThreadNotingTracer() as tracer:
-        sp.anisotropic_scan(S, sp.PlaneSampler(1), 5000, include_planes=[FUETER_T])
+        sp.anisotropic_scan(sp.PlaneSampler(1), 5000, include_planes=[FUETER_T])
         sp.semi_calibration_scan(S.g2.phi, np.eye(7), sp.PlaneSampler(2), 5000)
     assert threading.active_count() == before
     assert all(seen)

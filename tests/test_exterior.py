@@ -340,7 +340,7 @@ def test_projections_and_beta_pass_the_public_constructor(a, seed):
     _revalidated(g2.project_k7(a, a.degree, g2.standard_g2()))
     rng = np.random.default_rng(seed)
     T = rng.standard_normal((3, 4)) * rng.integers(0, 2, (3, 4))  # with exact zeros
-    _revalidated(sp.beta_of(sp.GraphPlane(T, sp.standard_splitting())))
+    _revalidated(sp.beta_of(sp.GraphPlane(T)))
 
 
 def test_wedge_table_matches_parity_reference():
@@ -427,7 +427,7 @@ def test_one_det_call_per_apply_and_per_pullback_monomial(monkeypatch):
 
 def test_internal_operations_skip_key_validation(monkeypatch):
     phi, star = g2.phi0(), g2.star_phi0()
-    G, S, two = g2.standard_g2(), sp.standard_splitting(), ex.basis_form(7, (1, 2))
+    G, two = g2.standard_g2(), ex.basis_form(7, (1, 2))
     G.lambda_matrices  # built once per structure, through the public constructor
     check = _Counter(ex._check_index_tuple)
     monkeypatch.setattr(ex, "_check_index_tuple", check)
@@ -439,7 +439,9 @@ def test_internal_operations_skip_key_validation(monkeypatch):
     ex.pullback(np.eye(7) + 0.1, phi)
     _ = phi + phi, 3.0 * phi, phi - phi
     g2.project_k7(two, 2, G)
-    sp.beta_of(sp.GraphPlane(np.ones((3, 4)), S))
+    sp.beta_of(sp.GraphPlane(np.ones((3, 4))))
+    star.vertical_degree_parts(range(4, 8))
+    sp.decompose_form(star)  # pads the empty degrees 1 and 3
     assert check.calls == 0
     ex.Form(7, 3, phi.coeffs)
     assert check.calls == len(phi.coeffs)

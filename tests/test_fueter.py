@@ -19,15 +19,15 @@ FUETER_T = np.array([
 def random_fueter_plane(rng):
     v1 = np.concatenate([[1.0, 0, 0], rng.standard_normal(4)])
     v2 = np.concatenate([[0.0, 1, 0], rng.standard_normal(4)])
-    v3 = fu.fueter_complete(v1, v2, S)
-    g, _ = sp.graph_from_plane(sp.Plane(np.vstack([v1, v2, v3])), S)
+    v3 = fu.fueter_complete(v1, v2)
+    g, _ = sp.graph_from_plane(sp.Plane(np.vstack([v1, v2, v3])))
     return g
 
 
 class TestJTriple:
     def test_standard_matches_derived(self):
         a = fu.standard_jtriple().as_tuple()
-        b = fu.jtriple_from_splitting(S).as_tuple()
+        b = fu.jtriple_from_splitting().as_tuple()
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_quaternion_relations_enforced(self):
@@ -45,19 +45,19 @@ class TestJTriple:
 
 class TestFueterVector:
     def test_horizontal_plane(self):
-        assert np.abs(fu.fueter_vector(sp.GraphPlane(np.zeros((3, 4)), S))).max() == 0.0
+        assert np.abs(fu.fueter_vector(sp.GraphPlane(np.zeros((3, 4))))).max() == 0.0
 
     def test_single_entry_gives_eta5(self):
         T = np.zeros((3, 4))
         T[0, 0] = 1.0  # v14 = 1: e1 x eta4 = eta5
-        assert np.array_equal(fu.fueter_vector(sp.GraphPlane(T, S)), [0.0, 1.0, 0.0, 0.0])
+        assert np.array_equal(fu.fueter_vector(sp.GraphPlane(T)), [0.0, 1.0, 0.0, 0.0])
 
     def test_cancellation_example(self):
-        assert np.abs(fu.fueter_vector(sp.GraphPlane(FUETER_T, S))).max() == 0.0
+        assert np.abs(fu.fueter_vector(sp.GraphPlane(FUETER_T))).max() == 0.0
 
     def test_coordinate_formula(self):
         rng = np.random.default_rng(0)
-        J = fu.jtriple_from_splitting(S)
+        J = fu.jtriple_from_splitting()
         for _ in range(50):
             v = rng.standard_normal((3, 4))
             expected = np.array([
@@ -66,15 +66,15 @@ class TestFueterVector:
                 -v[0, 3] + v[1, 0] - v[2, 1],
                 v[0, 2] - v[1, 1] - v[2, 0],
             ])
-            g = sp.GraphPlane(v, S)
+            g = sp.GraphPlane(v)
             assert np.abs(fu.fueter_vector(g) - expected).max() < 1e-14
             assert np.abs(fu.fueter_via_J(g, J) - expected).max() < 1e-14
 
     def test_route_equivalence(self):
         rng = np.random.default_rng(1)
-        J = fu.jtriple_from_splitting(S)
+        J = fu.jtriple_from_splitting()
         for _ in range(200):
-            g = sp.GraphPlane(rng.standard_normal((3, 4)), S)
+            g = sp.GraphPlane(rng.standard_normal((3, 4)))
             f1 = fu.fueter_vector(g)
             f2 = fu.fueter_via_J(g, J)
             chi1 = fu.chi_component_values(g)[1]
@@ -85,10 +85,10 @@ class TestFueterVector:
 
 class TestCompletions:
     def test_trivial_pair(self):
-        assert np.allclose(fu.fueter_complete(E[0], E[1], S), E[2])
+        assert np.allclose(fu.fueter_complete(E[0], E[1]), E[2])
 
     def test_tilted_pair(self):
-        got = fu.fueter_complete(E[0] + E[3], E[1], S)
+        got = fu.fueter_complete(E[0] + E[3], E[1])
         assert np.allclose(got, E[2] - E[5])  # e3 - eta6
 
     def test_random_pairs_unique_and_fueter(self):
@@ -96,8 +96,8 @@ class TestCompletions:
         for _ in range(100):
             v1 = np.concatenate([[1.0, 0, 0], rng.standard_normal(4)])
             v2 = np.concatenate([[0.0, 1, 0], rng.standard_normal(4)])
-            (v3,), (cond,) = fu.fueter_complete_many([v1], [v2], S)
-            g, _ = sp.graph_from_plane(sp.Plane(np.vstack([v1, v2, v3])), S)
+            (v3,), (cond,) = fu.fueter_complete_many([v1], [v2])
+            g, _ = sp.graph_from_plane(sp.Plane(np.vstack([v1, v2, v3])))
             assert np.linalg.norm(fu.fueter_vector(g)) < 1e-12
             assert abs(cond - 1.0) < 1e-12  # J(h3) is orthogonal
 
@@ -105,52 +105,52 @@ class TestCompletions:
         c, s = np.cos(0.7), np.sin(0.7)
         v1 = c * E[0] + s * E[1] + 0.4 * E[4]
         v2 = -s * E[0] + c * E[1] - 0.2 * E[6]
-        v3 = fu.fueter_complete(v1, v2, S)
-        g, _ = sp.graph_from_plane(sp.Plane(np.vstack([v1, v2, v3])), S)
+        v3 = fu.fueter_complete(v1, v2)
+        g, _ = sp.graph_from_plane(sp.Plane(np.vstack([v1, v2, v3])))
         assert np.linalg.norm(fu.fueter_vector(g)) < 1e-12
 
     def test_precondition(self):
         with pytest.raises(ValueError):
-            fu.fueter_complete(2.0 * E[0], E[1], S)
+            fu.fueter_complete(2.0 * E[0], E[1])
 
     def test_non_finite_pair_rejected(self):
         for bad in (np.nan, np.inf):
             v1 = np.array([1.0, 0, 0, bad, 0, 0, 0])
             with pytest.raises(ValueError, match="finite"):
-                fu.fueter_complete(v1, E[1], S)
+                fu.fueter_complete(v1, E[1])
             with pytest.raises(ValueError, match="finite"):
-                fu.fueter_complete(E[0], v1[[1, 0, 2, 3, 4, 5, 6]], S)
+                fu.fueter_complete(E[0], v1[[1, 0, 2, 3, 4, 5, 6]])
 
 
 class TestConditionReport:
     def test_fueter_plane_all_six_vanish(self):
-        rep = fu.condition_residuals(sp.GraphPlane(FUETER_T, S))
+        rep = fu.condition_residuals(sp.GraphPlane(FUETER_T))
         assert all(abs(r) <= 1e-12 for r in rep.residuals())
 
     def test_single_entry_plane_values(self):
         T = np.zeros((3, 4))
         T[0, 0] = 1.0
-        rep = fu.condition_residuals(sp.GraphPlane(T, S))
+        rep = fu.condition_residuals(sp.GraphPlane(T))
         assert rep.fueter_norm == 1.0
         assert rep.chi1_norm == 1.0
         assert abs(rep.anisotropic_gap - 0.5) < 1e-14
 
     def test_horizontal_plane_trivially_fueter(self):
-        rep = fu.condition_residuals(sp.GraphPlane(np.zeros((3, 4)), S))
+        rep = fu.condition_residuals(sp.GraphPlane(np.zeros((3, 4))))
         assert max(rep.residuals()) == 0.0
 
     def test_covanishing_statistics(self):
         rng = np.random.default_rng(4)
         for _ in range(50):
             assert fu.condition_residuals(random_fueter_plane(rng)).all_below()
-            generic = sp.GraphPlane(rng.standard_normal((3, 4)), S)
+            generic = sp.GraphPlane(rng.standard_normal((3, 4)))
             assert fu.condition_residuals(generic).none_below()
 
     def test_json_serialization(self):
         import json
 
         # the program serializes as_dict() inside its report
-        rep = fu.condition_residuals(sp.GraphPlane(FUETER_T, S))
+        rep = fu.condition_residuals(sp.GraphPlane(FUETER_T))
         payload = json.loads(json.dumps(rep.as_dict(), sort_keys=True))
         assert set(payload) == {
             "anisotropicGap", "fueterNorm", "chi1Norm", "thetaContractionNorm",
@@ -160,13 +160,13 @@ class TestConditionReport:
 
 class TestChiViaBeta:
     def test_zero_plane(self):
-        chi1, chi2, chi3 = fu.chi_via_beta(sp.GraphPlane(np.zeros((3, 4)), S))
+        chi1, chi2, chi3 = fu.chi_via_beta(sp.GraphPlane(np.zeros((3, 4))))
         assert chi1.is_zero(0.0) and chi2.is_zero(0.0) and chi3.is_zero(0.0)
 
     def test_single_entry_matches_fueter_vector(self):
         T = np.zeros((3, 4))
         T[0, 0] = 1.0
-        g = sp.GraphPlane(T, S)
+        g = sp.GraphPlane(T)
         chi1, _, _ = fu.chi_via_beta(g)
         expected = ex.basis_form(7, (5,))  # eta5 flat
         assert chi1.equals(expected, 1e-14)
@@ -174,7 +174,7 @@ class TestChiViaBeta:
     def test_all_three_match_direct_contraction(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            g = sp.GraphPlane(rng.standard_normal((3, 4)), S)
+            g = sp.GraphPlane(rng.standard_normal((3, 4)))
             chis = fu.chi_component_values(g)
             via_beta = fu.chi_via_beta(g)
             for k, form in zip((1, 2, 3), via_beta):
@@ -187,13 +187,13 @@ class TestChiViaBeta:
     def test_chi1_alone_is_the_first_component(self):
         rng = np.random.default_rng(6)
         for _ in range(20):
-            g = sp.GraphPlane(rng.standard_normal((3, 4)), S)
+            g = sp.GraphPlane(rng.standard_normal((3, 4)))
             assert fu.chi1_via_beta(g).coeffs == fu.chi_via_beta(g)[0].coeffs
 
     def test_beta_cubed_oracle(self):
         # beta^3 / 6 = -e123 ^ (Te1)flat ^ (Te2)flat ^ (Te3)flat
         rng = np.random.default_rng(6)
-        g = sp.GraphPlane(rng.standard_normal((3, 4)), S)
+        g = sp.GraphPlane(rng.standard_normal((3, 4)))
         beta = sp.beta_of(g)
         lhs = (1.0 / 6.0) * ex.wedge(ex.wedge(beta, beta), beta)
         flats = [
@@ -210,9 +210,9 @@ class TestChiViaBeta:
         for _ in range(50):
             T = rng.standard_normal((3, 4))
             T[rng.integers(3)] = 0.0
-            g = sp.GraphPlane(T, S)
+            g = sp.GraphPlane(T)
             assert np.linalg.norm(fu.chi_component_values(g)[3]) < 1e-13
-            full = sp.GraphPlane(rng.standard_normal((3, 4)), S)
+            full = sp.GraphPlane(rng.standard_normal((3, 4)))
             if np.linalg.matrix_rank(full.T, tol=1e-6) == 3:
                 assert np.linalg.norm(fu.chi_component_values(full)[3]) > 1e-8
 
@@ -223,8 +223,8 @@ class TestChiViaBeta:
         for _ in range(50):
             v1 = np.concatenate([[1.0, 0, 0], rng.standard_normal(4)])
             v2 = np.concatenate([[0.0, 1, 0], np.zeros(4)])
-            v3 = fu.fueter_complete(v1, v2, S)
-            g, _ = sp.graph_from_plane(sp.Plane(np.vstack([v1, v2, v3])), S)
+            v3 = fu.fueter_complete(v1, v2)
+            g, _ = sp.graph_from_plane(sp.Plane(np.vstack([v1, v2, v3])))
             if np.linalg.norm(fu.chi_component_values(g)[3]) > 1e-10:
                 continue
             frame = g.frame()
@@ -244,7 +244,7 @@ class TestChiViaBeta:
             v = rng.standard_normal(7)
             w = g2.cross(h, v, S.g2)
             try:
-                g, _ = sp.graph_from_plane(sp.Plane(np.vstack([h, v, w])), S)
+                g, _ = sp.graph_from_plane(sp.Plane(np.vstack([h, v, w])))
             except sp.NotProjectableError:
                 continue
             hits += 1
@@ -257,7 +257,7 @@ class TestKVanishing:
     # the vanishing depth and its ladder identities, read off equality_ladder
     def test_generic_depth_zero(self):
         rng = np.random.default_rng(9)
-        rep = sp.equality_ladder(sp.GraphPlane(rng.standard_normal((3, 4)), S))
+        rep = sp.equality_ladder(sp.GraphPlane(rng.standard_normal((3, 4))))
         assert rep.vanishing_depth == 0
 
     def test_full_rank_fueter_depth_two(self):
@@ -269,18 +269,18 @@ class TestKVanishing:
         assert max(rep.ladder_residuals) < 1e-10
 
     def test_fueter_with_horizontal_vector_depth_three(self):
-        rep = sp.equality_ladder(sp.GraphPlane(FUETER_T, S))
+        rep = sp.equality_ladder(sp.GraphPlane(FUETER_T))
         assert rep.vanishing_depth == 3
         assert max(rep.ladder_residuals) < 1e-12
 
 
 class TestLinearization:
     def test_rank_at_zero_and_fueter_points(self):
-        assert fu.linearization_rank(sp.GraphPlane(np.zeros((3, 4)), S)) == 4
-        assert fu.linearization_rank(sp.GraphPlane(FUETER_T, S)) == 4
+        assert fu.linearization_rank(sp.GraphPlane(np.zeros((3, 4)))) == 4
+        assert fu.linearization_rank(sp.GraphPlane(FUETER_T)) == 4
 
     def test_solution_dimension_is_eight(self):
-        M = fu.fueter_map_matrix(S)
+        M = fu.fueter_map_matrix()
         assert M.shape == (4, 12)
         assert 12 - np.linalg.matrix_rank(M) == 8
 
@@ -289,11 +289,11 @@ class TestLinearization:
         T[0, 0] = 1.0
         for bad in (T, np.full((3, 4), np.nan)):
             with pytest.raises(ValueError, match="not Fueter"):
-                fu.linearization_rank(sp.GraphPlane(bad, S))
+                fu.linearization_rank(sp.GraphPlane(bad))
 
     def test_p_map_linearity(self):
         rng = np.random.default_rng(11)
-        M = fu.fueter_map_matrix(S)
+        M = fu.fueter_map_matrix()
         for _ in range(20):
             a, b = rng.standard_normal(2)
             T1, T2 = rng.standard_normal((2, 3, 4))
@@ -307,26 +307,26 @@ class TestPolarSpaces:
         rng = np.random.default_rng(12)
         for system in ("associative", "fueter"):
             line = sp.Plane(rng.standard_normal((1, 7)))
-            assert fu.polar_space_dim(line, system, S) == 7
+            assert fu.polar_space_dim(line, system) == 7
 
     def test_two_plane_dimensions(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             W = sp.Plane(rng.standard_normal((2, 7)))
-            assert fu.polar_space_dim(W, "associative", S) == 3
-            assert fu.polar_space_dim(W, "fueter", S) == 3
+            assert fu.polar_space_dim(W, "associative") == 3
+            assert fu.polar_space_dim(W, "fueter") == 3
 
     def test_fueter_needs_projectable(self):
         W = sp.Plane(np.vstack([E[3], E[4]]))
         with pytest.raises(sp.NotProjectableError):
-            fu.polar_space_dim(W, "fueter", S)
-        assert fu.polar_space_dim(W, "associative", S) == 3
+            fu.polar_space_dim(W, "fueter")
+        assert fu.polar_space_dim(W, "associative") == 3
 
     def test_unsupported_sizes(self):
         with pytest.raises(ValueError):
-            fu.polar_space_dim(sp.Plane(E[:3]), "associative", S)
+            fu.polar_space_dim(sp.Plane(E[:3]), "associative")
         with pytest.raises(ValueError):
-            fu.polar_space_dim(sp.Plane(E[:2]), "bogus", S)
+            fu.polar_space_dim(sp.Plane(E[:2]), "bogus")
 
     def test_constancy_counts(self):
         counts = fu.polar_dim_constancy("associative", 2, 40, seed=14)
@@ -342,7 +342,7 @@ class TestClosedFormsOnGeneralFrames:
         # chi_2(v) = -sum_i <F(pi), p_V(v_i)> p_H(v_i)
         rng = np.random.default_rng(19)
         for _ in range(50):
-            g = sp.GraphPlane(rng.standard_normal((3, 4)), S)
+            g = sp.GraphPlane(rng.standard_normal((3, 4)))
             f = fu.fueter_vector(g)
             expected = np.zeros(7)
             for i in range(3):
@@ -354,7 +354,7 @@ class TestClosedFormsOnGeneralFrames:
         rng = np.random.default_rng(20)
         _, _, _, mu = S.form_parts()
         for _ in range(50):
-            g = sp.GraphPlane(rng.standard_normal((3, 4)), S)
+            g = sp.GraphPlane(rng.standard_normal((3, 4)))
             frame = list(g.frame())
             expected = np.zeros(7)
             for a in range(4):
@@ -370,7 +370,7 @@ class TestClosedFormsOnGeneralFrames:
         lam, omega, _, _ = S.form_parts()
         chi1_form = S.chi_f_parts[1]
         for _ in range(50):
-            g = sp.GraphPlane(rng.standard_normal((3, 4)), S)
+            g = sp.GraphPlane(rng.standard_normal((3, 4)))
             B = rng.standard_normal((3, 3))
             if abs(np.linalg.det(B)) < 0.1:
                 continue
@@ -387,7 +387,7 @@ class TestClosedFormsOnGeneralFrames:
         # |v_ell|^2 = volH(v)^2 sum_{i+j=ell} ve_i ve_j on arbitrary bases
         rng = np.random.default_rng(22)
         for _ in range(30):
-            g = sp.GraphPlane(rng.standard_normal((3, 4)), S)
+            g = sp.GraphPlane(rng.standard_normal((3, 4)))
             B = rng.standard_normal((3, 3))
             if abs(np.linalg.det(B)) < 0.1:
                 continue
@@ -408,7 +408,7 @@ class TestScanRobustness:
         Ts = sp.PlaneSampler(1234).graph_planes(5000)
         for scale in (0.01, 1.0, 10.0):
             scaled = scale * Ts
-            omega = sp._omega_values(sp._omega_blocks(S), scaled)
+            omega = sp._omega_values(sp._omega_blocks(), scaled)
             ve1 = 0.5 * np.einsum("nia,nia->n", scaled, scaled)
             keep = ve1 >= sp.VE1_EXCLUSION
             assert np.all(omega[keep] / ve1[keep] <= 1.0 + sp.INEQUALITY_SLACK), scale
@@ -418,7 +418,7 @@ class TestScanRobustness:
         rng = np.random.default_rng(23)
         lam, omega, _, _ = S.form_parts()
         for _ in range(100):
-            g = sp.GraphPlane(10.0 * rng.standard_normal((3, 4)), S)
+            g = sp.GraphPlane(10.0 * rng.standard_normal((3, 4)))
             frame = list(g.frame())
             chi1 = fu.chi_component_values(g)[1]
             ve1 = sp.ve_series(g, 1)[1]

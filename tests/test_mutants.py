@@ -9,6 +9,12 @@ six suites at the fast profile and seed 1, or the guard that refuses it
 before any check runs.  A check that is deleted, loosened or merged with
 the route it guards shows up as a diff here.
 
+A mutant runs only on the suites that call its target (`_reached`,
+recorded once, cold); every other suite runs as it does unmutated.  The
+package's caches, the one standard splitting among them, are cleared
+before each suite run and after each test, so a warm cache hides no
+mutant and no mutant's value outlives its patch.
+
 Each mutant is patched on its defining module (a method on its class), so
 the library's own calls through that module's globals see it too; names
 imported into another module keep the original (fueter's
@@ -16,10 +22,12 @@ imported into another module keep the original (fueter's
 six-way report alone).
 """
 
+import functools
+
 import numpy as np
 import pytest
 
-from g2fueter import cli, fm_gauge, fueter, g2core, pde, splitting
+from g2fueter import cli, fm_gauge, fueter, g2core, models, pde, splitting
 from g2fueter import exterior as ex
 
 
@@ -96,8 +104,8 @@ def _vertical_solve_scaled(factor):
 
 def _blocks_transposed(real):
     """The Fueter map matrix [J1 | J2 | J3] with each J_i transposed."""
-    def mutant(S):
-        M = real(S).copy()
+    def mutant():
+        M = real().copy()
         for i in range(3):
             M[:, 4 * i: 4 * i + 4] = M[:, 4 * i: 4 * i + 4].T
         return M
@@ -231,13 +239,70 @@ SURVIVORS = {
 }
 
 
-def _failing_checks():
+PACKAGE = (cli, ex, fm_gauge, fueter, g2core, models, pde, splitting)
+SUITES = tuple(cli.SUITES)
+
+
+def _clear_caches():
+    """Drop every per-process cache of the package: the one standard
+    splitting (and with it its cached parts) and each functools cache.
+    Otherwise a warm cache can hide a mutant, and a mutant's values can
+    outlive its patch."""
+    for module in PACKAGE:
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def cold_caches():
+    _clear_caches()
+    yield
+    _clear_caches()
+
+
+def _failing_checks(suites=SUITES):
+    """The (suite, check) pairs that fail over the given suites at the fast
+    profile and seed 1, each suite run with the caches cleared."""
     failed = set()
-    for suite, run in cli.SUITES.items():
-        for check in run(np.random.default_rng(1), dict(cli.PROFILES["fast"])):
+    for suite in suites:
+        _clear_caches()
+        for check in cli.SUITES[suite](np.random.default_rng(1), dict(cli.PROFILES["fast"])):
             if not check["pass"]:
                 failed.add((suite, check["name"]))
     return failed
+
+
+@functools.cache
+def _reached():
+    """(module, attr) -> the suites that call it, recorded once with every
+    target spied at its patch point, each suite run cold.  A suite that
+    never calls a target runs exactly as it does unmutated, so a mutant
+    needs to run only on the suites that reach its target."""
+    reached = {(module, attr): set() for module, attr, *_ in
+               (*MUTANTS.values(), *REFUSED.values(), *SURVIVORS.values())}
+
+    def spy(real, seen):
+        def call(*args, **kwargs):
+            seen.add(suite)  # the suite running now
+            return real(*args, **kwargs)
+        return call
+
+    with pytest.MonkeyPatch.context() as m:
+        for (module, attr), seen in reached.items():
+            m.setattr(module, attr, spy(getattr(module, attr), seen))
+        for suite in SUITES:
+            _failing_checks([suite])
+    _clear_caches()
+    return {target: tuple(s for s in SUITES if s in seen) for target, seen in reached.items()}
+
+
+def _mutated_failing_checks(monkeypatch, module, attr, mutate, suites=None):
+    """_failing_checks with the mutant patched in, over the suites that
+    reach its target unless suites are given."""
+    suites = _reached()[module, attr] if suites is None else suites
+    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+    return _failing_checks(suites)
 
 
 def test_every_check_passes_unmutated():
@@ -247,21 +312,37 @@ def test_every_check_passes_unmutated():
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_mutant_is_killed_by_exactly_its_checks(name, monkeypatch):
     module, attr, mutate, killed_by = MUTANTS[name]
-    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
-    assert _failing_checks() == killed_by
+    assert _mutated_failing_checks(monkeypatch, module, attr, mutate) == killed_by
+
+
+# for each suite, a mutant that it kills, run on all six suites: pruning
+# by reachability must not change the kill set
+UNPRUNED = {
+    "algebra": "tau x 2",
+    "splitting": "equality ladder |v_ell|^2 at degree ell + 1",
+    "fueter": "fueter_complete vertical solve x (1+1e-6)",
+    "models": "_vertical_parts e123 at vertical degree 2",
+    "pde": "random_su2_points x 1.01",
+    "fm": "psi_pullback x (1+1e-9)",
+}
+
+
+@pytest.mark.parametrize("suite", SUITES)
+def test_pruned_kill_set_is_the_full_one(suite, monkeypatch):
+    module, attr, mutate, killed_by = MUTANTS[UNPRUNED[suite]]
+    assert suite in {s for s, _ in killed_by}
+    assert _mutated_failing_checks(monkeypatch, module, attr, mutate, SUITES) == killed_by
 
 
 @pytest.mark.parametrize("name", sorted(REFUSED))
 def test_mutant_is_refused_by_its_guard(name, monkeypatch):
     module, attr, mutate, error, message = REFUSED[name]
-    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
     with pytest.raises(error, match=message):
-        _failing_checks()
+        _mutated_failing_checks(monkeypatch, module, attr, mutate)
 
 
 @pytest.mark.xfail(strict=True, reason="no verify check sees this mutant yet")
 @pytest.mark.parametrize("name", sorted(SURVIVORS))
 def test_survivor_is_killed(name, monkeypatch):
     module, attr, mutate = SURVIVORS[name]
-    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
-    assert _failing_checks() != set()
+    assert _mutated_failing_checks(monkeypatch, module, attr, mutate) != set()

@@ -197,6 +197,32 @@ def _false_on_nan(node):
     return inner is not None and _false_on_nan(inner)
 
 
+# The same rule for parameters without a default: one that can hold only
+# one value is no parameter.  The splitting is always the standard one
+# (G2 acts transitively on associative 3-planes), so every layer reads
+# `standard_splitting()` and no def or dataclass takes a splitting.
+def _splitting_slots(tree, stem):
+    """module.def(param) for each parameter named S or annotated Splitting,
+    and module.Class.field for each dataclass field annotated Splitting."""
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            args = node.args
+            for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
+                annotation = ast.unparse(a.annotation) if a and a.annotation else ""
+                if a and (a.arg == "S" or "Splitting" in annotation):
+                    yield f"{stem}.{getattr(node, 'name', '<lambda>')}({a.arg})"
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and "Splitting" in ast.unparse(item.annotation):
+                    yield f"{stem}.{node.name}.{item.target.id}"
+
+
+def test_no_def_or_dataclass_takes_a_splitting():
+    package = Path(g2fueter.__file__).parent
+    assert [slot for path in sorted(package.glob("*.py"))
+            for slot in _splitting_slots(ast.parse(path.read_text()), path.stem)] == []
+
+
 def test_raise_guards_fail_on_nan():
     package = Path(g2fueter.__file__).parent
     unsound = set()

@@ -440,9 +440,8 @@ class TestEnergies:
         u = 0.3 * pde.random_fourier_field(rng, kmax=1)
         grid = pde.ImmersionGrid(u, 4)
         ve1, ve2, ve3, vol_density = pde._ve_pointwise(grid.jets)
-        S = sp.standard_splitting()
         for n in range(0, grid.points.shape[0], 17):
-            g = sp.GraphPlane(grid.jets[n].T, S)
+            g = sp.GraphPlane(grid.jets[n].T)
             series = sp.ve_series(g, 3)
             scale = max(1.0, float(np.abs(series).max()))
             assert abs(series[1] - ve1[n]) < 1e-12 * scale
@@ -761,13 +760,12 @@ class TestHeisenbergGraphs:
         # graph sections of the nilmanifold quotient use the flat operator
         # verbatim; the splitting route agrees with it
         rng = np.random.default_rng(20)
-        S = sp.standard_splitting()
         u = pde.random_polynomial_map(rng)
-        J = fu.jtriple_from_splitting(S)
+        J = fu.jtriple_from_splitting()
         for _ in range(20):
             x = rng.standard_normal(3)
             flat = pde.fueter_operator_flat(u, x)
-            g = sp.GraphPlane(u.jet1(x).T, S)
+            g = sp.GraphPlane(u.jet1(x).T)
             assert np.abs(fu.fueter_vector(g) - flat).max() < 1e-12
             assert np.abs(fu.fueter_via_J(g, J) - flat).max() == 0.0
 

@@ -43,13 +43,15 @@ class TestSplittingConstruction:
             assert not hasattr(sp.Splitting, name) and not hasattr(S2, name)
 
     def test_identity_equality_and_hash(self):
-        S2 = sp.standard_splitting()
-        g = sp.GraphPlane(FUETER_T, S2)
+        # one standard splitting per process, built once
+        assert sp.standard_splitting() is sp.standard_splitting()
+        S2 = sp.Splitting()
+        g = sp.GraphPlane(FUETER_T)
         table = {S2: "splitting", g: "plane"}
         assert table[S2] == "splitting" and table[g] == "plane"
         assert S2 == S2 and g == g
         assert S2 != sp.standard_splitting()
-        assert g != sp.GraphPlane(FUETER_T, S2)
+        assert g != sp.GraphPlane(FUETER_T)
 
     def test_dense_phi_is_a_read_only_constant(self):
         dense = S.g2.phi_dense
@@ -60,12 +62,12 @@ class TestSplittingConstruction:
 
 class TestGraphPlane:
     def test_horizontal_plane_has_zero_graph(self):
-        g, sign = sp.graph_from_plane(sp.Plane(E[:3]), S)
+        g, sign = sp.graph_from_plane(sp.Plane(E[:3]))
         assert np.abs(g.T).max() == 0.0 and sign == 1
 
     def test_unit_tilt_plane_graph(self):
         span = np.vstack([E[0] + E[3], E[1], E[2]])
-        g, sign = sp.graph_from_plane(sp.Plane(span), S)
+        g, sign = sp.graph_from_plane(sp.Plane(span))
         expected = np.zeros((3, 4))
         expected[0, 0] = 1.0
         assert np.abs(g.T - expected).max() < 1e-14
@@ -73,7 +75,7 @@ class TestGraphPlane:
 
     def test_vertical_plane_rejected(self):
         with pytest.raises(sp.NotProjectableError):
-            sp.graph_from_plane(sp.Plane(E[3:6]), S)
+            sp.graph_from_plane(sp.Plane(E[3:6]))
 
     def test_non_finite_plane_rejected(self):
         for bad in (np.nan, np.inf):
@@ -92,13 +94,13 @@ class TestGraphPlane:
 
     def test_orientation_sign_reported(self):
         span = np.vstack([E[1], E[0], E[2]])
-        _, sign = sp.graph_from_plane(sp.Plane(span), S)
+        _, sign = sp.graph_from_plane(sp.Plane(span))
         assert sign == -1
 
     def test_graph_spans_same_plane(self):
         rng = np.random.default_rng(0)
         span = rng.standard_normal((3, 7))
-        g, _ = sp.graph_from_plane(sp.Plane(span), S)
+        g, _ = sp.graph_from_plane(sp.Plane(span))
         # row spaces agree
         stacked = np.vstack([span, g.frame()])
         assert np.linalg.matrix_rank(stacked, tol=1e-8) == 3
@@ -107,12 +109,12 @@ class TestGraphPlane:
 class TestHorizontalMetric:
     def test_graph_frame_is_orthonormal(self):
         rng = np.random.default_rng(1)
-        g = sp.GraphPlane(rng.standard_normal((3, 4)), S)
-        got = sp.horizontal_metric(sp.Plane(g.frame()), S)
+        g = sp.GraphPlane(rng.standard_normal((3, 4)))
+        got = sp.horizontal_metric(sp.Plane(g.frame()))
         assert np.abs(got - np.eye(3)).max() < 1e-14
 
     def test_scaled_frame(self):
-        got = sp.horizontal_metric(sp.Plane(np.vstack([2 * E[0], E[1], E[2]])), S)
+        got = sp.horizontal_metric(sp.Plane(np.vstack([2 * E[0], E[1], E[2]])))
         assert np.abs(got - np.diag([4.0, 1.0, 1.0])).max() == 0.0
 
     def test_volH_below_vol(self):
@@ -120,35 +122,35 @@ class TestHorizontalMetric:
         for _ in range(100):
             span = rng.standard_normal((3, 7))
             try:
-                volH = np.sqrt(np.linalg.det(sp.horizontal_metric(sp.Plane(span), S)))
+                volH = np.sqrt(np.linalg.det(sp.horizontal_metric(sp.Plane(span))))
             except sp.NotProjectableError:
                 continue
             vol = np.sqrt(np.linalg.det(span @ span.T))
             assert volH <= vol + 1e-10
         # equality on horizontal planes only
-        volH = np.sqrt(np.linalg.det(sp.horizontal_metric(sp.Plane(E[:3]), S)))
+        volH = np.sqrt(np.linalg.det(sp.horizontal_metric(sp.Plane(E[:3]))))
         assert abs(volH - 1.0) < 1e-14
 
 
 class TestVeHierarchy:
     def test_zero_plane(self):
-        assert np.array_equal(sp.ve_series(sp.GraphPlane(np.zeros((3, 4)), S), 3), [1, 0, 0, 0])
+        assert np.array_equal(sp.ve_series(sp.GraphPlane(np.zeros((3, 4))), 3), [1, 0, 0, 0])
 
     def test_single_unit_row_matches_sqrt_taylor(self):
         # oracle: Taylor series of sqrt(1 + eps)
-        got = sp.ve_series(sp.GraphPlane(unit_row_T(), S), 3)
+        got = sp.ve_series(sp.GraphPlane(unit_row_T()), 3)
         assert np.abs(got - np.array([1.0, 0.5, -0.125, 0.0625])).max() < 1e-15
-        got_r = sp.ve_recursive(sp.GraphPlane(unit_row_T(), S), 3)
+        got_r = sp.ve_recursive(sp.GraphPlane(unit_row_T()), 3)
         assert np.abs(got_r - np.array([1.0, 0.5, -0.125, 0.0625])).max() < 1e-15
 
     def test_fueter_plane_values(self):
-        got = sp.ve_series(sp.GraphPlane(FUETER_T, S), 3)
+        got = sp.ve_series(sp.GraphPlane(FUETER_T), 3)
         assert np.abs(got - np.array([1.0, 1.0, 0.0, 0.0])).max() < 1e-14
 
     def test_two_routes_agree(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            g = sp.GraphPlane(rng.standard_normal((3, 4)), S)
+            g = sp.GraphPlane(rng.standard_normal((3, 4)))
             a = sp.ve_series(g, 5)
             b = sp.ve_recursive(g, 5)
             assert np.abs(a[:4] - b[:4]).max() < 1e-10
@@ -159,7 +161,7 @@ class TestVeHierarchy:
     def test_series_against_numeric_determinant(self):
         # third oracle: fit the eps-expansion of sqrt det(I + eps G) numerically
         rng = np.random.default_rng(4)
-        g = sp.GraphPlane(0.5 * rng.standard_normal((3, 4)), S)
+        g = sp.GraphPlane(0.5 * rng.standard_normal((3, 4)))
         ve = sp.ve_series(g, 3)
         gram = g.T @ g.T.T
         for eps in (1e-3, 1e-2):
@@ -170,7 +172,7 @@ class TestVeHierarchy:
     def test_recursion_closes_after_rank(self):
         # wedge powers vanish above the rank; higher ve are pure convolution
         rng = np.random.default_rng(5)
-        g = sp.GraphPlane(rng.standard_normal((3, 4)), S)
+        g = sp.GraphPlane(rng.standard_normal((3, 4)))
         ve = sp.ve_recursive(g, 6)
         for k in (4, 5, 6):
             conv = -0.5 * sum(ve[i] * ve[k - i] for i in range(1, k))
@@ -179,13 +181,13 @@ class TestVeHierarchy:
     def test_kmax_validation(self):
         for route in (sp.ve_series, sp.ve_recursive):
             with pytest.raises(ValueError):
-                route(sp.GraphPlane(np.zeros((3, 4)), S), -1)
+                route(sp.GraphPlane(np.zeros((3, 4))), -1)
 
     def test_ve_divergence_toward_vertical(self):
         values = []
         for theta in np.linspace(0.5, np.pi / 2 - 1e-4, 8):
             span = np.vstack([np.cos(theta) * E[0] + np.sin(theta) * E[3], E[1], E[2]])
-            g, _ = sp.graph_from_plane(sp.Plane(span), S)
+            g, _ = sp.graph_from_plane(sp.Plane(span))
             values.append(sp.ve_series(g, 1)[1])
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] > 1e6
@@ -237,7 +239,7 @@ class TestMinorKernels:
     def test_ve_recursive_bits(self):
         rng = np.random.default_rng(13)
         for T in _kernel_planes(rng):
-            g = sp.GraphPlane(T, S)
+            g = sp.GraphPlane(T)
             for kmax in range(7):
                 got, want = sp.ve_recursive(g, kmax), _reference_ve_recursive(g, kmax)
                 assert [v.hex() for v in got] == [v.hex() for v in want]
@@ -245,7 +247,7 @@ class TestMinorKernels:
     def test_wedge3_norm_bits(self):
         rng = np.random.default_rng(14)
         for T in _kernel_planes(rng):
-            frame = sp.GraphPlane(T, S).frame()
+            frame = sp.GraphPlane(T).frame()
             for vecs in (frame, rng.standard_normal((3, 3)) @ frame):
                 got, want = sp._wedge3_vertical_norms(vecs), _reference_wedge3_norms(vecs)
                 assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
@@ -260,7 +262,7 @@ class TestMinorKernels:
 
         monkeypatch.setattr(np.linalg, "det", counting)
         Ts = np.random.default_rng(15).standard_normal((5, 3, 4))
-        g = sp.GraphPlane(Ts[0], S)
+        g = sp.GraphPlane(Ts[0])
         sp.ve_recursive(g, 6)
         assert calls == [(1, 18, 2, 2), (1, 4, 3, 3)]
         calls.clear()
@@ -406,7 +408,7 @@ class TestScans:
         P[0, 0], P[2, 2] = 1.0, -1.0
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(AssertionError, match="identity violated"):
-            sp.anisotropic_scan(S, sp.PlaneSampler(1), 1, include_planes=[1e200 * P])
+            sp.anisotropic_scan(sp.PlaneSampler(1), 1, include_planes=[1e200 * P])
 
     def test_scaled_fueter_map_matrix_fails_identity_guard(self, monkeypatch):
         # the scan's identity is the one place that ties the 4 x 12 matrix
@@ -414,9 +416,9 @@ class TestScans:
         from g2fueter import fueter
 
         real = fueter.fueter_map_matrix
-        monkeypatch.setattr(fueter, "fueter_map_matrix", lambda S: 1.001 * real(S))
+        monkeypatch.setattr(fueter, "fueter_map_matrix", lambda: 1.001 * real())
         with pytest.raises(AssertionError, match="identity violated"):
-            sp.anisotropic_scan(S, sp.PlaneSampler(1), 100)
+            sp.anisotropic_scan(sp.PlaneSampler(1), 100)
 
     def test_negative_form_also_semi_calibration(self):
         sampler = sp.PlaneSampler(18)
@@ -432,7 +434,7 @@ class TestScans:
             assert rep.max_ratio <= 1.0 + 1e-10
 
     def test_anisotropic_scan(self):
-        rep = sp.anisotropic_scan(S, sp.PlaneSampler(20), 5000, include_planes=[FUETER_T])
+        rep = sp.anisotropic_scan(sp.PlaneSampler(20), 5000, include_planes=[FUETER_T])
         assert rep.violations == 0
         assert abs(rep.max_ratio - 1.0) < 1e-12  # the seeded equality case
         assert rep.equality_cases  # fed to the six-way residual report
@@ -445,28 +447,28 @@ class TestScans:
         def peak(n):
             tracemalloc.start()
             try:
-                sp.anisotropic_scan(S, sp.PlaneSampler(1), n)
+                sp.anisotropic_scan(sp.PlaneSampler(1), n)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        sp.anisotropic_scan(S, sp.PlaneSampler(1), 100)  # caches and imports
+        sp.anisotropic_scan(sp.PlaneSampler(1), 100)  # caches and imports
         small, large = peak(20_000), peak(200_000)
         assert abs(large - small) < 2 ** 20, (small, large)
 
     def test_horizontal_planes_excluded(self):
-        rep = sp.anisotropic_scan(S, sp.PlaneSampler(21), 100, include_planes=[np.zeros((3, 4))])
+        rep = sp.anisotropic_scan(sp.PlaneSampler(21), 100, include_planes=[np.zeros((3, 4))])
         assert rep.skipped >= 1
 
     def test_non_finite_included_plane_rejected(self):
         # a NaN plane would otherwise be skipped as a 0/0 case and pass
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
-                sp.anisotropic_scan(S, sp.PlaneSampler(21), 10,
+                sp.anisotropic_scan(sp.PlaneSampler(21), 10,
                                     include_planes=[np.full((3, 4), bad)])
 
     def test_report_json_roundtrip(self):
-        rep = sp.anisotropic_scan(S, sp.PlaneSampler(22), 50)
+        rep = sp.anisotropic_scan(sp.PlaneSampler(22), 50)
         payload = json.loads(json.dumps(rep.as_dict(), sort_keys=True))
         assert payload["seed"] == 22 and payload["samples"] == 50
 
@@ -485,9 +487,9 @@ class TestScans:
         rng = np.random.default_rng(24)
         Ts = rng.standard_normal((20, 3, 4))
         _, omega, _, _ = S.form_parts()
-        batch = sp._omega_values(sp._omega_blocks(S), Ts)
+        batch = sp._omega_values(sp._omega_blocks(), Ts)
         for i in range(20):
-            g = sp.GraphPlane(Ts[i], S)
+            g = sp.GraphPlane(Ts[i])
             assert abs(batch[i] - omega.apply(list(g.frame()))) < 1e-12
 
 
@@ -572,15 +574,15 @@ class TestEqualityLadder:
     def test_random_planes(self):
         rng = np.random.default_rng(25)
         for _ in range(100):
-            g = sp.GraphPlane(rng.standard_normal((3, 4)), S)
+            g = sp.GraphPlane(rng.standard_normal((3, 4)))
             rep = sp.equality_ladder(g)
             assert rep.max_residual < 1e-10
 
     def test_fueter_plane_depths(self):
-        rep = sp.equality_ladder(sp.GraphPlane(FUETER_T, S))
+        rep = sp.equality_ladder(sp.GraphPlane(FUETER_T))
         # this plane contains a horizontal vector, so chi_3 vanishes too
         assert rep.vanishing_depth == 3
-        ve = sp.ve_series(sp.GraphPlane(FUETER_T, S), 3)
+        ve = sp.ve_series(sp.GraphPlane(FUETER_T), 3)
         assert abs(ve[2]) < 1e-14 and abs(ve[3]) < 1e-14
 
     def test_full_rank_fueter_plane(self):
@@ -588,8 +590,8 @@ class TestEqualityLadder:
 
         v1 = np.concatenate([[1.0, 0, 0], [0.3, -0.2, 0.5, 0.1]])
         v2 = np.concatenate([[0.0, 1, 0], [-0.4, 0.7, 0.2, -0.6]])
-        v3 = fu.fueter_complete(v1, v2, S)
-        g, _ = sp.graph_from_plane(sp.Plane(np.vstack([v1, v2, v3])), S)
+        v3 = fu.fueter_complete(v1, v2)
+        g, _ = sp.graph_from_plane(sp.Plane(np.vstack([v1, v2, v3])))
         rep = sp.equality_ladder(g)
         assert rep.vanishing_depth == 2
         ve = sp.ve_series(g, 3)
@@ -607,7 +609,7 @@ from hypothesis import given, settings, strategies as st
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_property_ve_routes_agree(seed):
-    g = sp.GraphPlane(np.random.default_rng(seed).standard_normal((3, 4)), S)
+    g = sp.GraphPlane(np.random.default_rng(seed).standard_normal((3, 4)))
     assert np.abs(sp.ve_series(g, 3) - sp.ve_recursive(g, 3)).max() < 1e-10
 
 
@@ -630,7 +632,7 @@ def test_property_adiabatic_scaling(seed, eps):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_property_equality_ladder(seed):
-    g = sp.GraphPlane(np.random.default_rng(seed).standard_normal((3, 4)), S)
+    g = sp.GraphPlane(np.random.default_rng(seed).standard_normal((3, 4)))
     assert sp.equality_ladder(g).max_residual < 1e-10
 
 
@@ -638,5 +640,5 @@ def test_polar_space_at_a_point():
     from g2fueter import fueter as fu
 
     W0 = sp.Plane(np.zeros((0, 7)))
-    assert fu.polar_space_dim(W0, "associative", S) == 7
-    assert fu.polar_space_dim(W0, "fueter", S) == 7
+    assert fu.polar_space_dim(W0, "associative") == 7
+    assert fu.polar_space_dim(W0, "fueter") == 7
