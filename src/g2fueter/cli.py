@@ -1,13 +1,13 @@
 """Command-line driver `g2f`; USAGE is its help text.
 
 Every verify suite folds each sampled identity through `_fold`, the
-largest of the samples' residuals that keeps a NaN (`_worst` draws them
-one at a time), and records each pass/fail check through `_flag`.  A
-sampler draws all its samples first, in the order a loop over samples
-would, and hands the stack to the library's batched kernels.  An identity
-that the acceptance suite also checks has one module-level sampler here:
-`verify` runs it at the profile's sample count, the acceptance criteria at
-their own seeds and counts.
+largest of the samples' residuals that keeps a NaN, and records each
+pass/fail check through `_flag`.  A sampler draws all its samples first,
+in a loop's order (a draw loop stays where a size depends on a draw), and
+its residuals (n,) come from the library's batched kernels, row i as for
+sample i alone.  Each sampled identity has one module-level sampler here:
+`verify` runs it at the profile's sample count, the acceptance criteria
+at their own seeds and counts.
 """
 
 from __future__ import annotations
@@ -86,9 +86,10 @@ def _fold(residuals):
     return float(np.max(np.append(0.0, residuals)))
 
 
-def _worst(n, residual):
-    """The largest of n draws of residual() and 0.0, NaN if any draw is NaN."""
-    return _fold([residual() for _ in range(n)])
+def _below(name, claim, residuals, bound):
+    """A sampled check: the fold of its residuals, passing below bound."""
+    worst = _fold(residuals)
+    return _record(name, claim, worst, worst < bound)
 
 
 # -- samplers shared with the acceptance suite ----------------------------------
@@ -138,11 +139,11 @@ def _homology_family():
 
 
 def _flat_dirac_squared(rng, n):
-    """Worst |D^2 F + Laplacian F| over n polynomial maps at 20 points each."""
-    def residual():
-        F = pde.random_polynomial_map(rng)
-        return float(np.abs(pde.d_squared_residual(F, rng.standard_normal((20, 3)))).max())
-    return _worst(n, residual)
+    """Worst |D^2 F + Laplacian F| at 20 points of each of n polynomial maps."""
+    draws = rng.standard_normal((n, 140))  # per map: 80 coefficients, then its points
+    F = pde.cubic_polynomial_map(draws[:, :80])
+    residuals = pde.d_squared_residual(F, draws[:, 80:].reshape(n, 20, 3))
+    return np.abs(residuals).reshape(n, -1).max(axis=1)
 
 
 def _harmonic_solution(rng):
@@ -183,6 +184,119 @@ def _large_radius_slope():
     return fm_gauge.sweep_slope(fm_gauge.fm_transform(u), [0.0, 0, 0], np.logspace(0, 3, 16))
 
 
+def _stacked_form(degree, rows):
+    """The stacked form on R^7 with coefficient rows (n, C(7, degree))."""
+    keys = itertools.combinations(range(1, 8), degree)
+    return ex.Form._trusted(7, degree, dict(zip(keys, np.asarray(rows, dtype=float).T)))
+
+
+def _grouped(keys, residuals):
+    """residuals(key, rows) over the samples of each key, at their rows."""
+    out = np.empty(len(keys))
+    for key in set(keys):
+        rows = [i for i, k in enumerate(keys) if k == key]
+        out[rows] = residuals(key, rows)
+    return out
+
+
+def _anticommutators(rng, n):
+    """|a ^ b - b ^ a| of n pairs of random monomial 2-forms."""
+    picks = rng.integers(21, size=(n, 2, 1)) == np.arange(21)  # a's monomial, then b's
+    a, b = _stacked_form(2, picks[:, 0]), _stacked_form(2, picks[:, 1])
+    return (ex.wedge(a, b) - ((-1.0) ** (a.degree * b.degree)) * ex.wedge(b, a)).norm()
+
+
+def _inner_gaps(rng, n):
+    """|<a, b> - (a ^ *b)(e_1, .., e_7)| of n pairs of random forms of a random degree."""
+    draws = [(d, rng.standard_normal((2, math.comb(7, d))))
+             for d in (int(rng.integers(1, 7)) for _ in range(n))]
+    def gaps(d, rows):
+        a, b = (_stacked_form(d, [draws[i][1][k] for i in rows]) for k in (0, 1))
+        return np.abs(ex.inner(a, b) - ex.wedge(a, ex.hodge(b)).coeffs.get(tuple(range(1, 8)), 0.0))
+    return _grouped([d for d, _ in draws], gaps)
+
+
+def _leibniz_gaps(rng, n):
+    """|i(v)(a ^ b) - i(v)a ^ b - (-1)^p a ^ i(v)b| of n random p-, q-forms and vectors."""
+    draws = [((p, q), *map(rng.standard_normal, (math.comb(7, p), math.comb(7, q), 7)))
+             for p, q in ((int(rng.integers(1, 4)), int(rng.integers(1, 4))) for _ in range(n))]
+    def gaps(pq, rows):
+        (p, q), v = pq, np.array([draws[i][3] for i in rows])
+        a, b = (_stacked_form(d, [draws[i][k] for i in rows]) for k, d in ((1, p), (2, q)))
+        rhs = ex.wedge(ex.interior(v, a), b) + ((-1.0) ** p) * ex.wedge(a, ex.interior(v, b))
+        return (ex.interior(v, ex.wedge(a, b)) - rhs).norm()
+    return _grouped([d[0] for d in draws], gaps)
+
+
+def _double_cross_gaps(rng, n, G):
+    """|u x (u x v) - (-v + <u, v> u)| of n unit vectors u and vectors v."""
+    u, v = np.moveaxis(rng.standard_normal((n, 2, 7)), 1, 0)  # per pair: u, then v
+    u = u / np.sqrt(ex._rowdot(u, u))[:, None]
+    lhs = g2core.cross(u, g2core.cross(u, v, G), G)
+    return np.abs(lhs - (-v + ex._rowdot(u, v)[:, None] * u)).max(axis=1)
+
+
+def _completion_chis(rng, n, G):
+    """|chi(u, v, u x v)| of n pairs of vectors u, v."""
+    uv = rng.standard_normal((n, 2, 7))
+    chis = g2core.chi_many(np.hstack([uv, g2core.cross(uv[:, 0], uv[:, 1], G)[:, None]]), G)
+    return np.sqrt(ex._rowdot(chis, chis))
+
+
+def _isometry_gaps(rng, n, G):
+    """||lambda^k alpha| - |alpha|| of n random 1-forms, for k = 2, 4, 6 in turn."""
+    alphas = [_stacked_form(1, rng.standard_normal((n, 7))) for _ in range(3)]
+    return np.concatenate([np.abs(g2core.lambda_k(alpha, k, G).norm() - alpha.norm())
+                           for k, alpha in zip((2, 4, 6), alphas)])
+
+
+def _projection_gaps(rng, n, G):
+    """|pi^2_7 beta - (beta + *(phi ^ beta)) / 3| of n random 2-forms beta."""
+    beta = _stacked_form(2, rng.standard_normal((n, 21)))
+    oracle = (1.0 / 3.0) * (beta + ex.hodge(ex.wedge(G.phi, beta)))
+    return (g2core.project_2_7(beta, G) - oracle).norm()
+
+
+def _eps_associator_gaps(rng, n):
+    """|phi_eps(v)^2 + |chi_eps(v)|^2 - det(v g_eps v^t)| of n random eps and triples."""
+    eps, vs = np.empty(n), np.empty((n, 3, 7))
+    for i in range(n):  # a uniform, then normals: draws that do not stack
+        eps[i], vs[i] = rng.uniform(0.05, 1.0), rng.standard_normal((3, 7))
+    G = splitting.standard_splitting().g2
+    phi, chi = (splitting.adiabatic_family(a, eps).apply_many(vs) for a in (G.phi, G.chi_form))
+    metrics = np.where(np.arange(7) < 3, 1.0, eps[:, None])[:, None] * np.eye(7)
+    # a scalar's ** 2 is libm's pow, as np.float_power is; an array's is x * x
+    lhs = np.float_power(phi, 2) + np.sum(chi ** 2, axis=1)
+    return np.abs(lhs - np.linalg.det(vs @ metrics @ vs.swapaxes(1, 2)))
+
+
+def _volume_excess(rng, n):
+    """volH - vol of n random 3-planes, 0.0 for one with no horizontal volume."""
+    spans = rng.standard_normal((n, 3, 7))
+    kept = splitting.standard_splitting().projectable(spans)
+    excess, spans = np.zeros(n), spans[kept]
+    volH = np.sqrt(np.linalg.det(splitting.horizontal_metric(spans)))
+    excess[kept] = volH - np.sqrt(np.linalg.det(spans @ spans.swapaxes(1, 2)))
+    return excess
+
+
+def _curvature_beta_gaps(rng, n):
+    """|beta - 2 pi Psi* K| of n random polynomial sections, each at a point."""
+    draws = rng.standard_normal((n, 83))  # per section: 80 coefficients, then its point
+    return fm_gauge.beta_relation_residual(pde.cubic_polynomial_map(draws[:, :80]), draws[:, 80:])
+
+
+def _mirror_ratio_gaps(rng, n):
+    """||K ^ *phi| / |D u| - MIRROR_RATIO| of n random polynomial sections,
+    each at a point; 0.0 where |D u| < 1e-8, as a solution has no ratio."""
+    draws = rng.standard_normal((n, 83))  # per section: 80 coefficients, then its point
+    u, x = pde.cubic_polynomial_map(draws[:, :80]), draws[:, 80:]
+    gaps, kept = np.zeros(n), ~(fm_gauge.fueter_residual_norm(u, x) < 1e-8)
+    u, x = pde.cubic_polynomial_map(draws[kept, :80]), x[kept]
+    gaps[kept] = np.abs(fm_gauge.mirror_ratio(u, x) - fm_gauge.MIRROR_RATIO)
+    return gaps
+
+
 # -- verify suites -------------------------------------------------------------
 
 
@@ -200,43 +314,20 @@ def _suite_algebra(rng, tol):
                 r, r < tol["construction"]),
     ]
 
-    monos = list(itertools.combinations(range(1, 8), 2))
-
-    def anticommutator():
-        a = ex.basis_form(7, monos[rng.integers(len(monos))])
-        b = ex.basis_form(7, monos[rng.integers(len(monos))])
-        return (ex.wedge(a, b) - ((-1.0) ** (a.degree * b.degree)) * ex.wedge(b, a)).norm()
-    worst = _worst(n, anticommutator)
+    worst = _fold(_anticommutators(rng, n))
     checks.append(_record(
         "wedge-anticommutativity", "graded anticommutativity of the wedge",
         worst, worst == 0.0,
     ))
 
-    worst = _fold([(ex.hodge(ex.hodge(a)) - a).norm()
-                   for a in (_random_form(rng, deg) for deg in range(8))])
-    checks.append(_record("star-involution", "star twice is the identity in dim 7",
-                          worst, worst < 1e-14))
-
-    def inner_gap():
-        deg = int(rng.integers(1, 7))
-        a, b = _random_form(rng, deg), _random_form(rng, deg)
-        return abs(ex.inner(a, b) - ex.wedge(a, ex.hodge(b)).coeffs.get(tuple(range(1, 8)), 0.0))
-    worst = _worst(50, inner_gap)
-    checks.append(_record("inner-vs-wedge-star", "<a,b> vol = a ^ *b",
-                          worst, worst < 1e-12))
-
-    def leibniz_gap():
-        p = int(rng.integers(1, 4))
-        q = int(rng.integers(1, 4))
-        a, b = _random_form(rng, p), _random_form(rng, q)
-        v = rng.standard_normal(7)
-        lhs = ex.interior(v, ex.wedge(a, b))
-        rhs = ex.wedge(ex.interior(v, a), b) + ((-1.0) ** p) * ex.wedge(a, ex.interior(v, b))
-        return (lhs - rhs).norm()
-    worst = _worst(50, leibniz_gap)
-    checks.append(_record("interior-antiderivation",
-                          "contraction is an antiderivation of degree -1",
-                          worst, worst < 1e-12))
+    forms = [_stacked_form(d, rng.standard_normal((1, math.comb(7, d)))) for d in range(8)]
+    checks += [
+        _below("star-involution", "star twice is the identity in dim 7",
+               [(ex.hodge(ex.hodge(a)) - a).norm() for a in forms], 1e-14),
+        _below("inner-vs-wedge-star", "<a,b> vol = a ^ *b", _inner_gaps(rng, 50), 1e-12),
+        _below("interior-antiderivation", "contraction is an antiderivation of degree -1",
+               _leibniz_gaps(rng, 50), 1e-12),
+    ]
 
     G = g2core.standard_g2()
 
@@ -259,45 +350,16 @@ def _suite_algebra(rng, tol):
                           "|*phi(v)|^2 + |tau(v)|^2 = |v1^..^v4|^2",
                           worst, worst < tol["identity"]))
 
-    def double_cross_gap():
-        u = rng.standard_normal(7)
-        u = u / np.linalg.norm(u)
-        v = rng.standard_normal(7)
-        lhs = g2core.cross(u, g2core.cross(u, v, G), G)
-        return float(np.abs(lhs - (-v + (u @ v) * u)).max())
-    worst = _worst(100, double_cross_gap)
-    checks.append(_record("double-cross", "u x (u x v) = -|u|^2 v + <u,v> u",
-                          worst, worst < tol["identity"]))
-
-    def chi_of_completion():
-        u, v = rng.standard_normal((2, 7))
-        return float(np.linalg.norm(g2core.chi(u, v, g2core.cross(u, v, G), G)))
-    worst = _worst(100, chi_of_completion)
-    checks.append(_record("cross-completion-associative",
-                          "chi vanishes on u, v, u x v",
-                          worst, worst < tol["identity"]))
-
-    def isometry_gap(k):
-        alpha = ex.Form(7, 1, {(i,): rng.standard_normal() for i in range(1, 8)})
-        return abs(g2core.lambda_k(alpha, k, G).norm() - alpha.norm())
-    worst = _fold([_worst(50, lambda: isometry_gap(k)) for k in (2, 4, 6)])
-    checks.append(_record("lambda-isometry", "lambda^k preserves norms (k = 2, 4, 6)",
-                          worst, worst < 1e-12))
-
-    def projection_gap():
-        beta = _random_form(rng, 2)
-        oracle = (1.0 / 3.0) * (beta + ex.hodge(ex.wedge(G.phi, beta)))
-        return (g2core.project_2_7(beta, G) - oracle).norm()
-    worst = _worst(50, projection_gap)
-    checks.append(_record("projection-eigen-oracle",
-                          "pi^2_7 = (id + *(phi ^ .)) / 3",
-                          worst, worst < 1e-12))
-    return checks
-
-
-def _random_form(rng, degree):
-    coeffs = {idx: rng.standard_normal() for idx in itertools.combinations(range(1, 8), degree)}
-    return ex.Form(7, degree, coeffs)
+    return checks + [
+        _below("double-cross", "u x (u x v) = -|u|^2 v + <u,v> u",
+               _double_cross_gaps(rng, 100, G), tol["identity"]),
+        _below("cross-completion-associative", "chi vanishes on u, v, u x v",
+               _completion_chis(rng, 100, G), tol["identity"]),
+        _below("lambda-isometry", "lambda^k preserves norms (k = 2, 4, 6)",
+               _isometry_gaps(rng, 50, G), 1e-12),
+        _below("projection-eigen-oracle", "pi^2_7 = (id + *(phi ^ .)) / 3",
+               _projection_gaps(rng, 50, G), 1e-12),
+    ]
 
 
 def _phi0_parts_by_count():
@@ -338,30 +400,12 @@ def _suite_splitting(rng, tol):
                           "the eps-family is the anisotropic-scaling pullback",
                           worst, worst < 1e-14))
 
-    chi_family = splitting._adiabatic(S.g2.chi_form)
-    phi_family = splitting._adiabatic(phi)
-
-    def eps_associator_gap():
-        e2 = float(rng.uniform(0.05, 1.0))
-        chi_eps, phi_eps = chi_family(e2), phi_family(e2)
-        vs = rng.standard_normal((3, 7))
-        lhs = phi_eps.apply(list(vs)) ** 2 + float(np.sum(chi_eps.apply(list(vs)) ** 2))
-        return abs(lhs - np.linalg.det(vs @ np.diag([1.0] * 3 + [e2] * 4) @ vs.T))
-    worst = _worst(100, eps_associator_gap)
-    checks.append(_record("eps-associator",
-                          "the equality property persists along the eps-family",
-                          worst, worst < tol["identity"]))
-
-    def volume_excess():
-        span = rng.standard_normal((3, 7))
-        try:
-            volH = float(np.sqrt(np.linalg.det(splitting.horizontal_metric(splitting.Plane(span)))))
-        except (splitting.NotProjectableError, ValueError):
-            return 0.0  # no horizontal volume to compare
-        return volH - float(np.sqrt(np.linalg.det(span @ span.T)))
-    worst = _worst(200, volume_excess)
-    checks.append(_record("volH-below-vol", "horizontal volume never exceeds volume",
-                          worst, worst < tol["slack"]))
+    checks += [
+        _below("eps-associator", "the equality property persists along the eps-family",
+               _eps_associator_gaps(rng, 100), tol["identity"]),
+        _below("volH-below-vol", "horizontal volume never exceeds volume",
+               _volume_excess(rng, 200), tol["slack"]),
+    ]
 
     Ts = rng.standard_normal((tol["samples"] // 2, 3, 4))
     worst = _fold([rep.max_residual for rep in splitting.equality_ladder_many(Ts)])
@@ -540,9 +584,8 @@ def _suite_models(rng, tol):
 
 
 def _suite_pde(rng, tol):
-    worst = _flat_dirac_squared(rng, 20)
-    checks = [_record("flat-dirac-squared", "D^2 = -Laplacian on polynomial maps",
-                      worst, worst < tol["identity"])]
+    checks = [_below("flat-dirac-squared", "D^2 = -Laplacian on polynomial maps",
+                     _flat_dirac_squared(rng, 20), tol["identity"])]
 
     F, worst = _harmonic_solution(rng)
     checks.append(_record("harmonic-construction",
@@ -608,7 +651,8 @@ def _suite_pde(rng, tol):
                           r, r < 1e-10))
 
     u0 = sec + pde.random_fourier_field(rng, kmax=1)
-    worst = _worst(5, lambda: _first_variation(u0, sec, pde.random_fourier_field(rng, kmax=1)))
+    worst = _fold([_first_variation(u0, sec, pde.random_fourier_field(rng, kmax=1))
+                   for _ in range(5)])
     checks.append(_record("action-critical-point",
                           "the first variation vanishes at solution endpoints",
                           worst, worst < 1e-6))
@@ -621,21 +665,12 @@ def _suite_pde(rng, tol):
 
 
 def _suite_fm(rng, tol):
-    worst = _worst(100, lambda: fm_gauge.beta_relation_residual(
-        pde.random_polynomial_map(rng), rng.standard_normal(3)))
-    checks = [_record("curvature-beta", "beta of the section equals 2 pi Psi* K",
-                      worst, worst < 1e-12)]
-
-    def ratio_gap():
-        u = pde.random_polynomial_map(rng)
-        x = rng.standard_normal(3)
-        if fm_gauge.fueter_residual_norm(u, x) < 1e-8:
-            return 0.0  # no ratio where the section solves the equation
-        return abs(fm_gauge.mirror_ratio(u, x) - fm_gauge.MIRROR_RATIO)
-    worst = _worst(200, ratio_gap)
-    checks.append(_record("mirror-ratio",
-                          "instanton and section residuals have a fixed ratio",
-                          worst, worst < 1e-8))
+    checks = [
+        _below("curvature-beta", "beta of the section equals 2 pi Psi* K",
+               _curvature_beta_gaps(rng, 100), 1e-12),
+        _below("mirror-ratio", "instanton and section residuals have a fixed ratio",
+               _mirror_ratio_gaps(rng, 200), 1e-8),
+    ]
 
     mu = ex.basis_form(7, (4, 5, 6, 7))
     worst = _fold([ex.wedge(ex.basis_form(7, (i, a)), mu).norm()

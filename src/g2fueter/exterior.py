@@ -19,10 +19,11 @@ vectors over n, so every float equals that of the per-monomial loop and
 row i does not depend on the other rows.  `apply` is its n = 1 case.
 
 So does the algebra: a stacked form's coefficients are (n,) columns, built
-only by `Form._trusted`, and `wedge`, `hodge`, `+` and `*` run their one
-loop on them, so row i is, float for float, the form of sample i alone.
-`norm` is per row; `apply`, `render`, `equals` and `Form(...)` refuse a
-stacked form.  A matrix meets stacked rows only through `_matvec`, one
+only by `Form._trusted`; `wedge`, `hodge`, `interior` (of stacked vectors
+too), `+` and `*` run their one loop on them, so row i is, float for
+float, the form of sample i alone.  `norm`, `inner` and `apply_many` work
+row by row; `apply`, `render`, `equals` and `Form(...)` refuse a stacked
+form.  A matrix meets stacked rows only through `_matvec`, one
 matrix-vector product per row: one matrix product over the stack may sum
 in another order.
 """
@@ -176,22 +177,23 @@ def _unstacked(coeffs):
 def _evaluate(frames, rows, coeffs, segments):
     """Sums of coefficient times minor over stacked frames (n, k, dim).
 
-    rows: (m, k) minor rows; coeffs: (m,); segments: (s, L) indices into
-    [0.0] + the m products, each segment's products left-padded with the
-    0.0, so that each of the (n, s) results is accumulated in coefficient
-    order from +0.0.  The det calls take blocks of frames, rows independent.
+    rows: (m, k) minor rows; coeffs: (m,) or one row per frame (n, m);
+    segments: (s, L) indices into [0.0] + the m products, each segment's
+    products left-padded with the 0.0, so that each of the (n, s) results
+    is accumulated in coefficient order from +0.0.  The det calls take
+    blocks of frames, rows independent.
     """
     out = np.empty((len(frames), len(segments)))
-    cols = frames.swapaxes(1, 2)
+    cols, coeffs = frames.swapaxes(1, 2), np.broadcast_to(coeffs, (len(frames), len(rows)))
     step = max(1, _EVAL_BLOCK // max(1, rows.size * rows.shape[-1]))
     for start in range(0, len(frames), step):
         block = cols[start:start + step]
-        terms = np.zeros((len(block), len(coeffs) + 1))
+        terms = np.zeros((len(block), len(rows) + 1))
         # a minor with subnormal entries can leave a zero LU pivot, whose log
         # in det flags a division by zero; the det is still right, +-0.0
         with np.errstate(divide="ignore"):
             minors = np.linalg.det(block[:, rows])
-        np.multiply(coeffs, minors, out=terms[:, 1:])
+        np.multiply(coeffs[start:start + step], minors, out=terms[:, 1:])
         out[start:start + step] = _ordered_sum(terms[:, segments])
     return out
 
@@ -280,9 +282,8 @@ class Form:
     @functools.cached_property
     def _plan(self):
         """(rows, coefficients, segments) for `_evaluate`: one segment of
-        all the monomials in coefficient order."""
-        _unstacked(self.coeffs)
-        return self._rows, _read_only(np.array(list(self.coeffs.values()))), \
+        all the monomials in coefficient order (a stacked form's by rows)."""
+        return self._rows, _read_only(np.array(list(self.coeffs.values())).T), \
             _read_only(np.arange(len(self.coeffs) + 1)[None])
 
     # -- arithmetic ---------------------------------------------------------
@@ -322,8 +323,10 @@ class Form:
         """
         sq = sum(c * c for c in self.coeffs.values())
         if isinstance(sq, np.ndarray):
-            out = np.sqrt(sq)
-            for i in np.flatnonzero((sq < sys.float_info.min) | (sq == math.inf)):
+            out, odd = np.sqrt(sq), (sq < sys.float_info.min) | (sq == math.inf)
+            if odd.any():  # a row of zeros is 0.0 as it is
+                odd &= np.any([c != 0.0 for c in self.coeffs.values()], axis=0)
+            for i in np.flatnonzero(odd):
                 out[i] = self._sample(i).norm()
             return out
         if self.coeffs and (sq < sys.float_info.min or sq == math.inf):
@@ -343,11 +346,12 @@ class Form:
     def apply(self, vectors):
         """Evaluate on a list of self.degree vectors (each a length-dim
         array): the n = 1 case of `apply_many`."""
+        _unstacked(self.coeffs)
         return float(self.apply_many(self._frame(vectors))[0])
 
     def apply_many(self, frames):
         """Evaluate on stacked frames (n, degree, dim) -> (n,); row i is
-        the value on the vectors frames[i]."""
+        the value on the vectors frames[i], of row i if the form is stacked."""
         return _evaluate(_stacked(frames, (self.degree, self.dim)), *self._plan)[:, 0]
 
     def _frame(self, vectors):
@@ -441,31 +445,34 @@ def hodge(a: Form) -> Form:
 
 
 def interior(v, a: Form) -> Form:
-    """Interior product i(v)a for a vector v in R^dim.
+    """Interior product i(v)a for a vector v in R^dim, or stacked (n, dim).
 
     An antiderivation of degree -1; on a degree-0 form returns the zero form.
+    A coordinate that is zero (in every row) adds no term.
     """
     v = np.asarray(v, dtype=float)
-    if v.shape != (a.dim,):
+    if v.shape[-1:] != (a.dim,) or v.ndim not in (1, 2):
         raise DimensionMismatchError(f"vector shape {v.shape} vs dim {a.dim}")
     if a.degree == 0:
         return zero_form(a.dim, 0)
+    cols, live = v.T, v.reshape(-1, a.dim).any(axis=0)  # entries, or (n,) columns
     out = {}
     for idx, c in a.coeffs.items():
         for pos, i in enumerate(idx):
-            if v[i - 1] == 0.0:
+            if not live[i - 1]:
                 continue
             rest = idx[:pos] + idx[pos + 1:]
             sign = -1.0 if pos % 2 else 1.0
-            out[rest] = out.get(rest, 0.0) + sign * v[i - 1] * c
+            out[rest] = out.get(rest, 0.0) + sign * cols[i - 1] * c
     return Form._trusted(a.dim, a.degree - 1, out)
 
 
 def inner(a: Form, b: Form) -> float:
-    """Inner product with the monomial basis orthonormal."""
+    """Inner product with the monomial basis orthonormal; per row if stacked."""
     a._compat(b)
     keys = set(a.coeffs) & set(b.coeffs)
-    return float(sum(a.coeffs[k] * b.coeffs[k] for k in keys))
+    total = sum(a.coeffs[k] * b.coeffs[k] for k in keys)
+    return total if isinstance(total, np.ndarray) else float(total)
 
 
 def pullback(A, a: Form) -> Form:
@@ -541,7 +548,7 @@ class VectorValuedForm:
             segments.append([0] * (width - size) + list(range(start, start + size)))
             start += size
         return (_read_only(np.concatenate([c._rows for c in comps])),
-                _read_only(np.array([x for c in comps for x in c.coeffs.values()])),
+                _read_only(np.array([x for c in comps for x in c.coeffs.values()]).T),
                 _read_only(np.array(segments)))
 
 

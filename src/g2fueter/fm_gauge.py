@@ -7,6 +7,9 @@ stored as the real 2-form K = sum_{i,a} du^a/dx^i dx^i ^ dy^a with the
 fixed convention F = sqrt(-1) K, and every residual below is a norm, so
 the factor sqrt(-1) drops out.
 
+At points x (n, 3), one per row of a map with n rows, each function
+works row by row on stacked forms, float for float as at one point.
+
 Coordinates: x^1..x^3 are indices 1..3, the dual-torus coordinates
 y^4..y^7 (period 1) are indices 4..7.  The original fiber has period
 2 pi; the diffeomorphism Psi identifying the two rescales dy^a to
@@ -20,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exterior import Form, wedge
+from .exterior import Form, _rowdot, wedge
 from .pde import AnalyticMap, fueter_operator_flat
-from .splitting import GraphPlane, beta_of, standard_splitting
+from .splitting import beta_of_many, standard_splitting
 
 __all__ = [
     "LineConnection",
@@ -65,14 +68,13 @@ def fm_transform(u: AnalyticMap) -> LineConnection:
 
 
 def curvature(c: LineConnection, x) -> Form:
-    """K(x) = sum du^a/dx^i dx^i ^ dy^a as a 2-form on R^7."""
-    jet = c.b.jet1(np.asarray(x, dtype=float))
-    coeffs = {}
-    for i in range(3):
-        for a in range(4):
-            if jet[a, i] != 0.0:
-                coeffs[(i + 1, a + 4)] = float(jet[a, i])
-    return Form(DIM, 2, coeffs)
+    """K(x) = sum du^a/dx^i dx^i ^ dy^a as a 2-form on R^7, without the
+    entries that are zero (in every row)."""
+    x = np.asarray(x, dtype=float)
+    jets = c.b.jet1(x).reshape(-1, 4, 3)
+    K = Form._trusted(DIM, 2, {(i + 1, a + 4): jets[:, a, i] for i in range(3) for a in range(4)
+                               if jets[:, a, i].any()})
+    return K if x.ndim > 1 else K._sample(0)
 
 
 def psi_pullback(a: Form) -> Form:
@@ -84,7 +86,7 @@ def psi_pullback(a: Form) -> Form:
     for idx, cval in a.coeffs.items():
         q = sum(1 for i in idx if i >= 4)
         out[idx] = cval / (2.0 * np.pi) ** q
-    return Form(a.dim, a.degree, out)
+    return Form._trusted(a.dim, a.degree, out)
 
 
 def beta_relation_residual(u: AnalyticMap, x) -> float:
@@ -95,11 +97,10 @@ def beta_relation_residual(u: AnalyticMap, x) -> float:
     right side from the transform's curvature; the relation
     beta = -2 pi sqrt(-1) Psi* F makes them equal.
     """
-    jet = u.jet1(np.asarray(x, dtype=float))
-    beta = beta_of(GraphPlane(T=jet.T))
-    K = curvature(fm_transform(u), x)
-    rhs = 2.0 * np.pi * psi_pullback(K)
-    return (beta - rhs).norm()
+    x = np.asarray(x, dtype=float)
+    beta = beta_of_many(u.jet1(x).reshape(-1, 4, 3).swapaxes(1, 2))
+    rhs = 2.0 * np.pi * psi_pullback(curvature(fm_transform(u), x))
+    return ((beta if x.ndim > 1 else beta._sample(0)) - rhs).norm()
 
 
 def instanton_residual(c: LineConnection, x) -> float:
@@ -110,13 +111,15 @@ def instanton_residual(c: LineConnection, x) -> float:
 
 def fueter_residual_norm(u: AnalyticMap, x) -> float:
     """|D u| at x, the mirror-side residual."""
-    return float(np.linalg.norm(fueter_operator_flat(u, np.asarray(x, dtype=float))))
+    D = fueter_operator_flat(u, np.asarray(x, dtype=float)).reshape(-1, 4)
+    norms = np.sqrt(_rowdot(D, D))
+    return norms if np.ndim(x) > 1 else float(norms[0])
 
 
 def mirror_ratio(u: AnalyticMap, x) -> float:
     """Measured ratio |K ^ *phi| / |D u| at a point where both are nonzero."""
     denom = fueter_residual_norm(u, x)
-    if denom == 0.0:
+    if np.any(denom == 0.0):
         raise ZeroDivisionError("Fueter residual vanishes at x")
     return instanton_residual(fm_transform(u), x) / denom
 

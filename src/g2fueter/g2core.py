@@ -207,9 +207,10 @@ def standard_g2() -> G2Structure:
 
 
 def cross(u, v, G: G2Structure):
-    """Cross product: g(u x v, w) = phi(u, v, w) for all w."""
-    triples = _with_unit_vectors(_stacked([[u, v]], (2, DIM)))[0]
-    return G.phi.apply_many(triples)
+    """Cross product: g(u x v, w) = phi(u, v, w) for all w; row by row."""
+    pairs = np.stack([u, v], axis=-2)
+    triples = _with_unit_vectors(_stacked(pairs.reshape(-1, 2, DIM), (2, DIM)))
+    return G.phi.apply_many(triples.reshape(-1, 3, DIM)).reshape(pairs.shape[:-2] + (DIM,))
 
 
 def chi(u, v, w, G: G2Structure):
@@ -253,7 +254,7 @@ def lambda_k(alpha: Form, k: int, G: G2Structure) -> Form:
     if alpha.dim != DIM or alpha.degree != 1:
         raise ValueError("expected a 1-form on R^7")
     if k == 2:
-        return (1.0 / np.sqrt(3.0)) * interior(_one_form_vector(alpha), G.phi)
+        return (1.0 / np.sqrt(3.0)) * interior(_coefficient_rows(alpha, _ONE_KEYS), G.phi)
     if k == 4:
         return 0.5 * wedge(alpha, G.phi)
     if k == 6:
@@ -261,11 +262,7 @@ def lambda_k(alpha: Form, k: int, G: G2Structure) -> Form:
     raise ValueError(f"k must be 2, 4 or 6, got {k}")
 
 
-def _one_form_vector(alpha: Form):
-    v = np.zeros(DIM)
-    for (i,), c in alpha.coeffs.items():
-        v[i - 1] = c
-    return v
+_ONE_KEYS = [(i,) for i in range(1, DIM + 1)]
 
 
 def _coefficient_rows(a: Form, keys):
@@ -285,7 +282,7 @@ def lambda_k_inverse(beta: Form, k: int, G: G2Structure) -> Form:
     L, keys = G.lambda_matrices[k]
     alpha = _matvec(L.T, _coefficient_rows(beta, keys))
     # alpha.T: the entries of a vector, the (n,) columns of stacked rows
-    return Form._trusted(DIM, 1, dict(zip([(i,) for i in range(1, DIM + 1)], alpha.T)))
+    return Form._trusted(DIM, 1, dict(zip(_ONE_KEYS, alpha.T)))
 
 
 def project_k7(a: Form, k: int, G: G2Structure) -> Form:

@@ -46,6 +46,7 @@ __all__ = [
     "affine_map",
     "affine_fueter_section",
     "random_polynomial_map",
+    "cubic_polynomial_map",
     "random_harmonic_map",
     "random_fourier_field",
     "fueter_operator_flat",
@@ -179,6 +180,8 @@ class PolynomialMap(AnalyticMap):
     output's terms in one gather and multiply per axis.  Padding (0.0 times
     powers 1.0) keeps each sum's bits, axes whose exponents are all 0 are
     skipped, and outputs are C-contiguous.
+    With (F,) columns as coefficients it holds F rows over one layout,
+    and row i is evaluated at its own points x[i] of x (F, ..., n).
     """
 
     def __init__(self, components, periodicity=None):
@@ -205,20 +208,22 @@ class PolynomialMap(AnalyticMap):
         n = x.shape[-1]
         if (order, n) not in self._tables:
             src, mults, axes = _layout_table(self._layout, order, n)
-            coef = np.array([c for comp in self.components for c in comp.values()] + [0.0])[src]
+            values = [c for comp in self.components for c in comp.values()]
+            coef = np.array(values + [np.zeros(np.shape(values[0]) if values else ())]).T[..., src]
             for mult in mults:
                 coef = coef * mult
             self._tables[order, n] = coef, axes
         coef, axes = self._tables[order, n]
-        terms = coef
+        lead = coef.shape[:-2]  # (F,) with rows, each facing its own points
+        terms = coef = coef.reshape(lead + (1,) * (x.ndim - 1 - len(lead)) + coef.shape[-2:])
         for a, e, size in axes:
             xa = x[..., a]
             powers = np.stack([xa ** k for k in range(size)], axis=-1)[..., e]
             terms = np.multiply(terms, powers, out=powers)
-        out = np.zeros(x.shape[:-1] + coef.shape[:1])
-        for t in range(coef.shape[1]):
+        out = np.zeros(np.broadcast_shapes(x.shape[:-1], coef.shape[:-2]) + coef.shape[-2:-1])
+        for t in range(coef.shape[-1]):
             out += terms[..., t]
-        return out.reshape(x.shape[:-1] + (4,) + (n,) * order)
+        return out.reshape(out.shape[:-1] + (4,) + (n,) * order)
 
 
 class FourierMap(AnalyticMap):
@@ -414,17 +419,21 @@ _HARMONIC_BASIS = [
 ]
 
 
+_CUBIC = [(p1, p2, p3) for p1 in range(4) for p2 in range(4 - p1) for p3 in range(4 - p1 - p2)]
+
+
 def random_polynomial_map(rng) -> PolynomialMap:
     """Polynomial map of degree <= 3 with standard normal coefficients."""
-    comps = []
-    for _ in range(4):
-        comp = {}
-        for p1 in range(4):
-            for p2 in range(4 - p1):
-                for p3 in range(4 - p1 - p2):
-                    comp[(p1, p2, p3)] = rng.standard_normal()
-        comps.append(comp)
-    return PolynomialMap(comps)
+    return cubic_polynomial_map(rng.standard_normal(4 * len(_CUBIC)))
+
+
+def cubic_polynomial_map(coefficients) -> PolynomialMap:
+    """The polynomial map of degree <= 3 with coefficients (80,), the 20
+    monomials of each component in turn, in lexicographic exponent order;
+    rows (F, 80) give the map with F rows."""
+    cols = np.asarray(coefficients, dtype=float).T
+    cols = cols.reshape((4, len(_CUBIC)) + cols.shape[1:])
+    return PolynomialMap([dict(zip(_CUBIC, comp)) for comp in cols])
 
 
 def random_harmonic_map(rng) -> PolynomialMap:
@@ -952,15 +961,6 @@ def reparametrization_invariance(u: AnalyticMap, f: BaseDiffeo, n: int):
 # -- the CS functional -----------------------------------------------------------
 
 
-@functools.cache
-def _theta_dense():
-    """Theta of the standard splitting as a dense 4-tensor, built once (read-only)."""
-    _, _, theta, _ = standard_splitting().form_parts()
-    dense = theta.to_dense()
-    dense.setflags(write=False)
-    return dense
-
-
 def _require_same_class(u0, u1):
     """The straight-line path (1-t) u0 + t u1 consists of torus sections
     only when both endpoints carry the same integer holonomy matrix;
@@ -983,7 +983,7 @@ def cs_functional(u0: AnalyticMap, u1: AnalyticMap, n: int = 12):
     over the points of all four nodes (its rows are independent).
     """
     _require_same_class(u0, u1)
-    dense = _theta_dense()
+    dense = standard_splitting().theta_dense
     x = _torus_points(n)
     w0, j0 = u0.eval(x), u0.jet1(x)
     w1, j1 = u1.eval(x), u1.jet1(x)
@@ -1023,7 +1023,7 @@ def cs_first_variation(u0: AnalyticMap, u1: AnalyticMap, Z: AnalyticMap, n: int 
     ds = 1e-4
     numeric = (cs(ds) - cs(-ds)) / (2.0 * ds)
 
-    dense = _theta_dense()
+    dense = standard_splitting().theta_dense
     x = _torus_points(n)
     zvec = np.zeros((x.shape[0], 7))
     zvec[:, 3:] = Z.eval(x)
@@ -1039,7 +1039,7 @@ def adversarial_variation(u1: AnalyticMap) -> FourierMap:
     projected onto the Fourier modes with |k_i| <= 1; drives the first variation away
     from zero whenever the endpoint is not Fueter."""
     x = _torus_points(8)
-    dense = _theta_dense()
+    dense = standard_splitting().theta_dense
     frame = graph_frames(u1.jet1(x).swapaxes(1, 2))
     # Theta(., v1, v2, v3): the direction in which the boundary term grows
     theta_vec = _ordered_contract(dense, frame[:, 0], frame[:, 1], frame[:, 2])[:, 3:]

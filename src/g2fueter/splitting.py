@@ -29,6 +29,7 @@ from .exterior import (
     VectorValuedForm,
     _ordered_contract,
     _ordered_sum,
+    _read_only,
     _rowdot,
     _stacked,
     interior,
@@ -96,10 +97,16 @@ class Splitting:
         # the whole span, so that a NaN or inf in a V column is refused too
         if not np.all(np.isfinite(span)):
             raise NotProjectableError("span must be finite")
-        A = span[..., :3]
-        if not np.all(np.linalg.svd(A, compute_uv=False)[..., -1] > 1e-10):
+        if not np.all(self.projectable(span)):
             raise NotProjectableError("not horizontally projectable")
-        return A
+        return span[..., :3]
+
+    def projectable(self, spans):
+        """Whether each span of a stack (..., s, 7) is finite and has H
+        coordinates whose least singular value exceeds 1e-10."""
+        finite = np.isfinite(spans).all(axis=(-2, -1))
+        A = np.where(finite[..., None, None], spans[..., :3], 0.0)
+        return finite & (np.linalg.svd(A, compute_uv=False)[..., -1] > 1e-10)
 
     # -- the vertical-degree parts -------------------------------------------
     # Built lazily, once per splitting, and shared read-only by every caller.
@@ -129,6 +136,11 @@ class Splitting:
             if not pstar[q].is_zero(1e-12):
                 raise AssertionError(f"*phi has an unexpected vertical-degree-{q} part")
         return pphi[0], pphi[2], pstar[2], pstar[4]
+
+    @cached_property
+    def theta_dense(self) -> np.ndarray:
+        """Theta as a dense, read-only 4-tensor, built from `form_parts`."""
+        return _read_only(self.form_parts()[2].to_dense())
 
     def form_parts(self):
         """(lam, omega, Theta, mu) in frame coordinates.
@@ -259,10 +271,11 @@ def beta_of_many(Ts) -> Form:
                                   zip(keys, cols, cols.any(axis=1)) if kept})
 
 
-def horizontal_metric(p: Plane):
-    """Gram matrix of the horizontal projections of the spanning frame."""
-    A = standard_splitting().horizontal_part(p.span)
-    return A @ A.T
+def horizontal_metric(spans):
+    """Gram matrix of the horizontal projections of a span (s, 7), or of
+    each span of a stack (n, s, 7)."""
+    A = standard_splitting().horizontal_part(spans)
+    return A @ A.swapaxes(-1, -2)
 
 
 # -- the vertical energy hierarchy -------------------------------------------
@@ -385,49 +398,34 @@ def adiabatic_family(a, eps: float):
     """The one-parameter family sum_i (sqrt eps)^i a_i.
 
     Equals the pullback by diag(1,1,1,sqrt(eps)..) in the splitting frame;
-    eps = 1 is the identity.  Applies to plain and vector-valued forms.
+    eps = 1 is the identity.  Applies to plain and vector-valued forms; an
+    (n,) array of eps gives the stacked family, sample by sample.
     ValueError when eps is not positive, or when the factor eps^(q/2) of a
     nonempty vertical-degree-q part is not finite.
     """
-    return _adiabatic(a)(eps)
-
-
-def _adiabatic(a):
-    """eps -> adiabatic_family(a, eps), with the vertical parts of a
-    taken once, so a caller that needs many eps pays one decomposition."""
     if isinstance(a, VectorValuedForm):  # the value slot is untouched
-        families = [_adiabatic(c) for c in a.components]
-        return lambda eps: VectorValuedForm(tuple(family(eps) for family in families))
-    parts = decompose_form(a)
-
-    def family(eps):
-        if not eps > 0.0:
-            raise ValueError("eps must be positive")
-        root = np.sqrt(eps)
-        scaled = []
-        for q in range(1, len(parts)):
-            if not parts[q].coeffs:
-                # an empty part adds nothing, and its factor may overflow for
-                # no reason: phi's vertical-degree-3 part is empty, and its
-                # eps^(3/2) leaves the float range once eps passes about 1e205
-                continue
-            # even powers of sqrt(eps) computed as integer powers of eps, so
-            # the vertical-degree-2q component scales by eps^q bit-exactly
-            try:
-                with np.errstate(over="raise"):
-                    factor = eps ** (q // 2) * (root if q % 2 else 1.0)
-            except (OverflowError, FloatingPointError):  # a Python or a numpy float
-                factor = np.inf
-            if not np.isfinite(factor):
-                raise ValueError(f"eps = {eps} is out of range: the factor eps^({q}/2) "
-                                 f"of the vertical-degree-{q} part is not finite")
-            scaled.append((factor, parts[q]))
-        out = parts[0]
-        for factor, part in scaled:
-            out = out + factor * part
-        return out
-
-    return family
+        return VectorValuedForm(tuple(adiabatic_family(c, eps) for c in a.components))
+    if not np.all(eps > 0.0):
+        raise ValueError("eps must be positive")
+    root, out = np.sqrt(eps), Form._trusted(a.dim, a.degree, {})  # 0.0 + 1.0 * c is c
+    for q, part in enumerate(decompose_form(a)):
+        if not part.coeffs:
+            # an empty part adds nothing, and its factor may overflow for
+            # no reason: phi's vertical-degree-3 part is empty, and its
+            # eps^(3/2) leaves the float range once eps passes about 1e205
+            continue
+        # even powers of sqrt(eps) computed as integer powers of eps, so
+        # the vertical-degree-2q component scales by eps^q bit-exactly
+        try:
+            with np.errstate(over="raise"):
+                factor = eps ** (q // 2) * (root if q % 2 else 1.0)
+        except (OverflowError, FloatingPointError):  # a Python or a numpy float
+            factor = np.inf
+        if not np.all(np.isfinite(factor)):
+            raise ValueError(f"eps = {eps} is out of range: the factor eps^({q}/2) "
+                             f"of the vertical-degree-{q} part is not finite")
+        out = out + part * factor  # Form * an (n,) factor, not the array's product
+    return out
 
 
 # -- sampling and scans --------------------------------------------------------

@@ -3,7 +3,7 @@
 Each test prints one pass/fail line (run with `pytest -s` to see them on
 success).  An identity that `g2f verify` also checks is computed by the
 shipped sampler in `g2fueter.cli`, here at the criterion's own seed and
-count and folded by the same NaN-keeping `cli._worst`.  Criteria that feed
+count and folded by the same NaN-keeping `cli._fold`.  Criteria that feed
 the determinism check (3, 4, 8, 9) factor their computation into cached
 functions returning a JSON artifact; criterion 12 compares each cached
 artifact byte for byte with one fresh run.
@@ -170,7 +170,7 @@ def test_06_homology():
 
 def test_07_pde_identities():
     rng = np.random.default_rng(107)
-    worst_flat = cli._flat_dirac_squared(rng, 50)
+    worst_flat = cli._fold(cli._flat_dirac_squared(rng, 50))
 
     def su2_residual():
         comps = []
@@ -181,8 +181,8 @@ def test_07_pde_identities():
             comps.append(comp)
         F = pde.AmbientPolynomialMap(comps)
         return float(np.abs(pde.su2_identity_residual(F, pde.random_su2_points(rng, 100))).max())
-    worst_su2 = cli._worst(5, su2_residual)
-    worst_sol = cli._worst(10, lambda: cli._harmonic_solution(rng)[1])
+    worst_su2 = cli._fold([su2_residual() for _ in range(5)])
+    worst_sol = cli._fold([cli._harmonic_solution(rng)[1] for _ in range(10)])
 
     ok = worst_flat < 1e-10 and worst_su2 < 1e-8 and worst_sol < 1e-10
     _line(7, "pde-identities", ok,
@@ -260,8 +260,8 @@ def test_10_cs_first_variation():
     sec = pde.affine_fueter_section([1, 0, 2, -1], [0, 1, 1, 3])
     u0 = sec + pde.random_fourier_field(np.random.default_rng(110), kmax=1)
     rngs = (np.random.default_rng(1100 + k) for k in range(20))
-    worst = cli._worst(20, lambda: cli._first_variation(
-        u0, sec, pde.random_fourier_field(next(rngs), kmax=1)))
+    worst = cli._fold([cli._first_variation(u0, sec, pde.random_fourier_field(next(rngs), kmax=1))
+                       for _ in range(20)])
     num_bad, bnd_bad = cli._defect_variation(np.random.default_rng(111))
     ok = worst < 1e-6 and abs(num_bad) >= 1e-3 and abs(num_bad - bnd_bad) < 1e-6
     _line(10, "action-first-variation", ok,

@@ -5,8 +5,9 @@ forces another one.  Each portable command of the manifest
 (`pinned_reports.PORTABLE`) runs in a child process under the native
 kernel and under forced older ones that the CPU can execute, and must give
 its pinned SHA-256 under every kernel, with every check passing.  The
-Fueter suite's stacked kernels meet their per-plane references bit for bit
-under each kernel too (`sample_axis_oracles.check` on fixed draws).  The
+verify suites' stacked kernels meet their per-sample references bit for
+bit under each kernel too (`sample_axis_oracles.check` on fixed draws and
+`check_samplers` at a fixed seed).  The
 kernel a child really ran is read from the loaded library
 (`pinned_reports.blas_core`), so where OpenBLAS ignores the variable, or
 its core name cannot be read, there is nothing to compare and the test
@@ -41,6 +42,7 @@ _ORACLE_SCRIPT = """
 import sample_axis_oracles
 from pinned_reports import blas_core
 sample_axis_oracles.check(*sample_axis_oracles.fixed_draws())
+sample_axis_oracles.check_samplers()
 print(blas_core())
 """
 

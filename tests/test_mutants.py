@@ -305,6 +305,12 @@ def _mutated_failing_checks(monkeypatch, module, attr, mutate, suites=None):
     return _failing_checks(suites)
 
 
+def test_every_target_is_reached():
+    # a target that no suite calls would make its mutant vacuous: a kill
+    # set of nothing, or a strict xfail that can never pass
+    assert [target for target, suites in _reached().items() if not suites] == []
+
+
 def test_every_check_passes_unmutated():
     assert _failing_checks() == set()
 

@@ -188,6 +188,21 @@ class TestPolynomialKernel:
             # --seed 1`'s su2-dirac-squared residual in its last digits
             assert g.flags.c_contiguous
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 4), st.sampled_from([(), (5,), (2, 3)]), st.integers(0, 2 ** 32 - 1))
+    def test_row_i_is_the_map_of_row_i_alone(self, F, shape, seed):
+        # a map with F coefficient rows evaluates row i at the points x[i]
+        rng = np.random.default_rng(seed)
+        coefficients = rng.standard_normal((F, 80)) * (rng.random((F, 80)) < 0.8)
+        x = rng.standard_normal((F,) + shape + (3,))
+        rows = pde.cubic_polynomial_map(coefficients)
+        for jet in ("eval", "jet1", "jet2"):
+            got = getattr(rows, jet)(x)
+            assert got.flags.c_contiguous
+            for i in range(F):
+                one = getattr(pde.cubic_polynomial_map(coefficients[i]), jet)(x[i])
+                assert got[i].shape == one.shape and _hexes(got[i]) == _hexes(one)
+
     def test_maps_of_one_layout_share_a_read_only_table(self, monkeypatch):
         # random_polynomial_map always builds the same exponent layout: one
         # table per jet order for all of them, each map still its own bits
@@ -704,6 +719,20 @@ class TestActionFunctional:
     def test_zero_variation(self):
         num, bnd = pde.cs_first_variation(self.u0, self.sec, pde.FourierMap([]), n=4)
         assert num == 0.0 and bnd == 0.0
+
+    def test_clearing_the_splitting_clears_theta(self, monkeypatch):
+        # Theta's dense tensor derives from the splitting's cached parts, so
+        # clearing that one cache must reach it: doubling the parts of
+        # vertical degree 2 doubles Theta, and so the functional, exactly
+        before = pde.cs_functional(self.u0, self.sec, n=4)
+        real = sp._vertical_parts
+        with monkeypatch.context() as m:
+            m.setattr(sp, "_vertical_parts",
+                      lambda a, cap: [2.0 * p if q == 2 else p for q, p in enumerate(real(a, cap))])
+            sp.standard_splitting.cache_clear()
+            doubled = pde.cs_functional(self.u0, self.sec, n=4)
+        sp.standard_splitting.cache_clear()
+        assert doubled == 2.0 * before
 
     def test_homotopy_class_guard(self):
         other = pde.affine_map(np.zeros((4, 3)))

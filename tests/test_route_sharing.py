@@ -7,8 +7,8 @@ alike and the comparison goes blind to it.  Each entry below names a
 exact set of package functions they share.  The test records, with
 `sys.setprofile`, the functions each side calls, cold: on the one
 standard splitting built fresh (its cache cleared), so none of its cached
-properties is warm, and with exterior's caches cleared, so a cache hit
-hides no call.  A comprehension or a local function counts as the
+properties is warm, and with exterior's caches and pde's jet tables
+cleared, so a cache hit hides no call.  A comprehension or a local function counts as the
 function that defines it.  New sharing is a diff here.  Exterior's index
 helpers may be shared by any pair; any other shared function is named,
 with the reason it merges no route, by the entry that shares it.
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import g2fueter
-from g2fueter import cli, exterior, fueter, splitting
+from g2fueter import cli, exterior, fm_gauge, fueter, pde, splitting
 
 PACKAGE = os.path.dirname(g2fueter.__file__) + os.sep
 
@@ -37,6 +37,46 @@ INDEX_HELPERS = {
 }
 
 TS = np.linspace(-1.0, 1.0, 24).reshape(2, 3, 4)  # two graph maps
+# two polynomial sections, each row 80 coefficients and then its point
+DRAWS = np.linspace(-1.0, 1.0, 166).reshape(2, 83)
+
+
+def _section():
+    """The one stacked section that both fm sides read, and its points."""
+    return pde.cubic_polynomial_map(DRAWS[:, :80]), DRAWS[:, 80:]
+
+
+def _tangent_betas():
+    u, x = _section()
+    return splitting.beta_of_many(u.jet1(x).swapaxes(1, 2))
+
+
+def _scaled_curvatures():
+    u, x = _section()
+    return 2.0 * np.pi * fm_gauge.psi_pullback(fm_gauge.curvature(fm_gauge.fm_transform(u), x))
+
+
+def _instanton_residuals():
+    u, x = _section()
+    return fm_gauge.instanton_residual(fm_gauge.fm_transform(u), x)
+
+
+def _fueter_residuals():
+    u, x = _section()
+    return fm_gauge.fueter_residual_norm(u, x)
+
+
+# the jet kernel of the one section: both sides of an fm check read its
+# first jets, each from its own call, and take their own route from them
+SECTION = {
+    "pde.cubic_polynomial_map": "it builds the section both sides read",
+    "pde.PolynomialMap.__init__": "it stores the section's coefficients",
+    "pde._exponents": "it checks the section's exponents",
+    "pde.AnalyticMap.jet1": "it asks for the section's first jets",
+    "pde.PolynomialMap._jet": "it evaluates the section's jets, the input of both routes",
+    "pde._layout_table": "it compiles the section's monomial table",
+    "pde._monomial_table": "it compiles the section's monomial table",
+}
 
 # (suite, check[, the route of the second side]) ->
 # (side, side, the functions both sides call,
@@ -65,15 +105,26 @@ ROUTES = {
         lambda: fueter.fueter_vector_many(TS),
         lambda: fueter.chi1_via_projection_many(TS),
         {"exterior._sort_with_sign", "exterior._sorted_parity", "exterior._read_only"}, {}),
+    # beta_of_many on the section's tangent planes against 2 pi Psi* K
+    ("fm", "curvature-beta"): (
+        _tangent_betas, _scaled_curvatures,
+        {"exterior._read_only", "exterior.Form._trusted", *SECTION},
+        {**SECTION, "exterior.Form._trusted": "it stores the coefficients that each side "
+                                              "computed, dropping zeros; it computes none"}),
+    # |K ^ *phi| against |D u|
+    ("fm", "mirror-ratio"): (
+        _instanton_residuals, _fueter_residuals,
+        {"exterior._read_only", *SECTION}, SECTION),
 }
 
 
 def _calls(side):
     """Qualified names of the package functions that side() calls, on the
-    standard splitting built fresh, with exterior's caches cleared."""
+    standard splitting built fresh, with exterior's caches and pde's jet
+    tables cleared."""
     splitting.standard_splitting.cache_clear()
     splitting.standard_splitting()  # built unrecorded; its parts stay lazy
-    for obj in vars(exterior).values():
+    for obj in (*vars(exterior).values(), pde._layout_table):
         if hasattr(obj, "cache_clear"):
             obj.cache_clear()
     seen = set()

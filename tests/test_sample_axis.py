@@ -1,4 +1,5 @@
-"""The Fueter suite's stacked kernels: bit oracles and the cost guard.
+"""The verify suites' stacked kernels: bit oracles, the stream guard and
+the cost guard.
 
 The beta routes of `route-equivalence`, the completion and the six-way
 report's beta wedges run over the sample axis.  Hypothesis draws graph
@@ -6,8 +7,11 @@ maps with exact zeros, rank <= 2 rows (one row of T zero) and rows whose
 squares underflow, and completion pairs with rotated horizontal parts;
 every row of each stack, and each per-plane entry point, must give the
 per-plane references' float.hex values (sample_axis_oracles.py).  The
-cost guard pins that the suite's Python-level work does not grow with its
-sample count.
+samplers of `verify algebra`, `splitting`, `pde` and `fm` must give their
+per-sample loops' residuals at hypothesis-drawn seeds and counts, and
+leave the generator where those loops left it, so that no later check's
+draws shift.  The cost guard pins that the Fueter suite's Python-level
+work does not grow with its sample count.
 """
 
 import inspect
@@ -21,7 +25,7 @@ from hypothesis.extra.numpy import arrays
 import sample_axis_oracles as oracles
 from g2fueter import cli
 from g2fueter import exterior as ex
-from g2fueter import fueter
+from g2fueter import fueter, pde
 from g2fueter import splitting as sp
 
 # entries 0 or of magnitude 1e-3..4; a sample scaled by 1e-160 has
@@ -52,6 +56,25 @@ def draws(draw):
 @given(draws())
 def test_stacked_kernels_match_the_per_plane_references(drawn):
     oracles.check(*drawn)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(oracles.SAMPLERS)), st.integers(0, 2 ** 32 - 1), st.integers(1, 12))
+def test_samplers_match_their_per_sample_loops(check, seed, n):
+    oracles.check_sampler(check, seed, n)
+
+
+@pytest.mark.parametrize("check", sorted(oracles.SAMPLERS))
+def test_stream_unchanged(check):
+    *_, state, loop_state = oracles.run_sampler(check, 29, 40)
+    assert state == loop_state
+
+
+def test_random_polynomial_map_draws_as_its_loop_did():
+    rngs = np.random.default_rng(4), np.random.default_rng(4)
+    got, want = pde.random_polynomial_map(rngs[0]), oracles.random_polynomial_map_ref(rngs[1])
+    assert [dict(c) for c in got.components] == [dict(c) for c in want.components]
+    assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
 
 def test_fixed_draws_match_the_per_plane_references():

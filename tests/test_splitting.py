@@ -110,25 +110,38 @@ class TestHorizontalMetric:
     def test_graph_frame_is_orthonormal(self):
         rng = np.random.default_rng(1)
         g = sp.GraphPlane(rng.standard_normal((3, 4)))
-        got = sp.horizontal_metric(sp.Plane(g.frame()))
+        got = sp.horizontal_metric(g.frame())
         assert np.abs(got - np.eye(3)).max() < 1e-14
 
     def test_scaled_frame(self):
-        got = sp.horizontal_metric(sp.Plane(np.vstack([2 * E[0], E[1], E[2]])))
+        got = sp.horizontal_metric(np.vstack([2 * E[0], E[1], E[2]]))
         assert np.abs(got - np.diag([4.0, 1.0, 1.0])).max() == 0.0
+
+    def test_stack_is_row_by_row(self):
+        spans = np.random.default_rng(3).standard_normal((4, 3, 7))
+        stacked = sp.horizontal_metric(spans)
+        assert all(np.array_equal(g, sp.horizontal_metric(span)) for g, span in zip(stacked, spans))
+
+    def test_projectable_marks_each_span(self):
+        spans = np.array([E[:3], E[:3], E[:3], E[3:6]])
+        spans[1, 0, 5] = np.nan
+        spans[2, 2] = spans[2, 1]
+        assert S.projectable(spans).tolist() == [True, False, False, False]
+        with pytest.raises(sp.NotProjectableError, match="not horizontally"):
+            S.horizontal_part(spans[[0, 2]])
 
     def test_volH_below_vol(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             span = rng.standard_normal((3, 7))
             try:
-                volH = np.sqrt(np.linalg.det(sp.horizontal_metric(sp.Plane(span))))
+                volH = np.sqrt(np.linalg.det(sp.horizontal_metric(span)))
             except sp.NotProjectableError:
                 continue
             vol = np.sqrt(np.linalg.det(span @ span.T))
             assert volH <= vol + 1e-10
         # equality on horizontal planes only
-        volH = np.sqrt(np.linalg.det(sp.horizontal_metric(sp.Plane(E[:3]))))
+        volH = np.sqrt(np.linalg.det(sp.horizontal_metric(E[:3])))
         assert abs(volH - 1.0) < 1e-14
 
 
