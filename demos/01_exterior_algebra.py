@@ -39,4 +39,4 @@ print(f"  pullback by diag(1,1,1,sqrt({eps})..):", ex.render(ex.pullback(A, phi)
 # Forms evaluate on vectors through determinants of selected rows.
 rng = np.random.default_rng(0)
 u, v, w = rng.standard_normal((3, 7))
-print("  phi(u, v, w) =", phi.apply([u, v, w]))
+print("  phi(u, v, w) =", phi.apply(np.array([[u, v, w]]))[0])

@@ -27,25 +27,22 @@ print("e1 x e2 =", g2.cross(E[0], E[1], G))
 print("e1 x e4 =", g2.cross(E[0], E[3], G))
 print("e2 x e5 =", g2.cross(E[1], E[4], G))
 
-# chi measures the failure of a 3-plane to be associative.
-print("chi(e1,e2,e3) =", g2.chi(E[0], E[1], E[2], G), " (associative)")
-print("chi(e4,e5,e6) =", g2.chi(E[3], E[4], E[5], G), " (coassociative triple)")
+# chi measures the failure of a 3-plane to be associative; it takes a
+# stack of triples, as every evaluation does.
+chis = g2.chi(np.array([E[0:3], E[3:6]]), G)
+print("chi(e1,e2,e3) =", chis[0], " (associative)")
+print("chi(e4,e5,e6) =", chis[1], " (coassociative triple)")
 
 rng = np.random.default_rng(1)
-worst = 0.0
-for _ in range(2000):
-    u, v, w = rng.standard_normal((3, 7))
-    lhs = G.phi.apply([u, v, w]) ** 2 + np.sum(g2.chi(u, v, w, G) ** 2)
-    gram = np.array([[u @ u, u @ v, u @ w], [v @ u, v @ v, v @ w], [w @ u, w @ v, w @ w]])
-    worst = max(worst, abs(lhs - np.linalg.det(gram)))
+U = rng.standard_normal((2000, 3, 7))
+lhs = G.phi.apply(U) ** 2 + np.sum(g2.chi(U, G) ** 2, axis=1)
+worst = np.abs(lhs - np.linalg.det(U @ U.swapaxes(1, 2))).max()
 print("associator equality, worst residual over 2000 triples:", worst)
 
-worst = 0.0
-for _ in range(2000):
-    vs = rng.standard_normal((4, 7))
-    t = g2.tau(*vs, G)
-    lhs = G.star_phi.apply(list(vs)) ** 2 + t @ t
-    worst = max(worst, abs(lhs - np.linalg.det(vs @ vs.T)))
+V = rng.standard_normal((2000, 4, 7))
+t = g2.tau(V, G)
+lhs = G.star_phi.apply(V) ** 2 + np.sum(t * t, axis=1)
+worst = np.abs(lhs - np.linalg.det(V @ V.swapaxes(1, 2))).max()
 print("coassociator equality, worst residual over 2000 quadruples:", worst)
 
 # The lambda^k maps are isometries onto the 7-dimensional summands.

@@ -15,19 +15,18 @@ print("structure forms of the standard splitting:")
 for name, form in (("lambda", lam), ("omega", omega), ("Theta", theta), ("mu", mu)):
     print(f"  {name} = {form}")
 
-# ve coefficients, two independent routes.
-T = np.zeros((3, 4))
-T[0, 0] = 1.0
-g = sp.GraphPlane(T)
-print("single unit row:  series   ", sp.ve_series(g, 3))
-print("                  recursion", sp.ve_recursive(g, 3))
+# ve coefficients, two independent routes; each takes a stack of graph maps.
+T = np.zeros((1, 3, 4))
+T[0, 0, 0] = 1.0
+print("single unit row:  series   ", sp.ve_series(T, 3)[0])
+print("                  recursion", sp.ve_recursive(T, 3)[0])
 
 fueter_T = np.zeros((3, 4))
 fueter_T[0, 0] = 1.0
 fueter_T[2, 2] = -1.0
-gf = sp.GraphPlane(fueter_T)
-print("the plane {e1+eta4, e2, e3-eta6}:", sp.ve_series(gf, 3))
-print("  omega on its frame:", omega.apply(list(gf.frame())), " = ve_1 (equality case)")
+print("the plane {e1+eta4, e2, e3-eta6}:", sp.ve_series(fueter_T[None], 3)[0])
+print("  omega on its frame:", omega.apply(sp.graph_frames(fueter_T[None]))[0],
+      " = ve_1 (equality case)")
 
 # The comparison inequality, Monte Carlo at scale.
 rep = sp.anisotropic_scan(sp.PlaneSampler(7), 20000, include_planes=[fueter_T])
@@ -45,16 +44,13 @@ for eps in (1.0, 0.1):
 
 # The graded equality ladder ties everything together plane by plane.
 rng = np.random.default_rng(9)
-worst = max(
-    sp.equality_ladder(sp.GraphPlane(rng.standard_normal((3, 4)))).max_residual
-    for _ in range(200)
-)
+worst = max(rep.max_residual for rep in sp.equality_ladder(rng.standard_normal((200, 3, 4))))
 print("equality ladder, worst residual over 200 random planes:", worst)
 
 # Vertical energy blows up toward non-projectable planes.
-for theta_angle in (1.0, 1.4, 1.55, 1.5706):
-    span = np.zeros((3, 7))
-    span[0, 0], span[0, 3] = np.cos(theta_angle), np.sin(theta_angle)
-    span[1, 1] = span[2, 2] = 1.0
-    gp, _ = sp.graph_from_plane(sp.Plane(span))
-    print(f"  tilt {theta_angle:.4f} -> ve_1 = {sp.ve_series(gp, 1)[1]:.3e}")
+tilts = np.array([1.0, 1.4, 1.55, 1.5706])
+spans = np.zeros((len(tilts), 3, 7))
+spans[:, 0, 0], spans[:, 0, 3] = np.cos(tilts), np.sin(tilts)
+spans[:, 1, 1] = spans[:, 2, 2] = 1.0
+for tilt, ve1 in zip(tilts, sp.ve_series(sp.graph_from_planes(spans)[0], 1)[:, 1]):
+    print(f"  tilt {tilt:.4f} -> ve_1 = {ve1:.3e}")

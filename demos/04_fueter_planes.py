@@ -13,49 +13,48 @@ from g2fueter import splitting as sp
 E = np.eye(7)
 
 # The operator itself, five ways: the last two are exterior algebra on beta.
-T = np.zeros((3, 4))
-T[0, 0] = 1.0  # the plane {e1 + eta4, e2, e3}
-g = sp.GraphPlane(T)
-print("F via cross products:", fu.fueter_vector(g))
-print("F via the J matrices:", fu.fueter_via_J(g, fu.jtriple_from_splitting()))
-print("chi_1 contraction:   ", fu.chi_component_values(g)[1][3:])
-for name, chi1 in (("*(beta ^ *phi):      ", fu.chi1_via_beta(g)),
-                   ("sqrt3 lambda^-1 pi_7:", fu.chi1_via_projection(g))):
-    print(name, np.array([chi1.coeffs.get((i,), 0.0) for i in range(4, 8)]))
+# Every route takes a stack of graph maps; here a stack of one.
+Ts = np.zeros((1, 3, 4))
+Ts[0, 0, 0] = 1.0  # the plane {e1 + eta4, e2, e3}
+print("F via cross products:", fu.fueter_vector(Ts)[0])
+print("F via the J matrices:", fu.fueter_via_J(Ts, fu.jtriple_from_splitting())[0])
+print("chi_1 contraction:   ", fu.chi_component_values(Ts)[1][0, 3:])
+for name, chi1 in (("*(beta ^ *phi):      ", fu.chi1_via_beta(Ts)),
+                   ("sqrt3 lambda^-1 pi_7:", fu.chi1_via_projection(Ts))):
+    print(name, np.array([chi1.coeffs.get((i,), np.zeros(1))[0] for i in range(4, 8)]))
 
 # Completion: any projectable orthonormal pair extends uniquely.
-v3 = fu.fueter_complete(E[0] + E[3], E[1])
-print("completion of (e1+eta4, e2):", v3, " (= e3 - eta6)")
+V3, _ = fu.fueter_complete([E[0] + E[3]], [E[1]])
+print("completion of (e1+eta4, e2):", V3[0], " (= e3 - eta6)")
 
 rng = np.random.default_rng(3)
 v1 = np.concatenate([[1.0, 0, 0], rng.standard_normal(4)])
 v2 = np.concatenate([[0.0, 1, 0], rng.standard_normal(4)])
-v3 = fu.fueter_complete(v1, v2)
-gp, _ = sp.graph_from_plane(sp.Plane(np.vstack([v1, v2, v3])))
+V3, _ = fu.fueter_complete([v1], [v2])
+completed, _ = sp.graph_from_planes(np.stack([v1, v2, V3[0]])[None])
 
 # All six residuals vanish together on the completed plane.
-report = fu.condition_residuals(gp)
+generic = rng.standard_normal((1, 3, 4))
+report, generic = fu.condition_residuals(np.concatenate([completed, generic]))
 print("six-way report on a completed plane:")
 for key, value in report.as_dict().items():
     if key != "T":
         print(f"  {key:24s} {value:.2e}")
-
-generic = fu.condition_residuals(sp.GraphPlane(rng.standard_normal((3, 4))))
 print("and on a generic plane:", [f"{r:.2f}" for r in generic.residuals()])
 
 # Vanishing depth: a full-rank Fueter plane is exactly 2-vanishing; if it
 # meets the horizontal distribution the last obstruction chi_3 dies too.
-print("depth of the completed plane:", sp.equality_ladder(gp).vanishing_depth)
 flat_T = np.zeros((3, 4))
 flat_T[0, 0] = 1.0
 flat_T[2, 2] = -1.0
-print("depth of {e1+eta4, e2, e3-eta6}:",
-      sp.equality_ladder(sp.GraphPlane(flat_T)).vanishing_depth)
+depths = [rep.vanishing_depth for rep in sp.equality_ladder(np.stack([completed[0], flat_T]))]
+print("depth of the completed plane:", depths[0])
+print("depth of {e1+eta4, e2, e3-eta6}:", depths[1])
 
 # The solution set is an 8-dimensional linear slice of the 12 graph
 # coordinates.
-print("linearization rank:", fu.linearization_rank(gp),
-      "-> solution dimension", 12 - fu.linearization_rank(gp))
+rank = fu.linearization_rank(sp.GraphPlane(completed[0]))
+print("linearization rank:", rank, "-> solution dimension", 12 - rank)
 
 # Polar spaces of the two exterior systems.
 for system in ("associative", "fueter"):

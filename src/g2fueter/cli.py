@@ -99,16 +99,16 @@ def _ve_routes(rng, n):
     """Worst disagreement of the eigenvalue series and the minor recursion,
     through ve_4, over n graph planes."""
     Ts = rng.standard_normal((n, 3, 4))
-    gaps = splitting.ve_series_many(Ts, 4) - splitting.ve_recursive_many(Ts, 4)
+    gaps = splitting.ve_series(Ts, 4) - splitting.ve_recursive(Ts, 4)
     return _fold(np.abs(gaps).max(axis=1))
 
 
 def _ve_sqrt_taylor():
     """Distance of a single unit row's ve_0..ve_3 from the sqrt(1+eps) coefficients."""
-    T = np.zeros((3, 4))
-    T[0, 0] = 1.0
+    T = np.zeros((1, 3, 4))
+    T[0, 0, 0] = 1.0
     pinned = np.array([1.0, 0.5, -0.125, 0.0625])
-    return float(np.abs(splitting.ve_series(splitting.GraphPlane(T), 3) - pinned).max())
+    return float(np.abs(splitting.ve_series(T, 3)[0] - pinned).max())
 
 
 def _six_way(rng, n):
@@ -116,8 +116,8 @@ def _six_way(rng, n):
     with the reports of a generic graph plane drawn after it."""
     draws = rng.standard_normal((n, 20))  # per plane: v1's and v2's V parts, a generic T
     completed, _ = _completed_planes(draws[:, :8])
-    return list(zip(fueter.condition_residuals_many(completed),
-                    fueter.condition_residuals_many(draws[:, 8:].reshape(n, 3, 4))))
+    return list(zip(fueter.condition_residuals(completed),
+                    fueter.condition_residuals(draws[:, 8:].reshape(n, 3, 4))))
 
 
 def _completed_planes(draws):
@@ -127,7 +127,7 @@ def _completed_planes(draws):
     spans = np.zeros((len(draws), 3, 7))
     spans[:, :2, :2] = np.eye(2)
     spans[:, :2, 3:] = draws.reshape(-1, 2, 4)
-    spans[:, 2], conds = fueter.fueter_complete_many(spans[:, 0], spans[:, 1])
+    spans[:, 2], conds = fueter.fueter_complete(spans[:, 0], spans[:, 1])
     return splitting.graph_from_planes(spans)[0], conds
 
 
@@ -239,7 +239,7 @@ def _double_cross_gaps(rng, n, G):
 def _completion_chis(rng, n, G):
     """|chi(u, v, u x v)| of n pairs of vectors u, v."""
     uv = rng.standard_normal((n, 2, 7))
-    chis = g2core.chi_many(np.hstack([uv, g2core.cross(uv[:, 0], uv[:, 1], G)[:, None]]), G)
+    chis = g2core.chi(np.hstack([uv, g2core.cross(uv[:, 0], uv[:, 1], G)[:, None]]), G)
     return np.sqrt(ex._rowdot(chis, chis))
 
 
@@ -263,7 +263,7 @@ def _eps_associator_gaps(rng, n):
     for i in range(n):  # a uniform, then normals: draws that do not stack
         eps[i], vs[i] = rng.uniform(0.05, 1.0), rng.standard_normal((3, 7))
     G = splitting.standard_splitting().g2
-    phi, chi = (splitting.adiabatic_family(a, eps).apply_many(vs) for a in (G.phi, G.chi_form))
+    phi, chi = (splitting.adiabatic_family(a, eps).apply(vs) for a in (G.phi, G.chi_form))
     metrics = np.where(np.arange(7) < 3, 1.0, eps[:, None])[:, None] * np.eye(7)
     # a scalar's ** 2 is libm's pow, as np.float_power is; an array's is x * x
     lhs = np.float_power(phi, 2) + np.sum(chi ** 2, axis=1)
@@ -333,7 +333,7 @@ def _suite_algebra(rng, tol):
 
     # a scalar's ** 2 is libm's pow, as np.float_power is; an array's is x * x
     U = rng.standard_normal((n, 3, 7))
-    lhs = np.float_power(G.phi.apply_many(U), 2) + np.sum(g2core.chi_many(U, G) ** 2, axis=1)
+    lhs = np.float_power(G.phi.apply(U), 2) + np.sum(g2core.chi(U, G) ** 2, axis=1)
     gram = np.empty((n, 3, 3))
     for a, b in itertools.product(range(3), repeat=2):
         gram[:, a, b] = ex._rowdot(U[:, a], U[:, b])
@@ -343,8 +343,8 @@ def _suite_algebra(rng, tol):
                           worst, worst < tol["identity"]))
 
     V = rng.standard_normal((n, 4, 7))
-    t = g2core.tau_many(V, G)
-    worst = _fold(np.abs(np.float_power(G.star_phi.apply_many(V), 2) + ex._rowdot(t, t)
+    t = g2core.tau(V, G)
+    worst = _fold(np.abs(np.float_power(G.star_phi.apply(V), 2) + ex._rowdot(t, t)
                          - np.linalg.det(V @ V.swapaxes(1, 2))))
     checks.append(_record("coassociator-equality",
                           "|*phi(v)|^2 + |tau(v)|^2 = |v1^..^v4|^2",
@@ -408,21 +408,17 @@ def _suite_splitting(rng, tol):
     ]
 
     Ts = rng.standard_normal((tol["samples"] // 2, 3, 4))
-    worst = _fold([rep.max_residual for rep in splitting.equality_ladder_many(Ts)])
+    worst = _fold([rep.max_residual for rep in splitting.equality_ladder(Ts)])
     checks.append(_record("equality-ladder",
                           "graded equalities tie alpha, chi and the ve hierarchy",
                           worst, worst < tol["identity"]))
 
     thetas = np.linspace(0.1, np.pi / 2 - 1e-3, 12)
-    ve_vals = []
-    for th in thetas:
-        span = np.zeros((3, 7))
-        span[0, 0], span[0, 3] = np.cos(th), np.sin(th)
-        span[1, 1] = 1.0
-        span[2, 2] = 1.0
-        g, _ = splitting.graph_from_plane(splitting.Plane(span))
-        ve_vals.append(splitting.ve_series(g, 1)[1])
-    growing = all(b > a for a, b in zip(ve_vals, ve_vals[1:])) and ve_vals[-1] > 1e5
+    spans = np.zeros((12, 3, 7))
+    spans[:, 0, 0], spans[:, 0, 3] = np.cos(thetas), np.sin(thetas)
+    spans[:, 1, 1] = spans[:, 2, 2] = 1.0
+    ve_vals = splitting.ve_series(splitting.graph_from_planes(spans)[0], 1)[:, 1]
+    growing = bool(np.all(ve_vals[1:] > ve_vals[:-1])) and ve_vals[-1] > 1e5
     checks.append(_record("ve-unbounded",
                           "vertical energy diverges toward non-projectable planes",
                           ve_vals[-1], growing))
@@ -441,13 +437,13 @@ def _suite_fueter(rng, tol):
     # stacked Form algebra, whose coefficients are (n,) columns
     Ts = rng.standard_normal((n, 3, 4))
     routes = np.empty((n, 4, 4))
-    routes[:, 0] = fueter.fueter_via_J_many(Ts, J)
-    routes[:, 1] = fueter.chi_component_values_many(Ts)[1][:, 3:]
-    for k, chi1 in ((2, fueter.chi1_via_beta_many(Ts)),
-                    (3, fueter.chi1_via_projection_many(Ts))):
+    routes[:, 0] = fueter.fueter_via_J(Ts, J)
+    routes[:, 1] = fueter.chi_component_values(Ts)[1][:, 3:]
+    for k, chi1 in ((2, fueter.chi1_via_beta(Ts)),
+                    (3, fueter.chi1_via_projection(Ts))):
         for a in range(4):
             routes[:, k, a] = chi1.coeffs.get((a + 4,), 0.0)
-    gaps = fueter.fueter_vector_many(Ts)[:, None] - routes
+    gaps = fueter.fueter_vector(Ts)[:, None] - routes
     worst = _fold(np.abs(gaps).max(axis=(1, 2)))
     checks.append(_record("route-equivalence",
                           "cross, J, Theta-contraction and beta routes agree",
@@ -455,7 +451,7 @@ def _suite_fueter(rng, tol):
 
     draws = rng.standard_normal((n // 5, 8))  # per plane: v1's and v2's V parts
     Ts, conds = _completed_planes(draws)
-    F = fueter.fueter_vector_many(Ts)
+    F = fueter.fueter_vector(Ts)
     worst = _fold(np.sqrt(ex._rowdot(F, F)))
     checks.append(_record("completion", "completed planes satisfy the vertical equation",
                           worst, worst < 1e-10))
@@ -474,8 +470,8 @@ def _suite_fueter(rng, tol):
     lam, omega, theta, mu = splitting.standard_splitting().form_parts()
 
     Ts = rng.standard_normal((n, 3, 4))
-    gap = splitting.ve_series_many(Ts, 1)[:, 1] - omega.apply_many(splitting.graph_frames(Ts))
-    chi1 = fueter.chi_component_values_many(Ts)[1]
+    gap = splitting.ve_series(Ts, 1)[:, 1] - omega.apply(splitting.graph_frames(Ts))
+    chi1 = fueter.chi_component_values(Ts)[1]
     worst = _fold(np.abs(gap - 0.5 * ex._rowdot(chi1, chi1)))
     checks.append(_record("secondary-equality",
                           "omega(v) + |chi_1(v)|^2 / 2 = ve_1",
@@ -486,7 +482,7 @@ def _suite_fueter(rng, tol):
         low[i] = rng.standard_normal((3, 4))
         low[i, rng.integers(3)] = 0.0
         full[i] = rng.standard_normal((3, 4))
-    chi3 = [np.linalg.norm(fueter.chi_component_values_many(Ts)[3], axis=1)
+    chi3 = [np.linalg.norm(fueter.chi_component_values(Ts)[3], axis=1)
             for Ts in (low, full)]
     rank_3 = np.linalg.matrix_rank(full.swapaxes(1, 2)) == 3
     splits = (chi3[0] < 1e-12) & (~rank_3 | (chi3[1] > 1e-6))

@@ -12,20 +12,22 @@ a strictly increasing tuple in range.  The operations below (`wedge`,
 internal `Form._trusted`, which skips that check because their keys are
 sorted and in range by construction.
 
-Evaluation runs on the sample axis: `apply_many` takes stacked frames
+Evaluation runs on the sample axis: `apply` takes stacked frames
 (n, degree, dim), makes one stacked `np.linalg.det` call over all n
 samples' minors and sums the products one by one in coefficient order, as
 vectors over n, so every float equals that of the per-monomial loop and
-row i does not depend on the other rows.  `apply` is its n = 1 case.
+row i does not depend on the other rows.
 
 So does the algebra: a stacked form's coefficients are (n,) columns, built
 only by `Form._trusted`; `wedge`, `hodge`, `interior` (of stacked vectors
 too), `+` and `*` run their one loop on them, so row i is, float for
-float, the form of sample i alone.  `norm`, `inner` and `apply_many` work
-row by row; `apply`, `render`, `equals` and `Form(...)` refuse a stacked
-form.  A matrix meets stacked rows only through `_matvec`, one
-matrix-vector product per row: one matrix product over the stack may sum
-in another order.
+float, the form of sample i alone.  `norm`, `inner` and `apply` work
+row by row; `render`, `equals` and `Form(...)` refuse a stacked form, and
+`+` refuses to add one to a nonempty form of floats.  numpy's operators
+defer to `Form`'s, so an array of n scalars times a form is the stacked
+form, from either side.  A matrix meets stacked rows only through
+`_matvec`, one matrix-vector product per row: one matrix product over the
+stack may sum in another order.
 """
 
 from __future__ import annotations
@@ -167,10 +169,15 @@ def _matvec(M, V):
     return (M @ V[..., None])[..., 0]
 
 
+def _is_stacked(coeffs):
+    """Whether these are a stacked form's coefficients, which are all (n,)
+    columns, so that the first one tells; an empty form is not stacked."""
+    return isinstance(next(iter(coeffs.values()), None), np.ndarray)
+
+
 def _unstacked(coeffs):
-    """Refuse a stacked form's coefficients, which are all (n,) columns, so
-    that the first one tells."""
-    if isinstance(next(iter(coeffs.values()), None), np.ndarray):
+    """Refuse a stacked form's coefficients."""
+    if _is_stacked(coeffs):
         raise ValueError("a stacked form has no single value")
 
 
@@ -235,6 +242,10 @@ class Form:
     degree: int
     coeffs: dict
 
+    # numpy's operators defer to the form's own: an array of scalars times
+    # a form is the stacked form, as the form times the array is
+    __array_ufunc__ = None
+
     def __post_init__(self):
         if not (_MIN_DIM <= self.dim <= _MAX_DIM):
             raise ValueError(f"ambient dimension {self.dim} outside 3..8")
@@ -290,6 +301,8 @@ class Form:
 
     def __add__(self, other):
         self._compat(other)
+        if self.coeffs and other.coeffs and _is_stacked(self.coeffs) != _is_stacked(other.coeffs):
+            raise ValueError("cannot add a stacked form and a form of floats")
         out = dict(self.coeffs)
         for idx, c in other.coeffs.items():
             out[idx] = out.get(idx, 0.0) + c
@@ -343,23 +356,10 @@ class Form:
         keys = set(self.coeffs) | set(other.coeffs)
         return all(abs(self.coeffs.get(k, 0.0) - other.coeffs.get(k, 0.0)) <= tol for k in keys)
 
-    def apply(self, vectors):
-        """Evaluate on a list of self.degree vectors (each a length-dim
-        array): the n = 1 case of `apply_many`."""
-        _unstacked(self.coeffs)
-        return float(self.apply_many(self._frame(vectors))[0])
-
-    def apply_many(self, frames):
+    def apply(self, frames):
         """Evaluate on stacked frames (n, degree, dim) -> (n,); row i is
         the value on the vectors frames[i], of row i if the form is stacked."""
         return _evaluate(_stacked(frames, (self.degree, self.dim)), *self._plan)[:, 0]
-
-    def _frame(self, vectors):
-        """The vectors as a stack of one frame, checked by `apply_many`."""
-        vectors = list(vectors)
-        if len(vectors) != self.degree:
-            raise ValueError(f"expected {self.degree} vectors, got {len(vectors)}")
-        return np.array(vectors, dtype=float)[None] if vectors else np.zeros((1, 0, self.dim))
 
     def to_dense(self):
         """Fully antisymmetric dense ndarray of shape (dim,)*degree (0-based)."""
@@ -528,12 +528,7 @@ class VectorValuedForm:
     def degree(self):
         return self.components[0].degree
 
-    def apply(self, vectors):
-        """Evaluate on vectors, returning a value in R^m: the n = 1
-        case of `apply_many`."""
-        return self.apply_many(self.components[0]._frame(vectors))[0]
-
-    def apply_many(self, frames):
+    def apply(self, frames):
         """Evaluate on stacked frames (n, degree, dim) -> (n, m)."""
         return _evaluate(_stacked(frames, (self.degree, self.dim)), *self._plan)
 

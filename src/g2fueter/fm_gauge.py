@@ -25,7 +25,7 @@ import numpy as np
 
 from .exterior import Form, _rowdot, wedge
 from .pde import AnalyticMap, fueter_operator_flat
-from .splitting import beta_of_many, standard_splitting
+from .splitting import beta_of, standard_splitting
 
 __all__ = [
     "LineConnection",
@@ -98,7 +98,7 @@ def beta_relation_residual(u: AnalyticMap, x) -> float:
     beta = -2 pi sqrt(-1) Psi* F makes them equal.
     """
     x = np.asarray(x, dtype=float)
-    beta = beta_of_many(u.jet1(x).reshape(-1, 4, 3).swapaxes(1, 2))
+    beta = beta_of(u.jet1(x).reshape(-1, 4, 3).swapaxes(1, 2))
     rhs = 2.0 * np.pi * psi_pullback(curvature(fm_transform(u), x))
     return ((beta if x.ndim > 1 else beta._sample(0)) - rhs).norm()
 

@@ -25,10 +25,9 @@ from .splitting import (
     GraphPlane,
     Plane,
     beta_of,
-    beta_of_many,
     graph_frames,
     standard_splitting,
-    ve_series_many,
+    ve_series,
 )
 
 __all__ = [
@@ -36,22 +35,15 @@ __all__ = [
     "standard_jtriple",
     "jtriple_from_splitting",
     "fueter_vector",
-    "fueter_vector_many",
     "fueter_via_J",
-    "fueter_via_J_many",
     "fueter_map_matrix",
     "fueter_complete",
-    "fueter_complete_many",
     "ConditionReport",
     "condition_residuals",
-    "condition_residuals_many",
     "chi_component_values",
-    "chi_component_values_many",
     "chi_via_beta",
     "chi1_via_beta",
-    "chi1_via_beta_many",
     "chi1_via_projection",
-    "chi1_via_projection_many",
     "linearization_rank",
     "polar_space_dim",
     "polar_dim_constancy",
@@ -136,19 +128,14 @@ def jtriple_from_splitting() -> JTriple:
 # -- the operator, by two routes ---------------------------------------------
 
 
-def fueter_vector(g: GraphPlane):
-    """F(pi) = sum_i p_H(v_i) x p_V(v_i), via cross products; the n = 1
-    case of `fueter_vector_many`.
+def fueter_vector(Ts):
+    """F(pi) = sum_i p_H(v_i) x p_V(v_i) of stacked graph maps (n, 3, 4)
+    -> (n, 4), via cross products.
 
-    Returns V-frame coordinates (length 4).  Independent of the choice of
+    Returns V-frame coordinates.  Independent of the choice of
     horizontal-orthonormal frame since it contracts against the dual of
     the horizontal inner product.
     """
-    return fueter_vector_many(g.T[None])[0]
-
-
-def fueter_vector_many(Ts):
-    """fueter_vector of stacked graph maps (n, 3, 4) -> (n, 4)."""
     Ts = _stacked(Ts, (3, 4))
     dense = standard_splitting().g2.phi_dense
     out = np.zeros((len(Ts), 4))
@@ -160,15 +147,10 @@ def fueter_vector_many(Ts):
     return out
 
 
-def fueter_via_J(g: GraphPlane, J: JTriple):
-    """F(pi) = sum_i J_i(p_V(v_i)), the matrix route; J is the triple of the
-    splitting.  The n = 1 case of `fueter_via_J_many`."""
-    return fueter_via_J_many(g.T[None], J)[0]
-
-
-def fueter_via_J_many(Ts, J: JTriple):
-    """fueter_via_J of stacked graph maps (n, 3, 4) -> (n, 4), each J_i
-    applied to each row by the one-plane matrix-vector product."""
+def fueter_via_J(Ts, J: JTriple):
+    """F(pi) = sum_i J_i(p_V(v_i)) of stacked graph maps (n, 3, 4) -> (n, 4),
+    the matrix route; J is the triple of the splitting, each J_i applied
+    to each row by the one-plane matrix-vector product."""
     Ts = _stacked(Ts, (3, 4))
     return sum(_matvec(Ji, Ts[:, i]) for i, Ji in enumerate(J.as_tuple()))
 
@@ -185,22 +167,16 @@ def fueter_map_matrix():
 # -- completions -------------------------------------------------------------
 
 
-def fueter_complete(v1, v2):
-    """Complete a projectable pair to the unique Fueter plane.
+def fueter_complete(V1, V2):
+    """Complete stacked projectable pairs V1, V2 (n, 7) to the unique
+    Fueter planes: the third frame vectors V3 (n, 7) and the condition
+    numbers (n,) of their systems, from one stacked solve and cond call.
 
-    v1, v2 are ambient vectors whose horizontal projections must be
-    orthonormal.  Returns the third frame vector v3 with p_H(v3) =
-    p_H(v1) x p_H(v2); its vertical part is the unique solution of the
-    square linear system J(h3) x = -(h1 x u1 + h2 x u2).  Non-finite v1
-    or v2 raise ValueError.  The n = 1 case of `fueter_complete_many`.
+    The horizontal projections of each pair must be orthonormal.  Row i of
+    V3 has p_H(v3) = p_H(v1) x p_H(v2); its vertical part is the unique
+    solution of the square linear system J(h3) x = -(h1 x u1 + h2 x u2).
+    Each row is guarded, and a non-finite entry raises ValueError.
     """
-    return fueter_complete_many([v1], [v2])[0][0]
-
-
-def fueter_complete_many(V1, V2):
-    """fueter_complete of stacked pairs V1, V2 (n, 7), each guarded: the
-    third vectors (n, 7) and the condition numbers (n,) of the systems,
-    from one stacked solve and cond call."""
     V1, V2 = _stacked(V1, (DIM,)), _stacked(V2, (DIM,))
     if not (np.all(np.isfinite(V1)) and np.all(np.isfinite(V2))):
         raise ValueError("v1, v2 must be finite")
@@ -268,13 +244,7 @@ class ConditionReport:
         return all(abs(r) >= NONVANISHING_FLOOR for r in self.residuals())
 
 
-def condition_residuals(g: GraphPlane) -> ConditionReport:
-    """Evaluate all six Fueter conditions on one plane; the n = 1 case of
-    `condition_residuals_many`."""
-    return condition_residuals_many(g.T[None])[0]
-
-
-def condition_residuals_many(Ts):
+def condition_residuals(Ts):
     """The six Fueter conditions on stacked graph maps (n, 3, 4), one report
     per plane, all over the sample axis: the wedge conditions on beta as
     stacked Form algebra."""
@@ -283,21 +253,21 @@ def condition_residuals_many(Ts):
     lam, omega, theta, mu = standard_splitting().form_parts()
 
     # (1) anisotropic gap ve1 * volH(v) - omega(v); volH(v) = 1 in graph frame
-    gap = ve_series_many(Ts, 1)[:, 1] - omega.apply_many(frames)
+    gap = ve_series(Ts, 1)[:, 1] - omega.apply(frames)
 
     # (2) |F| by cross products
-    f = fueter_vector_many(Ts)
+    f = fueter_vector(Ts)
     f_norm = np.sqrt(_rowdot(f, f))
 
     # (3) |chi_1(v)| via chi_1 = -sum_a eta_a (x) i(eta_a) Theta
     chi1 = np.empty((n, 4))
     for a in range(4):
-        chi1[:, a] = -interior(np.eye(DIM)[3 + a], theta).apply_many(frames)
+        chi1[:, a] = -interior(np.eye(DIM)[3 + a], theta).apply(frames)
     chi1_norm = np.sqrt(_rowdot(chi1, chi1))
 
     # (4) sup over the coframe of |Theta(v1,v2,v3, .)|
     quads = _with_unit_vectors(frames).reshape(-1, 4, DIM)
-    theta_contraction = np.abs(theta.apply_many(quads)).reshape(n, DIM).max(axis=1)
+    theta_contraction = np.abs(theta.apply(quads)).reshape(n, DIM).max(axis=1)
 
     # (5) and (6): wedge conditions on beta, over the planes with one zero
     # pattern of T at a time, so each row's norm sums in its own key order
@@ -306,7 +276,7 @@ def condition_residuals_many(Ts):
     pattern = (Ts.reshape(n, 12) != 0.0) @ (1 << np.arange(12))  # one integer per plane
     for code in set(pattern.tolist()):
         rows = pattern == code
-        beta = beta_of_many(Ts[rows])
+        beta = beta_of(Ts[rows])
         star_phi_norm[rows] = wedge(beta, standard_splitting().g2.star_phi).norm()
         theta_norm[rows] = wedge(beta, theta).norm()
 
@@ -324,29 +294,24 @@ def condition_residuals_many(Ts):
 # -- chi components ------------------------------------------------------------
 
 
-def chi_component_values(g: GraphPlane):
-    """[chi_0(v), .., chi_3(v)] as ambient-frame vectors (length 7 each),
-    from the vertical-degree decomposition of the chi tensor; the n = 1
-    case of `chi_component_values_many`."""
-    return [values[0] for values in chi_component_values_many(g.T[None])]
-
-
-def chi_component_values_many(Ts):
-    """chi_component_values of stacked graph maps (n, 3, 4): four (n, 7)
-    arrays, chi_q of each plane in row order."""
+def chi_component_values(Ts):
+    """[chi_0(v), .., chi_3(v)] of stacked graph maps (n, 3, 4), from the
+    vertical-degree decomposition of the chi tensor: four (n, 7) arrays
+    of ambient-frame vectors, chi_q of each plane in row order."""
     frames = graph_frames(Ts)
-    return [p.apply_many(frames) for p in standard_splitting().chi_f_parts]
+    return [p.apply(frames) for p in standard_splitting().chi_f_parts]
 
 
-def chi_via_beta(g: GraphPlane):
-    """(chi_1(v)^flat, chi_2(v)^flat, chi_3(v)^flat) as 1-forms from beta.
+def chi_via_beta(Ts):
+    """(chi_1(v)^flat, chi_2(v)^flat, chi_3(v)^flat) of stacked graph maps
+    (n, 3, 4), as stacked 1-forms from beta.
 
     chi_1^flat = *(beta ^ *phi); chi_2^flat = -2 (lambda^4)^{-1} of the
     Lambda^4_7 part of beta^2/2; chi_3^flat = -*(beta^3/6).
     """
     G = standard_splitting().g2
-    beta = beta_of(g)
-    chi1 = chi1_via_beta(g)
+    beta = beta_of(Ts)
+    chi1 = chi1_via_beta(Ts)
     half_beta2 = 0.5 * wedge(beta, beta)
     chi2 = -2.0 * g2core.lambda_k_inverse(g2core.project_k7(half_beta2, 4, G), 4, G)
     beta3 = wedge(wedge(beta, beta), beta)
@@ -354,27 +319,17 @@ def chi_via_beta(g: GraphPlane):
     return chi1, chi2, chi3
 
 
-def chi1_via_beta(g: GraphPlane) -> Form:
-    """chi_1(v)^flat = *(beta ^ *phi) alone, the first of `chi_via_beta`;
-    the n = 1 case of `chi1_via_beta_many`."""
-    return chi1_via_beta_many(g.T[None])._sample(0)
+def chi1_via_beta(Ts) -> Form:
+    """chi_1(v)^flat = *(beta ^ *phi) alone, the first of `chi_via_beta`, of
+    stacked graph maps (n, 3, 4), as a stacked 1-form."""
+    return hodge(wedge(beta_of(Ts), standard_splitting().g2.star_phi))
 
 
-def chi1_via_beta_many(Ts) -> Form:
-    """chi1_via_beta of stacked graph maps (n, 3, 4), as a stacked 1-form."""
-    return hodge(wedge(beta_of_many(Ts), standard_splitting().g2.star_phi))
-
-
-def chi1_via_projection(g: GraphPlane) -> Form:
-    """Alternative route: chi_1(v)^flat = sqrt(3) (lambda^2)^{-1} (pi^2_7 beta);
-    the n = 1 case of `chi1_via_projection_many`."""
-    return chi1_via_projection_many(g.T[None])._sample(0)
-
-
-def chi1_via_projection_many(Ts) -> Form:
-    """chi1_via_projection of stacked graph maps (n, 3, 4), as a stacked 1-form."""
+def chi1_via_projection(Ts) -> Form:
+    """Alternative route: chi_1(v)^flat = sqrt(3) (lambda^2)^{-1} (pi^2_7 beta)
+    of stacked graph maps (n, 3, 4), as a stacked 1-form."""
     G = standard_splitting().g2
-    return np.sqrt(3.0) * g2core.lambda_k_inverse(g2core.project_2_7(beta_of_many(Ts), G), 2, G)
+    return np.sqrt(3.0) * g2core.lambda_k_inverse(g2core.project_2_7(beta_of(Ts), G), 2, G)
 
 
 # -- linearization and polar spaces ----------------------------------------------
@@ -384,7 +339,7 @@ def linearization_rank(g: GraphPlane) -> int:
     """Rank of T -> F over the 12-dimensional graph coordinates at a Fueter
     point (|F| < IDENTITY_TOL).  The solution Grassmannian has dimension
     12 - rank (= 8)."""
-    if not np.linalg.norm(fueter_vector(g)) < IDENTITY_TOL:
+    if not np.linalg.norm(fueter_vector(g.T[None])[0]) < IDENTITY_TOL:
         raise ValueError("input plane is not Fueter")
     M = fueter_map_matrix()
     return int(np.linalg.matrix_rank(M, tol=1e-10))
@@ -414,7 +369,7 @@ def polar_space_dim(W: Plane, system: str) -> int:
         generators = S.g2.chi_form
 
     # row m: generator m on (w1, w2, e_j) for j = 1..7, in one evaluation
-    M = generators.apply_many(_with_unit_vectors(_stacked(W.span[None], (2, DIM)))[0]).T
+    M = generators.apply(_with_unit_vectors(_stacked(W.span[None], (2, DIM)))[0]).T
     rank = int(np.linalg.matrix_rank(M, tol=1e-10))
     return DIM - rank
 

@@ -55,9 +55,7 @@ __all__ = [
     "standard_g2",
     "cross",
     "chi",
-    "chi_many",
     "tau",
-    "tau_many",
     "lambda_k",
     "lambda_k_inverse",
     "project_k7",
@@ -210,40 +208,28 @@ def cross(u, v, G: G2Structure):
     """Cross product: g(u x v, w) = phi(u, v, w) for all w; row by row."""
     pairs = np.stack([u, v], axis=-2)
     triples = _with_unit_vectors(_stacked(pairs.reshape(-1, 2, DIM), (2, DIM)))
-    return G.phi.apply_many(triples.reshape(-1, 3, DIM)).reshape(pairs.shape[:-2] + (DIM,))
+    return G.phi.apply(triples.reshape(-1, 3, DIM)).reshape(pairs.shape[:-2] + (DIM,))
 
 
-def chi(u, v, w, G: G2Structure):
-    """Associator-defect vector: g(chi(u,v,w), x) = (*phi)(u,v,w,x).
+def chi(frames, G: G2Structure):
+    """Associator-defect vectors of stacked triples (n, 3, 7) -> (n, 7):
+    g(chi(u,v,w), x) = (*phi)(u,v,w,x).
 
     Vanishes exactly on associative triples; together with phi it satisfies
-    |phi(u,v,w)|^2 + |chi(u,v,w)|^2 = |u ^ v ^ w|^2.  The n = 1 case of
-    `chi_many`.
-    """
-    return chi_many(np.array([[u, v, w]], dtype=float), G)[0]
-
-
-def chi_many(frames, G: G2Structure):
-    """chi of stacked triples (n, 3, 7) -> (n, 7).
-
-    (*phi)(u, v, w, e_x) for the seven unit vectors in one evaluation.
+    |phi(u,v,w)|^2 + |chi(u,v,w)|^2 = |u ^ v ^ w|^2.  (*phi)(u, v, w, e_x)
+    for the seven unit vectors in one evaluation.
     """
     quads = _with_unit_vectors(_stacked(frames, (3, DIM)))
-    return G.star_phi.apply_many(quads.reshape(-1, 4, DIM)).reshape(-1, DIM)
+    return G.star_phi.apply(quads.reshape(-1, 4, DIM)).reshape(-1, DIM)
 
 
-def tau(u, v, w, x, G: G2Structure):
-    """Coassociator-defect vector from tau = phi ^ id_TM.
+def tau(frames, G: G2Structure):
+    """Coassociator-defect vectors from tau = phi ^ id_TM, of stacked
+    quadruples (n, 4, 7) -> (n, 7).
 
-    Satisfies |*phi(u,v,w,x)|^2 + |tau(u,v,w,x)|^2 = |u^v^w^x|^2.  The n = 1
-    case of `tau_many`.
+    Satisfies |*phi(u,v,w,x)|^2 + |tau(u,v,w,x)|^2 = |u^v^w^x|^2.
     """
-    return tau_many(np.array([[u, v, w, x]], dtype=float), G)[0]
-
-
-def tau_many(frames, G: G2Structure):
-    """tau of stacked quadruples (n, 4, 7) -> (n, 7)."""
-    return G.tau_form.apply_many(frames)
+    return G.tau_form.apply(frames)
 
 
 # -- lambda^k isometries and the 2-form projections --------------------------

@@ -41,16 +41,12 @@ __all__ = [
     "Plane",
     "GraphPlane",
     "standard_splitting",
-    "graph_from_plane",
     "graph_from_planes",
     "graph_frames",
     "beta_of",
-    "beta_of_many",
     "horizontal_metric",
     "ve_series",
-    "ve_series_many",
     "ve_recursive",
-    "ve_recursive_many",
     "decompose_form",
     "adiabatic_family",
     "PlaneSampler",
@@ -59,7 +55,6 @@ __all__ = [
     "anisotropic_scan",
     "EqualityLadderReport",
     "equality_ladder",
-    "equality_ladder_many",
 ]
 
 DIM = 7
@@ -218,29 +213,13 @@ class GraphPlane:
         T = np.asarray(self.T, dtype=float).reshape(3, 4)
         object.__setattr__(self, "T", T)
 
-    def frame(self):
-        """Rows: the three spanning vectors in frame coordinates."""
-        return graph_frames(self.T[None])[0]
-
-
-def graph_from_plane(p: Plane):
-    """Convert a 3-plane to graph coordinates.
-
-    Returns (GraphPlane, orientation_sign); the sign is -1 when the
-    plane's given orientation disagrees with the projected orientation
-    of H.  Raises NotProjectableError when p_H restricted to the plane
-    is singular.  The n = 1 case of `graph_from_planes`.
-    """
-    if p.s != 3:
-        raise ValueError("graph coordinates require a 3-plane")
-    Ts, signs = graph_from_planes(p.span[None])
-    return GraphPlane(T=Ts[0]), int(signs[0])
-
 
 def graph_from_planes(spans):
-    """graph_from_plane of stacked spans (n, 3, 7): the graph maps (n, 3, 4)
-    and signs (n,).  Each span passes the projectability guard, which
-    implies Plane's: the singular values of a span bound those of its H
+    """Graph coordinates of stacked 3-planes, spans (n, 3, 7): the graph
+    maps (n, 3, 4) and the signs (n,), -1 where a plane's given
+    orientation disagrees with the projected orientation of H.  A span
+    whose p_H is singular raises NotProjectableError; the guard implies
+    Plane's, since the singular values of a span bound those of its H
     part from above."""
     spans = _stacked(spans, (3, DIM))
     A = standard_splitting().horizontal_part(spans)
@@ -256,15 +235,10 @@ def graph_frames(Ts):
     return out
 
 
-def beta_of(g: GraphPlane) -> Form:
-    """The 2-form beta = sum_i e^i ^ (T e_i)^flat, frame coordinates,
-    without its zero entries; the n = 1 case of `beta_of_many`."""
-    return beta_of_many(g.T[None])._sample(0)
-
-
-def beta_of_many(Ts) -> Form:
-    """beta of stacked graph maps (n, 3, 4), a stacked 2-form without the
-    columns that are zero in every sample, as beta_of drops a zero entry."""
+def beta_of(Ts) -> Form:
+    """The 2-forms beta = sum_i e^i ^ (T e_i)^flat of stacked graph maps
+    (n, 3, 4), frame coordinates: a stacked 2-form without the columns
+    that are zero in every sample."""
     cols = np.asarray(Ts, dtype=float).reshape(-1, 12).T  # column (i, a) is row 4 i + a
     keys = itertools.product(range(1, 4), range(4, DIM + 1))
     return Form._trusted(DIM, 2, {key: col for key, col, kept in
@@ -333,15 +307,10 @@ def _convolve(series, factor):
     return _ordered_sum(terms)
 
 
-def ve_series(g: GraphPlane, kmax: int):
-    """[ve_0..ve_kmax] via the eigenvalue expansion of sqrt det(I + eps G);
-    the n = 1 case of `ve_series_many`."""
-    return ve_series_many(g.T[None], kmax)[0]
-
-
-def ve_series_many(Ts, kmax):
-    """ve_series of stacked graph maps (n, 3, 4) -> (n, kmax + 1), from the
-    Gram matrices T T^t of the one-plane matrix product."""
+def ve_series(Ts, kmax):
+    """[ve_0..ve_kmax] of stacked graph maps (n, 3, 4) -> (n, kmax + 1), via
+    the eigenvalue expansion of sqrt det(I + eps G) of the Gram matrices
+    G = T T^t of the one-plane matrix product."""
     Ts = _stacked(Ts, (3, 4))
     return _ve_from_grams(Ts @ Ts.swapaxes(1, 2), kmax)
 
@@ -353,14 +322,9 @@ _ROWS2, _COLS2 = map(np.array, zip(*itertools.product(
 _COLS3 = np.array(list(itertools.combinations(range(4), 3)))
 
 
-def ve_recursive(g: GraphPlane, kmax: int):
-    """[ve_0..ve_kmax] via wedge-power norms and the recursion; the n = 1
-    case of `ve_recursive_many`."""
-    return ve_recursive_many(g.T[None], kmax)[0]
-
-
-def ve_recursive_many(Ts, kmax):
-    """ve_recursive of stacked graph maps (n, 3, 4) -> (n, kmax + 1).
+def ve_recursive(Ts, kmax):
+    """[ve_0..ve_kmax] of stacked graph maps (n, 3, 4) -> (n, kmax + 1), via
+    wedge-power norms and the recursion.
 
     |(p_V)^k|^2 is k! times the sum of squared k x k minors of T; the
     wedge powers vanish for k > 3, after which the recursion runs on its
@@ -834,8 +798,8 @@ def anisotropic_scan(
                       samples=len(included) + n, max_ratio=fold.max_ratio,
                       argmax_frame=argmax_plane.tolist(), violations=fold.violations,
                       seed=sampler.seed, tol=tol, skipped=skipped,
-                      equality_cases=[condition_residuals(GraphPlane(T=T)).as_dict()
-                                      for T in near])
+                      equality_cases=[report.as_dict() for report in
+                                      condition_residuals(np.reshape(near, (-1, 3, 4)))])
 
 
 # -- the equality ladder -------------------------------------------------------
@@ -859,9 +823,10 @@ class EqualityLadderReport:
         return float(np.max(pools)) if pools else 0.0
 
 
-def equality_ladder(g: GraphPlane):
-    """Residuals of the graded equality identities on a graph plane; the
-    n = 1 case of `equality_ladder_many`.
+def equality_ladder(Ts):
+    """Residuals of the graded equality identities on stacked graph maps
+    (n, 3, 4), one report per plane, every value computed over the sample
+    axis.
 
     For each ell = 1..3 the even identity compares sum_{i+j=2 ell} of the
     alpha- and chi-pairings against |v_ell|^2, itself cross-checked against
@@ -871,17 +836,11 @@ def equality_ladder(g: GraphPlane):
     alpha_{2l}(v) = ve_l and alpha_{2k+2}(v) + |chi_{k+1}(v)|^2 / 2 =
     ve_{k+1} are also evaluated.
     """
-    return equality_ladder_many(g.T[None])[0]
-
-
-def equality_ladder_many(Ts):
-    """equality_ladder of stacked graph maps (n, 3, 4), one report per
-    plane, every value computed over the sample axis."""
     frames = graph_frames(Ts)
-    alpha = [p.apply_many(frames) for p in standard_splitting().phi_f_parts]
-    chi = [p.apply_many(frames) for p in standard_splitting().chi_f_parts]
+    alpha = [p.apply(frames) for p in standard_splitting().phi_f_parts]
+    chi = [p.apply(frames) for p in standard_splitting().chi_f_parts]
     v_parts_sq = _wedge3_vertical_norms(frames)
-    ve = ve_series_many(Ts, 3).T
+    ve = ve_series(Ts, 3).T
 
     def pairing(total):
         acc = np.zeros(len(frames))

@@ -48,7 +48,7 @@ def test_01_g2_algebra_suite():
     worst_assoc = float(assoc.max())
 
     # tie the batch evaluation to the pointwise operation
-    tie = cli._fold([float(np.abs(chi_vals[k] - g2.chi(*vs[k], G)).max()) for k in range(100)])
+    tie = cli._fold(np.abs(chi_vals[:100] - g2.chi(vs[:100], G)).max(axis=1))
 
     ws = rng.standard_normal((10_000, 4, 7))
     sphi_vals = np.einsum("ijkl,ni,nj,nk,nl->n", star_d, ws[:, 0], ws[:, 1], ws[:, 2], ws[:, 3])
@@ -292,7 +292,7 @@ def test_12_determinism():
 
 def test_nan_ve_route_fails_criterion_2(monkeypatch):
     # the second plane's row of the batched recursive route is NaN
-    real, calls = sp.ve_recursive_many, []
+    real, calls = sp.ve_recursive, []
 
     def probe(Ts, kmax):
         calls.append(len(Ts))
@@ -300,7 +300,7 @@ def test_nan_ve_route_fails_criterion_2(monkeypatch):
         ve[1] = np.nan
         return ve
 
-    monkeypatch.setattr(sp, "ve_recursive_many", probe)
+    monkeypatch.setattr(sp, "ve_recursive", probe)
     with pytest.raises(AssertionError, match="criterion 2"):
         test_02_ve_hierarchy()
     assert calls == [1000]

@@ -5,9 +5,9 @@ batched kernels.  Every kernel must give, row for row, the bits of the
 per-sample loop it replaced (np.array_equal, NaN included).  The references
 below make the same numpy and LAPACK calls one sample at a time (det, dot,
 matrix-vector products, eigvalsh, libm's pow), so these tests hold on any
-BLAS kernel, unlike the report SHA-256 pins.  Each per-plane entry point is
-the n = 1 case of its kernel, which the row tests also pin: row i of a batch
-equals the per-plane call on sample i alone.
+BLAS kernel, unlike the report SHA-256 pins.  Each kernel takes only a
+stack, so a sample alone is a stack of one, and a non-finite sample stays
+in its row.
 """
 
 import itertools
@@ -104,7 +104,7 @@ def _condition_residuals(T):
     frame = _frame(T)
     gap = _ve_series(T, 1)[1] - _form_value(omega, frame)
     chi1 = np.array([-_form_value(ex.interior(np.eye(7)[3 + a], theta), frame) for a in range(4)])
-    beta = sp.beta_of(sp.GraphPlane(T))
+    beta = sp.beta_of(T[None])._sample(0)
     return (gap, float(np.linalg.norm(_fueter_vector(T))), float(np.linalg.norm(chi1)),
             np.max([abs(_form_value(theta, frame + [e])) for e in np.eye(7)]),
             ex.wedge(beta, S.g2.star_phi).norm(), ex.wedge(beta, theta).norm())
@@ -146,42 +146,30 @@ def _ladder(T):
 
 # -- kernels, each with its per-sample reference -------------------------------------
 #
-# name -> (sample shape, kernel on a stack, per-plane entry point on one
-# sample, per-sample reference on one sample)
-
-def _plane(T):
-    return sp.GraphPlane(T)
-
+# test id -> (sample shape, kernel on a stack, per-sample reference on one
+# sample).  The ids are fixed strings, kept as the suite has always listed
+# these cases; each names the kernel it had when its case was added.
 
 KERNELS = {
-    "Form.apply_many": ((3, 7), G.phi.apply_many, G.phi.apply,
-                        lambda F: _form_value(G.phi, F)),
-    "VectorValuedForm.apply_many": ((3, 7), G.chi_form.apply_many, G.chi_form.apply,
+    "Form.apply_many": ((3, 7), G.phi.apply, lambda F: _form_value(G.phi, F)),
+    "VectorValuedForm.apply_many": ((3, 7), G.chi_form.apply,
                                     lambda F: _vector_form_value(G.chi_form, F)),
-    "chi_many": ((3, 7), lambda U: g2.chi_many(U, G), lambda F: g2.chi(*F, G),
-                 lambda F: _chi(*F)),
-    "tau_many": ((4, 7), lambda U: g2.tau_many(U, G), lambda F: g2.tau(*F, G),
-                 lambda F: _vector_form_value(G.tau_form, F)),
-    "ve_series_many": ((3, 4), lambda Ts: sp.ve_series_many(Ts, 4),
-                       lambda T: sp.ve_series(_plane(T), 4), lambda T: _ve_series(T, 4)),
-    "ve_recursive_many": ((3, 4), lambda Ts: sp.ve_recursive_many(Ts, 6),
-                          lambda T: sp.ve_recursive(_plane(T), 6), lambda T: _ve_recursive(T, 6)),
-    "fueter_vector_many": ((3, 4), fu.fueter_vector_many,
-                           lambda T: fu.fueter_vector(_plane(T)), _fueter_vector),
-    "fueter_via_J_many": ((3, 4), lambda Ts: fu.fueter_via_J_many(Ts, J),
-                          lambda T: fu.fueter_via_J(_plane(T), J),
+    "chi_many": ((3, 7), lambda U: g2.chi(U, G), lambda F: _chi(*F)),
+    "tau_many": ((4, 7), lambda U: g2.tau(U, G), lambda F: _vector_form_value(G.tau_form, F)),
+    "ve_series_many": ((3, 4), lambda Ts: sp.ve_series(Ts, 4), lambda T: _ve_series(T, 4)),
+    "ve_recursive_many": ((3, 4), lambda Ts: sp.ve_recursive(Ts, 6),
+                          lambda T: _ve_recursive(T, 6)),
+    "fueter_vector_many": ((3, 4), fu.fueter_vector, _fueter_vector),
+    "fueter_via_J_many": ((3, 4), lambda Ts: fu.fueter_via_J(Ts, J),
                           lambda T: sum(Ji @ T[i] for i, Ji in enumerate(J.as_tuple()))),
     "chi_component_values_many": (
-        (3, 4), lambda Ts: np.stack(fu.chi_component_values_many(Ts), axis=1),
-        lambda T: np.stack(fu.chi_component_values(_plane(T))),
+        (3, 4), lambda Ts: np.stack(fu.chi_component_values(Ts), axis=1),
         lambda T: np.stack([_vector_form_value(p, _frame(T)) for p in S.chi_f_parts])),
     "condition_residuals_many": (
-        (3, 4), lambda Ts: np.array([r.residuals() for r in fu.condition_residuals_many(Ts)]),
-        lambda T: np.array(fu.condition_residuals(_plane(T)).residuals()),
+        (3, 4), lambda Ts: np.array([r.residuals() for r in fu.condition_residuals(Ts)]),
         lambda T: np.array(_condition_residuals(T))),
     "equality_ladder_many": (
-        (3, 4), lambda Ts: [_report_tuple(r) for r in sp.equality_ladder_many(Ts)],
-        lambda T: _report_tuple(sp.equality_ladder(_plane(T))), _ladder),
+        (3, 4), lambda Ts: [_report_tuple(r) for r in sp.equality_ladder(Ts)], _ladder),
 }
 
 
@@ -208,13 +196,13 @@ def _draws(shape, n, seed=0):
 @pytest.mark.parametrize("name", sorted(KERNELS))
 @pytest.mark.parametrize("n", SIZES)
 def test_batch_rows_equal_the_per_sample_reference(name, n):
-    shape, kernel, single, reference = KERNELS[name]
+    shape, kernel, reference = KERNELS[name]
     stack = _draws(shape, n)
     got = kernel(stack)
     assert len(got) == n
-    # every row is the per-plane call on that sample alone ...
+    # every row is the kernel on that sample alone ...
     for row, sample in zip(got, stack):
-        assert _same(row, single(sample))
+        assert _same(row, kernel(sample[None])[0])
     # ... and the per-sample loop the kernel replaced
     for i in _checked_rows(n):
         assert _same(got[i], reference(stack[i])), i
@@ -222,7 +210,7 @@ def test_batch_rows_equal_the_per_sample_reference(name, n):
 
 @pytest.mark.parametrize("name", sorted(KERNELS))
 def test_non_finite_row_stays_in_its_row(name):
-    shape, kernel, single, _ = KERNELS[name]
+    shape, kernel, _ = KERNELS[name]
     clean = _draws(shape, 12, seed=1)
     bad = clean.copy()
     bad[3].flat[5] = np.nan
@@ -231,7 +219,7 @@ def test_non_finite_row_stays_in_its_row(name):
         got, want = kernel(bad), kernel(clean)
         for i in range(12):
             if i in (3, 7):
-                assert _same(got[i], single(bad[i]))
+                assert _same(got[i], kernel(bad[i:i + 1])[0])
                 assert not _all_finite(got[i])
             else:
                 assert _same(got[i], want[i])
@@ -240,7 +228,7 @@ def test_non_finite_row_stays_in_its_row(name):
 @pytest.mark.parametrize("name", sorted(KERNELS))
 @pytest.mark.parametrize("wrong", [(5, 3, 5), (5, 2, 7), (3, 4), (5, 1, 3, 4)])
 def test_wrong_shape_raises(name, wrong):
-    shape, kernel, _, _ = KERNELS[name]
+    shape, kernel, _ = KERNELS[name]
     if wrong[1:] == shape:
         pytest.skip("the kernel's own shape")
     with pytest.raises(ex.DimensionMismatchError):
@@ -272,10 +260,10 @@ def test_six_way_matches_the_per_plane_loop():
     for _ in range(n):
         v1 = np.concatenate([[1.0, 0, 0], rng.standard_normal(4)])
         v2 = np.concatenate([[0.0, 1, 0], rng.standard_normal(4)])
-        v3 = fu.fueter_complete(v1, v2)
-        g, _ = sp.graph_from_plane(sp.Plane(np.vstack([v1, v2, v3])))
-        generic = sp.GraphPlane(rng.standard_normal((3, 4)))
-        want.append((_condition_residuals(g.T), _condition_residuals(generic.T)))
+        V3, _ = fu.fueter_complete([v1], [v2])
+        Ts, _ = sp.graph_from_planes(np.stack([v1, v2, V3[0]])[None])
+        generic = rng.standard_normal((3, 4))
+        want.append((_condition_residuals(Ts[0]), _condition_residuals(generic)))
     got = cli._six_way(np.random.default_rng(104), n)
     assert len(got) == n
     for (f, h), (wf, wh) in zip(got, want):
@@ -296,7 +284,7 @@ def test_ladder_matches_the_reference_at_every_depth():
     rng = np.random.default_rng(3)
     completed, _ = cli._completed_planes(rng.standard_normal((5, 8)))
     stack = np.array([np.zeros((3, 4)), *completed, *rng.standard_normal((5, 3, 4))])
-    got = sp.equality_ladder_many(stack)
+    got = sp.equality_ladder(stack)
     assert {rep.vanishing_depth for rep in got} == {0, 2, 3}
     for rep, T in zip(got, stack):
         assert _same(_report_tuple(rep), _ladder(T))

@@ -165,10 +165,10 @@ class TestExitCodes:
     # are called once per sample (d_squared_residual returns one row per
     # point)
     @pytest.mark.parametrize("suite, module, name, check", [
-        pytest.param("algebra", "g2core", "chi_many", "associator-equality", id="algebra"),
-        pytest.param("splitting", "splitting", "ve_recursive_many", "ve-two-routes",
+        pytest.param("algebra", "g2core", "chi", "associator-equality", id="algebra"),
+        pytest.param("splitting", "splitting", "ve_recursive", "ve-two-routes",
                      id="splitting"),
-        pytest.param("fueter", "fueter", "fueter_via_J_many", "route-equivalence", id="fueter"),
+        pytest.param("fueter", "fueter", "fueter_via_J", "route-equivalence", id="fueter"),
         pytest.param("models", "models", "jacobi_check", "d-squared", id="models"),
         pytest.param("pde", "pde", "d_squared_residual", "flat-dirac-squared", id="pde"),
         pytest.param("fm", "fm_gauge", "beta_relation_residual", "curvature-beta", id="fm"),

@@ -130,7 +130,7 @@ def test_apply_is_determinant_oracle():
     # oracle: full antisymmetrization through the dense tensor
     dense = a.to_dense()
     oracle = np.einsum("ijk,i,j,k->", dense, vs[0], vs[1], vs[2])
-    assert abs(a.apply(list(vs)) - oracle) < 1e-12
+    assert abs(a.apply(vs[None])[0] - oracle) < 1e-12
 
 
 def test_anticommutativity_bulk_exact():
@@ -297,14 +297,15 @@ def test_parity_matches_uncached_reference(seq):
 @given(sparse_forms(dims=range(3, 9), degrees=range(1, 9)), _seeds)
 def test_apply_is_bit_equal_to_per_monomial_loop(form, seed):
     vs = _vectors(seed, form.degree, form.dim)
-    assert bits(form.apply(vs)) == bits(ref_apply(form, vs))
+    assert bits(form.apply(np.reshape(vs, (1, form.degree, form.dim)))[0]) == \
+        bits(ref_apply(form, vs))
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(sparse_forms(degrees=(3,)), min_size=1, max_size=7), _seeds)
 def test_vector_valued_apply_is_bit_equal_per_component(forms, seed):
     vs = _vectors(seed, 3)
-    got = ex.VectorValuedForm(tuple(forms)).apply(vs)
+    got = ex.VectorValuedForm(tuple(forms)).apply(np.array([vs]))[0]
     assert [bits(x) for x in got] == [bits(ref_apply(f, vs)) for f in forms]
 
 
@@ -340,7 +341,7 @@ def test_projections_and_beta_pass_the_public_constructor(a, seed):
     _revalidated(g2.project_k7(a, a.degree, g2.standard_g2()))
     rng = np.random.default_rng(seed)
     T = rng.standard_normal((3, 4)) * rng.integers(0, 2, (3, 4))  # with exact zeros
-    _revalidated(sp.beta_of(sp.GraphPlane(T)))
+    _revalidated(sp.beta_of(T[None])._sample(0))
 
 
 def test_wedge_table_matches_parity_reference():
@@ -374,12 +375,13 @@ def test_public_constructor_rejects_bad_keys(key):
 
 def test_apply_rejects_vectors_of_the_wrong_length():
     f = ex.basis_form(3, (1, 2))
-    for vs in ([np.ones(7), np.arange(7.0)], [np.ones(2), np.arange(2.0)]):
+    for vs in ([np.ones(7), np.arange(7.0)], [np.ones(2), np.arange(2.0)],
+               [np.ones(3)], [np.ones(3)] * 3):
         with pytest.raises(ex.DimensionMismatchError):
-            f.apply(vs)
+            f.apply(np.array([vs]))
         with pytest.raises(ex.DimensionMismatchError):
-            ex.VectorValuedForm((f, 2.0 * f)).apply(vs)
-    assert f.apply([np.ones(3), np.arange(3.0)]) == 1.0
+            ex.VectorValuedForm((f, 2.0 * f)).apply(np.array([vs]))
+    assert f.apply(np.array([[np.ones(3), np.arange(3.0)]]))[0] == 1.0
 
 
 # -- norm range ----------------------------------------------------------------
@@ -416,7 +418,7 @@ def test_one_det_call_per_apply_and_per_pullback_monomial(monkeypatch):
     det = _Counter(np.linalg.det)
     monkeypatch.setattr(np.linalg, "det", det)
     phi, star = g2.phi0(), g2.star_phi0()
-    vs = _vectors(0, 3)
+    vs = np.array([_vectors(0, 3)])
     phi.apply(vs)
     assert det.calls == 1
     ex.VectorValuedForm((phi, 2.0 * phi, ex.basis_form(7, (1, 2, 5)))).apply(vs)
@@ -439,7 +441,7 @@ def test_internal_operations_skip_key_validation(monkeypatch):
     ex.pullback(np.eye(7) + 0.1, phi)
     _ = phi + phi, 3.0 * phi, phi - phi
     g2.project_k7(two, 2, G)
-    sp.beta_of(sp.GraphPlane(np.ones((3, 4))))
+    sp.beta_of(np.ones((1, 3, 4)))
     star.vertical_degree_parts(range(4, 8))
     sp.decompose_form(star)  # pads the empty degrees 1 and 3
     assert check.calls == 0

@@ -119,57 +119,48 @@ class TestCross:
 
 class TestChi:
     def test_vanishes_on_associative_triple(self):
-        assert np.abs(g2.chi(E[0], E[1], E[2], G)).max() == 0.0
+        assert np.abs(g2.chi(E[None, 0:3], G)).max() == 0.0
 
     def test_coassociative_triple_sign_from_fixture(self):
         # the dx4567 coefficient of the pinned dual form is +1
-        assert np.allclose(g2.chi(E[3], E[4], E[5], G), E[6])
+        assert np.allclose(g2.chi(E[None, 3:6], G)[0], E[6])
 
     def test_associator_equality(self):
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            u, v, w = rng.standard_normal((3, 7))
-            lhs = G.phi.apply([u, v, w]) ** 2 + np.sum(g2.chi(u, v, w, G) ** 2)
-            assert abs(lhs - gram_det(u, v, w)) < 1e-10
+        U = np.random.default_rng(6).standard_normal((100, 3, 7))
+        lhs = G.phi.apply(U) ** 2 + np.sum(g2.chi(U, G) ** 2, axis=1)
+        for row, (u, v, w) in zip(lhs, U):
+            assert abs(row - gram_det(u, v, w)) < 1e-10
 
     def test_vanishes_on_cross_completions(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            u, v = rng.standard_normal((2, 7))
-            w = g2.cross(u, v, G)
-            assert np.linalg.norm(g2.chi(u, v, w, G)) < 1e-10
+        uv = np.random.default_rng(7).standard_normal((50, 2, 7))
+        w = g2.cross(uv[:, 0], uv[:, 1], G)
+        assert np.linalg.norm(g2.chi(np.hstack([uv, w[:, None]]), G), axis=1).max() < 1e-10
 
     def test_chi_form_matches_pointwise(self):
-        rng = np.random.default_rng(8)
-        cf = G.chi_form
-        for _ in range(10):
-            u, v, w = rng.standard_normal((3, 7))
-            assert np.abs(cf.apply([u, v, w]) - g2.chi(u, v, w, G)).max() < 1e-12
+        U = np.random.default_rng(8).standard_normal((10, 3, 7))
+        assert np.abs(G.chi_form.apply(U) - g2.chi(U, G)).max() < 1e-12
 
 
 class TestTau:
     def test_vanishes_on_coassociative(self):
-        assert np.abs(g2.tau(E[3], E[4], E[5], E[6], G)).max() == 0.0
+        assert np.abs(g2.tau(E[None, 3:7], G)).max() == 0.0
 
     def test_mixed_quadruple_direct_expansion(self):
         # oracle: expand phi ^ dx^m degreewise; only m = 4 survives on e1..e4
-        got = g2.tau(E[0], E[1], E[2], E[3], G)
+        got = g2.tau(E[None, 0:4], G)[0]
         expected = np.zeros(7)
         for m in range(1, 8):
-            expected[m - 1] = ex.wedge(G.phi, ex.basis_form(7, (m,))).apply(
-                [E[0], E[1], E[2], E[3]]
-            )
+            expected[m - 1] = ex.wedge(G.phi, ex.basis_form(7, (m,))).apply(E[None, 0:4])[0]
         assert np.allclose(got, expected)
         assert np.allclose(got, E[3])
-        assert G.star_phi.apply([E[0], E[1], E[2], E[3]]) == 0.0
+        assert G.star_phi.apply(E[None, 0:4])[0] == 0.0
 
     def test_coassociator_equality(self):
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            vs = rng.standard_normal((4, 7))
-            t = g2.tau(*vs, G)
-            lhs = G.star_phi.apply(list(vs)) ** 2 + t @ t
-            assert abs(lhs - gram_det(*vs)) < 1e-10
+        V = np.random.default_rng(9).standard_normal((100, 4, 7))
+        t = g2.tau(V, G)
+        lhs = G.star_phi.apply(V) ** 2 + np.sum(t * t, axis=1)
+        for row, vs in zip(lhs, V):
+            assert abs(row - gram_det(*vs)) < 1e-10
 
 
 class TestLambdaAndProjections:

@@ -3,8 +3,7 @@
 The library's value is that its checks notice a wrong implementation, and
 that the routes meeting in each identity stay independent.  Each mutant
 below breaks one route where the verify samplers now call it, the batched
-kernel (the per-plane entry point, its n = 1 case, goes wrong with it), and
-the test asserts the exact set of (suite, check) pairs that fail over all
+kernel, and the test asserts the exact set of (suite, check) pairs that fail over all
 six suites at the fast profile and seed 1, or the guard that refuses it
 before any check runs.  A check that is deleted, loosened or merged with
 the route it guards shows up as a diff here.
@@ -18,7 +17,7 @@ mutant and no mutant's value outlives its patch.
 Each mutant is patched on its defining module (a method on its class), so
 the library's own calls through that module's globals see it too; names
 imported into another module keep the original (fueter's
-`ve_series_many`, for one, which is why `ve_series[1] + 1e-6` leaves the
+`ve_series`, for one, which is why `ve_series[1] + 1e-6` leaves the
 six-way report alone).
 """
 
@@ -135,20 +134,20 @@ def _e123_at_degree_2(real):
 # name -> (module, function, mutant of the real function, checks it kills)
 MUTANTS = {
     "fueter_vector negated": (
-        fueter, "fueter_vector_many", _negated, {("fueter", "route-equivalence")}),
+        fueter, "fueter_vector", _negated, {("fueter", "route-equivalence")}),
     "chi1_via_projection negated": (
-        fueter, "chi1_via_projection_many", _negated, {("fueter", "route-equivalence")}),
+        fueter, "chi1_via_projection", _negated, {("fueter", "route-equivalence")}),
     "chi1_via_beta negated": (
-        fueter, "chi1_via_beta_many", _negated, {("fueter", "route-equivalence")}),
+        fueter, "chi1_via_beta", _negated, {("fueter", "route-equivalence")}),
     "fueter_complete vertical solve x (1+1e-6)": (
-        fueter, "fueter_complete_many", _vertical_solve_scaled(1 + 1e-6),
+        fueter, "fueter_complete", _vertical_solve_scaled(1 + 1e-6),
         {("fueter", "completion"), ("fueter", "six-way-vanishing")}),
     "chi x (1+1e-6)": (
-        g2core, "chi_many", _scaled(1 + 1e-6), {("algebra", "associator-equality")}),
+        g2core, "chi", _scaled(1 + 1e-6), {("algebra", "associator-equality")}),
     "tau x 2": (
-        g2core, "tau_many", _scaled(2.0), {("algebra", "coassociator-equality")}),
+        g2core, "tau", _scaled(2.0), {("algebra", "coassociator-equality")}),
     "ve_series[1] + 1e-6": (
-        splitting, "ve_series_many", _ve1_shifted,
+        splitting, "ve_series", _ve1_shifted,
         {("splitting", "ve-two-routes"), ("splitting", "ve-sqrt-taylor"),
          ("splitting", "equality-ladder"), ("fueter", "secondary-equality")}),
     "lambda_k x (1+1e-9)": (
@@ -233,9 +232,9 @@ SURVIVORS = {
     # every check that calls chi reads |chi|: `associator-equality` squares
     # it and `cross-completion-associative` and the splittings' guard ask
     # only that it vanish; the Fueter routes read chi's components from
-    # the frame chi_form, not from chi_many.  Nothing compares chi(u, v, w)
+    # the frame chi_form, not from chi.  Nothing compares chi(u, v, w)
     # with (*phi)(u, v, w, x) at a sampled x (ROADMAP item 4)
-    "g2core.chi_many negated": (g2core, "chi_many", _negated),
+    "g2core.chi negated": (g2core, "chi", _negated),
 }
 
 

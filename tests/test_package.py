@@ -293,19 +293,65 @@ UNREACHED = {
 
 
 def _public_defs(tree, stem):
-    """(qualified name, name) of each public function, class and method."""
+    """(qualified name, node) of each public function, class and method."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-            yield f"{stem}.{node.name}", node.name
+            yield f"{stem}.{node.name}", node
             for item in node.body if isinstance(node, ast.ClassDef) else ():
                 if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                    yield f"{stem}.{node.name}.{item.name}", item.name
+                    yield f"{stem}.{node.name}.{item.name}", item
 
 
 def test_every_public_def_has_a_program_caller():
     modules = sorted(Path(g2fueter.__file__).parent.glob("*.py"))
     program = modules + sorted((ROOT / "benchmarks").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     reached = {name for path in program for name in _references(ast.parse(path.read_text()))}
-    defs = {qual: name for path in modules
-            for qual, name in _public_defs(ast.parse(path.read_text()), path.stem)}
+    defs = {qual: node.name for path in modules
+            for qual, node in _public_defs(ast.parse(path.read_text()), path.stem)}
     assert {qual for qual, name in defs.items() if name not in reached} == set(UNREACHED)
+
+
+# One function per operation: each kernel takes a stack, and one sample is
+# a stack of one.  So no def is a `*_many` twin of another, and no public
+# def is only its kernel called on one sample: a body, after its
+# docstring, that is a single `return kernel(...)[0]` (or `[0][0]`) or
+# `return kernel(...)._sample(0)`.  The one exception is named here with
+# the reason it stays.
+ONE_SAMPLE_WRAPPERS = {
+    "pde.immersion_energies":
+        "each caller holds one ImmersionGrid; the stacked `_energies` is "
+        "private and also scores minimization's competitors, and "
+        "benchmarks/tracer.py reports pde.immersion_energies by name",
+}
+
+
+def _is_zero(node):
+    return isinstance(node, ast.Constant) and node.value == 0 and not isinstance(node.value, bool)
+
+
+def _returns_one_sample_of_a_call(fn):
+    """Whether fn's body, after its docstring, is one return of a call
+    indexed by [0] (any number of times) or of a call's `._sample(0)`."""
+    body = fn.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    value = body[0].value
+    if isinstance(value, ast.Call) and isinstance(value.func, ast.Attribute) \
+            and value.func.attr == "_sample" and len(value.args) == 1 and _is_zero(value.args[0]):
+        return isinstance(value.func.value, ast.Call)
+    indexed = False
+    while isinstance(value, ast.Subscript) and _is_zero(value.slice):
+        value, indexed = value.value, True
+    return indexed and isinstance(value, ast.Call)
+
+
+def test_one_function_per_operation():
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(Path(g2fueter.__file__).parent.glob("*.py"))}
+    assert [f"{stem}.{node.name}" for stem, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name.endswith("_many")] == []
+    assert {qual for stem, tree in trees.items() for qual, node in _public_defs(tree, stem)
+            if isinstance(node, ast.FunctionDef) and _returns_one_sample_of_a_call(node)} \
+        == set(ONE_SAMPLE_WRAPPERS)

@@ -48,7 +48,7 @@ def _section():
 
 def _tangent_betas():
     u, x = _section()
-    return splitting.beta_of_many(u.jet1(x).swapaxes(1, 2))
+    return splitting.beta_of(u.jet1(x).swapaxes(1, 2))
 
 
 def _scaled_curvatures():
@@ -87,8 +87,8 @@ ROUTES = {
         cli._phi0_parts_by_count,
         set(), {}),
     ("splitting", "ve-two-routes"): (
-        lambda: splitting.ve_series_many(TS, 4),
-        lambda: splitting.ve_recursive_many(TS, 4),
+        lambda: splitting.ve_series(TS, 4),
+        lambda: splitting.ve_recursive(TS, 4),
         {"exterior._ordered_sum", "exterior._stacked"},
         {"exterior._ordered_sum": "it fixes the order in which terms are added; each "
                                   "route computes its own terms (eigenvalue powers "
@@ -98,14 +98,14 @@ ROUTES = {
     # the cross route against each stacked beta route; the cross route
     # reads dense phi, built by sorting index tuples with their signs
     ("fueter", "route-equivalence", "beta-wedge"): (
-        lambda: fueter.fueter_vector_many(TS),
-        lambda: fueter.chi1_via_beta_many(TS),
+        lambda: fueter.fueter_vector(TS),
+        lambda: fueter.chi1_via_beta(TS),
         {"exterior._sort_with_sign", "exterior._sorted_parity", "exterior._read_only"}, {}),
     ("fueter", "route-equivalence", "projection"): (
-        lambda: fueter.fueter_vector_many(TS),
-        lambda: fueter.chi1_via_projection_many(TS),
+        lambda: fueter.fueter_vector(TS),
+        lambda: fueter.chi1_via_projection(TS),
         {"exterior._sort_with_sign", "exterior._sorted_parity", "exterior._read_only"}, {}),
-    # beta_of_many on the section's tangent planes against 2 pi Psi* K
+    # beta_of on the section's tangent planes against 2 pi Psi* K
     ("fm", "curvature-beta"): (
         _tangent_betas, _scaled_curvatures,
         {"exterior._read_only", "exterior.Form._trusted", *SECTION},

@@ -5,7 +5,7 @@ The beta routes of `route-equivalence`, the completion and the six-way
 report's beta wedges run over the sample axis.  Hypothesis draws graph
 maps with exact zeros, rank <= 2 rows (one row of T zero) and rows whose
 squares underflow, and completion pairs with rotated horizontal parts;
-every row of each stack, and each per-plane entry point, must give the
+every row of each stack, and a stack of one row alone, must give the
 per-plane references' float.hex values (sample_axis_oracles.py).  The
 samplers of `verify algebra`, `splitting`, `pde` and `fm` must give their
 per-sample loops' residuals at hypothesis-drawn seeds and counts, and
@@ -93,11 +93,34 @@ def test_a_stack_with_mixed_zero_patterns_sums_each_row_in_its_own_order():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_a_stacked_form_has_no_single_value(n):
-    beta = sp.beta_of_many(np.ones((n, 3, 4)))
-    for use in (lambda: beta.apply(np.eye(7)[:2]), lambda: ex.render(beta),
+    beta = sp.beta_of(np.ones((n, 3, 4)))
+    for use in (lambda: ex.render(beta),
                 lambda: beta.equals(beta), lambda: ex.Form(7, 2, beta.coeffs)):
         with pytest.raises(ValueError, match="stacked"):
             use()
+
+
+def test_an_array_times_a_form_is_the_stacked_form():
+    # numpy's operators defer to Form's, so the array's side does not matter
+    f = ex.basis_form(7, (1, 2), 3.0) + ex.basis_form(7, (3, 5), -0.5)
+    scales = np.array([2.0, 3.0])
+    left, right = scales * f, f * scales
+    assert isinstance(left, ex.Form) and list(left.coeffs) == list(right.coeffs)
+    assert all(np.array_equal(left.coeffs[k], c) for k, c in right.coeffs.items())
+    assert left.norm().tolist() == right.norm().tolist()
+
+
+def test_a_stacked_form_and_a_form_of_floats_do_not_add():
+    f = ex.basis_form(7, (1, 2), 3.0)
+    stacked = f * np.array([2.0, 3.0])
+    for mixed in (lambda: f + stacked, lambda: stacked + f, lambda: stacked - f,
+                  lambda: f - stacked):
+        with pytest.raises(ValueError, match="stacked"):
+            mixed()
+    # an empty form adds to either kind
+    empty = ex.zero_form(7, 2)
+    assert (empty + stacked).norm().tolist() == (stacked - empty).norm().tolist() == [6.0, 9.0]
+    assert (empty + f).norm() == (f - empty).norm() == 3.0
 
 
 def _costs(samples):
@@ -133,5 +156,5 @@ SUBNORMAL_RESIDUALS = ["0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.19999999e35ddp-1
 def test_six_way_report_of_a_subnormal_graph_map():
     # its minors' LU leaves zero pivots, whose log in det flags a division
     # by zero; exterior._evaluate silences that one flag
-    report = fueter.condition_residuals(sp.GraphPlane(np.full((3, 4), 2.22507386e-309)))
+    [report] = fueter.condition_residuals(np.full((1, 3, 4), 2.22507386e-309))
     assert [r.hex() for r in report.residuals()] == SUBNORMAL_RESIDUALS

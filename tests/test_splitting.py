@@ -62,20 +62,20 @@ class TestSplittingConstruction:
 
 class TestGraphPlane:
     def test_horizontal_plane_has_zero_graph(self):
-        g, sign = sp.graph_from_plane(sp.Plane(E[:3]))
-        assert np.abs(g.T).max() == 0.0 and sign == 1
+        Ts, signs = sp.graph_from_planes(E[None, :3])
+        assert np.abs(Ts).max() == 0.0 and signs.tolist() == [1]
 
     def test_unit_tilt_plane_graph(self):
         span = np.vstack([E[0] + E[3], E[1], E[2]])
-        g, sign = sp.graph_from_plane(sp.Plane(span))
+        Ts, signs = sp.graph_from_planes(span[None])
         expected = np.zeros((3, 4))
         expected[0, 0] = 1.0
-        assert np.abs(g.T - expected).max() < 1e-14
-        assert sp.beta_of(g).equals(ex.basis_form(7, (1, 4)), 1e-14)
+        assert np.abs(Ts[0] - expected).max() < 1e-14 and signs.tolist() == [1]
+        assert sp.beta_of(Ts)._sample(0).equals(ex.basis_form(7, (1, 4)), 1e-14)
 
     def test_vertical_plane_rejected(self):
         with pytest.raises(sp.NotProjectableError):
-            sp.graph_from_plane(sp.Plane(E[3:6]))
+            sp.graph_from_planes(E[None, 3:6])
 
     def test_non_finite_plane_rejected(self):
         for bad in (np.nan, np.inf):
@@ -94,23 +94,22 @@ class TestGraphPlane:
 
     def test_orientation_sign_reported(self):
         span = np.vstack([E[1], E[0], E[2]])
-        _, sign = sp.graph_from_plane(sp.Plane(span))
-        assert sign == -1
+        _, signs = sp.graph_from_planes(span[None])
+        assert signs.tolist() == [-1]
 
     def test_graph_spans_same_plane(self):
         rng = np.random.default_rng(0)
         span = rng.standard_normal((3, 7))
-        g, _ = sp.graph_from_plane(sp.Plane(span))
+        Ts, _ = sp.graph_from_planes(span[None])
         # row spaces agree
-        stacked = np.vstack([span, g.frame()])
+        stacked = np.vstack([span, sp.graph_frames(Ts)[0]])
         assert np.linalg.matrix_rank(stacked, tol=1e-8) == 3
 
 
 class TestHorizontalMetric:
     def test_graph_frame_is_orthonormal(self):
         rng = np.random.default_rng(1)
-        g = sp.GraphPlane(rng.standard_normal((3, 4)))
-        got = sp.horizontal_metric(g.frame())
+        got = sp.horizontal_metric(sp.graph_frames(rng.standard_normal((1, 3, 4)))[0])
         assert np.abs(got - np.eye(3)).max() < 1e-14
 
     def test_scaled_frame(self):
@@ -147,25 +146,22 @@ class TestHorizontalMetric:
 
 class TestVeHierarchy:
     def test_zero_plane(self):
-        assert np.array_equal(sp.ve_series(sp.GraphPlane(np.zeros((3, 4))), 3), [1, 0, 0, 0])
+        assert np.array_equal(sp.ve_series(np.zeros((1, 3, 4)), 3), [[1, 0, 0, 0]])
 
     def test_single_unit_row_matches_sqrt_taylor(self):
         # oracle: Taylor series of sqrt(1 + eps)
-        got = sp.ve_series(sp.GraphPlane(unit_row_T()), 3)
+        got = sp.ve_series(unit_row_T()[None], 3)[0]
         assert np.abs(got - np.array([1.0, 0.5, -0.125, 0.0625])).max() < 1e-15
-        got_r = sp.ve_recursive(sp.GraphPlane(unit_row_T()), 3)
+        got_r = sp.ve_recursive(unit_row_T()[None], 3)[0]
         assert np.abs(got_r - np.array([1.0, 0.5, -0.125, 0.0625])).max() < 1e-15
 
     def test_fueter_plane_values(self):
-        got = sp.ve_series(sp.GraphPlane(FUETER_T), 3)
+        got = sp.ve_series(FUETER_T[None], 3)[0]
         assert np.abs(got - np.array([1.0, 1.0, 0.0, 0.0])).max() < 1e-14
 
     def test_two_routes_agree(self):
-        rng = np.random.default_rng(3)
-        for _ in range(200):
-            g = sp.GraphPlane(rng.standard_normal((3, 4)))
-            a = sp.ve_series(g, 5)
-            b = sp.ve_recursive(g, 5)
+        Ts = np.random.default_rng(3).standard_normal((200, 3, 4))
+        for a, b in zip(sp.ve_series(Ts, 5), sp.ve_recursive(Ts, 5)):
             assert np.abs(a[:4] - b[:4]).max() < 1e-10
             # the tail grows combinatorially; compare at matching scale
             scale = max(1.0, np.abs(a).max())
@@ -174,9 +170,9 @@ class TestVeHierarchy:
     def test_series_against_numeric_determinant(self):
         # third oracle: fit the eps-expansion of sqrt det(I + eps G) numerically
         rng = np.random.default_rng(4)
-        g = sp.GraphPlane(0.5 * rng.standard_normal((3, 4)))
-        ve = sp.ve_series(g, 3)
-        gram = g.T @ g.T.T
+        T = 0.5 * rng.standard_normal((3, 4))
+        ve = sp.ve_series(T[None], 3)[0]
+        gram = T @ T.T
         for eps in (1e-3, 1e-2):
             exact = np.sqrt(np.linalg.det(np.eye(3) + eps * gram))
             series = sum(ve[k] * eps ** k for k in range(4))
@@ -185,8 +181,7 @@ class TestVeHierarchy:
     def test_recursion_closes_after_rank(self):
         # wedge powers vanish above the rank; higher ve are pure convolution
         rng = np.random.default_rng(5)
-        g = sp.GraphPlane(rng.standard_normal((3, 4)))
-        ve = sp.ve_recursive(g, 6)
+        ve = sp.ve_recursive(rng.standard_normal((1, 3, 4)), 6)[0]
         for k in (4, 5, 6):
             conv = -0.5 * sum(ve[i] * ve[k - i] for i in range(1, k))
             assert abs(ve[k] - conv) < 1e-12
@@ -194,21 +189,18 @@ class TestVeHierarchy:
     def test_kmax_validation(self):
         for route in (sp.ve_series, sp.ve_recursive):
             with pytest.raises(ValueError):
-                route(sp.GraphPlane(np.zeros((3, 4))), -1)
+                route(np.zeros((1, 3, 4)), -1)
 
     def test_ve_divergence_toward_vertical(self):
-        values = []
-        for theta in np.linspace(0.5, np.pi / 2 - 1e-4, 8):
-            span = np.vstack([np.cos(theta) * E[0] + np.sin(theta) * E[3], E[1], E[2]])
-            g, _ = sp.graph_from_plane(sp.Plane(span))
-            values.append(sp.ve_series(g, 1)[1])
+        spans = np.array([np.vstack([np.cos(theta) * E[0] + np.sin(theta) * E[3], E[1], E[2]])
+                          for theta in np.linspace(0.5, np.pi / 2 - 1e-4, 8)])
+        values = sp.ve_series(sp.graph_from_planes(spans)[0], 1)[:, 1]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] > 1e6
 
 
-def _reference_ve_recursive(g, kmax):
+def _reference_ve_recursive(T, kmax):
     """ve_recursive's former loop, one det per minor: the bit oracle."""
-    T = g.T
     minor_sq = [1.0, float(np.sum(T * T)), 0.0, 0.0]
     for rows in itertools.combinations(range(3), 2):
         for cols in itertools.combinations(range(4), 2):
@@ -252,15 +244,14 @@ class TestMinorKernels:
     def test_ve_recursive_bits(self):
         rng = np.random.default_rng(13)
         for T in _kernel_planes(rng):
-            g = sp.GraphPlane(T)
             for kmax in range(7):
-                got, want = sp.ve_recursive(g, kmax), _reference_ve_recursive(g, kmax)
+                got, want = sp.ve_recursive(T[None], kmax)[0], _reference_ve_recursive(T, kmax)
                 assert [v.hex() for v in got] == [v.hex() for v in want]
 
     def test_wedge3_norm_bits(self):
         rng = np.random.default_rng(14)
         for T in _kernel_planes(rng):
-            frame = sp.GraphPlane(T).frame()
+            frame = sp.graph_frames(T[None])[0]
             for vecs in (frame, rng.standard_normal((3, 3)) @ frame):
                 got, want = sp._wedge3_vertical_norms(vecs), _reference_wedge3_norms(vecs)
                 assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
@@ -275,14 +266,13 @@ class TestMinorKernels:
 
         monkeypatch.setattr(np.linalg, "det", counting)
         Ts = np.random.default_rng(15).standard_normal((5, 3, 4))
-        g = sp.GraphPlane(Ts[0])
-        sp.ve_recursive(g, 6)
+        sp.ve_recursive(Ts[:1], 6)
         assert calls == [(1, 18, 2, 2), (1, 4, 3, 3)]
         calls.clear()
-        sp.ve_recursive_many(Ts, 6)
+        sp.ve_recursive(Ts, 6)
         assert calls == [(5, 18, 2, 2), (5, 4, 3, 3)]
         calls.clear()
-        sp._wedge3_vertical_norms(g.frame())
+        sp._wedge3_vertical_norms(sp.graph_frames(Ts[:1])[0])
         assert calls == [(35, 3, 3)]
 
 
@@ -366,7 +356,7 @@ class TestDecomposeAndAdiabatic:
             chi_eps = sp.adiabatic_family(chi_f, eps)
             g_eps = np.diag([1.0] * 3 + [eps] * 4)
             vs = rng.standard_normal((3, 7))
-            lhs = phi_eps.apply(list(vs)) ** 2 + float(np.sum(chi_eps.apply(list(vs)) ** 2))
+            lhs = phi_eps.apply(vs[None])[0] ** 2 + float(np.sum(chi_eps.apply(vs[None]) ** 2))
             assert abs(lhs - np.linalg.det(vs @ g_eps @ vs.T)) < 1e-10
 
 
@@ -493,17 +483,18 @@ class TestScans:
         rng = np.random.default_rng(23)
         frames = rng.standard_normal((20, 3, 7))
         batch = ex._ordered_contract(S.g2.phi.to_dense(), *frames.swapaxes(0, 1))
+        pointwise = S.g2.phi.apply(frames)
         for i in range(20):
-            assert abs(batch[i] - S.g2.phi.apply(list(frames[i]))) < 1e-12
+            assert abs(batch[i] - pointwise[i]) < 1e-12
 
     def test_omega_of_graph_frames_matches_form(self):
         rng = np.random.default_rng(24)
         Ts = rng.standard_normal((20, 3, 4))
         _, omega, _, _ = S.form_parts()
         batch = sp._omega_values(sp._omega_blocks(), Ts)
+        pointwise = omega.apply(sp.graph_frames(Ts))
         for i in range(20):
-            g = sp.GraphPlane(Ts[i])
-            assert abs(batch[i] - omega.apply(list(g.frame()))) < 1e-12
+            assert abs(batch[i] - pointwise[i]) < 1e-12
 
 
 def _gram_error(F, metric):
@@ -585,17 +576,15 @@ class TestFrames:
 
 class TestEqualityLadder:
     def test_random_planes(self):
-        rng = np.random.default_rng(25)
-        for _ in range(100):
-            g = sp.GraphPlane(rng.standard_normal((3, 4)))
-            rep = sp.equality_ladder(g)
+        Ts = np.random.default_rng(25).standard_normal((100, 3, 4))
+        for rep in sp.equality_ladder(Ts):
             assert rep.max_residual < 1e-10
 
     def test_fueter_plane_depths(self):
-        rep = sp.equality_ladder(sp.GraphPlane(FUETER_T))
+        [rep] = sp.equality_ladder(FUETER_T[None])
         # this plane contains a horizontal vector, so chi_3 vanishes too
         assert rep.vanishing_depth == 3
-        ve = sp.ve_series(sp.GraphPlane(FUETER_T), 3)
+        ve = sp.ve_series(FUETER_T[None], 3)[0]
         assert abs(ve[2]) < 1e-14 and abs(ve[3]) < 1e-14
 
     def test_full_rank_fueter_plane(self):
@@ -603,12 +592,12 @@ class TestEqualityLadder:
 
         v1 = np.concatenate([[1.0, 0, 0], [0.3, -0.2, 0.5, 0.1]])
         v2 = np.concatenate([[0.0, 1, 0], [-0.4, 0.7, 0.2, -0.6]])
-        v3 = fu.fueter_complete(v1, v2)
-        g, _ = sp.graph_from_plane(sp.Plane(np.vstack([v1, v2, v3])))
-        rep = sp.equality_ladder(g)
+        V3, _ = fu.fueter_complete([v1], [v2])
+        Ts, _ = sp.graph_from_planes(np.stack([v1, v2, V3[0]])[None])
+        [rep] = sp.equality_ladder(Ts)
         assert rep.vanishing_depth == 2
-        ve = sp.ve_series(g, 3)
-        chi3 = fu.chi_component_values(g)[3]
+        ve = sp.ve_series(Ts, 3)[0]
+        chi3 = fu.chi_component_values(Ts)[3][0]
         assert abs(ve[2]) < 1e-12
         assert abs(ve[3] - 0.5 * float(chi3 @ chi3)) < 1e-12
         assert rep.max_residual < 1e-10
@@ -622,8 +611,8 @@ from hypothesis import given, settings, strategies as st
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_property_ve_routes_agree(seed):
-    g = sp.GraphPlane(np.random.default_rng(seed).standard_normal((3, 4)))
-    assert np.abs(sp.ve_series(g, 3) - sp.ve_recursive(g, 3)).max() < 1e-10
+    Ts = np.random.default_rng(seed).standard_normal((1, 3, 4))
+    assert np.abs(sp.ve_series(Ts, 3) - sp.ve_recursive(Ts, 3)).max() < 1e-10
 
 
 @settings(max_examples=40, deadline=None)
@@ -645,8 +634,8 @@ def test_property_adiabatic_scaling(seed, eps):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_property_equality_ladder(seed):
-    g = sp.GraphPlane(np.random.default_rng(seed).standard_normal((3, 4)))
-    assert sp.equality_ladder(g).max_residual < 1e-10
+    Ts = np.random.default_rng(seed).standard_normal((1, 3, 4))
+    assert sp.equality_ladder(Ts)[0].max_residual < 1e-10
 
 
 def test_polar_space_at_a_point():
