@@ -16,7 +16,10 @@ them, and naming one, as `g2fueter.pde`, `from g2fueter import pde` or
              functionals, minimization experiments, the action functional
   fm_gauge   real Fourier-Mukai transform, curvature, instanton and
              deformation residuals, large-radius sweeps
-  cli        the `g2f` command-line driver
+  checks     the checks of `g2f verify`: one table of (suite, name, claim,
+             bound, fn) and the driver that runs and records them
+  cli        the `g2f` command-line driver; each command imports the
+             layers it runs
 """
 
 import importlib

@@ -188,8 +188,12 @@ def _evaluate(frames, rows, coeffs, segments):
     segments: (s, L) indices into [0.0] + the m products, each segment's
     products left-padded with the 0.0, so that each of the (n, s) results
     is accumulated in coefficient order from +0.0.  The det calls take
-    blocks of frames, rows independent.
+    blocks of frames, rows independent.  A stacked form's coefficient rows
+    must match the frames one for one.
     """
+    if coeffs.ndim == 2 and len(coeffs) != len(frames):
+        raise DimensionMismatchError(
+            f"a stacked form of {len(coeffs)} rows on {len(frames)} frames")
     out = np.empty((len(frames), len(segments)))
     cols, coeffs = frames.swapaxes(1, 2), np.broadcast_to(coeffs, (len(frames), len(rows)))
     step = max(1, _EVAL_BLOCK // max(1, rows.size * rows.shape[-1]))

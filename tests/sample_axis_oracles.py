@@ -26,7 +26,7 @@ import sys
 
 import numpy as np
 
-from g2fueter import cli, pde
+from g2fueter import checks, pde
 from g2fueter import exterior as ex
 from g2fueter import fm_gauge as fm
 from g2fueter import fueter as fu
@@ -356,20 +356,20 @@ def mirror_ratio_gaps_ref(rng, n):
 
 # check -> (the sampler (rng, n) -> residuals, its per-sample reference)
 SAMPLERS = {
-    "wedge-anticommutativity": (cli._anticommutators, anticommutators_ref),
-    "inner-vs-wedge-star": (cli._inner_gaps, inner_gaps_ref),
-    "interior-antiderivation": (cli._leibniz_gaps, leibniz_gaps_ref),
-    "double-cross": (lambda rng, n: cli._double_cross_gaps(rng, n, G), double_cross_gaps_ref),
-    "cross-completion-associative": (lambda rng, n: cli._completion_chis(rng, n, G),
+    "wedge-anticommutativity": (checks._anticommutators, anticommutators_ref),
+    "inner-vs-wedge-star": (checks._inner_gaps, inner_gaps_ref),
+    "interior-antiderivation": (checks._leibniz_gaps, leibniz_gaps_ref),
+    "double-cross": (lambda rng, n: checks._double_cross_gaps(rng, n, G), double_cross_gaps_ref),
+    "cross-completion-associative": (lambda rng, n: checks._completion_chis(rng, n, G),
                                      completion_chis_ref),
-    "lambda-isometry": (lambda rng, n: cli._isometry_gaps(rng, n, G), isometry_gaps_ref),
-    "projection-eigen-oracle": (lambda rng, n: cli._projection_gaps(rng, n, G),
+    "lambda-isometry": (lambda rng, n: checks._isometry_gaps(rng, n, G), isometry_gaps_ref),
+    "projection-eigen-oracle": (lambda rng, n: checks._projection_gaps(rng, n, G),
                                 projection_gaps_ref),
-    "eps-associator": (cli._eps_associator_gaps, eps_associator_gaps_ref),
-    "volH-below-vol": (cli._volume_excess, volume_excess_ref),
-    "flat-dirac-squared": (cli._flat_dirac_squared, flat_dirac_squared_ref),
-    "curvature-beta": (cli._curvature_beta_gaps, curvature_beta_gaps_ref),
-    "mirror-ratio": (cli._mirror_ratio_gaps, mirror_ratio_gaps_ref),
+    "eps-associator": (checks._eps_associator_gaps, eps_associator_gaps_ref),
+    "volH-below-vol": (checks._volume_excess, volume_excess_ref),
+    "flat-dirac-squared": (checks._flat_dirac_squared, flat_dirac_squared_ref),
+    "curvature-beta": (checks._curvature_beta_gaps, curvature_beta_gaps_ref),
+    "mirror-ratio": (checks._mirror_ratio_gaps, mirror_ratio_gaps_ref),
 }
 
 

@@ -2,11 +2,12 @@
 
 Each test prints one pass/fail line (run with `pytest -s` to see them on
 success).  An identity that `g2f verify` also checks is computed by the
-shipped sampler in `g2fueter.cli`, here at the criterion's own seed and
-count and folded by the same NaN-keeping `cli._fold`.  Criteria that feed
-the determinism check (3, 4, 8, 9) factor their computation into cached
-functions returning a JSON artifact; criterion 12 compares each cached
-artifact byte for byte with one fresh run.
+sampler that its entry in `g2fueter.checks.TABLE` calls, here at the
+criterion's own seed and count and folded by the same NaN-keeping
+`checks._fold`.  Criteria that feed the determinism check (3, 4, 8, 9)
+factor their computation into cached functions returning a JSON
+artifact; criterion 12 compares each cached artifact byte for byte with
+one fresh run.
 """
 
 import functools
@@ -15,7 +16,7 @@ import json
 import numpy as np
 import pytest
 
-from g2fueter import cli
+from g2fueter import checks
 from g2fueter import exterior as ex
 from g2fueter import fm_gauge as fm
 from g2fueter import g2core as g2
@@ -48,7 +49,7 @@ def test_01_g2_algebra_suite():
     worst_assoc = float(assoc.max())
 
     # tie the batch evaluation to the pointwise operation
-    tie = cli._fold(np.abs(chi_vals[:100] - g2.chi(vs[:100], G)).max(axis=1))
+    tie = checks._fold(np.abs(chi_vals[:100] - g2.chi(vs[:100], G)).max(axis=1))
 
     ws = rng.standard_normal((10_000, 4, 7))
     sphi_vals = np.einsum("ijkl,ni,nj,nk,nl->n", star_d, ws[:, 0], ws[:, 1], ws[:, 2], ws[:, 3])
@@ -75,8 +76,8 @@ def test_01_g2_algebra_suite():
 
 
 def test_02_ve_hierarchy():
-    worst = cli._ve_routes(np.random.default_rng(102), 1000)
-    pin_err = cli._ve_sqrt_taylor()
+    worst = checks._ve_routes(np.random.default_rng(102), 1000)
+    pin_err = checks._ve_sqrt_taylor()
     ok = worst < 1e-10 and pin_err == 0.0
     _line(2, "ve-hierarchy", ok, f"routes {worst:.2e}, pinned {pin_err:.2e}")
 
@@ -108,7 +109,7 @@ def test_03_anisotropic_calibration():
 
 @functools.cache
 def run_criterion_4():
-    pairs = list(cli._six_way(np.random.default_rng(104), 1000))
+    pairs = list(checks._six_way(np.random.default_rng(104), 1000))
     ok = all(f.all_below() and h.none_below() for f, h in pairs)
     reports = [{"fueter": f.as_dict(), "generic": h.as_dict()} for f, h in pairs[:50]]
     return ok, json.dumps(reports, sort_keys=True)
@@ -162,7 +163,7 @@ def test_05_model_flags():
 
 
 def test_06_homology():
-    _line(6, "nilmanifold-homology", cli._homology_family(), "n = 1..10, exact integers")
+    _line(6, "nilmanifold-homology", checks._homology_family(), "n = 1..10, exact integers")
 
 
 # -- criterion 7 ---------------------------------------------------------------
@@ -170,7 +171,7 @@ def test_06_homology():
 
 def test_07_pde_identities():
     rng = np.random.default_rng(107)
-    worst_flat = cli._fold(cli._flat_dirac_squared(rng, 50))
+    worst_flat = checks._fold(checks._flat_dirac_squared(rng, 50))
 
     def su2_residual():
         comps = []
@@ -181,8 +182,8 @@ def test_07_pde_identities():
             comps.append(comp)
         F = pde.AmbientPolynomialMap(comps)
         return float(np.abs(pde.su2_identity_residual(F, pde.random_su2_points(rng, 100))).max())
-    worst_su2 = cli._fold([su2_residual() for _ in range(5)])
-    worst_sol = cli._fold([cli._harmonic_solution(rng)[1] for _ in range(10)])
+    worst_su2 = checks._fold([su2_residual() for _ in range(5)])
+    worst_sol = checks._fold([checks._harmonic_solution(rng)[1] for _ in range(10)])
 
     ok = worst_flat < 1e-10 and worst_su2 < 1e-8 and worst_sol < 1e-10
     _line(7, "pde-identities", ok,
@@ -228,7 +229,7 @@ def run_criterion_9():
             ok = ok and i_res < 1e-10
         else:
             rows.append({"fueter": f_res, "instanton": i_res})
-    worst_dev = cli._fold([abs(r["instanton"] / r["fueter"] - fm.MIRROR_RATIO) for r in rows])
+    worst_dev = checks._fold([abs(r["instanton"] / r["fueter"] - fm.MIRROR_RATIO) for r in rows])
     ok = ok and worst_dev < 1e-8
 
     # exact zeros on both sides for constructed solutions
@@ -238,7 +239,7 @@ def run_criterion_9():
         ok = ok and fm.fueter_residual_norm(u, x) < 1e-10
         ok = ok and fm.instanton_residual(fm.fm_transform(u), x) < 1e-10
 
-    slope = cli._large_radius_slope()
+    slope = checks._large_radius_slope()
     ok = ok and abs(slope + 4.0) < 0.1
     payload = json.dumps(
         {"worstRatioDeviation": worst_dev, "slope": slope, "rows": rows[:50]},
@@ -260,9 +261,9 @@ def test_10_cs_first_variation():
     sec = pde.affine_fueter_section([1, 0, 2, -1], [0, 1, 1, 3])
     u0 = sec + pde.random_fourier_field(np.random.default_rng(110), kmax=1)
     rngs = (np.random.default_rng(1100 + k) for k in range(20))
-    worst = cli._fold([cli._first_variation(u0, sec, pde.random_fourier_field(next(rngs), kmax=1))
+    worst = checks._fold([checks._first_variation(u0, sec, pde.random_fourier_field(next(rngs), kmax=1))
                        for _ in range(20)])
-    num_bad, bnd_bad = cli._defect_variation(np.random.default_rng(111))
+    num_bad, bnd_bad = checks._defect_variation(np.random.default_rng(111))
     ok = worst < 1e-6 and abs(num_bad) >= 1e-3 and abs(num_bad - bnd_bad) < 1e-6
     _line(10, "action-first-variation", ok,
           f"critical {worst:.2e}, adversarial {abs(num_bad):.2e}")
@@ -272,7 +273,7 @@ def test_10_cs_first_variation():
 
 
 def test_11_polar_spaces():
-    counts, ok = cli._polar_dimensions(100, (112, 113, 114))
+    counts, ok = checks._polar_dimensions(100, (112, 113, 114))
     _line(11, "polar-space-dimensions", ok, ", ".join(map(str, counts)))
 
 

@@ -15,7 +15,7 @@ import itertools
 import numpy as np
 import pytest
 
-from g2fueter import cli
+from g2fueter import checks
 from g2fueter import exterior as ex
 from g2fueter import fueter as fu
 from g2fueter import g2core as g2
@@ -264,7 +264,7 @@ def test_six_way_matches_the_per_plane_loop():
         Ts, _ = sp.graph_from_planes(np.stack([v1, v2, V3[0]])[None])
         generic = rng.standard_normal((3, 4))
         want.append((_condition_residuals(Ts[0]), _condition_residuals(generic)))
-    got = cli._six_way(np.random.default_rng(104), n)
+    got = checks._six_way(np.random.default_rng(104), n)
     assert len(got) == n
     for (f, h), (wf, wh) in zip(got, want):
         assert _equal(f.residuals(), wf) and _equal(h.residuals(), wh)
@@ -272,17 +272,17 @@ def test_six_way_matches_the_per_plane_loop():
 
 def test_ve_routes_match_the_per_plane_loop():
     rng = np.random.default_rng(102)
-    want = cli._fold([float(np.abs(
+    want = checks._fold([float(np.abs(
         (lambda T: _ve_series(T, 4) - _ve_recursive(T, 4))(rng.standard_normal((3, 4)))).max())
         for _ in range(300)])
-    assert _equal(cli._ve_routes(np.random.default_rng(102), 300), want)
+    assert _equal(checks._ve_routes(np.random.default_rng(102), 300), want)
 
 
 def test_ladder_matches_the_reference_at_every_depth():
     # random planes have depth 0, completed Fueter planes 2 and the zero
     # plane (H itself) 3
     rng = np.random.default_rng(3)
-    completed, _ = cli._completed_planes(rng.standard_normal((5, 8)))
+    completed, _ = checks._completed_planes(rng.standard_normal((5, 8)))
     stack = np.array([np.zeros((3, 4)), *completed, *rng.standard_normal((5, 3, 4))])
     got = sp.equality_ladder(stack)
     assert {rep.vanishing_depth for rep in got} == {0, 2, 3}

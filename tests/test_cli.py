@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2fueter import cli
+from g2fueter import checks, cli
 
 from pinned_reports import KERNEL_BOUND, PORTABLE, blas_core
 
@@ -160,10 +160,10 @@ class TestExitCodes:
 
     # per suite: a library function whose result a residual fold reads, and
     # the check that folds it; the probe replaces it at the use site, the
-    # module as cli names it, so the library's own calls are untouched.  The
-    # first three are batched kernels, one call for all samples; the others
-    # are called once per sample (d_squared_residual returns one row per
-    # point)
+    # module as `g2fueter.checks` names it, so the library's own calls are
+    # untouched.  The first three are batched kernels, one call for all
+    # samples; the others are called once per sample (d_squared_residual
+    # returns one row per point)
     @pytest.mark.parametrize("suite, module, name, check", [
         pytest.param("algebra", "g2core", "chi", "associator-equality", id="algebra"),
         pytest.param("splitting", "splitting", "ve_recursive", "ve-two-routes",
@@ -176,7 +176,7 @@ class TestExitCodes:
     def test_nan_residual_fails(self, suite, module, name, check, tmp_path, monkeypatch):
         # counting the rows of every call's result in order (a scalar is one
         # row), exactly the second row becomes NaN: a non-first sample
-        real_module = getattr(cli, module)
+        real_module = getattr(checks, module)
         real, rows, nans = getattr(real_module, name), [], []
 
         def probe(*args):
@@ -191,7 +191,7 @@ class TestExitCodes:
                 nans.append(None)
             return out
 
-        monkeypatch.setattr(cli, module, SimpleNamespace(**{**vars(real_module), name: probe}))
+        monkeypatch.setattr(checks, module, SimpleNamespace(**{**vars(real_module), name: probe}))
         out = tmp_path / "nan.json"
         code = cli.run(["verify", suite, "--seed", "7", "--profile", "fast", "--out", str(out)])
         assert code == 1 and len(nans) == 1 and sum(rows) >= 2
@@ -203,11 +203,11 @@ class TestExitCodes:
     def test_worst_keeps_nan(self, at):
         draws = [np.nan if k == at else float(k) for k in range(5)]
         # a list or an array, where np.nanmax or Python's max would drop it
-        assert np.isnan(cli._fold(np.array(draws)))
-        assert np.isnan(cli._fold(draws))
+        assert np.isnan(checks._fold(np.array(draws)))
+        assert np.isnan(checks._fold(draws))
 
     def test_fold_of_no_residuals_is_zero(self):
-        assert cli._fold(np.empty(0)) == 0.0 and cli._fold([-1.0]) == 0.0
+        assert checks._fold(np.empty(0)) == 0.0 and checks._fold([-1.0]) == 0.0
 
 
 def expect_usage_error(argv, capsys, tmp_path):

@@ -384,6 +384,18 @@ def test_apply_rejects_vectors_of_the_wrong_length():
     assert f.apply(np.array([[np.ones(3), np.arange(3.0)]]))[0] == 1.0
 
 
+@pytest.mark.parametrize("rows", [1, 2, 4])
+def test_stacked_form_needs_a_row_per_frame(rows):
+    # one row would broadcast over the frames, two would fail inside numpy
+    frames = np.random.default_rng(5).standard_normal((rows + 3, 2, 7))
+    f = ex.basis_form(7, (1, 2)) * np.arange(1.0, rows + 1)
+    for form in (f, ex.VectorValuedForm((f, 2.0 * f))):
+        with pytest.raises(ex.DimensionMismatchError, match=f"{rows} rows on 3 frames"):
+            form.apply(frames[rows:])
+    assert f.apply(frames[:rows]) == pytest.approx(
+        [(k + 1) * (v[0, 0] * v[1, 1] - v[0, 1] * v[1, 0]) for k, v in enumerate(frames[:rows])])
+
+
 # -- norm range ----------------------------------------------------------------
 
 

@@ -26,7 +26,7 @@ import functools
 import numpy as np
 import pytest
 
-from g2fueter import cli, fm_gauge, fueter, g2core, models, pde, splitting
+from g2fueter import checks, cli, fm_gauge, fueter, g2core, models, pde, splitting
 from g2fueter import exterior as ex
 
 
@@ -238,7 +238,7 @@ SURVIVORS = {
 }
 
 
-PACKAGE = (cli, ex, fm_gauge, fueter, g2core, models, pde, splitting)
+PACKAGE = (checks, ex, fm_gauge, fueter, g2core, models, pde, splitting)
 SUITES = tuple(cli.SUITES)
 
 
@@ -266,7 +266,7 @@ def _failing_checks(suites=SUITES):
     failed = set()
     for suite in suites:
         _clear_caches()
-        for check in cli.SUITES[suite](np.random.default_rng(1), dict(cli.PROFILES["fast"])):
+        for check in checks.run(suite, np.random.default_rng(1), dict(cli.PROFILES["fast"])):
             if not check["pass"]:
                 failed.add((suite, check["name"]))
     return failed

@@ -68,6 +68,23 @@ def test_star_import_binds_every_submodule():
         == ["g2fueter"] + sorted(f"g2fueter.{name}" for name in g2fueter.__all__)
 
 
+
+# Each command imports the layers it runs when it runs: `import
+# g2fueter.cli` loads none, and a scan loads only the layers of a scan
+# (the anisotropic scan's body imports fueter, for the Fueter map and the
+# six-way report of its near-equality planes).
+def test_cli_import_loads_no_layer():
+    assert _loaded_after("import g2fueter.cli") == ["g2fueter", "g2fueter.cli"]
+
+
+@pytest.mark.parametrize("kind, extra", [("anisotropic", ["g2fueter.fueter"]), ("semical", [])])
+def test_scan_loads_only_its_layers(kind, extra):
+    loaded = _loaded_after(
+        "import os\nfrom g2fueter import cli\n"
+        f"assert cli.run(['scan', '{kind}', '--samples', '10', '--seed', '1', '--out', os.devnull]) == 0")
+    assert loaded == sorted(["g2fueter", "g2fueter.cli", "g2fueter.exterior", "g2fueter.g2core",
+                             "g2fueter.splitting", *extra])
+
 # A library parameter (or settable dataclass field with a default) exists
 # only where program callers (the package and benchmarks/) need different
 # values, or where it carries outside input.
@@ -355,3 +372,33 @@ def test_one_function_per_operation():
     assert {qual for stem, tree in trees.items() for qual, node in _public_defs(tree, stem)
             if isinstance(node, ast.FunctionDef) and _returns_one_sample_of_a_call(node)} \
         == set(ONE_SAMPLE_WRAPPERS)
+
+
+# The checks of `g2f verify` are one table in `g2fueter.checks`; cli.py
+# defines no suite and no sampler (no def of it takes an `rng`), keeps the
+# suite names only, and imports no layer at module top.  The checks module
+# reaches every library function as an attribute of its module
+# (`splitting.ve_series`, `ex.wedge`), never by `from .layer import
+# name`: benchmarks/tracer.py rebinds such aliases only in the modules of
+# its LAYERS, so a name bound in the checks module would escape the trace,
+# and test_mutants.py and test_cli.py::test_nan_residual_fails patch a
+# function on its module, which a bound name would not see.
+def _package_imports(tree):
+    """The imports of the package or its modules among these statements."""
+    return [ast.unparse(node) for node in tree if isinstance(node, ast.ImportFrom) and (
+        node.level or (node.module or "").startswith("g2fueter"))
+        or isinstance(node, ast.Import) and any(a.name.startswith("g2fueter") for a in node.names)]
+
+
+def test_verify_checks_live_in_one_table():
+    package = Path(g2fueter.__file__).parent
+    cli_tree = ast.parse((package / "cli.py").read_text())
+    assert [node.name for node in ast.walk(cli_tree) if isinstance(node, ast.FunctionDef)
+            and (node.name.startswith("_suite")
+                 or "rng" in [a.arg for a in node.args.posonlyargs + node.args.args])] == []
+    assert _package_imports(cli_tree.body) == []
+    cli = importlib.import_module("g2fueter.cli")
+    assert isinstance(cli.SUITES, tuple) and all(isinstance(s, str) for s in cli.SUITES)
+    checks_tree = ast.parse((package / "checks.py").read_text())
+    assert [line for line in _package_imports(ast.walk(checks_tree))
+            if not line.startswith("from . import ")] == []

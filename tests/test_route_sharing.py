@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import g2fueter
-from g2fueter import cli, exterior, fm_gauge, fueter, pde, splitting
+from g2fueter import checks, exterior, fm_gauge, fueter, pde, splitting
 
 PACKAGE = os.path.dirname(g2fueter.__file__) + os.sep
 
@@ -84,7 +84,7 @@ SECTION = {
 ROUTES = {
     ("splitting", "decomposition"): (
         lambda: splitting.decompose_form(splitting.standard_splitting().g2.phi),
-        cli._phi0_parts_by_count,
+        checks._phi0_parts_by_count,
         set(), {}),
     ("splitting", "ve-two-routes"): (
         lambda: splitting.ve_series(TS, 4),

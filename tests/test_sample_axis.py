@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import sample_axis_oracles as oracles
-from g2fueter import cli
+from g2fueter import checks, cli
 from g2fueter import exterior as ex
 from g2fueter import fueter, pde
 from g2fueter import splitting as sp
@@ -137,7 +137,7 @@ def _costs(samples):
     previous = sys.getprofile()
     sys.setprofile(record)
     try:
-        cli.SUITES["fueter"](np.random.default_rng(1), dict(cli.PROFILES["fast"], samples=samples))
+        checks.run("fueter", np.random.default_rng(1), dict(cli.PROFILES["fast"], samples=samples))
     finally:
         sys.setprofile(previous)
     return counts
