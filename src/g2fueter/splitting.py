@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import collections
 import contextvars
-import copy
 import itertools
 import os
 from dataclasses import dataclass, field
@@ -394,7 +393,11 @@ def adiabatic_family(a, eps: float):
 
 # -- sampling and scans --------------------------------------------------------
 
-_CONTRACT_BLOCK = 16384  # samples per block, so a block's columns stay in cache
+# samples per block, so a block's columns stay in cache.  The block is also
+# the unit of the random stream (`PlaneSampler._stream`): block b draws from
+# child b of the seed, so changing this size is an RNG-stream change of
+# every scan report
+_CONTRACT_BLOCK = 16384
 
 
 def _row_blocks(n):
@@ -413,18 +416,19 @@ def _usable_cpus():
 def _blockwise(fn, jobs):
     """Call fn(job) for every job, on a thread pool sized to the usable CPUs.
 
-    The one statement of the scans' worker rules.  The job iterator is
-    consumed on the calling thread, in order, so any random draws it makes
-    keep the stream of a plain loop; at most two jobs per worker wait at
-    once.  Each fn writes its own rows of a result the caller
-    preallocated, in place, and returns nothing, so the result does not
-    depend on which thread ran which job; reductions over all rows stay
-    with the caller.  Each call runs in a copy of the caller's context, so
-    an `np.errstate` in force at the call holds in the workers.  fn calls
-    numpy and private kernels only: no public g2fueter function (the
-    package is traced as one thread) and never `_blockwise` (pools do not
-    nest).  A lone job, or a process with one usable CPU, runs inline and
-    starts no thread.
+    The one statement of the scans' worker rules.  The jobs are taken in
+    order on the calling thread; at most two jobs per worker wait at once.
+    A job draws its random numbers inside fn, from a stream of its own
+    (`PlaneSampler._stream`), never from a generator that another job
+    shares, so no float depends on which thread ran which job or in what
+    order.  Each fn writes its own rows or slot of a result the caller
+    preallocated, in place, and returns nothing; reductions over all rows
+    stay with the caller.  Each call runs in a copy of the caller's
+    context, so an `np.errstate` in force at the call holds in the
+    workers.  fn calls numpy and private kernels only: no public g2fueter
+    function (the package is traced as one thread) and never `_blockwise`
+    (pools do not nest).  A lone job, or a process with one usable CPU,
+    runs inline and starts no thread.
     """
     jobs = iter(jobs)
     head = list(itertools.islice(jobs, 2))
@@ -443,6 +447,23 @@ def _blockwise(fn, jobs):
                 pending.popleft().result()
         for done in pending:
             done.result()
+
+
+def _per_block(n, measure):
+    """[measure(b, rows) for each block b of n samples], in block order.
+
+    The scans' one route onto `_blockwise`: block b holds the rows
+    `_row_blocks(n)[b]`, and the worker that measures it also draws it
+    from its own stream, so the draw runs on every worker too.
+    """
+    blocks = _row_blocks(n)
+    results = [None] * len(blocks)
+
+    def run(b):
+        results[b] = measure(b, blocks[b])
+
+    _blockwise(run, range(len(blocks)))
+    return results
 
 
 def _metric_inner(terms, a, b):
@@ -482,14 +503,22 @@ def _gram_schmidt(terms, A, Q):
 class PlaneSampler:
     """Seeded sampler for oriented frames and graph planes.
 
-    Frames: independent standard normal entries, orthonormalized in the
-    requested metric by two-pass modified Gram-Schmidt (`_gram_schmidt`),
-    which is the thin QR with a positive R diagonal.  It is plain numpy
-    elementwise work with no LAPACK or BLAS call, so frames are the same
-    floats on any BLAS kernel.  Rotation invariance of the normal ensemble
-    makes the plane distribution uniform.
+    Every draw comes from a stream of the seed's `np.random.SeedSequence`
+    tree (`_stream`).  Block b of a scan's samples (`_CONTRACT_BLOCK` rows
+    each) draws its independent standard normals from child b, so the first
+    blocks of a scan of n samples and of a larger n are the same samples,
+    and the report does not depend on the workers.  Semical's degenerate
+    rows are redrawn from the root of the tree, the redraw stream, which
+    no block uses.
 
-    A sampler makes one draw of frames: its first `frames` or
+    Frames: the normals orthonormalized in the requested metric by two-pass
+    modified Gram-Schmidt (`_gram_schmidt`), which is the thin QR with a
+    positive R diagonal.  It is plain numpy elementwise work with no LAPACK
+    or BLAS call, so frames are the same floats on any BLAS kernel.
+    Rotation invariance of the normal ensemble makes the plane distribution
+    uniform.
+
+    A sampler keeps one draw of frames: its first `frames` or
     `semi_calibration_scan` call draws the normals of n frames, and every
     later call, in any metric, orthonormalizes those same normals.  A later
     call with another n raises ValueError.
@@ -499,12 +528,22 @@ class PlaneSampler:
         if seed is None:
             raise ValueError("a seed is mandatory for sampling")
         self.seed = int(seed)
-        self.rng = np.random.default_rng(self.seed)
         self._draws = None  # the one draw of frame normals, (n, 7, 3)
-        self._after_draw = None  # a copy of the generator as that draw left it
+
+    def _stream(self, *key):
+        """The generator of the seed's stream `key`: (b,) for block b, ()
+        for the redraws."""
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(self.seed,
+                                                                          spawn_key=key)))
+
+    def _graph_block(self, b, rows):
+        """Block b's graph maps, one (3, 4) per row of the slice rows, from
+        the block's own stream."""
+        return self._stream(b).standard_normal((rows.stop - rows.start, 3, 4))
 
     def frames(self, n, metric):
-        """n oriented 3-frames, orthonormal w.r.t. metric, shape (n, 3, 7).
+        """n oriented 3-frames, orthonormal w.r.t. metric, shape (n, 3, 7):
+        the frames that `semi_calibration_scan` of n samples measures.
 
         The result is the transposed view of a (3, 7, n) array of columns,
         so each frame vector's coordinates are contiguous over samples.
@@ -518,45 +557,33 @@ class PlaneSampler:
         self._frame_blocks(n, metric, keep)
         return out.transpose(2, 0, 1)
 
-    def _draw_blocks(self, n):
-        """(rows, normals (m, 7, 3)) for each block of the one draw.  The
-        first call draws each block from the generator as it is asked for,
-        so the stream and every float match one whole draw."""
-        if self._draws is not None:
-            yield from ((rows, self._draws[rows]) for rows in _row_blocks(n))
-            return
-        self._draws = np.empty((n, DIM, 3))
-        for rows in _row_blocks(n):
-            self._draws[rows] = self.rng.standard_normal((rows.stop - rows.start, DIM, 3))
-            yield rows, self._draws[rows]
-        self._after_draw = copy.deepcopy(self.rng)
-
     def _frame_blocks(self, n, metric, use):
         """Orthonormalize the one draw of n frames in the metric and call
         use(rows, Q) with each block's frames Q, (3, 7, m) columns.
 
-        This thread draws (on the first call) and takes each block in turn,
-        with scratch for its frames allocated here; `_blockwise` (whose
-        docstring states the worker rules) runs the Gram-Schmidt and `use`.
-        After all blocks, rows whose Gram-Schmidt norms multiply to at most
-        1e-8 (a numerically degenerate draw) are redrawn up to 5 times from
-        a fresh copy of the generator as the draw left it, so the redraws
-        of every metric are those of a fresh sampler, and `use` sees the
-        redrawn rows (an index array) again.  A metric that is not finite
-        or not positive definite, or another n than the draw's, raises
-        before anything is drawn, and so does a sampler whose first call
-        raised part way through its draw.  Returns frame(i), the final frame
+        Each block runs on `_per_block` (whose `_blockwise` states the
+        worker rules): on the sampler's first call the worker fills the
+        block's rows of the stored draw in place from the block's stream,
+        then runs the Gram-Schmidt and `use`.  The draw is kept only once
+        every block is drawn, so a first call that raised leaves the sampler
+        as new.  After all blocks, rows whose Gram-Schmidt norms multiply to
+        at most 1e-8 (a numerically degenerate draw) are redrawn up to 5
+        times, on this thread, from a fresh redraw stream per call, so the
+        redraws of every metric are those of a fresh sampler, and `use` sees
+        the redrawn rows (an index array) again.  A metric that is not
+        finite or not positive definite, or another n than the draw's,
+        raises before anything is drawn.  Returns frame(i), the final frame
         (3, 7) of row i, orthonormalized again from its normals.
         """
         metric = np.asarray(metric, dtype=float)
         if not np.all(np.isfinite(metric)):
             raise ValueError("metric must be finite")
         np.linalg.cholesky(metric)  # raises unless positive definite
-        if self._draws is not None and self._after_draw is None:
-            raise RuntimeError("an error cut this sampler's draw short; use a new sampler")
         if self._draws is not None and len(self._draws) != n:
             raise ValueError(f"this sampler drew {len(self._draws)} frames, not {n}; "
                              "it makes one draw")
+        fresh = self._draws is None
+        draws = np.empty((n, DIM, 3)) if fresh else self._draws
         terms = [(i, j, metric[i, j]) for i, j in zip(*np.nonzero(metric))]  # row-major
 
         def orthonormalize(M, Q):
@@ -568,15 +595,17 @@ class PlaneSampler:
             with np.errstate(over="ignore"):
                 return r[0] * r[1] * r[2] > 1e-8  # False for a NaN norm
 
-        def run(job):
-            rows, M, Q = job
-            good[rows] = orthonormalize(M, Q)
+        def measure(b, rows):
+            if fresh:
+                self._stream(b).standard_normal(out=draws[rows])
+            Q = np.empty((3, DIM, rows.stop - rows.start))
+            good[rows] = orthonormalize(draws[rows], Q)
             use(rows, Q)
 
         good = np.empty(n, dtype=bool)
-        _blockwise(run, ((rows, M, np.empty((3, DIM, len(M))))
-                         for rows, M in self._draw_blocks(n)))
-        rng, redrawn = copy.deepcopy(self._after_draw), {}
+        _per_block(n, measure)
+        self._draws = draws
+        rng, redrawn = self._stream(), {}
         for _ in range(5):
             bad = np.nonzero(~good)[0]
             if not bad.size:
@@ -590,14 +619,16 @@ class PlaneSampler:
 
         def frame(i):
             Q = np.empty((3, DIM, 1))
-            orthonormalize(redrawn.get(i, self._draws[i])[None], Q)
+            orthonormalize(redrawn.get(i, draws[i])[None], Q)
             return Q[:, :, 0]
 
         return frame
 
     def graph_planes(self, n):
-        """n graph maps T with independent N(0, 1) entries, (n, 3, 4)."""
-        return self.rng.standard_normal((n, 3, 4))
+        """n graph maps T with independent N(0, 1) entries, (n, 3, 4): the
+        planes that `anisotropic_scan` of n samples draws."""
+        return np.concatenate([np.empty((0, 3, 4))] + [
+            self._graph_block(b, rows) for b, rows in enumerate(_row_blocks(n))])
 
 
 @dataclass
@@ -651,7 +682,9 @@ class _RatioFold:
     It keeps what `np.argmax` over all rows would give: the first maximal
     ratio, where a NaN beats every number (the first NaN is kept) and a
     later block wins only with a strictly greater ratio; and the
-    violations, every ratio that is not <= 1 + tol, NaN included.
+    violations, every ratio that is not <= 1 + tol, NaN included.  A block
+    comes in as its ratios (`add`) or as the fold of its ratios alone
+    (`merge`), with one result.
     """
 
     def __init__(self, tol):
@@ -660,14 +693,20 @@ class _RatioFold:
     def add(self, ratios):
         """Fold a nonempty block in.  Returns the row of the block that
         holds the new running maximum, or None when an earlier row keeps it."""
-        i = int(np.argmax(ratios))
-        top = float(ratios[i])
-        self.violations += int(np.sum(~(ratios <= 1.0 + self.tol)))
-        best = self.max_ratio
+        i, block = int(np.argmax(ratios)), _RatioFold(self.tol)
+        block.max_ratio = float(ratios[i])
+        block.violations = int(np.sum(~(ratios <= 1.0 + self.tol)))
+        return i if self.merge(block) else None
+
+    def merge(self, block):
+        """Fold in the fold of a later block; whether it holds the new
+        running maximum."""
+        self.violations += block.violations
+        best, top = self.max_ratio, block.max_ratio
         if best is None or not np.isnan(best) and (np.isnan(top) or top > best):
             self.max_ratio = top
-            return i
-        return None
+            return True
+        return False
 
 
 def semi_calibration_scan(
@@ -685,10 +724,11 @@ def semi_calibration_scan(
     raw evaluation alpha(v1, v2, v3).  Violation: any ratio that is not
     <= 1 + tol, NaN included.  An included frame that is not finite or
     does not stack to (k, 3, 7), or a non-finite metric, raises
-    ValueError.  Included frames are evaluated on this thread and the
-    drawn ones block by block with their Gram-Schmidt, on the sampler's
-    one draw (`PlaneSampler._frame_blocks`), so no array of all n frames
-    is built and scans of several metrics on one sampler draw once.
+    ValueError.  Included frames are evaluated on this thread; each drawn
+    block is drawn (on the sampler's first call), orthonormalized and
+    contracted by one worker (`PlaneSampler._frame_blocks`), so no array
+    of all n frames is built and scans of several metrics on one sampler
+    draw once.  The frames are those of `sampler.frames(n, metric)`.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -746,17 +786,20 @@ def anisotropic_scan(
     stack to (k, 3, 4) raises ValueError.  Violation: any ratio that is
     not <= 1 + tol, NaN included.
 
-    The scan streams: the included planes, then each drawn block of
-    `_CONTRACT_BLOCK` planes, is measured and folded into a running state
-    and dropped, so memory is O(block) for any n.  The state keeps the
-    first maximal ratio and a copy of its plane (`_RatioFold`'s rule, as
-    `np.argmax` over all rows: a NaN beats every number, and an all-skipped
-    scan gives row 0), the summed violation and skip counts, the largest
-    identity residual (a NaN kept), and copies of the first 16
-    near-equality planes in row order.  The identity guard raises only
-    after every block is drawn, so the generator ends where a whole draw
-    leaves it, and the condition residuals run after the guard.  The
-    report is that of one whole draw, byte for byte.
+    The scan streams.  The included planes are measured on this thread.
+    Each block of `_CONTRACT_BLOCK` drawn planes (those of
+    `sampler.graph_planes(n)`) is drawn from its own stream and measured
+    by one worker (`_per_block`), which reduces it to a small summary and
+    drops it, so memory is O(workers x block) for any n.  A summary holds
+    the largest identity residual (a NaN kept), the skip count, the fold
+    of the block's ratios with a copy of its first argmax plane, and
+    copies of its first 16 near-equality planes.  This thread folds the
+    summaries in block order by `_RatioFold`'s rule, as `np.argmax` over
+    all rows (a NaN beats every number, and an all-skipped scan gives row
+    0), and keeps the first 16 near-equality planes in row order.  The
+    identity guard raises only after every block is drawn, and the
+    condition residuals run after the guard.  The report is that of one
+    whole-array pass over the same planes, byte for byte.
     """
     if n < 1:
         raise ValueError("need at least one sample")
@@ -764,33 +807,29 @@ def anisotropic_scan(
     from .fueter import condition_residuals, fueter_map_matrix
 
     w, fmap = _omega_blocks(), fueter_map_matrix()
-    fold, worst, skipped, argmax_plane, near = _RatioFold(tol), -np.inf, 0, None, []
 
-    def blocks():
-        if len(included):
-            yield included
-        for rows in _row_blocks(n):
-            yield sampler.graph_planes(rows.stop - rows.start)
-
-    def measures(T):
-        """The largest identity residual, the skip count and the ratios of
-        graph maps (m, 3, 4); the temporaries die here, before the next
-        block is drawn."""
+    def summary(T):
+        """The summary of graph maps (m, 3, 4); the temporaries die here."""
         omega, ve1 = _omega_values(w, T), 0.5 * np.einsum("nia,nia->n", T, T)
         # einsum, not `@`: a BLAS dgemm per block woke OpenBLAS's second
         # thread, which doubled the scan's CPU time to save ~5% of its wall
         F = np.einsum("rc,nc->nr", fmap, T.reshape(len(T), 12))
         keep = ve1 >= VE1_EXCLUSION
-        return (np.abs(omega + 0.5 * np.einsum("nr,nr->n", F, F) - ve1).max(), int(np.sum(~keep)),
-                np.where(keep, omega / np.where(keep, ve1, 1.0), -np.inf))
-
-    for T in blocks():
-        residual, skips, ratios = measures(T)
-        worst, skipped = np.maximum(worst, residual), skipped + skips
+        ratios = np.where(keep, omega / np.where(keep, ve1, 1.0), -np.inf)
+        fold = _RatioFold(tol)
         i = fold.add(ratios)
-        if i is not None:
-            argmax_plane = T[i].copy()
-        near.extend(T[np.nonzero(ratios > 1.0 - 1e-6)[0][:16 - len(near)]])
+        return (np.abs(omega + 0.5 * np.einsum("nr,nr->n", F, F) - ve1).max(),
+                int(np.sum(~keep)), fold, T[i].copy(),
+                T[np.nonzero(ratios > 1.0 - 1e-6)[0][:16]])
+
+    summaries = [summary(included)] if len(included) else []
+    summaries += _per_block(n, lambda b, rows: summary(sampler._graph_block(b, rows)))
+    fold, worst, skipped, argmax_plane, near = _RatioFold(tol), -np.inf, 0, None, []
+    for residual, skips, block, plane, close in summaries:
+        worst, skipped = np.maximum(worst, residual), skipped + skips
+        if fold.merge(block):
+            argmax_plane = plane
+        near.extend(close[:16 - len(near)])
     if not worst <= IDENTITY_RESIDUAL_TOL:
         raise AssertionError(f"secondary-calibration identity violated: residual {float(worst)}")
 

@@ -37,7 +37,7 @@ PORTABLE = {
     "scan anisotropic --samples 40000 --seed 11":
         "e4c1f1b0a476e5e446be526a4652d6efb7ed3dd09d43be7963748f078fa9f7bb",
     "scan semical --samples 1000 --seed 3":
-        "b31de42ccde6ad34d91bc6370b3652bd0dc7b44c1b80ccb3cfe25b6a95914bf9",
+        "9cfffec7d92b49f5f180f9788719fcae8885f58d3c0b834578964e40b0e8d8af",
     "energy --grid 8 --seed 5":
         "85467599145be99d94716cf0cf478423b2983ef801f680063bff9167e86f60d6",
     "energy --seed 0 --grid 16":

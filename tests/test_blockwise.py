@@ -1,13 +1,14 @@
 """The sample-block worker pool: `splitting._blockwise` and the scans on it.
 
-Blocks of samples may run on any thread in any order, so these tests pin
-what must not move: every report byte (against one whole-array block run
-as a plain loop, and across CPU counts), the threads left behind, the
-thread that every public function runs on, numpy's error state inside the
-workers, and that commands which never start a pool never import it.
+Blocks of samples may run on any thread in any order, and each block
+draws its samples from its own stream, so these tests pin what must not
+move: which stream each block draws from, every report byte (against the
+same blocks' samples measured as one block in a plain loop, and across
+worker counts), the threads left behind, the thread that every public
+function runs on, numpy's error state inside the workers, and that
+commands which never start a pool never import it.
 """
 
-import copy
 import functools
 import itertools
 import json
@@ -37,55 +38,82 @@ def _plain_loop(fn, jobs):
         fn(job)
 
 
-def _whole_serial(monkeypatch):
-    """One block of every sample, run as a plain loop: the whole-array scan."""
+def _child(seed, *key):
+    """The generator of stream `key` of the seed: (b,) for block b, () for
+    the redraws."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
+
+
+class _Concatenated:
+    """Block 0 of a whole-array scan: each draw of m rows is the draws of
+    the blocks of `block` rows that cover range(m), each from its own
+    stream, end to end."""
+
+    def __init__(self, seed, block):
+        self.seed, self.block = seed, block
+
+    def standard_normal(self, size=None, out=None):
+        shape = out.shape if size is None else size
+        whole = np.concatenate([
+            _child(self.seed, b).standard_normal((min(self.block, shape[0] - start), *shape[1:]))
+            for b, start in enumerate(range(0, shape[0], self.block))])
+        if out is None:
+            return whole
+        out[...] = whole
+        return out
+
+
+def _whole_serial(monkeypatch, block):
+    """The samples of blocks of `block` rows, measured as one block in a
+    plain loop: the whole-array scan."""
+    real = sp.PlaneSampler._stream
     monkeypatch.setattr(sp, "_CONTRACT_BLOCK", 10 ** 9)
     monkeypatch.setattr(sp, "_blockwise", _plain_loop)
+    monkeypatch.setattr(sp.PlaneSampler, "_stream", lambda self, *key:
+                        _Concatenated(self.seed, block) if key else real(self))
 
 
-def _pooled(monkeypatch, block):
-    """Blocks of `block` samples on a two-worker pool, on any host."""
+def _pooled(monkeypatch, block, workers=2):
+    """Blocks of `block` samples on a pool of `workers`, on any host."""
     monkeypatch.setattr(sp, "_CONTRACT_BLOCK", block)
-    monkeypatch.setattr(sp, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(sp, "_usable_cpus", lambda: workers)
 
 
-class _DegenerateRow:
-    """A generator whose draws have sample `row` zeroed, so that the frame
-    drawn there is degenerate and gets redrawn.  `sizes` logs the row count
-    of every draw.  A deep copy, which a sampler redraws from, continues a
-    copy of the stream past the row, so it zeroes nothing, and it logs into
-    the same list."""
+class _EditedStreams:
+    """A sampler's streams, installed on it, whose draws go through
+    edit(block, start), which may change the block in place, start being
+    the global row of its first sample (None for the redraw stream); so a
+    scan sees the same samples in blocks of any size.  `drawn` logs
+    (key, row count) for every draw, from any thread."""
 
-    def __init__(self, rng, row):
-        self.rng, self.row, self.drawn, self.sizes = rng, row, 0, []
+    def __init__(self, sampler, edit=lambda out, start: None):
+        self.stream, self.edit, self.drawn = sampler._stream, edit, []
+        sampler._stream = self
 
-    def __deepcopy__(self, memo):
-        twin = copy.copy(self)
-        twin.rng = copy.deepcopy(self.rng, memo)
-        return twin
+    def __call__(self, *key):
+        streams, rng = self, self.stream(*key)
 
-    def standard_normal(self, shape):
-        out = self.rng.standard_normal(shape)
-        if self.drawn <= self.row < self.drawn + shape[0]:
-            out[self.row - self.drawn] = 0.0
-        self.drawn += shape[0]
-        self.sizes.append(shape[0])
-        return out
+        class Stream:
+            def standard_normal(self, size=None, out=None):
+                out = rng.standard_normal(size, out=out)
+                streams.edit(out, key[0] * sp._CONTRACT_BLOCK if key else None)
+                streams.drawn.append((key, len(out)))
+                return out
+
+        return Stream()
+
+    def rows(self):
+        """The number of rows drawn from all streams."""
+        return sum(rows for _, rows in self.drawn)
 
 
-class _EditedDraws:
-    """A generator whose draws go through edit(block, start), which may
-    change the block in place, start being the global row of its first
-    sample; so a scan sees the same samples in blocks of any size."""
-
-    def __init__(self, rng, edit):
-        self.rng, self.edit, self.drawn = rng, edit, 0
-
-    def standard_normal(self, shape):
-        out = self.rng.standard_normal(shape)
-        self.edit(out, self.drawn)
-        self.drawn += shape[0]
-        return out
+def _degenerate(row):
+    """An edit that zeroes sample `row` of the block draws, so that the
+    frame drawn there is degenerate and gets redrawn; a redraw is left alone."""
+    def edit(out, start):
+        if start is not None and start <= row < start + len(out):
+            out[row - start] = 0.0
+    return edit
 
 
 def _planting(planes):
@@ -107,14 +135,13 @@ def _scan_bytes(n, included, block, shared=False):
         sp.PlaneSampler(n), n,
         include_planes=[FUETER_T, np.zeros((3, 4))] if included else ())]
     samplers = [sp.PlaneSampler(n + 1) for _ in range(1 if shared else 2)]
-    for sampler in samplers:
-        sampler.rng = _DegenerateRow(sampler.rng, block)
+    streams = [_EditedStreams(sampler, _degenerate(block)) for sampler in samplers]
     for eps, sampler in zip((1.0, 0.01), samplers * 2):
         reports.append(sp.semi_calibration_scan(
             sp.adiabatic_family(S.g2.phi, eps), np.diag([1.0] * 3 + [eps] * 4),
             sampler, n, include_frames=[np.eye(7)[:3]] if included else ()))
-    for sampler in samplers:  # the draw, then one redraw per metric when the row is drawn
-        assert sum(sampler.rng.sizes) == n + (n > block) * (2 if shared else 1)
+    for drawn in streams:  # the draw, then one redraw per metric when the row is drawn
+        assert drawn.rows() == n + (n > block) * (2 if shared else 1)
     return [json.dumps(rep.as_dict(), sort_keys=True) for rep in reports]
 
 
@@ -123,48 +150,79 @@ def test_block_edges_change_no_byte(block, monkeypatch):
     for n in (1, block - 1, block, block + 1, 3 * block + 7):
         for included in (False, True):
             with monkeypatch.context() as m:
-                _whole_serial(m)
+                _whole_serial(m, block)
                 want = _scan_bytes(n, included, block)
             for shared in (False, True):
                 with monkeypatch.context() as m:
                     _pooled(m, block)
                     assert _scan_bytes(n, included, block, shared) == want, (n, included, shared)
             with monkeypatch.context() as m:
-                _whole_serial(m)
+                _whole_serial(m, block)
                 assert _scan_bytes(n, included, block, shared=True) == want, (n, included)
 
 
 def test_many_workers_and_fast_switching_change_no_byte(monkeypatch):
-    # more workers than cores, switching threads every microsecond: a lost
-    # or misplaced row write would change a report
+    # one, two and more workers than cores, switching threads every
+    # microsecond: a lost or misplaced row write, or a draw that depended
+    # on the thread, would change a report
     with monkeypatch.context() as m:
-        _whole_serial(m)
+        _whole_serial(m, 100)
         want = _scan_bytes(4321, True, 100)
     interval = sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)
-        _pooled(monkeypatch, 100)
-        monkeypatch.setattr(sp, "_usable_cpus", lambda: 8)
-        assert _scan_bytes(4321, True, 100) == want
-        assert _scan_bytes(4321, True, 100, shared=True) == want
+        for workers in (1, 2, 8):
+            with monkeypatch.context() as m:
+                _pooled(m, 100, workers)
+                assert _scan_bytes(4321, True, 100) == want, workers
+                assert _scan_bytes(4321, True, 100, shared=True) == want, workers
     finally:
         sys.setswitchinterval(interval)
 
 
+def test_block_b_is_child_b_of_the_seed(monkeypatch):
+    # the block, not the sample count or the worker, fixes the stream: so
+    # the first blocks of n samples and of a larger n are the same planes
+    # and frames, and `graph_planes` and `frames` give what the scans draw
+    _pooled(monkeypatch, 100)
+    planes = sp.PlaneSampler(8).graph_planes(250)
+    for b, start in enumerate((0, 100, 200)):
+        m = min(100, 250 - start)
+        assert np.array_equal(planes[start:start + m], _child(8, b).standard_normal((m, 3, 4)))
+    assert np.array_equal(sp.PlaneSampler(8).graph_planes(130), planes[:130])
+    metric = np.diag([1.0] * 3 + [0.1] * 4)
+    frames = sp.PlaneSampler(8).frames(250, metric)
+    assert np.array_equal(sp.PlaneSampler(8).frames(200, metric), frames[:200])
+    sampler = sp.PlaneSampler(8)
+    streams = _EditedStreams(sampler)
+    sampler.frames(250, metric)
+    assert sorted(streams.drawn) == [((0,), 100), ((1,), 100), ((2,), 50)]
+    # the scans measure those planes and frames: their maxima are found there
+    rep = sp.anisotropic_scan(sp.PlaneSampler(8), 250)
+    ratios = sp._omega_values(sp._omega_blocks(), planes) / \
+        (0.5 * np.einsum("nia,nia->n", planes, planes))
+    assert rep.max_ratio == ratios.max() and rep.argmax_frame == planes[np.argmax(ratios)].tolist()
+    phi = sp.adiabatic_family(S.g2.phi, 0.1)
+    rep = sp.semi_calibration_scan(phi, metric, sp.PlaneSampler(8), 250)
+    values = ex._ordered_contract(phi.to_dense(), *frames.swapaxes(0, 1))
+    assert rep.max_ratio == values.max()
+    assert rep.argmax_frame == frames[np.argmax(values)].tolist()
+
+
 def _anisotropic_sampler(edit, seed=5):
     sampler = sp.PlaneSampler(seed)
-    sampler.rng = _EditedDraws(sampler.rng, edit)
-    return sampler
+    return sampler, _EditedStreams(sampler, edit)
 
 
 def _streamed_report(monkeypatch, n, edit):
-    """The anisotropic report on the edited draw, in blocks of 7 planes and
-    as one whole block, which must agree byte for byte; the report."""
+    """The anisotropic report on the edited draw, in blocks of 7 planes on
+    the pool and as the same planes measured in one block, which must agree
+    byte for byte; the report."""
     got = []
-    for run in (_whole_serial, functools.partial(_pooled, block=7)):
+    for run in (_whole_serial, _pooled):
         with monkeypatch.context() as m:
-            run(m)
-            rep = sp.anisotropic_scan(_anisotropic_sampler(edit), n)
+            run(m, 7)
+            rep = sp.anisotropic_scan(_anisotropic_sampler(edit)[0], n)
         got.append(json.dumps(rep.as_dict(), sort_keys=True))
     assert got[0] == got[1]
     return rep
@@ -205,7 +263,7 @@ def test_all_skipped_draw_gives_row_zero(monkeypatch):
     def horizontal(out, start):  # ve_1 about 1e-12, below the exclusion
         out *= 1e-6
     rep = _streamed_report(monkeypatch, 20, horizontal)
-    first = 1e-6 * np.random.default_rng(5).standard_normal((20, 3, 4))[0]
+    first = 1e-6 * _child(5, 0).standard_normal((7, 3, 4))[0]
     assert rep.skipped == 20 and rep.max_ratio == -np.inf and rep.violations == 0
     assert rep.argmax_frame == first.tolist() and rep.equality_cases == []
 
@@ -214,18 +272,15 @@ def test_all_skipped_draw_gives_row_zero(monkeypatch):
 def test_identity_guard_raises_after_the_whole_draw(row, monkeypatch):
     # a plane whose omega and ve_1 overflow gives a NaN identity residual,
     # in the first or the last of three blocks; the guard keeps the NaN and
-    # raises only once every block is drawn, so the generator ends where a
-    # whole draw leaves it
-    drawn = np.random.default_rng(5)
-    drawn.standard_normal((20, 3, 4))
-    for run in (_whole_serial, functools.partial(_pooled, block=7)):
-        sampler = _anisotropic_sampler(_planting({row: 1e200 * FUETER_T}))
+    # raises only once every block is drawn
+    for run in (_whole_serial, _pooled):
         with monkeypatch.context() as m, np.errstate(over="ignore", invalid="ignore"):
-            run(m)
+            run(m, 7)
+            sampler, streams = _anisotropic_sampler(_planting({row: 1e200 * FUETER_T}))
             with pytest.raises(AssertionError, match="identity violated: residual nan"):
                 sp.anisotropic_scan(sampler, 20)
-        assert sampler.rng.drawn == 20
-        assert sampler.rng.rng.bit_generator.state == drawn.bit_generator.state
+            assert sorted(streams.drawn) == [((b,), rows.stop - rows.start)
+                                             for b, rows in enumerate(sp._row_blocks(20))]
 
 
 _CPU_SCRIPT = """
@@ -285,7 +340,8 @@ def test_scans_leave_no_thread_and_trace_on_the_main_thread(monkeypatch):
         sp.semi_calibration_scan(S.g2.phi, np.eye(7), sp.PlaneSampler(2), 5000)
     assert threading.active_count() == before
     assert all(seen)
-    assert tracer.stats["splitting.PlaneSampler.graph_planes"][0] == 5
+    # the workers draw and measure through private kernels only
+    assert tracer.stats.get("splitting.PlaneSampler.graph_planes", [0])[0] == 0
     assert tracer.counters["splitting.scan.samples"] == 10000
 
 
@@ -321,10 +377,11 @@ def test_workers_keep_the_callers_errstate(monkeypatch):
         assert workers and threading.main_thread() not in workers
         sampler = sp.PlaneSampler(1)
         with pytest.raises(RuntimeWarning, match="overflow"):
-            sp.semi_calibration_scan(big, np.eye(7), sampler, 5000)
-        # the draw stopped with the scan: the sampler refuses to go on
-        with pytest.raises(RuntimeError, match="cut this sampler's draw short"):
-            sampler.frames(5000, np.eye(7))
+            sp.semi_calibration_scan(big, np.eye(7), sampler, 20_000)
+        # the draw stopped with the scan, before its last blocks, and was
+        # not kept: the sampler draws again, as a fresh one does
+        assert np.array_equal(sampler.frames(20_000, np.eye(7)),
+                              sp.PlaneSampler(1).frames(20_000, np.eye(7)))
 
 
 def test_lone_job_or_one_cpu_runs_inline(monkeypatch):

@@ -273,10 +273,10 @@ def _names(tree):
 
 
 def test_one_module_owns_the_sample_block_pool():
-    # the scans start the pool from one place in splitting, the sampler's
-    # frame blocks (Gram-Schmidt, then the caller's per-block work such as
-    # semical's contraction); exterior's kernels are plain and import no
-    # thread or CPU machinery
+    # the scans start the pool from one place in splitting, the per-block
+    # driver `_per_block`, through which both scans draw and measure each
+    # block; exterior's kernels are plain and import no thread or CPU
+    # machinery
     package = Path(g2fueter.__file__).parent
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
     assert [stem for stem, tree in trees.items() if "_blockwise" in _names(tree)] == ["splitting"]
@@ -302,6 +302,8 @@ def test_one_module_owns_the_sample_block_pool():
 # Form.equals.
 UNREACHED = {
     "splitting.Splitting.chi_form_f":
+        "benchmarks/tracer.py wraps it by name in METHODS",
+    "splitting.PlaneSampler.graph_planes":
         "benchmarks/tracer.py wraps it by name in METHODS",
     "fueter.chi_via_beta":
         "the beta route for chi_2 and chi_3, the independent reference that "

@@ -12,7 +12,7 @@ from g2fueter import exterior as ex
 from g2fueter import g2core as g2
 from g2fueter import splitting as sp
 
-from test_blockwise import _DegenerateRow
+from test_blockwise import _child, _degenerate, _EditedStreams, _pooled
 
 S = sp.standard_splitting()
 E = np.eye(7)
@@ -313,8 +313,7 @@ class TestDecomposeAndAdiabatic:
         # phi's vertical-degree-3 part is empty, so its factor eps^(3/2),
         # which overflows here, must not be formed; the frames' norms
         # multiply past the float range, which still clears the degeneracy
-        # bound.  The pinned report is the one the code gave when both
-        # overflows still warned.
+        # bound.  The pinned report is that of the per-block streams.
         eps = 1e300
         lam, omega, _, _ = S.form_parts()
         with warnings.catch_warnings():
@@ -323,9 +322,9 @@ class TestDecomposeAndAdiabatic:
             rep = sp.semi_calibration_scan(
                 phi_eps, np.diag([1.0] * 3 + [eps] * 4), sp.PlaneSampler(0), 200)
         assert phi_eps.equals(lam + eps * omega, 0.0)
-        assert rep.passed and rep.skipped == 0 and rep.max_ratio == 8.133308947953688e-150
+        assert rep.passed and rep.skipped == 0 and rep.max_ratio == 7.793686330156929e-150
         assert hashlib.sha256(json.dumps(rep.as_dict(), sort_keys=True).encode()).hexdigest() \
-            == "65db2291ba9da77fa7d33a9b5721e0c62341d2872153441ebeb1ce9132779d92"
+            == "67c6f1cd8fbca26ce4e8c2017c04aa55729257f724211fc383f9e72324eca48a"
 
     def test_adiabatic_rejects_nonpositive_eps(self):
         for eps in (0.0, np.nan):
@@ -384,10 +383,11 @@ class TestScans:
         # (7, 3, 3) holds the 63 numbers of three frames: only the shape
         # check tells it apart, and it speaks before anything is drawn
         sampler = sp.PlaneSampler(17)
+        streams = _EditedStreams(sampler)
         with pytest.raises(ValueError, match=r"shape \(k, 3, 7\)"):
             sp.semi_calibration_scan(S.g2.phi, np.eye(7), sampler, 10,
                                      include_frames=np.ones(shape))
-        assert sampler.rng.bit_generator.state == sp.PlaneSampler(17).rng.bit_generator.state
+        assert streams.drawn == []
 
     def test_nan_ratio_is_a_violation(self):
         a = ex.Form(7, 3, {(1, 2, 3): np.nan})
@@ -400,10 +400,10 @@ class TestScans:
             metric = np.eye(7)
             metric[6, 6] = bad
             sampler = sp.PlaneSampler(1)
-            state = sampler.rng.bit_generator.state
+            streams = _EditedStreams(sampler)
             with pytest.raises(ValueError, match="finite"):
                 sp.semi_calibration_scan(S.g2.phi, metric, sampler, 100)
-            assert sampler.rng.bit_generator.state == state
+            assert streams.drawn == []
 
     def test_overflowing_included_plane_fails_identity_guard(self):
         # omega and ve_1 overflow to inf, so the identity residual is NaN
@@ -443,10 +443,13 @@ class TestScans:
         assert rep.equality_cases  # fed to the six-way residual report
         assert max(abs(v) for v in rep.equality_cases[0].values() if isinstance(v, float)) < 1e-9
 
-    def test_anisotropic_scan_memory_does_not_grow_with_n(self):
-        # the scan keeps per-block results only: ten times the planes, the
-        # same traced peak (holding every plane and measurement would add
-        # about 21 MB from 2e4 to 2e5 planes)
+    def test_anisotropic_scan_memory_does_not_grow_with_n(self, monkeypatch):
+        # the scan keeps a small summary per block: ten times the planes,
+        # the same traced peak, with two workers' blocks of 1000 planes in
+        # flight (holding every plane and measurement would add about 21 MB
+        # from 2e4 to 2e5 planes)
+        _pooled(monkeypatch, 1000)
+
         def peak(n):
             tracemalloc.start()
             try:
@@ -497,6 +500,15 @@ class TestScans:
             assert abs(batch[i] - pointwise[i]) < 1e-12
 
 
+def _qr_frames(M, metric):
+    """The thin-QR oracle for the frames of draws M (n, 7, 3): QR in
+    L-coordinates (g = L^t L), sign fixed by a positive R diagonal, (n, 3, 7)."""
+    L = np.linalg.cholesky(metric).T
+    Q, R = np.linalg.qr(L[None] @ M)
+    Q = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
+    return np.transpose(np.linalg.inv(L)[None] @ Q, (0, 2, 1))
+
+
 def _gram_error(F, metric):
     """max |F g F^t - I| over frames (n, 3, 7), summed in extended
     precision so that the measurement adds no rounding of its own."""
@@ -512,17 +524,16 @@ class TestFrames:
     @pytest.mark.parametrize("metric", EPS_METRICS + [
         np.eye(7) + 0.3 * (np.eye(7, k=1) + np.eye(7, k=-1))])
     def test_frames_are_the_thin_qr_factor_of_the_draws(self, metric):
-        # the QR oracle in L-coordinates (g = L^t L), sign fixed by a
-        # positive R diagonal, on the same draws in the same order
+        # the QR oracle on the same draws in the same order: block b's
+        # normals from child stream b of the seed
         n = 3000
-        M = np.random.default_rng(5).standard_normal((n, 7, 3))
-        L = np.linalg.cholesky(metric).T
-        Q, R = np.linalg.qr(L[None] @ M)
-        Q = Q * np.sign(np.diagonal(R, axis1=1, axis2=2))[:, None, :]
-        want = np.transpose(np.linalg.inv(L)[None] @ Q, (0, 2, 1))
-        got = sp.PlaneSampler(5).frames(n, metric)
+        M = np.concatenate([_child(5, 0).standard_normal((2000, 7, 3)),
+                            _child(5, 1).standard_normal((1000, 7, 3))])
+        with pytest.MonkeyPatch.context() as m:
+            _pooled(m, 2000)
+            got = sp.PlaneSampler(5).frames(n, metric)
         assert got.shape == (n, 3, 7)
-        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(np.abs(got - _qr_frames(M, metric))) < 1e-12
 
     @pytest.mark.parametrize("metric", EPS_METRICS)
     def test_orthonormality_tail(self, metric):
@@ -536,42 +547,49 @@ class TestFrames:
         assert F.transpose(1, 2, 0).flags.c_contiguous  # a (3, 7, n) array
 
     def test_zero_draw_is_redrawn_without_a_warning(self):
-        n, row = 500, 123
+        # the redraw is the first draw of the redraw stream, the root of the
+        # seed's tree, at any n and on any number of workers
+        row = 123
         metric = EPS_METRICS[2]
-        sampler = sp.PlaneSampler(9)
-        sampler.rng = _DegenerateRow(sampler.rng, row)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            got = sampler.frames(n, metric)
-        assert sampler.rng.sizes == [n, 1]  # the whole draw, then one redraw
-        assert np.all(np.isfinite(got)) and _gram_error(got[row:row + 1], metric) < 1e-15
-        want = sp.PlaneSampler(9).frames(n, metric)
-        others = np.arange(n) != row
-        assert np.array_equal(got[others], want[others])
+        redraw = _qr_frames(_child(9).standard_normal((1, 7, 3)), metric)[0]
+        for n, workers in itertools.product((500, 700), (1, 2)):
+            with pytest.MonkeyPatch.context() as m:
+                _pooled(m, 200, workers)
+                sampler = sp.PlaneSampler(9)
+                streams = _EditedStreams(sampler, _degenerate(row))
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error", RuntimeWarning)
+                    got = sampler.frames(n, metric)
+                want = sp.PlaneSampler(9).frames(n, metric)
+            assert streams.drawn.count(((), 1)) == 1 and streams.rows() == n + 1
+            assert np.all(np.isfinite(got)) and _gram_error(got[row:row + 1], metric) < 1e-15
+            assert np.max(np.abs(got[row] - redraw)) < 1e-12
+            others = np.arange(n) != row
+            assert np.array_equal(got[others], want[others])
 
     def test_one_draw_per_sampler(self):
         # every call orthonormalizes the first call's draw, in any metric,
-        # and redraws the degenerate row, as a fresh sampler of the seed
-        # would; another n is refused before anything is drawn
+        # and redraws the degenerate row from a fresh redraw stream, as a
+        # fresh sampler of the seed would; another n is refused before
+        # anything is drawn
         def degenerate():
             sampler = sp.PlaneSampler(4)
-            sampler.rng = _DegenerateRow(sampler.rng, 37)
-            return sampler
+            return sampler, _EditedStreams(sampler, _degenerate(37))
 
-        sampler = degenerate()
+        sampler, streams = degenerate()
         for metric in EPS_METRICS:
-            assert np.array_equal(sampler.frames(100, metric), degenerate().frames(100, metric))
-        assert sampler.rng.sizes == [100, 1, 1, 1]
+            assert np.array_equal(sampler.frames(100, metric), degenerate()[0].frames(100, metric))
+        assert streams.drawn == [((0,), 100), ((), 1), ((), 1), ((), 1)]
         with pytest.raises(ValueError, match="drew 100 frames, not 101"):
             sampler.frames(101, np.eye(7))
-        assert sampler.rng.sizes == [100, 1, 1, 1]
+        assert streams.rows() == 103
 
     def test_metric_not_positive_definite_rejected_before_drawing(self):
         sampler = sp.PlaneSampler(1)
-        state = sampler.rng.bit_generator.state
+        streams = _EditedStreams(sampler)
         with pytest.raises(np.linalg.LinAlgError):
             sampler.frames(10, np.diag([1.0] * 6 + [-1.0]))
-        assert sampler.rng.bit_generator.state == state
+        assert streams.drawn == []
 
 
 class TestEqualityLadder:
