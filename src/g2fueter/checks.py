@@ -239,32 +239,32 @@ def _leibniz_gaps(rng, n):
     return _grouped([d[0] for d in draws], gaps)
 
 
-def _double_cross_gaps(rng, n, G):
+def _double_cross_gaps(rng, n):
     """|u x (u x v) - (-v + <u, v> u)| of n unit vectors u and vectors v."""
     u, v = np.moveaxis(rng.standard_normal((n, 2, 7)), 1, 0)  # per pair: u, then v
     u = u / np.sqrt(ex._rowdot(u, u))[:, None]
-    lhs = g2core.cross(u, g2core.cross(u, v, G), G)
+    lhs = g2core.cross(u, g2core.cross(u, v))
     return np.abs(lhs - (-v + ex._rowdot(u, v)[:, None] * u)).max(axis=1)
 
 
-def _completion_chis(rng, n, G):
+def _completion_chis(rng, n):
     """|chi(u, v, u x v)| of n pairs of vectors u, v."""
     uv = rng.standard_normal((n, 2, 7))
-    return _row_norms(g2core.chi(np.hstack([uv, g2core.cross(uv[:, 0], uv[:, 1], G)[:, None]]), G))
+    return _row_norms(g2core.chi(np.hstack([uv, g2core.cross(uv[:, 0], uv[:, 1])[:, None]])))
 
 
-def _isometry_gaps(rng, n, G):
+def _isometry_gaps(rng, n):
     """||lambda^k alpha| - |alpha|| of n random 1-forms, for k = 2, 4, 6 in turn."""
     alphas = [_stacked_form(1, rng.standard_normal((n, 7))) for _ in range(3)]
-    return np.concatenate([np.abs(g2core.lambda_k(alpha, k, G).norm() - alpha.norm())
+    return np.concatenate([np.abs(g2core.lambda_k(alpha, k).norm() - alpha.norm())
                            for k, alpha in zip((2, 4, 6), alphas)])
 
 
-def _projection_gaps(rng, n, G):
+def _projection_gaps(rng, n):
     """|pi^2_7 beta - (beta + *(phi ^ beta)) / 3| of n random 2-forms beta."""
     beta = _stacked_form(2, rng.standard_normal((n, 21)))
-    oracle = (1.0 / 3.0) * (beta + ex.hodge(ex.wedge(G.phi, beta)))
-    return (g2core.project_2_7(beta, G) - oracle).norm()
+    oracle = (1.0 / 3.0) * (beta + ex.hodge(ex.wedge(g2core.standard_g2().phi, beta)))
+    return (g2core.project_2_7(beta) - oracle).norm()
 
 
 def _eps_associator_gaps(rng, n):
@@ -272,7 +272,7 @@ def _eps_associator_gaps(rng, n):
     eps, vs = np.empty(n), np.empty((n, 3, 7))
     for i in range(n):  # a uniform, then normals: draws that do not stack
         eps[i], vs[i] = rng.uniform(0.05, 1.0), rng.standard_normal((3, 7))
-    G = splitting.standard_splitting().g2
+    G = g2core.standard_g2()
     phi, chi = (splitting.adiabatic_family(a, eps).apply(vs) for a in (G.phi, G.chi_form))
     metrics = np.where(np.arange(7) < 3, 1.0, eps[:, None])[:, None] * np.eye(7)
     # a scalar's ** 2 is libm's pow, as np.float_power is; an array's is x * x
@@ -318,7 +318,7 @@ def _star_involution_gaps(rng, tol):
 def _associator_gaps(rng, tol):
     G, U = g2core.standard_g2(), rng.standard_normal((tol["samples"], 3, 7))
     # a scalar's ** 2 is libm's pow, as np.float_power is; an array's is x * x
-    lhs = np.float_power(G.phi.apply(U), 2) + np.sum(g2core.chi(U, G) ** 2, axis=1)
+    lhs = np.float_power(G.phi.apply(U), 2) + np.sum(g2core.chi(U) ** 2, axis=1)
     gram = np.empty((len(U), 3, 3))
     for a, b in itertools.product(range(3), repeat=2):
         gram[:, a, b] = ex._rowdot(U[:, a], U[:, b])
@@ -327,7 +327,7 @@ def _associator_gaps(rng, tol):
 
 def _coassociator_gaps(rng, tol):
     G, V = g2core.standard_g2(), rng.standard_normal((tol["samples"], 4, 7))
-    t = g2core.tau(V, G)
+    t = g2core.tau(V)
     return np.abs(np.float_power(G.star_phi.apply(V), 2) + ex._rowdot(t, t)
                   - np.linalg.det(V @ V.swapaxes(1, 2)))
 
@@ -344,7 +344,7 @@ def _phi0_parts_by_count():
 
 
 def _decomposition_gaps(rng, tol):
-    phi = splitting.standard_splitting().g2.phi
+    phi = g2core.standard_g2().phi
     parts = splitting.decompose_form(phi)
     lam, omega = _phi0_parts_by_count()
     return [(sum(parts[1:], parts[0]) - phi).norm(), parts[1].norm(), parts[3].norm(),
@@ -352,7 +352,7 @@ def _decomposition_gaps(rng, tol):
 
 
 def _adiabatic_pullback_gap(rng, tol):
-    phi, eps = splitting.standard_splitting().g2.phi, 0.37
+    phi, eps = g2core.standard_g2().phi, 0.37
     scale = np.diag([1.0] * 3 + [np.sqrt(eps)] * 4)
     return (splitting.adiabatic_family(phi, eps) - ex.pullback(scale, phi)).norm()
 
@@ -562,13 +562,13 @@ TABLE = (
         ("coassociator-equality", "|*phi(v)|^2 + |tau(v)|^2 = |v1^..^v4|^2", "identity",
          _coassociator_gaps),
         ("double-cross", "u x (u x v) = -|u|^2 v + <u,v> u", "identity",
-         lambda rng, tol: _double_cross_gaps(rng, 100, g2core.standard_g2())),
+         lambda rng, tol: _double_cross_gaps(rng, 100)),
         ("cross-completion-associative", "chi vanishes on u, v, u x v", "identity",
-         lambda rng, tol: _completion_chis(rng, 100, g2core.standard_g2())),
+         lambda rng, tol: _completion_chis(rng, 100)),
         ("lambda-isometry", "lambda^k preserves norms (k = 2, 4, 6)", 1e-12,
-         lambda rng, tol: _isometry_gaps(rng, 50, g2core.standard_g2())),
+         lambda rng, tol: _isometry_gaps(rng, 50)),
         ("projection-eigen-oracle", "pi^2_7 = (id + *(phi ^ .)) / 3", 1e-12,
-         lambda rng, tol: _projection_gaps(rng, 50, g2core.standard_g2())),
+         lambda rng, tol: _projection_gaps(rng, 50)),
     ),
     *_checks(
         "splitting",

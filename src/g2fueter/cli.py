@@ -87,7 +87,7 @@ def _cmd_verify(args):
 
 
 def _cmd_scan(args):
-    from . import splitting
+    from . import g2core, splitting
 
     tol = dict(PROFILES[args.profile])
     slack = tol["slack"] if args.tol is None else args.tol
@@ -96,7 +96,7 @@ def _cmd_scan(args):
         eye3 = np.eye(7)[:3]
         sampler = splitting.PlaneSampler(args.seed)  # one draw for every metric
         for eps in args.eps:
-            phi_eps = splitting.adiabatic_family(splitting.standard_splitting().g2.phi, eps)
+            phi_eps = splitting.adiabatic_family(g2core.standard_g2().phi, eps)
             g_eps = np.diag([1.0] * 3 + [eps] * 4)
             rep = splitting.semi_calibration_scan(
                 phi_eps, g_eps, sampler, args.samples, tol=slack,

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exterior import Form, _rowdot, wedge
+from .g2core import standard_g2
 from .pde import AnalyticMap, fueter_operator_flat
-from .splitting import beta_of, standard_splitting
+from .splitting import beta_of
 
 __all__ = [
     "LineConnection",
@@ -106,7 +107,7 @@ def beta_relation_residual(u: AnalyticMap, x) -> float:
 def instanton_residual(c: LineConnection, x) -> float:
     """|K ^ *phi| at x; zero exactly at G2-instanton points."""
     K = curvature(c, x)
-    return wedge(K, standard_splitting().g2.star_phi).norm()
+    return wedge(K, standard_g2().star_phi).norm()
 
 
 def fueter_residual_norm(u: AnalyticMap, x) -> float:
@@ -135,7 +136,7 @@ def ddt_residual(c: LineConnection, x, r: float) -> float:
         raise ValueError("radius must be positive")
     K = curvature(c, x)
     K3 = wedge(wedge(K, K), K)
-    resid = (r ** 4) * wedge(K, standard_splitting().g2.star_phi) - (1.0 / 6.0) * K3
+    resid = (r ** 4) * wedge(K, standard_g2().star_phi) - (1.0 / 6.0) * K3
     return resid.norm()
 
 

@@ -8,8 +8,8 @@ exposes the equivalence as a six-way residual report.  It also provides
 the completion constructions, the chi_i-from-beta formulas, the
 linearization rank of the Fueter Grassmannian, and polar-space
 dimensions for the associative and Fueter exterior systems.  Every
-operation works on the one standard splitting, `standard_splitting()`,
-and none takes a splitting.
+operation works on the one structure and splitting, `g2core.standard_g2()`
+and `standard_splitting()`, and none takes either.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def standard_jtriple() -> JTriple:
 
 def jtriple_from_splitting() -> JTriple:
     """J_i as the action of h_i x (.) on V, in the splitting's V-frame."""
-    dense = standard_splitting().g2.phi_dense
+    dense = g2core.standard_g2().phi_dense
     Js = []
     for i in range(3):
         J = np.empty((4, 4))
@@ -137,7 +137,7 @@ def fueter_vector(Ts):
     the horizontal inner product.
     """
     Ts = _stacked(Ts, (3, 4))
-    dense = standard_splitting().g2.phi_dense
+    dense = g2core.standard_g2().phi_dense
     out = np.zeros((len(Ts), 4))
     u = np.zeros((len(Ts), DIM))
     for i in range(3):
@@ -186,7 +186,7 @@ def fueter_complete(V1, V2):
         raise ValueError("horizontal parts of v1, v2 must be orthonormal")
 
     def cross_f(a, b):  # row by row, in the one-plane einsum's order
-        return np.einsum("ijk,ni,nj->nk", standard_splitting().g2.phi_dense, a, b)
+        return np.einsum("ijk,ni,nj->nk", g2core.standard_g2().phi_dense, a, b)
 
     n = len(V1)
     E1, E2 = (np.where(np.arange(DIM) < 3, V, 0.0) for V in (V1, V2))  # horizontal parts
@@ -277,7 +277,7 @@ def condition_residuals(Ts):
     for code in set(pattern.tolist()):
         rows = pattern == code
         beta = beta_of(Ts[rows])
-        star_phi_norm[rows] = wedge(beta, standard_splitting().g2.star_phi).norm()
+        star_phi_norm[rows] = wedge(beta, g2core.standard_g2().star_phi).norm()
         theta_norm[rows] = wedge(beta, theta).norm()
 
     return [ConditionReport(
@@ -309,11 +309,10 @@ def chi_via_beta(Ts):
     chi_1^flat = *(beta ^ *phi); chi_2^flat = -2 (lambda^4)^{-1} of the
     Lambda^4_7 part of beta^2/2; chi_3^flat = -*(beta^3/6).
     """
-    G = standard_splitting().g2
     beta = beta_of(Ts)
     chi1 = chi1_via_beta(Ts)
     half_beta2 = 0.5 * wedge(beta, beta)
-    chi2 = -2.0 * g2core.lambda_k_inverse(g2core.project_k7(half_beta2, 4, G), 4, G)
+    chi2 = -2.0 * g2core.lambda_k_inverse(g2core.project_k7(half_beta2, 4), 4)
     beta3 = wedge(wedge(beta, beta), beta)
     chi3 = -1.0 * hodge((1.0 / 6.0) * beta3)
     return chi1, chi2, chi3
@@ -322,14 +321,13 @@ def chi_via_beta(Ts):
 def chi1_via_beta(Ts) -> Form:
     """chi_1(v)^flat = *(beta ^ *phi) alone, the first of `chi_via_beta`, of
     stacked graph maps (n, 3, 4), as a stacked 1-form."""
-    return hodge(wedge(beta_of(Ts), standard_splitting().g2.star_phi))
+    return hodge(wedge(beta_of(Ts), g2core.standard_g2().star_phi))
 
 
 def chi1_via_projection(Ts) -> Form:
     """Alternative route: chi_1(v)^flat = sqrt(3) (lambda^2)^{-1} (pi^2_7 beta)
     of stacked graph maps (n, 3, 4), as a stacked 1-form."""
-    G = standard_splitting().g2
-    return np.sqrt(3.0) * g2core.lambda_k_inverse(g2core.project_2_7(beta_of(Ts), G), 2, G)
+    return np.sqrt(3.0) * g2core.lambda_k_inverse(g2core.project_2_7(beta_of(Ts)), 2)
 
 
 # -- linearization and polar spaces ----------------------------------------------
@@ -366,7 +364,7 @@ def polar_space_dim(W: Plane, system: str) -> int:
         S.horizontal_part(W.span)  # the Fueter system needs a projectable plane
         generators = S.chi_f_parts[1]
     else:
-        generators = S.g2.chi_form
+        generators = g2core.standard_g2().chi_form
 
     # row m: generator m on (w1, w2, e_j) for j = 1..7, in one evaluation
     M = generators.apply(_with_unit_vectors(_stacked(W.span[None], (2, DIM)))[0]).T

@@ -9,10 +9,10 @@ All of it works in coordinates orthonormal for the metric of phi, which
 is therefore the identity; another metric enters only as the matrix that
 `scan semical` orthonormalizes its frames in.
 
-A G2Structure owns the tensors derived from it (dense phi, chi and tau as
-vector-valued forms, the lambda^k matrices): each is built lazily, once
-per structure, and its arrays are read-only.  Every operation takes the
-structure it works on explicitly; none falls back to the standard one.
+There is one structure, the model one, which `standard_g2()` builds once
+per process and every operation reads; none takes a structure.  Its
+tensors (dense phi, chi and tau as vector-valued forms, the lambda^k
+matrices) are each built lazily, once, and its arrays are read-only.
 
 Conventions fixed here once and used everywhere downstream:
   * orientation dx^{1...7};
@@ -25,8 +25,8 @@ Flipping the orientation flips the sign of the dual 4-form.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -137,17 +137,17 @@ def _unit(i):
 # eq=False: ndarray fields make the generated __eq__/__hash__ raise; compare by identity
 @dataclass(frozen=True, eq=False)
 class G2Structure:
-    """A constant-coefficient G2 structure on R^7, in coordinates where its
-    metric is the identity and its orientation dx^{1..7}.
+    """The model G2 structure on R^7, in coordinates where its metric is
+    the identity and its orientation dx^{1..7}.
 
-    Holds the 3-form and its dual 4-form, consistent (|phi|^2 = 7,
-    star_phi = *phi) by construction and not re-checked per operation.
-    The tensors derived from them (dense phi, chi, tau, the lambda^k
-    matrices) are built lazily, once per structure; arrays are read-only.
+    Holds phi0 and its dual 4-form; it takes no arguments, so its fields
+    are the model forms the lambda^k isometries read.  The tensors derived
+    from them (dense phi, chi, tau, the lambda^k matrices) are built
+    lazily, once; arrays are read-only.  Reach it through `standard_g2()`.
     """
 
-    phi: Form
-    star_phi: Form
+    phi: Form = field(init=False, default_factory=phi0)
+    star_phi: Form = field(init=False, default_factory=star_phi0)
 
     @cached_property
     def phi_dense(self) -> np.ndarray:
@@ -190,28 +190,30 @@ class G2Structure:
             key_pos = {key: r for r, key in enumerate(keys)}
             L = np.zeros((len(keys), DIM))
             for j in range(1, DIM + 1):
-                img = lambda_k(basis_form(DIM, (j,)), k, self)
+                img = lambda_k(basis_form(DIM, (j,)), k)
                 for idx, c in img.coeffs.items():
                     L[key_pos[idx], j - 1] = c
             out[k] = (_read_only(L), keys)
         return out
 
 
+@cache
 def standard_g2() -> G2Structure:
-    return G2Structure(phi=phi0(), star_phi=star_phi0())
+    """The model structure, built once per process; its tensors stay lazy."""
+    return G2Structure()
 
 
 # -- pointwise tensors ------------------------------------------------------
 
 
-def cross(u, v, G: G2Structure):
+def cross(u, v):
     """Cross product: g(u x v, w) = phi(u, v, w) for all w; row by row."""
     pairs = np.stack([u, v], axis=-2)
     triples = _with_unit_vectors(_stacked(pairs.reshape(-1, 2, DIM), (2, DIM)))
-    return G.phi.apply(triples.reshape(-1, 3, DIM)).reshape(pairs.shape[:-2] + (DIM,))
+    return standard_g2().phi.apply(triples.reshape(-1, 3, DIM)).reshape(pairs.shape[:-2] + (DIM,))
 
 
-def chi(frames, G: G2Structure):
+def chi(frames):
     """Associator-defect vectors of stacked triples (n, 3, 7) -> (n, 7):
     g(chi(u,v,w), x) = (*phi)(u,v,w,x).
 
@@ -220,29 +222,30 @@ def chi(frames, G: G2Structure):
     for the seven unit vectors in one evaluation.
     """
     quads = _with_unit_vectors(_stacked(frames, (3, DIM)))
-    return G.star_phi.apply(quads.reshape(-1, 4, DIM)).reshape(-1, DIM)
+    return standard_g2().star_phi.apply(quads.reshape(-1, 4, DIM)).reshape(-1, DIM)
 
 
-def tau(frames, G: G2Structure):
+def tau(frames):
     """Coassociator-defect vectors from tau = phi ^ id_TM, of stacked
     quadruples (n, 4, 7) -> (n, 7).
 
     Satisfies |*phi(u,v,w,x)|^2 + |tau(u,v,w,x)|^2 = |u^v^w^x|^2.
     """
-    return G.tau_form.apply(frames)
+    return standard_g2().tau_form.apply(frames)
 
 
 # -- lambda^k isometries and the 2-form projections --------------------------
 
 
-def lambda_k(alpha: Form, k: int, G: G2Structure) -> Form:
+def lambda_k(alpha: Form, k: int) -> Form:
     """The isometry lambda^k of 1-forms onto Lambda^k_7, k in {2, 4, 6}."""
     if alpha.dim != DIM or alpha.degree != 1:
         raise ValueError("expected a 1-form on R^7")
+    phi = standard_g2().phi
     if k == 2:
-        return (1.0 / np.sqrt(3.0)) * interior(_coefficient_rows(alpha, _ONE_KEYS), G.phi)
+        return (1.0 / np.sqrt(3.0)) * interior(_coefficient_rows(alpha, _ONE_KEYS), phi)
     if k == 4:
-        return 0.5 * wedge(alpha, G.phi)
+        return 0.5 * wedge(alpha, phi)
     if k == 6:
         return hodge(alpha)
     raise ValueError(f"k must be 2, 4 or 6, got {k}")
@@ -257,7 +260,7 @@ def _coefficient_rows(a: Form, keys):
     return np.stack(np.broadcast_arrays(*(a.coeffs.get(key, 0.0) for key in keys)), axis=-1)
 
 
-def lambda_k_inverse(beta: Form, k: int, G: G2Structure) -> Form:
+def lambda_k_inverse(beta: Form, k: int) -> Form:
     """Invert lambda^k on its image (adjoint of an isometry).
 
     For input not in Lambda^k_7 this returns the preimage of the projection.
@@ -265,13 +268,13 @@ def lambda_k_inverse(beta: Form, k: int, G: G2Structure) -> Form:
     """
     if k not in (2, 4, 6):
         raise ValueError(f"k must be 2, 4 or 6, got {k}")
-    L, keys = G.lambda_matrices[k]
+    L, keys = standard_g2().lambda_matrices[k]
     alpha = _matvec(L.T, _coefficient_rows(beta, keys))
     # alpha.T: the entries of a vector, the (n,) columns of stacked rows
     return Form._trusted(DIM, 1, dict(zip(_ONE_KEYS, alpha.T)))
 
 
-def project_k7(a: Form, k: int, G: G2Structure) -> Form:
+def project_k7(a: Form, k: int) -> Form:
     """Projection of a k-form (k in {2,4,6}) onto the image of lambda^k,
     i.e. the 7-dimensional summand Lambda^k_7, as lambda^k o adjoint.  A
     stacked a gives the stacked projections, sample by sample."""
@@ -279,21 +282,21 @@ def project_k7(a: Form, k: int, G: G2Structure) -> Form:
         raise ValueError(f"expected a {k}-form on R^7")
     if k not in (2, 4, 6):
         raise ValueError(f"k must be 2, 4 or 6, got {k}")
-    L, keys = G.lambda_matrices[k]
+    L, keys = standard_g2().lambda_matrices[k]
     proj = _matvec(L, _matvec(L.T, _coefficient_rows(a, keys)))
     return Form._trusted(DIM, k, dict(zip(keys, proj.T)))
 
 
-def project_2_7(beta: Form, G: G2Structure) -> Form:
+def project_2_7(beta: Form) -> Form:
     """Projection of a 2-form onto the 7-dimensional piece Lambda^2_7.
 
     Implemented as lambda^2 composed with its adjoint; the eigenvalue
     characterization (beta + *(phi ^ beta))/3 is kept as an independent
     oracle in the tests.
     """
-    return project_k7(beta, 2, G)
+    return project_k7(beta, 2)
 
 
-def project_2_14(beta: Form, G: G2Structure) -> Form:
+def project_2_14(beta: Form) -> Form:
     """Complementary projection onto Lambda^2_14 = ker(beta -> beta ^ *phi)."""
-    return beta - project_2_7(beta, G)
+    return beta - project_2_7(beta)

@@ -71,10 +71,6 @@ class LieAlgebraModel:
         if viol != 0.0:
             raise ValueError(f"Jacobi identity fails, max violation {viol}")
 
-    @property
-    def g2(self) -> g2core.G2Structure:
-        return standard_splitting().g2
-
     def coframe_differentials(self):
         """de^k for k = 1..7 as 2-forms."""
         out = []
@@ -231,15 +227,13 @@ class ClosednessFlags:
 
 def closedness_flags(m: LieAlgebraModel) -> ClosednessFlags:
     lam, omega, theta, mu = m.forms()
-    phi = m.g2.phi
-    star_phi = m.g2.star_phi
     return ClosednessFlags(
         d_lambda=ce_differential(lam, m).norm(),
         d_omega=ce_differential(omega, m).norm(),
         d_theta=ce_differential(theta, m).norm(),
         d_mu=ce_differential(mu, m).norm(),
-        d_phi=ce_differential(phi, m).norm(),
-        d_star_phi=ce_differential(star_phi, m).norm(),
+        d_phi=ce_differential(g2core.standard_g2().phi, m).norm(),
+        d_star_phi=ce_differential(g2core.standard_g2().star_phi, m).norm(),
     )
 
 

@@ -76,12 +76,10 @@ class Splitting:
 
     G2 acts transitively on associative 3-planes, so every associative
     splitting of phi0 is congruent to this one, and its frame coordinates
-    are the ambient ones.  g2: the ambient structure, always the standard
-    one (not a constructor argument).  The library reads only the one
-    that `standard_splitting()` caches.
+    are the ambient ones.  It has no fields: the ambient structure is the
+    one of `g2core.standard_g2()`, and the library reads only the
+    splitting that `standard_splitting()` caches.
     """
-
-    g2: g2core.G2Structure = field(init=False, default_factory=g2core.standard_g2)
 
     def horizontal_part(self, span):
         """The H coordinates of the rows of span, or of each span of a
@@ -108,13 +106,13 @@ class Splitting:
     @cached_property
     def phi_f_parts(self) -> tuple:
         """The vertical-degree parts alpha_0..alpha_3 of phi in frame coordinates."""
-        return tuple(_vertical_parts(self.g2.phi, 3))
+        return tuple(_vertical_parts(g2core.standard_g2().phi, 3))
 
     @cached_property
     def chi_f_parts(self) -> tuple:
         """The vertical-degree parts chi_0..chi_3 of chi in frame coordinates,
         split componentwise (the value slot is untouched)."""
-        comp_parts = [_vertical_parts(c, 3) for c in self.g2.chi_form.components]
+        comp_parts = [_vertical_parts(c, 3) for c in g2core.standard_g2().chi_form.components]
         return tuple(
             VectorValuedForm(tuple(parts[q] for parts in comp_parts)) for q in range(4)
         )
@@ -122,7 +120,7 @@ class Splitting:
     @cached_property
     def _form_parts(self):
         pphi = self.phi_f_parts
-        pstar = _vertical_parts(self.g2.star_phi, 4)
+        pstar = _vertical_parts(g2core.standard_g2().star_phi, 4)
         for q in (1, 3):
             if not pphi[q].is_zero(1e-12):
                 raise AssertionError(f"phi has an unexpected vertical-degree-{q} part")
@@ -154,7 +152,7 @@ class Splitting:
 
     def chi_form_f(self) -> VectorValuedForm:
         """chi as a TM-valued 3-form in frame coordinates (metric = id there)."""
-        return self.g2.chi_form
+        return g2core.standard_g2().chi_form
 
 
 @cache

@@ -34,7 +34,7 @@ from g2fueter import g2core as g2
 from g2fueter import splitting as sp
 
 S = sp.standard_splitting()
-G = S.g2
+G = g2.standard_g2()
 THETA = S.form_parts()[2]
 
 
@@ -272,7 +272,7 @@ def completion_chis_ref(rng, n):
     out = []
     for _ in range(n):
         u, v = rng.standard_normal((2, 7))
-        out.append(float(np.linalg.norm(g2.chi(np.array([[u, v, cross_ref(u, v)]]), G)[0])))
+        out.append(float(np.linalg.norm(g2.chi(np.array([[u, v, cross_ref(u, v)]]))[0])))
     return out
 
 
@@ -290,7 +290,7 @@ def projection_gaps_ref(rng, n):
     for _ in range(n):
         beta = random_form_ref(rng, 2)
         oracle = (1.0 / 3.0) * (beta + ex.hodge(ex.wedge(G.phi, beta)))
-        out.append((g2.project_2_7(beta, G) - oracle).norm())
+        out.append((g2.project_2_7(beta) - oracle).norm())
     return out
 
 
@@ -359,11 +359,11 @@ SAMPLERS = {
     "wedge-anticommutativity": (checks._anticommutators, anticommutators_ref),
     "inner-vs-wedge-star": (checks._inner_gaps, inner_gaps_ref),
     "interior-antiderivation": (checks._leibniz_gaps, leibniz_gaps_ref),
-    "double-cross": (lambda rng, n: checks._double_cross_gaps(rng, n, G), double_cross_gaps_ref),
-    "cross-completion-associative": (lambda rng, n: checks._completion_chis(rng, n, G),
+    "double-cross": (lambda rng, n: checks._double_cross_gaps(rng, n), double_cross_gaps_ref),
+    "cross-completion-associative": (lambda rng, n: checks._completion_chis(rng, n),
                                      completion_chis_ref),
-    "lambda-isometry": (lambda rng, n: checks._isometry_gaps(rng, n, G), isometry_gaps_ref),
-    "projection-eigen-oracle": (lambda rng, n: checks._projection_gaps(rng, n, G),
+    "lambda-isometry": (lambda rng, n: checks._isometry_gaps(rng, n), isometry_gaps_ref),
+    "projection-eigen-oracle": (lambda rng, n: checks._projection_gaps(rng, n),
                                 projection_gaps_ref),
     "eps-associator": (checks._eps_associator_gaps, eps_associator_gaps_ref),
     "volH-below-vol": (checks._volume_excess, volume_excess_ref),

@@ -49,7 +49,7 @@ def test_01_g2_algebra_suite():
     worst_assoc = float(assoc.max())
 
     # tie the batch evaluation to the pointwise operation
-    tie = checks._fold(np.abs(chi_vals[:100] - g2.chi(vs[:100], G)).max(axis=1))
+    tie = checks._fold(np.abs(chi_vals[:100] - g2.chi(vs[:100])).max(axis=1))
 
     ws = rng.standard_normal((10_000, 4, 7))
     sphi_vals = np.einsum("ijkl,ni,nj,nk,nl->n", star_d, ws[:, 0], ws[:, 1], ws[:, 2], ws[:, 3])

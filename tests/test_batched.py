@@ -86,7 +86,7 @@ def _ve_recursive(T, kmax):
 
 
 def _fueter_vector(T):
-    dense = S.g2.phi_dense
+    dense = G.phi_dense
     out = np.zeros(4)
     for i in range(3):
         u = np.zeros(7)
@@ -107,7 +107,7 @@ def _condition_residuals(T):
     beta = sp.beta_of(T[None])._sample(0)
     return (gap, float(np.linalg.norm(_fueter_vector(T))), float(np.linalg.norm(chi1)),
             np.max([abs(_form_value(theta, frame + [e])) for e in np.eye(7)]),
-            ex.wedge(beta, S.g2.star_phi).norm(), ex.wedge(beta, theta).norm())
+            ex.wedge(beta, G.star_phi).norm(), ex.wedge(beta, theta).norm())
 
 
 def _ladder(T):
@@ -148,14 +148,15 @@ def _ladder(T):
 #
 # test id -> (sample shape, kernel on a stack, per-sample reference on one
 # sample).  The ids are fixed strings, kept as the suite has always listed
-# these cases; each names the kernel it had when its case was added.
+# these cases; each names the kernel it had when its case was added, and
+# "<op>_many" now runs the plain <op> (ROADMAP item 23 renames them).
 
 KERNELS = {
     "Form.apply_many": ((3, 7), G.phi.apply, lambda F: _form_value(G.phi, F)),
     "VectorValuedForm.apply_many": ((3, 7), G.chi_form.apply,
                                     lambda F: _vector_form_value(G.chi_form, F)),
-    "chi_many": ((3, 7), lambda U: g2.chi(U, G), lambda F: _chi(*F)),
-    "tau_many": ((4, 7), lambda U: g2.tau(U, G), lambda F: _vector_form_value(G.tau_form, F)),
+    "chi_many": ((3, 7), g2.chi, lambda F: _chi(*F)),
+    "tau_many": ((4, 7), g2.tau, lambda F: _vector_form_value(G.tau_form, F)),
     "ve_series_many": ((3, 4), lambda Ts: sp.ve_series(Ts, 4), lambda T: _ve_series(T, 4)),
     "ve_recursive_many": ((3, 4), lambda Ts: sp.ve_recursive(Ts, 6),
                           lambda T: _ve_recursive(T, 6)),

@@ -23,6 +23,7 @@ import numpy as np
 import pytest
 
 from g2fueter import exterior as ex
+from g2fueter import g2core as g2
 from g2fueter import splitting as sp
 
 from test_tracer import load_tracer
@@ -138,7 +139,7 @@ def _scan_bytes(n, included, block, shared=False):
     streams = [_EditedStreams(sampler, _degenerate(block)) for sampler in samplers]
     for eps, sampler in zip((1.0, 0.01), samplers * 2):
         reports.append(sp.semi_calibration_scan(
-            sp.adiabatic_family(S.g2.phi, eps), np.diag([1.0] * 3 + [eps] * 4),
+            sp.adiabatic_family(g2.standard_g2().phi, eps), np.diag([1.0] * 3 + [eps] * 4),
             sampler, n, include_frames=[np.eye(7)[:3]] if included else ()))
     for drawn in streams:  # the draw, then one redraw per metric when the row is drawn
         assert drawn.rows() == n + (n > block) * (2 if shared else 1)
@@ -202,7 +203,7 @@ def test_block_b_is_child_b_of_the_seed(monkeypatch):
     ratios = sp._omega_values(sp._omega_blocks(), planes) / \
         (0.5 * np.einsum("nia,nia->n", planes, planes))
     assert rep.max_ratio == ratios.max() and rep.argmax_frame == planes[np.argmax(ratios)].tolist()
-    phi = sp.adiabatic_family(S.g2.phi, 0.1)
+    phi = sp.adiabatic_family(g2.standard_g2().phi, 0.1)
     rep = sp.semi_calibration_scan(phi, metric, sp.PlaneSampler(8), 250)
     values = ex._ordered_contract(phi.to_dense(), *frames.swapaxes(0, 1))
     assert rep.max_ratio == values.max()
@@ -337,7 +338,7 @@ def test_scans_leave_no_thread_and_trace_on_the_main_thread(monkeypatch):
     before = threading.active_count()
     with ThreadNotingTracer() as tracer:
         sp.anisotropic_scan(sp.PlaneSampler(1), 5000, include_planes=[FUETER_T])
-        sp.semi_calibration_scan(S.g2.phi, np.eye(7), sp.PlaneSampler(2), 5000)
+        sp.semi_calibration_scan(g2.standard_g2().phi, np.eye(7), sp.PlaneSampler(2), 5000)
     assert threading.active_count() == before
     assert all(seen)
     # the workers draw and measure through private kernels only

@@ -338,7 +338,7 @@ def test_internal_results_pass_the_public_constructor(a, b, seed):
 @settings(max_examples=50, deadline=None)
 @given(sparse_forms(degrees=(2, 4, 6)), _seeds)
 def test_projections_and_beta_pass_the_public_constructor(a, seed):
-    _revalidated(g2.project_k7(a, a.degree, g2.standard_g2()))
+    _revalidated(g2.project_k7(a, a.degree))
     rng = np.random.default_rng(seed)
     T = rng.standard_normal((3, 4)) * rng.integers(0, 2, (3, 4))  # with exact zeros
     _revalidated(sp.beta_of(T[None])._sample(0))
@@ -441,8 +441,8 @@ def test_one_det_call_per_apply_and_per_pullback_monomial(monkeypatch):
 
 def test_internal_operations_skip_key_validation(monkeypatch):
     phi, star = g2.phi0(), g2.star_phi0()
-    G, two = g2.standard_g2(), ex.basis_form(7, (1, 2))
-    G.lambda_matrices  # built once per structure, through the public constructor
+    two = ex.basis_form(7, (1, 2))
+    g2.standard_g2().lambda_matrices  # built once, through the public constructor
     check = _Counter(ex._check_index_tuple)
     monkeypatch.setattr(ex, "_check_index_tuple", check)
     v = np.arange(1.0, 8.0)
@@ -452,7 +452,7 @@ def test_internal_operations_skip_key_validation(monkeypatch):
     ex.interior(v, phi)
     ex.pullback(np.eye(7) + 0.1, phi)
     _ = phi + phi, 3.0 * phi, phi - phi
-    g2.project_k7(two, 2, G)
+    g2.project_k7(two, 2)
     sp.beta_of(np.ones((1, 3, 4)))
     star.vertical_degree_parts(range(4, 8))
     sp.decompose_form(star)  # pads the empty degrees 1 and 3

@@ -222,8 +222,8 @@ class TestChiViaBeta:
             if np.linalg.norm(fu.chi_component_values(Ts)[3]) > 1e-10:
                 continue
             frame = sp.graph_frames(Ts)
-            chi_plus = np.linalg.norm(g2.chi(frame, S.g2))
-            chi_minus = np.linalg.norm(g2.chi(frame[:, [1, 0, 2]], S.g2))
+            chi_plus = np.linalg.norm(g2.chi(frame))
+            chi_minus = np.linalg.norm(g2.chi(frame[:, [1, 0, 2]]))
             assert min(chi_plus, chi_minus) < 1e-9
 
     def test_rank2_associative_implies_fueter(self):
@@ -236,7 +236,7 @@ class TestChiViaBeta:
             h[:3] = rng.standard_normal(3)
             h /= np.linalg.norm(h)
             v = rng.standard_normal(7)
-            w = g2.cross(h, v, S.g2)
+            w = g2.cross(h, v)
             try:
                 Ts, _ = sp.graph_from_planes(np.stack([h, v, w])[None])
             except sp.NotProjectableError:

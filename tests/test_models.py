@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from g2fueter import exterior as ex
+from g2fueter import g2core as g2
 from g2fueter import models as md
 
 W1 = ex.form_from_terms(7, 2, [(1.0, (4, 5)), (1.0, (6, 7))])
@@ -208,7 +209,7 @@ class TestTypeSplit:
 
     def test_abelian_all_zero(self):
         m = md.model_product_flat()
-        split = md.derivative_type_split(m.g2.phi, m)
+        split = md.derivative_type_split(g2.standard_g2().phi, m)
         assert all(p.norm() == 0.0 for p in split.values())
 
     def test_fv_lambda_iff_v_involutive(self):

@@ -232,7 +232,7 @@ SURVIVORS = {
     # every check that calls chi reads |chi|: `associator-equality` squares
     # it and `cross-completion-associative` and the splittings' guard ask
     # only that it vanish; the Fueter routes read chi's components from
-    # the frame chi_form, not from chi.  Nothing compares chi(u, v, w)
+    # the structure's chi_form, not from chi.  Nothing compares chi(u, v, w)
     # with (*phi)(u, v, w, x) at a sampled x (ROADMAP item 4)
     "g2core.chi negated": (g2core, "chi", _negated),
 }
@@ -243,8 +243,9 @@ SUITES = tuple(cli.SUITES)
 
 
 def _clear_caches():
-    """Drop every per-process cache of the package: the one standard
-    splitting (and with it its cached parts) and each functools cache.
+    """Drop every per-process cache of the package: the one G2 structure
+    (and with it its tensors), the one standard splitting (and with it its
+    cached parts) and each other functools cache.
     Otherwise a warm cache can hide a mutant, and a mutant's values can
     outlive its patch."""
     for module in PACKAGE:

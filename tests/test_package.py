@@ -216,21 +216,25 @@ def _false_on_nan(node):
 
 # The same rule for parameters without a default: one that can hold only
 # one value is no parameter.  The splitting is always the standard one
-# (G2 acts transitively on associative 3-planes), so every layer reads
-# `standard_splitting()` and no def or dataclass takes a splitting.
+# (G2 acts transitively on associative 3-planes), and the G2 structure
+# always the model one, so every layer reads `standard_splitting()` and
+# `standard_g2()`, and no def or dataclass takes either.
 def _splitting_slots(tree, stem):
-    """module.def(param) for each parameter named S or annotated Splitting,
-    and module.Class.field for each dataclass field annotated Splitting."""
+    """module.def(param) for each parameter named S or G or annotated
+    Splitting or G2Structure, and module.Class.field for each dataclass
+    field annotated either."""
+    kinds = ("Splitting", "G2Structure")
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             args = node.args
             for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]:
                 annotation = ast.unparse(a.annotation) if a and a.annotation else ""
-                if a and (a.arg == "S" or "Splitting" in annotation):
+                if a and (a.arg in ("S", "G") or any(k in annotation for k in kinds)):
                     yield f"{stem}.{getattr(node, 'name', '<lambda>')}({a.arg})"
         elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
             for item in node.body:
-                if isinstance(item, ast.AnnAssign) and "Splitting" in ast.unparse(item.annotation):
+                if (isinstance(item, ast.AnnAssign)
+                        and any(k in ast.unparse(item.annotation) for k in kinds)):
                     yield f"{stem}.{node.name}.{item.target.id}"
 
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from g2fueter import g2core as g2
 from g2fueter import pde
 from g2fueter import splitting as sp
 from g2fueter import fueter as fu
@@ -779,7 +780,7 @@ class TestSparseContractions:
         pde.cs_functional(self.u0, self.sec, n=4)
         pde.cs_first_variation(self.u0, self.sec, self.Z, n=4)
         pde.adversarial_variation(self.bad)
-        sp.semi_calibration_scan(sp.standard_splitting().g2.phi, np.eye(7),
+        sp.semi_calibration_scan(g2.standard_g2().phi, np.eye(7),
                                  sp.PlaneSampler(0), 5, include_frames=[np.eye(7)[:3]])
 
 

@@ -5,10 +5,10 @@ independent: once both sides call one function, a fault in it moves both
 alike and the comparison goes blind to it.  Each entry below names a
 `g2f verify` check, its two sides as callables, and the
 exact set of package functions they share.  The test records, with
-`sys.setprofile`, the functions each side calls, cold: on the one
-standard splitting built fresh (its cache cleared), so none of its cached
-properties is warm, and with exterior's caches and pde's jet tables
-cleared, so a cache hit hides no call.  A comprehension or a local function counts as the
+`sys.setprofile`, the functions each side calls, cold: on the one G2
+structure and the one standard splitting built fresh (their caches
+cleared), so none of their cached properties is warm, and with exterior's
+caches and pde's jet tables cleared, so a cache hit hides no call.  A comprehension or a local function counts as the
 function that defines it.  New sharing is a diff here.  Exterior's index
 helpers may be shared by any pair; any other shared function is named,
 with the reason it merges no route, by the entry that shares it.
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import g2fueter
-from g2fueter import checks, exterior, fm_gauge, fueter, pde, splitting
+from g2fueter import checks, exterior, fm_gauge, fueter, g2core, pde, splitting
 
 PACKAGE = os.path.dirname(g2fueter.__file__) + os.sep
 
@@ -83,7 +83,7 @@ SECTION = {
 #  {each shared function that is no index helper: why sharing it merges no route})
 ROUTES = {
     ("splitting", "decomposition"): (
-        lambda: splitting.decompose_form(splitting.standard_splitting().g2.phi),
+        lambda: splitting.decompose_form(g2core.standard_g2().phi),
         checks._phi0_parts_by_count,
         set(), {}),
     ("splitting", "ve-two-routes"): (
@@ -120,10 +120,11 @@ ROUTES = {
 
 def _calls(side):
     """Qualified names of the package functions that side() calls, on the
-    standard splitting built fresh, with exterior's caches and pde's jet
-    tables cleared."""
-    splitting.standard_splitting.cache_clear()
-    splitting.standard_splitting()  # built unrecorded; its parts stay lazy
+    G2 structure and the standard splitting built fresh, with exterior's
+    caches and pde's jet tables cleared."""
+    for built in (g2core.standard_g2, splitting.standard_splitting):
+        built.cache_clear()
+        built()  # built unrecorded; its tensors and parts stay lazy
     for obj in (*vars(exterior).values(), pde._layout_table):
         if hasattr(obj, "cache_clear"):
             obj.cache_clear()
@@ -157,6 +158,6 @@ def test_recorder_sees_a_merged_route():
     calls_a = _calls(side_a)
     assert {"splitting.decompose_form", "splitting._vertical_parts",
             "exterior.Form.vertical_degree_parts"} <= calls_a
-    merged = _calls(lambda: splitting._vertical_parts(splitting.standard_splitting().g2.phi, 3)[::2])
+    merged = _calls(lambda: splitting._vertical_parts(g2core.standard_g2().phi, 3)[::2])
     assert {"splitting._vertical_parts", "exterior.Form.vertical_degree_parts"} <= \
         calls_a & merged

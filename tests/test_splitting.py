@@ -15,6 +15,7 @@ from g2fueter import splitting as sp
 from test_blockwise import _child, _degenerate, _EditedStreams, _pooled
 
 S = sp.standard_splitting()
+G = g2.standard_g2()
 E = np.eye(7)
 
 FUETER_T = np.array([
@@ -32,10 +33,10 @@ def unit_row_T():
 
 class TestSplittingConstruction:
     def test_one_field_and_no_frame_layer(self):
-        assert [f.name for f in dataclasses.fields(sp.Splitting)] == ["g2"]
+        # no field: the ambient structure is the one of g2.standard_g2()
+        assert dataclasses.fields(sp.Splitting) == ()
         S2 = sp.Splitting()
-        assert isinstance(S2.g2, g2.G2Structure) and S2.g2 is not S.g2
-        for args, kwargs in (((E[:3], E[3:]), {}), ((), {"g2": S.g2})):
+        for args, kwargs in (((E[:3], E[3:]), {}), ((), {"g2": G})):
             with pytest.raises(TypeError):
                 sp.Splitting(*args, **kwargs)
         for name in ("h_frame", "v_frame", "frame_matrix", "frame_coords", "to_frame",
@@ -54,9 +55,9 @@ class TestSplittingConstruction:
         assert g != sp.GraphPlane(FUETER_T)
 
     def test_dense_phi_is_a_read_only_constant(self):
-        dense = S.g2.phi_dense
-        assert dense is S.g2.phi_dense
-        assert np.array_equal(dense, S.g2.phi.to_dense())
+        dense = G.phi_dense
+        assert dense is G.phi_dense
+        assert np.array_equal(dense, G.phi.to_dense())
         assert not dense.flags.writeable
 
 
@@ -278,7 +279,7 @@ class TestMinorKernels:
 
 class TestDecomposeAndAdiabatic:
     def test_phi_decomposition(self):
-        parts = sp.decompose_form(S.g2.phi)
+        parts = sp.decompose_form(G.phi)
         lam, omega, theta, mu = S.form_parts()
         assert parts[0].equals(ex.basis_form(7, (1, 2, 3)), 0.0)
         assert parts[1].is_zero(0.0) and parts[3].is_zero(0.0)
@@ -286,10 +287,10 @@ class TestDecomposeAndAdiabatic:
         total = parts[0]
         for p in parts[1:]:
             total = total + p
-        assert total.equals(S.g2.phi, 0.0)
+        assert total.equals(G.phi, 0.0)
 
     def test_star_phi_decomposition(self):
-        parts = sp.decompose_form(S.g2.star_phi)
+        parts = sp.decompose_form(G.star_phi)
         assert parts[4].equals(ex.basis_form(7, (4, 5, 6, 7)), 0.0)
         assert parts[2].equals(ex.form_from_terms(7, 4, g2.STAR_PHI0_TERMS[1:]), 0.0)
         assert parts[0].is_zero(0.0) and parts[1].is_zero(0.0) and parts[3].is_zero(0.0)
@@ -299,13 +300,13 @@ class TestDecomposeAndAdiabatic:
         assert all(parts[0].is_zero(0.0) for parts in chi_parts)
 
     def test_adiabatic_identity_at_one(self):
-        assert sp.adiabatic_family(S.g2.phi, 1.0).equals(S.g2.phi, 0.0)
+        assert sp.adiabatic_family(G.phi, 1.0).equals(G.phi, 0.0)
 
     def test_adiabatic_matches_pullback(self):
         eps = 0.3
-        got = sp.adiabatic_family(S.g2.phi, eps)
+        got = sp.adiabatic_family(G.phi, eps)
         A = np.diag([1.0] * 3 + [np.sqrt(eps)] * 4)
-        assert got.equals(ex.pullback(A, S.g2.phi), 1e-14)
+        assert got.equals(ex.pullback(A, G.phi), 1e-14)
         lam, omega, _, _ = S.form_parts()
         assert got.equals(lam + eps * omega, 1e-14)
 
@@ -318,7 +319,7 @@ class TestDecomposeAndAdiabatic:
         lam, omega, _, _ = S.form_parts()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            phi_eps = sp.adiabatic_family(S.g2.phi, eps)
+            phi_eps = sp.adiabatic_family(G.phi, eps)
             rep = sp.semi_calibration_scan(
                 phi_eps, np.diag([1.0] * 3 + [eps] * 4), sp.PlaneSampler(0), 200)
         assert phi_eps.equals(lam + eps * omega, 0.0)
@@ -329,19 +330,19 @@ class TestDecomposeAndAdiabatic:
     def test_adiabatic_rejects_nonpositive_eps(self):
         for eps in (0.0, np.nan):
             with pytest.raises(ValueError, match="eps"):
-                sp.adiabatic_family(S.g2.phi, eps)
+                sp.adiabatic_family(G.phi, eps)
 
     def test_adiabatic_rejects_eps_whose_factor_overflows(self):
         # at 1e300, star phi's vertical-degree-4 part needs eps^2 (a Python
         # float power) and chi's vertical-degree-3 part eps^(3/2) (a numpy
         # product): both leave the float range, and both must say so
-        for a, q in ((S.g2.star_phi, 4), (S.chi_form_f(), 3)):
+        for a, q in ((G.star_phi, 4), (S.chi_form_f(), 3)):
             with pytest.raises(ValueError, match=rf"eps = 1e\+300 .* eps\^\({q}/2\)"):
                 sp.adiabatic_family(a, 1e300)
 
     def test_vertical_component_scales_exactly(self):
         for eps in (0.5, 0.1, 0.02):
-            fam = sp.adiabatic_family(S.g2.phi, eps)
+            fam = sp.adiabatic_family(G.phi, eps)
             parts = sp.decompose_form(fam)
             _, omega, _, _ = S.form_parts()
             assert parts[2].equals(eps * omega, 0.0)
@@ -351,7 +352,7 @@ class TestDecomposeAndAdiabatic:
         chi_f = S.chi_form_f()
         for _ in range(100):
             eps = float(rng.uniform(0.05, 1.0))
-            phi_eps = sp.adiabatic_family(S.g2.phi, eps)
+            phi_eps = sp.adiabatic_family(G.phi, eps)
             chi_eps = sp.adiabatic_family(chi_f, eps)
             g_eps = np.diag([1.0] * 3 + [eps] * 4)
             vs = rng.standard_normal((3, 7))
@@ -363,7 +364,7 @@ class TestScans:
     def test_semi_calibration_standard(self):
         sampler = sp.PlaneSampler(17)
         rep = sp.semi_calibration_scan(
-            S.g2.phi, np.eye(7), sampler, 2000, include_frames=[E[:3]]
+            G.phi, np.eye(7), sampler, 2000, include_frames=[E[:3]]
         )
         assert rep.violations == 0
         assert rep.max_ratio <= 1.0 + 1e-10
@@ -374,7 +375,7 @@ class TestScans:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="finite"):
                 sp.semi_calibration_scan(
-                    S.g2.phi, np.eye(7), sp.PlaneSampler(17), 10,
+                    G.phi, np.eye(7), sp.PlaneSampler(17), 10,
                     include_frames=[np.full((3, 7), bad)],
                 )
 
@@ -385,7 +386,7 @@ class TestScans:
         sampler = sp.PlaneSampler(17)
         streams = _EditedStreams(sampler)
         with pytest.raises(ValueError, match=r"shape \(k, 3, 7\)"):
-            sp.semi_calibration_scan(S.g2.phi, np.eye(7), sampler, 10,
+            sp.semi_calibration_scan(G.phi, np.eye(7), sampler, 10,
                                      include_frames=np.ones(shape))
         assert streams.drawn == []
 
@@ -402,7 +403,7 @@ class TestScans:
             sampler = sp.PlaneSampler(1)
             streams = _EditedStreams(sampler)
             with pytest.raises(ValueError, match="finite"):
-                sp.semi_calibration_scan(S.g2.phi, metric, sampler, 100)
+                sp.semi_calibration_scan(G.phi, metric, sampler, 100)
             assert streams.drawn == []
 
     def test_overflowing_included_plane_fails_identity_guard(self):
@@ -425,12 +426,12 @@ class TestScans:
 
     def test_negative_form_also_semi_calibration(self):
         sampler = sp.PlaneSampler(18)
-        rep = sp.semi_calibration_scan(-1.0 * S.g2.phi, np.eye(7), sampler, 2000)
+        rep = sp.semi_calibration_scan(-1.0 * G.phi, np.eye(7), sampler, 2000)
         assert rep.violations == 0
 
     def test_eps_family_scan(self):
         for eps in (1.0, 0.1, 0.01):
-            phi_eps = sp.adiabatic_family(S.g2.phi, eps)
+            phi_eps = sp.adiabatic_family(G.phi, eps)
             g_eps = np.diag([1.0] * 3 + [eps] * 4)
             rep = sp.semi_calibration_scan(phi_eps, g_eps, sp.PlaneSampler(19), 2000)
             assert rep.violations == 0
@@ -485,8 +486,8 @@ class TestScans:
     def test_batch_apply_matches_pointwise(self):
         rng = np.random.default_rng(23)
         frames = rng.standard_normal((20, 3, 7))
-        batch = ex._ordered_contract(S.g2.phi.to_dense(), *frames.swapaxes(0, 1))
-        pointwise = S.g2.phi.apply(frames)
+        batch = ex._ordered_contract(G.phi.to_dense(), *frames.swapaxes(0, 1))
+        pointwise = G.phi.apply(frames)
         for i in range(20):
             assert abs(batch[i] - pointwise[i]) < 1e-12
 
